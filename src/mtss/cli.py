@@ -2,8 +2,9 @@
 
 Every subcommand is deterministic for fixed flags and seed.  Exit codes:
 0 success, 1 a verified failure (witness printed), 2 usage errors such as
-unreadable files or malformed flags.  `--format records` switches to
-line-oriented machine-readable output; rationals always print as num/den.
+unreadable files or malformed flags.  On `structure`, `ratios`, `audit`,
+`reconstruct` and `census`, `--format records` switches to line-oriented
+machine-readable output; rationals always print as num/den.
 """
 
 from __future__ import annotations
@@ -248,6 +249,8 @@ def _cmd_census(args) -> int:
         indices = [int(v) for v in args.shares.split(",")] if args.shares else []
     except ValueError:
         raise _Usage(f"bad share list {args.shares!r}") from None
+    if len(set(indices)) != len(indices):
+        raise _Usage(f"duplicate index in share list {args.shares!r}")
     coalition = [VariableId.share(i) for i in indices]
     targets = [
         VariableId.secret(*_parse_slot(s)) for s in args.target.split(";") if s
@@ -311,7 +314,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_structure_flags(p)
     _add_ratio_flags(p)
     p.add_argument("--out", help="scheme file path (default: stdout)")
-    _add_format(p)
     p.set_defaults(fn=_cmd_build)
 
     p = sub.add_parser("verify", help="check scheme conditions")
@@ -319,7 +321,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--security", choices=SECURITIES, default=WEAK)
     p.add_argument("--exhaustive", action="store_true",
                    help="also scan non-maximal coalitions")
-    _add_format(p)
     p.set_defaults(fn=_cmd_verify)
 
     p = sub.add_parser("ratios", help="print the four ratio measures")
@@ -342,7 +343,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_ratio_flags(p)
     p.add_argument("--dump", action="store_true",
                    help="print the constraint system first")
-    _add_format(p)
     p.set_defaults(fn=_cmd_lp)
 
     p = sub.add_parser("deal", help="deal shares for chosen secret values")
@@ -351,7 +351,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="per-secret vectors in canonical order, e.g. '3' or '1,2;0;-'")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", help="bundle file path (default: stdout)")
-    _add_format(p)
     p.set_defaults(fn=_cmd_deal)
 
     p = sub.add_parser("reconstruct", help="recover suffix secrets from shares")

@@ -3,18 +3,16 @@
 Entropy vectors over the n = N + |T| scheme variables are indexed by subset
 bitmasks (bit i = the i-th variable in canonical order: secrets level by
 level, then shares).  The polyhedral outer bound is the elemental Shannon
-cone intersected with the scheme-condition hyperplanes; exact-rational LPs
-over that region produce lower bounds for the four ratio measures, and
-feasibility LPs power the extension/truncation checks that relate a
-structure to its sub-structures.
+cone intersected with the scheme-condition hyperplanes.
 
-The ratio LPs are solved in symmetry-reduced coordinates: the constraint
-set and every ratio objective are invariant under permuting shares and
-permuting same-threshold secrets, so averaging an optimal point over that
-group keeps it feasible and optimal — one variable per subset orbit
-(per-level secret counts plus a share count) gives the same exact optimum
-at a fraction of the size.  Truncation checks involve one distinguished
-bound row that breaks the symmetry, so they run in full coordinates.
+Every converse question here is one exact LP: minimize a linear functional
+of shares and secrets over that region (`_minimize`).  The ratio bounds and
+the truncation checks differ only in the objective and in a few extra rows.
+The LP is solved in symmetry-reduced coordinates: the region is invariant
+under permuting shares and permuting same-threshold secrets, so averaging
+an optimal point over the permutations that also keep the objective gives
+a feasible, optimal point that is constant on subset orbits.  One variable
+per orbit gives the same exact optimum at a fraction of the size.
 """
 
 from __future__ import annotations
@@ -22,12 +20,12 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations, product
+from itertools import combinations
 
 from mtss import simplex
 from mtss.schemes import scheme_variables
 from mtss.structure import SECURITIES, STRONG, WEAK, RatioKind, StructurePair, subset_of
-from mtss.structure import SIGMA, SIGMA_AVG, TAU, TAU_AVG
+from mtss.structure import SIGMA, SIGMA_AVG, TAU
 
 CAP_LIMIT = 8
 
@@ -44,13 +42,8 @@ def variable_cap() -> int:
     return max(2, min(CAP_LIMIT, v))
 
 
-def cone_variables(sp: StructurePair):
-    """Canonical variable order shared with schemes: secrets, then shares."""
-    return scheme_variables(sp)
-
-
 def mask_of(sp: StructurePair, vs) -> int:
-    pos = {v: i for i, v in enumerate(cone_variables(sp))}
+    pos = {v: i for i, v in enumerate(scheme_variables(sp))}
     mask = 0
     for v in vs:
         mask |= 1 << pos[v]
@@ -61,17 +54,11 @@ def mask_of(sp: StructurePair, vs) -> int:
 # Rows and constraint systems
 
 
-def _key_order(item):
-    k = item[0]
-    return (isinstance(k, str), k if isinstance(k, str) else int(k))
-
-
 @dataclass(frozen=True)
 class Row:
     """A sparse linear row over subset coordinates: coeffs . h (=|>=) rhs.
 
-    Keys are subset bitmasks; LP-only rows may also use string keys naming
-    auxiliary variables.
+    Keys are subset bitmasks.
     """
 
     tag: str
@@ -81,12 +68,7 @@ class Row:
 
     @staticmethod
     def make(tag, coeffs: dict, equality: bool, rhs=0) -> "Row":
-        kept = tuple(
-            sorted(
-                ((k, Fraction(c)) for k, c in coeffs.items() if c != 0),
-                key=_key_order,
-            )
-        )
+        kept = tuple(sorted((k, Fraction(c)) for k, c in coeffs.items() if c != 0))
         return Row(tag, kept, equality, Fraction(rhs))
 
     def evaluate(self, vector) -> Fraction:
@@ -101,14 +83,6 @@ class Row:
 class ConstraintSystem:
     n_vars: int
     rows: tuple[Row, ...]
-
-    @property
-    def equalities(self):
-        return tuple(r for r in self.rows if r.equality)
-
-    @property
-    def inequalities(self):
-        return tuple(r for r in self.rows if not r.equality)
 
     def __len__(self):
         return len(self.rows)
@@ -223,8 +197,8 @@ def elemental_inequalities(n_vars: int) -> ConstraintSystem:
 
 
 def _variable_masks(sp: StructurePair):
-    """(secret mask by slot, share mask by index, share-set masks helper)."""
-    order = cone_variables(sp)
+    """(secret mask by slot, share mask by index)."""
+    order = scheme_variables(sp)
     secret = {}
     share = {}
     for i, v in enumerate(order):
@@ -304,95 +278,61 @@ def system_constraints(sp: StructurePair, security: str) -> ConstraintSystem:
 
 
 # --------------------------------------------------------------------------
-# Exact LP solving
+# The cone LP (orbit-reduced)
 
 
-@dataclass(frozen=True)
-class LinearProgram:
-    """Minimize a sparse objective over a constraint system.
+def _minimize(sp: StructurePair, security: str, objective: dict, rows, colour) -> Fraction:
+    """Exact minimum of objective . h over the outer region of `sp`, cut by
+    the extra `rows`.
 
-    Objective and row keys are subset masks, plus optional named auxiliary
-    variables (listed in `aux`).  All variables are nonnegative, which on
-    the Shannon cone is implied rather than restrictive.
+    `colour(v)` splits the variables of one kind and level into classes.
+    The LP has one variable per orbit (a subset's count of variables in
+    each class), and the objective and every row are projected onto
+    orbits, which replaces each by its mean over the permutations that
+    keep every class.  Colour the variables so that the objective is
+    invariant under those permutations.  A row stands for its whole orbit:
+    a row on the first secret of a level holds for every secret of its
+    class.
     """
+    n = sp.n_parties + sp.n_secrets
+    if n > variable_cap():
+        raise ValueError("size cap exceeded")
+    keys = [(v.kind, v.level, colour(v)) for v in scheme_variables(sp)]
+    # An orbit's id is its class counts read as a mixed-radix number; the
+    # empty subset's id 0 gets no column.
+    place = {}
+    n_ids = 1
+    for key in sorted(set(keys), reverse=True):
+        place[key] = n_ids
+        n_ids *= keys.count(key) + 1
+    bit_id = [place[key] for key in keys]
+    orbit = [0] * (1 << n)
+    for mask in range(1, 1 << n):
+        low = mask & -mask
+        orbit[mask] = orbit[mask ^ low] + bit_id[low.bit_length() - 1]
 
-    system: ConstraintSystem
-    objective: dict
-    aux: tuple[str, ...] = ()
-
-
-def lp_solve(lp: LinearProgram):
-    """Exact optimum and primal certificate, raising on infeasible/unbounded."""
-    n_masks = (1 << lp.system.n_vars) - 1
-    col = {name: n_masks + i for i, name in enumerate(lp.aux)}
-
-    def column(key):
-        if isinstance(key, str):
-            if key not in col:
-                raise ValueError(f"unknown auxiliary variable {key!r}")
-            return col[key]
-        if not 1 <= key <= n_masks:
-            raise ValueError(f"subset mask {key} out of range")
-        return key - 1
-
-    prog = simplex.LinearProgram(n_masks + len(lp.aux))
-    prog.minimize({column(k): c for k, c in lp.objective.items()})
-    for row in lp.system.rows:
-        coeffs = {column(k): c for k, c in row.coeffs}
-        if row.equality:
-            prog.add_eq(coeffs, row.rhs)
-        else:
-            prog.add_ge(coeffs, row.rhs)
-    res = prog.solve()
-    if res.status != simplex.OPTIMAL:
-        raise ValueError(res.status)
-    cert = {m: res.x[m - 1] for m in range(1, n_masks + 1)}
-    for name, c in col.items():
-        cert[name] = res.x[c]
-    return res.value, cert
-
-
-# --------------------------------------------------------------------------
-# Ratio lower bounds (orbit-reduced)
-
-
-def _orbit_index_builder(sp: StructurePair):
-    """Map subset masks to orbit ids under share/same-level-secret symmetry."""
-    order = cone_variables(sp)
-    kk = sp.k_levels
-    kind = []  # per bit: level number for secrets, 0 for shares
-    for v in order:
-        kind.append(v.level if v.kind == "secret" else 0)
-    axes = [sp.count(k) + 1 for k in range(1, kk + 1)] + [sp.n_parties + 1]
-    index = {}
-    for i, combo in enumerate(product(*(range(a) for a in axes))):
-        index[combo] = i
-
-    def orbit_of(mask: int) -> int:
-        counts = [0] * (kk + 1)
-        b = 0
-        while mask:
-            if mask & 1:
-                lvl = kind[b]
-                counts[lvl - 1 if lvl else kk] += 1
-            mask >>= 1
-            b += 1
-        return index[tuple(counts)]
-
-    return orbit_of, index
-
-
-def _project_rows(rows, orbit_of):
-    seen = {}
-    for row in rows:
+    def project(coeffs) -> dict:
         proj = {}
-        for mask, c in row.coeffs:
-            k = orbit_of(mask)
-            proj[k] = proj.get(k, Fraction(0)) + c
-        reduced = Row.make(row.tag, proj, row.equality, row.rhs)
-        if reduced.coeffs:
-            seen.setdefault((reduced.coeffs, reduced.equality, reduced.rhs), reduced)
-    return list(seen.values())
+        for mask, c in coeffs:
+            col = orbit[mask] - 1
+            proj[col] = proj.get(col, 0) + c
+        return proj
+
+    prog = simplex.LinearProgram(n_ids - 1)
+    prog.minimize(project(objective.items()))
+    seen = set()
+    base = elemental_inequalities(n).rows + system_constraints(sp, security).rows
+    for row in (*rows, *base):
+        row = Row.make(row.tag, project(row.coeffs), row.equality, row.rhs)
+        key = (row.coeffs, row.equality, row.rhs)
+        if row.coeffs and key not in seen:
+            seen.add(key)
+            add = prog.add_eq if row.equality else prog.add_ge
+            add(dict(row.coeffs), row.rhs)
+    res = prog.solve()
+    if res.status != simplex.OPTIMAL:  # pragma: no cover - region nonempty, objective bounded
+        raise RuntimeError(f"cone LP came back {res.status}")
+    return res.value
 
 
 def lower_bound_ratio(sp: StructurePair, kind: RatioKind) -> Fraction:
@@ -401,66 +341,24 @@ def lower_bound_ratio(sp: StructurePair, kind: RatioKind) -> Fraction:
     Normalizations: the min-normalized measures fix every per-secret
     entropy >= 1; the averaged measures fix the secret-entropy sum to the
     secret count.  The cone is scale-invariant, so both are without loss.
+    The one-share objective projects to the mean share; the largest share
+    is never smaller, and it equals the mean at the symmetric optimum, so
+    sigma needs no max-share variable.
     """
-    n = sp.n_parties + sp.n_secrets
-    if n > variable_cap():
-        raise ValueError("size cap exceeded")
-    orbit_of, index = _orbit_index_builder(sp)
-    base = list(elemental_inequalities(n).rows) + list(
-        system_constraints(sp, kind.security).rows
-    )
-    rows = _project_rows(base, orbit_of)
-
-    kk = sp.k_levels
-    zeros = (0,) * kk
-
-    def level_orbit(k):
-        c = [0] * (kk + 1)
-        c[k - 1] = 1
-        return index[tuple(c)]
-
-    one_share = index[zeros + (1,)]
-    all_shares = index[zeros + (sp.n_parties,)]
-    n_orbits = len(index)
-    aux = n_orbits  # column for the max-share variable when needed
-
-    prog = simplex.LinearProgram(n_orbits + (1 if kind.measure == SIGMA else 0))
-    sum_secrets = {level_orbit(k): Fraction(sp.count(k)) for k in range(1, kk + 1)}
-
-    if kind.measure == SIGMA:
-        prog.minimize({aux: Fraction(1)})
-        prog.add_ge({aux: Fraction(1), one_share: Fraction(-1)}, 0)
-        for k in range(1, kk + 1):
-            prog.add_ge({level_orbit(k): Fraction(1)}, 1)
-    elif kind.measure == SIGMA_AVG:
-        prog.minimize({one_share: Fraction(1)})
-        prog.add_eq(sum_secrets, sp.n_secrets)
-    elif kind.measure == TAU:
-        obj = {all_shares: Fraction(1)}
-        for k, c in sum_secrets.items():
-            obj[k] = obj.get(k, Fraction(0)) - c
-        prog.minimize(obj)
-        for k in range(1, kk + 1):
-            prog.add_ge({level_orbit(k): Fraction(1)}, 1)
-    elif kind.measure == TAU_AVG:
-        obj = {all_shares: Fraction(1)}
-        for k, c in sum_secrets.items():
-            obj[k] = obj.get(k, Fraction(0)) - c
-        prog.minimize(obj)
-        prog.add_eq(sum_secrets, sp.n_secrets)
-    else:  # pragma: no cover - RatioKind validates measures
-        raise ValueError(f"unknown measure {kind.measure!r}")
-
-    for row in rows:
-        coeffs = dict(row.coeffs)
-        if row.equality:
-            prog.add_eq(coeffs, row.rhs)
-        else:
-            prog.add_ge(coeffs, row.rhs)
-    res = prog.solve()
-    if res.status != simplex.OPTIMAL:  # pragma: no cover - region is nonempty
-        raise RuntimeError(f"ratio LP came back {res.status}")
-    return Fraction(res.value)
+    secret, share = _variable_masks(sp)
+    if kind.measure in (SIGMA, SIGMA_AVG):
+        objective = {share[1]: 1}
+    else:
+        objective = {sum(share.values()): 1}
+        objective.update((m, -1) for m in secret.values())
+    if kind.measure in (SIGMA, TAU):
+        rows = [
+            Row.make("norm", {secret[(k, 1)]: 1}, False, 1)
+            for k in range(1, sp.k_levels + 1)
+        ]
+    else:
+        rows = [Row.make("norm", dict.fromkeys(secret.values(), 1), True, sp.n_secrets)]
+    return _minimize(sp, kind.security, objective, rows, lambda v: 0)
 
 
 # --------------------------------------------------------------------------
@@ -470,8 +368,8 @@ def lower_bound_ratio(sp: StructurePair, kind: RatioKind) -> Fraction:
 def _slot_injection(small: StructurePair, big: StructurePair):
     """Map each small variable index to its big counterpart (threshold-matched
     levels, secrets by position, shares by index)."""
-    small_order = cone_variables(small)
-    big_order = cone_variables(big)
+    small_order = scheme_variables(small)
+    big_order = scheme_variables(big)
     big_pos = {v: i for i, v in enumerate(big_order)}
     level_of = {big.threshold(k): k for k in range(1, big.k_levels + 1)}
     mapping = []
@@ -596,59 +494,28 @@ def _min_gap(bound: ShareSecretBound, sp: StructurePair, security: str) -> Fract
     """min(lhs - rhs) of the bound over the outer region, on the section
     h_Omega = 1 (scale-invariant, so the sign decides validity).
 
-    Solved through the LP dual: one variable per elemental/condition row,
-    one constraint per subset coordinate.  The primal has far more rows
-    than columns, so the dual's small basis makes the exact simplex cheap;
-    strong duality (the section is nonempty and the objective bounded)
-    gives the same optimum.
+    Shares are coloured by their alpha and secrets by their beta, so the
+    orbits keep every variable the bound tells apart.
     """
     secret, share = _variable_masks(sp)
-    n = sp.n_parties + sp.n_secrets
-    omega = (1 << n) - 1
-    obj = {}
-
-    def bump(mask, c):
-        obj[mask] = obj.get(mask, Fraction(0)) + c
-
+    objective = {}
     if bound.alpha0:
-        all_shares = 0
-        for m in share.values():
-            all_shares |= m
-        bump(all_shares, bound.alpha0)
+        objective[sum(share.values())] = bound.alpha0
     for i, c in bound.alpha.items():
-        bump(share[i], c)
+        objective[share[i]] = c
     for slot, c in bound.beta.items():
         if slot not in secret:
             raise ValueError(f"bound references missing secret {slot}")
-        bump(secret[slot], -c)
+        objective[secret[slot]] = -c
 
-    # Primal: min obj.x over x >= 0, elemental rows A x >= 0, condition
-    # rows E x = 0, and x_Omega = 1.  Dual: max z  subject to
-    # sum_r y_r A_r + sum_s w_s E_s + z e_Omega <= obj, y >= 0, w/z free.
-    ineqs = elemental_inequalities(n).rows
-    eqs = system_constraints(sp, security).rows
-    n_y = len(ineqs)
-    n_w = len(eqs)
-    # columns: y | w+ | w- | z+ | z-
-    cols = n_y + 2 * n_w + 2
-    prog = simplex.LinearProgram(cols)
-    prog.minimize({cols - 2: Fraction(-1), cols - 1: Fraction(1)})
-    by_mask = {m: {} for m in range(1, omega + 1)}
-    for r_idx, row in enumerate(ineqs):
-        for m, c in row.coeffs:
-            by_mask[m][r_idx] = c
-    for s_idx, row in enumerate(eqs):
-        for m, c in row.coeffs:
-            by_mask[m][n_y + 2 * s_idx] = c
-            by_mask[m][n_y + 2 * s_idx + 1] = -c
-    by_mask[omega][cols - 2] = Fraction(1)
-    by_mask[omega][cols - 1] = Fraction(-1)
-    for m in range(1, omega + 1):
-        prog.add_le(by_mask[m], obj.get(m, Fraction(0)))
-    res = prog.solve()
-    if res.status != simplex.OPTIMAL:  # pragma: no cover - section nonempty
-        raise RuntimeError(f"feasibility LP came back {res.status}")
-    return -res.value
+    def colour(v):
+        if v.kind == "share":
+            return bound.alpha.get(v.index, 0)
+        return bound.beta.get((v.level, v.index), 0)
+
+    omega = (1 << (sp.n_parties + sp.n_secrets)) - 1
+    section = Row.make("section", {omega: 1}, True, 1)
+    return _minimize(sp, security, objective, [section], colour)
 
 
 def check_truncation(

@@ -11,7 +11,6 @@ scheme to compare statistical secrecy with the algebraic rank verdicts.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
@@ -188,6 +187,8 @@ def reconstruct(scheme: LinearScheme, shares: ShareBundle, k: int = 1) -> Secret
         raise ValueError("sub-array index out of range")
     avars = sorted(shares.shares)
     for v in avars:
+        if v.index > scheme.sp.n_parties:
+            raise ValueError(f"share index {v.index} out of range")
         _check_vector(shares[v], scheme.width(v), scheme.q, str(v))
     if len(avars) < scheme.sp.threshold(k):
         raise ValueError("unqualified set")
@@ -213,11 +214,6 @@ class CensusTable:
     q: int
     target_width: int
     counts: dict  # a-values tuple -> {target-values tuple: count}
-
-    def conditional(self, a_vals) -> dict:
-        row = self.counts[tuple(a_vals)]
-        total = sum(row.values())
-        return {s: Fraction(c, total) for s, c in row.items()}
 
     @property
     def uniform(self) -> bool:

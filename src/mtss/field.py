@@ -3,8 +3,10 @@
 Everything downstream (scheme construction, rank-based verification, the
 dealer) works over a prime field F_q with q a plain Python int.  Matrices are
 small and dense, so they are stored as numpy int64 arrays with entries reduced
-to [0, q); products of two reduced entries stay well below 2**63, which makes
-vectorised Gaussian elimination safe without arbitrary-precision tricks.
+to [0, q).  Moduli are bounded by MODULUS_LIMIT = 2**20, so a product of two
+reduced entries is below 2**40 and sums of up to 2**23 such products stay
+exact in int64: vectorised elimination and the dealer's matrix products need
+no arbitrary-precision tricks.
 """
 
 from __future__ import annotations
@@ -12,6 +14,20 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
+
+MODULUS_LIMIT = 1 << 20
+
+
+def check_modulus(q: int) -> None:
+    """Reject a field modulus that is not a prime below MODULUS_LIMIT.
+
+    The size check comes first, so a huge q fails at once instead of
+    running trial division.
+    """
+    if q >= MODULUS_LIMIT:
+        raise ValueError(f"modulus {q} is too large (limit 2**20)")
+    if not is_prime(q):
+        raise ValueError(f"modulus {q} is not prime")
 
 
 def is_prime(m: int) -> bool:
@@ -67,8 +83,7 @@ class MatrixFq:
     a: np.ndarray = field(repr=False)
 
     def __post_init__(self):
-        if not is_prime(self.q):
-            raise ValueError(f"modulus {self.q} is not prime")
+        check_modulus(self.q)
         arr = _as_field_array(self.a, self.q)
         arr.setflags(write=False)
         object.__setattr__(self, "a", arr)
@@ -96,9 +111,6 @@ class MatrixFq:
     def __repr__(self):
         return f"MatrixFq(q={self.q}, shape={self.a.shape})"
 
-    def transpose(self) -> "MatrixFq":
-        return MatrixFq(self.q, self.a.T)
-
     def take_columns(self, cols) -> "MatrixFq":
         return MatrixFq(self.q, self.a[:, list(cols)])
 
@@ -118,24 +130,6 @@ def hstack(parts: list[MatrixFq]) -> MatrixFq:
     if any(p.q != q or p.n_rows != n for p in parts):
         raise ValueError("parts disagree on modulus or row count")
     return MatrixFq(q, np.hstack([p.a for p in parts]))
-
-
-def block_diag(parts: list[MatrixFq]) -> MatrixFq:
-    """Diagonal stacking: rows and columns both concatenate, off-blocks zero."""
-    if not parts:
-        raise ValueError("need at least one part")
-    q = parts[0].q
-    if any(p.q != q for p in parts):
-        raise ValueError("parts disagree on modulus")
-    n = sum(p.n_rows for p in parts)
-    m = sum(p.n_cols for p in parts)
-    out = np.zeros((n, m), dtype=np.int64)
-    r = c = 0
-    for p in parts:
-        out[r : r + p.n_rows, c : c + p.n_cols] = p.a
-        r += p.n_rows
-        c += p.n_cols
-    return MatrixFq(q, out)
 
 
 def _eliminate(a: np.ndarray, q: int) -> tuple[np.ndarray, list[int]]:

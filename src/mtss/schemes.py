@@ -111,8 +111,7 @@ class LinearScheme:
     min_order: int = 0
 
     def __post_init__(self):
-        if not field.is_prime(self.q):
-            raise ValueError(f"modulus {self.q} is not prime")
+        field.check_modulus(self.q)
         object.__setattr__(self, "blocks", tuple((v, b) for v, b in self.blocks))
         expected = scheme_variables(self.sp)
         got = tuple(v for v, _ in self.blocks)
@@ -194,19 +193,20 @@ class LinearScheme:
             sp = parse_thresholds(int(n_str), t_str)
         except (KeyError, ValueError) as e:
             raise ValueError(f"malformed scheme header: {e}") from e
+        field.check_modulus(q)
         blocks = []
         for ln in lines[4:]:
             parts = ln.split()
-            if parts[0] == "S":
+            if parts[0] == "S" and len(parts) >= 3:
                 v = VariableId.secret(int(parts[1]), int(parts[2]))
                 cols = parts[3:]
-            elif parts[0] == "P":
+            elif parts[0] == "P" and len(parts) >= 2:
                 v = VariableId.share(int(parts[1]))
                 cols = parts[2:]
             else:
                 raise ValueError(f"bad variable line: {ln!r}")
             if cols:
-                a = np.array([[int(x) for x in col.split(",")] for col in cols]).T
+                a = np.array([[int(x) % q for x in col.split(",")] for col in cols]).T
                 if a.shape[0] != n_rows:
                     raise ValueError(f"column length mismatch on {v}")
                 blocks.append((v, MatrixFq(q, a)))
@@ -294,8 +294,7 @@ def build_weak_block(n_parties: int, t: int, m: int, q: int | None = None) -> Li
 def _pick_prime(q: int | None, min_order: int) -> int:
     if q is None:
         return field.next_prime_at_least(min_order)
-    if not field.is_prime(q):
-        raise ValueError(f"{q} is not prime")
+    field.check_modulus(q)
     if q < min_order:
         raise ValueError(f"field order {q} below the admissible minimum {min_order}")
     return q
@@ -424,8 +423,7 @@ def _searched_build(assemble, start: int, q: int | None) -> LinearScheme:
     from mtss import verify  # deferred; verify imports this module's types
 
     if q is not None:
-        if not field.is_prime(q):
-            raise ValueError(f"{q} is not prime")
+        field.check_modulus(q)
         if q < start:
             raise ValueError(f"field order {q} below the admissible minimum {start}")
         scheme = assemble(q)

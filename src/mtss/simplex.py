@@ -140,8 +140,11 @@ def _run_simplex(tableau, basis, obj, allowed, n_total):
 
 
 def _solve(n_vars, rows, objective) -> SimplexResult:
+    # A >= row with rhs <= 0, negated, has its own slack at +1 and a
+    # nonnegative rhs, so it starts on that slack; every other row starts
+    # on an artificial column.
     n_slack = sum(1 for _, _, kind in rows if kind == "ge")
-    n_art = len(rows)
+    n_art = sum(1 for _, b, kind in rows if kind == "eq" or b > 0)
     n_total = n_vars + n_slack + n_art
     tableau: list[list[int]] = []
     basis: list[int] = []
@@ -149,24 +152,28 @@ def _solve(n_vars, rows, objective) -> SimplexResult:
     art_at = n_vars + n_slack
     for coeffs, b, kind in rows:
         row = coeffs + [0] * (n_slack + n_art) + [b]
+        on_slack = kind == "ge" and b <= 0
         if kind == "ge":
             row[slack_at] = -1
             slack_at += 1
-        if row[-1] < 0:
-            for j in range(len(row)):
-                row[j] = -row[j]
-        row[art_at] = 1
+        if b < 0 or on_slack:
+            row = [-v for v in row]
+        if on_slack:
+            basis.append(slack_at - 1)
+        else:
+            row[art_at] = 1
+            basis.append(art_at)
+            art_at += 1
         tableau.append(row)
-        basis.append(art_at)
-        art_at += 1
 
     # ---- phase 1: drive the artificial variables to zero
     obj1 = [0] * n_total + [0]
     for j in range(n_vars + n_slack, n_total):
         obj1[j] = 1
     for i, row in enumerate(tableau):  # canonicalize over the artificial basis
-        for j in range(len(obj1)):
-            obj1[j] -= row[j]
+        if basis[i] >= n_vars + n_slack:
+            for j in range(len(obj1)):
+                obj1[j] -= row[j]
     allowed = [True] * n_total
     status = _run_simplex(tableau, basis, obj1, allowed, n_total)
     assert status == OPTIMAL  # phase-1 objective is bounded below by 0

@@ -62,11 +62,6 @@ class RankProfile:
         return r
 
 
-def joint_rank(profile: RankProfile, x) -> int:
-    """Joint rank (= joint entropy in base-q units) of the variables in x."""
-    return profile.rank(x)
-
-
 # --------------------------------------------------------------------------
 # Condition checks
 

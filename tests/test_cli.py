@@ -1,3 +1,5 @@
+import re
+
 import pytest
 
 from mtss import cli, field
@@ -85,6 +87,38 @@ def test_verify_garbage_file(tmp_path, capsys):
     p.write_text("not a scheme\n")
     code, _, err = run(capsys, "verify", str(p))
     assert code == USAGE and "bad scheme file" in err
+
+
+def test_malformed_scheme_files_exit_2(tmp_path, capsys, sigma_scheme):
+    text = sigma_scheme.read_text()
+    q = text.splitlines()[1]
+    cases = {
+        "large-q": text.replace(q, "q 4294967311"),
+        "huge-q": text.replace(q, f"q {(1 << 61) - 1}"),
+        "bare-S": text + "S\n",
+        "short-S": text + "S 1\n",
+        "bare-P": text + "P\n",
+    }
+    for name, body in cases.items():
+        path = tmp_path / f"{name}.scheme"
+        path.write_text(body)
+        code, _, err = run(capsys, "verify", str(path))
+        assert code == USAGE and err.startswith("error: bad scheme file"), name
+    # entries are read modulo q, however large
+    path = tmp_path / "huge-entry.scheme"
+    path.write_text(re.sub(r"^P 1 \d+", "P 1 " + "9" * 30, text, flags=re.M))
+    assert run(capsys, "verify", str(path))[0] in (PASS, FAIL)
+
+
+def test_format_flag_only_where_output_differs(capsys, sigma_scheme):
+    for argv in (
+        ["build", "--n", "2", "--t", "2", "--ratio", "sigma", "--security", "weak"],
+        ["verify", str(sigma_scheme)],
+        ["lp", "--n", "2", "--t", "2", "--ratio", "sigma", "--security", "weak"],
+        ["deal", str(sigma_scheme), "--secrets", "1,2;3,4;5,6"],
+    ):
+        code, _, err = run(capsys, *argv, "--format", "records")
+        assert code == USAGE and "--format" in err, argv[0]
 
 
 def test_verify_failure_prints_witness(tmp_path, capsys):
@@ -185,6 +219,11 @@ def test_reconstruct_failures(tmp_path, capsys, sigma_scheme):
     code, out, _ = run(capsys, "reconstruct", str(other), str(bundle))
     assert code == FAIL and "fingerprint" in out
 
+    stranger = tmp_path / "stranger.bundle"
+    stranger.write_text(bundle.read_text().replace("P 3 ", "P 9 "))
+    code, _, err = run(capsys, "reconstruct", str(sigma_scheme), str(stranger))
+    assert code == USAGE and "share index 9 out of range" in err
+
 
 def test_audit_clean_and_records(capsys, sigma_scheme):
     code, out, _ = run(capsys, "audit", str(sigma_scheme), "--security", "weak")
@@ -245,6 +284,10 @@ def test_census_usage_errors(tmp_path, capsys):
     assert code == USAGE and "expected k,j" in err
     code, _, err = run(capsys, "census", str(scheme), "--target", "")
     assert code == USAGE and "at least one target" in err
+    code, _, err = run(
+        capsys, "census", str(scheme), "--shares", "1,1", "--target", "1,1"
+    )
+    assert code == USAGE and "duplicate index" in err
     big = tmp_path / "big.scheme"
     big.write_text(build_single_threshold(8, 8).to_text())
     code, _, err = run(capsys, "census", str(big), "--target", "1,1")

@@ -2,27 +2,29 @@ from fractions import Fraction as F
 
 import pytest
 
-from mtss import cone
+from mtss import cone, simplex
 from mtss.cone import (
-    ConstraintSystem,
     EntropyVector,
-    LinearProgram,
     Row,
     ShareSecretBound,
     bound_row,
     check_truncation,
-    cone_variables,
     elemental_inequalities,
     extend_vector,
     lower_bound_ratio,
-    lp_solve,
     mask_of,
     membership_system,
     restrict_vector,
     satisfies,
     system_constraints,
 )
-from mtss.schemes import build_optimal, build_single_threshold, build_weak_block
+from mtss.schemes import (
+    VariableId,
+    build_optimal,
+    build_single_threshold,
+    build_weak_block,
+    scheme_variables,
+)
 from mtss.structure import (
     EXACT,
     SIGMA,
@@ -143,57 +145,44 @@ def test_verified_profiles_satisfy_system_rows():
         assert satisfies(x, system_constraints(sch.sp, sec))
 
 
-# ------------------------------------------------------------------ lp_solve
+# ------------------------------------------------- full-coordinate reference
 
-def test_lp_solve_toy_minimum():
-    cs = ConstraintSystem(2, (Row.make("norm", {1: 1}, False, 1),))
-    value, cert = lp_solve(LinearProgram(cs, {1: F(1)}))
-    assert value == 1 and cert[1] == 1 and cert[2] == 0 and cert[3] == 0
-
-
-def test_lp_solve_infeasible_and_unbounded():
-    cs = ConstraintSystem(
-        2,
-        (
-            Row.make("a", {1: 1}, False, 1),
-            Row.make("b", {1: -1}, False, 0),
-        ),
-    )
-    with pytest.raises(ValueError, match="infeasible"):
-        lp_solve(LinearProgram(cs, {1: F(1)}))
-    with pytest.raises(ValueError, match="unbounded"):
-        lp_solve(LinearProgram(ConstraintSystem(2, ()), {1: F(-1)}))
-
-
-def test_lp_solve_key_validation():
-    cs = ConstraintSystem(2, ())
-    with pytest.raises(ValueError, match="auxiliary"):
-        lp_solve(LinearProgram(cs, {"z": F(1)}))
-    with pytest.raises(ValueError, match="out of range"):
-        lp_solve(LinearProgram(cs, {9: F(1)}))
-
-
-def _sigma_program(sp, security):
-    """Full-coordinate sigma LP: min z with z over shares, secrets >= 1."""
+def _reference_min(sp, security, objective, rows=(), n_aux=0):
+    """min objective . h over the outer region and `rows` in full
+    coordinates: subset mask m is column m - 1, and auxiliary variables
+    follow under keys 2^n, 2^n + 1, ...  Returns the optimum and the
+    optimal point by key."""
     n = sp.n_parties + sp.n_secrets
-    order = cone_variables(sp)
-    rows = list(membership_system(sp, security).rows)
-    for v in order:
+    prog = simplex.LinearProgram((1 << n) - 1 + n_aux)
+    prog.minimize({k - 1: c for k, c in objective.items()})
+    for row in (*membership_system(sp, security).rows, *rows):
+        coeffs = {k - 1: c for k, c in row.coeffs}
+        (prog.add_eq if row.equality else prog.add_ge)(coeffs, row.rhs)
+    res = prog.solve()
+    assert res.status == simplex.OPTIMAL
+    return res.value, {k + 1: x for k, x in enumerate(res.x)}
+
+
+def _reference_sigma(sp, security):
+    """Full-coordinate sigma LP: min z with z over every share, secrets >= 1."""
+    z = 1 << (sp.n_parties + sp.n_secrets)
+    rows = []
+    for v in scheme_variables(sp):
         m = mask_of(sp, [v])
         if v.kind == "share":
-            rows.append(Row.make("link", {"z": F(1), m: F(-1)}, False, 0))
+            rows.append(Row.make("link", {z: F(1), m: F(-1)}, False, 0))
         else:
             rows.append(Row.make("norm", {m: F(1)}, False, 1))
-    return LinearProgram(ConstraintSystem(n, tuple(rows)), {"z": F(1)}, aux=("z",))
+    value, point = _reference_min(sp, security, {z: F(1)}, rows, n_aux=1)
+    return value, point, rows
 
 
-def test_lp_solve_sigma_example_and_certificate():
+def test_reference_sigma_example_and_certificate():
     sp = structure(2, [(2, 1)])
-    lp = _sigma_program(sp, WEAK)
-    value, cert = lp_solve(lp)
+    value, point, rows = _reference_sigma(sp, WEAK)
     assert value == 1
-    for row in lp.system.rows:
-        assert row.holds_at(cert)
+    for row in (*membership_system(sp, WEAK).rows, *rows):
+        assert row.holds_at(point)
 
 
 # ------------------------------------------------------- lower_bound_ratio
@@ -240,7 +229,7 @@ def test_lower_bound_agrees_with_full_lp():
     """Orbit reduction and minimal-coalition rows change nothing: the
     symmetric full-coordinate LP gives the same optimum."""
     sp = structure(3, [(2, 2)])
-    full, _ = lp_solve(_sigma_program(sp, WEAK))
+    full, _, _ = _reference_sigma(sp, WEAK)
     assert full == lower_bound_ratio(sp, RatioKind(SIGMA, WEAK))
 
 
@@ -248,26 +237,15 @@ def test_dropped_coalition_rows_change_nothing():
     """Adding the implied non-minimal qualified rows leaves optima alone."""
     sp = structure(3, [(2, 1)])
     kind = RatioKind(TAU, STRONG)
-    n = sp.n_parties + sp.n_secrets
-    order = cone_variables(sp)
+    order = scheme_variables(sp)
     secret = mask_of(sp, [order[0]])
-    shares = [mask_of(sp, [v]) for v in order if v.kind == "share"]
     all_shares = mask_of(sp, [v for v in order if v.kind == "share"])
-    rows = list(membership_system(sp, STRONG).rows)
-    rows.append(Row.make("norm", {secret: F(1)}, False, 1))
-    base = LinearProgram(
-        ConstraintSystem(n, tuple(rows)), {all_shares: F(1), secret: F(-1)}
-    )
-    value, _ = lp_solve(base)
+    objective = {all_shares: F(1), secret: F(-1)}
+    norm = Row.make("norm", {secret: F(1)}, False, 1)
+    value, _ = _reference_min(sp, STRONG, objective, [norm])
     # now append the size-3 qualified coalition explicitly
-    extra = rows + [
-        Row.make("C1", {secret | all_shares: F(1), all_shares: F(-1)}, True, 0)
-    ]
-    value2, _ = lp_solve(
-        LinearProgram(
-            ConstraintSystem(n, tuple(extra)), {all_shares: F(1), secret: F(-1)}
-        )
-    )
+    c1 = Row.make("C1", {secret | all_shares: F(1), all_shares: F(-1)}, True, 0)
+    value2, _ = _reference_min(sp, STRONG, objective, [norm, c1])
     assert value == value2 == lower_bound_ratio(sp, kind) == 1
 
 
@@ -313,7 +291,7 @@ def test_extend_vector_membership_and_identity():
     assert satisfies(X, membership_system(big, WEAK))
     assert restrict_vector(X, sch.sp).coords == x.coords
     # added secrets contribute nothing anywhere
-    added = mask_of(big, [v for v in cone_variables(big) if v.kind == "secret"][2:])
+    added = mask_of(big, [v for v in scheme_variables(big) if v.kind == "secret"][2:])
     omega = (1 << X.n_vars) - 1
     assert X[omega] == X[omega & ~added]
 
@@ -410,6 +388,39 @@ def test_truncation_preconditions():
         check_truncation(negative, small, big)
     with pytest.raises(ValueError, match="subset relation"):
         check_truncation(row, structure(3, [(2, 2)]), big)
+
+
+def _bound_objective(bound, sp):
+    """lhs - rhs of a bound row in full coordinates."""
+    shares = [v for v in scheme_variables(sp) if v.kind == "share"]
+    objective = {}
+    if bound.alpha0:
+        objective[mask_of(sp, shares)] = bound.alpha0
+    for i, c in bound.alpha.items():
+        objective[mask_of(sp, [VariableId.share(i)])] = c
+    for slot, c in bound.beta.items():
+        objective[mask_of(sp, [VariableId.secret(*slot)])] = -c
+    return objective
+
+
+@pytest.mark.parametrize(
+    "sp",
+    [
+        structure(3, [(3, 2), (2, 1)]),
+        structure(3, [(3, 1), (2, 2)]),
+        structure(4, [(3, 1), (2, 1)]),
+    ],
+    ids=lambda sp: str(sp),
+)
+def test_truncation_gap_matches_full_lp(sp):
+    """The orbit-reduced gap equals min(lhs - rhs) on h_Omega = 1 in full
+    coordinates."""
+    omega = (1 << (sp.n_parties + sp.n_secrets)) - 1
+    section = Row.make("section", {omega: 1}, True, 1)
+    for name, k in [("dtb", 1), ("tvb", 1), ("tsdb", 2), ("tsb", 2)]:
+        bound = bound_row(sp, name, k=k)
+        want, _ = _reference_min(sp, WEAK, _bound_objective(bound, sp), [section])
+        assert cone._min_gap(bound, sp, WEAK) == want, (name, k)
 
 
 # ----------------------------------------------------------------------- dump

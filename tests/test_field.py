@@ -171,13 +171,27 @@ def test_matrix_validation():
         m.a[0, 0] = 1  # frozen storage
 
 
+def test_modulus_limit():
+    """q = 1048573, the largest prime below 2**20, is accepted and ranks
+    stay exact; anything from 2**20 up is refused before primality
+    testing, so 2**61 - 1 fails at once instead of hanging."""
+    q = 1048573
+    rng = np.random.default_rng(0)
+    for _ in range(50):
+        u = rng.integers(1, q, 3)
+        v = rng.integers(1, q, 3)
+        assert MatrixFq(q, np.outer(u, v) % q).rank() == 1
+    for big in (1 << 20, 1048583, 4294967311, (1 << 61) - 1):
+        with pytest.raises(ValueError, match="too large"):
+            MatrixFq(big, [[1]])
+        with pytest.raises(ValueError, match="too large"):
+            field.check_modulus(big)
+
+
 def test_matrix_stacking():
     a = MatrixFq(5, [[1, 2], [3, 4]])
     b = MatrixFq(5, [[0], [1]])
     assert field.hstack([a, b]).a.tolist() == [[1, 2, 0], [3, 4, 1]]
-    d = field.block_diag([a, b])
-    assert d.shape == (4, 3)
-    assert d.a.tolist() == [[1, 2, 0], [3, 4, 0], [0, 0, 0], [0, 0, 1]]
     with pytest.raises(ValueError):
         field.hstack([a, MatrixFq(7, [[1], [1]])])
 

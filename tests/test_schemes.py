@@ -85,6 +85,8 @@ def test_single_threshold_validation():
         build_single_threshold(4, 3)
     with pytest.raises(ValueError, match="not prime"):
         build_single_threshold(2, 3, q=6)
+    with pytest.raises(ValueError, match="too large"):
+        build_single_threshold(2, 3, q=(1 << 61) - 1)
     with pytest.raises(ValueError, match="below the admissible minimum"):
         build_single_threshold(2, 3, q=3)
 
@@ -169,6 +171,8 @@ def test_stitched_explicit_field():
         build_A(3, (2, 3), 1, q=5)
     with pytest.raises(ValueError, match="not prime"):
         build_B(3, (3, 4), (2, 1), q=12)
+    with pytest.raises(ValueError, match="too large"):
+        build_B(3, (3, 4), (2, 1), q=4294967311)
 
 
 # -- composition ------------------------------------------------------------
@@ -263,6 +267,11 @@ def test_from_text_rejects_garbage():
         LinearScheme.from_text(good.replace("q 5", "q five"))
     with pytest.raises(ValueError, match="variable line"):
         LinearScheme.from_text(good + "X 9 9\n")
+    for line in ("S", "S 1", "P"):
+        with pytest.raises(ValueError, match="variable line"):
+            LinearScheme.from_text(good + line + "\n")
+    with pytest.raises(ValueError, match="too large"):
+        LinearScheme.from_text(good.replace("q 5", "q 4294967311"))
 
 
 def test_scheme_validation():
@@ -272,6 +281,8 @@ def test_scheme_validation():
         LinearScheme(sp=s.sp, q=s.q, n_rows=s.n_rows, blocks=wrong)
     with pytest.raises(ValueError, match="not prime"):
         LinearScheme(sp=s.sp, q=9, n_rows=s.n_rows, blocks=s.blocks)
+    with pytest.raises(ValueError, match="too large"):
+        LinearScheme(sp=s.sp, q=(1 << 61) - 1, n_rows=s.n_rows, blocks=s.blocks)
     dep = MatrixFq(5, [[1, 2], [2, 4]])  # second column is twice the first
     bad = ((s.variables()[0], dep),) + s.blocks[1:]
     with pytest.raises(ValueError, match="dependent columns"):

@@ -74,36 +74,53 @@ def test_equality_only_system():
     assert res.value == 9 and res.x == (F(3), F(3), F(0))
 
 
+def test_infeasible_with_every_ge_row_on_its_slack():
+    # both >= rows have rhs <= 0 and start on their slacks; only the
+    # equality row's artificial can expose the conflict
+    lp = LinearProgram(2)
+    lp.minimize([1, 1])
+    lp.add_le([1, 1], 0)
+    lp.add_ge([1, -1], -1)
+    lp.add_eq([1, 1], 1)
+    assert lp.solve().status == INFEASIBLE
+
+
+def _holds(coeffs, sense, rhs, point):
+    v = sum(c * p for c, p in zip(coeffs, point))
+    return v <= rhs if sense == "le" else v >= rhs if sense == "ge" else v == rhs
+
+
 @settings(max_examples=60, deadline=None)
 @given(st.data())
 def test_value_matches_any_feasible_point(data):
-    """Optimal value is a lower bound on the objective at random feasible points."""
+    """Optimal value is a lower bound on the objective at random feasible
+    points.  Rows of every sense and rhs sign mix rows that start on their
+    own slack with rows that start on an artificial column."""
     n = data.draw(st.integers(1, 3))
     lp = LinearProgram(n)
     obj = [data.draw(st.integers(-4, 4)) for _ in range(n)]
     lp.minimize(obj)
     rows = []
-    for _ in range(data.draw(st.integers(1, 3))):
+    for _ in range(data.draw(st.integers(1, 4))):
         coeffs = [data.draw(st.integers(-3, 3)) for _ in range(n)]
+        sense = data.draw(st.sampled_from(["le", "ge", "eq"]))
         rhs = data.draw(st.integers(-3, 3))
-        lp.add_le(coeffs, rhs)
-        rows.append((coeffs, rhs))
+        getattr(lp, f"add_{sense}")(coeffs, rhs)
+        rows.append((coeffs, sense, rhs))
     # keep things bounded
     lp.add_le([1] * n, 10)
-    rows.append(([1] * n, 10))
+    rows.append(([1] * n, "le", 10))
     res = lp.solve()
-    if res.status != OPTIMAL:
-        return
+    assert res.status != UNBOUNDED
     point = [data.draw(st.integers(0, 3)) for _ in range(n)]
-    feasible = all(
-        sum(c * p for c, p in zip(coeffs, point)) <= rhs for coeffs, rhs in rows
-    )
+    feasible = all(_holds(*row, point) for row in rows)
+    if res.status == INFEASIBLE:
+        assert not feasible
+        return
     if feasible:
         assert res.value <= sum(c * p for c, p in zip(obj, point))
     # and the reported solution itself must be feasible with matching value
-    assert all(
-        sum(c * x for c, x in zip(coeffs, res.x)) <= rhs for coeffs, rhs in rows
-    )
+    assert all(_holds(*row, res.x) for row in rows)
     assert sum(c * x for c, x in zip(obj, res.x)) == res.value
     assert all(x >= 0 for x in res.x)
 

@@ -25,7 +25,6 @@ from mtss.verify import (
     RankProfile,
     audit_bounds,
     check_conditions,
-    joint_rank,
     ratios,
     render_check,
     render_report,
@@ -42,15 +41,15 @@ def sigma_optimal(sp):
 def test_joint_rank_examples():
     s = build_weak_block(3, 2, 2)
     p = RankProfile(s)
-    assert joint_rank(p, []) == 0
-    assert joint_rank(p, s.variables()) == 2
-    assert joint_rank(p, [VariableId.secret(1, 1), VariableId.share(1)]) == 2
+    assert p.rank([]) == 0
+    assert p.rank(s.variables()) == 2
+    assert p.rank([VariableId.secret(1, 1), VariableId.share(1)]) == 2
 
 
 def test_joint_rank_unknown_variable():
     p = RankProfile(build_weak_block(3, 2, 2))
     with pytest.raises(KeyError, match="unknown variable"):
-        joint_rank(p, [VariableId.secret(5, 1)])
+        p.rank([VariableId.secret(5, 1)])
 
 
 def test_rank_profile_is_polymatroidal():
