@@ -150,7 +150,10 @@ def _cmd_verify(args) -> int:
 
 def _cmd_ratios(args) -> int:
     scheme = _load_scheme(args.scheme)
-    rep = ratios(scheme, strict=False)
+    try:
+        rep = ratios(scheme, strict=False)
+    except ValueError as e:
+        raise _Usage(str(e)) from None
     for measure in MEASURES:
         value = rep.value(measure)
         shown = "undefined" if value is None else format_rational(value)
@@ -164,9 +167,7 @@ def _cmd_ratios(args) -> int:
 def _cmd_audit(args) -> int:
     scheme = _load_scheme(args.scheme)
     try:
-        checks = audit_bounds(
-            scheme, args.security, full_sweep=args.full_sweep, cap=args.cap
-        )
+        checks = audit_bounds(scheme, args.security, cap=args.cap)
     except ValueError as e:
         raise _Usage(str(e)) from None
     violations = [c for c in checks if not c.holds]
@@ -251,13 +252,13 @@ def _cmd_census(args) -> int:
         raise _Usage(f"bad share list {args.shares!r}") from None
     if len(set(indices)) != len(indices):
         raise _Usage(f"duplicate index in share list {args.shares!r}")
-    coalition = [VariableId.share(i) for i in indices]
-    targets = [
-        VariableId.secret(*_parse_slot(s)) for s in args.target.split(";") if s
-    ]
-    if not targets:
-        raise _Usage("census needs at least one target secret")
     try:
+        coalition = [VariableId.share(i) for i in indices]
+        targets = [
+            VariableId.secret(*_parse_slot(s)) for s in args.target.split(";") if s
+        ]
+        if not targets:
+            raise _Usage("census needs at least one target secret")
         table = leakage_census(scheme, coalition, targets)
     except (ValueError, KeyError) as e:
         raise _Usage(str(e)) from None
@@ -331,8 +332,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("audit", help="run every applicable bound check")
     p.add_argument("scheme")
     p.add_argument("--security", choices=SECURITIES, default=WEAK)
-    p.add_argument("--full-sweep", action="store_true",
-                   help="sweep share permutations, not just sorted picks")
     p.add_argument("--cap", type=int, default=10000,
                    help="max checks per bound family")
     _add_format(p)

@@ -17,29 +17,16 @@ per orbit gives the same exact optimum at a fraction of the size.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 
 from mtss import simplex
 from mtss.schemes import scheme_variables
-from mtss.structure import SECURITIES, STRONG, WEAK, RatioKind, StructurePair, subset_of
+from mtss.structure import WEAK, RatioKind, StructurePair, conditions, subset_of
 from mtss.structure import SIGMA, SIGMA_AVG, TAU
 
 CAP_LIMIT = 8
-
-
-def variable_cap() -> int:
-    """Current cap on cone variables (MTS_MAX_CONE_VARS, clamped to [2, 8])."""
-    raw = os.environ.get("MTS_MAX_CONE_VARS")
-    if raw is None:
-        return CAP_LIMIT
-    try:
-        v = int(raw)
-    except ValueError:
-        raise ValueError("MTS_MAX_CONE_VARS must be an integer") from None
-    return max(2, min(CAP_LIMIT, v))
 
 
 def mask_of(sp: StructurePair, vs) -> int:
@@ -137,7 +124,7 @@ class EntropyVector:
         scheme = profile.scheme
         order = scheme.variables()
         n = len(order)
-        if n > variable_cap():
+        if n > CAP_LIMIT:
             raise ValueError("size cap exceeded")
         coords = {}
         for mask in range(1, 1 << n):
@@ -174,7 +161,7 @@ def elemental_inequalities(n_vars: int) -> ConstraintSystem:
     """
     if n_vars < 2:
         raise ValueError("need at least 2 variables")
-    if n_vars > variable_cap():
+    if n_vars > CAP_LIMIT:
         raise ValueError("n_vars over cap")
     omega = (1 << n_vars) - 1
     rows = []
@@ -212,68 +199,34 @@ def _variable_masks(sp: StructurePair):
 def system_constraints(sp: StructurePair, security: str) -> ConstraintSystem:
     """Equality hyperplanes a valid scheme's entropy vector must satisfy.
 
-    C0: joint secret entropy splits into the sum (independence).
-    C1: minimal qualified coalitions determine the decodable suffix.
-    C2 (strong) / C3 (weak): maximal unqualified coalitions learn nothing.
-    Larger qualified and smaller unqualified coalitions are implied within
-    the Shannon cone by monotonicity/submodularity, so only the boundary
-    sizes are generated; duplicate rows are dropped.
+    One row per condition of `structure.conditions` and coalition of its
+    boundary size: h(S, P_A) - h(P_A) = 0 for C1, minus h(S) for C2, and
+    minus the sum of the secrets' entropies for C0 and C3.  Duplicate rows
+    are dropped.
     """
-    if security not in SECURITIES:
-        raise ValueError(f"unknown security level {security!r}")
+    entries = list(conditions(sp, security))
     n = sp.n_parties + sp.n_secrets
-    if n > variable_cap():
+    if n > CAP_LIMIT:
         raise ValueError("size cap exceeded")
     secret, share = _variable_masks(sp)
-    slots = sp.secret_slots()
-    all_secrets = 0
-    for m in secret.values():
-        all_secrets |= m
-
     seen = {}
-
-    def add(tag, coeffs):
-        row = Row.make(tag, coeffs, equality=True)
-        if row.coeffs and row.coeffs not in seen:
-            seen[row.coeffs] = row
-
-    c0 = {all_secrets: Fraction(1)}
-    for m in secret.values():
-        c0[m] = c0.get(m, Fraction(0)) - 1
-    add("C0", c0)
-
-    parties = range(1, sp.n_parties + 1)
-    for k in range(1, sp.k_levels + 1):
-        suffix = 0
-        for (lvl, j), m in secret.items():
-            if lvl >= k:
-                suffix |= m
-        for a_set in combinations(parties, sp.threshold(k)):
-            pa = 0
-            for i in a_set:
-                pa |= share[i]
-            add("C1", {suffix | pa: 1, pa: -1})
-
-    if security == STRONG:
-        for k in range(1, sp.k_levels + 1):
-            prefix = 0
-            for (lvl, j), m in secret.items():
-                if lvl <= k:
-                    prefix |= m
-            for a_set in combinations(parties, sp.threshold(k) - 1):
-                pa = 0
-                for i in a_set:
-                    pa |= share[i]
-                add("C2", {prefix | pa: 1, pa: -1, prefix: -1})
-    else:
-        for lvl, j in slots:
-            m = secret[(lvl, j)]
-            for a_set in combinations(parties, sp.threshold(lvl) - 1):
-                pa = 0
-                for i in a_set:
-                    pa |= share[i]
-                add("C3", {m | pa: 1, pa: -1, m: -1})
-
+    for tag, slots, size in entries:
+        joint = sum(secret[slot] for slot in slots)
+        if tag == "C1":
+            minus = []
+        elif tag == "C2":
+            minus = [joint]
+        else:
+            minus = [secret[slot] for slot in slots]
+        for a_set in combinations(range(1, sp.n_parties + 1), size):
+            pa = sum(share[i] for i in a_set)
+            coeffs = {joint | pa: 1}
+            for mask in (pa, *minus):
+                if mask:
+                    coeffs[mask] = coeffs.get(mask, 0) - 1
+            row = Row.make(tag, coeffs, equality=True)
+            if row.coeffs and row.coeffs not in seen:
+                seen[row.coeffs] = row
     return ConstraintSystem(n, tuple(seen.values()))
 
 
@@ -295,7 +248,7 @@ def _minimize(sp: StructurePair, security: str, objective: dict, rows, colour) -
     class.
     """
     n = sp.n_parties + sp.n_secrets
-    if n > variable_cap():
+    if n > CAP_LIMIT:
         raise ValueError("size cap exceeded")
     keys = [(v.kind, v.level, colour(v)) for v in scheme_variables(sp)]
     # An orbit's id is its class counts read as a mixed-radix number; the
@@ -402,7 +355,7 @@ def extend_vector(
         raise ValueError("vector carries no structure")
     if not subset_of(small, target):
         raise ValueError("subset relation fails")
-    if target.n_parties + target.n_secrets > variable_cap():
+    if target.n_parties + target.n_secrets > CAP_LIMIT:
         raise ValueError("size cap exceeded")
     if not satisfies(x, membership_system(small, security)):
         raise ValueError("x fails small-structure membership")
@@ -449,45 +402,59 @@ def restrict_vector(x: EntropyVector, small: StructurePair) -> EntropyVector:
 
 @dataclass(frozen=True)
 class ShareSecretBound:
-    """A bound row alpha0*h_{P_all} + sum alpha_i h_{P_i} >= sum beta_j h_{S_j}."""
+    """A bound row alpha0*h_{P_all} + sum alpha_i h_{P_i} >= sum beta_j h_{S_j}.
 
-    alpha0: Fraction
+    Coefficients are rationals; `bound_row` gives integers, which keeps the
+    audit's arithmetic on ints.
+    """
+
+    alpha0: int | Fraction
     alpha: dict  # share index -> coefficient
     beta: dict  # secret slot (level, j) -> coefficient
 
 
-def bound_row(sp: StructurePair, name: str, k: int = 1) -> ShareSecretBound:
-    """Canonical instantiation (first secrets, first shares) of a named bound."""
+def bound_row(
+    sp: StructurePair, name: str, k: int = 1, picks: dict | None = None
+) -> ShareSecretBound:
+    """A named bound on the first shares and, on each level i, the first
+    secret, or secret `picks[i]` (which trades places with the first)."""
     kk = sp.k_levels
     if not 1 <= k <= kk:
         raise ValueError("level out of range")
+    picks = picks or {}
+    if not all(1 <= i <= kk and 1 <= j <= sp.count(i) for i, j in picks.items()):
+        raise ValueError("secret pick out of range")
     t = {i: sp.threshold(i) for i in range(1, kk + 1)}
+    alpha0, alpha, beta = 0, {}, {}
     if name == "dtb":
-        return ShareSecretBound(
-            Fraction(0), {1: Fraction(1)}, {(i, 1): Fraction(1) for i in range(1, kk + 1)}
-        )
-    if name == "tsdb":
-        beta = {}
+        alpha = {1: 1}
+        beta = {(i, 1): 1 for i in range(1, kk + 1)}
+    elif name == "tsdb":
         for i in range(1, k):
-            beta[(i, 1)] = Fraction(t[k])
+            beta[(i, 1)] = t[k]
         for i in range(k, kk + 1):
             for j in range(1, sp.count(i) + 1):
-                beta[(i, j)] = Fraction(1)
+                beta[(i, j)] = 1
         for i in range(k + 1, kk + 1):
             beta[(i, 1)] += t[k] - t[i]
-        alpha = {i: Fraction(1) for i in range(1, t[k] + 1)}
-        return ShareSecretBound(Fraction(0), alpha, beta)
-    if name == "tvb":
-        return ShareSecretBound(
-            Fraction(1), {}, {(i, 1): Fraction(t[i]) for i in range(1, kk + 1)}
-        )
-    if name == "tsb":
-        beta = {(i, 1): Fraction(t[i]) for i in range(1, k)}
+        alpha = {i: 1 for i in range(1, t[k] + 1)}
+    elif name == "tvb":
+        alpha0 = 1
+        beta = {(i, 1): t[i] for i in range(1, kk + 1)}
+    elif name == "tsb":
+        alpha0 = 1
+        beta = {(i, 1): t[i] for i in range(1, k)}
         for i in range(k, kk + 1):
             for j in range(1, sp.count(i) + 1):
-                beta[(i, j)] = Fraction(1)
-        return ShareSecretBound(Fraction(1), {}, beta)
-    raise ValueError(f"unknown bound {name!r}")
+                beta[(i, j)] = 1
+    else:
+        raise ValueError(f"unknown bound {name!r}")
+
+    def swap(i, j):
+        p = picks.get(i, 1)
+        return i, p if j == 1 else 1 if j == p else j
+
+    return ShareSecretBound(alpha0, alpha, {swap(*s): c for s, c in beta.items()})
 
 
 def _min_gap(bound: ShareSecretBound, sp: StructurePair, security: str) -> Fraction:

@@ -122,16 +122,6 @@ def zeros(n_rows: int, n_cols: int, q: int) -> MatrixFq:
     return MatrixFq(q, np.zeros((n_rows, n_cols), dtype=np.int64))
 
 
-def hstack(parts: list[MatrixFq]) -> MatrixFq:
-    if not parts:
-        raise ValueError("need at least one part")
-    q = parts[0].q
-    n = parts[0].n_rows
-    if any(p.q != q or p.n_rows != n for p in parts):
-        raise ValueError("parts disagree on modulus or row count")
-    return MatrixFq(q, np.hstack([p.a for p in parts]))
-
-
 def _eliminate(a: np.ndarray, q: int) -> tuple[np.ndarray, list[int]]:
     """In-place forward elimination to row echelon form; returns pivot columns."""
     n_rows, n_cols = a.shape

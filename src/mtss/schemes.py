@@ -113,9 +113,10 @@ class LinearScheme:
     def __post_init__(self):
         field.check_modulus(self.q)
         object.__setattr__(self, "blocks", tuple((v, b) for v, b in self.blocks))
-        expected = scheme_variables(self.sp)
         got = tuple(v for v, _ in self.blocks)
-        if got != expected:
+        # Count first: listing the variables of a huge N would not return.
+        n_vars = self.sp.n_parties + self.sp.n_secrets
+        if len(got) != n_vars or got != scheme_variables(self.sp):
             raise ValueError("blocks must cover every variable in canonical order")
         for v, b in self.blocks:
             if b.q != self.q:

@@ -69,10 +69,6 @@ class StructurePair:
 
     # -- shorthand ---------------------------------------------------------
     @property
-    def n(self) -> int:
-        return self.n_parties
-
-    @property
     def k_levels(self) -> int:
         return len(self.arrays)
 
@@ -143,6 +139,31 @@ def subset_of(small: StructurePair, big: StructurePair) -> bool:
         a.threshold in by_threshold and a.count <= by_threshold[a.threshold]
         for a in small.arrays
     )
+
+
+def conditions(sp: StructurePair, security: str):
+    """The scheme conditions as (tag, secret slots, boundary coalition size).
+
+    C0: the secrets are independent (the empty coalition).
+    C1: every t_k shares decode the level-k suffix of secrets.
+    C2 (strong): t_k - 1 shares learn nothing about the level-k prefix.
+    C3 (weak): t - 1 shares learn nothing about each secret of threshold t.
+    Only boundary sizes are listed: larger qualified and smaller unqualified
+    coalitions follow by monotonicity and submodularity of entropy.
+    """
+    if security not in SECURITIES:
+        raise ValueError(f"unknown security level {security!r}")
+    slots = sp.secret_slots()
+    yield "C0", slots, 0
+    levels = range(1, sp.k_levels + 1)
+    for k in levels:
+        yield "C1", [s for s in slots if s[0] >= k], sp.threshold(k)
+    if security == STRONG:
+        for k in levels:
+            yield "C2", [s for s in slots if s[0] <= k], sp.threshold(k) - 1
+    else:
+        for k, j in slots:
+            yield "C3", [(k, j)], sp.threshold(k) - 1
 
 
 def randomness_break_index(sp: StructurePair) -> int:

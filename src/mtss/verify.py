@@ -11,14 +11,14 @@ from __future__ import annotations
 import threading
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations, permutations, product
+from itertools import combinations, groupby, product
 from math import prod
 
 import numpy as np
 
-from mtss import field
+from mtss import cone, field
 from mtss.schemes import LinearScheme, VariableId
-from mtss.structure import SECURITIES, SIGMA, SIGMA_AVG, STRONG, TAU, TAU_AVG
+from mtss.structure import SIGMA, SIGMA_AVG, STRONG, TAU, TAU_AVG, conditions
 
 DEFAULT_AUDIT_CAP = 10000
 
@@ -109,11 +109,15 @@ def _party_sets(n, sizes):
         yield from combinations(range(1, n + 1), size)
 
 
+_GROUP = {"C0": "independence", "C1": "decodable", "C2": "secure", "C3": "secure"}
+
+
 def check_conditions(
     scheme: LinearScheme, security: str, exhaustive: bool = False
 ) -> VerificationReport:
     """Check independence, decodability, and the chosen secrecy condition.
 
+    Each condition of `structure.conditions` is checked by rank.
     Decodability is enumerated over every coalition of size >= t_k for every
     level k.  The secrecy condition is enumerated only over maximal
     unqualified coalitions (|A| = t_k - 1): for smaller A' subset of A, the
@@ -122,70 +126,38 @@ def check_conditions(
     maximal sets forces zero leak below.  `exhaustive=True` enumerates the
     smaller coalitions anyway.
     """
-    if security not in SECURITIES:
-        raise ValueError(f"unknown security level {security!r}")
     profile = RankProfile(scheme)
-    sp = scheme.sp
-    n = sp.n_parties
+    n = scheme.sp.n_parties
     shares = {i: VariableId.share(i) for i in range(1, n + 1)}
 
-    secrets = scheme.secret_variables()
-    want = sum(scheme.width(v) for v in secrets)
-    got = profile.rank(secrets)
-    independence = ConditionResult(
-        got == want,
-        1,
-        None if got == want else Witness("independence", (), secrets, got, want),
-    )
-
-    def scan(condition, instances):
+    def scan(group, entries):
         checks = 0
-        for sec_vars, a_set, extra in instances:
-            checks += 1
-            pa = [shares[i] for i in a_set]
-            got = profile.rank(list(sec_vars) + pa)
-            want = profile.rank(pa) + extra
-            if got != want:
-                w = Witness(condition, tuple(a_set), tuple(sec_vars), got, want)
-                return ConditionResult(False, checks, w)
+        for tag, slots, size in entries:
+            sec_vars = [VariableId.secret(k, j) for k, j in slots]
+            if tag == "C1":
+                sizes, extra = range(size, n + 1), 0
+            else:
+                sizes = range(size + 1) if exhaustive else [size]
+                if tag == "C2":
+                    extra = profile.rank(sec_vars)
+                else:
+                    extra = sum(scheme.width(v) for v in sec_vars)
+            for a_set in _party_sets(n, sizes):
+                checks += 1
+                pa = [shares[i] for i in a_set]
+                got = profile.rank(sec_vars + pa)
+                want = profile.rank(pa) + extra
+                if got != want:
+                    w = Witness(group, a_set, tuple(sec_vars), got, want)
+                    return ConditionResult(False, checks, w)
         return ConditionResult(True, checks, None)
 
-    def decodable_instances():
-        for k in range(1, sp.k_levels + 1):
-            suffix = tuple(
-                VariableId.secret(i, j)
-                for i, j in sp.secret_slots()
-                if i >= k
-            )
-            for a_set in _party_sets(n, range(sp.threshold(k), n + 1)):
-                yield suffix, a_set, 0
-
-    decodable = scan("decodable", decodable_instances())
-
-    def secure_instances():
-        if security == STRONG:
-            for k in range(1, sp.k_levels + 1):
-                prefix = tuple(
-                    VariableId.secret(i, j)
-                    for i, j in sp.secret_slots()
-                    if i <= k
-                )
-                joint = profile.rank(prefix)
-                top = sp.threshold(k) - 1
-                sizes = range(top + 1) if exhaustive else [top]
-                for a_set in _party_sets(n, sizes):
-                    yield prefix, a_set, joint
-        else:
-            for i in range(1, sp.k_levels + 1):
-                top = sp.threshold(i) - 1
-                sizes = range(top + 1) if exhaustive else [top]
-                for j in range(1, sp.count(i) + 1):
-                    v = VariableId.secret(i, j)
-                    for a_set in _party_sets(n, sizes):
-                        yield (v,), a_set, scheme.width(v)
-
-    secure = scan("secure", secure_instances())
-    return VerificationReport(security, independence, decodable, secure)
+    entries = conditions(scheme.sp, security)
+    results = {
+        group: scan(group, found)
+        for group, found in groupby(entries, key=lambda e: _GROUP[e[0]])
+    }
+    return VerificationReport(security, **results)
 
 
 def render_report(report: VerificationReport) -> str:
@@ -296,16 +268,9 @@ def render_check(check: BoundCheck) -> str:
     return " ".join(parts)
 
 
-def _share_tuples(n, size, full_sweep):
-    if full_sweep:
-        return permutations(range(1, n + 1), size)
-    return combinations(range(1, n + 1), size)
-
-
 def audit_bounds(
     scheme: LinearScheme,
     security: str,
-    full_sweep: bool = False,
     cap: int = DEFAULT_AUDIT_CAP,
 ) -> list[BoundCheck]:
     """Evaluate every converse bound applicable at the given security level.
@@ -313,15 +278,14 @@ def audit_bounds(
     Instantiations sweep the level choice k, one secret index per sub-array,
     and sorted share tuples; each bound family stops after `cap` instances
     (canonical, lexicographically-first instantiations always come first).
-    `full_sweep=True` additionally enumerates permuted share tuples, which
-    re-checks each bound under reordered parameters.
+    Every bound is symmetric in its shares, so permuted share tuples would
+    only repeat a sorted one.  The dtb, tsdb, tvb and tsb rows come from
+    `cone.bound_row`.
 
     A strong scheme is also weakly secure, so a strong audit includes every
     weak bound; two bound families are valid only under strong secrecy and
     are skipped from weak audits.
     """
-    if security not in SECURITIES:
-        raise ValueError(f"unknown security level {security!r}")
     if not check_conditions(scheme, security).passed:
         raise ValueError("precondition: scheme invalid")
     profile = RankProfile(scheme)
@@ -341,7 +305,7 @@ def audit_bounds(
             if t >= n:
                 continue
             for j in range(1, sp.count(k) + 1):
-                for dset in _share_tuples(n, t + 1, full_sweep):
+                for dset in combinations(range(1, n + 1), t + 1):
                     for a, b in combinations(dset, 2):
                         rest = [VariableId.share(i) for i in dset if i not in (a, b)]
                         pa = VariableId.share(a)
@@ -360,33 +324,30 @@ def audit_bounds(
         for i in range(1, n + 1):
             yield {"i": i}, total_w, hp[i]
 
+    def named(name, k, levels):
+        """(picked secrets, share tuple, lhs, rhs) of a `cone.bound_row`
+        bound, one row per pick of a secret on each of `levels`."""
+        for js in product(*(range(1, sp.count(i) + 1) for i in levels)):
+            row = cone.bound_row(sp, name, k, dict(zip(levels, js)))
+            lhs = sum(c * w[slot] for slot, c in row.beta.items())
+            alpha = list(row.alpha.values())
+            for dset in combinations(range(1, n + 1), len(alpha)):
+                rhs = row.alpha0 * h_all_shares + sum(
+                    c * hp[i] for c, i in zip(alpha, dset)
+                )
+                yield js, dset, lhs, rhs
+
+    levels = range(1, kk + 1)
+
     def dtb():
-        for js in product(*(range(1, sp.count(k) + 1) for k in range(1, kk + 1))):
-            lhs = sum(w[k, js[k - 1]] for k in range(1, kk + 1))
-            for i in range(1, n + 1):
-                yield {"j": js, "i": i}, lhs, hp[i]
+        for js, dset, lhs, rhs in named("dtb", 1, levels):
+            yield {"j": js, "i": dset[0]}, lhs, rhs
 
     def tsdb():
-        for k in range(1, kk + 1):
-            t = sp.threshold(k)
-            others = [i for i in range(1, kk + 1) if i != k]
-            for picks in product(*(range(1, sp.count(i) + 1) for i in others)):
-                ji = dict(zip(others, picks))
-                lhs = (
-                    t * sum(w[i, ji[i]] for i in range(1, k))
-                    + sum(
-                        w[i, j]
-                        for i in range(k, kk + 1)
-                        for j in range(1, sp.count(i) + 1)
-                    )
-                    + sum(
-                        (t - sp.threshold(i)) * w[i, ji[i]]
-                        for i in range(k + 1, kk + 1)
-                    )
-                )
-                for dset in _share_tuples(n, t, full_sweep):
-                    rhs = sum(hp[i] for i in dset)
-                    yield {"k": k, "j": tuple(sorted(ji.items())), "shares": dset}, lhs, rhs
+        for k in levels:
+            others = [i for i in levels if i != k]
+            for js, dset, lhs, rhs in named("tsdb", k, others):
+                yield {"k": k, "j": tuple(zip(others, js)), "shares": dset}, lhs, rhs
 
     def tpb():
         t_prod = prod(sp.threshold(k) for k in range(1, kk + 1))
@@ -396,7 +357,7 @@ def audit_bounds(
             for i in range(1, kk + 1)
         )
         scale = t_prod // sp.threshold(1)
-        for dset in _share_tuples(n, sp.threshold(1), full_sweep):
+        for dset in combinations(range(1, n + 1), sp.threshold(1)):
             yield {"shares": dset}, lhs, scale * sum(hp[i] for i in dset)
 
     def avg_share():
@@ -408,21 +369,14 @@ def audit_bounds(
         yield {}, lhs, h_all_shares
 
     def tvb():
-        for js in product(*(range(1, sp.count(k) + 1) for k in range(1, kk + 1))):
-            lhs = sum(sp.threshold(k) * w[k, js[k - 1]] for k in range(1, kk + 1))
-            yield {"j": js}, lhs, h_all_shares
+        for js, _, lhs, rhs in named("tvb", 1, levels):
+            yield {"j": js}, lhs, rhs
 
     def tsb():
-        for k in range(1, kk + 1):
-            below = list(range(1, k))
-            for picks in product(*(range(1, sp.count(i) + 1) for i in below)):
-                ji = dict(zip(below, picks))
-                lhs = sum(sp.threshold(i) * w[i, ji[i]] for i in below) + sum(
-                    w[i, j]
-                    for i in range(k, kk + 1)
-                    for j in range(1, sp.count(i) + 1)
-                )
-                yield {"k": k, "j": tuple(sorted(ji.items()))}, lhs, h_all_shares
+        for k in levels:
+            below = range(1, k)
+            for js, _, lhs, rhs in named("tsb", k, below):
+                yield {"k": k, "j": tuple(zip(below, js))}, lhs, rhs
 
     def extra_n3():
         if n != 3:

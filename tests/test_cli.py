@@ -1,6 +1,8 @@
 import re
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from mtss import cli, field
 from mtss.cli import FAIL, PASS, USAGE
@@ -98,6 +100,7 @@ def test_malformed_scheme_files_exit_2(tmp_path, capsys, sigma_scheme):
         "bare-S": text + "S\n",
         "short-S": text + "S 1\n",
         "bare-P": text + "P\n",
+        "huge-N": text.replace("structure 3 ", f"structure {10**12} "),
     }
     for name, body in cases.items():
         path = tmp_path / f"{name}.scheme"
@@ -108,6 +111,10 @@ def test_malformed_scheme_files_exit_2(tmp_path, capsys, sigma_scheme):
     path = tmp_path / "huge-entry.scheme"
     path.write_text(re.sub(r"^P 1 \d+", "P 1 " + "9" * 30, text, flags=re.M))
     assert run(capsys, "verify", str(path))[0] in (PASS, FAIL)
+    # a scheme whose secrets are all empty has no ratios
+    path.write_text(re.sub(r"^(S \d+ \d+) .*$", r"\1", text, flags=re.M))
+    code, _, err = run(capsys, "ratios", str(path))
+    assert code == USAGE and "zero-length secret" in err
 
 
 def test_format_flag_only_where_output_differs(capsys, sigma_scheme):
@@ -288,10 +295,79 @@ def test_census_usage_errors(tmp_path, capsys):
         capsys, "census", str(scheme), "--shares", "1,1", "--target", "1,1"
     )
     assert code == USAGE and "duplicate index" in err
+    for flags in (
+        ["--shares", "0", "--target", "1,1"],
+        ["--shares", "-2", "--target", "1,1"],
+        ["--target", "0,1"],
+        ["--target", "1,-1"],
+    ):
+        code, _, err = run(capsys, "census", str(scheme), *flags)
+        assert code == USAGE and err.startswith("error: ") and err.count("\n") == 1, flags
     big = tmp_path / "big.scheme"
     big.write_text(build_single_threshold(8, 8).to_text())
     code, _, err = run(capsys, "census", str(big), "--target", "1,1")
     assert code == USAGE and "too large" in err
+
+
+_TOKEN = st.sampled_from(
+    ["0", "1", "2", "3", "5", "9", "-1", "", "x", "-", "1,2", "1,1,1,0,0",
+     "3,2", "S", "P", "q", "rows", "structure"]
+)
+
+
+def _mutated(data, text, line_sep="\n", token_sep=" "):
+    """`text` with one to three tokens set, dropped or added, or lines
+    dropped or copied."""
+    lines = [ln.split(token_sep) for ln in text.split(line_sep)]
+    for _ in range(data.draw(st.integers(1, 3))):
+        lines = lines or [[]]
+        i = data.draw(st.integers(0, len(lines) - 1))
+        line = lines[i]
+        j = data.draw(st.integers(0, max(len(line) - 1, 0)))
+        op = data.draw(st.sampled_from(["set", "drop", "add", "drop-line", "copy-line"]))
+        if op == "set" and line:
+            line[j] = data.draw(_TOKEN)
+        elif op == "drop" and line:
+            del line[j]
+        elif op == "add":
+            line.insert(j, data.draw(_TOKEN))
+        elif op == "drop-line":
+            del lines[i]
+        elif op == "copy-line":
+            lines.insert(i, list(line))
+    return line_sep.join(token_sep.join(ln) for ln in lines)
+
+
+@settings(
+    max_examples=150, deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+@given(data=st.data())
+def test_exit_code_contract_under_mutation(tmp_path, capsys, data):
+    """Mutated scheme and bundle files and flag lists exit 0, 1 or 2."""
+    scheme_text = (
+        "mtss-scheme 1\nq 5\nrows 5\nstructure 3 3,2\n"
+        "S 1 1 1,1,1,0,0\nS 2 1 0,0,0,1,1\n"
+        "P 1 1,2,4,0,0 0,0,0,1,2\nP 2 1,3,4,0,0 0,0,0,1,3\n"
+        "P 3 1,4,1,0,0 0,0,0,1,4\n"
+    )
+    scheme = tmp_path / "f.scheme"
+    scheme.write_text(scheme_text)
+    bundle = tmp_path / "f.bundle"
+    assert cli.main(["deal", str(scheme), "--secrets", "1;2", "--out", str(bundle)]) == PASS
+    bundle.write_text(_mutated(data, bundle.read_text()))
+    scheme.write_text(_mutated(data, scheme_text))
+    shares = _mutated(data, "1,2", ";", ",")
+    targets = _mutated(data, "1,1;2,1", ";", ",")
+    secrets = _mutated(data, "1;2", ";", ",")
+    for argv in (
+        ["verify", str(scheme), "--security", "strong"],
+        ["ratios", str(scheme)],
+        ["reconstruct", str(scheme), str(bundle)],
+        ["census", str(scheme), "--shares", shares, "--target", targets],
+        ["deal", str(scheme), "--secrets", secrets],
+    ):
+        assert run(capsys, *argv)[0] in (PASS, FAIL, USAGE), argv
 
 
 def test_module_entry_point():

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction as F
 
 import pytest
@@ -18,8 +19,11 @@ from mtss.cone import (
     satisfies,
     system_constraints,
 )
+from mtss.field import MatrixFq
 from mtss.schemes import (
+    LinearScheme,
     VariableId,
+    build_B,
     build_optimal,
     build_single_threshold,
     build_weak_block,
@@ -66,18 +70,6 @@ def test_elemental_bounds():
         elemental_inequalities(1)
     with pytest.raises(ValueError, match="over cap"):
         elemental_inequalities(9)
-
-
-def test_cap_env_override(monkeypatch):
-    monkeypatch.setenv("MTS_MAX_CONE_VARS", "4")
-    elemental_inequalities(4)
-    with pytest.raises(ValueError, match="over cap"):
-        elemental_inequalities(5)
-    monkeypatch.setenv("MTS_MAX_CONE_VARS", "99")
-    assert cone.variable_cap() == 8
-    monkeypatch.setenv("MTS_MAX_CONE_VARS", "banana")
-    with pytest.raises(ValueError, match="integer"):
-        cone.variable_cap()
 
 
 def test_rank_profiles_satisfy_elemental():
@@ -143,6 +135,43 @@ def test_verified_profiles_satisfy_system_rows():
         assert check_conditions(sch, sec).passed
         x = EntropyVector.from_profile(RankProfile(sch))
         assert satisfies(x, system_constraints(sch.sp, sec))
+
+
+def _random_schemes(sp, count, seed):
+    """Schemes over F_5 with one random column per variable."""
+    rng = random.Random(seed)
+    out = []
+    while len(out) < count:
+        blocks = []
+        for v in scheme_variables(sp):
+            col = [rng.randrange(5) for _ in range(3)]
+            if not any(col):
+                break
+            blocks.append((v, MatrixFq(5, [[x] for x in col])))
+        else:
+            out.append(LinearScheme(sp=sp, q=5, n_rows=3, blocks=tuple(blocks)))
+    return out
+
+
+def test_rank_verdict_matches_system_rows():
+    """check_conditions passes exactly when the rank profile satisfies the
+    C0-C3 rows, on passing and failing schemes of up to 8 variables."""
+    cases = [
+        build_weak_block(3, 2, 2),
+        build_single_threshold(2, 4),
+        build_B(3, (3, 4), (2, 1)),
+        build_optimal(structure(3, [(3, 1), (2, 1)]), RatioKind(SIGMA, STRONG)),
+        *_random_schemes(structure(3, [(3, 1), (2, 1)]), 30, seed=1),
+        *_random_schemes(structure(3, [(2, 2)]), 30, seed=2),
+    ]
+    verdicts = set()
+    for sch in cases:
+        x = EntropyVector.from_profile(RankProfile(sch))
+        for sec in (STRONG, WEAK):
+            passed = check_conditions(sch, sec).passed
+            assert passed == satisfies(x, system_constraints(sch.sp, sec)), (sch.sp, sec)
+            verdicts.add((sec, passed))
+    assert len(verdicts) == 4
 
 
 # ------------------------------------------------- full-coordinate reference
@@ -273,9 +302,8 @@ def test_entropy_vector_arithmetic():
         x + EntropyVector(2, {1: 0, 2: 0, 3: 0})
 
 
-def test_from_profile_respects_cap(monkeypatch):
-    monkeypatch.setenv("MTS_MAX_CONE_VARS", "4")
-    sch = build_weak_block(3, 2, 2)  # five variables
+def test_from_profile_respects_cap():
+    sch = build_single_threshold(2, 8)  # nine variables
     with pytest.raises(ValueError, match="size cap"):
         EntropyVector.from_profile(RankProfile(sch))
 
@@ -358,6 +386,12 @@ def test_bound_row_coefficients():
         bound_row(sp, "mystery")
     with pytest.raises(ValueError, match="level out of range"):
         bound_row(sp, "tsdb", k=3)
+    # a pick trades places with the level's first secret
+    assert bound_row(sp, "tsdb", k=2, picks={1: 2}).beta == {(1, 2): 2, (2, 1): 1}
+    assert bound_row(sp, "dtb", picks={1: 2}).beta == {(1, 2): 1, (2, 1): 1}
+    for picks in ({1: 3}, {3: 1}, {2: 0}):
+        with pytest.raises(ValueError, match="pick out of range"):
+            bound_row(sp, "dtb", picks=picks)
 
 
 def test_truncation_examples():

@@ -188,14 +188,6 @@ def test_modulus_limit():
             field.check_modulus(big)
 
 
-def test_matrix_stacking():
-    a = MatrixFq(5, [[1, 2], [3, 4]])
-    b = MatrixFq(5, [[0], [1]])
-    assert field.hstack([a, b]).a.tolist() == [[1, 2, 0], [3, 4, 1]]
-    with pytest.raises(ValueError):
-        field.hstack([a, MatrixFq(7, [[1], [1]])])
-
-
 def test_matrix_take_columns_and_empty():
     a = MatrixFq(5, [[1, 2, 3], [4, 0, 1]])
     assert a.take_columns([2, 0]).a.tolist() == [[3, 1], [1, 4]]

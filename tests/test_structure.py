@@ -15,6 +15,7 @@ from mtss.structure import (
     WEAK,
     OptimalValue,
     RatioKind,
+    conditions,
     format_thresholds,
     optimal_ratio,
     parse_thresholds,
@@ -191,6 +192,23 @@ def test_plan_multiplicities_positive_integers():
         for part in parts:
             assert part.multiplicity >= 1
             assert part.kind in ("window", "ensemble", "bridge")
+
+
+def test_conditions_lists_boundary_sizes():
+    sp = structure(4, [(4, 1), (2, 2)])
+    slots = [(1, 1), (2, 1), (2, 2)]
+    head = [("C0", slots, 0), ("C1", slots, 4), ("C1", [(2, 1), (2, 2)], 2)]
+    assert list(conditions(sp, STRONG)) == head + [
+        ("C2", [(1, 1)], 3),
+        ("C2", slots, 1),
+    ]
+    assert list(conditions(sp, WEAK)) == head + [
+        ("C3", [(1, 1)], 3),
+        ("C3", [(2, 1)], 1),
+        ("C3", [(2, 2)], 1),
+    ]
+    with pytest.raises(ValueError, match="unknown security"):
+        list(conditions(sp, "medium"))
 
 
 def test_ratio_kind_validation():

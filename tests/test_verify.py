@@ -263,12 +263,8 @@ def test_audit_zero_violations_on_catalog():
         assert all(c.holds for c in audit_bounds(s, sec)), f"violation on {s.sp}"
 
 
-def test_audit_full_sweep_and_cap():
+def test_audit_cap():
     s = sigma_optimal(structure(3, [(3, 1), (2, 1)]))
-    base = audit_bounds(s, WEAK)
-    swept = audit_bounds(s, WEAK, full_sweep=True)
-    assert len(swept) > len(base)
-    assert all(c.holds for c in swept)
     capped = audit_bounds(s, WEAK, cap=1)
     ids = [c.bound for c in capped]
     assert len(ids) == len(set(ids))  # one check per family
