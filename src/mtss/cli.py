@@ -271,8 +271,8 @@ def _cmd_census(args) -> int:
                 s_body = ",".join(str(v) for v in s_vals) if s_vals else "-"
                 print(f"count {a_body} {s_body} {row[s_vals]}")
     else:
-        rows = sum(len(r) for r in table.counts.values())
-        print(f"{len(table.counts)} coalition values, {rows} table rows")
+        print(f"{table.n_coalition_values} coalition values, "
+              f"{len(table.codes)} table rows")
     return PASS
 
 

@@ -5,12 +5,16 @@ consistent with the requested secret values: a particular solution plus a
 seeded uniform combination of the kernel basis.  Reconstruction solves for
 any codeword matching a qualified coalition's shares and reads the suffix
 secrets off it.  The census brute-forces the full codeword space of a tiny
-scheme to compare statistical secrecy with the algebraic rank verdicts.
+scheme to compare statistical secrecy with the algebraic rank verdicts.  It
+tabulates with arrays: a sorted array of combined (coalition values, target
+values) codes and their codeword counts, from which `uniform` is read
+directly; the nested-dict `counts` is a view decoded on first access.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -20,6 +24,7 @@ from mtss.schemes import LinearScheme, VariableId
 _MASK64 = (1 << 64) - 1
 _BUNDLE_MAGIC = "mtss-bundle 1"
 CENSUS_CAP = 10_000_000
+_CHUNK = 1 << 16  # codewords enumerated at once by the census
 
 
 def _splitmix64(seed: int):
@@ -207,23 +212,59 @@ def reconstruct(scheme: LinearScheme, shares: ShareBundle, k: int = 1) -> Secret
     return SecretAssignment(out)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CensusTable:
-    """Exhaustive joint counts of (coalition share values, target values)."""
+    """Exhaustive joint counts of (coalition share values, target values).
+
+    Each (coalition values, target values) pair is stored as one combined
+    code, the coalition values' base-q digits followed by the target's:
+    `codes` is sorted and duplicate-free and `tallies[i]` counts the
+    codewords that give `codes[i]`.  The codes of one coalition value
+    therefore form a contiguous run.  `counts` decodes the arrays into
+    nested dicts on first access.
+    """
 
     q: int
+    coalition_width: int
     target_width: int
-    counts: dict  # a-values tuple -> {target-values tuple: count}
+    codes: np.ndarray  # sorted int64 combined codes
+    tallies: np.ndarray  # int64 codeword count of each code
+
+    @property
+    def n_coalition_values(self) -> int:
+        """Number of distinct coalition share values (runs of codes)."""
+        a_code = self.codes // self.q**self.target_width
+        return int(np.count_nonzero(np.diff(a_code))) + 1
 
     @property
     def uniform(self) -> bool:
         """True when every conditional distribution of the target is flat
         over all q^width values."""
-        want = self.q**self.target_width
-        for row in self.counts.values():
-            if len(row) != want or len(set(row.values())) != 1:
-                return False
-        return True
+        base = self.q**self.target_width
+        # A run holds at most `base` codes, so the total says every run is full.
+        if len(self.codes) != self.n_coalition_values * base:
+            return False
+        runs = self.tallies.reshape(-1, base)
+        return bool((runs == runs[:, :1]).all())
+
+    @cached_property
+    def counts(self) -> dict:
+        """Decoded view: a-values tuple -> {target-values tuple: count}."""
+        a_code, s_code = np.divmod(self.codes, self.q**self.target_width)
+        a_rows = _digits(a_code, self.coalition_width, self.q)
+        s_rows = _digits(s_code, self.target_width, self.q)
+        out: dict = {}
+        for a_vals, s_vals, c in zip(a_rows, s_rows, self.tallies.tolist()):
+            out.setdefault(tuple(a_vals), {})[tuple(s_vals)] = c
+        return out
+
+
+def _digits(code: np.ndarray, width: int, q: int) -> list:
+    """Base-q digits of each code, most significant first, as lists."""
+    out = np.empty((len(code), width), dtype=np.int64)
+    for col in range(width - 1, -1, -1):
+        code, out[:, col] = np.divmod(code, q)
+    return out.tolist()
 
 
 def leakage_census(scheme: LinearScheme, a_shares, target) -> CensusTable:
@@ -246,11 +287,10 @@ def leakage_census(scheme: LinearScheme, a_shares, target) -> CensusTable:
     wa, ws = va.shape[1], vs.shape[1]
     pow_a = q ** np.arange(wa - 1, -1, -1, dtype=np.int64) if wa else None
     pow_s = q ** np.arange(ws - 1, -1, -1, dtype=np.int64) if ws else None
-    merged: dict[int, int] = {}
+    chunk_codes, chunk_tallies = [], []
     total = q**n
-    chunk = 1 << 16
-    for start in range(0, total, chunk):
-        idx = np.arange(start, min(start + chunk, total), dtype=np.int64)
+    for start in range(0, total, _CHUNK):
+        idx = np.arange(start, min(start + _CHUNK, total), dtype=np.int64)
         digits = np.empty((len(idx), n), dtype=np.int64)
         tmp = idx.copy()
         for r in range(n):
@@ -260,20 +300,9 @@ def leakage_census(scheme: LinearScheme, a_shares, target) -> CensusTable:
         s_code = (digits @ vs % q) @ pow_s if ws else np.zeros(len(idx), np.int64)
         combined = a_code * (q**ws) + s_code
         uniq, cnt = np.unique(combined, return_counts=True)
-        for u, c in zip(uniq.tolist(), cnt.tolist()):
-            merged[u] = merged.get(u, 0) + c
-
-    def decode(code, width):
-        out = []
-        for _ in range(width):
-            out.append(code % q)
-            code //= q
-        return tuple(reversed(out))
-
-    counts: dict = {}
-    base = q**ws
-    for code, c in merged.items():
-        a_vals = decode(code // base, wa)
-        s_vals = decode(code % base, ws)
-        counts.setdefault(a_vals, {})[s_vals] = c
-    return CensusTable(q, ws, counts)
+        chunk_codes.append(uniq)
+        chunk_tallies.append(cnt)
+    codes, where = np.unique(np.concatenate(chunk_codes), return_inverse=True)
+    tallies = np.zeros(len(codes), dtype=np.int64)
+    np.add.at(tallies, where, np.concatenate(chunk_tallies))
+    return CensusTable(q, wa, ws, codes, tallies)

@@ -213,6 +213,9 @@ class LinearScheme:
                 blocks.append((v, MatrixFq(q, a)))
             else:
                 blocks.append((v, field.zeros(n_rows, 0, q)))
+        width = sum(m.n_cols for _, m in blocks)
+        if n_rows > width:
+            raise ValueError(f"rows {n_rows} exceeds the {width} columns of the blocks")
         return LinearScheme(sp=sp, q=q, n_rows=n_rows, blocks=tuple(blocks))
 
     @cached_property

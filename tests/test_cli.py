@@ -93,7 +93,7 @@ def test_verify_garbage_file(tmp_path, capsys):
 
 def test_malformed_scheme_files_exit_2(tmp_path, capsys, sigma_scheme):
     text = sigma_scheme.read_text()
-    q = text.splitlines()[1]
+    q, rows = text.splitlines()[1:3]
     cases = {
         "large-q": text.replace(q, "q 4294967311"),
         "huge-q": text.replace(q, f"q {(1 << 61) - 1}"),
@@ -101,12 +101,19 @@ def test_malformed_scheme_files_exit_2(tmp_path, capsys, sigma_scheme):
         "short-S": text + "S 1\n",
         "bare-P": text + "P\n",
         "huge-N": text.replace("structure 3 ", f"structure {10**12} "),
+        # rows that no column sees: deal would build a rows x rows basis
+        "huge-rows": re.sub(
+            r"^((S \d+|P) \d+) .*$", r"\1",
+            text.replace(rows, "rows 100000"), flags=re.M,
+        ),
     }
     for name, body in cases.items():
         path = tmp_path / f"{name}.scheme"
         path.write_text(body)
         code, _, err = run(capsys, "verify", str(path))
         assert code == USAGE and err.startswith("error: bad scheme file"), name
+    code, _, err = run(capsys, "deal", str(tmp_path / "huge-rows.scheme"), "--secrets=-;-;-")
+    assert code == USAGE and "rows 100000 exceeds" in err and err.count("\n") == 1
     # entries are read modulo q, however large
     path = tmp_path / "huge-entry.scheme"
     path.write_text(re.sub(r"^P 1 \d+", "P 1 " + "9" * 30, text, flags=re.M))
@@ -282,6 +289,48 @@ def test_census_records_counts_total(tmp_path, capsys):
     assert sum(counts) == 25
 
 
+def _census_out(tmp_path, capsys, scheme, target, *flags):
+    path = tmp_path / "c.scheme"
+    path.write_text(scheme.to_text())
+    code, out, _ = run(
+        capsys, "census", str(path), "--shares", "1", "--target", target, *flags
+    )
+    assert code == PASS
+    return out
+
+
+def test_census_records_golden(tmp_path, capsys):
+    from mtss.schemes import build_single_threshold, build_weak_block
+
+    out = _census_out(
+        tmp_path, capsys, build_single_threshold(2, 2, q=5), "1,1", "--format", "records"
+    )
+    assert out == "uniform yes\n" + "".join(
+        f"count {a} {s} 1\n" for a in range(5) for s in range(5)
+    )
+    # P1 = c0 + 3c1, S11 = c0 + c1, S12 = c0 + 2c1 over F_7, so the share
+    # and the first secret fix the second: S12 = 4 P1 + 4 S11.
+    out = _census_out(
+        tmp_path, capsys, build_weak_block(3, 2, 2, q=7), "1,1;1,2", "--format", "records"
+    )
+    assert out == "uniform no\n" + "".join(
+        f"count {a} {s},{(4 * a + 4 * s) % 7} 1\n" for a in range(7) for s in range(7)
+    )
+
+
+def test_census_text_sizes(tmp_path, capsys):
+    from mtss.schemes import build_single_threshold, build_weak_block
+
+    out = _census_out(tmp_path, capsys, build_single_threshold(2, 2, q=5), "1,1")
+    assert out == "uniform yes\n5 coalition values, 25 table rows\n"
+    out = _census_out(tmp_path, capsys, build_weak_block(3, 2, 2, q=7), "1,1;1,2")
+    assert out == "uniform no\n7 coalition values, 49 table rows\n"
+    path = tmp_path / "c.scheme"  # still the weak block; empty coalition
+    code, out, _ = run(capsys, "census", str(path), "--target", "1,2")
+    assert code == PASS
+    assert out == "uniform yes\n1 coalition values, 7 table rows\n"
+
+
 def test_census_usage_errors(tmp_path, capsys):
     scheme = tmp_path / "t.scheme"
     from mtss.schemes import build_single_threshold
@@ -311,7 +360,7 @@ def test_census_usage_errors(tmp_path, capsys):
 
 _TOKEN = st.sampled_from(
     ["0", "1", "2", "3", "5", "9", "-1", "", "x", "-", "1,2", "1,1,1,0,0",
-     "3,2", "S", "P", "q", "rows", "structure"]
+     "3,2", "S", "P", "q", "rows", "structure", str(10**5)]
 )
 
 

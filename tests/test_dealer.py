@@ -1,7 +1,13 @@
-import pytest
+import itertools
 
-from mtss import field
+import numpy as np
+import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+
+from mtss import dealer, field
 from mtss.dealer import (
+    CensusTable,
     SecretAssignment,
     ShareBundle,
     _splitmix64,
@@ -198,8 +204,6 @@ def test_census_weak_vs_strong_witness():
 def test_census_matches_rank_verdicts():
     sch = build_weak_block(3, 2, 2, q=7)
     prof = RankProfile(sch)
-    import itertools
-
     targets = [[S(1, 1)], [S(1, 2)], [S(1, 1), S(1, 2)]]
     for size in (0, 1, 2):
         for idxs in itertools.combinations([1, 2, 3], size):
@@ -242,3 +246,110 @@ def test_census_argument_validation():
         leakage_census(sch, [S(1, 1)], S(1, 1))
     with pytest.raises(ValueError, match="not a secret variable"):
         leakage_census(sch, [P(1)], P(2))
+
+
+# ------------------------------------------------- pure-Python reference
+
+def _reference_census(scheme, coalition, targets):
+    """(counts, uniform) by enumerating F_q^rows one codeword at a time."""
+    q = scheme.q
+    va = scheme.columns(coalition).a.T.tolist()
+    vs = scheme.columns(targets).a.T.tolist()
+    counts = {}
+    for c in itertools.product(range(q), repeat=scheme.n_rows):
+        a_vals = tuple(sum(x * y for x, y in zip(c, col)) % q for col in va)
+        s_vals = tuple(sum(x * y for x, y in zip(c, col)) % q for col in vs)
+        row = counts.setdefault(a_vals, {})
+        row[s_vals] = row.get(s_vals, 0) + 1
+    uniform = all(
+        len(row) == q ** len(vs) and len(set(row.values())) == 1
+        for row in counts.values()
+    )
+    return counts, uniform
+
+
+def _assert_matches_reference(scheme, coalition, targets):
+    table = leakage_census(scheme, coalition, targets)
+    counts, uniform = _reference_census(scheme, coalition, targets)
+    assert table.counts == counts, (coalition, targets)
+    assert table.uniform == uniform, (coalition, targets)
+    assert table.n_coalition_values == len(counts)
+    assert len(table.codes) == sum(len(r) for r in counts.values())
+    return table
+
+
+@pytest.mark.parametrize("chunk", [dealer._CHUNK, 7])
+def test_census_matches_reference_on_small_schemes(monkeypatch, chunk):
+    """A chunk of 7 codewords spreads each table over many chunks."""
+    monkeypatch.setattr(dealer, "_CHUNK", chunk)
+    verdicts = set()
+    for sch in (
+        build_single_threshold(2, 2, q=5),
+        build_single_threshold(3, 3),
+        build_weak_block(3, 2, 2, q=7),
+        build_weak_block(3, 2, 4, q=11),
+    ):
+        svars = sch.secret_variables()
+        n = sch.sp.n_parties
+        for size in range(n + 1):
+            for idxs in itertools.combinations(range(1, n + 1), size):
+                for tsize in range(1, len(svars) + 1):
+                    for tg in itertools.combinations(svars, tsize):
+                        table = _assert_matches_reference(
+                            sch, [P(i) for i in idxs], list(tg)
+                        )
+                        verdicts.add(table.uniform)
+    assert verdicts == {True, False}
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_census_matches_reference_on_drawn_schemes(data):
+    q = data.draw(st.sampled_from([2, 3, 5, 7]), label="q")
+    rows = data.draw(st.integers(1, 4), label="rows")  # q^rows <= 7^4 = 2401
+    n = data.draw(st.integers(2, 3), label="N")
+    sp = structure(n, [(data.draw(st.integers(2, n), label="t"), 2)])
+    blocks = []
+    for v in (*(S(1, j) for j in (1, 2)), *(P(i) for i in range(1, n + 1))):
+        width = data.draw(st.integers(0, min(2, rows)))
+        entries = data.draw(
+            st.lists(st.integers(0, q - 1), min_size=rows * width, max_size=rows * width)
+        )
+        block = field.MatrixFq(q, np.array(entries, dtype=np.int64).reshape(rows, width))
+        assume(block.rank() == width)
+        blocks.append((v, block))
+    sch = LinearScheme(sp=sp, q=q, n_rows=rows, blocks=tuple(blocks))
+    coalition = data.draw(st.sets(st.integers(1, n)), label="coalition")
+    targets = data.draw(
+        st.lists(st.sampled_from([S(1, 1), S(1, 2)]), min_size=1, max_size=2, unique=True)
+    )
+    _assert_matches_reference(sch, [P(i) for i in sorted(coalition)], targets)
+
+
+def test_census_not_uniform_when_a_target_value_is_missing():
+    """Share 1 is twice the secret, so each of its values sees one secret."""
+    sch = LinearScheme(
+        sp=structure(2, [(2, 1)]), q=3, n_rows=1,
+        blocks=tuple(
+            (v, field.MatrixFq(3, [[c]])) for v, c in ((S(1, 1), 1), (P(1), 2), (P(2), 1))
+        ),
+    )
+    table = _assert_matches_reference(sch, [P(1)], [S(1, 1)])
+    assert not table.uniform
+    assert table.counts == {(0,): {(0,): 1}, (1,): {(2,): 1}, (2,): {(1,): 1}}
+
+
+def test_census_not_uniform_when_counts_differ():
+    """Every target value occurs for each coalition value, but not equally
+    often; no linear scheme gives this, so the table is built directly."""
+    q = 2
+    table = CensusTable(
+        q, 1, 1,
+        codes=np.array([0, 1, 2, 3], dtype=np.int64),  # (a, s) = 00 01 10 11
+        tallies=np.array([2, 2, 1, 3], dtype=np.int64),
+    )
+    assert table.counts == {(0,): {(0,): 2, (1,): 2}, (1,): {(0,): 1, (1,): 3}}
+    assert table.n_coalition_values == 2
+    assert not table.uniform
+    flat = CensusTable(q, 1, 1, table.codes, np.array([2, 2, 3, 3], dtype=np.int64))
+    assert flat.uniform
