@@ -270,7 +270,8 @@ def _digits(code: np.ndarray, width: int, q: int) -> list:
 def leakage_census(scheme: LinearScheme, a_shares, target) -> CensusTable:
     """Enumerate every codeword and tabulate the target secrets against a
     coalition's share values.  target may be one secret variable or an
-    iterable of them (joint census)."""
+    iterable of them (joint census).  Raises ValueError when the combined
+    codes, q^(coalition width + target width) values, do not fit in int64."""
     targets = [target] if isinstance(target, VariableId) else list(target)
     a_list = sorted(a_shares)
     for v in a_list:
@@ -285,6 +286,10 @@ def leakage_census(scheme: LinearScheme, a_shares, target) -> CensusTable:
     va = scheme.columns(a_list).a
     vs = scheme.columns(targets).a
     wa, ws = va.shape[1], vs.shape[1]
+    if q ** (wa + ws) > 1 << 63:
+        raise ValueError(
+            f"census codes would overflow: {q}^{wa + ws} values exceed 2^63"
+        )
     pow_a = q ** np.arange(wa - 1, -1, -1, dtype=np.int64) if wa else None
     pow_s = q ** np.arange(ws - 1, -1, -1, dtype=np.int64) if ws else None
     chunk_codes, chunk_tallies = [], []

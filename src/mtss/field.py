@@ -3,14 +3,16 @@
 Everything downstream (scheme construction, rank-based verification, the
 dealer) works over a prime field F_q with q a plain Python int.  Matrices are
 small and dense, so they are stored as numpy int64 arrays with entries reduced
-to [0, q).  Moduli are bounded by MODULUS_LIMIT = 2**20, so a product of two
-reduced entries is below 2**40 and sums of up to 2**23 such products stay
-exact in int64: vectorised elimination and the dealer's matrix products need
-no arbitrary-precision tricks.
+to [0, q).  Elimination (`rank`, `solve_affine`) runs on lists of Python
+ints, so its arithmetic is exact at any size.  Moduli are bounded by
+MODULUS_LIMIT = 2**20 for the dealer's int64 matrix products: a product of
+two reduced entries is below 2**40, and sums of up to 2**23 such products
+stay exact.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -54,14 +56,6 @@ def next_prime_at_least(m: int) -> int:
     while not is_prime(p):
         p += 1
     return p
-
-
-def inverse_mod(x: int, q: int) -> int:
-    """Multiplicative inverse of x in F_q (q prime, x nonzero mod q)."""
-    x %= q
-    if x == 0:
-        raise ZeroDivisionError("0 has no inverse")
-    return pow(x, q - 2, q)
 
 
 def _as_field_array(rows, q: int) -> np.ndarray:
@@ -122,41 +116,58 @@ def zeros(n_rows: int, n_cols: int, q: int) -> MatrixFq:
     return MatrixFq(q, np.zeros((n_rows, n_cols), dtype=np.int64))
 
 
-def _eliminate(a: np.ndarray, q: int) -> tuple[np.ndarray, list[int]]:
-    """In-place forward elimination to row echelon form; returns pivot columns."""
-    n_rows, n_cols = a.shape
-    pivots = []
-    r = 0
-    for c in range(n_cols):
-        if r == n_rows:
+def _echelon(
+    rows: list[list[int]], q: int, reduced: bool
+) -> tuple[list[list[int]], list[int]]:
+    """Row echelon form of the row space of `rows` (lists of reduced ints).
+
+    Rows are inserted one at a time: a new row is cleared at every pivot so
+    far, in pivot order, and scaled to a leading 1.  With `reduced` it is
+    also cleared from the earlier rows at its own pivot, which gives the
+    reduced form; without, the rows are only echelon, which is enough for
+    the rank.  Returns the nonzero rows in pivot order and their pivot
+    columns; in reduced form both depend only on the row space.  Stops
+    early once every column is a pivot.
+    """
+    width = len(rows[0]) if rows else 0
+    basis: list[list[int]] = []
+    pivots: list[int] = []
+    for row in rows:
+        if len(pivots) == width:
             break
-        nz = np.nonzero(a[r:, c])[0]
-        if nz.size == 0:
+        for b, p in zip(basis, pivots):
+            c = row[p]
+            if c:
+                row = [(x - c * y) % q for x, y in zip(row, b)]
+        lead = next((i for i, x in enumerate(row) if x), None)
+        if lead is None:
             continue
-        p = r + int(nz[0])
-        if p != r:
-            a[[r, p]] = a[[p, r]]
-        inv = inverse_mod(int(a[r, c]), q)
-        a[r] = (a[r] * inv) % q
-        below = a[r + 1 :, c]
-        hot = np.nonzero(below)[0]
-        if hot.size:
-            a[r + 1 + hot] = (a[r + 1 + hot] - np.outer(below[hot], a[r])) % q
-        pivots.append(c)
-        r += 1
-    return a, pivots
+        inv = pow(row[lead], -1, q)
+        if inv != 1:
+            row = [x * inv % q for x in row]
+        if reduced:
+            for i, b in enumerate(basis):
+                c = b[lead]
+                if c:
+                    basis[i] = [(x - c * y) % q for x, y in zip(b, row)]
+        at = bisect_left(pivots, lead)
+        basis.insert(at, row)
+        pivots.insert(at, lead)
+    return basis, pivots
 
 
 def rank(rows, q: int) -> int:
-    """Rank of a matrix over F_q (accepts MatrixFq, ndarray or nested lists)."""
+    """Rank of a matrix over F_q (accepts MatrixFq, ndarray or nested lists).
+
+    Eliminates whichever of the matrix and its transpose has fewer rows.
+    """
     if isinstance(rows, MatrixFq):
         q = rows.q
         rows = rows.a
-    a = _as_field_array(rows, q).copy()
-    if a.shape[1] == 0 or a.shape[0] == 0:
-        return 0
-    _, pivots = _eliminate(a, q)
-    return len(pivots)
+    a = _as_field_array(rows, q)
+    if a.shape[0] > a.shape[1]:
+        a = a.T
+    return len(_echelon(a.tolist(), q, reduced=False)[1])
 
 
 def solve_affine(A, b, q: int | None = None) -> tuple[np.ndarray, np.ndarray]:
@@ -164,7 +175,11 @@ def solve_affine(A, b, q: int | None = None) -> tuple[np.ndarray, np.ndarray]:
 
     Returns (particular, basis) where basis is a (k, n) array spanning the
     kernel of A, so the full solution set is particular + span(basis).
-    Raises ValueError("inconsistent system") when no solution exists.
+    Both are read off the reduced echelon form of [A | b]: the particular
+    solution is zero on the free columns, and basis row k is the kernel
+    vector with a 1 on the k-th free column and zeros on the other free
+    columns.  Raises ValueError("inconsistent system") when no solution
+    exists.
     """
     if isinstance(A, MatrixFq):
         q = A.q
@@ -176,24 +191,17 @@ def solve_affine(A, b, q: int | None = None) -> tuple[np.ndarray, np.ndarray]:
     n_rows, n_cols = A.shape
     if b.shape[0] != n_rows:
         raise ValueError("right-hand side has wrong length")
-    aug = np.hstack([A, b[:, None]]).copy()
-    aug, pivots = _eliminate(aug, q)
+    aug = np.hstack([A, b[:, None]]).tolist()
+    rref, pivots = _echelon(aug, q, reduced=True)
     if n_cols in pivots:
         raise ValueError("inconsistent system")
-    # Back-substitute to reduced echelon form.
-    for i in range(len(pivots) - 1, -1, -1):
-        c = pivots[i]
-        above = aug[:i, c]
-        hot = np.nonzero(above)[0]
-        if hot.size:
-            aug[hot] = (aug[hot] - np.outer(above[hot], aug[i])) % q
     particular = np.zeros(n_cols, dtype=np.int64)
-    for i, c in enumerate(pivots):
-        particular[c] = aug[i, n_cols]
-    free = [c for c in range(n_cols) if c not in set(pivots)]
+    for row, c in zip(rref, pivots):
+        particular[c] = row[n_cols]
+    free = sorted(set(range(n_cols)) - set(pivots))
     basis = np.zeros((len(free), n_cols), dtype=np.int64)
     for k, c in enumerate(free):
         basis[k, c] = 1
-        for i, pc in enumerate(pivots):
-            basis[k, pc] = (-aug[i, c]) % q
+        for row, pc in zip(rref, pivots):
+            basis[k, pc] = -row[c] % q
     return particular, basis

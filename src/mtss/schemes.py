@@ -222,6 +222,13 @@ class LinearScheme:
     def fingerprint(self) -> str:
         return hashlib.sha256(self.to_text().encode()).hexdigest()
 
+    @cached_property
+    def profile(self):
+        """This object's memoized `verify.RankProfile`, made on first use."""
+        from mtss import verify  # deferred; verify imports this module
+
+        return verify.RankProfile(self)
+
 
 # --------------------------------------------------------------------------
 # Vandermonde windows
@@ -594,11 +601,14 @@ def recipe_guarantee(recipe) -> str:
 
 
 def unify_field(parts) -> list[LinearScheme]:
-    """Rebuild all parts over one common prime and re-verify each.
+    """Bring all parts over one common prime and re-verify each.
 
     The candidate order starts at the largest minimum admissible order of
     any part; searched families may still reject a candidate (they verify
     at exact q), so the candidate advances through primes under a cap.
+    A part already over the candidate is kept as it is (its recipe would
+    rebuild the same scheme); the others are rebuilt, each distinct recipe
+    once per candidate.
     """
     from mtss import verify
 
@@ -609,15 +619,18 @@ def unify_field(parts) -> list[LinearScheme]:
         raise ValueError("parts are not rebuildable (no retained parameters)")
     p = field.next_prime_at_least(max(part.min_order for part in parts))
     for _ in range(SEARCH_CAP):
+        made = {part.recipe: part for part in parts if part.q == p}
         try:
-            rebuilt = [_rebuild(part.recipe, p) for part in parts]
+            for part in parts:
+                if part.recipe not in made:
+                    made[part.recipe] = _rebuild(part.recipe, p)
         except FieldSearchError:
-            rebuilt = None
-        if rebuilt is not None and all(
+            made = None
+        if made is not None and all(
             verify.check_conditions(s, recipe_guarantee(s.recipe)).passed
-            for s in rebuilt
+            for s in made.values()
         ):
-            return rebuilt
+            return [made[part.recipe] for part in parts]
         p = field.next_prime_at_least(p + 1)
     raise FieldSearchError(f"no common prime within {SEARCH_CAP} tries")
 

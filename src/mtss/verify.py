@@ -3,7 +3,9 @@
 For a linear scheme the joint entropy of any set of variables equals the
 joint column rank of their blocks (base-q units), so the secrecy and
 decodability conditions, the four ratio measures, and every converse bound
-audited here reduce to integer rank queries against one memoized profile.
+audited here reduce to integer rank queries against one memoized profile:
+`LinearScheme.profile`, made once per scheme object and shared by
+`check_conditions`, `ratios` and `audit_bounds`.
 """
 
 from __future__ import annotations
@@ -126,14 +128,16 @@ def check_conditions(
     maximal sets forces zero leak below.  `exhaustive=True` enumerates the
     smaller coalitions anyway.
     """
-    profile = RankProfile(scheme)
+    profile = scheme.profile
     n = scheme.sp.n_parties
-    shares = {i: VariableId.share(i) for i in range(1, n + 1)}
+    # The scheme's own variable objects: the profile finds them by identity.
+    shares = dict(enumerate(scheme.share_variables(), start=1))
+    secrets = {(v.level, v.index): v for v in scheme.secret_variables()}
 
     def scan(group, entries):
         checks = 0
         for tag, slots, size in entries:
-            sec_vars = [VariableId.secret(k, j) for k, j in slots]
+            sec_vars = [secrets[slot] for slot in slots]
             if tag == "C1":
                 sizes, extra = range(size, n + 1), 0
             else:
@@ -218,7 +222,7 @@ def ratios(scheme: LinearScheme, strict: bool = True) -> RatioReport:
     total = sum(secret_lengths)
     if total == 0 or (strict and smallest == 0):
         raise ValueError("zero-length secret")
-    profile = RankProfile(scheme)
+    profile = scheme.profile
     h_shares = profile.rank(scheme.share_variables())
     h_secrets = profile.rank(scheme.secret_variables())
     extra = h_shares - h_secrets
@@ -288,14 +292,15 @@ def audit_bounds(
     """
     if not check_conditions(scheme, security).passed:
         raise ValueError("precondition: scheme invalid")
-    profile = RankProfile(scheme)
+    profile = scheme.profile
     sp = scheme.sp
     n = sp.n_parties
     kk = sp.k_levels
     w = {
         (i, j): scheme.width(VariableId.secret(i, j)) for i, j in sp.secret_slots()
     }
-    hp = {i: scheme.width(VariableId.share(i)) for i in range(1, n + 1)}
+    shares = dict(enumerate(scheme.share_variables(), start=1))
+    hp = {i: scheme.width(v) for i, v in shares.items()}
     h_all_shares = profile.rank(scheme.share_variables())
     total_w = sum(w.values())
 
@@ -307,9 +312,9 @@ def audit_bounds(
             for j in range(1, sp.count(k) + 1):
                 for dset in combinations(range(1, n + 1), t + 1):
                     for a, b in combinations(dset, 2):
-                        rest = [VariableId.share(i) for i in dset if i not in (a, b)]
-                        pa = VariableId.share(a)
-                        pb = VariableId.share(b)
+                        rest = [shares[i] for i in dset if i not in (a, b)]
+                        pa = shares[a]
+                        pb = shares[b]
                         rhs = (
                             profile.rank([pa] + rest)
                             + profile.rank([pb] + rest)

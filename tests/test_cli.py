@@ -356,6 +356,19 @@ def test_census_usage_errors(tmp_path, capsys):
     big.write_text(build_single_threshold(8, 8).to_text())
     code, _, err = run(capsys, "census", str(big), "--target", "1,1")
     assert code == USAGE and "too large" in err
+    # Six copies of a 12-bit secret: codes of 84 bits would wrap in int64.
+    eye = field.MatrixFq(2, [[int(r == c) for c in range(12)] for r in range(12)])
+    copies = LinearScheme(
+        sp=structure(6, [(2, 1)]), q=2, n_rows=12,
+        blocks=tuple([(VariableId.secret(1, 1), eye)]
+                     + [(VariableId.share(i), eye) for i in range(1, 7)]),
+    )
+    wide = tmp_path / "wide.scheme"
+    wide.write_text(copies.to_text())
+    code, _, err = run(
+        capsys, "census", str(wide), "--shares", "1,2,3,4,5,6", "--target", "1,1"
+    )
+    assert code == USAGE and "overflow" in err and err.count("\n") == 1
 
 
 _TOKEN = st.sampled_from(
@@ -412,6 +425,7 @@ def test_exit_code_contract_under_mutation(tmp_path, capsys, data):
     for argv in (
         ["verify", str(scheme), "--security", "strong"],
         ["ratios", str(scheme)],
+        ["audit", str(scheme), "--security", "weak"],
         ["reconstruct", str(scheme), str(bundle)],
         ["census", str(scheme), "--shares", shares, "--target", targets],
         ["deal", str(scheme), "--secrets", secrets],

@@ -74,6 +74,41 @@ def test_dealing_is_reproducible():
     assert one == two and one.to_text() == two.to_text()
 
 
+def _counting_secrets(sch):
+    """Secret i, in canonical order, gets entries 3i + 1, 3i + 2, ... mod q."""
+    return SecretAssignment.for_scheme(sch, [
+        [(3 * i + j + 1) % sch.q for j in range(sch.width(v))]
+        for i, v in enumerate(sch.secret_variables())
+    ])
+
+
+# Recorded before elimination moved from numpy int64 to Python ints: the
+# share values depend on the particular solution and on the kernel basis,
+# row order included, that `field.solve_affine` hands the dealer.
+GOLDEN_BUNDLES = {
+    "stitched-B": (
+        "mtss-bundle 1\n"
+        "fingerprint dff98145a7c94d9e4ecbfcf0fe67df9aadb38945ad4e6c2405134eeb605ff3f0\n"
+        "P 1 6,4\nP 2 3,6\nP 3 2,8\n"
+    ),
+    "combined": (
+        "mtss-bundle 1\n"
+        "fingerprint c868a2bc32f715ff639da4730cb4b677d2dac224934df9dbf0aacd02ea4a4859\n"
+        "P 1 1,0,2\nP 2 0,4,4\nP 3 5,2,6\nP 4 2,1,1\n"
+    ),
+}
+
+
+def test_deal_golden_bundles():
+    combined = build_optimal(structure(4, [(3, 2), (2, 1)]), RatioKind(SIGMA, STRONG))
+    assert combined.recipe[0] == "combine"
+    # 8 rows, 3 secret columns: a five-vector kernel basis.
+    assert combined.n_rows - len(combined.secret_variables()) == 5
+    for name, sch in (("stitched-B", build_B(3, (3, 4), (2, 1))), ("combined", combined)):
+        bundle = deal(sch, _counting_secrets(sch), seed=20231018)
+        assert bundle.to_text() == GOLDEN_BUNDLES[name], name
+
+
 def test_round_trip_all_qualified_sets():
     sch = build_B(3, (3, 4), (2, 1))
     import itertools
@@ -238,6 +273,26 @@ def test_census_cap():
     sch = build_single_threshold(8, 8)
     with pytest.raises(ValueError, match="too large for census"):
         leakage_census(sch, [P(1)], S(1, 1))
+
+
+def _identity_copies():
+    """q = 2, 12 rows: one secret and six shares, each the 12 x 12 identity,
+    so every share is a copy of the secret."""
+    eye = field.MatrixFq(2, np.eye(12, dtype=np.int64))
+    blocks = [(S(1, 1), eye)] + [(P(i), eye) for i in range(1, 7)]
+    return LinearScheme(sp=structure(6, [(2, 1)]), q=2, n_rows=12, blocks=tuple(blocks))
+
+
+def test_census_refuses_codes_beyond_int64():
+    """Codes over 12 * 6 + 12 = 84 bits would wrap in int64; 60 bits fit."""
+    sch = _identity_copies()
+    with pytest.raises(ValueError, match="overflow"):
+        leakage_census(sch, [P(i) for i in range(1, 7)], S(1, 1))
+    table = leakage_census(sch, [P(i) for i in range(1, 5)], S(1, 1))
+    assert table.n_coalition_values == 4096 and not table.uniform
+    for a_vals, row in table.counts.items():
+        copy = a_vals[:12]
+        assert a_vals == copy * 4 and row == {copy: 1}
 
 
 def test_census_argument_validation():

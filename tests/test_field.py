@@ -159,6 +159,99 @@ def test_solve_affine_round_trip(data):
     assert basis.shape[0] == m - rank(A, q)
 
 
+# ---------------------------------------------------- reference elimination
+
+def _reference_eliminate(a, q):
+    """The earlier numpy int64 kernel: in-place forward elimination to row
+    echelon form (exact while q < 2**20); returns the pivot columns."""
+    n_rows, n_cols = a.shape
+    pivots = []
+    r = 0
+    for c in range(n_cols):
+        if r == n_rows:
+            break
+        nz = np.nonzero(a[r:, c])[0]
+        if nz.size == 0:
+            continue
+        p = r + int(nz[0])
+        if p != r:
+            a[[r, p]] = a[[p, r]]
+        a[r] = (a[r] * pow(int(a[r, c]), -1, q)) % q
+        below = a[r + 1 :, c]
+        hot = np.nonzero(below)[0]
+        if hot.size:
+            a[r + 1 + hot] = (a[r + 1 + hot] - np.outer(below[hot], a[r])) % q
+        pivots.append(c)
+        r += 1
+    return pivots
+
+
+def _reference_solve(A, b, q):
+    """The earlier `solve_affine`: back-substitution after the forward pass;
+    None for an inconsistent system."""
+    n_cols = A.shape[1]
+    aug = np.hstack([A, b[:, None]]) % q
+    pivots = _reference_eliminate(aug, q)
+    if n_cols in pivots:
+        return None
+    for i in range(len(pivots) - 1, -1, -1):
+        above = aug[:i, pivots[i]]
+        hot = np.nonzero(above)[0]
+        if hot.size:
+            aug[hot] = (aug[hot] - np.outer(above[hot], aug[i])) % q
+    particular = np.zeros(n_cols, dtype=np.int64)
+    for i, c in enumerate(pivots):
+        particular[c] = aug[i, n_cols]
+    free = [c for c in range(n_cols) if c not in pivots]
+    basis = np.zeros((len(free), n_cols), dtype=np.int64)
+    for k, c in enumerate(free):
+        basis[k, c] = 1
+        for i, pc in enumerate(pivots):
+            basis[k, pc] = (-aug[i, c]) % q
+    return particular, basis
+
+
+def _draw_matrix(data, q, n, m):
+    """An n x m matrix over F_q of drawn rank profile: a product of n x k
+    and k x m factors, with k up to min(n, m) + 1."""
+    k = data.draw(st.integers(0, min(n, m) + 1), label="inner")
+    entries = st.integers(0, q - 1)
+    left = data.draw(st.lists(entries, min_size=n * k, max_size=n * k))
+    right = data.draw(st.lists(entries, min_size=k * m, max_size=k * m))
+    rows = [
+        [sum(left[i * k + t] * right[t * m + j] for t in range(k)) % q for j in range(m)]
+        for i in range(n)
+    ]
+    return np.array(rows, dtype=np.int64).reshape(n, m)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_kernel_matches_reference(data):
+    q = data.draw(st.sampled_from([2, 3, 5, 7, 1048573]), label="q")
+    n = data.draw(st.integers(0, 12), label="rows")
+    m = data.draw(st.integers(0, 12), label="cols")
+    a = _draw_matrix(data, q, n, m)
+    r = rank(a, q)
+    assert r == len(_reference_eliminate(a.copy(), q))
+    assert r == rank(a.T, q) <= min(n, m)
+
+    x = data.draw(st.lists(st.integers(0, q - 1), min_size=m, max_size=m))
+    drawn = data.draw(st.lists(st.integers(0, q - 1), min_size=n, max_size=n))
+    for b in (a @ np.array(x, dtype=np.int64) % q, np.array(drawn, dtype=np.int64)):
+        want = _reference_solve(a, b, q)
+        if want is None:
+            assert rank(np.hstack([a, b[:, None]]), q) == r + 1
+            with pytest.raises(ValueError, match="inconsistent"):
+                solve_affine(a, b, q)
+            continue
+        particular, basis = solve_affine(a, b, q)
+        assert np.array_equal(particular, want[0]) and np.array_equal(basis, want[1])
+        assert np.array_equal(a @ particular % q, b)
+        assert not (a @ basis.T % q).any()
+        assert basis.shape == (m - r, m)
+
+
 # ---------------------------------------------------------------- matrices
 
 def test_matrix_validation():

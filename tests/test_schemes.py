@@ -309,6 +309,22 @@ def test_unify_field_respects_searched_orders():
     assert ua.q == ub.q >= big.q
 
 
+def test_unify_field_reuses_parts_over_the_common_prime(monkeypatch):
+    """A part already over the common prime comes back as it is; the others
+    are rebuilt once per distinct recipe, equal to a build at that prime."""
+    a = build_weak_block(3, 2, 2)  # q = 7
+    b = build_weak_block(4, 3, 3)  # q = 11
+    rebuilt = []
+    real = schemes._rebuild
+    monkeypatch.setattr(
+        schemes, "_rebuild", lambda r, q: rebuilt.append(r) or real(r, q)
+    )
+    ua1, ub, ua2 = unify_field([a, b, a])
+    assert ub is b and ua1 is ua2
+    assert rebuilt == [a.recipe]
+    assert ua1.to_text() == build_weak_block(3, 2, 2, q=11).to_text()
+
+
 def test_unify_field_needs_recipes():
     s = LinearScheme.from_text(build_single_threshold(2, 3).to_text())
     with pytest.raises(ValueError, match="rebuildable"):

@@ -7,7 +7,7 @@ from itertools import combinations
 
 import pytest
 
-from mtss import verify
+from mtss import field, verify
 from mtss.field import MatrixFq
 from mtss.schemes import (
     LinearScheme,
@@ -78,6 +78,38 @@ def test_rank_profile_concurrent_queries():
     with ThreadPoolExecutor(max_workers=8) as pool:
         parallel = list(pool.map(shared.rank, queries))
     assert parallel == serial
+
+
+def test_profile_is_shared_per_scheme_object(monkeypatch):
+    """check_conditions fills the scheme's one profile, so the precondition
+    inside audit_bounds is all memo hits; a copy read back from text has a
+    profile of its own."""
+    searched = build_B(3, (3, 4), (2, 1))
+    ranks = []
+    real_rank = field.rank
+    monkeypatch.setattr(field, "rank", lambda *a: ranks.append(1) or real_rank(*a))
+    # The field search verified this very object already.
+    assert check_conditions(searched, WEAK).passed and not ranks
+    s = LinearScheme.from_text(searched.to_text())
+    assert check_conditions(s, WEAK).passed
+    assert ranks and s.profile is s.profile and s.profile.scheme is s
+    during = []
+    real_check = verify.check_conditions
+
+    def counted_check(*args):
+        before = len(ranks)
+        report = real_check(*args)
+        during.append(len(ranks) - before)
+        return report
+
+    monkeypatch.setattr(verify, "check_conditions", counted_check)
+    audit_bounds(s, WEAK)
+    assert during == [0]
+    copy = LinearScheme.from_text(s.to_text())
+    assert copy.profile is not s.profile and copy.profile.scheme is copy
+    before = len(ranks)
+    assert real_check(copy, WEAK).passed
+    assert len(ranks) > before
 
 
 # -- condition checks -------------------------------------------------------
