@@ -19,6 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from itertools import combinations
 
 from mtss import simplex
@@ -41,22 +42,29 @@ def mask_of(sp: StructurePair, vs) -> int:
 # Rows and constraint systems
 
 
+def _exact(v) -> int | Fraction:
+    """A rational as an int when it is integral, else as a Fraction."""
+    v = Fraction(v)
+    return v.numerator if v.denominator == 1 else v
+
+
 @dataclass(frozen=True)
 class Row:
     """A sparse linear row over subset coordinates: coeffs . h (=|>=) rhs.
 
-    Keys are subset bitmasks.
+    Keys are subset bitmasks.  Integral values are ints and the others
+    Fractions, so the rows of the cone LP reach the simplex as ints.
     """
 
     tag: str
     coeffs: tuple
     equality: bool
-    rhs: Fraction = Fraction(0)
+    rhs: int | Fraction = 0
 
     @staticmethod
     def make(tag, coeffs: dict, equality: bool, rhs=0) -> "Row":
-        kept = tuple(sorted((k, Fraction(c)) for k, c in coeffs.items() if c != 0))
-        return Row(tag, kept, equality, Fraction(rhs))
+        kept = tuple(sorted((k, _exact(c)) for k, c in coeffs.items() if c != 0))
+        return Row(tag, kept, equality, _exact(rhs))
 
     def evaluate(self, vector) -> Fraction:
         return sum((c * vector[k] for k, c in self.coeffs), Fraction(0))
@@ -152,12 +160,14 @@ class EntropyVector:
 # Elemental inequalities and scheme-condition hyperplanes
 
 
+@lru_cache(maxsize=CAP_LIMIT - 1)
 def elemental_inequalities(n_vars: int) -> ConstraintSystem:
     """The reduced generating set of Shannon inequalities on n variables.
 
     One conditional-entropy row per variable and one conditional mutual
     information row per variable pair and conditioning subset:
-    n + C(n,2) * 2^(n-2) rows in total.
+    n + C(n,2) * 2^(n-2) rows in total.  The system is immutable, so one
+    is kept per n.
     """
     if n_vars < 2:
         raise ValueError("need at least 2 variables")
@@ -175,10 +185,9 @@ def elemental_inequalities(n_vars: int) -> ConstraintSystem:
         for r in range(len(others) + 1):
             for zbits in combinations(others, r):
                 z = sum(1 << b for b in zbits)
-                coeffs = {bi | z: Fraction(1), bj | z: Fraction(1)}
-                coeffs[bi | bj | z] = coeffs.get(bi | bj | z, Fraction(0)) - 1
+                coeffs = {bi | z: 1, bj | z: 1, bi | bj | z: -1}
                 if z:
-                    coeffs[z] = coeffs.get(z, Fraction(0)) - 1
+                    coeffs[z] = -1
                 rows.append(Row.make("elemental", coeffs, equality=False))
     return ConstraintSystem(n_vars, tuple(rows))
 
@@ -264,24 +273,23 @@ def _minimize(sp: StructurePair, security: str, objective: dict, rows, colour) -
         low = mask & -mask
         orbit[mask] = orbit[mask ^ low] + bit_id[low.bit_length() - 1]
 
-    def project(coeffs) -> dict:
-        proj = {}
+    def project(coeffs) -> list:
+        dense = [0] * (n_ids - 1)
         for mask, c in coeffs:
-            col = orbit[mask] - 1
-            proj[col] = proj.get(col, 0) + c
-        return proj
+            dense[orbit[mask] - 1] += c
+        return dense
 
     prog = simplex.LinearProgram(n_ids - 1)
     prog.minimize(project(objective.items()))
     seen = set()
     base = elemental_inequalities(n).rows + system_constraints(sp, security).rows
     for row in (*rows, *base):
-        row = Row.make(row.tag, project(row.coeffs), row.equality, row.rhs)
-        key = (row.coeffs, row.equality, row.rhs)
-        if row.coeffs and key not in seen:
+        dense = project(row.coeffs)
+        key = (*dense, row.equality, row.rhs)
+        if any(dense) and key not in seen:
             seen.add(key)
             add = prog.add_eq if row.equality else prog.add_ge
-            add(dict(row.coeffs), row.rhs)
+            add(dense, row.rhs)
     res = prog.solve()
     if res.status != simplex.OPTIMAL:  # pragma: no cover - region nonempty, objective bounded
         raise RuntimeError(f"cone LP came back {res.status}")

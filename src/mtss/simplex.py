@@ -3,15 +3,18 @@
 A small two-phase simplex with Bland's anti-cycling rule.  All pivoting is
 done on integer-scaled rows (each tableau row keeps an implicit positive
 rational scale, which affects neither feasibility, nor sign tests, nor ratio
-comparisons), so the hot loop works on Python ints instead of Fractions; the
-reported optimum and certificate are reconstructed exactly as Fractions.
+comparisons), so the hot loop works on Python ints instead of Fractions.
+Coefficients may be ints or Fractions; each row is scaled to ints once, as
+it is added.  A solve returns the status, the exact optimum and optimal
+point as Fractions, and the tableau size and pivot counts (`SimplexStats`);
+it returns no dual certificate.
 
 Problems are stated as:  minimize c . x  subject to  rows (=, >=, <=), x >= 0.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd, lcm
 
@@ -23,17 +26,37 @@ _MAX_PIVOTS = 200_000
 
 
 @dataclass(frozen=True)
+class SimplexStats:
+    """Tableau size and pivots of one solve.
+
+    `columns` counts structural, slack and artificial columns; the pivots
+    are split into phase 1, the pivots that move zero-valued artificials
+    out of the basis, and phase 2.
+    """
+
+    rows: int
+    columns: int
+    phase1_pivots: int
+    cleanup_pivots: int
+    phase2_pivots: int
+
+
+@dataclass(frozen=True)
 class SimplexResult:
     status: str
     value: Fraction | None
     x: tuple[Fraction, ...] | None
+    stats: SimplexStats | None = field(default=None, compare=False)
 
 
 def _integerize(coeffs, rhs):
     """Scale a rational row by a positive integer so every entry is an int."""
-    den = lcm(*(Fraction(v).denominator for v in list(coeffs) + [rhs])) if coeffs or rhs else 1
-    out = [int(Fraction(v) * den) for v in coeffs]
-    return out, int(Fraction(rhs) * den)
+    try:
+        den = lcm(*(v.denominator for v in coeffs), rhs.denominator)
+    except AttributeError:
+        raise TypeError("coefficients must be ints or Fractions") from None
+    out = [v.numerator * (den // v.denominator) for v in coeffs]
+    return out, rhs.numerator * (den // rhs.denominator)
 
 
 class LinearProgram:
@@ -44,33 +67,35 @@ class LinearProgram:
             raise ValueError("need at least one variable")
         self.n_vars = n_vars
         self._rows: list[tuple[list[int], int, str]] = []
-        self._objective: list[Fraction] | None = None
+        self._objective: list | None = None
 
-    def _dense(self, coeffs) -> list[Fraction]:
-        row = [Fraction(0)] * self.n_vars
+    def _dense(self, coeffs) -> list:
+        """A dense row of ints and Fractions from a list or a {column: value}
+        dict."""
         if isinstance(coeffs, dict):
+            row = [0] * self.n_vars
             for j, v in coeffs.items():
-                row[j] = Fraction(v)
-        else:
-            if len(coeffs) != self.n_vars:
-                raise ValueError("coefficient vector has wrong length")
-            for j, v in enumerate(coeffs):
-                row[j] = Fraction(v)
-        return row
+                if j not in range(self.n_vars):
+                    raise ValueError("column index out of range")
+                row[j] = v
+            return row
+        if len(coeffs) != self.n_vars:
+            raise ValueError("coefficient vector has wrong length")
+        return list(coeffs)
 
     def minimize(self, coeffs) -> None:
         self._objective = self._dense(coeffs)
 
     def add_eq(self, coeffs, rhs=0) -> None:
-        row, b = _integerize(self._dense(coeffs), Fraction(rhs))
+        row, b = _integerize(self._dense(coeffs), rhs)
         self._rows.append((row, b, "eq"))
 
     def add_ge(self, coeffs, rhs=0) -> None:
-        row, b = _integerize(self._dense(coeffs), Fraction(rhs))
+        row, b = _integerize(self._dense(coeffs), rhs)
         self._rows.append((row, b, "ge"))
 
     def add_le(self, coeffs, rhs=0) -> None:
-        row, b = _integerize(self._dense(coeffs), Fraction(rhs))
+        row, b = _integerize(self._dense(coeffs), rhs)
         self._rows.append(([-v for v in row], -b, "ge"))
 
     def solve(self) -> SimplexResult:
@@ -80,14 +105,19 @@ class LinearProgram:
 
 
 def _reduce_row(row: list[int]) -> None:
-    g = 0
-    for v in row:
-        g = gcd(g, v)
-        if g == 1:
-            return
+    g = gcd(*row)
     if g > 1:
-        for j, v in enumerate(row):
-            row[j] = v // g
+        row[:] = [v // g for v in row]
+
+
+def _eliminate(row, p, f, nonzero) -> None:
+    """row <- row * p - f * prow, reduced, where `nonzero` lists the
+    (column, value) pairs of prow's nonzero entries."""
+    if p != 1:
+        row[:] = [v * p for v in row]
+    for j, v in nonzero:
+        row[j] -= f * v
+    _reduce_row(row)
 
 
 def _pivot(tableau, basis, obj, pr, pc):
@@ -95,32 +125,26 @@ def _pivot(tableau, basis, obj, pr, pc):
     prow = tableau[pr]
     p = prow[pc]
     assert p > 0
+    nonzero = [(j, v) for j, v in enumerate(prow) if v]
     for i, row in enumerate(tableau):
-        if i == pr or row[pc] == 0:
-            continue
-        f = row[pc]
-        for j, v in enumerate(prow):
-            row[j] = row[j] * p - f * v
-        _reduce_row(row)
-    if obj is not None and obj[pc] != 0:
-        f = obj[pc]
-        for j, v in enumerate(prow):
-            obj[j] = obj[j] * p - f * v
-        _reduce_row(obj)
+        if i != pr and row[pc]:
+            _eliminate(row, p, row[pc], nonzero)
+    if obj is not None and obj[pc]:
+        _eliminate(obj, p, obj[pc], nonzero)
     _reduce_row(prow)
     basis[pr] = pc
 
 
 def _run_simplex(tableau, basis, obj, allowed, n_total):
-    """Bland's rule inner loop; returns OPTIMAL or UNBOUNDED."""
-    for _ in range(_MAX_PIVOTS):
+    """Bland's rule inner loop; returns (OPTIMAL or UNBOUNDED, pivots)."""
+    for pivots in range(_MAX_PIVOTS):
         pc = -1
         for j in range(n_total):
             if allowed[j] and obj[j] < 0:
                 pc = j
                 break
         if pc < 0:
-            return OPTIMAL
+            return OPTIMAL, pivots
         pr = -1
         for i, row in enumerate(tableau):
             a = row[pc]
@@ -134,7 +158,7 @@ def _run_simplex(tableau, basis, obj, allowed, n_total):
             if better < 0 or (better == 0 and basis[i] < basis[pr]):
                 pr = i
         if pr < 0:
-            return UNBOUNDED
+            return UNBOUNDED, pivots
         _pivot(tableau, basis, obj, pr, pc)
     raise RuntimeError("simplex failed to terminate")  # pragma: no cover
 
@@ -175,16 +199,21 @@ def _solve(n_vars, rows, objective) -> SimplexResult:
             for j in range(len(obj1)):
                 obj1[j] -= row[j]
     allowed = [True] * n_total
-    status = _run_simplex(tableau, basis, obj1, allowed, n_total)
+    status, phase1 = _run_simplex(tableau, basis, obj1, allowed, n_total)
     assert status == OPTIMAL  # phase-1 objective is bounded below by 0
+
+    def stats(cleanup=0, phase2=0):
+        return SimplexStats(len(tableau), n_total, phase1, cleanup, phase2)
+
     infeas = Fraction(0)
     for i, row in enumerate(tableau):
         if basis[i] >= n_vars + n_slack:
             infeas += Fraction(row[-1], row[basis[i]])
     if infeas > 0:
-        return SimplexResult(INFEASIBLE, None, None)
+        return SimplexResult(INFEASIBLE, None, None, stats())
 
     # Pivot leftover (zero-valued) artificials out of the basis when possible.
+    cleanup = 0
     for i in range(len(tableau)):
         if basis[i] >= n_vars + n_slack:
             pc = next(
@@ -194,28 +223,23 @@ def _solve(n_vars, rows, objective) -> SimplexResult:
                 if tableau[i][pc] < 0:
                     tableau[i] = [-v for v in tableau[i]]
                 _pivot(tableau, basis, None, i, pc)
+                cleanup += 1
 
     # ---- phase 2: original objective, artificial columns barred
     for j in range(n_vars + n_slack, n_total):
         allowed[j] = False
-    obj2_frac = list(objective) + [Fraction(0)] * (n_slack + n_art + 1)
-    den = lcm(*(f.denominator for f in obj2_frac))
-    obj2 = [int(f * den) for f in obj2_frac]
+    obj2 = _integerize(objective, 0)[0] + [0] * (n_slack + n_art + 1)
     for i, row in enumerate(tableau):
         if basis[i] < n_vars + n_slack and obj2[basis[i]] != 0:
-            piv = row[basis[i]]
-            f = obj2[basis[i]]
-            # keep integer scaling: obj2 * piv - f * row  (piv > 0)
-            for j in range(len(obj2)):
-                obj2[j] = obj2[j] * piv - f * row[j]
-            _reduce_row(obj2)
-    status = _run_simplex(tableau, basis, obj2, allowed, n_total)
+            nonzero = [(j, v) for j, v in enumerate(row) if v]
+            _eliminate(obj2, row[basis[i]], obj2[basis[i]], nonzero)
+    status, phase2 = _run_simplex(tableau, basis, obj2, allowed, n_total)
     if status == UNBOUNDED:
-        return SimplexResult(UNBOUNDED, None, None)
+        return SimplexResult(UNBOUNDED, None, None, stats(cleanup, phase2))
 
     x = [Fraction(0)] * n_vars
     for i, row in enumerate(tableau):
         if basis[i] < n_vars:
             x[basis[i]] = Fraction(row[-1], row[basis[i]])
     value = sum((c * v for c, v in zip(objective, x)), Fraction(0))
-    return SimplexResult(OPTIMAL, value, tuple(x))
+    return SimplexResult(OPTIMAL, value, tuple(x), stats(cleanup, phase2))

@@ -1,3 +1,4 @@
+import hashlib
 import re
 
 import pytest
@@ -64,6 +65,30 @@ def test_lp_dump(capsys):
     assert any(ln.startswith("elemental ") and ln.endswith(">= 0") for ln in lines)
     assert any(ln.startswith("C1 ") for ln in lines)
     assert lines[-1] == "value 1/1"
+
+
+@pytest.mark.parametrize(
+    "n,t,security,lines,digest",
+    [
+        ("3", "3,2,2", "strong", 258,
+         "3e53b3967ef91650f48aae00785df0a0f69d41052fe32f6912bf17f695fae5b8"),
+        ("3", "3,2,2", "weak", 261,
+         "ad471a557d183261f7c3eb101d3c029ddf5800fa56748dfbc6381d26b6f810e0"),
+        ("4", "4,3,2", "strong", 706,
+         "55f1b8f4a817f17975dafce3adc1d9417fd89ef33a4b1e49e1db2885604d952a"),
+        ("4", "4,3,2", "weak", 706,
+         "7ffc6fc0fe1b1ea544a93ce8e0055f90a89a6b41111408657d342e3a5e0d570b"),
+    ],
+)
+def test_lp_dump_golden(capsys, n, t, security, lines, digest):
+    """`lp --dump` output, rows and value, byte for byte as recorded when
+    every row held Fraction coefficients."""
+    code, out, _ = run(
+        capsys, "lp", "--n", n, "--t", t, "--ratio", "sigma", "--security", security,
+        "--dump",
+    )
+    assert code == PASS and out.count("\n") == lines
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 def test_lp_over_cap(capsys):

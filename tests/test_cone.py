@@ -31,6 +31,7 @@ from mtss.schemes import (
 )
 from mtss.structure import (
     EXACT,
+    MEASURES,
     SIGMA,
     SIGMA_AVG,
     STRONG,
@@ -63,6 +64,16 @@ def test_elemental_count(n, count):
 def test_elemental_distinct_rows():
     cs = elemental_inequalities(5)
     assert len({r.coeffs for r in cs.rows}) == len(cs)
+
+
+def test_row_values_are_ints_unless_fractional():
+    row = Row.make("t", {3: F(2), 1: F(1, 2), 2: 0, 4: -1}, False, F(4, 2))
+    assert row.coeffs == ((1, F(1, 2)), (3, 2), (4, -1)) and row.rhs == 2
+    assert [type(c) for _, c in row.coeffs] == [F, int, int] and type(row.rhs) is int
+    # equal to, and hashed like, the same row held as Fractions
+    as_fractions = Row("t", tuple((k, F(c)) for k, c in row.coeffs), False, F(2))
+    assert row == as_fractions and hash(row) == hash(as_fractions)
+    assert all(type(c) is int for r in elemental_inequalities(4).rows for _, c in r.coeffs)
 
 
 def test_elemental_bounds():
@@ -204,6 +215,111 @@ def _reference_sigma(sp, security):
             rows.append(Row.make("norm", {m: F(1)}, False, 1))
     value, point = _reference_min(sp, security, {z: F(1)}, rows, n_aux=1)
     return value, point, rows
+
+
+def _reference_assembly(sp, security, objective, rows, colour):
+    """The unsolved orbit-reduced LP as `cone._minimize` assembled it on
+    Fractions: every row is projected with Fraction sums into a sparse row,
+    de-duplicated, and handed over as a {column: Fraction} dict."""
+    n = sp.n_parties + sp.n_secrets
+    keys = [(v.kind, v.level, colour(v)) for v in scheme_variables(sp)]
+    place = {}
+    n_ids = 1
+    for key in sorted(set(keys), reverse=True):
+        place[key] = n_ids
+        n_ids *= keys.count(key) + 1
+    bit_id = [place[key] for key in keys]
+    orbit = [0] * (1 << n)
+    for mask in range(1, 1 << n):
+        low = mask & -mask
+        orbit[mask] = orbit[mask ^ low] + bit_id[low.bit_length() - 1]
+
+    def project(coeffs):
+        proj = {}
+        for mask, c in coeffs:
+            col = orbit[mask] - 1
+            proj[col] = proj.get(col, F(0)) + F(c)
+        return tuple(sorted((k, c) for k, c in proj.items() if c != 0))
+
+    prog = simplex.LinearProgram(n_ids - 1)
+    prog.minimize(dict(project(objective.items())))
+    seen = set()
+    for row in (*rows, *membership_system(sp, security).rows):
+        coeffs, rhs = project(row.coeffs), F(row.rhs)
+        key = (coeffs, row.equality, rhs)
+        if coeffs and key not in seen:
+            seen.add(key)
+            (prog.add_eq if row.equality else prog.add_ge)(dict(coeffs), rhs)
+    return prog
+
+
+def _table_family(max_vars):
+    """The acceptance table's structures (N in {2,3,4}, at most two levels,
+    at most 5 secrets) with at most `max_vars` variables."""
+    out = []
+    for n in (2, 3, 4):
+        for t in range(2, n + 1):
+            out += [structure(n, [(t, m)]) for m in range(1, 6)]
+            for t2 in range(2, t):
+                for m1 in range(1, 5):
+                    out += [structure(n, [(t, m1), (t2, m2)]) for m2 in range(1, 6 - m1)]
+    return [sp for sp in out if sp.n_parties + sp.n_secrets <= max_vars]
+
+
+def test_lp_assembly_matches_fraction_reference(monkeypatch):
+    """`_minimize` hands the simplex the LP of the Fraction assembly: the
+    same column count, the same rows in the same order and the same
+    objective, for every ratio kind and every truncation-gap colouring."""
+    calls, programs = [], []
+    minimize = cone._minimize
+
+    def spy(*args):
+        calls.append(args)
+        return minimize(*args)
+
+    def capture(lp):
+        programs.append(lp)
+        return simplex.SimplexResult(simplex.OPTIMAL, F(0), None)
+
+    monkeypatch.setattr(cone, "_minimize", spy)
+    monkeypatch.setattr(simplex.LinearProgram, "solve", capture)
+    family = _table_family(6)
+    for sp in family:
+        bounds = [bound_row(sp, "dtb"), bound_row(sp, "tvb")]
+        for k in range(1, sp.k_levels + 1):
+            bounds += [bound_row(sp, "tsdb", k=k), bound_row(sp, "tsb", k=k)]
+        for sec in (STRONG, WEAK):
+            for meas in MEASURES:
+                lower_bound_ratio(sp, RatioKind(meas, sec))
+            for bound in bounds:
+                cone._min_gap(bound, sp, sec)
+    assert len(family) == 22 and len(calls) == len(programs) == 376
+    for args, got in zip(calls, programs):
+        want = _reference_assembly(*args)
+        assert got.n_vars == want.n_vars, args[:2]
+        assert got._rows == want._rows, args[:2]
+        assert got._objective == want._objective, args[:2]
+
+
+def test_pivots_per_phase(monkeypatch):
+    """The eight ratio LPs on (N=4, T=4,3,2), in the order sigma, sigma_avg,
+    tau, tau_avg, each strong then weak, keep the (phase 1, clean-up,
+    phase 2) pivot counts of the dense pivot loop."""
+    results = []
+    solve = simplex.LinearProgram.solve
+    monkeypatch.setattr(
+        simplex.LinearProgram, "solve", lambda lp: results.append(solve(lp)) or results[-1]
+    )
+    sp = structure(4, [(4, 1), (3, 1), (2, 1)])
+    for meas in (SIGMA, SIGMA_AVG, TAU, TAU_AVG):
+        for sec in (STRONG, WEAK):
+            lower_bound_ratio(sp, RatioKind(meas, sec))
+    got = [(r.stats.phase1_pivots, r.stats.cleanup_pivots, r.stats.phase2_pivots) for r in results]
+    assert got == [
+        (99, 4, 4), (100, 4, 0), (68, 4, 17), (79, 4, 6),
+        (99, 4, 4), (100, 4, 0), (68, 4, 15), (79, 4, 3),
+    ]
+    assert [sum(c) for c in got] == [107, 104, 89, 89, 107, 104, 87, 86]
 
 
 def test_reference_sigma_example_and_certificate():

@@ -1,10 +1,13 @@
 from fractions import Fraction as F
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mtss.simplex import INFEASIBLE, OPTIMAL, UNBOUNDED, LinearProgram
+from mtss import cone, simplex
+from mtss.simplex import INFEASIBLE, OPTIMAL, UNBOUNDED, LinearProgram, SimplexResult
+from mtss.structure import SIGMA_AVG, TAU, STRONG, WEAK, RatioKind, structure
 
 
 def test_basic_minimum():
@@ -90,27 +93,39 @@ def _holds(coeffs, sense, rhs, point):
     return v <= rhs if sense == "le" else v >= rhs if sense == "ge" else v == rhs
 
 
-@settings(max_examples=60, deadline=None)
-@given(st.data())
-def test_value_matches_any_feasible_point(data):
-    """Optimal value is a lower bound on the objective at random feasible
-    points.  Rows of every sense and rhs sign mix rows that start on their
-    own slack with rows that start on an artificial column."""
-    n = data.draw(st.integers(1, 3))
-    lp = LinearProgram(n)
-    obj = [data.draw(st.integers(-4, 4)) for _ in range(n)]
-    lp.minimize(obj)
+@st.composite
+def _drawn_lps(draw):
+    """(n, objective, rows) of a bounded LP.  Rows of every sense and rhs
+    sign mix rows that start on their own slack with rows that start on an
+    artificial column."""
+    n = draw(st.integers(1, 3))
+    obj = [draw(st.integers(-4, 4)) for _ in range(n)]
     rows = []
-    for _ in range(data.draw(st.integers(1, 4))):
-        coeffs = [data.draw(st.integers(-3, 3)) for _ in range(n)]
-        sense = data.draw(st.sampled_from(["le", "ge", "eq"]))
-        rhs = data.draw(st.integers(-3, 3))
-        getattr(lp, f"add_{sense}")(coeffs, rhs)
+    for _ in range(draw(st.integers(1, 4))):
+        coeffs = [draw(st.integers(-3, 3)) for _ in range(n)]
+        sense = draw(st.sampled_from(["le", "ge", "eq"]))
+        rhs = draw(st.integers(-3, 3))
         rows.append((coeffs, sense, rhs))
     # keep things bounded
-    lp.add_le([1] * n, 10)
     rows.append(([1] * n, "le", 10))
-    res = lp.solve()
+    return n, obj, rows
+
+
+def _program(n, obj, rows):
+    lp = LinearProgram(n)
+    lp.minimize(obj)
+    for coeffs, sense, rhs in rows:
+        getattr(lp, f"add_{sense}")(coeffs, rhs)
+    return lp
+
+
+@settings(max_examples=60, deadline=None)
+@given(_drawn_lps(), st.data())
+def test_value_matches_any_feasible_point(drawn, data):
+    """Optimal value is a lower bound on the objective at random feasible
+    points."""
+    n, obj, rows = drawn
+    res = _program(n, obj, rows).solve()
     assert res.status != UNBOUNDED
     point = [data.draw(st.integers(0, 3)) for _ in range(n)]
     feasible = all(_holds(*row, point) for row in rows)
@@ -131,3 +146,110 @@ def test_solver_rejects_bad_shapes():
         lp.add_eq([1], 0)
     with pytest.raises(ValueError):
         lp.minimize([1, 2, 3])
+    # exact arithmetic only: a float is refused, not converted
+    with pytest.raises(TypeError, match="ints or Fractions"):
+        lp.add_ge([0.5, 1], 0)
+    with pytest.raises(TypeError, match="ints or Fractions"):
+        lp.add_le([1, 1], 0.5)
+
+
+@pytest.mark.parametrize("key", [-1, 2, 5])
+@pytest.mark.parametrize("method", ["minimize", "add_eq", "add_ge", "add_le"])
+def test_dict_keys_out_of_range(method, key):
+    # a key of -1 used to land silently on the last column
+    lp = LinearProgram(2)
+    args = (3,) if method != "minimize" else ()
+    with pytest.raises(ValueError, match="column index out of range"):
+        getattr(lp, method)({0: 1, key: 1}, *args)
+
+
+def test_stats_count_rows_columns_and_pivots():
+    lp = LinearProgram(2)
+    lp.minimize([1, 1])
+    lp.add_ge([3, 1], 2)
+    lp.add_ge([1, 3], 2)
+    lp.add_le([1, 0], 5)
+    res = lp.solve()
+    # two structural, three slack and two artificial columns; the <= row
+    # starts on its slack
+    assert res.stats.rows == 3 and res.stats.columns == 7
+    assert res.stats.phase1_pivots == 2 and res.stats.cleanup_pivots == 0
+    # stats take no part in result equality
+    assert res == SimplexResult(OPTIMAL, res.value, res.x)
+
+
+# ------------------------------------------ the dense pivot, as reference
+
+def _reference_reduce_row(row):
+    g = 0
+    for v in row:
+        g = gcd(g, v)
+        if g == 1:
+            return
+    if g > 1:
+        for j, v in enumerate(row):
+            row[j] = v // g
+
+
+def _reference_pivot(tableau, basis, obj, pr, pc):
+    """The dense pivot: every entry of every row with a nonzero in column pc
+    becomes row[j] * p - row[pc] * prow[j]."""
+    prow = tableau[pr]
+    p = prow[pc]
+    assert p > 0
+    for i, row in enumerate(tableau):
+        if i == pr or row[pc] == 0:
+            continue
+        f = row[pc]
+        for j, v in enumerate(prow):
+            row[j] = row[j] * p - f * v
+        _reference_reduce_row(row)
+    if obj is not None and obj[pc] != 0:
+        f = obj[pc]
+        for j, v in enumerate(prow):
+            obj[j] = obj[j] * p - f * v
+        _reference_reduce_row(obj)
+    _reference_reduce_row(prow)
+    basis[pr] = pc
+
+
+def _solve_both(build):
+    """Results of `build().solve()` with the sparse and the dense pivot."""
+    got = build().solve()
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(simplex, "_pivot", _reference_pivot)
+        mp.setattr(simplex, "_reduce_row", _reference_reduce_row)
+        want = build().solve()
+    return got, want
+
+
+@settings(max_examples=100, deadline=None)
+@given(_drawn_lps())
+def test_pivot_matches_dense_reference(drawn):
+    got, want = _solve_both(lambda: _program(*drawn))
+    assert (got.status, got.value, got.x) == (want.status, want.value, want.x)
+    assert got.stats == want.stats
+
+
+@pytest.mark.parametrize(
+    "kind", [RatioKind(TAU, STRONG), RatioKind(SIGMA_AVG, WEAK)], ids=str
+)
+def test_pivot_matches_dense_reference_on_cone_lp(kind):
+    sp = structure(3, [(3, 1), (2, 2)])
+
+    def build():
+        """The LP that `lower_bound_ratio` assembles, unsolved."""
+        captured = []
+
+        def capture(lp):
+            captured.append(lp)
+            return SimplexResult(OPTIMAL, F(0), None)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(LinearProgram, "solve", capture)
+            cone.lower_bound_ratio(sp, kind)
+        return captured[0]
+
+    got, want = _solve_both(build)
+    assert got.status == OPTIMAL and got == want
+    assert got.stats == want.stats and got.stats.phase1_pivots > 10
