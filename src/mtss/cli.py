@@ -14,7 +14,14 @@ import sys
 from pathlib import Path
 
 from mtss import cone
-from mtss.dealer import SecretAssignment, ShareBundle, deal, leakage_census, reconstruct
+from mtss.dealer import (
+    ReconstructionError,
+    SecretAssignment,
+    ShareBundle,
+    deal,
+    leakage_census,
+    reconstruct,
+)
 from mtss.schemes import LinearScheme, VariableId, build_optimal
 from mtss.structure import (
     EXACT,
@@ -22,8 +29,10 @@ from mtss.structure import (
     SECURITIES,
     WEAK,
     RatioKind,
+    format_ints,
     format_thresholds,
     optimal_ratio,
+    parse_ints,
     parse_thresholds,
 )
 from mtss.verify import (
@@ -60,26 +69,13 @@ def _kind_from_args(args) -> RatioKind:
     return RatioKind(_MEASURE_FLAGS[args.ratio], args.security)
 
 
-def _load_scheme(path: str) -> LinearScheme:
+def _load(path: str, parse, what: str):
     try:
-        text = Path(path).read_text()
+        return parse(Path(path).read_text())
     except OSError as e:
-        raise _Usage(f"cannot read scheme file {path}: {e.strerror}") from None
-    try:
-        return LinearScheme.from_text(text)
+        raise _Usage(f"cannot read {what} file {path}: {e.strerror}") from None
     except ValueError as e:
-        raise _Usage(f"bad scheme file {path}: {e}") from None
-
-
-def _load_bundle(path: str) -> ShareBundle:
-    try:
-        text = Path(path).read_text()
-    except OSError as e:
-        raise _Usage(f"cannot read bundle file {path}: {e.strerror}") from None
-    try:
-        return ShareBundle.from_text(text)
-    except ValueError as e:
-        raise _Usage(f"bad bundle file {path}: {e}") from None
+        raise _Usage(f"bad {what} file {path}: {e}") from None
 
 
 def _write_out(args, text: str) -> None:
@@ -87,16 +83,6 @@ def _write_out(args, text: str) -> None:
         Path(args.out).write_text(text)
     else:
         sys.stdout.write(text)
-
-
-def _parse_slot(text: str) -> tuple[int, int]:
-    parts = text.split(",")
-    if len(parts) != 2:
-        raise _Usage(f"bad secret slot {text!r}: expected k,j")
-    try:
-        return int(parts[0]), int(parts[1])
-    except ValueError:
-        raise _Usage(f"bad secret slot {text!r}: expected k,j") from None
 
 
 # ----------------------------------------------------------------- commands
@@ -142,14 +128,14 @@ def _cmd_build(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    scheme = _load_scheme(args.scheme)
+    scheme = _load(args.scheme, LinearScheme.from_text, "scheme")
     report = check_conditions(scheme, args.security, exhaustive=args.exhaustive)
     print(render_report(report))
     return PASS if report.passed else FAIL
 
 
 def _cmd_ratios(args) -> int:
-    scheme = _load_scheme(args.scheme)
+    scheme = _load(args.scheme, LinearScheme.from_text, "scheme")
     try:
         rep = ratios(scheme, strict=False)
     except ValueError as e:
@@ -165,7 +151,7 @@ def _cmd_ratios(args) -> int:
 
 
 def _cmd_audit(args) -> int:
-    scheme = _load_scheme(args.scheme)
+    scheme = _load(args.scheme, LinearScheme.from_text, "scheme")
     try:
         checks = audit_bounds(scheme, args.security, cap=args.cap)
     except ValueError as e:
@@ -201,19 +187,9 @@ def _cmd_lp(args) -> int:
 
 
 def _cmd_deal(args) -> int:
-    scheme = _load_scheme(args.scheme)
-    chunks = args.secrets.split(";") if args.secrets else []
-    vectors = []
-    for chunk in chunks:
-        chunk = chunk.strip()
-        if chunk in ("", "-"):
-            vectors.append([])
-        else:
-            try:
-                vectors.append([int(v) for v in chunk.split(",")])
-            except ValueError:
-                raise _Usage(f"bad secret vector {chunk!r}") from None
+    scheme = _load(args.scheme, LinearScheme.from_text, "scheme")
     try:
+        vectors = [parse_ints(c, "secret vector") for c in args.secrets.split(";")]
         assignment = SecretAssignment.for_scheme(scheme, vectors)
         bundle = deal(scheme, assignment, seed=args.seed)
     except ValueError as e:
@@ -225,18 +201,17 @@ def _cmd_deal(args) -> int:
 
 
 def _cmd_reconstruct(args) -> int:
-    scheme = _load_scheme(args.scheme)
-    bundle = _load_bundle(args.bundle)
+    scheme = _load(args.scheme, LinearScheme.from_text, "scheme")
+    bundle = _load(args.bundle, ShareBundle.from_text, "bundle")
     try:
         recovered = reconstruct(scheme, bundle, k=args.k)
-    except ValueError as e:
-        if "out of range" in str(e):
-            raise _Usage(str(e)) from None
+    except ReconstructionError as e:
         print(f"reconstruction failed: {e}")
         return FAIL
+    except ValueError as e:
+        raise _Usage(str(e)) from None
     for v in sorted(recovered.values):
-        vec = recovered[v]
-        body = ",".join(str(e) for e in vec) if vec else "-"
+        body = format_ints(recovered[v])
         if args.format == "records":
             print(f"S {v.level} {v.index} {body}")
         else:
@@ -245,20 +220,18 @@ def _cmd_reconstruct(args) -> int:
 
 
 def _cmd_census(args) -> int:
-    scheme = _load_scheme(args.scheme)
+    scheme = _load(args.scheme, LinearScheme.from_text, "scheme")
     try:
-        indices = [int(v) for v in args.shares.split(",")] if args.shares else []
-    except ValueError:
-        raise _Usage(f"bad share list {args.shares!r}") from None
-    if len(set(indices)) != len(indices):
-        raise _Usage(f"duplicate index in share list {args.shares!r}")
-    try:
+        indices = parse_ints(args.shares, "share list")
+        if len(set(indices)) != len(indices):
+            raise ValueError(f"duplicate index in share list {args.shares!r}")
+        slots = [parse_ints(s, "secret slot") for s in args.target.split(";") if s]
+        if any(len(slot) != 2 for slot in slots):
+            raise ValueError(f"bad target list {args.target!r}: expected k,j slots")
+        if not slots:
+            raise ValueError("census needs at least one target secret")
         coalition = [VariableId.share(i) for i in indices]
-        targets = [
-            VariableId.secret(*_parse_slot(s)) for s in args.target.split(";") if s
-        ]
-        if not targets:
-            raise _Usage("census needs at least one target secret")
+        targets = [VariableId.secret(k, j) for k, j in slots]
         table = leakage_census(scheme, coalition, targets)
     except (ValueError, KeyError) as e:
         raise _Usage(str(e)) from None
@@ -266,10 +239,8 @@ def _cmd_census(args) -> int:
     if args.format == "records":
         for a_vals in sorted(table.counts):
             row = table.counts[a_vals]
-            a_body = ",".join(str(v) for v in a_vals) if a_vals else "-"
             for s_vals in sorted(row):
-                s_body = ",".join(str(v) for v in s_vals) if s_vals else "-"
-                print(f"count {a_body} {s_body} {row[s_vals]}")
+                print(f"count {format_ints(a_vals)} {format_ints(s_vals)} {row[s_vals]}")
     else:
         print(f"{table.n_coalition_values} coalition values, "
               f"{len(table.codes)} table rows")

@@ -20,6 +20,7 @@ import numpy as np
 
 from mtss import field
 from mtss.schemes import LinearScheme, VariableId
+from mtss.structure import format_ints, parse_ints, read_records
 
 _MASK64 = (1 << 64) - 1
 _BUNDLE_MAGIC = "mtss-bundle 1"
@@ -56,6 +57,11 @@ def _check_vector(vals, width, q, what):
         if not 0 <= v < q:
             raise ValueError(f"{what} element out of field range")
     return vals
+
+
+class ReconstructionError(ValueError):
+    """Well-formed input that yields no secrets: the bundle belongs to
+    another scheme, the share set is unqualified, or the shares disagree."""
 
 
 @dataclass(frozen=True)
@@ -128,30 +134,21 @@ class ShareBundle:
     def to_text(self) -> str:
         lines = [_BUNDLE_MAGIC, f"fingerprint {self.fingerprint}"]
         for v in sorted(self.shares):
-            vec = self.shares[v]
-            body = ",".join(str(e) for e in vec) if vec else "-"
-            lines.append(f"P {v.index} {body}")
+            lines.append(f"P {v.index} {format_ints(self.shares[v])}")
         return "\n".join(lines) + "\n"
 
     @staticmethod
     def from_text(text: str) -> "ShareBundle":
-        lines = [ln for ln in text.splitlines() if ln.strip()]
-        if not lines or lines[0] != _BUNDLE_MAGIC:
-            raise ValueError("not a bundle file")
-        if len(lines) < 2 or not lines[1].startswith("fingerprint "):
-            raise ValueError("malformed bundle header")
-        fingerprint = lines[1].split(" ", 1)[1].strip()
+        header, body = read_records(text, _BUNDLE_MAGIC, ("fingerprint",), "bundle")
         shares = {}
-        for ln in lines[2:]:
-            parts = ln.split()
+        for parts in body:
             if len(parts) != 3 or parts[0] != "P":
-                raise ValueError(f"bad share line: {ln!r}")
-            idx = int(parts[1])
-            vec = () if parts[2] == "-" else tuple(
-                int(e) for e in parts[2].split(",")
-            )
-            shares[VariableId.share(idx)] = vec
-        return ShareBundle(fingerprint, shares)
+                raise ValueError(f"bad share line: {' '.join(parts)!r}")
+            v = VariableId.share(int(parts[1]))
+            if v in shares:
+                raise ValueError(f"duplicate share line for {v}")
+            shares[v] = parse_ints(parts[2], f"share vector of {v}")
+        return ShareBundle(header["fingerprint"], shares)
 
 
 def deal(scheme: LinearScheme, secrets: SecretAssignment, seed: int = 0) -> ShareBundle:
@@ -184,10 +181,12 @@ def reconstruct(scheme: LinearScheme, shares: ShareBundle, k: int = 1) -> Secret
 
     Any codeword consistent with the provided shares determines those
     secrets, because the decodable condition puts their columns in the
-    span of the coalition's columns.
+    span of the coalition's columns.  Raises ReconstructionError for a
+    wrong scheme, an unqualified set or inconsistent shares, and a plain
+    ValueError for out-of-range input.
     """
     if shares.fingerprint != scheme.fingerprint:
-        raise ValueError("bundle fingerprint does not match scheme")
+        raise ReconstructionError("bundle fingerprint does not match scheme")
     if not 1 <= k <= scheme.sp.k_levels:
         raise ValueError("sub-array index out of range")
     avars = sorted(shares.shares)
@@ -196,7 +195,7 @@ def reconstruct(scheme: LinearScheme, shares: ShareBundle, k: int = 1) -> Secret
             raise ValueError(f"share index {v.index} out of range")
         _check_vector(shares[v], scheme.width(v), scheme.q, str(v))
     if len(avars) < scheme.sp.threshold(k):
-        raise ValueError("unqualified set")
+        raise ReconstructionError("unqualified set")
     vals = []
     for v in avars:
         vals.extend(shares[v])
@@ -204,7 +203,7 @@ def reconstruct(scheme: LinearScheme, shares: ShareBundle, k: int = 1) -> Secret
     try:
         x, _ = field.solve_affine(va.a.T, vals, scheme.q)
     except ValueError:
-        raise ValueError("inconsistent shares") from None
+        raise ReconstructionError("inconsistent shares") from None
     out = {}
     for v in scheme.secret_variables():
         if v.level >= k:

@@ -34,8 +34,11 @@ from mtss.structure import (
     WEAK,
     RatioKind,
     StructurePair,
+    format_ints,
     format_thresholds,
+    parse_ints,
     parse_thresholds,
+    read_records,
     structure,
     subset_of,
     weak_sigma_plan,
@@ -170,34 +173,25 @@ class LinearScheme:
             f"structure {self.sp.n_parties} {format_thresholds(self.sp)}",
         ]
         for v, b in self.blocks:
-            cols = [",".join(str(int(x)) for x in b.a[:, c]) for c in range(b.n_cols)]
-            if v.kind == "secret":
-                head = f"S {v.level} {v.index}"
-            else:
-                head = f"P {v.index}"
-            lines.append(" ".join([head] + cols))
+            head = f"S {v.level} {v.index}" if v.kind == "secret" else f"P {v.index}"
+            lines.append(" ".join([head] + [format_ints(c) for c in b.a.T.tolist()]))
         return "\n".join(lines) + "\n"
 
     @staticmethod
     def from_text(text: str) -> "LinearScheme":
-        lines = [ln for ln in text.splitlines() if ln.strip()]
-        if not lines or lines[0].strip() != _MAGIC:
-            raise ValueError("not a scheme file")
-        fields = {}
-        for ln in lines[1:4]:
-            key, _, rest = ln.partition(" ")
-            fields[key] = rest
+        header, body = read_records(text, _MAGIC, ("q", "rows", "structure"), "scheme")
         try:
-            q = int(fields["q"])
-            n_rows = int(fields["rows"])
-            n_str, t_str = fields["structure"].split()
+            q = int(header["q"])
+            n_rows = int(header["rows"])
+            if n_rows < 0:
+                raise ValueError(f"negative rows {n_rows}")
+            n_str, t_str = header["structure"].split()
             sp = parse_thresholds(int(n_str), t_str)
-        except (KeyError, ValueError) as e:
+        except ValueError as e:
             raise ValueError(f"malformed scheme header: {e}") from e
         field.check_modulus(q)
         blocks = []
-        for ln in lines[4:]:
-            parts = ln.split()
+        for parts in body:
             if parts[0] == "S" and len(parts) >= 3:
                 v = VariableId.secret(int(parts[1]), int(parts[2]))
                 cols = parts[3:]
@@ -205,14 +199,12 @@ class LinearScheme:
                 v = VariableId.share(int(parts[1]))
                 cols = parts[2:]
             else:
-                raise ValueError(f"bad variable line: {ln!r}")
-            if cols:
-                a = np.array([[int(x) % q for x in col.split(",")] for col in cols]).T
-                if a.shape[0] != n_rows:
-                    raise ValueError(f"column length mismatch on {v}")
-                blocks.append((v, MatrixFq(q, a)))
-            else:
-                blocks.append((v, field.zeros(n_rows, 0, q)))
+                raise ValueError(f"bad variable line: {' '.join(parts)!r}")
+            cols = [parse_ints(c, f"column of {v}") for c in cols]
+            if any(len(c) != n_rows for c in cols):
+                raise ValueError(f"column length mismatch on {v}")
+            a = np.array([[x % q for x in c] for c in cols], dtype=np.int64)
+            blocks.append((v, MatrixFq(q, a.reshape(len(cols), n_rows).T)))
         width = sum(m.n_cols for _, m in blocks)
         if n_rows > width:
             raise ValueError(f"rows {n_rows} exceeds the {width} columns of the blocks")

@@ -101,16 +101,53 @@ def structure(n_parties: int, arrays) -> StructurePair:
     return StructurePair(n_parties, tuple(SubArray(t, m) for t, m in arrays))
 
 
+def parse_ints(text: str, what: str) -> tuple[int, ...]:
+    """Read a comma-separated int list, e.g. "1,2,3"; "" or "-" is empty.
+    Every list in scheme files, bundle files and CLI flags uses this grammar;
+    an empty item or a non-integer raises ValueError."""
+    if text.strip() in ("", "-"):
+        return ()
+    try:
+        return tuple(int(v) for v in text.split(","))
+    except ValueError:
+        raise ValueError(f"bad {what} {text!r}") from None
+
+
+def format_ints(values) -> str:
+    """Inverse of parse_ints: "1,2,3", or "-" for no values."""
+    return ",".join(str(v) for v in values) if values else "-"
+
+
+def read_records(text: str, magic: str, keys, what: str):
+    """Read a record file: a magic line, one header line per key, a body.
+
+    Blank lines are skipped.  The header lines `key value ...` come right
+    after the magic line, in any order, each key exactly once.  Returns the
+    header values by key (the rest of the line) and the body lines as token
+    lists.  `what` names the file kind in error messages.
+    """
+    lines = [ln for ln in text.splitlines() if ln.strip()]
+    if not lines or lines[0].strip() != magic:
+        raise ValueError(f"not a {what} file")
+    records = [ln.split() for ln in lines[1:]]
+    header = {}
+    for tokens in records[: len(keys)]:
+        key, *value = tokens
+        if key not in keys or key in header or not value:
+            raise ValueError(f"malformed {what} header: bad line {' '.join(tokens)!r}")
+        header[key] = " ".join(value)
+    if len(header) < len(keys):
+        raise ValueError(f"malformed {what} header: expected {', '.join(keys)}")
+    return header, records[len(keys) :]
+
+
 def parse_thresholds(n_parties: int, text: str) -> StructurePair:
     """Parse the flat threshold encoding, e.g. "3,3,2" -> [(3,2),(2,1)].
 
     The text lists one threshold per secret, non-increasing; equal runs merge
     into one sub-array.
     """
-    try:
-        values = [int(v) for v in text.split(",") if v.strip() != ""]
-    except ValueError as e:
-        raise ValueError(f"bad threshold list {text!r}") from e
+    values = parse_ints(text, "threshold list")
     if not values:
         raise ValueError("empty structure")
     if any(b > a for a, b in zip(values, values[1:])):
@@ -121,9 +158,7 @@ def parse_thresholds(n_parties: int, text: str) -> StructurePair:
 
 def format_thresholds(sp: StructurePair) -> str:
     """Inverse of parse_thresholds: "3,3,2" style flat list."""
-    return ",".join(
-        str(a.threshold) for a in sp.arrays for _ in range(a.count)
-    )
+    return format_ints([a.threshold for a in sp.arrays for _ in range(a.count)])
 
 
 def subset_of(small: StructurePair, big: StructurePair) -> bool:

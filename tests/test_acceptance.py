@@ -33,6 +33,7 @@ from mtss.cone import (
     satisfies,
 )
 from mtss.schemes import (
+    LinearScheme,
     VariableId,
     build_A,
     build_B,
@@ -249,6 +250,15 @@ def build_catalog():
 @pytest.fixture(scope="module")
 def catalog():
     return build_catalog()
+
+
+def test_catalog_text_round_trip(catalog):
+    """Reading a catalog scheme's text back gives the same fingerprint."""
+    entries, _ = catalog
+    assert len(entries) == 22
+    for label, scheme, _ in entries:
+        back = LinearScheme.from_text(scheme.to_text())
+        assert back.fingerprint == scheme.fingerprint, label
 
 
 def test_criterion_4_converse_audit(announce, catalog):

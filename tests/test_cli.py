@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from mtss import cli, field
 from mtss.cli import FAIL, PASS, USAGE
 from mtss.schemes import LinearScheme, VariableId
-from mtss.structure import structure
+from mtss.structure import format_ints, parse_ints, structure
 
 
 def run(capsys, *argv):
@@ -137,6 +137,10 @@ def test_malformed_scheme_files_exit_2(tmp_path, capsys, sigma_scheme):
         path.write_text(body)
         code, _, err = run(capsys, "verify", str(path))
         assert code == USAGE and err.startswith("error: bad scheme file"), name
+    binary = tmp_path / "binary.scheme"
+    binary.write_bytes(text.encode() + b"\xff\xfe\n")
+    code, _, err = run(capsys, "verify", str(binary))
+    assert code == USAGE and err.startswith("error: bad scheme file") and "decode" in err
     code, _, err = run(capsys, "deal", str(tmp_path / "huge-rows.scheme"), "--secrets=-;-;-")
     assert code == USAGE and "rows 100000 exceeds" in err and err.count("\n") == 1
     # entries are read modulo q, however large
@@ -262,6 +266,60 @@ def test_reconstruct_failures(tmp_path, capsys, sigma_scheme):
     stranger.write_text(bundle.read_text().replace("P 3 ", "P 9 "))
     code, _, err = run(capsys, "reconstruct", str(sigma_scheme), str(stranger))
     assert code == USAGE and "share index 9 out of range" in err
+
+    # a malformed share value is an input error (2), not a failed reconstruction (1)
+    for name, vector, message in (
+        ("outside", "7,1,1", "P[1] element out of field range"),
+        ("narrow", "5,1", "P[1] length 2 does not match width 3"),
+    ):
+        path = tmp_path / f"{name}.bundle"
+        path.write_text(re.sub(r"^P 1 \S+", f"P 1 {vector}", bundle.read_text(), flags=re.M))
+        code, _, err = run(capsys, "reconstruct", str(sigma_scheme), str(path))
+        assert code == USAGE and message in err and err.count("\n") == 1, name
+
+
+def test_reconstruct_refuses_repeated_share_line(tmp_path, capsys):
+    scheme, bundle = tmp_path / "p.scheme", tmp_path / "p.bundle"
+    cli.main(["build", "--n", "3", "--t", "2,2", "--ratio", "sigma",
+              "--security", "weak", "--out", str(scheme)])
+    cli.main(["deal", str(scheme), "--secrets", "1;2", "--out", str(bundle)])
+    capsys.readouterr()
+    text = re.sub(r"^P 1 \S+$", "P 1 3\nP 1 0", bundle.read_text(), flags=re.M)
+    bundle.write_text(text)
+    code, _, err = run(capsys, "reconstruct", str(scheme), str(bundle))
+    assert code == USAGE and "duplicate share line for P[1]" in err
+    # a magic line with trailing blanks is read, as in scheme files
+    bundle.write_text(text.replace("mtss-bundle 1", "mtss-bundle 1  ").replace("P 1 3\n", ""))
+    assert run(capsys, "reconstruct", str(scheme), str(bundle))[0] == FAIL
+
+
+@pytest.mark.parametrize("bad", ["1,,2", "1,", "x"])
+def test_list_grammar_at_every_entry_point(tmp_path, capsys, sigma_scheme, bad):
+    """An empty item or a non-integer exits 2 with one line, wherever a
+    comma-separated list is read."""
+    bundle = tmp_path / "b.bundle"
+    cli.main(["deal", str(sigma_scheme), "--secrets", "1,2;3,4;5,6", "--out", str(bundle)])
+    capsys.readouterr()
+    column = tmp_path / "column.scheme"
+    column.write_text(re.sub(r"^P 1 \S+", f"P 1 {bad}", sigma_scheme.read_text(), flags=re.M))
+    vector = tmp_path / "vector.bundle"
+    vector.write_text(re.sub(r"^P 1 \S+", f"P 1 {bad}", bundle.read_text(), flags=re.M))
+    for argv, message in (
+        (["structure", "--n", "3", "--t", bad], "bad threshold list"),
+        (["census", str(sigma_scheme), "--shares", bad, "--target", "1,1"], "bad share list"),
+        (["census", str(sigma_scheme), "--target", bad], "bad secret slot"),
+        (["deal", str(sigma_scheme), "--secrets", f"1,2;{bad};5,6"], "bad secret vector"),
+        (["verify", str(column)], "bad column of P[1]"),
+        (["reconstruct", str(sigma_scheme), str(vector)], "bad share vector of P[1]"),
+    ):
+        code, _, err = run(capsys, *argv)
+        assert code == USAGE, argv
+        assert err.startswith("error: ") and err.count("\n") == 1 and message in err, err
+
+
+@given(st.lists(st.integers()).map(tuple))
+def test_int_list_round_trip(values):
+    assert parse_ints(format_ints(values), "list") == values
 
 
 def test_audit_clean_and_records(capsys, sigma_scheme):
@@ -431,7 +489,8 @@ def _mutated(data, text, line_sep="\n", token_sep=" "):
 )
 @given(data=st.data())
 def test_exit_code_contract_under_mutation(tmp_path, capsys, data):
-    """Mutated scheme and bundle files and flag lists exit 0, 1 or 2."""
+    """Mutated scheme and bundle files and flag lists exit 0, 1 or 2.  `lp`
+    and `build` read `--t` through the same parser as `structure`."""
     scheme_text = (
         "mtss-scheme 1\nq 5\nrows 5\nstructure 3 3,2\n"
         "S 1 1 1,1,1,0,0\nS 2 1 0,0,0,1,1\n"
@@ -447,7 +506,9 @@ def test_exit_code_contract_under_mutation(tmp_path, capsys, data):
     shares = _mutated(data, "1,2", ";", ",")
     targets = _mutated(data, "1,1;2,1", ";", ",")
     secrets = _mutated(data, "1;2", ";", ",")
+    thresholds = _mutated(data, "3,3,2", ";", ",")
     for argv in (
+        ["structure", "--n", "3", "--t", thresholds],
         ["verify", str(scheme), "--security", "strong"],
         ["ratios", str(scheme)],
         ["audit", str(scheme), "--security", "weak"],

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from mtss import dealer, field
 from mtss.dealer import (
     CensusTable,
+    ReconstructionError,
     SecretAssignment,
     ShareBundle,
     _splitmix64,
@@ -143,15 +144,21 @@ def test_reconstruct_errors():
     sch = build_optimal(structure(3, [(3, 1), (2, 1)]), RatioKind(SIGMA, STRONG))
     sa = SecretAssignment.for_scheme(sch, [[1], [1]])
     bundle = deal(sch, sa, seed=0)
-    with pytest.raises(ValueError, match="unqualified set"):
+    with pytest.raises(ReconstructionError, match="unqualified set"):
         reconstruct(sch, bundle.restrict([1]), k=2)
-    with pytest.raises(ValueError, match="unqualified set"):
+    with pytest.raises(ReconstructionError, match="unqualified set"):
         reconstruct(sch, bundle.restrict([1, 2]), k=1)
-    with pytest.raises(ValueError, match="out of range"):
+    with pytest.raises(ValueError, match="out of range") as info:
         reconstruct(sch, bundle, k=3)
+    assert not isinstance(info.value, ReconstructionError)
     other = build_single_threshold(2, 3, q=sch.q)
-    with pytest.raises(ValueError, match="fingerprint"):
+    with pytest.raises(ReconstructionError, match="fingerprint"):
         reconstruct(other, bundle, k=1)
+    outside = dict(bundle.shares)
+    outside[P(1)] = (sch.q,) * len(outside[P(1)])
+    with pytest.raises(ValueError, match="field range") as info:
+        reconstruct(sch, ShareBundle(bundle.fingerprint, outside), k=1)
+    assert not isinstance(info.value, ReconstructionError)
 
 
 def test_inconsistent_shares():
@@ -160,7 +167,7 @@ def test_inconsistent_shares():
     bundle = deal(sch, sa, seed=3)
     tweaked = dict(bundle.shares)
     tweaked[P(3)] = ((tweaked[P(3)][0] + 1) % 7,)
-    with pytest.raises(ValueError, match="inconsistent shares"):
+    with pytest.raises(ReconstructionError, match="inconsistent shares"):
         reconstruct(sch, ShareBundle(bundle.fingerprint, tweaked), k=1)
 
 
@@ -215,6 +222,12 @@ def test_bundle_text_errors():
         ShareBundle.from_text("mtss-bundle 1\nno-print\n")
     with pytest.raises(ValueError, match="bad share line"):
         ShareBundle.from_text("mtss-bundle 1\nfingerprint ab\nQ 1 2\n")
+    with pytest.raises(ValueError, match=r"duplicate share line for P\[1\]"):
+        ShareBundle.from_text("mtss-bundle 1\nfingerprint ab\nP 1 3\nP 1 0\n")
+    with pytest.raises(ValueError, match=r"bad share vector of P\[2\] '1,,2'"):
+        ShareBundle.from_text("mtss-bundle 1\nfingerprint ab\nP 2 1,,2\n")
+    back = ShareBundle.from_text("mtss-bundle 1 \n\nfingerprint ab\nP 2 -\nP 1 4,0\n")
+    assert back == ShareBundle("ab", {P(1): (4, 0), P(2): ()})
 
 
 # ------------------------------------------------------------------- census

@@ -270,6 +270,16 @@ def test_from_text_rejects_garbage():
     for line in ("S", "S 1", "P"):
         with pytest.raises(ValueError, match="variable line"):
             LinearScheme.from_text(good + line + "\n")
+    with pytest.raises(ValueError, match=r"bad column of P\[3\] '1,,2'"):
+        LinearScheme.from_text(good + "P 3 1,,2\n")
+    with pytest.raises(ValueError, match="header"):
+        LinearScheme.from_text(good.replace("rows", "q"))
+    with pytest.raises(ValueError, match="header: negative rows -1"):
+        LinearScheme.from_text(good.replace("rows 2", "rows -1"))
+    # header lines in any order, blank lines and padded magic are read
+    lines = good.splitlines()
+    shuffled = "\n".join([lines[0] + "  ", "", lines[3], lines[1], lines[2]] + lines[4:])
+    assert LinearScheme.from_text(shuffled).fingerprint == build_single_threshold(2, 3).fingerprint
     with pytest.raises(ValueError, match="too large"):
         LinearScheme.from_text(good.replace("q 5", "q 4294967311"))
 

@@ -1,3 +1,4 @@
+import re
 from fractions import Fraction as F
 
 import pytest
@@ -16,9 +17,12 @@ from mtss.structure import (
     OptimalValue,
     RatioKind,
     conditions,
+    format_ints,
     format_thresholds,
     optimal_ratio,
+    parse_ints,
     parse_thresholds,
+    read_records,
     randomness_break_index,
     structure,
     subset_of,
@@ -70,6 +74,31 @@ def test_parse_and_format():
         parse_thresholds(3, "")
     with pytest.raises(ValueError, match="bad threshold"):
         parse_thresholds(3, "a,b")
+    for text in ("3,,2", "3,2,", ",3"):
+        with pytest.raises(ValueError, match="bad threshold list"):
+            parse_thresholds(3, text)
+
+
+def test_int_list_grammar():
+    assert parse_ints("1,-2, 3", "list") == (1, -2, 3)
+    assert parse_ints("", "list") == parse_ints(" - ", "list") == ()
+    for text in ("1,,2", "1,", ",", "x", "1;2", "--"):
+        with pytest.raises(ValueError, match=f"^bad list {re.escape(repr(text))}$"):
+            parse_ints(text, "list")
+    assert format_ints(()) == "-" and format_ints([0, 12]) == "0,12"
+
+
+def test_read_records():
+    text = "\n  magic 1  \nb two words\n\na 1\nX 1 2,3\n\nY\n"
+    header, body = read_records(text, "magic 1", ("a", "b"), "demo")
+    assert header == {"a": "1", "b": "two words"}
+    assert body == [["X", "1", "2,3"], ["Y"]]
+    assert read_records("magic 1\nb 1\na 2\n", "magic 1", ("a", "b"), "demo")[1] == []
+    with pytest.raises(ValueError, match="^not a demo file$"):
+        read_records("magic 2\na 1\nb 1\n", "magic 1", ("a", "b"), "demo")
+    for bad in ("a 1\na 2\n", "a 1\nc 2\n", "a\nb 1\n", "a 1\n", "b 1\nX 1\n"):
+        with pytest.raises(ValueError, match="^malformed demo header"):
+            read_records("magic 1\n" + bad, "magic 1", ("a", "b"), "demo")
 
 
 def test_round_trip_all_small():
