@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -109,11 +110,33 @@ class MatrixFq:
         return MatrixFq(self.q, self.a[:, list(cols)])
 
     def rank(self) -> int:
+        return self._rank
+
+    @cached_property
+    def _rank(self) -> int:
+        # `a` is read-only, so the rank is computed once per object.
         return rank(self.a, self.q)
 
 
 def zeros(n_rows: int, n_cols: int, q: int) -> MatrixFq:
     return MatrixFq(q, np.zeros((n_rows, n_cols), dtype=np.int64))
+
+
+def block_diag(mats) -> MatrixFq:
+    """The matrices stacked along the diagonal, each in its own band of rows
+    and of columns; zeros elsewhere.  All must share one modulus."""
+    q = mats[0].q
+    if any(m.q != q for m in mats):
+        raise ValueError("mixed moduli")
+    out = np.zeros(
+        (sum(m.n_rows for m in mats), sum(m.n_cols for m in mats)), dtype=np.int64
+    )
+    r = c = 0
+    for m in mats:
+        out[r : r + m.n_rows, c : c + m.n_cols] = m.a
+        r += m.n_rows
+        c += m.n_cols
+    return MatrixFq(q, out)
 
 
 def _echelon(

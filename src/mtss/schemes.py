@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
+from dataclasses import field as dc_field
 from functools import cached_property
 from itertools import combinations
 
@@ -104,6 +105,12 @@ class LinearScheme:
     the scheme over a different prime; schemes read back from text lose it.
     `min_order` is the smallest field order the construction is known to
     work at (for searched families, the prime the search certified).
+
+    `source` and `parts` link a composed scheme to what it was assembled
+    from: `embed` records the construction whose block objects it reuses,
+    `combine` the schemes it stacks.  Its `RankProfile` answers through
+    them.  Neither takes part in the text form or the fingerprint, and a
+    scheme read back from text has neither.
     """
 
     sp: StructurePair
@@ -112,6 +119,8 @@ class LinearScheme:
     blocks: tuple[tuple[VariableId, MatrixFq], ...]
     recipe: tuple | None = None
     min_order: int = 0
+    source: LinearScheme | None = dc_field(default=None, compare=False, repr=False)
+    parts: tuple[LinearScheme, ...] = dc_field(default=(), compare=False, repr=False)
 
     def __post_init__(self):
         field.check_modulus(self.q)
@@ -460,6 +469,9 @@ def embed(scheme: LinearScheme, target: StructurePair, *, place=None) -> LinearS
     By default sub-arrays are matched by threshold and secrets keep their
     index; pass `place` ({(k, j) -> (k', j')}) to route source secrets onto
     specific target slots with equal thresholds.
+
+    The result reuses the source's block objects and records, as `source`,
+    the construction they belong to, so its profile reads that one's memo.
     """
     if target.n_parties != scheme.sp.n_parties:
         raise ValueError("subset relation fails: participant counts differ")
@@ -510,6 +522,7 @@ def embed(scheme: LinearScheme, target: StructurePair, *, place=None) -> LinearS
         blocks=tuple(blocks),
         recipe=recipe,
         min_order=scheme.min_order,
+        source=scheme.source or scheme,
     )
 
 
@@ -518,7 +531,8 @@ def combine(parts) -> LinearScheme:
 
     Row bands of different parts are disjoint, so every joint rank of the
     result is the sum of the parts' joint ranks — which is exactly why the
-    combination inherits each rank condition its parts satisfy.
+    combination inherits each rank condition its parts satisfy, and why its
+    profile sums theirs (the result records them as `parts`).
     """
     parts = list(parts)
     if not parts:
@@ -530,27 +544,20 @@ def combine(parts) -> LinearScheme:
         raise ValueError("mismatched field")
     if len(parts) == 1:
         return first
-    n_rows = sum(p.n_rows for p in parts)
-    offsets = np.cumsum([0] + [p.n_rows for p in parts])
-    blocks = []
-    for v in scheme_variables(first.sp):
-        width = sum(p.width(v) for p in parts)
-        out = np.zeros((n_rows, width), dtype=np.int64)
-        c = 0
-        for p, r in zip(parts, offsets):
-            b = p.block(v)
-            out[r : r + p.n_rows, c : c + b.n_cols] = b.a
-            c += b.n_cols
-        blocks.append((v, MatrixFq(first.q, out)))
+    blocks = [
+        (v, field.block_diag([p.block(v) for p in parts]))
+        for v in scheme_variables(first.sp)
+    ]
     recipes = [p.recipe for p in parts]
     recipe = ("combine", tuple(recipes)) if all(r is not None for r in recipes) else None
     return LinearScheme(
         sp=first.sp,
         q=first.q,
-        n_rows=n_rows,
+        n_rows=sum(p.n_rows for p in parts),
         blocks=tuple(blocks),
         recipe=recipe,
         min_order=max(p.min_order for p in parts),
+        parts=tuple(parts),
     )
 
 
@@ -562,21 +569,30 @@ def _decode_sp(enc) -> StructurePair:
     return structure(enc[0], list(enc[1]))
 
 
-def _rebuild(recipe, q: int) -> LinearScheme:
+def _rebuild(recipe, q: int, made: dict) -> LinearScheme:
+    """The scheme of `recipe` over F_q, from `made` ({recipe: scheme} over
+    the same q) when there; what it builds, nested recipes too, goes into
+    `made`, so each distinct recipe is built once."""
+    if recipe in made:
+        return made[recipe]
     name = recipe[0]
     if name == "single":
-        return build_single_threshold(recipe[1], recipe[2], q=q)
-    if name == "weak-block":
-        return build_weak_block(recipe[1], recipe[2], recipe[3], q=q)
-    if name == "B":
-        return build_B(recipe[1], (recipe[2], recipe[3]), (recipe[4], recipe[5]), q=q)
-    if name == "A":
-        return build_A(recipe[1], (recipe[2], recipe[3]), recipe[4], q=q)
-    if name == "embed":
-        return embed(_rebuild(recipe[1], q), _decode_sp(recipe[2]), place=dict(recipe[3]))
-    if name == "combine":
-        return combine([_rebuild(r, q) for r in recipe[1]])
-    raise ValueError(f"unknown recipe {name!r}")
+        s = build_single_threshold(recipe[1], recipe[2], q=q)
+    elif name == "weak-block":
+        s = build_weak_block(recipe[1], recipe[2], recipe[3], q=q)
+    elif name == "B":
+        s = build_B(recipe[1], (recipe[2], recipe[3]), (recipe[4], recipe[5]), q=q)
+    elif name == "A":
+        s = build_A(recipe[1], (recipe[2], recipe[3]), recipe[4], q=q)
+    elif name == "embed":
+        inner = _rebuild(recipe[1], q, made)
+        s = embed(inner, _decode_sp(recipe[2]), place=dict(recipe[3]))
+    elif name == "combine":
+        s = combine([_rebuild(r, q, made) for r in recipe[1]])
+    else:
+        raise ValueError(f"unknown recipe {name!r}")
+    made[recipe] = s
+    return s
 
 
 def recipe_guarantee(recipe) -> str:
@@ -599,8 +615,8 @@ def unify_field(parts) -> list[LinearScheme]:
     any part; searched families may still reject a candidate (they verify
     at exact q), so the candidate advances through primes under a cap.
     A part already over the candidate is kept as it is (its recipe would
-    rebuild the same scheme); the others are rebuilt, each distinct recipe
-    once per candidate.
+    rebuild the same scheme); the others are rebuilt, each distinct recipe,
+    nested ones included, once per candidate.
     """
     from mtss import verify
 
@@ -615,12 +631,12 @@ def unify_field(parts) -> list[LinearScheme]:
         try:
             for part in parts:
                 if part.recipe not in made:
-                    made[part.recipe] = _rebuild(part.recipe, p)
+                    _rebuild(part.recipe, p, made)
         except FieldSearchError:
             made = None
         if made is not None and all(
             verify.check_conditions(s, recipe_guarantee(s.recipe)).passed
-            for s in made.values()
+            for s in dict.fromkeys(made[part.recipe] for part in parts)
         ):
             return [made[part.recipe] for part in parts]
         p = field.next_prime_at_least(p + 1)
@@ -638,85 +654,95 @@ def build_optimal(sp: StructurePair, kind: RatioKind) -> LinearScheme:
     sub-arrays and at least one underfull), the result is the best-known
     combination; its sigma equals the bracketing upper bound.
     """
+    built = {}  # (builder, args) -> scheme: parts embed one shared build
     if kind.security == STRONG:
-        parts = _strong_parts(sp, kind)
+        parts = _strong_parts(sp, kind, built)
     else:
-        parts = _weak_parts(sp, kind)
+        parts = _weak_parts(sp, kind, built)
     parts = unify_field(parts)
     return combine(parts)
 
 
-def _strong_parts(sp, kind):
+def _once(built: dict, builder, *args) -> LinearScheme:
+    """`builder(*args)`, built at most once per `built` dict."""
+    key = (builder, args)
+    if key not in built:
+        built[key] = builder(*args)
+    return built[key]
+
+
+def _strong_parts(sp, kind, built):
     n = sp.n_parties
     if kind.measure == TAU_AVG:
         kk = sp.k_levels
         t_last = sp.threshold(kk)
-        return [
-            embed(build_single_threshold(t_last, n), sp, place={(1, 1): (kk, 1)})
-        ]
+        single = _once(built, build_single_threshold, t_last, n)
+        return [embed(single, sp, place={(1, 1): (kk, 1)})]
     return [
-        embed(build_single_threshold(sp.threshold(k), n), sp, place={(1, 1): (k, j)})
+        embed(
+            _once(built, build_single_threshold, sp.threshold(k), n),
+            sp,
+            place={(1, 1): (k, j)},
+        )
         for k, j in sp.secret_slots()
     ]
 
 
-def _weak_parts(sp, kind):
+def _weak_parts(sp, kind, built):
     n = sp.n_parties
+
+    def window(i):
+        return embed(_once(built, build_weak_block, n, sp.threshold(i), sp.count(i)), sp)
+
     if kind.measure == SIGMA:
-        return _sigma_plan_parts(sp)
+        return _sigma_plan_parts(sp, built)
     if kind.measure == SIGMA_AVG:
         best = max(range(1, sp.k_levels + 1), key=lambda i: min(sp.threshold(i), sp.count(i)))
-        return [embed(build_weak_block(n, sp.threshold(best), sp.count(best)), sp)]
+        return [window(best)]
     if kind.measure == TAU_AVG:
         packed = [i for i in range(1, sp.k_levels + 1) if sp.count(i) >= sp.threshold(i)]
         if packed:
-            return [_zero_randomness_part(sp, packed[0])]
+            return [_zero_randomness_part(sp, packed[0], built)]
         best = min(
             range(1, sp.k_levels + 1),
             key=lambda i: (sp.threshold(i) - sp.count(i)) / sp.count(i),
         )
-        return [embed(build_weak_block(n, sp.threshold(best), sp.count(best)), sp)]
+        return [window(best)]
     # TAU: windows above the break, then zero-extra-randomness parts below.
     first_over = next(
         (i for i in range(1, sp.k_levels + 1) if sp.count(i) > sp.threshold(i)), None
     )
     if first_over is None:
-        return [
-            embed(build_weak_block(n, sp.threshold(i), sp.count(i)), sp)
-            for i in range(1, sp.k_levels + 1)
-        ]
-    parts = [
-        embed(build_weak_block(n, sp.threshold(i), sp.count(i)), sp)
-        for i in range(1, first_over)
-    ]
-    parts.append(_zero_randomness_part(sp, first_over))
+        return [window(i) for i in range(1, sp.k_levels + 1)]
+    parts = [window(i) for i in range(1, first_over)]
+    parts.append(_zero_randomness_part(sp, first_over, built))
     for i in range(first_over + 1, sp.k_levels + 1):
         t_i, m_i = sp.threshold(i), sp.count(i)
         if m_i < t_i:
             tk, mk = sp.threshold(first_over), sp.count(first_over)
-            parts.append(embed(build_B(n, (tk, mk), (t_i, m_i)), sp))
+            parts.append(embed(_once(built, build_B, n, (tk, mk), (t_i, m_i)), sp))
         else:
-            parts.append(_zero_randomness_part(sp, i))
+            parts.append(_zero_randomness_part(sp, i, built))
     return parts
 
 
-def _zero_randomness_part(sp, i):
+def _zero_randomness_part(sp, i, built):
     """A part covering sub-array i whose shares carry no extra randomness."""
     n = sp.n_parties
     t_i, m_i = sp.threshold(i), sp.count(i)
     if m_i > t_i:
-        return embed(build_A(n, (t_i, m_i), 1), sp)
-    return embed(build_weak_block(n, t_i, m_i), sp)
+        return embed(_once(built, build_A, n, (t_i, m_i), 1), sp)
+    return embed(_once(built, build_weak_block, n, t_i, m_i), sp)
 
 
-def _sigma_plan_parts(sp):
+def _sigma_plan_parts(sp, built):
     n = sp.n_parties
     _, plan = weak_sigma_plan(sp)
     parts = []
     for part in plan:
         if part.kind == "window":
             t_i, m_i = sp.threshold(part.level), sp.count(part.level)
-            base = [embed(build_weak_block(n, t_i, m_i), sp)]
+            base = [embed(_once(built, build_weak_block, n, t_i, m_i), sp)]
         elif part.kind == "ensemble":
             t_i, m_i = sp.threshold(part.level), sp.count(part.level)
             base = []
@@ -724,10 +750,11 @@ def _sigma_plan_parts(sp):
                 place = {
                     (1, r): (part.level, j) for r, j in enumerate(chosen, start=1)
                 }
-                base.append(embed(build_weak_block(n, t_i, t_i), sp, place=place))
+                block = _once(built, build_weak_block, n, t_i, t_i)
+                base.append(embed(block, sp, place=place))
         else:  # bridge
             tk, mk = sp.threshold(part.level), sp.count(part.level)
             ti, mi = sp.threshold(part.other), sp.count(part.other)
-            base = [embed(build_B(n, (tk, mk), (ti, mi)), sp)]
+            base = [embed(_once(built, build_B, n, (tk, mk), (ti, mi)), sp)]
         parts.extend(base * part.multiplicity)
     return parts

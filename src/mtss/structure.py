@@ -17,6 +17,7 @@ under weak secrecy.
 from __future__ import annotations
 
 import itertools
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, lcm
@@ -101,16 +102,20 @@ def structure(n_parties: int, arrays) -> StructurePair:
     return StructurePair(n_parties, tuple(SubArray(t, m) for t, m in arrays))
 
 
+_INT_ITEM = re.compile(r"[+-]?[0-9]+")
+
+
 def parse_ints(text: str, what: str) -> tuple[int, ...]:
     """Read a comma-separated int list, e.g. "1,2,3"; "" or "-" is empty.
-    Every list in scheme files, bundle files and CLI flags uses this grammar;
-    an empty item or a non-integer raises ValueError."""
+    Every list in scheme files, bundle files and CLI flags uses this grammar:
+    each item, blanks around it stripped, is ASCII `[+-]?[0-9]+`; anything
+    else (an empty item, `3_0`, a non-ASCII digit) raises ValueError."""
     if text.strip() in ("", "-"):
         return ()
-    try:
-        return tuple(int(v) for v in text.split(","))
-    except ValueError:
-        raise ValueError(f"bad {what} {text!r}") from None
+    items = [v.strip() for v in text.split(",")]
+    if not all(_INT_ITEM.fullmatch(v) for v in items):
+        raise ValueError(f"bad {what} {text!r}")
+    return tuple(int(v) for v in items)
 
 
 def format_ints(values) -> str:

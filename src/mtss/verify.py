@@ -13,6 +13,7 @@ from __future__ import annotations
 import threading
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 from itertools import combinations, groupby, product
 from math import prod
 
@@ -25,21 +26,61 @@ from mtss.structure import SIGMA, SIGMA_AVG, STRONG, TAU, TAU_AVG, conditions
 DEFAULT_AUDIT_CAP = 10000
 
 
+@dataclass
+class RankStats:
+    """What one profile did: masks asked of it (by a caller or by a profile
+    that answers through it), answers read from its memo, and its own
+    eliminations (`field.rank` calls)."""
+
+    queries: int = 0
+    memo_hits: int = 0
+    eliminations: int = 0
+
+
 class RankProfile:
     """Memoized joint column ranks of a scheme's variable blocks.
 
     Doubles as the scheme's entropy vector: rank queries are monotone and
     submodular, with rk(empty) = 0.  The memo is guarded by a lock so audits
     may query one profile from several threads.
+
+    A composed scheme is answered through what it was assembled from, once
+    its blocks are checked against those links (`ValueError` if they do not
+    match).  An `embed`ded scheme's nonempty blocks are its source's block
+    objects, so each rank is the source's rank of the same blocks.  A
+    `combine`d scheme's blocks are the block-diagonal stacks of its parts'
+    blocks, so each rank is the sum of the parts' ranks.  Only a scheme with
+    neither link eliminates.
     """
 
     def __init__(self, scheme: LinearScheme):
         self.scheme = scheme
         order = scheme.variables()
         self._pos = {v: i for i, v in enumerate(order)}
-        self._arrays = [scheme.block(v).a for v in order]
         self._memo: dict[int, int] = {0: 0}
         self._lock = threading.Lock()
+        self.stats = RankStats()
+        self._parts: list[RankProfile] = []
+        self._source: RankProfile | None = None
+        self._to_source: list[int] = []  # per variable: its bit in the source
+        if scheme.parts:
+            for part in scheme.parts:
+                if part.q != scheme.q or part.variables() != order:
+                    raise ValueError("combined scheme: a part has another field or variables")
+            for v, b in scheme.blocks:
+                if b != field.block_diag([part.block(v) for part in scheme.parts]):
+                    raise ValueError(f"combined scheme: block {v} is not its parts' stack")
+            self._parts = [part.profile for part in scheme.parts]
+        elif scheme.source is not None:
+            source = scheme.source
+            bit = {id(b): 1 << i for i, (_, b) in enumerate(source.blocks)}
+            for v, b in scheme.blocks:
+                if b.n_cols and id(b) not in bit:
+                    raise ValueError(f"embedded scheme: block {v} is not its source's")
+                self._to_source.append(bit[id(b)] if b.n_cols else 0)
+            self._source = source.profile
+        else:
+            self._arrays = [b.a for _, b in scheme.blocks]
 
     def rank(self, x) -> int:
         mask = 0
@@ -51,15 +92,27 @@ class RankProfile:
         return self._rank_mask(mask)
 
     def _rank_mask(self, mask: int) -> int:
+        stats = self.stats
         with self._lock:
+            stats.queries += 1
             cached = self._memo.get(mask)
-        if cached is not None:
-            return cached
-        picked = [
-            a for i, a in enumerate(self._arrays) if mask >> i & 1 and a.shape[1]
-        ]
-        r = field.rank(np.hstack(picked), self.scheme.q) if picked else 0
+            if cached is not None:
+                stats.memo_hits += 1
+                return cached
+        eliminated = False
+        if self._parts:
+            r = sum(p._rank_mask(mask) for p in self._parts)
+        elif self._source is not None:
+            bits = enumerate(self._to_source)
+            r = self._source._rank_mask(sum(b for i, b in bits if mask >> i & 1))
+        else:
+            picked = [
+                a for i, a in enumerate(self._arrays) if mask >> i & 1 and a.shape[1]
+            ]
+            eliminated = bool(picked)
+            r = field.rank(np.hstack(picked), self.scheme.q) if eliminated else 0
         with self._lock:
+            stats.eliminations += eliminated
             self._memo[mask] = r
         return r
 
@@ -304,6 +357,19 @@ def audit_bounds(
     h_all_shares = profile.rank(scheme.share_variables())
     total_w = sum(w.values())
 
+    @cache
+    def pair_gain(dset, a, b):
+        """I(P_a; P_b | the rest of dset): the secret-size rhs, whatever j."""
+        rest = [shares[i] for i in dset if i not in (a, b)]
+        pa = shares[a]
+        pb = shares[b]
+        return (
+            profile.rank([pa] + rest)
+            + profile.rank([pb] + rest)
+            - profile.rank([pa, pb] + rest)
+            - profile.rank(rest)
+        )
+
     def secret_size():
         for k in range(1, kk + 1):
             t = sp.threshold(k)
@@ -312,18 +378,8 @@ def audit_bounds(
             for j in range(1, sp.count(k) + 1):
                 for dset in combinations(range(1, n + 1), t + 1):
                     for a, b in combinations(dset, 2):
-                        rest = [shares[i] for i in dset if i not in (a, b)]
-                        pa = shares[a]
-                        pb = shares[b]
-                        rhs = (
-                            profile.rank([pa] + rest)
-                            + profile.rank([pb] + rest)
-                            - profile.rank([pa, pb] + rest)
-                            - profile.rank(rest)
-                        )
-                        yield {"k": k, "j": j, "shares": dset, "a": a, "b": b}, w[
-                            k, j
-                        ], rhs
+                        params = {"k": k, "j": j, "shares": dset, "a": a, "b": b}
+                        yield params, w[k, j], pair_gain(dset, a, b)
 
     def share_sum():
         for i in range(1, n + 1):

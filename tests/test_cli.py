@@ -219,6 +219,9 @@ def test_deal_is_deterministic(capsys, sigma_scheme):
     code2, out2, _ = run(capsys, *args)
     assert code1 == code2 == PASS and out1 == out2
     assert out1.startswith("mtss-bundle 1")
+    # blanks around items and vectors are not part of them
+    args[3] = " 0 , 1 ; 2,3 ;4, 5 "
+    assert run(capsys, *args)[:2] == (PASS, out1)
 
 
 def test_deal_usage_errors(capsys, sigma_scheme):
@@ -293,10 +296,11 @@ def test_reconstruct_refuses_repeated_share_line(tmp_path, capsys):
     assert run(capsys, "reconstruct", str(scheme), str(bundle))[0] == FAIL
 
 
-@pytest.mark.parametrize("bad", ["1,,2", "1,", "x"])
+@pytest.mark.parametrize("bad", ["1,,2", "1,", "x", "٣", "3_0"])
 def test_list_grammar_at_every_entry_point(tmp_path, capsys, sigma_scheme, bad):
     """An empty item or a non-integer exits 2 with one line, wherever a
-    comma-separated list is read."""
+    comma-separated list is read; items are ASCII digits only, so a
+    non-ASCII digit or an underscore separator is not an integer."""
     bundle = tmp_path / "b.bundle"
     cli.main(["deal", str(sigma_scheme), "--secrets", "1,2;3,4;5,6", "--out", str(bundle)])
     capsys.readouterr()

@@ -239,6 +239,42 @@ def test_combine_validation():
     assert combine([a]) is a
 
 
+def test_profile_refuses_links_that_do_not_match_the_blocks():
+    """A profile answers through recorded parts or a recorded source only
+    after checking the blocks against them."""
+    a = build_single_threshold(2, 3)
+    blocks = dict(a.blocks)
+    sec, p1 = VariableId.secret(1, 1), VariableId.share(1)
+    blocks[p1] = blocks[sec]  # P[1] holds the secret itself
+    leaky = LinearScheme(sp=a.sp, q=a.q, n_rows=a.n_rows, blocks=tuple(blocks.items()))
+    real = combine([a, leaky])
+    assert not verify.check_conditions(real, STRONG).passed
+
+    def relinked(scheme, **links):
+        return LinearScheme(
+            sp=scheme.sp, q=scheme.q, n_rows=scheme.n_rows, blocks=scheme.blocks, **links
+        )
+
+    # Summing a's ranks twice would answer rank {S, P[1]} = 4; the stack has 3.
+    x = [sec, p1]
+    assert real.profile.rank(x) == real.columns(x).rank() == 3
+    assert 2 * a.profile.rank(x) == 4
+    for bad in (
+        relinked(real, parts=(a, a)),
+        relinked(real, parts=(a, build_single_threshold(2, 3, q=7))),
+        relinked(real, parts=(a, embed(a, structure(3, [(2, 2)])))),
+        relinked(a, source=leaky),
+        relinked(LinearScheme.from_text(a.to_text()), source=a),
+    ):
+        with pytest.raises(ValueError, match="combined scheme|embedded scheme"):
+            verify.check_conditions(bad, STRONG)
+    # Every nonempty block of `leaky` is one of a's objects: a valid source.
+    assert relinked(leaky, source=a).profile.rank(x) == 1
+    # Width-0 blocks need not be the source's objects.
+    e = embed(a, structure(3, [(2, 2)]))
+    assert verify.check_conditions(relinked(e, source=a), WEAK).passed
+
+
 # -- serialization ----------------------------------------------------------
 
 
@@ -327,7 +363,7 @@ def test_unify_field_reuses_parts_over_the_common_prime(monkeypatch):
     rebuilt = []
     real = schemes._rebuild
     monkeypatch.setattr(
-        schemes, "_rebuild", lambda r, q: rebuilt.append(r) or real(r, q)
+        schemes, "_rebuild", lambda r, q, made: rebuilt.append(r) or real(r, q, made)
     )
     ua1, ub, ua2 = unify_field([a, b, a])
     assert ub is b and ua1 is ua2

@@ -81,8 +81,9 @@ def test_parse_and_format():
 
 def test_int_list_grammar():
     assert parse_ints("1,-2, 3", "list") == (1, -2, 3)
+    assert parse_ints(" +1 ,2 ", "list") == (1, 2)
     assert parse_ints("", "list") == parse_ints(" - ", "list") == ()
-    for text in ("1,,2", "1,", ",", "x", "1;2", "--"):
+    for text in ("1,,2", "1,", ",", "x", "1;2", "--", "3_0", "٣,2", "1 2", "0x1"):
         with pytest.raises(ValueError, match=f"^bad list {re.escape(repr(text))}$"):
             parse_ints(text, "list")
     assert format_ints(()) == "-" and format_ints([0, 12]) == "0,12"

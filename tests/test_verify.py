@@ -20,7 +20,16 @@ from mtss.schemes import (
     combine,
     embed,
 )
-from mtss.structure import SIGMA, STRONG, TAU_AVG, WEAK, RatioKind, structure
+from mtss.structure import (
+    SIGMA,
+    SIGMA_AVG,
+    STRONG,
+    TAU,
+    TAU_AVG,
+    WEAK,
+    RatioKind,
+    structure,
+)
 from mtss.verify import (
     RankProfile,
     audit_bounds,
@@ -110,6 +119,81 @@ def test_profile_is_shared_per_scheme_object(monkeypatch):
     before = len(ranks)
     assert real_check(copy, WEAK).passed
     assert len(ranks) > before
+
+
+def _table_family(parties):
+    """The acceptance table's structures with N in `parties`: at most two
+    levels, at most 5 secrets."""
+    out = []
+    for n in parties:
+        for t in range(2, n + 1):
+            out += [structure(n, [(t, m)]) for m in range(1, 6)]
+            for t2 in range(2, t):
+                for m1 in range(1, 5):
+                    out += [structure(n, [(t, m1), (t2, m2)]) for m2 in range(1, 6 - m1)]
+    return out
+
+
+KINDS = [RatioKind(m, s) for m in (SIGMA, SIGMA_AVG, TAU, TAU_AVG) for s in (STRONG, WEAK)]
+
+
+@pytest.mark.parametrize(
+    "parties, masks", [((2, 3), None), ((4,), 200)], ids=["N2-3-all", "N4-200"]
+)
+def test_composed_profile_ranks_match_elimination(parties, masks):
+    """Every build_optimal cell answers through its parts; each rank it gives
+    equals an elimination of the scheme's own columns (every mask for
+    N <= 3, 200 seeded masks per cell for N = 4)."""
+    rng = random.Random(8)
+    cells = 0
+    for sp in _table_family(parties):
+        for kind in KINDS:
+            s = build_optimal(sp, kind)
+            assert s.parts or s.source is not None
+            vs = s.variables()
+            if masks is None:
+                picks = range(2 ** len(vs))
+            else:
+                picks = [rng.getrandbits(len(vs)) for _ in range(masks)]
+            for mask in picks:
+                x = [v for i, v in enumerate(vs) if mask >> i & 1]
+                assert s.profile.rank(x) == s.columns(x).rank(), (sp, kind, x)
+            cells += 1
+    assert cells == 8 * len(_table_family(parties))
+
+
+def test_combined_check_makes_no_elimination_of_its_own():
+    s = build_optimal(structure(4, [(3, 2), (2, 1)]), RatioKind(SIGMA, STRONG))
+    assert len(s.parts) == 3 and all(p.source is not None for p in s.parts)
+    assert check_conditions(s, STRONG).passed
+    stats = s.profile.stats
+    assert stats.queries > 0 and stats.eliminations == 0
+    # Read back from text, the same scheme has no parts and eliminates.
+    copy = LinearScheme.from_text(s.to_text())
+    assert copy.source is None and copy.parts == ()
+    assert check_conditions(copy, STRONG).passed
+    assert copy.profile.stats.eliminations > 0
+
+
+def test_embeds_of_one_construction_share_its_memo():
+    """m embeds of one construction eliminate no more than its full rank
+    table, and less than the same embeds read back from text."""
+    block = build_weak_block(4, 2, 2)
+    sp = structure(4, [(2, 4)])
+    embeds = [
+        embed(block, sp, place={(1, 1): (1, a), (1, 2): (1, b)})
+        for a, b in combinations(range(1, 5), 2)
+    ]
+    copies = [LinearScheme.from_text(e.to_text()) for e in embeds]
+    for e, c in zip(embeds, copies):
+        assert e.source is block
+        assert check_conditions(e, WEAK, exhaustive=True) == check_conditions(
+            c, WEAK, exhaustive=True
+        )
+    assert all(e.profile.stats.eliminations == 0 for e in embeds)
+    shared = block.profile.stats.eliminations
+    assert 0 < shared <= 2 ** len(block.variables()) - 1
+    assert shared < sum(c.profile.stats.eliminations for c in copies)
 
 
 # -- condition checks -------------------------------------------------------
@@ -317,3 +401,23 @@ def test_secret_size_bound_all_tuples():
         checks = [c for c in audit_bounds(s, STRONG) if c.bound == "secret-size"]
         assert len(checks) == len(list(combinations(range(n), t + 1))) * (t + 1) * t // 2
         assert all(c.holds for c in checks)
+
+
+def test_secret_size_checks_in_canonical_order():
+    """One check per (k, j, share set, pair), in that order; the rhs is
+    I(P_a; P_b | the rest), the same for every secret j of a level."""
+    s = sigma_optimal(structure(4, [(3, 2), (2, 3)]))
+    got = [c for c in audit_bounds(s, WEAK) if c.bound == "secret-size"]
+    want = []
+    for k, t in ((1, 3), (2, 2)):
+        for j in range(1, s.sp.count(k) + 1):
+            for dset in combinations(range(1, 5), t + 1):
+                for a, b in combinations(dset, 2):
+                    rest = [VariableId.share(i) for i in dset if i not in (a, b)]
+
+                    def rk(*extra):
+                        return s.columns(rest + [VariableId.share(i) for i in extra]).rank()
+
+                    rhs = rk(a) + rk(b) - rk(a, b) - rk()
+                    want.append(({"k": k, "j": j, "shares": dset, "a": a, "b": b}, rhs))
+    assert [(c.params, c.rhs) for c in got] == want
