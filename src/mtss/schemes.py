@@ -544,10 +544,14 @@ def combine(parts) -> LinearScheme:
         raise ValueError("mismatched field")
     if len(parts) == 1:
         return first
-    blocks = [
-        (v, field.block_diag([p.block(v) for p in parts]))
-        for v in scheme_variables(first.sp)
-    ]
+    blocks = []
+    for v in scheme_variables(first.sp):
+        bs = [p.block(v) for p in parts]
+        stacked = field.block_diag(bs)
+        # Disjoint row and column bands: the stack's rank is the sum of the
+        # parts' ranks, which their own full-column-rank checks computed.
+        stacked.__dict__["_rank"] = sum(b.rank() for b in bs if b.n_cols)
+        blocks.append((v, stacked))
     recipes = [p.recipe for p in parts]
     recipe = ("combine", tuple(recipes)) if all(r is not None for r in recipes) else None
     return LinearScheme(

@@ -1,13 +1,19 @@
 """Exact linear programming over the rationals.
 
-A small two-phase simplex with Bland's anti-cycling rule.  All pivoting is
-done on integer-scaled rows (each tableau row keeps an implicit positive
+A small two-phase simplex with Bland's anti-cycling rule, on a condensed
+integer tableau.  Each row is integer-scaled (it keeps an implicit positive
 rational scale, which affects neither feasibility, nor sign tests, nor ratio
 comparisons), so the hot loop works on Python ints instead of Fractions.
-Coefficients may be ints or Fractions; each row is scaled to ints once, as
-it is added.  A solve returns the status, the exact optimum and optimal
-point as Fractions, and the tableau size and pivot counts (`SimplexStats`);
-it returns no dual certificate.
+A row stores only the nonbasic columns and the rhs; its basic column is a
+unit column times the row's positive scale d, which is kept beside the row,
+and a list maps stored positions to column ids.  Until phase 2 the stored
+ints are exactly those of the full tableau, and Bland's rule picks by column
+id, so the pivots are the full tableau's.  The artificial columns are
+dropped before phase 2, which changes only the row scales.  Coefficients
+may be ints or Fractions; each row is scaled to ints once, as it is added.
+A solve returns the status, the exact optimum and optimal point as
+Fractions, and the tableau size and pivot counts (`SimplexStats`); it
+returns no dual certificate.
 
 Problems are stated as:  minimize c . x  subject to  rows (=, >=, <=), x >= 0.
 """
@@ -104,142 +110,152 @@ class LinearProgram:
         return _solve(self.n_vars, self._rows, self._objective)
 
 
-def _reduce_row(row: list[int]) -> None:
-    g = gcd(*row)
-    if g > 1:
-        row[:] = [v // g for v in row]
+def _pivot(rows, scale, basis, cols, pr, k):
+    """Pivot on row `pr` at position `k`, keeping every row scale positive.
 
-
-def _eliminate(row, p, f, nonzero) -> None:
-    """row <- row * p - f * prow, reduced, where `nonzero` lists the
-    (column, value) pairs of prow's nonzero entries."""
-    if p != 1:
-        row[:] = [v * p for v in row]
-    for j, v in nonzero:
-        row[j] -= f * v
-    _reduce_row(row)
-
-
-def _pivot(tableau, basis, obj, pr, pc):
-    """Integer pivot keeping all row scales positive."""
-    prow = tableau[pr]
-    p = prow[pc]
+    Each other row with a nonzero a at k becomes p * row - a * prow, where p
+    is the pivot; position k, which now holds the leaving column, gets that
+    column's entry -a * d_pr.  Every updated row is reduced by the gcd of
+    its entries and its scale.  A scale of 0 marks the objective row.
+    """
+    prow = rows[pr]
+    p = prow[k]
+    dp = scale[pr]
     assert p > 0
-    nonzero = [(j, v) for j, v in enumerate(prow) if v]
-    for i, row in enumerate(tableau):
-        if i != pr and row[pc]:
-            _eliminate(row, p, row[pc], nonzero)
-    if obj is not None and obj[pc]:
-        _eliminate(obj, p, obj[pc], nonzero)
-    _reduce_row(prow)
-    basis[pr] = pc
+    nonzero = [(j, v) for j, v in enumerate(prow) if v and j != k]
+    for i, row in enumerate(rows):
+        a = row[k]
+        if a and i != pr:
+            if p != 1:
+                row[:] = [v * p for v in row]
+            for j, v in nonzero:
+                row[j] -= a * v
+            row[k] = -a * dp
+            d = scale[i] * p
+            if d != 1:  # g divides d, so d == 1 leaves nothing to reduce
+                g = gcd(*row, d)
+                if g > 1:
+                    row[:] = [v // g for v in row]
+                    d //= g
+                scale[i] = d
+    prow[k] = dp
+    g = gcd(*prow, p)
+    if g > 1:
+        prow[:] = [v // g for v in prow]
+    scale[pr] = p // g
+    basis[pr], cols[k] = cols[k], basis[pr]
 
 
-def _run_simplex(tableau, basis, obj, allowed, n_total):
+def _run_simplex(tableau, obj, scale, basis, cols):
     """Bland's rule inner loop; returns (OPTIMAL or UNBOUNDED, pivots)."""
+    rows = tableau + [obj]
     for pivots in range(_MAX_PIVOTS):
-        pc = -1
-        for j in range(n_total):
-            if allowed[j] and obj[j] < 0:
-                pc = j
-                break
-        if pc < 0:
+        entering = min((c for c, v in zip(cols, obj) if v < 0), default=-1)
+        if entering < 0:
             return OPTIMAL, pivots
+        k = cols.index(entering)
         pr = -1
         for i, row in enumerate(tableau):
-            a = row[pc]
+            a = row[k]
             if a <= 0:
                 continue
             if pr < 0:
                 pr = i
                 continue
             # compare row i ratio against current best (cross-multiplied)
-            better = row[-1] * tableau[pr][pc] - tableau[pr][-1] * a
+            better = row[-1] * tableau[pr][k] - tableau[pr][-1] * a
             if better < 0 or (better == 0 and basis[i] < basis[pr]):
                 pr = i
         if pr < 0:
             return UNBOUNDED, pivots
-        _pivot(tableau, basis, obj, pr, pc)
+        _pivot(rows, scale, basis, cols, pr, k)
     raise RuntimeError("simplex failed to terminate")  # pragma: no cover
 
 
 def _solve(n_vars, rows, objective) -> SimplexResult:
-    # A >= row with rhs <= 0, negated, has its own slack at +1 and a
-    # nonnegative rhs, so it starts on that slack; every other row starts
-    # on an artificial column.
+    # Every row starts on a basic column at +1: a >= row with rhs <= 0,
+    # negated, on its own slack, and every other row on an artificial
+    # column.  The nonbasic columns are the structural ones and the slacks
+    # of the rows on artificials.
     n_slack = sum(1 for _, _, kind in rows if kind == "ge")
     n_art = sum(1 for _, b, kind in rows if kind == "eq" or b > 0)
     n_total = n_vars + n_slack + n_art
-    tableau: list[list[int]] = []
+    n_real = n_vars + n_slack
+    cols = list(range(n_vars))
     basis: list[int] = []
-    slack_at = n_vars
-    art_at = n_vars + n_slack
-    for coeffs, b, kind in rows:
-        row = coeffs + [0] * (n_slack + n_art) + [b]
-        on_slack = kind == "ge" and b <= 0
-        if kind == "ge":
-            row[slack_at] = -1
-            slack_at += 1
-        if b < 0 or on_slack:
-            row = [-v for v in row]
-        if on_slack:
-            basis.append(slack_at - 1)
+    slack, art = n_vars, n_real
+    for _, b, kind in rows:
+        if kind == "ge" and b <= 0:
+            basis.append(slack)
         else:
-            row[art_at] = 1
-            basis.append(art_at)
-            art_at += 1
+            basis.append(art)
+            art += 1
+            if kind == "ge":
+                cols.append(slack)
+        slack += kind == "ge"
+    tableau: list[list[int]] = []
+    k = n_vars  # the position of the next nonbasic slack
+    for (coeffs, b, kind), start in zip(rows, basis):
+        row = coeffs + [0] * (len(cols) - n_vars) + [b]
+        if kind == "ge" and start >= n_real:
+            row[k] = -1
+            k += 1
+        if b < 0 or start < n_real:
+            row = [-v for v in row]
         tableau.append(row)
+    scale = [1] * len(tableau) + [0]  # the last entry is the objective's
 
     # ---- phase 1: drive the artificial variables to zero
-    obj1 = [0] * n_total + [0]
-    for j in range(n_vars + n_slack, n_total):
-        obj1[j] = 1
-    for i, row in enumerate(tableau):  # canonicalize over the artificial basis
-        if basis[i] >= n_vars + n_slack:
-            for j in range(len(obj1)):
-                obj1[j] -= row[j]
-    allowed = [True] * n_total
-    status, phase1 = _run_simplex(tableau, basis, obj1, allowed, n_total)
+    obj1 = [0] * (len(cols) + 1)
+    for row, start in zip(tableau, basis):
+        if start >= n_real:
+            obj1 = [u - v for u, v in zip(obj1, row)]
+    status, phase1 = _run_simplex(tableau, obj1, scale, basis, cols)
     assert status == OPTIMAL  # phase-1 objective is bounded below by 0
 
     def stats(cleanup=0, phase2=0):
         return SimplexStats(len(tableau), n_total, phase1, cleanup, phase2)
 
-    infeas = Fraction(0)
-    for i, row in enumerate(tableau):
-        if basis[i] >= n_vars + n_slack:
-            infeas += Fraction(row[-1], row[basis[i]])
-    if infeas > 0:
+    # Every rhs is >= 0, so the artificials sum to 0 only if each is 0.
+    if any(row[-1] for row, c in zip(tableau, basis) if c >= n_real):
         return SimplexResult(INFEASIBLE, None, None, stats())
 
     # Pivot leftover (zero-valued) artificials out of the basis when possible.
     cleanup = 0
-    for i in range(len(tableau)):
-        if basis[i] >= n_vars + n_slack:
-            pc = next(
-                (j for j in range(n_vars + n_slack) if tableau[i][j] != 0), None
-            )
-            if pc is not None:
-                if tableau[i][pc] < 0:
-                    tableau[i] = [-v for v in tableau[i]]
-                _pivot(tableau, basis, None, i, pc)
+    for i, row in enumerate(tableau):
+        if basis[i] >= n_real:
+            pc = min((c for c, v in zip(cols, row) if v and c < n_real), default=-1)
+            if pc >= 0:
+                k = cols.index(pc)
+                if row[k] < 0:
+                    row[:] = [-v for v in row]
+                    scale[i] = -scale[i]
+                _pivot(tableau, scale, basis, cols, i, k)
                 cleanup += 1
 
-    # ---- phase 2: original objective, artificial columns barred
-    for j in range(n_vars + n_slack, n_total):
-        allowed[j] = False
-    obj2 = _integerize(objective, 0)[0] + [0] * (n_slack + n_art + 1)
-    for i, row in enumerate(tableau):
-        if basis[i] < n_vars + n_slack and obj2[basis[i]] != 0:
-            nonzero = [(j, v) for j, v in enumerate(row) if v]
-            _eliminate(obj2, row[basis[i]], obj2[basis[i]], nonzero)
-    status, phase2 = _run_simplex(tableau, basis, obj2, allowed, n_total)
+    # ---- phase 2: original objective, artificial columns dropped.  An
+    # artificial still basic sits on a row that is zero from here on.
+    keep = [k for k, c in enumerate(cols) if c < n_real] + [len(cols)]
+    tableau = [[row[k] for k in keep] for row in tableau]
+    cols = [cols[k] for k in keep[:-1]]
+    cost = _integerize(objective, 0)[0] + [0] * n_slack
+    # obj2 = L * (reduced costs, -value), for L the lcm of the scales of
+    # the basic columns with nonzero cost.
+    priced = [
+        (row, cost[c], d) for row, c, d in zip(tableau, basis, scale) if c < n_real and cost[c]
+    ]
+    big = lcm(*(d for _, _, d in priced))
+    obj2 = [big * cost[c] for c in cols] + [0]
+    for row, cb, d in priced:
+        f = big // d * cb
+        obj2 = [u - f * v for u, v in zip(obj2, row)]
+    status, phase2 = _run_simplex(tableau, obj2, scale, basis, cols)
     if status == UNBOUNDED:
         return SimplexResult(UNBOUNDED, None, None, stats(cleanup, phase2))
 
     x = [Fraction(0)] * n_vars
-    for i, row in enumerate(tableau):
-        if basis[i] < n_vars:
-            x[basis[i]] = Fraction(row[-1], row[basis[i]])
+    for row, c, d in zip(tableau, basis, scale):
+        if c < n_vars:
+            x[c] = Fraction(row[-1], d)
     value = sum((c * v for c, v in zip(objective, x)), Fraction(0))
     return SimplexResult(OPTIMAL, value, tuple(x), stats(cleanup, phase2))

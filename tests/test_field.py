@@ -102,6 +102,24 @@ def test_rank_equals_rank_of_transpose(data):
     assert rank(a, q) <= min(n, m)
 
 
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_block_diag_rank_is_the_sum_of_the_parts(data):
+    """A block-diagonal stack's rank is the sum of its parts' ranks, which
+    is what `combine` records for its stacked blocks."""
+    q = data.draw(st.sampled_from([2, 3, 5, 7]))
+    mats = []
+    for _ in range(data.draw(st.integers(1, 4))):
+        n = data.draw(st.integers(1, 4))
+        m = data.draw(st.integers(0, 4))
+        entries = data.draw(
+            st.lists(st.integers(0, q - 1), min_size=n * m, max_size=n * m)
+        )
+        mats.append(MatrixFq(q, np.array(entries, dtype=np.int64).reshape(n, m)))
+    stacked = field.block_diag(mats)
+    assert rank(stacked.a, q) == sum(rank(m.a, q) for m in mats)
+
+
 # ---------------------------------------------------------------- solving
 
 def test_solve_affine_example():

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as hst
 
-from mtss import schemes, verify
+from mtss import field, schemes, verify
 from mtss.field import MatrixFq
 from mtss.schemes import (
     FieldSearchError,
@@ -226,6 +226,23 @@ def test_combine_stacks_blocks_diagonally():
     x = [VariableId.secret(1, 1), VariableId.share(2)]
     assert p_comb.rank(x) == 2 * p_part.rank(x)
     assert verify.check_conditions(s, STRONG).passed
+
+
+def test_combine_of_built_parts_makes_no_elimination(monkeypatch):
+    """The full-column-rank check of a combined scheme reads each stacked
+    block's rank from its parts: no `field.rank` call, also for the width-0
+    secret blocks of embedded parts."""
+    built = build_optimal(structure(4, [(3, 2), (2, 1)]), RatioKind(SIGMA, STRONG))
+    parts = built.parts
+    assert any(b.n_cols == 0 for p in parts for _, b in p.blocks)
+    calls = []
+    real_rank = field.rank
+    monkeypatch.setattr(field, "rank", lambda *a: calls.append(a) or real_rank(*a))
+    s = combine(parts)
+    assert calls == []
+    monkeypatch.undo()
+    for _, b in s.blocks:
+        assert b.rank() == field.rank(b.a, b.q) == b.n_cols
 
 
 def test_combine_validation():

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction as F
 from math import gcd
 
@@ -7,7 +8,8 @@ from hypothesis import strategies as st
 
 from mtss import cone, simplex
 from mtss.simplex import INFEASIBLE, OPTIMAL, UNBOUNDED, LinearProgram, SimplexResult
-from mtss.structure import SIGMA_AVG, TAU, STRONG, WEAK, RatioKind, structure
+from mtss.structure import MEASURES, SIGMA_AVG, TAU, STRONG, WEAK, RatioKind, structure
+from test_cone import _table_family
 
 
 def test_basic_minimum():
@@ -178,57 +180,169 @@ def test_stats_count_rows_columns_and_pivots():
     assert res == SimplexResult(OPTIMAL, res.value, res.x)
 
 
-# ------------------------------------------ the dense pivot, as reference
+# -------------------------------------- the full tableau, as reference
+#
+# A full-tableau solver, kept as the reference for the condensed one: every
+# row keeps every structural, slack and artificial column, and phase 2 bars
+# the artificial columns instead of dropping them.  `trace` collects the
+# (entering column, leaving column) pair of each pivot.
+
 
 def _reference_reduce_row(row):
-    g = 0
-    for v in row:
-        g = gcd(g, v)
-        if g == 1:
-            return
+    g = gcd(*row)
     if g > 1:
-        for j, v in enumerate(row):
-            row[j] = v // g
+        row[:] = [v // g for v in row]
 
 
-def _reference_pivot(tableau, basis, obj, pr, pc):
-    """The dense pivot: every entry of every row with a nonzero in column pc
-    becomes row[j] * p - row[pc] * prow[j]."""
+def _reference_eliminate(row, p, f, nonzero):
+    if p != 1:
+        row[:] = [v * p for v in row]
+    for j, v in nonzero:
+        row[j] -= f * v
+    _reference_reduce_row(row)
+
+
+def _reference_pivot(tableau, basis, obj, pr, pc, trace):
+    trace.append((pc, basis[pr]))
     prow = tableau[pr]
     p = prow[pc]
     assert p > 0
+    nonzero = [(j, v) for j, v in enumerate(prow) if v]
     for i, row in enumerate(tableau):
-        if i == pr or row[pc] == 0:
-            continue
-        f = row[pc]
-        for j, v in enumerate(prow):
-            row[j] = row[j] * p - f * v
-        _reference_reduce_row(row)
-    if obj is not None and obj[pc] != 0:
-        f = obj[pc]
-        for j, v in enumerate(prow):
-            obj[j] = obj[j] * p - f * v
-        _reference_reduce_row(obj)
+        if i != pr and row[pc]:
+            _reference_eliminate(row, p, row[pc], nonzero)
+    if obj is not None and obj[pc]:
+        _reference_eliminate(obj, p, obj[pc], nonzero)
     _reference_reduce_row(prow)
     basis[pr] = pc
 
 
-def _solve_both(build):
-    """Results of `build().solve()` with the sparse and the dense pivot."""
-    got = build().solve()
+def _reference_run(tableau, basis, obj, allowed, n_total, trace):
+    for pivots in range(simplex._MAX_PIVOTS):
+        pc = next((j for j in range(n_total) if allowed[j] and obj[j] < 0), -1)
+        if pc < 0:
+            return OPTIMAL, pivots
+        pr = -1
+        for i, row in enumerate(tableau):
+            a = row[pc]
+            if a <= 0:
+                continue
+            if pr < 0:
+                pr = i
+                continue
+            better = row[-1] * tableau[pr][pc] - tableau[pr][-1] * a
+            if better < 0 or (better == 0 and basis[i] < basis[pr]):
+                pr = i
+        if pr < 0:
+            return UNBOUNDED, pivots
+        _reference_pivot(tableau, basis, obj, pr, pc, trace)
+    raise RuntimeError("simplex failed to terminate")
+
+
+def _reference_solve(n_vars, rows, objective, trace):
+    n_slack = sum(1 for _, _, kind in rows if kind == "ge")
+    n_art = sum(1 for _, b, kind in rows if kind == "eq" or b > 0)
+    n_real = n_vars + n_slack
+    n_total = n_real + n_art
+    tableau, basis = [], []
+    slack_at, art_at = n_vars, n_real
+    for coeffs, b, kind in rows:
+        row = coeffs + [0] * (n_slack + n_art) + [b]
+        on_slack = kind == "ge" and b <= 0
+        if kind == "ge":
+            row[slack_at] = -1
+            slack_at += 1
+        if b < 0 or on_slack:
+            row = [-v for v in row]
+        if on_slack:
+            basis.append(slack_at - 1)
+        else:
+            row[art_at] = 1
+            basis.append(art_at)
+            art_at += 1
+        tableau.append(row)
+
+    obj1 = [0] * n_real + [1] * n_art + [0]
+    for i, row in enumerate(tableau):
+        if basis[i] >= n_real:
+            obj1 = [u - v for u, v in zip(obj1, row)]
+    allowed = [True] * n_total
+    status, phase1 = _reference_run(tableau, basis, obj1, allowed, n_total, trace)
+    assert status == OPTIMAL
+
+    def stats(cleanup=0, phase2=0):
+        return simplex.SimplexStats(len(tableau), n_total, phase1, cleanup, phase2)
+
+    infeas = sum(F(row[-1], row[c]) for row, c in zip(tableau, basis) if c >= n_real)
+    if infeas > 0:
+        return SimplexResult(INFEASIBLE, None, None, stats())
+
+    cleanup = 0
+    for i in range(len(tableau)):
+        if basis[i] >= n_real:
+            pc = next((j for j in range(n_real) if tableau[i][j] != 0), None)
+            if pc is not None:
+                if tableau[i][pc] < 0:
+                    tableau[i] = [-v for v in tableau[i]]
+                _reference_pivot(tableau, basis, None, i, pc, trace)
+                cleanup += 1
+
+    allowed[n_real:] = [False] * n_art
+    obj2 = simplex._integerize(objective, 0)[0] + [0] * (n_slack + n_art + 1)
+    for row, c in zip(tableau, basis):
+        if c < n_real and obj2[c] != 0:
+            nonzero = [(j, v) for j, v in enumerate(row) if v]
+            _reference_eliminate(obj2, row[c], obj2[c], nonzero)
+    status, phase2 = _reference_run(tableau, basis, obj2, allowed, n_total, trace)
+    if status == UNBOUNDED:
+        return SimplexResult(UNBOUNDED, None, None, stats(cleanup, phase2))
+    x = [F(0)] * n_vars
+    for row, c in zip(tableau, basis):
+        if c < n_vars:
+            x[c] = F(row[-1], row[c])
+    value = sum((c * v for c, v in zip(objective, x)), F(0))
+    return SimplexResult(OPTIMAL, value, tuple(x), stats(cleanup, phase2))
+
+
+def _assert_matches_reference(lp):
+    """`lp.solve()` and the full-tableau reference agree on the status,
+    value, point and stats, and make the same pivots: the same (entering,
+    leaving) column pairs in the same order.  Returns the result."""
+    got_trace, want_trace = [], []
+    pivot = simplex._pivot
+
+    def spy(rows, scale, basis, cols, pr, k):
+        got_trace.append((cols[k], basis[pr]))
+        pivot(rows, scale, basis, cols, pr, k)
+
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(simplex, "_pivot", _reference_pivot)
-        mp.setattr(simplex, "_reduce_row", _reference_reduce_row)
-        want = build().solve()
-    return got, want
+        mp.setattr(simplex, "_pivot", spy)
+        got = lp.solve()
+    want = _reference_solve(lp.n_vars, lp._rows, lp._objective, want_trace)
+    assert (got.status, got.value, got.x) == (want.status, want.value, want.x)
+    assert got.stats == want.stats
+    assert got_trace == want_trace
+    return got
 
 
 @settings(max_examples=100, deadline=None)
 @given(_drawn_lps())
 def test_pivot_matches_dense_reference(drawn):
-    got, want = _solve_both(lambda: _program(*drawn))
-    assert (got.status, got.value, got.x) == (want.status, want.value, want.x)
-    assert got.stats == want.stats
+    _assert_matches_reference(_program(*drawn))
+
+
+def _captured_programs(run):
+    """The LPs that `run()` hands the simplex, unsolved."""
+    captured = []
+
+    def capture(lp):
+        captured.append(lp)
+        return SimplexResult(OPTIMAL, F(0), None)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(LinearProgram, "solve", capture)
+        run()
+    return captured
 
 
 @pytest.mark.parametrize(
@@ -236,20 +350,46 @@ def test_pivot_matches_dense_reference(drawn):
 )
 def test_pivot_matches_dense_reference_on_cone_lp(kind):
     sp = structure(3, [(3, 1), (2, 2)])
+    (lp,) = _captured_programs(lambda: cone.lower_bound_ratio(sp, kind))
+    got = _assert_matches_reference(lp)
+    assert got.status == OPTIMAL and got.stats.phase1_pivots > 10
 
-    def build():
-        """The LP that `lower_bound_ratio` assembles, unsolved."""
-        captured = []
 
-        def capture(lp):
-            captured.append(lp)
-            return SimplexResult(OPTIMAL, F(0), None)
+def _seeded_lps(count, seed):
+    """Small LPs of every row sense and rhs sign, drawn from a seeded
+    generator; without a bounding row, so some are unbounded."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        n = rng.randint(1, 4)
+        rows = [
+            ([rng.randint(-3, 3) for _ in range(n)], rng.choice(["le", "ge", "eq"]), rng.randint(-3, 3))
+            for _ in range(rng.randint(1, 5))
+        ]
+        yield _program(n, [rng.randint(-4, 4) for _ in range(n)], rows)
 
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(LinearProgram, "solve", capture)
-            cone.lower_bound_ratio(sp, kind)
-        return captured[0]
 
-    got, want = _solve_both(build)
-    assert got.status == OPTIMAL and got == want
-    assert got.stats == want.stats and got.stats.phase1_pivots > 10
+def test_pivots_match_dense_reference_on_table_family():
+    """Every ratio LP and truncation-gap LP of the table-family structures
+    with at most 6 variables (376 LPs), and 300 seeded small LPs, solve as
+    on the full tableau: same results, stats and pivots."""
+
+    def run():
+        for sp in _table_family(6):
+            bounds = [cone.bound_row(sp, "dtb"), cone.bound_row(sp, "tvb")]
+            for k in range(1, sp.k_levels + 1):
+                bounds += [cone.bound_row(sp, "tsdb", k=k), cone.bound_row(sp, "tsb", k=k)]
+            for sec in (STRONG, WEAK):
+                for meas in MEASURES:
+                    cone.lower_bound_ratio(sp, RatioKind(meas, sec))
+                for bound in bounds:
+                    cone._min_gap(bound, sp, sec)
+
+    cone_lps = _captured_programs(run)
+    assert len(cone_lps) == 376
+    results = [_assert_matches_reference(lp) for lp in cone_lps]
+    assert all(r.status == OPTIMAL for r in results)
+    assert any(r.stats.cleanup_pivots for r in results)
+    drawn = [_assert_matches_reference(lp) for lp in _seeded_lps(300, seed=9)]
+    statuses = {r.status for r in drawn}
+    assert statuses == {OPTIMAL, INFEASIBLE, UNBOUNDED}
+    assert any(r.stats.cleanup_pivots for r in drawn)
