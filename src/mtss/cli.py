@@ -230,6 +230,8 @@ def _cmd_census(args) -> int:
             raise ValueError(f"bad target list {args.target!r}: expected k,j slots")
         if not slots:
             raise ValueError("census needs at least one target secret")
+        if len(set(slots)) != len(slots):
+            raise ValueError(f"duplicate slot in target list {args.target!r}")
         coalition = [VariableId.share(i) for i in indices]
         targets = [VariableId.secret(k, j) for k, j in slots]
         table = leakage_census(scheme, coalition, targets)

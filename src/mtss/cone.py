@@ -25,6 +25,7 @@ from itertools import combinations
 from mtss import simplex
 from mtss.schemes import scheme_variables
 from mtss.structure import WEAK, RatioKind, StructurePair, conditions, subset_of
+from mtss.structure import ShareSecretBound, bound_row  # noqa: F401 - re-exported
 from mtss.structure import SIGMA, SIGMA_AVG, TAU
 
 CAP_LIMIT = 8
@@ -406,63 +407,6 @@ def restrict_vector(x: EntropyVector, small: StructurePair) -> EntropyVector:
 
 # --------------------------------------------------------------------------
 # Truncation check
-
-
-@dataclass(frozen=True)
-class ShareSecretBound:
-    """A bound row alpha0*h_{P_all} + sum alpha_i h_{P_i} >= sum beta_j h_{S_j}.
-
-    Coefficients are rationals; `bound_row` gives integers, which keeps the
-    audit's arithmetic on ints.
-    """
-
-    alpha0: int | Fraction
-    alpha: dict  # share index -> coefficient
-    beta: dict  # secret slot (level, j) -> coefficient
-
-
-def bound_row(
-    sp: StructurePair, name: str, k: int = 1, picks: dict | None = None
-) -> ShareSecretBound:
-    """A named bound on the first shares and, on each level i, the first
-    secret, or secret `picks[i]` (which trades places with the first)."""
-    kk = sp.k_levels
-    if not 1 <= k <= kk:
-        raise ValueError("level out of range")
-    picks = picks or {}
-    if not all(1 <= i <= kk and 1 <= j <= sp.count(i) for i, j in picks.items()):
-        raise ValueError("secret pick out of range")
-    t = {i: sp.threshold(i) for i in range(1, kk + 1)}
-    alpha0, alpha, beta = 0, {}, {}
-    if name == "dtb":
-        alpha = {1: 1}
-        beta = {(i, 1): 1 for i in range(1, kk + 1)}
-    elif name == "tsdb":
-        for i in range(1, k):
-            beta[(i, 1)] = t[k]
-        for i in range(k, kk + 1):
-            for j in range(1, sp.count(i) + 1):
-                beta[(i, j)] = 1
-        for i in range(k + 1, kk + 1):
-            beta[(i, 1)] += t[k] - t[i]
-        alpha = {i: 1 for i in range(1, t[k] + 1)}
-    elif name == "tvb":
-        alpha0 = 1
-        beta = {(i, 1): t[i] for i in range(1, kk + 1)}
-    elif name == "tsb":
-        alpha0 = 1
-        beta = {(i, 1): t[i] for i in range(1, k)}
-        for i in range(k, kk + 1):
-            for j in range(1, sp.count(i) + 1):
-                beta[(i, j)] = 1
-    else:
-        raise ValueError(f"unknown bound {name!r}")
-
-    def swap(i, j):
-        p = picks.get(i, 1)
-        return i, p if j == 1 else 1 if j == p else j
-
-    return ShareSecretBound(alpha0, alpha, {swap(*s): c for s, c in beta.items()})
 
 
 def _min_gap(bound: ShareSecretBound, sp: StructurePair, security: str) -> Fraction:

@@ -20,6 +20,7 @@ from __future__ import annotations
 import hashlib
 from dataclasses import dataclass
 from dataclasses import field as dc_field
+from fractions import Fraction
 from functools import cached_property
 from itertools import combinations
 
@@ -512,7 +513,7 @@ def embed(scheme: LinearScheme, target: StructurePair, *, place=None) -> LinearS
         recipe = (
             "embed",
             scheme.recipe,
-            _encode_sp(target),
+            target,
             tuple(sorted(place.items())),
         )
     return LinearScheme(
@@ -565,14 +566,6 @@ def combine(parts) -> LinearScheme:
     )
 
 
-def _encode_sp(sp: StructurePair) -> tuple:
-    return (sp.n_parties, tuple((a.threshold, a.count) for a in sp.arrays))
-
-
-def _decode_sp(enc) -> StructurePair:
-    return structure(enc[0], list(enc[1]))
-
-
 def _rebuild(recipe, q: int, made: dict) -> LinearScheme:
     """The scheme of `recipe` over F_q, from `made` ({recipe: scheme} over
     the same q) when there; what it builds, nested recipes too, goes into
@@ -590,7 +583,7 @@ def _rebuild(recipe, q: int, made: dict) -> LinearScheme:
         s = build_A(recipe[1], (recipe[2], recipe[3]), recipe[4], q=q)
     elif name == "embed":
         inner = _rebuild(recipe[1], q, made)
-        s = embed(inner, _decode_sp(recipe[2]), place=dict(recipe[3]))
+        s = embed(inner, recipe[2], place=dict(recipe[3]))
     elif name == "combine":
         s = combine([_rebuild(r, q, made) for r in recipe[1]])
     else:
@@ -709,7 +702,7 @@ def _weak_parts(sp, kind, built):
             return [_zero_randomness_part(sp, packed[0], built)]
         best = min(
             range(1, sp.k_levels + 1),
-            key=lambda i: (sp.threshold(i) - sp.count(i)) / sp.count(i),
+            key=lambda i: Fraction(sp.threshold(i) - sp.count(i), sp.count(i)),
         )
         return [window(best)]
     # TAU: windows above the break, then zero-extra-randomness parts below.

@@ -9,9 +9,9 @@ secret separately, "strong" secrecy protects the joint collection of all
 still-hidden secrets.
 
 This module is pure combinatorics/arithmetic: parsing and validation, the
-sub-structure order, the closed-form optimal share-size and randomness
-ratios (where known), and the plan used to build a share-size-optimal scheme
-under weak secrecy.
+sub-structure order, the share/secret converse-bound rows, the closed-form
+optimal share-size and randomness ratios (where known), and the plan used to
+build a share-size-optimal scheme under weak secrecy.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ import itertools
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, lcm
+from math import comb, lcm, prod
 
 from .simplex import LinearProgram, OPTIMAL
 
@@ -219,6 +219,80 @@ def randomness_break_index(sp: StructurePair) -> int:
 
 
 # --------------------------------------------------------------------------
+# share/secret converse bounds
+
+
+@dataclass(frozen=True)
+class ShareSecretBound:
+    """A bound row alpha0*h_{P_all} + sum alpha_i h_{P_i} >= sum beta_j h_{S_j}.
+
+    Coefficients are rationals; `bound_row` gives integers, which keeps the
+    audit's arithmetic on ints.
+    """
+
+    alpha0: int | Fraction
+    alpha: dict  # share index -> coefficient
+    beta: dict  # secret slot (level, j) -> coefficient
+
+
+def bound_row(
+    sp: StructurePair, name: str, k: int = 1, picks: dict | None = None
+) -> ShareSecretBound:
+    """A named bound on the first shares and, on each level i, the first
+    secret, or secret `picks[i]` (which trades places with the first).
+
+    share-sum and strong-randomness hold under strong secrecy only; the
+    others under weak secrecy too.  Only tsdb and tsb depend on the level k.
+    """
+    kk = sp.k_levels
+    if not 1 <= k <= kk:
+        raise ValueError("level out of range")
+    picks = picks or {}
+    if not all(1 <= i <= kk and 1 <= j <= sp.count(i) for i, j in picks.items()):
+        raise ValueError("secret pick out of range")
+    t = {i: sp.threshold(i) for i in range(1, kk + 1)}
+    slots = sp.secret_slots()
+    suffix = {(i, j): 1 for i, j in slots if i >= k}  # every secret from level k
+    alpha0, alpha, beta = 0, {}, {}
+    if name == "share-sum":
+        alpha = {1: 1}
+        beta = dict.fromkeys(slots, 1)
+    elif name == "dtb":
+        alpha = {1: 1}
+        beta = {(i, 1): 1 for i in range(1, kk + 1)}
+    elif name == "tsdb":
+        alpha = dict.fromkeys(range(1, t[k] + 1), 1)
+        beta = {(i, 1): t[k] for i in range(1, k)} | suffix
+        for i in range(k + 1, kk + 1):
+            beta[(i, 1)] += t[k] - t[i]
+    elif name == "tpb":
+        p = prod(t.values())
+        alpha = dict.fromkeys(range(1, t[1] + 1), p // t[1])
+        beta = {(i, j): p // t[i] for i, j in slots}
+    elif name == "avg-share":
+        a_max = max(min(a.threshold, a.count) for a in sp.arrays)
+        alpha = dict.fromkeys(range(1, sp.n_parties + 1), a_max)
+        beta = dict.fromkeys(slots, sp.n_parties)
+    elif name == "strong-randomness":
+        alpha0 = 1
+        beta = {(i, j): t[i] for i, j in slots}
+    elif name == "tvb":
+        alpha0 = 1
+        beta = {(i, 1): t[i] for i in range(1, kk + 1)}
+    elif name == "tsb":
+        alpha0 = 1
+        beta = {(i, 1): t[i] for i in range(1, k)} | suffix
+    else:
+        raise ValueError(f"unknown bound {name!r}")
+
+    def swap(i, j):
+        p = picks.get(i, 1)
+        return i, p if j == 1 else 1 if j == p else j
+
+    return ShareSecretBound(alpha0, alpha, {swap(*s): c for s, c in beta.items()})
+
+
+# --------------------------------------------------------------------------
 # ratio kinds and optimal values
 
 
@@ -268,20 +342,13 @@ def _overfull(sp):
 
 
 def _weak_sigma_lower(sp: StructurePair) -> Fraction:
-    """Best closed-form lower bound for sigma under weak secrecy.
-
-    Combines: one secret of each threshold packed into a single share; the
-    per-sub-array packing argument; and, for each level k, the refinement
-    that charges the secrets below level k against t_k shares.
-    """
-    kk = sp.k_levels
-    best = Fraction(kk)
-    best = max(best, sum(Fraction(sp.count(i), sp.threshold(i)) for i in range(1, kk + 1)))
-    for k in range(1, kk + 1):
-        tk = sp.threshold(k)
-        extra = sum(sp.count(i) - sp.threshold(i) for i in range(k + 1, kk + 1))
-        best = max(best, kk - 1 + Fraction(sp.count(k), tk) + Fraction(extra, tk))
-    return best
+    """Best closed-form lower bound for sigma under weak secrecy: the
+    largest sum(beta) / sum(alpha) of the dtb, tpb and tsdb rows, each
+    read with every share and secret length equal to its maximum share and
+    minimum secret length."""
+    rows = [bound_row(sp, "dtb"), bound_row(sp, "tpb")]
+    rows += [bound_row(sp, "tsdb", k) for k in range(1, sp.k_levels + 1)]
+    return max(Fraction(sum(r.beta.values()), sum(r.alpha.values())) for r in rows)
 
 
 def optimal_ratio(sp: StructurePair, kind: RatioKind) -> OptimalValue:

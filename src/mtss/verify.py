@@ -14,14 +14,13 @@ import threading
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
-from itertools import combinations, groupby, product
-from math import prod
+from itertools import combinations, groupby, islice, product
 
 import numpy as np
 
-from mtss import cone, field
+from mtss import field
 from mtss.schemes import LinearScheme, VariableId
-from mtss.structure import SIGMA, SIGMA_AVG, STRONG, TAU, TAU_AVG, conditions
+from mtss.structure import SIGMA, SIGMA_AVG, STRONG, TAU, TAU_AVG, bound_row, conditions
 
 DEFAULT_AUDIT_CAP = 10000
 
@@ -325,6 +324,32 @@ def render_check(check: BoundCheck) -> str:
     return " ".join(parts)
 
 
+def _all_levels(kk, k):
+    return range(1, kk + 1)
+
+
+def _no_levels(kk, k):
+    return ()
+
+
+# The share/secret families of `structure.bound_row`, in audit order:
+# (id, valid only under strong secrecy, one row per level k (else k = 1),
+# levels whose secret is picked at k, params of a check at (k, picks, shares)).
+_ROW_FAMILIES = (
+    ("share-sum", True, False, _no_levels, lambda k, p, d: {"i": d[0]}),
+    ("dtb", False, False, _all_levels,
+     lambda k, p, d: {"j": tuple(p.values()), "i": d[0]}),
+    ("tsdb", False, True, lambda kk, k: [i for i in range(1, kk + 1) if i != k],
+     lambda k, p, d: {"k": k, "j": tuple(p.items()), "shares": d}),
+    ("tpb", False, False, _no_levels, lambda k, p, d: {"shares": d}),
+    ("avg-share", False, False, _no_levels, lambda k, p, d: {}),
+    ("strong-randomness", True, False, _no_levels, lambda k, p, d: {}),
+    ("tvb", False, False, _all_levels, lambda k, p, d: {"j": tuple(p.values())}),
+    ("tsb", False, True, lambda kk, k: range(1, k),
+     lambda k, p, d: {"k": k, "j": tuple(p.items())}),
+)
+
+
 def audit_bounds(
     scheme: LinearScheme,
     security: str,
@@ -336,13 +361,15 @@ def audit_bounds(
     and sorted share tuples; each bound family stops after `cap` instances
     (canonical, lexicographically-first instantiations always come first).
     Every bound is symmetric in its shares, so permuted share tuples would
-    only repeat a sorted one.  The dtb, tsdb, tvb and tsb rows come from
-    `cone.bound_row`.
+    only repeat a sorted one.  Every family but secret-size and extra-n3 is
+    a `structure.bound_row` row.
 
     A strong scheme is also weakly secure, so a strong audit includes every
     weak bound; two bound families are valid only under strong secrecy and
     are skipped from weak audits.
     """
+    if cap < 1:
+        raise ValueError(f"audit cap must be at least 1, got {cap}")
     if not check_conditions(scheme, security).passed:
         raise ValueError("precondition: scheme invalid")
     profile = scheme.profile
@@ -355,7 +382,6 @@ def audit_bounds(
     shares = dict(enumerate(scheme.share_variables(), start=1))
     hp = {i: scheme.width(v) for i, v in shares.items()}
     h_all_shares = profile.rank(scheme.share_variables())
-    total_w = sum(w.values())
 
     @cache
     def pair_gain(dset, a, b):
@@ -381,63 +407,22 @@ def audit_bounds(
                         params = {"k": k, "j": j, "shares": dset, "a": a, "b": b}
                         yield params, w[k, j], pair_gain(dset, a, b)
 
-    def share_sum():
-        for i in range(1, n + 1):
-            yield {"i": i}, total_w, hp[i]
-
-    def named(name, k, levels):
-        """(picked secrets, share tuple, lhs, rhs) of a `cone.bound_row`
-        bound, one row per pick of a secret on each of `levels`."""
-        for js in product(*(range(1, sp.count(i) + 1) for i in levels)):
-            row = cone.bound_row(sp, name, k, dict(zip(levels, js)))
-            lhs = sum(c * w[slot] for slot, c in row.beta.items())
-            alpha = list(row.alpha.values())
-            for dset in combinations(range(1, n + 1), len(alpha)):
-                rhs = row.alpha0 * h_all_shares + sum(
-                    c * hp[i] for c, i in zip(alpha, dset)
-                )
-                yield js, dset, lhs, rhs
-
-    levels = range(1, kk + 1)
-
-    def dtb():
-        for js, dset, lhs, rhs in named("dtb", 1, levels):
-            yield {"j": js, "i": dset[0]}, lhs, rhs
-
-    def tsdb():
-        for k in levels:
-            others = [i for i in levels if i != k]
-            for js, dset, lhs, rhs in named("tsdb", k, others):
-                yield {"k": k, "j": tuple(zip(others, js)), "shares": dset}, lhs, rhs
-
-    def tpb():
-        t_prod = prod(sp.threshold(k) for k in range(1, kk + 1))
-        lhs = sum(
-            (t_prod // sp.threshold(i))
-            * sum(w[i, j] for j in range(1, sp.count(i) + 1))
-            for i in range(1, kk + 1)
-        )
-        scale = t_prod // sp.threshold(1)
-        for dset in combinations(range(1, n + 1), sp.threshold(1)):
-            yield {"shares": dset}, lhs, scale * sum(hp[i] for i in dset)
-
-    def avg_share():
-        a_max = max(min(sp.threshold(i), sp.count(i)) for i in range(1, kk + 1))
-        yield {}, n * total_w, a_max * sum(hp.values())
-
-    def strong_randomness():
-        lhs = sum(sp.threshold(i) * wv for (i, _), wv in w.items())
-        yield {}, lhs, h_all_shares
-
-    def tvb():
-        for js, _, lhs, rhs in named("tvb", 1, levels):
-            yield {"j": js}, lhs, rhs
-
-    def tsb():
-        for k in levels:
-            below = range(1, k)
-            for js, _, lhs, rhs in named("tsb", k, below):
-                yield {"k": k, "j": tuple(zip(below, js))}, lhs, rhs
+    def rows(name, per_level, pick_levels, params):
+        """(params, lhs, rhs) of a `bound_row` family: its rows at each k
+        and each pick of a secret on `pick_levels(kk, k)`, evaluated on
+        every sorted tuple of as many shares as the row has alphas."""
+        for k in range(1, kk + 1 if per_level else 2):
+            levels = pick_levels(kk, k)
+            for js in product(*(range(1, sp.count(i) + 1) for i in levels)):
+                picks = dict(zip(levels, js))
+                row = bound_row(sp, name, k, picks)
+                lhs = sum(c * w[slot] for slot, c in row.beta.items())
+                alpha = list(row.alpha.values())
+                for dset in combinations(range(1, n + 1), len(alpha)):
+                    rhs = row.alpha0 * h_all_shares + sum(
+                        c * hp[i] for c, i in zip(alpha, dset)
+                    )
+                    yield params(k, picks, dset), lhs, rhs
 
     def extra_n3():
         if n != 3:
@@ -469,26 +454,15 @@ def audit_bounds(
                 yield {"s": s, "d": d}, w[lvl3, s] + base, all_three + hp[d]
 
     families = [
-        # (id, generator, valid only under strong secrecy)
-        ("secret-size", secret_size, False),
-        ("share-sum", share_sum, True),
-        ("dtb", dtb, False),
-        ("tsdb", tsdb, False),
-        ("tpb", tpb, False),
-        ("avg-share", avg_share, False),
-        ("strong-randomness", strong_randomness, True),
-        ("tvb", tvb, False),
-        ("tsb", tsb, False),
-        ("extra-n3", extra_n3, False),
+        # (id, checks, valid only under strong secrecy)
+        ("secret-size", secret_size(), False),
+        *((name, rows(name, *spec), strong) for name, strong, *spec in _ROW_FAMILIES),
+        ("extra-n3", extra_n3(), False),
     ]
     out = []
-    for name, gen, strong_only in families:
+    for name, checks, strong_only in families:
         if strong_only and security != STRONG:
             continue
-        emitted = 0
-        for params, lhs, rhs in gen():
+        for params, lhs, rhs in islice(checks, cap):
             out.append(BoundCheck(name, params, Fraction(lhs), Fraction(rhs)))
-            emitted += 1
-            if emitted >= cap:
-                break
     return out

@@ -298,6 +298,7 @@ SUBSET_PAIRS = [
 def test_criterion_5_extension_and_truncation(announce):
     failures = []
     extensions = truncations = 0
+    strong_only = ("share-sum", "strong-randomness")
     for small_args, big_args in SUBSET_PAIRS:
         small = structure(*small_args)
         big = structure(*big_args)
@@ -309,13 +310,14 @@ def test_criterion_5_extension_and_truncation(announce):
         if not satisfies(lifted, membership_system(big, WEAK)):
             failures.append(("membership", small_args, big_args))
         extensions += 1
-        rows = [bound_row(big, "dtb"), bound_row(big, "tvb")]
+        rows = [(bound_row(big, name), STRONG if name in strong_only else WEAK)
+                for name in ("dtb", "tvb", "tpb", "avg-share", *strong_only)]
         for k in range(1, big.k_levels + 1):
-            rows.append(bound_row(big, "tsdb", k=k))
-            rows.append(bound_row(big, "tsb", k=k))
-        for row in rows:
-            if not check_truncation(row, small, big):
-                failures.append(("truncation", small_args, big_args, row))
+            rows.append((bound_row(big, "tsdb", k=k), WEAK))
+            rows.append((bound_row(big, "tsb", k=k), WEAK))
+        for row, security in rows:
+            if not check_truncation(row, small, big, security):
+                failures.append(("truncation", small_args, big_args, row, security))
             truncations += 1
     announce(5, failures, f"{extensions} lifted profiles in the big cone, "
                           f"{truncations} truncated bounds still valid")

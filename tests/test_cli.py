@@ -347,6 +347,36 @@ def test_audit_cap(capsys, sigma_scheme):
     assert code == PASS
     families = {ln.split()[0] for ln in out.splitlines()}
     assert len(out.splitlines()) == len(families)
+    for cap in ("0", "-3"):
+        code, out, err = run(capsys, "audit", str(sigma_scheme), "--cap", cap)
+        assert code == USAGE and out == "", cap
+        assert err.startswith("error: ") and "cap" in err and err.count("\n") == 1, cap
+
+
+@pytest.mark.parametrize(
+    "n,t,ratio,security,lines,digest",
+    [
+        ("3", "3,2", "sigma", "strong", 19,
+         "a7b2ce92c1f8a49e8493f210e975b28e8ca20f7d8f840b223478c9c3a93d1c73"),
+        ("3", "3,2", "sigma", "weak", 15,
+         "1ee16c61f7620d8b6b64a55841079ec166242157604511bdedceb8a58c9ee97c"),
+        ("4", "4,2,2", "tau", "strong", 51,
+         "d37c5081544f6e4de4a6f97e72b24516bc49ecd30adba35470be7ef3ee448446"),
+        ("4", "4,2,2", "tau", "weak", 46,
+         "e094a8f7f1e74928fb250265ba66082ea64ca1c67025e065fd192149500b4285"),
+    ],
+)
+def test_audit_records_golden(tmp_path, capsys, n, t, ratio, security, lines, digest):
+    """`audit --format records` of two strong schemes at both securities,
+    byte for byte as recorded when each bound family had its own generator."""
+    path = tmp_path / "g.scheme"
+    assert cli.main(["build", "--n", n, "--t", t, "--ratio", ratio,
+                     "--security", "strong", "--out", str(path)]) == PASS
+    capsys.readouterr()
+    code, out, _ = run(capsys, "audit", str(path), "--security", security,
+                       "--format", "records")
+    assert code == PASS and out.count("\n") == lines
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 def test_census_verdicts(tmp_path, capsys):
@@ -431,6 +461,8 @@ def test_census_usage_errors(tmp_path, capsys):
         capsys, "census", str(scheme), "--shares", "1,1", "--target", "1,1"
     )
     assert code == USAGE and "duplicate index" in err
+    code, _, err = run(capsys, "census", str(scheme), "--target", "1,1;1,1")
+    assert code == USAGE and "duplicate slot" in err and err.count("\n") == 1
     for flags in (
         ["--shares", "0", "--target", "1,1"],
         ["--shares", "-2", "--target", "1,1"],

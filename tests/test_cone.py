@@ -508,6 +508,41 @@ def test_bound_row_coefficients():
     for picks in ({1: 3}, {3: 1}, {2: 0}):
         with pytest.raises(ValueError, match="pick out of range"):
             bound_row(sp, "dtb", picks=picks)
+    # the audit's other share/secret families, integer coefficients
+    share_sum = bound_row(sp, "share-sum")
+    assert (share_sum.alpha0, share_sum.alpha) == (0, {1: 1})
+    assert share_sum.beta == {(1, 1): 1, (1, 2): 1, (2, 1): 1}
+    tpb = bound_row(sp, "tpb")  # prod t = 6
+    assert tpb.alpha0 == 0 and tpb.alpha == {1: 2, 2: 2, 3: 2}
+    assert tpb.beta == {(1, 1): 2, (1, 2): 2, (2, 1): 3}
+    avg = bound_row(sp, "avg-share")  # a_max = max(min(3, 2), min(2, 1)) = 2
+    assert avg.alpha0 == 0 and avg.alpha == {1: 2, 2: 2, 3: 2}
+    assert avg.beta == {(1, 1): 3, (1, 2): 3, (2, 1): 3}
+    rnd = bound_row(sp, "strong-randomness")
+    assert rnd.alpha0 == 1 and rnd.alpha == {}
+    assert rnd.beta == {(1, 1): 3, (1, 2): 3, (2, 1): 2}
+
+
+ROW_FAMILIES = ("share-sum", "dtb", "tsdb", "tpb", "avg-share", "strong-randomness",
+                "tvb", "tsb")
+STRONG_ONLY_ROWS = ("share-sum", "strong-randomness")
+
+
+def test_bound_rows_are_shannon_valid():
+    """Every `bound_row` family holds over the outer region of every
+    table-family structure with at most 6 variables: 332 LPs, the
+    strong-only rows at strong secrecy only."""
+    lps = 0
+    for sp in _table_family(6):
+        for name in ROW_FAMILIES:
+            levels = range(1, sp.k_levels + 1) if name in ("tsdb", "tsb") else [1]
+            secs = (STRONG,) if name in STRONG_ONLY_ROWS else (STRONG, WEAK)
+            for k in levels:
+                for sec in secs:
+                    lps += 1
+                    assert cone._min_gap(bound_row(sp, name, k), sp, sec) >= 0, (
+                        str(sp), name, k, sec)
+    assert lps == 332
 
 
 def test_truncation_examples():
@@ -522,8 +557,9 @@ def test_truncation_examples():
 def test_truncation_all_families():
     big = structure(3, [(3, 1), (2, 2)])
     small = structure(3, [(3, 1), (2, 1)])
-    for name in ("dtb", "tsdb", "tvb", "tsb"):
-        assert check_truncation(bound_row(big, name), small, big), name
+    for name in ROW_FAMILIES:
+        sec = STRONG if name in STRONG_ONLY_ROWS else WEAK
+        assert check_truncation(bound_row(big, name), small, big, sec), name
 
 
 def test_truncation_preconditions():

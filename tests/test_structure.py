@@ -1,3 +1,4 @@
+import itertools
 import re
 from fractions import Fraction as F
 
@@ -36,8 +37,6 @@ def all_small_structures(max_n=4, max_secrets=5, max_levels=2):
     for n in range(2, max_n + 1):
         thresholds = list(range(2, n + 1))
         for k in range(1, max_levels + 1):
-            import itertools
-
             for ts in itertools.combinations(sorted(thresholds, reverse=True), k):
                 for counts in itertools.product(
                     range(1, max_secrets + 1), repeat=k
@@ -194,6 +193,27 @@ def test_unknown_cell_brackets():
     assert ov.lower == ov.upper == F(13, 4)
     with pytest.raises(ValueError, match="empty"):
         OptimalValue.unknown(2, 1)
+
+
+def test_weak_sigma_lower_matches_packing_forms():
+    """In every open bracket the lower end is the best of the packing
+    forms: K, sum m_i/t_i, and per level k, K - 1 + (m_k + sum over
+    i > k of (m_i - t_i)) / t_k."""
+    opened = 0
+    for n in range(4, 8):
+        for ts in itertools.combinations(range(n, 1, -1), 3):
+            for counts in itertools.product(range(1, 6), repeat=3):
+                sp = structure(n, list(zip(ts, counts)))
+                ov = optimal_ratio(sp, RatioKind(SIGMA, WEAK))
+                if ov.status == EXACT:
+                    continue
+                opened += 1
+                forms = [F(3), sum(F(m, t) for t, m in zip(ts, counts))]
+                for k in range(3):
+                    extra = sum(m - t for t, m in zip(ts[k + 1:], counts[k + 1:]))
+                    forms.append(2 + F(counts[k] + extra, ts[k]))
+                assert ov.lower == max(forms), str(sp)
+    assert opened == 401
 
 
 def test_sigma_case_overlap_consistency():
