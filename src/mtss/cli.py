@@ -36,6 +36,7 @@ from mtss.structure import (
     parse_thresholds,
 )
 from mtss.verify import (
+    DEFAULT_AUDIT_CAP,
     audit_bounds,
     check_conditions,
     format_rational,
@@ -235,8 +236,10 @@ def _cmd_census(args) -> int:
         coalition = [VariableId.share(i) for i in indices]
         targets = [VariableId.secret(k, j) for k, j in slots]
         table = leakage_census(scheme, coalition, targets)
-    except (ValueError, KeyError) as e:
+    except ValueError as e:
         raise _Usage(str(e)) from None
+    except KeyError as e:  # str() of a KeyError quotes its message
+        raise _Usage(e.args[0]) from None
     print(f"uniform {'yes' if table.uniform else 'no'}")
     if args.format == "records":
         for a_vals in sorted(table.counts):
@@ -305,7 +308,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("audit", help="run every applicable bound check")
     p.add_argument("scheme")
     p.add_argument("--security", choices=SECURITIES, default=WEAK)
-    p.add_argument("--cap", type=int, default=10000,
+    p.add_argument("--cap", type=int, default=DEFAULT_AUDIT_CAP,
                    help="max checks per bound family")
     _add_format(p)
     p.set_defaults(fn=_cmd_audit)

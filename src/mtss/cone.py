@@ -24,7 +24,7 @@ from itertools import combinations
 
 from mtss import simplex
 from mtss.schemes import scheme_variables
-from mtss.structure import WEAK, RatioKind, StructurePair, conditions, subset_of
+from mtss.structure import WEAK, RatioKind, StructurePair, conditions, slot_map
 from mtss.structure import ShareSecretBound, bound_row  # noqa: F401 - re-exported
 from mtss.structure import SIGMA, SIGMA_AVG, TAU
 
@@ -131,10 +131,9 @@ class EntropyVector:
     @staticmethod
     def from_profile(profile) -> "EntropyVector":
         scheme = profile.scheme
+        _variable_masks(scheme.sp)  # raises over the size cap
         order = scheme.variables()
         n = len(order)
-        if n > CAP_LIMIT:
-            raise ValueError("size cap exceeded")
         coords = {}
         for mask in range(1, 1 << n):
             vs = [order[i] for i in range(n) if mask >> i & 1]
@@ -194,7 +193,13 @@ def elemental_inequalities(n_vars: int) -> ConstraintSystem:
 
 
 def _variable_masks(sp: StructurePair):
-    """(secret mask by slot, share mask by index)."""
+    """(secret mask by slot, share mask by index).
+
+    This is the cone's one size-cap check: every system, vector and LP over
+    the 2^n subsets of a structure's variables reads these masks first.
+    """
+    if sp.n_parties + sp.n_secrets > CAP_LIMIT:
+        raise ValueError("size cap exceeded")
     order = scheme_variables(sp)
     secret = {}
     share = {}
@@ -215,10 +220,8 @@ def system_constraints(sp: StructurePair, security: str) -> ConstraintSystem:
     are dropped.
     """
     entries = list(conditions(sp, security))
-    n = sp.n_parties + sp.n_secrets
-    if n > CAP_LIMIT:
-        raise ValueError("size cap exceeded")
     secret, share = _variable_masks(sp)
+    n = sp.n_parties + sp.n_secrets
     seen = {}
     for tag, slots, size in entries:
         joint = sum(secret[slot] for slot in slots)
@@ -255,11 +258,9 @@ def _minimize(sp: StructurePair, security: str, objective: dict, rows, colour) -
     keep every class.  Colour the variables so that the objective is
     invariant under those permutations.  A row stands for its whole orbit:
     a row on the first secret of a level holds for every secret of its
-    class.
+    class.  Callers read `_variable_masks` first, which checks the size cap.
     """
     n = sp.n_parties + sp.n_secrets
-    if n > CAP_LIMIT:
-        raise ValueError("size cap exceeded")
     keys = [(v.kind, v.level, colour(v)) for v in scheme_variables(sp)]
     # An orbit's id is its class counts read as a mixed-radix number; the
     # empty subset's id 0 gets no column.
@@ -327,27 +328,32 @@ def lower_bound_ratio(sp: StructurePair, kind: RatioKind) -> Fraction:
 # Extension and restriction (structure vs sub-structure)
 
 
-def _slot_injection(small: StructurePair, big: StructurePair):
-    """Map each small variable index to its big counterpart (threshold-matched
-    levels, secrets by position, shares by index)."""
-    small_order = scheme_variables(small)
-    big_order = scheme_variables(big)
-    big_pos = {v: i for i, v in enumerate(big_order)}
-    level_of = {big.threshold(k): k for k in range(1, big.k_levels + 1)}
-    mapping = []
-    for v in small_order:
-        if v.kind == "secret":
-            target = v.__class__.secret(level_of[small.threshold(v.level)], v.index)
-        else:
-            target = v.__class__.share(v.index)
-        mapping.append(big_pos[target])
-    return mapping
-
-
 def membership_system(sp: StructurePair, security: str) -> ConstraintSystem:
     """Shannon cone plus scheme conditions: the outer region for a structure."""
-    n = sp.n_parties + sp.n_secrets
-    return elemental_inequalities(n).merged(system_constraints(sp, security))
+    system = system_constraints(sp, security)
+    return elemental_inequalities(system.n_vars).merged(system)
+
+
+def _slot_bits(small: StructurePair, big: StructurePair) -> list[int]:
+    """The bit in `big` of each variable bit of its sub-structure `small`:
+    secrets placed by `slot_map`, shares by index."""
+    slots = slot_map(small, big)
+    if slots is None:
+        raise ValueError("subset relation fails")
+    secret, share = _variable_masks(small)
+    big_secret, big_share = _variable_masks(big)
+    to_big = {secret[s]: big_secret[b] for s, b in slots.items()}
+    to_big.update((share[i], big_share[i]) for i in share)
+    return [to_big[1 << i] for i in range(len(to_big))]
+
+
+def _carry(mask: int, bits) -> int:
+    """The union of bits[i] over the set bits i of `mask`."""
+    out = 0
+    for i, b in enumerate(bits):
+        if mask >> i & 1:
+            out |= b
+    return out
 
 
 def extend_vector(
@@ -362,47 +368,23 @@ def extend_vector(
     small = x.sp
     if small is None:
         raise ValueError("vector carries no structure")
-    if not subset_of(small, target):
-        raise ValueError("subset relation fails")
-    if target.n_parties + target.n_secrets > CAP_LIMIT:
-        raise ValueError("size cap exceeded")
+    bits = _slot_bits(small, target)
     if not satisfies(x, membership_system(small, security)):
         raise ValueError("x fails small-structure membership")
-    mapping = _slot_injection(small, target)
-    n_small = small.n_parties + small.n_secrets
-    n_big = target.n_parties + target.n_secrets
-    # bit of big -> bit of small (or None for an added secret)
-    back = {mapping[i]: i for i in range(n_small)}
-    coords = {}
-    for big_mask in range(1, 1 << n_big):
-        small_mask = 0
-        m = big_mask
-        b = 0
-        while m:
-            if m & 1 and b in back:
-                small_mask |= 1 << back[b]
-            m >>= 1
-            b += 1
-        coords[big_mask] = x[small_mask]
-    return EntropyVector(n_big, coords, target)
+    back = [0] * (target.n_parties + target.n_secrets)  # 0 for an added secret
+    for i, b in enumerate(bits):
+        back[b.bit_length() - 1] = 1 << i
+    coords = {m: x[_carry(m, back)] for m in range(1, 1 << len(back))}
+    return EntropyVector(len(back), coords, target)
 
 
 def restrict_vector(x: EntropyVector, small: StructurePair) -> EntropyVector:
     """Project a vector onto a sub-structure's variables (inverse direction)."""
     if x.sp is None:
         raise ValueError("vector carries no structure")
-    if not subset_of(small, x.sp):
-        raise ValueError("subset relation fails")
-    mapping = _slot_injection(small, x.sp)
-    n_small = small.n_parties + small.n_secrets
-    coords = {}
-    for small_mask in range(1, 1 << n_small):
-        big_mask = 0
-        for i in range(n_small):
-            if small_mask >> i & 1:
-                big_mask |= 1 << mapping[i]
-        coords[small_mask] = x[big_mask]
-    return EntropyVector(n_small, coords, small)
+    bits = _slot_bits(small, x.sp)
+    coords = {m: x[_carry(m, bits)] for m in range(1, 1 << len(bits))}
+    return EntropyVector(len(bits), coords, small)
 
 
 # --------------------------------------------------------------------------
@@ -451,17 +433,11 @@ def check_truncation(
     """
     if any(c < 0 for c in bound.beta.values()):
         raise ValueError("negative secret coefficient")
-    if not subset_of(small, big):
+    slots = slot_map(small, big)
+    if slots is None:
         raise ValueError("subset relation fails")
     if _min_gap(bound, big, security) < 0:
         raise ValueError("bound fails big-structure feasibility")
-    level_of = {big.threshold(i): i for i in range(1, big.k_levels + 1)}
-    keep = {}
-    for i in range(1, small.k_levels + 1):
-        keep[level_of[small.threshold(i)]] = (i, small.count(i))
-    beta = {}
-    for (lvl, j), c in bound.beta.items():
-        if lvl in keep and j <= keep[lvl][1]:
-            beta[(keep[lvl][0], j)] = c
+    beta = {s: bound.beta[b] for s, b in slots.items() if b in bound.beta}
     trunc = ShareSecretBound(bound.alpha0, dict(bound.alpha), beta)
     return _min_gap(trunc, small, security) >= 0

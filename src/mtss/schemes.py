@@ -41,8 +41,8 @@ from mtss.structure import (
     parse_ints,
     parse_thresholds,
     read_records,
+    slot_map,
     structure,
-    subset_of,
     weak_sigma_plan,
 )
 
@@ -467,9 +467,10 @@ def embed(scheme: LinearScheme, target: StructurePair, *, place=None) -> LinearS
     or reduces to a level the source already certifies at an equal or
     higher threshold.
 
-    By default sub-arrays are matched by threshold and secrets keep their
-    index; pass `place` ({(k, j) -> (k', j')}) to route source secrets onto
-    specific target slots with equal thresholds.
+    By default the placement is `slot_map` (sub-arrays matched by threshold,
+    secrets keep their index); pass `place` ({(k, j) -> (k', j')}) to route
+    source secrets onto specific target slots with equal thresholds.  Both
+    are checked the same way.
 
     The result reuses the source's block objects and records, as `source`,
     the construction they belong to, so its profile reads that one's memo.
@@ -477,26 +478,20 @@ def embed(scheme: LinearScheme, target: StructurePair, *, place=None) -> LinearS
     if target.n_parties != scheme.sp.n_parties:
         raise ValueError("subset relation fails: participant counts differ")
     if place is None:
-        if not subset_of(scheme.sp, target):
+        place = slot_map(scheme.sp, target)
+        if place is None:
             raise ValueError("subset relation fails")
-        level_of = {target.threshold(k): k for k in range(1, target.k_levels + 1)}
-        place = {
-            (k, j): (level_of[scheme.sp.threshold(k)], j)
-            for k, j in scheme.sp.secret_slots()
-        }
-    else:
-        place = dict(place)
-        src_slots = set(map(tuple, scheme.sp.secret_slots()))
-        dst_slots = set(map(tuple, target.secret_slots()))
-        if set(place) != src_slots:
-            raise ValueError("placement must cover every source secret exactly once")
-        if len(set(place.values())) != len(place):
-            raise ValueError("placement collides on a target slot")
-        for (k, j), (kk, jj) in place.items():
-            if (kk, jj) not in dst_slots:
-                raise ValueError(f"target slot ({kk},{jj}) does not exist")
-            if target.threshold(kk) != scheme.sp.threshold(k):
-                raise ValueError("placement must preserve thresholds")
+    place = dict(place)
+    if set(place) != set(scheme.sp.secret_slots()):
+        raise ValueError("placement must cover every source secret exactly once")
+    if len(set(place.values())) != len(place):
+        raise ValueError("placement collides on a target slot")
+    dst_slots = set(target.secret_slots())
+    for (k, j), (kk, jj) in place.items():
+        if (kk, jj) not in dst_slots:
+            raise ValueError(f"target slot ({kk},{jj}) does not exist")
+        if target.threshold(kk) != scheme.sp.threshold(k):
+            raise ValueError("placement must preserve thresholds")
     inverse = {v: k for k, v in place.items()}
     blocks = []
     for kk, jj in target.secret_slots():

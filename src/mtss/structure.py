@@ -166,19 +166,30 @@ def format_thresholds(sp: StructurePair) -> str:
     return format_ints([a.threshold for a in sp.arrays for _ in range(a.count)])
 
 
-def subset_of(small: StructurePair, big: StructurePair) -> bool:
-    """True when `small` keeps the same participants and drops only secrets.
+def slot_map(small: StructurePair, big: StructurePair) -> dict | None:
+    """Each secret slot (k, j) of `small` mapped to its slot in `big`, or
+    None when `small` is not a sub-structure of `big`.
 
-    Every sub-array of `small` must appear in `big` with the same threshold
-    and at least as many secrets.
+    A sub-structure keeps the same participants and drops only secrets:
+    every sub-array of `small` appears in `big` with the same threshold and
+    at least as many secrets.  Levels match by threshold; secrets keep
+    their index.
     """
     if small.n_parties != big.n_parties:
-        return False
-    by_threshold = {a.threshold: a.count for a in big.arrays}
-    return all(
-        a.threshold in by_threshold and a.count <= by_threshold[a.threshold]
-        for a in small.arrays
-    )
+        return None
+    level_of = {a.threshold: k for k, a in enumerate(big.arrays, 1)}
+    slots = {}
+    for k, j in small.secret_slots():
+        kk = level_of.get(small.threshold(k))
+        if kk is None or j > big.count(kk):
+            return None
+        slots[(k, j)] = (kk, j)
+    return slots
+
+
+def subset_of(small: StructurePair, big: StructurePair) -> bool:
+    """True when `small` is a sub-structure of `big` (see `slot_map`)."""
+    return slot_map(small, big) is not None
 
 
 def conditions(sp: StructurePair, security: str):

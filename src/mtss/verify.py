@@ -14,7 +14,7 @@ import threading
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
-from itertools import combinations, groupby, islice, product
+from itertools import combinations, groupby, product
 
 import numpy as np
 
@@ -463,6 +463,7 @@ def audit_bounds(
     for name, checks, strong_only in families:
         if strong_only and security != STRONG:
             continue
-        for params, lhs, rhs in islice(checks, cap):
+        # range first: no check is drawn past the cap, and any int cap works
+        for _, (params, lhs, rhs) in zip(range(cap), checks):
             out.append(BoundCheck(name, params, Fraction(lhs), Fraction(rhs)))
     return out

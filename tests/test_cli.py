@@ -92,11 +92,14 @@ def test_lp_dump_golden(capsys, n, t, security, lines, digest):
 
 
 def test_lp_over_cap(capsys):
-    code, _, err = run(
-        capsys, "lp", "--n", "6", "--t", "2,2,2,2", "--ratio", "sigma",
-        "--security", "weak",
-    )
-    assert code == USAGE and "size cap" in err
+    for t in ("2,2,2", "2,2,2,2"):
+        for dump in ([], ["--dump"]):
+            code, out, err = run(
+                capsys, "lp", "--n", "6", "--t", t, "--ratio", "sigma",
+                "--security", "weak", *dump,
+            )
+            assert code == USAGE and out == "", (t, dump)
+            assert err == "error: size cap exceeded\n", (t, dump)
 
 
 def test_verify_missing_file(capsys):
@@ -347,6 +350,12 @@ def test_audit_cap(capsys, sigma_scheme):
     assert code == PASS
     families = {ln.split()[0] for ln in out.splitlines()}
     assert len(out.splitlines()) == len(families)
+    # a cap no family reaches audits everything, as the default cap does
+    outs = [
+        run(capsys, "audit", str(sigma_scheme), *cap, "--format", "records")
+        for cap in ([], ["--cap", "99999999999999999999"])
+    ]
+    assert outs[0][0] == outs[1][0] == PASS and outs[0][1] == outs[1][1]
     for cap in ("0", "-3"):
         code, out, err = run(capsys, "audit", str(sigma_scheme), "--cap", cap)
         assert code == USAGE and out == "", cap
@@ -463,6 +472,10 @@ def test_census_usage_errors(tmp_path, capsys):
     assert code == USAGE and "duplicate index" in err
     code, _, err = run(capsys, "census", str(scheme), "--target", "1,1;1,1")
     assert code == USAGE and "duplicate slot" in err and err.count("\n") == 1
+    code, _, err = run(capsys, "census", str(scheme), "--shares", "9", "--target", "1,1")
+    assert code == USAGE and err == "error: unknown variable P[9]\n"
+    code, _, err = run(capsys, "census", str(scheme), "--target", "2,1")
+    assert code == USAGE and err == "error: unknown variable S[2,1]\n"
     for flags in (
         ["--shares", "0", "--target", "1,1"],
         ["--shares", "-2", "--target", "1,1"],

@@ -31,6 +31,7 @@ from mtss.structure import (
     WEAK,
     RatioKind,
     optimal_ratio,
+    slot_map,
     structure,
 )
 
@@ -184,6 +185,20 @@ def test_embed_by_threshold():
     assert s.sp == target
     assert [s.width(v) for v in s.secret_variables()] == [0, 1, 1]
     assert verify.check_conditions(s, WEAK).passed
+
+
+def test_embed_default_is_slot_map():
+    cases = [
+        (build_weak_block(3, 2, 2), structure(3, [(3, 1), (2, 2)])),
+        (build_weak_block(3, 2, 2), structure(3, [(2, 4)])),
+        (build_optimal(structure(3, [(3, 1), (2, 1)]), RatioKind(SIGMA, WEAK)),
+         structure(3, [(3, 2), (2, 2)])),
+    ]
+    for s, target in cases:
+        default = embed(s, target)
+        placed = embed(s, target, place=slot_map(s.sp, target))
+        assert default.to_text() == placed.to_text()
+        assert default.recipe is not None and default.recipe == placed.recipe
 
 
 def test_embed_requires_matching_structure():

@@ -25,6 +25,7 @@ from mtss.structure import (
     parse_thresholds,
     read_records,
     randomness_break_index,
+    slot_map,
     structure,
     subset_of,
     weak_sigma_plan,
@@ -124,6 +125,44 @@ def test_subset_reflexive_transitive():
     for sp in (small, mid, big):
         assert subset_of(sp, sp)
     assert subset_of(small, mid) and subset_of(mid, big) and subset_of(small, big)
+
+
+def _subset_by_counts(small, big):
+    """The sub-structure test as first written: same N, and every sub-array
+    of `small` inside one of `big` with the same threshold."""
+    if small.n_parties != big.n_parties:
+        return False
+    by_threshold = {a.threshold: a.count for a in big.arrays}
+    return all(
+        a.threshold in by_threshold and a.count <= by_threshold[a.threshold]
+        for a in small.arrays
+    )
+
+
+def _placement_by_threshold(small, big):
+    """The default placement of `embed` as first written."""
+    level_of = {big.threshold(k): k for k in range(1, big.k_levels + 1)}
+    return {(k, j): (level_of[small.threshold(k)], j) for k, j in small.secret_slots()}
+
+
+def test_slot_map_matches_threshold_matching():
+    family = all_small_structures()
+    proper = 0
+    for small in family:
+        for big in family:
+            slots = slot_map(small, big)
+            assert subset_of(small, big) == (slots is not None)
+            if not _subset_by_counts(small, big):
+                assert slots is None, (small, big)
+                continue
+            assert slots == _placement_by_threshold(small, big), (small, big)
+            assert list(slots) == small.secret_slots()
+            assert len(set(slots.values())) == len(slots)  # injective
+            assert set(slots.values()) <= set(big.secret_slots())
+            for (k, j), (kk, jj) in slots.items():
+                assert big.threshold(kk) == small.threshold(k) and jj == j
+            proper += small != big
+    assert proper > len(family)
 
 
 def test_randomness_break_index():

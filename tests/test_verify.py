@@ -384,6 +384,7 @@ def test_audit_cap():
     capped = audit_bounds(s, WEAK, cap=1)
     ids = [c.bound for c in capped]
     assert len(ids) == len(set(ids))  # one check per family
+    assert audit_bounds(s, WEAK, cap=10**20) == audit_bounds(s, WEAK)
     for cap in (0, -3):
         with pytest.raises(ValueError, match="cap must be at least 1"):
             audit_bounds(s, WEAK, cap=cap)
