@@ -130,15 +130,12 @@ class EntropyVector:
 
     @staticmethod
     def from_profile(profile) -> "EntropyVector":
-        scheme = profile.scheme
-        _variable_masks(scheme.sp)  # raises over the size cap
-        order = scheme.variables()
-        n = len(order)
-        coords = {}
-        for mask in range(1, 1 << n):
-            vs = [order[i] for i in range(n) if mask >> i & 1]
-            coords[mask] = Fraction(profile.rank(vs))
-        return EntropyVector(n, coords, scheme.sp)
+        sp = profile.scheme.sp
+        _variable_masks(sp)  # raises over the size cap
+        # The cone's bit i and the profile's are both scheme_variables(sp)[i].
+        n = sp.n_parties + sp.n_secrets
+        coords = {mask: Fraction(profile.rank(mask)) for mask in range(1, 1 << n)}
+        return EntropyVector(n, coords, sp)
 
     def scale(self, c) -> "EntropyVector":
         c = Fraction(c)

@@ -5,7 +5,8 @@ joint column rank of their blocks (base-q units), so the secrecy and
 decodability conditions, the four ratio measures, and every converse bound
 audited here reduce to integer rank queries against one memoized profile:
 `LinearScheme.profile`, made once per scheme object and shared by
-`check_conditions`, `ratios` and `audit_bounds`.
+`check_conditions`, `ratios` and `audit_bounds`.  Callers build each query's
+variable mask once, by OR of per-variable bits.
 """
 
 from __future__ import annotations
@@ -27,41 +28,58 @@ DEFAULT_AUDIT_CAP = 10000
 
 @dataclass
 class RankStats:
-    """What one profile did: masks asked of it (by a caller or by a profile
-    that answers through it), answers read from its memo, and its own
-    eliminations (`field.rank` calls)."""
+    """What one profile did: masks asked of it (by a caller, or by a
+    composed profile that answers through it as one of its leaves), answers
+    read from its memo, and its own eliminations (`field.rank` calls).  A
+    combined scheme asks its leaf constructions directly, so an embedded
+    part between them counts none of the queries passed through."""
 
     queries: int = 0
     memo_hits: int = 0
     eliminations: int = 0
 
 
+def _bits(mask: int):
+    """The indices of a mask's set bits, lowest first."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
 class RankProfile:
     """Memoized joint column ranks of a scheme's variable blocks.
 
     Doubles as the scheme's entropy vector: rank queries are monotone and
-    submodular, with rk(empty) = 0.  The memo is guarded by a lock so audits
-    may query one profile from several threads.
+    submodular, with rk(empty) = 0.  A query is a set of variables or its
+    int mask (`mask`): bit i is `scheme.variables()[i]`.  The memo is
+    guarded by a lock so audits may query one profile from several threads.
 
     A composed scheme is answered through what it was assembled from, once
     its blocks are checked against those links (`ValueError` if they do not
     match).  An `embed`ded scheme's nonempty blocks are its source's block
     objects, so each rank is the source's rank of the same blocks.  A
     `combine`d scheme's blocks are the block-diagonal stacks of its parts'
-    blocks, so each rank is the sum of the parts' ranks.  Only a scheme with
-    neither link eliminates.
+    blocks, so each rank is the sum of the parts' ranks.  Both come down to
+    a flat list of leaf profiles (schemes with neither link, the only ones
+    that eliminate), each with the bit of every variable in that leaf (0
+    for a width-0 block); a miss sums the leaves' ranks of its mask's
+    translations.
+
+    `reports` keeps `check_conditions`' reports by (security, exhaustive).
     """
 
     def __init__(self, scheme: LinearScheme):
         self.scheme = scheme
         order = scheme.variables()
-        self._pos = {v: i for i, v in enumerate(order)}
+        self._bit = {v: 1 << i for i, v in enumerate(order)}
+        self._all = (1 << len(order)) - 1
         self._memo: dict[int, int] = {0: 0}
         self._lock = threading.Lock()
         self.stats = RankStats()
-        self._parts: list[RankProfile] = []
-        self._source: RankProfile | None = None
-        self._to_source: list[int] = []  # per variable: its bit in the source
+        self.reports: dict[tuple[str, bool], VerificationReport] = {}
+        # (leaf profile, per variable: its bit in the leaf); empty for a leaf
+        self._leaves: list[tuple[RankProfile, list[int]]] = []
         if scheme.parts:
             for part in scheme.parts:
                 if part.q != scheme.q or part.variables() != order:
@@ -69,26 +87,50 @@ class RankProfile:
             for v, b in scheme.blocks:
                 if b != field.block_diag([part.block(v) for part in scheme.parts]):
                     raise ValueError(f"combined scheme: block {v} is not its parts' stack")
-            self._parts = [part.profile for part in scheme.parts]
+            for part in scheme.parts:
+                self._leaves += part.profile._leaf_tables()
         elif scheme.source is not None:
             source = scheme.source
-            bit = {id(b): 1 << i for i, (_, b) in enumerate(source.blocks)}
+            pos = {id(b): i for i, (_, b) in enumerate(source.blocks)}
             for v, b in scheme.blocks:
-                if b.n_cols and id(b) not in bit:
+                if b.n_cols and id(b) not in pos:
                     raise ValueError(f"embedded scheme: block {v} is not its source's")
-                self._to_source.append(bit[id(b)] if b.n_cols else 0)
-            self._source = source.profile
+            self._leaves = [
+                (leaf, [bits[pos[id(b)]] if b.n_cols else 0 for _, b in scheme.blocks])
+                for leaf, bits in source.profile._leaf_tables()
+            ]
         else:
-            self._arrays = [b.a for _, b in scheme.blocks]
+            # One matrix of every block, and each variable's columns in it.
+            self._matrix = np.hstack([b.a for _, b in scheme.blocks])
+            self._cols: list[list[int]] = []
+            start = 0
+            for _, b in scheme.blocks:
+                self._cols.append(list(range(start, start + b.n_cols)))
+                start += b.n_cols
 
-    def rank(self, x) -> int:
+    def _leaf_tables(self) -> list[tuple[RankProfile, list[int]]]:
+        if self._leaves:
+            return self._leaves
+        return [(self, list(self._bit.values()))]
+
+    def mask(self, variables) -> int:
+        """The int mask of a set of this scheme's variables."""
+        bit = self._bit
         mask = 0
-        for v in x:
+        for v in variables:
             try:
-                mask |= 1 << self._pos[v]
+                mask |= bit[v]
             except KeyError:
                 raise KeyError(f"unknown variable {v}") from None
-        return self._rank_mask(mask)
+        return mask
+
+    def rank(self, x) -> int:
+        """Joint rank of a set of variables, or of their mask."""
+        if isinstance(x, int):
+            if x < 0 or x > self._all:
+                raise ValueError(f"mask {x} is not a set of this scheme's variables")
+            return self._rank_mask(x)
+        return self._rank_mask(self.mask(x))
 
     def _rank_mask(self, mask: int) -> int:
         stats = self.stats
@@ -99,17 +141,21 @@ class RankProfile:
                 stats.memo_hits += 1
                 return cached
         eliminated = False
-        if self._parts:
-            r = sum(p._rank_mask(mask) for p in self._parts)
-        elif self._source is not None:
-            bits = enumerate(self._to_source)
-            r = self._source._rank_mask(sum(b for i, b in bits if mask >> i & 1))
+        if self._leaves:
+            set_bits = list(_bits(mask))
+            r = 0
+            for leaf, bits in self._leaves:
+                m = 0
+                for i in set_bits:
+                    m |= bits[i]
+                r += leaf._rank_mask(m)
         else:
-            picked = [
-                a for i, a in enumerate(self._arrays) if mask >> i & 1 and a.shape[1]
-            ]
+            picked = []
+            for i in _bits(mask):
+                picked += self._cols[i]
             eliminated = bool(picked)
-            r = field.rank(np.hstack(picked), self.scheme.q) if eliminated else 0
+            q = self.scheme.q
+            r = field.rank(self._matrix.take(picked, axis=1), q) if picked else 0
         with self._lock:
             stats.eliminations += eliminated
             self._memo[mask] = r
@@ -179,29 +225,38 @@ def check_conditions(
     (rk(S|P_A') >= rk(S|P_A) while rk(S) is fixed), so zero leak at the
     maximal sets forces zero leak below.  `exhaustive=True` enumerates the
     smaller coalitions anyway.
+
+    The report is kept on the scheme's profile (`RankProfile.reports`), so
+    the same check of the same scheme object is answered at no cost.
     """
     profile = scheme.profile
+    key = (security, exhaustive)
+    report = profile.reports.get(key)
+    if report is not None:
+        return report
     n = scheme.sp.n_parties
-    # The scheme's own variable objects: the profile finds them by identity.
-    shares = dict(enumerate(scheme.share_variables(), start=1))
+    share_bit = [0] + [profile.mask([v]) for v in scheme.share_variables()]
     secrets = {(v.level, v.index): v for v in scheme.secret_variables()}
 
     def scan(group, entries):
         checks = 0
         for tag, slots, size in entries:
             sec_vars = [secrets[slot] for slot in slots]
+            sec = profile.mask(sec_vars)
             if tag == "C1":
                 sizes, extra = range(size, n + 1), 0
             else:
                 sizes = range(size + 1) if exhaustive else [size]
                 if tag == "C2":
-                    extra = profile.rank(sec_vars)
+                    extra = profile.rank(sec)
                 else:
                     extra = sum(scheme.width(v) for v in sec_vars)
             for a_set in _party_sets(n, sizes):
                 checks += 1
-                pa = [shares[i] for i in a_set]
-                got = profile.rank(sec_vars + pa)
+                pa = 0
+                for i in a_set:
+                    pa |= share_bit[i]
+                got = profile.rank(sec | pa)
                 want = profile.rank(pa) + extra
                 if got != want:
                     w = Witness(group, a_set, tuple(sec_vars), got, want)
@@ -213,7 +268,7 @@ def check_conditions(
         group: scan(group, found)
         for group, found in groupby(entries, key=lambda e: _GROUP[e[0]])
     }
-    return VerificationReport(security, **results)
+    return profile.reports.setdefault(key, VerificationReport(security, **results))
 
 
 def render_report(report: VerificationReport) -> str:
@@ -381,18 +436,22 @@ def audit_bounds(
     }
     shares = dict(enumerate(scheme.share_variables(), start=1))
     hp = {i: scheme.width(v) for i, v in shares.items()}
-    h_all_shares = profile.rank(scheme.share_variables())
+    share_bit = {i: profile.mask([v]) for i, v in shares.items()}
+    h_all_shares = profile.rank(sum(share_bit.values()))
 
     @cache
     def pair_gain(dset, a, b):
         """I(P_a; P_b | the rest of dset): the secret-size rhs, whatever j."""
-        rest = [shares[i] for i in dset if i not in (a, b)]
-        pa = shares[a]
-        pb = shares[b]
+        rest = 0
+        for i in dset:
+            if i != a and i != b:
+                rest |= share_bit[i]
+        pa = share_bit[a]
+        pb = share_bit[b]
         return (
-            profile.rank([pa] + rest)
-            + profile.rank([pb] + rest)
-            - profile.rank([pa, pb] + rest)
+            profile.rank(pa | rest)
+            + profile.rank(pb | rest)
+            - profile.rank(pa | pb | rest)
             - profile.rank(rest)
         )
 

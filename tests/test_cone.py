@@ -418,6 +418,23 @@ def test_entropy_vector_arithmetic():
         x + EntropyVector(2, {1: 0, 2: 0, 3: 0})
 
 
+def test_from_profile_reads_masks_in_variable_order():
+    """The cone's bit i is the profile's: each coordinate equals the rank of
+    the variables the mask names, on the table-family structures with at
+    most 6 variables."""
+    family = _table_family(6)
+    for sp in family:
+        for sec in (STRONG, WEAK):
+            sch = build_optimal(sp, RatioKind(SIGMA, sec))
+            order = sch.variables()
+            x = EntropyVector.from_profile(RankProfile(sch))
+            by_variables = RankProfile(sch)
+            for mask, value in x.coords.items():
+                vs = [v for i, v in enumerate(order) if mask >> i & 1]
+                assert value == by_variables.rank(vs) == sch.columns(vs).rank(), vs
+    assert len(family) == 22
+
+
 def test_from_profile_respects_cap():
     sch = build_single_threshold(2, 8)  # nine variables
     with pytest.raises(ValueError, match="size cap"):

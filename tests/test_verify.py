@@ -1,9 +1,10 @@
 """Verifier, ratio, and bound-audit tests."""
 
+import hashlib
 import random
 from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, permutations
 
 import pytest
 
@@ -59,6 +60,23 @@ def test_joint_rank_unknown_variable():
     p = RankProfile(build_weak_block(3, 2, 2))
     with pytest.raises(KeyError, match="unknown variable"):
         p.rank([VariableId.secret(5, 1)])
+    with pytest.raises(KeyError, match="unknown variable"):
+        p.mask([VariableId.share(1), VariableId.share(4)])
+
+
+def test_rank_takes_masks():
+    """Bit i of a mask is `scheme.variables()[i]`; a mask outside the
+    scheme's variables is a ValueError."""
+    s = build_B(3, (3, 4), (2, 1))
+    p = RankProfile(s)
+    vs = s.variables()
+    for mask in range(1 << len(vs)):
+        x = [v for i, v in enumerate(vs) if mask >> i & 1]
+        assert p.mask(x) == mask
+        assert p.rank(mask) == p.rank(x) == s.columns(x).rank()
+    for bad in (-1, -(1 << len(vs)), 1 << len(vs), (1 << len(vs)) | 1):
+        with pytest.raises(ValueError, match="not a set of this scheme's variables"):
+            p.rank(bad)
 
 
 def test_rank_profile_is_polymatroidal():
@@ -197,6 +215,55 @@ def test_embeds_of_one_construction_share_its_memo():
 
 
 # -- condition checks -------------------------------------------------------
+
+
+# sha256 of the reports of every build_optimal cell with N <= 3 (STRONG and
+# WEAK, lazy and exhaustive), failing witnesses included, as made by the
+# variable-list check that preceded masks and report memos.
+REPORTS_N3_SHA256 = (
+    "ee5596ceaa74ccb272c83769ff0cf1503f5b68e8d2afb5b42cf756355eef07f3"
+)
+
+
+def test_check_reports_golden():
+    h = hashlib.sha256()
+    reports = fails = 0
+    for sp in _table_family((2, 3)):
+        for kind in KINDS:
+            s = build_optimal(sp, kind)
+            for security in (STRONG, WEAK):
+                for exhaustive in (False, True):
+                    report = check_conditions(s, security, exhaustive)
+                    reports += 1
+                    fails += not report.passed
+                    h.update(repr(report).encode() + b"\n")
+    assert (reports, fails) == (800, 168)
+    assert h.hexdigest() == REPORTS_N3_SHA256
+
+
+def test_report_memo_matches_text_copy():
+    """In every order of asking the four (security, exhaustive) keys, each
+    memoized report equals that of a fresh text copy, and asking again
+    costs no rank query."""
+    keys = [(sec, ex) for sec in (STRONG, WEAK) for ex in (False, True)]
+    cells = [
+        (structure(3, [(3, 1), (2, 2)]), RatioKind(SIGMA, WEAK)),
+        (structure(4, [(3, 2), (2, 1)]), RatioKind(SIGMA, STRONG)),
+        (structure(4, [(4, 1), (2, 2)]), RatioKind(TAU, WEAK)),
+    ]
+    fails = 0
+    for sp, kind in cells:
+        text = build_optimal(sp, kind).to_text()
+        want = {key: check_conditions(LinearScheme.from_text(text), *key) for key in keys}
+        fails += sum(not r.passed for r in want.values())
+        for order in permutations(keys):
+            s = build_optimal(sp, kind)
+            got = {key: check_conditions(s, *key) for key in order}
+            assert got == want, (sp, kind, order)
+            before = s.profile.stats.queries
+            assert all(check_conditions(s, *key) is got[key] for key in order)
+            assert s.profile.stats.queries == before
+    assert fails > 0
 
 
 def test_weak_block_passes_weak_fails_strong():
