@@ -6,14 +6,18 @@ rational scale, which affects neither feasibility, nor sign tests, nor ratio
 comparisons), so the hot loop works on Python ints instead of Fractions.
 A row stores only the nonbasic columns and the rhs; its basic column is a
 unit column times the row's positive scale d, which is kept beside the row,
-and a list maps stored positions to column ids.  Until phase 2 the stored
-ints are exactly those of the full tableau, and Bland's rule picks by column
-id, so the pivots are the full tableau's.  The artificial columns are
-dropped before phase 2, which changes only the row scales.  Coefficients
-may be ints or Fractions; each row is scaled to ints once, as it is added.
-A solve returns the status, the exact optimum and optimal point as
-Fractions, and the tableau size and pivot counts (`SimplexStats`); it
-returns no dual certificate.
+and a list maps stored positions to column ids.  Bland's rule picks by
+column id.  A crash start comes before phase 1: each row that starts on an
+artificial column with rhs 0 is pivoted onto a real column (a degenerate
+pivot, so the basis stays feasible), and those artificial columns are
+dropped, so phase 1 only drives out the artificials of rows with a positive
+rhs.  The remaining artificial columns are dropped before phase 2.
+Dropping a column changes only the row scales, so the pivots are those of a
+full tableau that bars each artificial column from the point it is dropped.
+Coefficients may be ints or Fractions; each row is scaled to ints once, as
+it is added (a row of ints as it is).  A solve returns the status, the
+exact optimum and optimal point as Fractions, and the tableau size and
+pivot counts (`SimplexStats`); it returns no dual certificate.
 
 Problems are stated as:  minimize c . x  subject to  rows (=, >=, <=), x >= 0.
 """
@@ -37,7 +41,8 @@ class SimplexStats:
 
     `columns` counts structural, slack and artificial columns; the pivots
     are split into phase 1, the pivots that move zero-valued artificials
-    out of the basis, and phase 2.
+    out of the basis (the crash start's before phase 1 and the clean-up's
+    after it), and phase 2.
     """
 
     rows: int
@@ -56,7 +61,10 @@ class SimplexResult:
 
 
 def _integerize(coeffs, rhs):
-    """Scale a rational row by a positive integer so every entry is an int."""
+    """Scale a rational row by a positive integer so every entry is an int.
+    A row of ints is returned as it is."""
+    if type(rhs) is int and all(type(v) is int for v in coeffs):
+        return coeffs, rhs
     try:
         den = lcm(*(v.denominator for v in coeffs), rhs.denominator)
     except AttributeError:
@@ -172,6 +180,44 @@ def _run_simplex(tableau, obj, scale, basis, cols):
     raise RuntimeError("simplex failed to terminate")  # pragma: no cover
 
 
+def _drive_out(tableau, scale, basis, cols, n_real):
+    """Pivot each row that sits on an artificial with rhs 0 onto its
+    smallest real column with a nonzero entry, negating the row (and its
+    scale) first if that entry is negative.  Each pivot is degenerate: no
+    rhs changes, so the basis stays feasible.  Returns the pivot count."""
+    pivots = 0
+    for i, row in enumerate(tableau):
+        if basis[i] >= n_real and not row[-1]:
+            pc = min((c for c, v in zip(cols, row) if v and c < n_real), default=-1)
+            if pc >= 0:
+                k = cols.index(pc)
+                if row[k] < 0:
+                    row[:] = [-v for v in row]
+                    scale[i] = -scale[i]
+                _pivot(tableau, scale, basis, cols, i, k)
+                pivots += 1
+    return pivots
+
+
+def _drop_artificials(tableau, cols, n_real):
+    """The tableau and column ids without the nonbasic artificial columns."""
+    keep = [k for k, c in enumerate(cols) if c < n_real] + [len(cols)]
+    return [[row[k] for k in keep] for row in tableau], [cols[k] for k in keep[:-1]]
+
+
+def _priced(tableau, basis, scale, cols, cost):
+    """The objective row of `cost` (a cost per column id) on the current
+    basis: L * (reduced costs, -value), for L the lcm of the scales of the
+    basic columns with nonzero cost."""
+    priced = [(row, cost[c], d) for row, c, d in zip(tableau, basis, scale) if cost[c]]
+    big = lcm(*(d for _, _, d in priced))
+    obj = [big * cost[c] for c in cols] + [0]
+    for row, cb, d in priced:
+        f = big // d * cb
+        obj = [u - f * v for u, v in zip(obj, row)]
+    return obj
+
+
 def _solve(n_vars, rows, objective) -> SimplexResult:
     # Every row starts on a basic column at +1: a >= row with rhs <= 0,
     # negated, on its own slack, and every other row on an artificial
@@ -205,15 +251,18 @@ def _solve(n_vars, rows, objective) -> SimplexResult:
         tableau.append(row)
     scale = [1] * len(tableau) + [0]  # the last entry is the objective's
 
-    # ---- phase 1: drive the artificial variables to zero
-    obj1 = [0] * (len(cols) + 1)
-    for row, start in zip(tableau, basis):
-        if start >= n_real:
-            obj1 = [u - v for u, v in zip(obj1, row)]
+    # ---- crash start: the artificials at rhs 0 leave before phase 1, and
+    # their columns are dropped, so phase 1 never brings them back.
+    cleanup = _drive_out(tableau, scale, basis, cols, n_real)
+    if cleanup:
+        tableau, cols = _drop_artificials(tableau, cols, n_real)
+
+    # ---- phase 1: drive the remaining artificial variables to zero
+    obj1 = _priced(tableau, basis, scale, cols, [0] * n_real + [1] * n_art)
     status, phase1 = _run_simplex(tableau, obj1, scale, basis, cols)
     assert status == OPTIMAL  # phase-1 objective is bounded below by 0
 
-    def stats(cleanup=0, phase2=0):
+    def stats(phase2=0):
         return SimplexStats(len(tableau), n_total, phase1, cleanup, phase2)
 
     # Every rhs is >= 0, so the artificials sum to 0 only if each is 0.
@@ -221,41 +270,20 @@ def _solve(n_vars, rows, objective) -> SimplexResult:
         return SimplexResult(INFEASIBLE, None, None, stats())
 
     # Pivot leftover (zero-valued) artificials out of the basis when possible.
-    cleanup = 0
-    for i, row in enumerate(tableau):
-        if basis[i] >= n_real:
-            pc = min((c for c, v in zip(cols, row) if v and c < n_real), default=-1)
-            if pc >= 0:
-                k = cols.index(pc)
-                if row[k] < 0:
-                    row[:] = [-v for v in row]
-                    scale[i] = -scale[i]
-                _pivot(tableau, scale, basis, cols, i, k)
-                cleanup += 1
+    cleanup += _drive_out(tableau, scale, basis, cols, n_real)
 
     # ---- phase 2: original objective, artificial columns dropped.  An
     # artificial still basic sits on a row that is zero from here on.
-    keep = [k for k, c in enumerate(cols) if c < n_real] + [len(cols)]
-    tableau = [[row[k] for k in keep] for row in tableau]
-    cols = [cols[k] for k in keep[:-1]]
-    cost = _integerize(objective, 0)[0] + [0] * n_slack
-    # obj2 = L * (reduced costs, -value), for L the lcm of the scales of
-    # the basic columns with nonzero cost.
-    priced = [
-        (row, cost[c], d) for row, c, d in zip(tableau, basis, scale) if c < n_real and cost[c]
-    ]
-    big = lcm(*(d for _, _, d in priced))
-    obj2 = [big * cost[c] for c in cols] + [0]
-    for row, cb, d in priced:
-        f = big // d * cb
-        obj2 = [u - f * v for u, v in zip(obj2, row)]
+    tableau, cols = _drop_artificials(tableau, cols, n_real)
+    cost = _integerize(objective, 0)[0] + [0] * (n_slack + n_art)
+    obj2 = _priced(tableau, basis, scale, cols, cost)
     status, phase2 = _run_simplex(tableau, obj2, scale, basis, cols)
     if status == UNBOUNDED:
-        return SimplexResult(UNBOUNDED, None, None, stats(cleanup, phase2))
+        return SimplexResult(UNBOUNDED, None, None, stats(phase2))
 
     x = [Fraction(0)] * n_vars
     for row, c, d in zip(tableau, basis, scale):
         if c < n_vars:
             x[c] = Fraction(row[-1], d)
     value = sum((c * v for c, v in zip(objective, x)), Fraction(0))
-    return SimplexResult(OPTIMAL, value, tuple(x), stats(cleanup, phase2))
+    return SimplexResult(OPTIMAL, value, tuple(x), stats(phase2))

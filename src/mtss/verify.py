@@ -287,7 +287,7 @@ def render_report(report: VerificationReport) -> str:
 # Ratios
 
 
-def format_rational(x: Fraction) -> str:
+def format_rational(x: int | Fraction) -> str:
     return f"{x.numerator}/{x.denominator}"
 
 
@@ -355,8 +355,8 @@ class BoundCheck:
 
     bound: str
     params: dict
-    lhs: Fraction
-    rhs: Fraction
+    lhs: int | Fraction
+    rhs: int | Fraction
 
     @property
     def holds(self) -> bool:
@@ -524,5 +524,5 @@ def audit_bounds(
             continue
         # range first: no check is drawn past the cap, and any int cap works
         for _, (params, lhs, rhs) in zip(range(cap), checks):
-            out.append(BoundCheck(name, params, Fraction(lhs), Fraction(rhs)))
+            out.append(BoundCheck(name, params, lhs, rhs))
     return out

@@ -303,8 +303,9 @@ def test_lp_assembly_matches_fraction_reference(monkeypatch):
 
 def test_pivots_per_phase(monkeypatch):
     """The eight ratio LPs on (N=4, T=4,3,2), in the order sigma, sigma_avg,
-    tau, tau_avg, each strong then weak, keep the (phase 1, clean-up,
-    phase 2) pivot counts of the dense pivot loop."""
+    tau, tau_avg, each strong then weak, keep their (phase 1, clean-up,
+    phase 2) pivot counts.  The clean-up pivots are the seven zero-rhs
+    equality rows' drive-outs before phase 1."""
     results = []
     solve = simplex.LinearProgram.solve
     monkeypatch.setattr(
@@ -316,10 +317,10 @@ def test_pivots_per_phase(monkeypatch):
             lower_bound_ratio(sp, RatioKind(meas, sec))
     got = [(r.stats.phase1_pivots, r.stats.cleanup_pivots, r.stats.phase2_pivots) for r in results]
     assert got == [
-        (99, 4, 4), (100, 4, 0), (68, 4, 17), (79, 4, 6),
-        (99, 4, 4), (100, 4, 0), (68, 4, 15), (79, 4, 3),
+        (44, 7, 4), (55, 7, 0), (36, 7, 18), (44, 7, 9),
+        (44, 7, 4), (55, 7, 0), (36, 7, 13), (44, 7, 10),
     ]
-    assert [sum(c) for c in got] == [107, 104, 89, 89, 107, 104, 87, 86]
+    assert [sum(c) for c in got] == [55, 62, 61, 60, 55, 62, 56, 61]
 
 
 def test_reference_sigma_example_and_certificate():

@@ -183,9 +183,12 @@ def test_stats_count_rows_columns_and_pivots():
 # -------------------------------------- the full tableau, as reference
 #
 # A full-tableau solver, kept as the reference for the condensed one: every
-# row keeps every structural, slack and artificial column, and phase 2 bars
-# the artificial columns instead of dropping them.  `trace` collects the
-# (entering column, leaving column) pair of each pivot.
+# row keeps every structural, slack and artificial column, and the phases
+# bar the artificial columns that have left the basis instead of dropping
+# them: phase 1 those that left before it, phase 2 all.  `trace` collects
+# the (entering column, leaving column) pair of each pivot.  With `crash`
+# off it is the solver without the crash start, which only the value oracle
+# runs.
 
 
 def _reference_reduce_row(row):
@@ -239,7 +242,36 @@ def _reference_run(tableau, basis, obj, allowed, n_total, trace):
     raise RuntimeError("simplex failed to terminate")
 
 
-def _reference_solve(n_vars, rows, objective, trace):
+def _reference_drive_out(tableau, basis, n_real, trace, allowed=None):
+    """Pivot every row on a zero-valued artificial onto its first real
+    column with a nonzero entry; bar each leaving artificial from
+    `allowed`, if given.  Returns the pivot count."""
+    pivots = 0
+    for i in range(len(tableau)):
+        if basis[i] >= n_real and tableau[i][-1] == 0:
+            pc = next((j for j in range(n_real) if tableau[i][j] != 0), None)
+            if pc is not None:
+                if allowed is not None:
+                    allowed[basis[i]] = False
+                if tableau[i][pc] < 0:
+                    tableau[i] = [-v for v in tableau[i]]
+                _reference_pivot(tableau, basis, None, i, pc, trace)
+                pivots += 1
+    return pivots
+
+
+def _reference_price(tableau, basis, cost):
+    """The objective row of `cost` (one entry per column and a 0 for the
+    rhs) made zero at every basic column."""
+    obj = list(cost)
+    for row, c in zip(tableau, basis):
+        if obj[c] != 0:
+            nonzero = [(j, v) for j, v in enumerate(row) if v]
+            _reference_eliminate(obj, row[c], obj[c], nonzero)
+    return obj
+
+
+def _reference_solve(n_vars, rows, objective, trace, crash=True, log=None):
     n_slack = sum(1 for _, _, kind in rows if kind == "ge")
     n_art = sum(1 for _, b, kind in rows if kind == "eq" or b > 0)
     n_real = n_vars + n_slack
@@ -262,53 +294,45 @@ def _reference_solve(n_vars, rows, objective, trace):
             art_at += 1
         tableau.append(row)
 
-    obj1 = [0] * n_real + [1] * n_art + [0]
-    for i, row in enumerate(tableau):
-        if basis[i] >= n_real:
-            obj1 = [u - v for u, v in zip(obj1, row)]
     allowed = [True] * n_total
+    before = _reference_drive_out(tableau, basis, n_real, trace, allowed) if crash else 0
+    obj1 = _reference_price(tableau, basis, [0] * n_real + [1] * n_art + [0])
     status, phase1 = _reference_run(tableau, basis, obj1, allowed, n_total, trace)
     assert status == OPTIMAL
 
-    def stats(cleanup=0, phase2=0):
-        return simplex.SimplexStats(len(tableau), n_total, phase1, cleanup, phase2)
+    def stats(after=0, phase2=0):
+        return simplex.SimplexStats(len(tableau), n_total, phase1, before + after, phase2)
 
+    if log is not None:
+        log.update(before=before, after=0)
     infeas = sum(F(row[-1], row[c]) for row, c in zip(tableau, basis) if c >= n_real)
     if infeas > 0:
         return SimplexResult(INFEASIBLE, None, None, stats())
 
-    cleanup = 0
-    for i in range(len(tableau)):
-        if basis[i] >= n_real:
-            pc = next((j for j in range(n_real) if tableau[i][j] != 0), None)
-            if pc is not None:
-                if tableau[i][pc] < 0:
-                    tableau[i] = [-v for v in tableau[i]]
-                _reference_pivot(tableau, basis, None, i, pc, trace)
-                cleanup += 1
+    after = _reference_drive_out(tableau, basis, n_real, trace)
+    if log is not None:
+        log["after"] = after
 
     allowed[n_real:] = [False] * n_art
-    obj2 = simplex._integerize(objective, 0)[0] + [0] * (n_slack + n_art + 1)
-    for row, c in zip(tableau, basis):
-        if c < n_real and obj2[c] != 0:
-            nonzero = [(j, v) for j, v in enumerate(row) if v]
-            _reference_eliminate(obj2, row[c], obj2[c], nonzero)
+    cost = simplex._integerize(objective, 0)[0] + [0] * (n_slack + n_art + 1)
+    obj2 = _reference_price(tableau, basis, cost)
     status, phase2 = _reference_run(tableau, basis, obj2, allowed, n_total, trace)
     if status == UNBOUNDED:
-        return SimplexResult(UNBOUNDED, None, None, stats(cleanup, phase2))
+        return SimplexResult(UNBOUNDED, None, None, stats(after, phase2))
     x = [F(0)] * n_vars
     for row, c in zip(tableau, basis):
         if c < n_vars:
             x[c] = F(row[-1], row[c])
     value = sum((c * v for c, v in zip(objective, x)), F(0))
-    return SimplexResult(OPTIMAL, value, tuple(x), stats(cleanup, phase2))
+    return SimplexResult(OPTIMAL, value, tuple(x), stats(after, phase2))
 
 
 def _assert_matches_reference(lp):
     """`lp.solve()` and the full-tableau reference agree on the status,
     value, point and stats, and make the same pivots: the same (entering,
-    leaving) column pairs in the same order.  Returns the result."""
-    got_trace, want_trace = [], []
+    leaving) column pairs in the same order.  Returns the result and the
+    reference's drive-out counts before and after phase 1."""
+    got_trace, want_trace, log = [], [], {}
     pivot = simplex._pivot
 
     def spy(rows, scale, basis, cols, pr, k):
@@ -318,11 +342,11 @@ def _assert_matches_reference(lp):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(simplex, "_pivot", spy)
         got = lp.solve()
-    want = _reference_solve(lp.n_vars, lp._rows, lp._objective, want_trace)
+    want = _reference_solve(lp.n_vars, lp._rows, lp._objective, want_trace, log=log)
     assert (got.status, got.value, got.x) == (want.status, want.value, want.x)
     assert got.stats == want.stats
     assert got_trace == want_trace
-    return got
+    return got, log
 
 
 @settings(max_examples=100, deadline=None)
@@ -351,27 +375,31 @@ def _captured_programs(run):
 def test_pivot_matches_dense_reference_on_cone_lp(kind):
     sp = structure(3, [(3, 1), (2, 2)])
     (lp,) = _captured_programs(lambda: cone.lower_bound_ratio(sp, kind))
-    got = _assert_matches_reference(lp)
+    got, log = _assert_matches_reference(lp)
     assert got.status == OPTIMAL and got.stats.phase1_pivots > 10
+    assert log["before"] > 0
 
 
 def _seeded_lps(count, seed):
     """Small LPs of every row sense and rhs sign, drawn from a seeded
-    generator; without a bounding row, so some are unbounded."""
+    generator; without a bounding row, so some are unbounded.  Half the
+    equality rows have rhs 0, so most LPs start with a drive-out."""
     rng = random.Random(seed)
+
+    def row(n):
+        sense = rng.choice(["le", "ge", "eq"])
+        rhs = 0 if sense == "eq" and rng.random() < 0.5 else rng.randint(-3, 3)
+        return [rng.randint(-3, 3) for _ in range(n)], sense, rhs
+
     for _ in range(count):
         n = rng.randint(1, 4)
-        rows = [
-            ([rng.randint(-3, 3) for _ in range(n)], rng.choice(["le", "ge", "eq"]), rng.randint(-3, 3))
-            for _ in range(rng.randint(1, 5))
-        ]
+        rows = [row(n) for _ in range(rng.randint(1, 5))]
         yield _program(n, [rng.randint(-4, 4) for _ in range(n)], rows)
 
 
-def test_pivots_match_dense_reference_on_table_family():
+def _table_family_lps():
     """Every ratio LP and truncation-gap LP of the table-family structures
-    with at most 6 variables (376 LPs), and 300 seeded small LPs, solve as
-    on the full tableau: same results, stats and pivots."""
+    with at most 6 variables (376 LPs), unsolved."""
 
     def run():
         for sp in _table_family(6):
@@ -384,12 +412,79 @@ def test_pivots_match_dense_reference_on_table_family():
                 for bound in bounds:
                     cone._min_gap(bound, sp, sec)
 
-    cone_lps = _captured_programs(run)
-    assert len(cone_lps) == 376
-    results = [_assert_matches_reference(lp) for lp in cone_lps]
-    assert all(r.status == OPTIMAL for r in results)
-    assert any(r.stats.cleanup_pivots for r in results)
+    lps = _captured_programs(run)
+    assert len(lps) == 376
+    return lps
+
+
+def test_pivots_match_dense_reference_on_table_family():
+    """The table-family cone LPs and 300 seeded small LPs solve as on the
+    full tableau: same results, stats and pivots.  Both sets drive out
+    artificials before phase 1; the seeded set also after it (the cone LPs'
+    leftover artificials are all gone before phase 1)."""
+    cone_lps = [_assert_matches_reference(lp) for lp in _table_family_lps()]
+    assert all(r.status == OPTIMAL for r, _ in cone_lps)
+    assert any(log["before"] for _, log in cone_lps)
     drawn = [_assert_matches_reference(lp) for lp in _seeded_lps(300, seed=9)]
-    statuses = {r.status for r in drawn}
-    assert statuses == {OPTIMAL, INFEASIBLE, UNBOUNDED}
-    assert any(r.stats.cleanup_pivots for r in drawn)
+    assert {r.status for r, _ in drawn} == {OPTIMAL, INFEASIBLE, UNBOUNDED}
+    assert any(log["before"] for _, log in drawn)
+    assert any(log["after"] for _, log in drawn)
+
+
+def test_drive_out_after_phase1():
+    # phase 1 ends with the >= row's artificial basic at 0, on a row with
+    # a nonzero slack entry: the clean-up pivots it out
+    lp = LinearProgram(2)
+    lp.minimize([-1, 3])
+    lp.add_eq([3, 1], 1)
+    lp.add_ge([1, 3], 3)
+    res, log = _assert_matches_reference(lp)
+    assert res.value == 3 and res.x == (0, 1)
+    assert log == {"before": 0, "after": 1}
+    assert (res.stats.phase1_pivots, res.stats.cleanup_pivots) == (2, 1)
+
+
+def test_crash_start_keeps_status_and_value():
+    """Without the crash start (the plain two-phase reference) every seeded
+    LP has the same status and value."""
+    for lp in _seeded_lps(2000, seed=13):
+        got = lp.solve()
+        want = _reference_solve(lp.n_vars, lp._rows, lp._objective, [], crash=False)
+        assert (got.status, got.value) == (want.status, want.value)
+
+
+def test_phase1_never_offered_an_artificial():
+    """The artificials driven out before phase 1 leave the tableau with
+    their columns: phase 1 starts with only structural and slack columns
+    nonbasic.  (Kept, they would be priced at 0 instead of 1.)"""
+    run = simplex._run_simplex
+    offered = []
+
+    def spy(tableau, obj, scale, basis, cols):
+        offered.append(list(cols))
+        return run(tableau, obj, scale, basis, cols)
+
+    lps = [*_table_family_lps(), *_seeded_lps(300, seed=9)]
+    crashed = 0
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(simplex, "_run_simplex", spy)
+        for lp in lps:
+            offered.clear()
+            res = lp.solve()
+            n_real = lp.n_vars + sum(kind == "ge" for _, _, kind in lp._rows)
+            assert all(c < n_real for c in offered[0])
+            crashed += res.stats.cleanup_pivots > 0
+    assert crashed > 100
+
+
+def test_int_rows_skip_the_lcm():
+    lp = LinearProgram(3)
+    lp.add_eq([2, -4, 0], 6)
+    lp.add_ge([F(1, 2), 1, 0], F(3, 4))
+    lp.add_le({1: 3}, F(1, 3))
+    assert lp._rows == [
+        ([2, -4, 0], 6, "eq"),
+        ([2, 4, 0], 3, "ge"),
+        ([0, -9, 0], -1, "ge"),
+    ]
+    assert [type(v) for row, b, _ in lp._rows for v in (*row, b)] == [int] * 12
