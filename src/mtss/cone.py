@@ -12,7 +12,11 @@ The LP is solved in symmetry-reduced coordinates: the region is invariant
 under permuting shares and permuting same-threshold secrets, so averaging
 an optimal point over the permutations that also keep the objective gives
 a feasible, optimal point that is constant on subset orbits.  One variable
-per orbit gives the same exact optimum at a fraction of the size.
+per orbit gives the same exact optimum at a fraction of the size.  The LP's
+elemental and condition rows are generated per orbit, straight in orbit
+coordinates.  The full-coordinate systems (`elemental_inequalities`,
+`system_constraints`, `membership_system`) serve `mtss lp --dump`,
+membership tests and vector lifting.
 """
 
 from __future__ import annotations
@@ -20,7 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations
+from itertools import combinations, product
 
 from mtss import simplex
 from mtss.schemes import scheme_variables
@@ -208,19 +212,17 @@ def _variable_masks(sp: StructurePair):
     return secret, share
 
 
-def system_constraints(sp: StructurePair, security: str) -> ConstraintSystem:
-    """Equality hyperplanes a valid scheme's entropy vector must satisfy.
+def _condition_rows(sp: StructurePair, security: str, secret, coalitions):
+    """(tag, {id: coefficient}) per condition of `structure.conditions` and
+    coalition of its boundary size: h(S, P_A) - h(P_A) for C1, minus h(S)
+    for C2, and minus the sum of the secrets' entropies for C0 and C3.
 
-    One row per condition of `structure.conditions` and coalition of its
-    boundary size: h(S, P_A) - h(P_A) = 0 for C1, minus h(S) for C2, and
-    minus the sum of the secrets' entropies for C0 and C3.  Duplicate rows
-    are dropped.
+    Ids add up over disjoint variable sets: subset masks, or orbit ids.
+    `secret` gives each secret slot's id and `coalitions` lists the
+    (size, id) of the share coalitions in the order the rows go out.  A
+    coefficient may be 0.
     """
-    entries = list(conditions(sp, security))
-    secret, share = _variable_masks(sp)
-    n = sp.n_parties + sp.n_secrets
-    seen = {}
-    for tag, slots, size in entries:
+    for tag, slots, size in conditions(sp, security):
         joint = sum(secret[slot] for slot in slots)
         if tag == "C1":
             minus = []
@@ -228,20 +230,96 @@ def system_constraints(sp: StructurePair, security: str) -> ConstraintSystem:
             minus = [joint]
         else:
             minus = [secret[slot] for slot in slots]
-        for a_set in combinations(range(1, sp.n_parties + 1), size):
-            pa = sum(share[i] for i in a_set)
-            coeffs = {joint | pa: 1}
-            for mask in (pa, *minus):
-                if mask:
-                    coeffs[mask] = coeffs.get(mask, 0) - 1
-            row = Row.make(tag, coeffs, equality=True)
-            if row.coeffs and row.coeffs not in seen:
-                seen[row.coeffs] = row
-    return ConstraintSystem(n, tuple(seen.values()))
+        for count, pa in coalitions:
+            if count == size:
+                coeffs = {joint + pa: 1}
+                for oid in (pa, *minus):
+                    if oid:
+                        coeffs[oid] = coeffs.get(oid, 0) - 1
+                yield tag, coeffs
+
+
+def system_constraints(sp: StructurePair, security: str) -> ConstraintSystem:
+    """Equality hyperplanes a valid scheme's entropy vector must satisfy:
+    the rows of `_condition_rows` over subset masks, coalitions in
+    `combinations` order.  Duplicate rows are dropped."""
+    secret, share = _variable_masks(sp)
+    coalitions = [
+        (size, sum(share[i] for i in a_set))
+        for size in range(sp.n_parties + 1)
+        for a_set in combinations(range(1, sp.n_parties + 1), size)
+    ]
+    seen = {}
+    for tag, coeffs in _condition_rows(sp, security, secret, coalitions):
+        row = Row.make(tag, coeffs, equality=True)
+        if row.coeffs and row.coeffs not in seen:
+            seen[row.coeffs] = row
+    return ConstraintSystem(sp.n_parties + sp.n_secrets, tuple(seen.values()))
 
 
 # --------------------------------------------------------------------------
 # The cone LP (orbit-reduced)
+#
+# Each variable has a class key (kind, level, colour), and a class a place in
+# the mixed-radix orbit id: a subset's id is the sum of its variables' places.
+# The LP's rows come straight in orbit ids, one row per orbit of rows, in
+# the order in which each orbit's first full-coordinate row appears in
+# `elemental_inequalities` and `system_constraints`.
+
+
+def _canonical_subsets(members, place):
+    """(size, orbit id) of one subset per count vector over the classes in
+    `members` (class key -> sorted positions below CAP_LIMIT): the smallest
+    members of each class.  They come in (size, sorted members) order, which
+    is the order in which each count vector first appears in `combinations`
+    of the merged positions, size by size."""
+    # Among subsets of one size, the lexicographically smaller one holds the
+    # smallest position where the two differ, so it has the larger weight
+    # sum(2^(CAP_LIMIT - x)).
+    out = [(0, 0, 0)]  # (size, -weight, orbit id)
+    for key, m in members.items():
+        steps = [
+            (c, sum(1 << CAP_LIMIT - x for x in m[:c]), c * place[key])
+            for c in range(len(m) + 1)
+        ]
+        out = [(s + c, w - dw, o + do) for s, w, o in out for c, dw, do in steps]
+    out.sort()
+    return [(size, oid) for size, _, oid in out]
+
+
+def _elemental_rows(keys, place):
+    """The rows of `elemental_inequalities(len(keys))` in orbit ids, one per
+    orbit, as {orbit id: coefficient} dicts.
+
+    `keys[i]` is variable i's class key.  A conditional-entropy row stands
+    for its class, in the order of the classes' first variables.  The mutual
+    information rows of a class pair are those of its lexicographically
+    first variable pair (i, j), one per count vector of the conditioning
+    set over the other variables; pairs go in (i, j) order.
+    """
+    classes = {}
+    for i, key in enumerate(keys):
+        classes.setdefault(key, []).append(i)
+    omega = sum(place[k] * len(m) for k, m in classes.items())
+    for key in classes:
+        yield {omega: 1, omega - place[key]: -1}
+    order = list(classes)
+    pairs = []
+    for a, ka in enumerate(order):
+        m = classes[ka]
+        if len(m) > 1:
+            pairs.append(((m[0], m[1]), ka, ka))
+        pairs += [((m[0], classes[kb][0]), ka, kb) for kb in order[a + 1 :]]
+    for (i, j), ka, kb in sorted(pairs):
+        rest = {k: [x for x in m if x != i and x != j] for k, m in classes.items()}
+        pa, pb = place[ka], place[kb]
+        for _, z in _canonical_subsets(rest, place):
+            row = {z + pa: 1}
+            row[z + pb] = row.get(z + pb, 0) + 1
+            row[z + pa + pb] = -1
+            if z:
+                row[z] = -1
+            yield row
 
 
 def _minimize(sp: StructurePair, security: str, objective: dict, rows, colour) -> Fraction:
@@ -250,12 +328,16 @@ def _minimize(sp: StructurePair, security: str, objective: dict, rows, colour) -
 
     `colour(v)` splits the variables of one kind and level into classes.
     The LP has one variable per orbit (a subset's count of variables in
-    each class), and the objective and every row are projected onto
+    each class), and the objective and the extra rows are projected onto
     orbits, which replaces each by its mean over the permutations that
     keep every class.  Colour the variables so that the objective is
     invariant under those permutations.  A row stands for its whole orbit:
     a row on the first secret of a level holds for every secret of its
-    class.  Callers read `_variable_masks` first, which checks the size cap.
+    class.  The elemental and condition rows are generated per orbit, in
+    the order of their first projected appearance, so the LP is the
+    projection of the extra rows, `elemental_inequalities` and
+    `system_constraints`, de-duplicated.
+    Callers read `_variable_masks` first, which checks the size cap.
     """
     n = sp.n_parties + sp.n_secrets
     keys = [(v.kind, v.level, colour(v)) for v in scheme_variables(sp)]
@@ -267,28 +349,42 @@ def _minimize(sp: StructurePair, security: str, objective: dict, rows, colour) -
         place[key] = n_ids
         n_ids *= keys.count(key) + 1
     bit_id = [place[key] for key in keys]
-    orbit = [0] * (1 << n)
-    for mask in range(1, 1 << n):
-        low = mask & -mask
-        orbit[mask] = orbit[mask ^ low] + bit_id[low.bit_length() - 1]
+
+    def dense(terms) -> list:
+        out = [0] * (n_ids - 1)
+        for oid, c in terms:
+            out[oid - 1] += c
+        return out
 
     def project(coeffs) -> list:
-        dense = [0] * (n_ids - 1)
-        for mask, c in coeffs:
-            dense[orbit[mask] - 1] += c
-        return dense
+        return dense(
+            (sum(bit_id[i] for i in range(n) if mask >> i & 1), c) for mask, c in coeffs
+        )
 
     prog = simplex.LinearProgram(n_ids - 1)
     prog.minimize(project(objective.items()))
     seen = set()
-    base = elemental_inequalities(n).rows + system_constraints(sp, security).rows
-    for row in (*rows, *base):
-        dense = project(row.coeffs)
-        key = (*dense, row.equality, row.rhs)
-        if any(dense) and key not in seen:
+    candidates = [(project(row.coeffs), row.equality, row.rhs) for row in rows]
+    candidates += [(dense(r.items()), False, 0) for r in _elemental_rows(keys, place)]
+    # Per condition, a coalition stands for its count vector over the share
+    # classes: the canonical one holds the smallest shares of each class.
+    secret, shares = {}, {}
+    for v, key in zip(scheme_variables(sp), keys):
+        if v.kind == "secret":
+            secret[(v.level, v.index)] = place[key]
+        else:
+            shares.setdefault(key, []).append(v.index)
+    coalitions = _canonical_subsets(shares, place)
+    candidates += [
+        (dense(r.items()), True, 0)
+        for _, r in _condition_rows(sp, security, secret, coalitions)
+    ]
+    for row, equality, rhs in candidates:
+        key = (*row, equality, rhs)
+        if any(row) and key not in seen:
             seen.add(key)
-            add = prog.add_eq if row.equality else prog.add_ge
-            add(dense, row.rhs)
+            add = prog.add_eq if equality else prog.add_ge
+            add(row, rhs)
     res = prog.solve()
     if res.status != simplex.OPTIMAL:  # pragma: no cover - region nonempty, objective bounded
         raise RuntimeError(f"cone LP came back {res.status}")

@@ -63,7 +63,7 @@ class SimplexResult:
 def _integerize(coeffs, rhs):
     """Scale a rational row by a positive integer so every entry is an int.
     A row of ints is returned as it is."""
-    if type(rhs) is int and all(type(v) is int for v in coeffs):
+    if type(rhs) is int and set(map(type, coeffs)) <= {int}:
         return coeffs, rhs
     try:
         den = lcm(*(v.denominator for v in coeffs), rhs.denominator)

@@ -301,6 +301,78 @@ def test_lp_assembly_matches_fraction_reference(monkeypatch):
         assert got._objective == want._objective, args[:2]
 
 
+LARGE_CELLS = [
+    structure(4, [(4, 1), (3, 1), (2, 1)]),
+    structure(5, [(3, 1), (2, 1)]),
+    structure(4, [(4, 1), (3, 1), (2, 2)]),
+    structure(5, [(3, 2), (2, 1)]),
+    structure(6, [(4, 1), (2, 1)]),
+]
+
+
+def test_lp_assembly_matches_reference_on_colourings_and_large_structures(monkeypatch):
+    """Seeded random colourings, whose classes are not runs of the variable
+    order, and the ratio and truncation-gap LPs of 7- and 8-variable
+    structures at both securities assemble the Fraction reference's rows,
+    in the same order."""
+    calls, programs = [], []
+    minimize = cone._minimize
+
+    def spy(*args):
+        calls.append(args)
+        return minimize(*args)
+
+    def capture(lp):
+        programs.append(lp)
+        return simplex.SimplexResult(simplex.OPTIMAL, F(0), None)
+
+    monkeypatch.setattr(cone, "_minimize", spy)
+    monkeypatch.setattr(simplex.LinearProgram, "solve", capture)
+    rng = random.Random(14)
+    scattered = 0
+    for sp in _table_family(6) + LARGE_CELLS:
+        secret, share = cone._variable_masks(sp)
+        norm = Row.make("norm", {secret[(1, 1)]: 1}, False, 1)
+        for sec in (STRONG, WEAK):
+            for _ in range(2):
+                colours = {v: rng.randrange(3) for v in scheme_variables(sp)}
+                classes = {}
+                for i, (v, c) in enumerate(colours.items()):
+                    classes.setdefault((v.kind, v.level, c), []).append(i)
+                scattered += any(p[-1] - p[0] >= len(p) for p in classes.values())
+                cone._minimize(sp, sec, {share[1]: 1}, [norm], colours.get)
+            if sp in LARGE_CELLS:
+                for meas in MEASURES:
+                    lower_bound_ratio(sp, RatioKind(meas, sec))
+                cone._min_gap(bound_row(sp, "dtb"), sp, sec)
+                cone._min_gap(bound_row(sp, "tsb", k=sp.k_levels), sp, sec)
+    assert len(calls) == len(programs) == 4 * 27 + 6 * 10 and scattered == 37
+    for args, got in zip(calls, programs):
+        want = _reference_assembly(*args)
+        assert got.n_vars == want.n_vars, args[:2]
+        assert got._rows == want._rows, args[:2]
+        assert got._objective == want._objective, args[:2]
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+def test_orbit_rows_of_singleton_classes_are_the_elemental_rows(n):
+    """With every variable its own class, an orbit id is the subset's mask,
+    and the generator yields `elemental_inequalities(n)` row for row."""
+    rows = cone._elemental_rows(list(range(n)), {i: 1 << i for i in range(n)})
+    assert [tuple(sorted(r.items())) for r in rows] == [
+        r.coeffs for r in elemental_inequalities(n).rows
+    ]
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+def test_orbit_rows_of_one_class(n):
+    """One class of n variables: h(Omega) >= h(Omega - i), then one mutual
+    information row per conditioning size 0..n-2."""
+    rows = list(cone._elemental_rows([0] * n, {0: 1}))
+    assert rows[0] == {n: 1, n - 1: -1}
+    assert rows[1:] == [{z + 1: 2, z + 2: -1} | ({z: -1} if z else {}) for z in range(n - 1)]
+
+
 def test_pivots_per_phase(monkeypatch):
     """The eight ratio LPs on (N=4, T=4,3,2), in the order sigma, sigma_avg,
     tau, tau_avg, each strong then weak, keep their (phase 1, clean-up,

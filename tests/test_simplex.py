@@ -488,3 +488,12 @@ def test_int_rows_skip_the_lcm():
         ([0, -9, 0], -1, "ge"),
     ]
     assert [type(v) for row, b, _ in lp._rows for v in (*row, b)] == [int] * 12
+
+
+def test_integerize_bool_and_empty_rows():
+    """Bools are not ints here: they take the lcm path and come back as
+    ints.  An empty row of ints comes back as it is."""
+    row, b = simplex._integerize([True, False, 2], True)
+    assert (row, b) == ([1, 0, 2], 1) and {type(v) for v in (*row, b)} == {int}
+    assert simplex._integerize([], 0) == ([], 0)
+    assert simplex._integerize([], F(1, 2)) == ([], 1)
