@@ -603,6 +603,11 @@ def recipe_guarantee(recipe) -> str:
 def unify_field(parts) -> list[LinearScheme]:
     """Bring all parts over one common prime and re-verify each.
 
+    Each part is an embedded or combined scheme, so its check is answered
+    from its construction's kept report (`verify.check_conditions`); a
+    searched family's report was already made by its field search, and each
+    construction is scanned at most once per candidate and security.
+
     The candidate order starts at the largest minimum admissible order of
     any part; searched families may still reject a candidate (they verify
     at exact q), so the candidate advances through primes under a cap.

@@ -7,6 +7,11 @@ audited here reduce to integer rank queries against one memoized profile:
 `LinearScheme.profile`, made once per scheme object and shared by
 `check_conditions`, `ratios` and `audit_bounds`.  Callers build each query's
 variable mask once, by OR of per-variable bits.
+
+A scheme composed by `embed` or `combine` is checked through its links: its
+conditions follow from the reports of the schemes it was assembled from, so
+only leaf constructions (and schemes read from text) scan coalitions, unless
+a link fails and the composed scheme needs its own witness.
 """
 
 from __future__ import annotations
@@ -16,6 +21,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
 from itertools import combinations, groupby, product
+from math import comb
 
 import numpy as np
 
@@ -32,11 +38,46 @@ class RankStats:
     composed profile that answers through it as one of its leaves), answers
     read from its memo, and its own eliminations (`field.rank` calls).  A
     combined scheme asks its leaf constructions directly, so an embedded
-    part between them counts none of the queries passed through."""
+    part between them counts none of the queries passed through.  A check
+    answered through a scheme's links asks its profile nothing: the links'
+    checks count on their own profiles."""
 
     queries: int = 0
     memo_hits: int = 0
     eliminations: int = 0
+
+
+def _embeds_conditions(scheme: LinearScheme, source: LinearScheme, pos) -> bool:
+    """Whether every condition of `scheme` follows from those of `source`,
+    whose block objects it reuses (`pos`: block id -> source position).
+
+    So it is when `scheme` is `source` re-labelled as `embed` does: the same
+    N, each share on its own index (a width-0 share only where the source's
+    is), and each nonempty secret a distinct source secret on a slot of the
+    same threshold.  A copied secret would break independence, a share moved
+    or emptied would change the coalitions, and a secret moved to another
+    threshold would be decoded or guarded by the wrong number of shares.
+    """
+    if scheme.sp.n_parties != source.sp.n_parties:
+        return False
+    order = source.variables()
+    used = set()
+    for v, b in scheme.blocks:
+        if not b.n_cols:
+            if v.kind == "share" and source.width(v):
+                return False
+            continue
+        u = order[pos[id(b)]]
+        if v.kind == "share":
+            kept = u == v
+        else:
+            kept = u.kind == "secret" and (
+                source.sp.threshold(u.level) == scheme.sp.threshold(v.level)
+            )
+        if not kept or u in used:
+            return False
+        used.add(u)
+    return True
 
 
 def _bits(mask: int):
@@ -66,7 +107,12 @@ class RankProfile:
     for a width-0 block); a miss sums the leaves' ranks of its mask's
     translations.
 
-    `reports` keeps `check_conditions`' reports by (security, exhaustive).
+    `reports` keeps `check_conditions`' reports by (security, exhaustive);
+    `links` holds the schemes whose reports answer this one's (its parts or
+    its source), or nothing when its conditions need a scan.  The links are
+    used only if they keep the conditions: parts on the same structure, or a
+    source re-labelled as `embed` does (`_embeds_conditions`).  The scheme
+    constructor accepts any `source=` or `parts=`, so this is checked here.
     """
 
     def __init__(self, scheme: LinearScheme):
@@ -78,6 +124,7 @@ class RankProfile:
         self._lock = threading.Lock()
         self.stats = RankStats()
         self.reports: dict[tuple[str, bool], VerificationReport] = {}
+        self.links: tuple[LinearScheme, ...] = ()
         # (leaf profile, per variable: its bit in the leaf); empty for a leaf
         self._leaves: list[tuple[RankProfile, list[int]]] = []
         if scheme.parts:
@@ -89,6 +136,8 @@ class RankProfile:
                     raise ValueError(f"combined scheme: block {v} is not its parts' stack")
             for part in scheme.parts:
                 self._leaves += part.profile._leaf_tables()
+            if all(part.sp == scheme.sp for part in scheme.parts):
+                self.links = scheme.parts
         elif scheme.source is not None:
             source = scheme.source
             pos = {id(b): i for i, (_, b) in enumerate(source.blocks)}
@@ -99,6 +148,8 @@ class RankProfile:
                 (leaf, [bits[pos[id(b)]] if b.n_cols else 0 for _, b in scheme.blocks])
                 for leaf, bits in source.profile._leaf_tables()
             ]
+            if _embeds_conditions(scheme, source, pos):
+                self.links = (source,)
         else:
             # One matrix of every block, and each variable's columns in it.
             self._matrix = np.hstack([b.a for _, b in scheme.blocks])
@@ -212,6 +263,15 @@ def _party_sets(n, sizes):
 _GROUP = {"C0": "independence", "C1": "decodable", "C2": "secure", "C3": "secure"}
 
 
+def _coalition_sizes(tag: str, size: int, n: int, exhaustive: bool):
+    """The coalition sizes checked for one condition of
+    `structure.conditions`: every qualified size for C1; for the others its
+    boundary size, or every size up to it when `exhaustive`."""
+    if tag == "C1":
+        return range(size, n + 1)
+    return range(size + 1) if exhaustive else (size,)
+
+
 def check_conditions(
     scheme: LinearScheme, security: str, exhaustive: bool = False
 ) -> VerificationReport:
@@ -226,6 +286,22 @@ def check_conditions(
     maximal sets forces zero leak below.  `exhaustive=True` enumerates the
     smaller coalitions anyway.
 
+    A composed scheme whose links keep its conditions (`RankProfile.links`)
+    passes when every link passes the same check, and then no coalition is
+    scanned; each group's `checks` counts the coalitions a scan would have
+    checked.  A `combine`d scheme's ranks are sums of its parts' ranks, and
+    every instance is one-sided in every part: got >= want always holds for
+    C1 (monotonicity), got <= want for C0, C2 and C3 (rk(S u A) <= rk(A) +
+    rk(S) <= rk(A) + width(S)), so the sum is an equality exactly when each
+    part's is.  An `embed`ded scheme keeps thresholds, which strictly
+    decrease across levels, so each of its condition instances is one of its
+    source's, or one on larger qualified coalitions or fewer secrets
+    (monotonicity), or one on smaller unqualified coalitions (submodularity,
+    as above); a width-0 secret adds nothing.  When a link fails, or the
+    scheme has no usable links (built directly or read from text), every
+    coalition is scanned, which finds the first failing instance as its
+    witness.
+
     The report is kept on the scheme's profile (`RankProfile.reports`), so
     the same check of the same scheme object is answered at no cost.
     """
@@ -235,23 +311,31 @@ def check_conditions(
     if report is not None:
         return report
     n = scheme.sp.n_parties
+    linked = bool(profile.links) and all(
+        check_conditions(link, security, exhaustive).passed for link in profile.links
+    )
     share_bit = [0] + [profile.mask([v]) for v in scheme.share_variables()]
     secrets = {(v.level, v.index): v for v in scheme.secret_variables()}
 
     def scan(group, entries):
+        if linked:
+            checks = sum(
+                comb(n, size)
+                for tag, _, bound in entries
+                for size in _coalition_sizes(tag, bound, n, exhaustive)
+            )
+            return ConditionResult(True, checks, None)
         checks = 0
         for tag, slots, size in entries:
             sec_vars = [secrets[slot] for slot in slots]
             sec = profile.mask(sec_vars)
             if tag == "C1":
-                sizes, extra = range(size, n + 1), 0
+                extra = 0
+            elif tag == "C2":
+                extra = profile.rank(sec)
             else:
-                sizes = range(size + 1) if exhaustive else [size]
-                if tag == "C2":
-                    extra = profile.rank(sec)
-                else:
-                    extra = sum(scheme.width(v) for v in sec_vars)
-            for a_set in _party_sets(n, sizes):
+                extra = sum(scheme.width(v) for v in sec_vars)
+            for a_set in _party_sets(n, _coalition_sizes(tag, size, n, exhaustive)):
                 checks += 1
                 pa = 0
                 for i in a_set:

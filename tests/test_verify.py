@@ -181,16 +181,111 @@ def test_composed_profile_ranks_match_elimination(parties, masks):
 
 
 def test_combined_check_makes_no_elimination_of_its_own():
+    """The combined scheme's check is answered from its parts' reports, so
+    its own profile is asked no rank at all."""
     s = build_optimal(structure(4, [(3, 2), (2, 1)]), RatioKind(SIGMA, STRONG))
     assert len(s.parts) == 3 and all(p.source is not None for p in s.parts)
     assert check_conditions(s, STRONG).passed
     stats = s.profile.stats
-    assert stats.queries > 0 and stats.eliminations == 0
+    assert stats.queries == 0 and stats.eliminations == 0
     # Read back from text, the same scheme has no parts and eliminates.
     copy = LinearScheme.from_text(s.to_text())
     assert copy.source is None and copy.parts == ()
     assert check_conditions(copy, STRONG).passed
     assert copy.profile.stats.eliminations > 0
+
+
+@pytest.mark.parametrize(
+    "parties, sample", [((2, 3), None), ((4,), 90)], ids=["N2-3-all", "N4-sample"]
+)
+def test_reports_through_links_match_text_copies(parties, sample):
+    """Every build_optimal cell and each of its parts is checked through its
+    links; each report, failing witnesses included, equals that of a text
+    copy, which scans every coalition (every cell for N <= 3, 90 seeded
+    cells of 360 for N = 4)."""
+    keys = [(sec, ex) for sec in (STRONG, WEAK) for ex in (False, True)]
+    cells = [(sp, kind) for sp in _table_family(parties) for kind in KINDS]
+    if sample is not None:
+        cells = random.Random(15).sample(cells, sample)
+    reports = fails = 0
+    for sp, kind in cells:
+        s = build_optimal(sp, kind)
+        for scheme in dict.fromkeys((s, *s.parts)):
+            assert scheme.profile.links, (sp, kind)
+            copy = LinearScheme.from_text(scheme.to_text())
+            for key in keys:
+                got = check_conditions(scheme, *key)
+                want = check_conditions(copy, *key)
+                assert got == want, (sp, kind, key)
+                reports += 1
+                if not got.passed:
+                    fails += 1
+                    assert any(
+                        r.witness is not None
+                        for r in (got.independence, got.decodable, got.secure)
+                    )
+    assert fails > 0 and fails < reports
+
+
+def test_links_that_do_not_keep_the_conditions_are_not_used():
+    """Hand-built schemes whose blocks match their links (so their ranks are
+    answered through them) but whose conditions do not follow from the
+    links' reports: each is scanned, and its report equals its text copy's."""
+    a = build_single_threshold(2, 3)
+    sec = VariableId.secret(1, 1)
+    share = [None] + list(a.share_variables())
+    empty = field.zeros(a.n_rows, 0, a.q)
+
+    def linked(sp, blocks, **links):
+        n_rows = blocks[0][1].n_rows
+        return LinearScheme(sp=sp, q=a.q, n_rows=n_rows, blocks=blocks, **links)
+
+    def shares(order=(1, 2, 3)):
+        return tuple((share[i], a.block(share[j])) for i, j in zip((1, 2, 3), order))
+
+    two_levels = structure(3, [(3, 1), (2, 1)])
+    two_secrets = structure(3, [(2, 2)])
+    # Parts of threshold 3 stacked under a structure of threshold 2.
+    b = build_single_threshold(3, 3)
+    stack = combine([b, b])
+    cases = {
+        "secret moved to another threshold": linked(
+            two_levels,
+            ((sec, a.block(sec)), (VariableId.secret(2, 1), empty)) + shares(),
+            source=a,
+        ),
+        "one source block on two slots": linked(
+            two_secrets,
+            ((sec, a.block(sec)), (VariableId.secret(1, 2), a.block(sec))) + shares(),
+            source=a,
+        ),
+        "two shares swapped": linked(
+            a.sp, ((sec, a.block(sec)),) + shares((2, 1, 3)), source=a
+        ),
+        "a share on a secret slot": linked(
+            a.sp, ((sec, a.block(share[1])),) + shares(), source=a
+        ),
+        "a share emptied": linked(
+            a.sp, ((sec, a.block(sec)),) + shares()[:2] + ((share[3], empty),), source=a
+        ),
+        "parts on another structure": linked(
+            structure(3, [(2, 1)]), stack.blocks, parts=stack.parts
+        ),
+    }
+    fails = set()
+    for name, s in cases.items():
+        copy = LinearScheme.from_text(s.to_text())
+        for security in (STRONG, WEAK):
+            for exhaustive in (False, True):
+                report = check_conditions(s, security, exhaustive)
+                assert report == check_conditions(copy, security, exhaustive), name
+                if not report.passed:
+                    fails.add(name)
+        assert s.profile.links == (), name
+    assert fails == set(cases) - {"two shares swapped"}
+    # The same placements made by embed and combine do use their links.
+    assert embed(a, structure(3, [(3, 1), (2, 1)])).profile.links == (a,)
+    assert stack.profile.links == stack.parts
 
 
 def test_embeds_of_one_construction_share_its_memo():
