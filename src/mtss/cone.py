@@ -35,14 +35,6 @@ from mtss.structure import SIGMA, SIGMA_AVG, TAU
 CAP_LIMIT = 8
 
 
-def mask_of(sp: StructurePair, vs) -> int:
-    pos = {v: i for i, v in enumerate(scheme_variables(sp))}
-    mask = 0
-    for v in vs:
-        mask |= 1 << pos[v]
-    return mask
-
-
 # --------------------------------------------------------------------------
 # Rows and constraint systems
 
@@ -418,7 +410,7 @@ def lower_bound_ratio(sp: StructurePair, kind: RatioKind) -> Fraction:
 
 
 # --------------------------------------------------------------------------
-# Extension and restriction (structure vs sub-structure)
+# Extension (sub-structure to structure)
 
 
 def membership_system(sp: StructurePair, security: str) -> ConstraintSystem:
@@ -469,15 +461,6 @@ def extend_vector(
         back[b.bit_length() - 1] = 1 << i
     coords = {m: x[_carry(m, back)] for m in range(1, 1 << len(back))}
     return EntropyVector(len(back), coords, target)
-
-
-def restrict_vector(x: EntropyVector, small: StructurePair) -> EntropyVector:
-    """Project a vector onto a sub-structure's variables (inverse direction)."""
-    if x.sp is None:
-        raise ValueError("vector carries no structure")
-    bits = _slot_bits(small, x.sp)
-    coords = {m: x[_carry(m, bits)] for m in range(1, 1 << len(bits))}
-    return EntropyVector(len(bits), coords, small)
 
 
 # --------------------------------------------------------------------------

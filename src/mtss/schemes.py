@@ -13,6 +13,11 @@ Vandermonde matrices and an identity block; their correctness needs the field
 to be "large enough", which we settle constructively: start at the stated
 lower bound and advance through primes until the weak-security verifier
 passes (capped search).
+
+`build_optimal` and `unify_field` take their leaf constructions from one
+bounded, clearable memo per process (`_leaf`), so a leaf shared by many
+cells is built, searched and scanned once.  The public builders are not
+cached: each call returns a new scheme.
 """
 
 from __future__ import annotations
@@ -21,7 +26,7 @@ import hashlib
 from dataclasses import dataclass
 from dataclasses import field as dc_field
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, lru_cache
 from itertools import combinations
 
 import numpy as np
@@ -564,18 +569,19 @@ def combine(parts) -> LinearScheme:
 def _rebuild(recipe, q: int, made: dict) -> LinearScheme:
     """The scheme of `recipe` over F_q, from `made` ({recipe: scheme} over
     the same q) when there; what it builds, nested recipes too, goes into
-    `made`, so each distinct recipe is built once."""
+    `made`, so each distinct composed recipe is built once per call, and
+    each leaf comes from the leaf memo (`_leaf`)."""
     if recipe in made:
         return made[recipe]
     name = recipe[0]
     if name == "single":
-        s = build_single_threshold(recipe[1], recipe[2], q=q)
+        s = _leaf(build_single_threshold, recipe[1:], q)
     elif name == "weak-block":
-        s = build_weak_block(recipe[1], recipe[2], recipe[3], q=q)
+        s = _leaf(build_weak_block, recipe[1:], q)
     elif name == "B":
-        s = build_B(recipe[1], (recipe[2], recipe[3]), (recipe[4], recipe[5]), q=q)
+        s = _leaf(build_B, (recipe[1], recipe[2:4], recipe[4:6]), q)
     elif name == "A":
-        s = build_A(recipe[1], (recipe[2], recipe[3]), recipe[4], q=q)
+        s = _leaf(build_A, (recipe[1], recipe[2:4], recipe[4]), q)
     elif name == "embed":
         inner = _rebuild(recipe[1], q, made)
         s = embed(inner, recipe[2], place=dict(recipe[3]))
@@ -613,7 +619,8 @@ def unify_field(parts) -> list[LinearScheme]:
     at exact q), so the candidate advances through primes under a cap.
     A part already over the candidate is kept as it is (its recipe would
     rebuild the same scheme); the others are rebuilt, each distinct recipe,
-    nested ones included, once per candidate.
+    nested ones included, once per candidate; a leaf comes from the leaf
+    memo (`_leaf`), so one made over that prime before is reused.
     """
     from mtss import verify
 
@@ -650,34 +657,37 @@ def build_optimal(sp: StructurePair, kind: RatioKind) -> LinearScheme:
     For the one unresolved regime (weak sigma with several overfull
     sub-arrays and at least one underfull), the result is the best-known
     combination; its sigma equals the bracketing upper bound.
+
+    Each distinct leaf construction is built once per process (`_leaf`) and
+    shared, with its rank memo and kept reports, by every cell that uses it.
     """
-    built = {}  # (builder, args) -> scheme: parts embed one shared build
     if kind.security == STRONG:
-        parts = _strong_parts(sp, kind, built)
+        parts = _strong_parts(sp, kind)
     else:
-        parts = _weak_parts(sp, kind, built)
+        parts = _weak_parts(sp, kind)
     parts = unify_field(parts)
     return combine(parts)
 
 
-def _once(built: dict, builder, *args) -> LinearScheme:
-    """`builder(*args)`, built at most once per `built` dict."""
-    key = (builder, args)
-    if key not in built:
-        built[key] = builder(*args)
-    return built[key]
+@lru_cache(maxsize=256)
+def _leaf(builder, args: tuple, q: int | None = None) -> LinearScheme:
+    """`builder(*args, q=q)`, kept for the whole process under the builder
+    object the caller looks up, its args and q.  Bounded (least recently
+    used first out); `_leaf.cache_clear()` empties it.  A failed build is
+    not kept."""
+    return builder(*args, q=q)
 
 
-def _strong_parts(sp, kind, built):
+def _strong_parts(sp, kind):
     n = sp.n_parties
     if kind.measure == TAU_AVG:
         kk = sp.k_levels
         t_last = sp.threshold(kk)
-        single = _once(built, build_single_threshold, t_last, n)
+        single = _leaf(build_single_threshold, (t_last, n))
         return [embed(single, sp, place={(1, 1): (kk, 1)})]
     return [
         embed(
-            _once(built, build_single_threshold, sp.threshold(k), n),
+            _leaf(build_single_threshold, (sp.threshold(k), n)),
             sp,
             place={(1, 1): (k, j)},
         )
@@ -685,21 +695,21 @@ def _strong_parts(sp, kind, built):
     ]
 
 
-def _weak_parts(sp, kind, built):
+def _weak_parts(sp, kind):
     n = sp.n_parties
 
     def window(i):
-        return embed(_once(built, build_weak_block, n, sp.threshold(i), sp.count(i)), sp)
+        return embed(_leaf(build_weak_block, (n, sp.threshold(i), sp.count(i))), sp)
 
     if kind.measure == SIGMA:
-        return _sigma_plan_parts(sp, built)
+        return _sigma_plan_parts(sp)
     if kind.measure == SIGMA_AVG:
         best = max(range(1, sp.k_levels + 1), key=lambda i: min(sp.threshold(i), sp.count(i)))
         return [window(best)]
     if kind.measure == TAU_AVG:
         packed = [i for i in range(1, sp.k_levels + 1) if sp.count(i) >= sp.threshold(i)]
         if packed:
-            return [_zero_randomness_part(sp, packed[0], built)]
+            return [_zero_randomness_part(sp, packed[0])]
         best = min(
             range(1, sp.k_levels + 1),
             key=lambda i: Fraction(sp.threshold(i) - sp.count(i), sp.count(i)),
@@ -712,34 +722,34 @@ def _weak_parts(sp, kind, built):
     if first_over is None:
         return [window(i) for i in range(1, sp.k_levels + 1)]
     parts = [window(i) for i in range(1, first_over)]
-    parts.append(_zero_randomness_part(sp, first_over, built))
+    parts.append(_zero_randomness_part(sp, first_over))
     for i in range(first_over + 1, sp.k_levels + 1):
         t_i, m_i = sp.threshold(i), sp.count(i)
         if m_i < t_i:
             tk, mk = sp.threshold(first_over), sp.count(first_over)
-            parts.append(embed(_once(built, build_B, n, (tk, mk), (t_i, m_i)), sp))
+            parts.append(embed(_leaf(build_B, (n, (tk, mk), (t_i, m_i))), sp))
         else:
-            parts.append(_zero_randomness_part(sp, i, built))
+            parts.append(_zero_randomness_part(sp, i))
     return parts
 
 
-def _zero_randomness_part(sp, i, built):
+def _zero_randomness_part(sp, i):
     """A part covering sub-array i whose shares carry no extra randomness."""
     n = sp.n_parties
     t_i, m_i = sp.threshold(i), sp.count(i)
     if m_i > t_i:
-        return embed(_once(built, build_A, n, (t_i, m_i), 1), sp)
-    return embed(_once(built, build_weak_block, n, t_i, m_i), sp)
+        return embed(_leaf(build_A, (n, (t_i, m_i), 1)), sp)
+    return embed(_leaf(build_weak_block, (n, t_i, m_i)), sp)
 
 
-def _sigma_plan_parts(sp, built):
+def _sigma_plan_parts(sp):
     n = sp.n_parties
     _, plan = weak_sigma_plan(sp)
     parts = []
     for part in plan:
         if part.kind == "window":
             t_i, m_i = sp.threshold(part.level), sp.count(part.level)
-            base = [embed(_once(built, build_weak_block, n, t_i, m_i), sp)]
+            base = [embed(_leaf(build_weak_block, (n, t_i, m_i)), sp)]
         elif part.kind == "ensemble":
             t_i, m_i = sp.threshold(part.level), sp.count(part.level)
             base = []
@@ -747,11 +757,11 @@ def _sigma_plan_parts(sp, built):
                 place = {
                     (1, r): (part.level, j) for r, j in enumerate(chosen, start=1)
                 }
-                block = _once(built, build_weak_block, n, t_i, t_i)
+                block = _leaf(build_weak_block, (n, t_i, t_i))
                 base.append(embed(block, sp, place=place))
         else:  # bridge
             tk, mk = sp.threshold(part.level), sp.count(part.level)
             ti, mi = sp.threshold(part.other), sp.count(part.other)
-            base = [embed(_once(built, build_B, n, (tk, mk), (ti, mi)), sp)]
+            base = [embed(_leaf(build_B, (n, (tk, mk), (ti, mi))), sp)]
         parts.extend(base * part.multiplicity)
     return parts

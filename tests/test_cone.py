@@ -13,9 +13,7 @@ from mtss.cone import (
     elemental_inequalities,
     extend_vector,
     lower_bound_ratio,
-    mask_of,
     membership_system,
-    restrict_vector,
     satisfies,
     system_constraints,
 )
@@ -40,9 +38,35 @@ from mtss.structure import (
     WEAK,
     RatioKind,
     optimal_ratio,
+    slot_map,
     structure,
 )
 from mtss.verify import RankProfile, check_conditions, ratios
+
+
+def mask_of(sp, vs) -> int:
+    """The cone's bitmask of a set of variables: bit i is
+    `scheme_variables(sp)[i]`."""
+    pos = {v: i for i, v in enumerate(scheme_variables(sp))}
+    mask = 0
+    for v in vs:
+        mask |= 1 << pos[v]
+    return mask
+
+
+def restrict_vector(x: EntropyVector, small) -> EntropyVector:
+    """x's values on the variables of its sub-structure `small`: each secret
+    where `slot_map` places it, each share on its own index."""
+    to_big = {
+        VariableId.secret(*s): VariableId.secret(*b)
+        for s, b in slot_map(small, x.sp).items()
+    }
+    order = [to_big.get(v, v) for v in scheme_variables(small)]
+    coords = {
+        m: x[mask_of(x.sp, [v for i, v in enumerate(order) if m >> i & 1])]
+        for m in range(1, 1 << len(order))
+    }
+    return EntropyVector(len(order), coords, small)
 
 
 def _tag_counts(cs):

@@ -1,5 +1,8 @@
 """Construction, composition, and serialization tests for scheme builders."""
 
+import sys
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -34,6 +37,7 @@ from mtss.structure import (
     slot_map,
     structure,
 )
+from test_verify import KINDS, _table_family
 
 
 def full_matrix(s):
@@ -470,3 +474,103 @@ def test_field_search_cap(monkeypatch):
     monkeypatch.setattr(schemes, "SEARCH_CAP", 0)
     with pytest.raises(FieldSearchError, match="no admissible prime"):
         build_B(4, (4, 6), (3, 2))
+
+
+# -- leaf memo ----------------------------------------------------------------
+
+
+def test_leaf_memo_is_bounded_and_public_builders_are_not_cached():
+    schemes._leaf.cache_clear()
+    assert isinstance(schemes._leaf.cache_info().maxsize, int)
+    for build, args in (
+        (build_single_threshold, (2, 3)),
+        (build_weak_block, (3, 2, 2)),
+        (build_A, (3, (2, 3), 1)),
+        (build_B, (3, (3, 4), (2, 1))),
+    ):
+        first, second = build(*args), build(*args)
+        assert first is not second and first.to_text() == second.to_text()
+    assert schemes._leaf.cache_info().currsize == 0
+    # A leaf of build_optimal is the memo's, not the public builder's.
+    s = build_optimal(structure(3, [(2, 2)]), RatioKind(SIGMA, STRONG))
+    assert s.parts[0].source is schemes._leaf(build_single_threshold, (2, 3))
+    assert s.parts[0].source is not build_single_threshold(2, 3)
+
+
+def test_cells_share_a_leaf_and_its_reports():
+    """Two cells on one N with a common leaf get the same leaf object, and
+    the second cell's check, ratios and audit eliminate nothing on it."""
+    schemes._leaf.cache_clear()
+    a = build_optimal(structure(3, [(2, 2)]), RatioKind(SIGMA, STRONG))
+    assert verify.check_conditions(a, STRONG).passed
+    verify.ratios(a)
+    verify.audit_bounds(a, STRONG)
+    leaf = a.parts[0].source
+    before = leaf.profile.stats.eliminations
+    assert before > 0
+    b = build_optimal(structure(3, [(3, 1), (2, 1)]), RatioKind(SIGMA, STRONG))
+    assert b.parts[1].source is leaf and b.parts[0].source is not leaf
+    assert verify.check_conditions(b, STRONG).passed
+    verify.ratios(b)
+    verify.audit_bounds(b, STRONG)
+    assert leaf.profile.stats.eliminations == before
+
+
+def test_unify_field_rebuilds_through_the_leaf_memo():
+    """A rebuild at a new prime comes from the memo under that q, so a
+    second unification over the same prime reuses the same leaf."""
+    schemes._leaf.cache_clear()
+    b = build_weak_block(4, 3, 3)  # q = 11
+    ua, ub = unify_field([build_weak_block(3, 2, 2), b])  # a at q = 7
+    assert ub is b and ua.q == 11
+    assert ua is schemes._leaf(build_weak_block, (3, 2, 2), 11)
+    again, _ = unify_field([build_weak_block(3, 2, 2), b])
+    assert again is ua
+
+
+def _cell_outputs(sp, kind):
+    """Everything a cell's scheme reports: text, fingerprint, both checks
+    (witnesses included), ratios, and the audit of each passing security."""
+    s = build_optimal(sp, kind)
+    out = [s.to_text(), s.fingerprint, repr(verify.ratios(s, strict=False))]
+    for security in (STRONG, WEAK):
+        report = verify.check_conditions(s, security)
+        out.append(repr(report))
+        if report.passed:
+            out.append(repr(verify.audit_bounds(s, security)))
+    return out
+
+
+SHARED_LEAF_CELLS = [
+    (sp, kind)
+    for sp in _table_family((2, 3)) + [structure(4, [(4, 1), (3, 1), (2, 1)])]
+    for kind in KINDS
+]
+
+
+def test_warm_leaf_memo_gives_the_same_results_as_a_cold_one():
+    cold = []
+    for sp, kind in SHARED_LEAF_CELLS:
+        schemes._leaf.cache_clear()
+        cold.append(_cell_outputs(sp, kind))
+    schemes._leaf.cache_clear()
+    # Reversed, so each cell meets leaves that other cells made first.
+    warm = [_cell_outputs(sp, kind) for sp, kind in reversed(SHARED_LEAF_CELLS)]
+    assert warm[::-1] == cold
+
+
+def test_threads_sharing_leaves_get_the_serial_results():
+    cells = [c for c in SHARED_LEAF_CELLS if c[0].n_parties == 3]
+    schemes._leaf.cache_clear()
+    serial = [_cell_outputs(sp, kind) for sp, kind in cells]
+    distinct = schemes._leaf.cache_info().currsize
+    schemes._leaf.cache_clear()
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        with ThreadPoolExecutor(max_workers=4) as pool:
+            threaded = list(pool.map(lambda c: _cell_outputs(*c), cells, timeout=120))
+    finally:
+        sys.setswitchinterval(interval)
+    assert threaded == serial
+    assert schemes._leaf.cache_info().currsize == distinct
