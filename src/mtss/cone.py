@@ -261,17 +261,18 @@ def system_constraints(sp: StructurePair, security: str) -> ConstraintSystem:
 
 def _canonical_subsets(members, place):
     """(size, orbit id) of one subset per count vector over the classes in
-    `members` (class key -> sorted positions below CAP_LIMIT): the smallest
-    members of each class.  They come in (size, sorted members) order, which
-    is the order in which each count vector first appears in `combinations`
-    of the merged positions, size by size."""
+    `members` (class key -> sorted positions): the smallest members of each
+    class.  They come in (size, sorted members) order, which is the order in
+    which each count vector first appears in `combinations` of the merged
+    positions, size by size."""
     # Among subsets of one size, the lexicographically smaller one holds the
     # smallest position where the two differ, so it has the larger weight
-    # sum(2^(CAP_LIMIT - x)).
+    # sum(2^(top - x)), where top is the largest position.
+    top = max((m[-1] for m in members.values() if m), default=0)
     out = [(0, 0, 0)]  # (size, -weight, orbit id)
     for key, m in members.items():
         steps = [
-            (c, sum(1 << CAP_LIMIT - x for x in m[:c]), c * place[key])
+            (c, sum(1 << top - x for x in m[:c]), c * place[key])
             for c in range(len(m) + 1)
         ]
         out = [(s + c, w - dw, o + do) for s, w, o in out for c, dw, do in steps]

@@ -114,9 +114,12 @@ class LinearScheme:
 
     `source` and `parts` link a composed scheme to what it was assembled
     from: `embed` records the construction whose block objects it reuses,
-    `combine` the schemes it stacks.  Its `RankProfile` answers through
-    them.  Neither takes part in the text form or the fingerprint, and a
-    scheme read back from text has neither.
+    `combine` the schemes it stacks.  Only those two set them, after
+    checking that the composition keeps every condition, so the constructor
+    takes neither (`TypeError`), and a scheme read back from text or copied
+    with `dataclasses.replace` has no links.  Its `RankProfile` and
+    `check_conditions` answer through them.  Neither takes part in the text
+    form or the fingerprint.
     """
 
     sp: StructurePair
@@ -125,8 +128,8 @@ class LinearScheme:
     blocks: tuple[tuple[VariableId, MatrixFq], ...]
     recipe: tuple | None = None
     min_order: int = 0
-    source: LinearScheme | None = dc_field(default=None, compare=False, repr=False)
-    parts: tuple[LinearScheme, ...] = dc_field(default=(), compare=False, repr=False)
+    source: LinearScheme | None = dc_field(default=None, init=False, compare=False, repr=False)
+    parts: tuple[LinearScheme, ...] = dc_field(default=(), init=False, compare=False, repr=False)
 
     def __post_init__(self):
         field.check_modulus(self.q)
@@ -516,15 +519,16 @@ def embed(scheme: LinearScheme, target: StructurePair, *, place=None) -> LinearS
             target,
             tuple(sorted(place.items())),
         )
-    return LinearScheme(
+    out = LinearScheme(
         sp=target,
         q=scheme.q,
         n_rows=scheme.n_rows,
         blocks=tuple(blocks),
         recipe=recipe,
         min_order=scheme.min_order,
-        source=scheme.source or scheme,
     )
+    object.__setattr__(out, "source", scheme.source or scheme)
+    return out
 
 
 def combine(parts) -> LinearScheme:
@@ -555,15 +559,16 @@ def combine(parts) -> LinearScheme:
         blocks.append((v, stacked))
     recipes = [p.recipe for p in parts]
     recipe = ("combine", tuple(recipes)) if all(r is not None for r in recipes) else None
-    return LinearScheme(
+    out = LinearScheme(
         sp=first.sp,
         q=first.q,
         n_rows=sum(p.n_rows for p in parts),
         blocks=tuple(blocks),
         recipe=recipe,
         min_order=max(p.min_order for p in parts),
-        parts=tuple(parts),
     )
+    object.__setattr__(out, "parts", tuple(parts))
+    return out
 
 
 def _rebuild(recipe, q: int, made: dict) -> LinearScheme:

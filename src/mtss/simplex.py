@@ -19,7 +19,8 @@ it is added (a row of ints as it is).  A solve returns the status, the
 exact optimum and optimal point as Fractions, and the tableau size and
 pivot counts (`SimplexStats`); it returns no dual certificate.
 
-Problems are stated as:  minimize c . x  subject to  rows (=, >=, <=), x >= 0.
+Problems are stated as:  minimize c . x  subject to  rows (=, >=), x >= 0;
+a <= row is the >= row of its negation.
 """
 
 from __future__ import annotations
@@ -107,10 +108,6 @@ class LinearProgram:
     def add_ge(self, coeffs, rhs=0) -> None:
         row, b = _integerize(self._dense(coeffs), rhs)
         self._rows.append((row, b, "ge"))
-
-    def add_le(self, coeffs, rhs=0) -> None:
-        row, b = _integerize(self._dense(coeffs), rhs)
-        self._rows.append(([-v for v in row], -b, "ge"))
 
     def solve(self) -> SimplexResult:
         if self._objective is None:

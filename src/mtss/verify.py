@@ -8,10 +8,12 @@ audited here reduce to integer rank queries against one memoized profile:
 `check_conditions`, `ratios` and `audit_bounds`.  Callers build each query's
 variable mask once, by OR of per-variable bits.
 
-A scheme composed by `embed` or `combine` is checked through its links: its
-conditions follow from the reports of the schemes it was assembled from, so
-only leaf constructions (and schemes read from text) scan coalitions, unless
-a link fails and the composed scheme needs its own witness.
+A scheme composed by `embed` or `combine` is checked through its links,
+which only those two set, once they have checked that the composition keeps
+every condition: its conditions follow from the reports of the schemes it
+was assembled from, so only leaf constructions (and schemes read from text)
+scan coalitions, unless a link fails and the composed scheme needs its own
+witness.
 """
 
 from __future__ import annotations
@@ -47,39 +49,6 @@ class RankStats:
     eliminations: int = 0
 
 
-def _embeds_conditions(scheme: LinearScheme, source: LinearScheme, pos) -> bool:
-    """Whether every condition of `scheme` follows from those of `source`,
-    whose block objects it reuses (`pos`: block id -> source position).
-
-    So it is when `scheme` is `source` re-labelled as `embed` does: the same
-    N, each share on its own index (a width-0 share only where the source's
-    is), and each nonempty secret a distinct source secret on a slot of the
-    same threshold.  A copied secret would break independence, a share moved
-    or emptied would change the coalitions, and a secret moved to another
-    threshold would be decoded or guarded by the wrong number of shares.
-    """
-    if scheme.sp.n_parties != source.sp.n_parties:
-        return False
-    order = source.variables()
-    used = set()
-    for v, b in scheme.blocks:
-        if not b.n_cols:
-            if v.kind == "share" and source.width(v):
-                return False
-            continue
-        u = order[pos[id(b)]]
-        if v.kind == "share":
-            kept = u == v
-        else:
-            kept = u.kind == "secret" and (
-                source.sp.threshold(u.level) == scheme.sp.threshold(v.level)
-            )
-        if not kept or u in used:
-            return False
-        used.add(u)
-    return True
-
-
 def _bits(mask: int):
     """The indices of a mask's set bits, lowest first."""
     while mask:
@@ -96,23 +65,18 @@ class RankProfile:
     int mask (`mask`): bit i is `scheme.variables()[i]`.  The memo is
     guarded by a lock so audits may query one profile from several threads.
 
-    A composed scheme is answered through what it was assembled from, once
-    its blocks are checked against those links (`ValueError` if they do not
-    match).  An `embed`ded scheme's nonempty blocks are its source's block
-    objects, so each rank is the source's rank of the same blocks.  A
-    `combine`d scheme's blocks are the block-diagonal stacks of its parts'
-    blocks, so each rank is the sum of the parts' ranks.  Both come down to
-    a flat list of leaf profiles (schemes with neither link, the only ones
-    that eliminate), each with the bit of every variable in that leaf (0
-    for a width-0 block); a miss sums the leaves' ranks of its mask's
+    A composed scheme is answered through what it was assembled from; only
+    `embed` and `combine` set those links, so they are not checked here.  An
+    `embed`ded scheme's nonempty blocks are its source's block objects, so
+    each rank is the source's rank of the same blocks.  A `combine`d
+    scheme's blocks are the block-diagonal stacks of its parts' blocks, so
+    each rank is the sum of the parts' ranks.  Both come down to a flat list
+    of leaf profiles (schemes with neither link, the only ones that
+    eliminate), each with the bit of every variable in that leaf (0 for a
+    width-0 block); a miss sums the leaves' ranks of its mask's
     translations.
 
-    `reports` keeps `check_conditions`' reports by (security, exhaustive);
-    `links` holds the schemes whose reports answer this one's (its parts or
-    its source), or nothing when its conditions need a scan.  The links are
-    used only if they keep the conditions: parts on the same structure, or a
-    source re-labelled as `embed` does (`_embeds_conditions`).  The scheme
-    constructor accepts any `source=` or `parts=`, so this is checked here.
+    `reports` keeps `check_conditions`' reports by (security, exhaustive).
     """
 
     def __init__(self, scheme: LinearScheme):
@@ -124,32 +88,18 @@ class RankProfile:
         self._lock = threading.Lock()
         self.stats = RankStats()
         self.reports: dict[tuple[str, bool], VerificationReport] = {}
-        self.links: tuple[LinearScheme, ...] = ()
         # (leaf profile, per variable: its bit in the leaf); empty for a leaf
         self._leaves: list[tuple[RankProfile, list[int]]] = []
         if scheme.parts:
             for part in scheme.parts:
-                if part.q != scheme.q or part.variables() != order:
-                    raise ValueError("combined scheme: a part has another field or variables")
-            for v, b in scheme.blocks:
-                if b != field.block_diag([part.block(v) for part in scheme.parts]):
-                    raise ValueError(f"combined scheme: block {v} is not its parts' stack")
-            for part in scheme.parts:
                 self._leaves += part.profile._leaf_tables()
-            if all(part.sp == scheme.sp for part in scheme.parts):
-                self.links = scheme.parts
         elif scheme.source is not None:
-            source = scheme.source
-            pos = {id(b): i for i, (_, b) in enumerate(source.blocks)}
-            for v, b in scheme.blocks:
-                if b.n_cols and id(b) not in pos:
-                    raise ValueError(f"embedded scheme: block {v} is not its source's")
+            # Each nonempty block is a source block object: its position there.
+            pos = {id(b): i for i, (_, b) in enumerate(scheme.source.blocks)}
             self._leaves = [
                 (leaf, [bits[pos[id(b)]] if b.n_cols else 0 for _, b in scheme.blocks])
-                for leaf, bits in source.profile._leaf_tables()
+                for leaf, bits in scheme.source.profile._leaf_tables()
             ]
-            if _embeds_conditions(scheme, source, pos):
-                self.links = (source,)
         else:
             # One matrix of every block, and each variable's columns in it.
             self._matrix = np.hstack([b.a for _, b in scheme.blocks])
@@ -286,8 +236,8 @@ def check_conditions(
     maximal sets forces zero leak below.  `exhaustive=True` enumerates the
     smaller coalitions anyway.
 
-    A composed scheme whose links keep its conditions (`RankProfile.links`)
-    passes when every link passes the same check, and then no coalition is
+    A composed scheme passes when every scheme it links (its `parts`, or
+    its `source`) passes the same check, and then no coalition is
     scanned; each group's `checks` counts the coalitions a scan would have
     checked.  A `combine`d scheme's ranks are sums of its parts' ranks, and
     every instance is one-sided in every part: got >= want always holds for
@@ -297,10 +247,11 @@ def check_conditions(
     decrease across levels, so each of its condition instances is one of its
     source's, or one on larger qualified coalitions or fewer secrets
     (monotonicity), or one on smaller unqualified coalitions (submodularity,
-    as above); a width-0 secret adds nothing.  When a link fails, or the
-    scheme has no usable links (built directly or read from text), every
-    coalition is scanned, which finds the first failing instance as its
-    witness.
+    as above); a width-0 secret adds nothing.  `embed` and `combine` check
+    these preconditions when they set the links.  When a link fails, or the
+    scheme has no links (built directly, read from text or copied with
+    `dataclasses.replace`), every coalition is scanned, which finds the
+    first failing instance as its witness.
 
     The report is kept on the scheme's profile (`RankProfile.reports`), so
     the same check of the same scheme object is answered at no cost.
@@ -311,8 +262,9 @@ def check_conditions(
     if report is not None:
         return report
     n = scheme.sp.n_parties
-    linked = bool(profile.links) and all(
-        check_conditions(link, security, exhaustive).passed for link in profile.links
+    links = scheme.parts or (scheme.source,)
+    linked = links[0] is not None and all(
+        check_conditions(link, security, exhaustive).passed for link in links
     )
     share_bit = [0] + [profile.mask([v]) for v in scheme.share_variables()]
     secrets = {(v.level, v.index): v for v in scheme.secret_variables()}

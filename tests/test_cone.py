@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction as F
+from itertools import combinations
 
 import pytest
 
@@ -323,6 +324,24 @@ def test_lp_assembly_matches_fraction_reference(monkeypatch):
         assert got.n_vars == want.n_vars, args[:2]
         assert got._rows == want._rows, args[:2]
         assert got._objective == want._objective, args[:2]
+
+
+def test_canonical_subsets_follow_combinations_past_eight_positions():
+    """One subset per count vector, in the order in which its count vector
+    first appears in `combinations` of the merged positions, size by size,
+    with positions up to 14 and an empty class."""
+    members = {"a": [0, 4, 9, 13], "b": [2, 10], "c": [5, 11, 12, 14], "d": []}
+    place = {"a": 1, "b": 5, "c": 15, "d": 75}
+    owner = {x: key for key, m in members.items() for x in m}
+    want, seen = [], set()
+    for size in range(len(owner) + 1):
+        for subset in combinations(sorted(owner), size):
+            oid = sum(place[owner[x]] for x in subset)
+            if oid not in seen:
+                seen.add(oid)
+                want.append((size, oid))
+    assert len(want) == 5 * 3 * 5
+    assert cone._canonical_subsets(members, place) == want
 
 
 LARGE_CELLS = [

@@ -35,7 +35,7 @@ def test_fractional_optimum():
 def test_infeasible():
     lp = LinearProgram(1)
     lp.minimize([1])
-    lp.add_le([1], 1)
+    lp.add_ge([-1], -1)
     lp.add_ge([1], 2)
     assert lp.solve().status == INFEASIBLE
 
@@ -51,7 +51,7 @@ def test_dict_coefficients_and_defaults():
     lp = LinearProgram(4)
     lp.minimize({3: 1})
     lp.add_ge({0: 1, 3: 1}, 5)
-    lp.add_le({0: 1}, 2)
+    lp.add_ge({0: -1}, -2)
     res = lp.solve()
     assert res.value == 3
 
@@ -60,9 +60,9 @@ def test_degenerate_cycling_guard():
     # classic Beale-style degenerate instance; Bland's rule must terminate
     lp = LinearProgram(4)
     lp.minimize([F(-3, 4), 150, F(-1, 50), 6])
-    lp.add_le([F(1, 4), -60, F(-1, 25), 9], 0)
-    lp.add_le([F(1, 2), -90, F(-1, 50), 3], 0)
-    lp.add_le([0, 0, 1, 0], 1)
+    lp.add_ge([F(-1, 4), 60, F(1, 25), -9], 0)
+    lp.add_ge([F(-1, 2), 90, F(1, 50), -3], 0)
+    lp.add_ge([0, 0, -1, 0], -1)
     res = lp.solve()
     assert res.status == OPTIMAL
     assert res.value == F(-1, 20)
@@ -84,7 +84,7 @@ def test_infeasible_with_every_ge_row_on_its_slack():
     # equality row's artificial can expose the conflict
     lp = LinearProgram(2)
     lp.minimize([1, 1])
-    lp.add_le([1, 1], 0)
+    lp.add_ge([-1, -1], 0)
     lp.add_ge([1, -1], -1)
     lp.add_eq([1, 1], 1)
     assert lp.solve().status == INFEASIBLE
@@ -117,6 +117,8 @@ def _program(n, obj, rows):
     lp = LinearProgram(n)
     lp.minimize(obj)
     for coeffs, sense, rhs in rows:
+        if sense == "le":
+            coeffs, sense, rhs = [-c for c in coeffs], "ge", -rhs
         getattr(lp, f"add_{sense}")(coeffs, rhs)
     return lp
 
@@ -152,11 +154,11 @@ def test_solver_rejects_bad_shapes():
     with pytest.raises(TypeError, match="ints or Fractions"):
         lp.add_ge([0.5, 1], 0)
     with pytest.raises(TypeError, match="ints or Fractions"):
-        lp.add_le([1, 1], 0.5)
+        lp.add_ge([-1, -1], -0.5)
 
 
 @pytest.mark.parametrize("key", [-1, 2, 5])
-@pytest.mark.parametrize("method", ["minimize", "add_eq", "add_ge", "add_le"])
+@pytest.mark.parametrize("method", ["minimize", "add_eq", "add_ge"])
 def test_dict_keys_out_of_range(method, key):
     # a key of -1 used to land silently on the last column
     lp = LinearProgram(2)
@@ -170,10 +172,10 @@ def test_stats_count_rows_columns_and_pivots():
     lp.minimize([1, 1])
     lp.add_ge([3, 1], 2)
     lp.add_ge([1, 3], 2)
-    lp.add_le([1, 0], 5)
+    lp.add_ge([-1, 0], -5)
     res = lp.solve()
-    # two structural, three slack and two artificial columns; the <= row
-    # starts on its slack
+    # two structural, three slack and two artificial columns; the row with
+    # a negative rhs starts on its slack
     assert res.stats.rows == 3 and res.stats.columns == 7
     assert res.stats.phase1_pivots == 2 and res.stats.cleanup_pivots == 0
     # stats take no part in result equality
@@ -481,7 +483,7 @@ def test_int_rows_skip_the_lcm():
     lp = LinearProgram(3)
     lp.add_eq([2, -4, 0], 6)
     lp.add_ge([F(1, 2), 1, 0], F(3, 4))
-    lp.add_le({1: 3}, F(1, 3))
+    lp.add_ge({1: -3}, F(-1, 3))
     assert lp._rows == [
         ([2, -4, 0], 6, "eq"),
         ([2, 4, 0], 3, "ge"),

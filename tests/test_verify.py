@@ -1,5 +1,6 @@
 """Verifier, ratio, and bound-audit tests."""
 
+import dataclasses
 import hashlib
 import random
 from concurrent.futures import ThreadPoolExecutor
@@ -211,7 +212,7 @@ def test_reports_through_links_match_text_copies(parties, sample):
     for sp, kind in cells:
         s = build_optimal(sp, kind)
         for scheme in dict.fromkeys((s, *s.parts)):
-            assert scheme.profile.links, (sp, kind)
+            assert scheme.parts or scheme.source, (sp, kind)
             copy = LinearScheme.from_text(scheme.to_text())
             for key in keys:
                 got = check_conditions(scheme, *key)
@@ -227,65 +228,28 @@ def test_reports_through_links_match_text_copies(parties, sample):
     assert fails > 0 and fails < reports
 
 
-def test_links_that_do_not_keep_the_conditions_are_not_used():
-    """Hand-built schemes whose blocks match their links (so their ranks are
-    answered through them) but whose conditions do not follow from the
-    links' reports: each is scanned, and its report equals its text copy's."""
+def test_links_are_set_only_by_embed_and_combine():
+    """The constructor takes no links.  A `dataclasses.replace` copy and a
+    text copy of a combined scheme have none, so they scan, and they give
+    the combined scheme's reports, failing witnesses included."""
     a = build_single_threshold(2, 3)
-    sec = VariableId.secret(1, 1)
-    share = [None] + list(a.share_variables())
-    empty = field.zeros(a.n_rows, 0, a.q)
-
-    def linked(sp, blocks, **links):
-        n_rows = blocks[0][1].n_rows
-        return LinearScheme(sp=sp, q=a.q, n_rows=n_rows, blocks=blocks, **links)
-
-    def shares(order=(1, 2, 3)):
-        return tuple((share[i], a.block(share[j])) for i, j in zip((1, 2, 3), order))
-
-    two_levels = structure(3, [(3, 1), (2, 1)])
-    two_secrets = structure(3, [(2, 2)])
-    # Parts of threshold 3 stacked under a structure of threshold 2.
-    b = build_single_threshold(3, 3)
-    stack = combine([b, b])
-    cases = {
-        "secret moved to another threshold": linked(
-            two_levels,
-            ((sec, a.block(sec)), (VariableId.secret(2, 1), empty)) + shares(),
-            source=a,
-        ),
-        "one source block on two slots": linked(
-            two_secrets,
-            ((sec, a.block(sec)), (VariableId.secret(1, 2), a.block(sec))) + shares(),
-            source=a,
-        ),
-        "two shares swapped": linked(
-            a.sp, ((sec, a.block(sec)),) + shares((2, 1, 3)), source=a
-        ),
-        "a share on a secret slot": linked(
-            a.sp, ((sec, a.block(share[1])),) + shares(), source=a
-        ),
-        "a share emptied": linked(
-            a.sp, ((sec, a.block(sec)),) + shares()[:2] + ((share[3], empty),), source=a
-        ),
-        "parts on another structure": linked(
-            structure(3, [(2, 1)]), stack.blocks, parts=stack.parts
-        ),
-    }
-    fails = set()
-    for name, s in cases.items():
-        copy = LinearScheme.from_text(s.to_text())
-        for security in (STRONG, WEAK):
-            for exhaustive in (False, True):
-                report = check_conditions(s, security, exhaustive)
-                assert report == check_conditions(copy, security, exhaustive), name
-                if not report.passed:
-                    fails.add(name)
-        assert s.profile.links == (), name
-    assert fails == set(cases) - {"two shares swapped"}
-    # The same placements made by embed and combine do use their links.
-    assert embed(a, structure(3, [(3, 1), (2, 1)])).profile.links == (a,)
-    assert stack.profile.links == stack.parts
+    fields = dict(sp=a.sp, q=a.q, n_rows=a.n_rows, blocks=a.blocks)
+    with pytest.raises(TypeError):
+        LinearScheme(**fields, source=a)
+    with pytest.raises(TypeError):
+        LinearScheme(**fields, parts=(a, a))
+    e = embed(a, structure(3, [(3, 1), (2, 1)]))
+    assert e.source is a and embed(e, structure(3, [(3, 1), (2, 2)])).source is a
+    s = build_optimal(structure(3, [(3, 2), (2, 1)]), RatioKind(SIGMA, WEAK))
+    stack = combine(s.parts)
+    assert len(stack.parts) == 2 and stack.parts == s.parts
+    keys = [(sec, ex) for sec in (STRONG, WEAK) for ex in (False, True)]
+    for copy in (dataclasses.replace(s), LinearScheme.from_text(s.to_text())):
+        assert copy.source is None and copy.parts == ()
+        for key in keys:
+            assert check_conditions(copy, *key) == check_conditions(s, *key), key
+        assert copy.profile.stats.eliminations > 0
+    assert not check_conditions(s, STRONG).passed
 
 
 def test_embeds_of_one_construction_share_its_memo():
