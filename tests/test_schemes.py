@@ -1,5 +1,6 @@
 """Construction, composition, and serialization tests for scheme builders."""
 
+import dataclasses
 import sys
 from concurrent.futures import ThreadPoolExecutor
 
@@ -273,6 +274,50 @@ def test_combine_validation():
     with pytest.raises(ValueError, match="field"):
         combine([a, build_single_threshold(2, 3, q=7)])
     assert combine([a]) is a
+
+
+def test_profile_refuses_links_that_do_not_match_the_blocks():
+    """Links cannot be put on blocks they were not made with: the
+    constructor takes none, and a copy given other blocks keeps none, so its
+    profile answers from the blocks it has."""
+    a = build_single_threshold(2, 3)
+    blocks = dict(a.blocks)
+    sec, p1 = VariableId.secret(1, 1), VariableId.share(1)
+    blocks[p1] = blocks[sec]  # P[1] holds the secret itself
+    leaky = LinearScheme(sp=a.sp, q=a.q, n_rows=a.n_rows, blocks=tuple(blocks.items()))
+    real = combine([a, leaky])
+    assert real.parts == (a, leaky)
+    assert not verify.check_conditions(real, STRONG).passed
+
+    # Summing a's ranks twice would answer rank {S, P[1]} = 4; the stack has 3.
+    x = [sec, p1]
+    assert real.profile.rank(x) == real.columns(x).rank() == 3
+    assert 2 * a.profile.rank(x) == 4
+    for scheme, links in (
+        (real, dict(parts=(a, a))),
+        (real, dict(parts=(a, build_single_threshold(2, 3, q=7)))),
+        (a, dict(source=leaky)),
+        (leaky, dict(source=a)),
+        (LinearScheme.from_text(a.to_text()), dict(source=a)),
+    ):
+        with pytest.raises(TypeError):
+            LinearScheme(
+                sp=scheme.sp, q=scheme.q, n_rows=scheme.n_rows, blocks=scheme.blocks, **links
+            )
+    # a combined with itself, given the stack's blocks: its parts are dropped.
+    bad = dataclasses.replace(combine([a, a]), blocks=real.blocks)
+    assert bad.parts == () and bad.source is None
+    assert bad.profile.rank(x) == 3
+    for security in (STRONG, WEAK):
+        assert verify.check_conditions(bad, security) == verify.check_conditions(
+            real, security
+        )
+    # An embed given leaky's blocks: its source is dropped.
+    e = embed(a, structure(3, [(2, 2)]))
+    assert e.source is a
+    moved = dataclasses.replace(e, blocks=leaky.blocks, sp=a.sp)
+    assert moved.source is None and moved.profile.rank(x) == 1
+    assert not verify.check_conditions(moved, STRONG).passed
 
 
 # -- serialization ----------------------------------------------------------

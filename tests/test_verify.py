@@ -252,6 +252,69 @@ def test_links_are_set_only_by_embed_and_combine():
     assert not check_conditions(s, STRONG).passed
 
 
+def test_links_that_do_not_keep_the_conditions_are_not_used():
+    """Placements that embed or combine would refuse, or that break a
+    condition, cannot carry links: the constructor takes none, so each is
+    scanned, and its report equals its text copy's."""
+    a = build_single_threshold(2, 3)
+    sec = VariableId.secret(1, 1)
+    share = [None] + list(a.share_variables())
+    empty = field.zeros(a.n_rows, 0, a.q)
+
+    def unlinked(sp, blocks, **links):
+        n_rows = blocks[0][1].n_rows
+        with pytest.raises(TypeError):
+            LinearScheme(sp=sp, q=a.q, n_rows=n_rows, blocks=blocks, **links)
+        return LinearScheme(sp=sp, q=a.q, n_rows=n_rows, blocks=blocks)
+
+    def shares(order=(1, 2, 3)):
+        return tuple((share[i], a.block(share[j])) for i, j in zip((1, 2, 3), order))
+
+    two_levels = structure(3, [(3, 1), (2, 1)])
+    two_secrets = structure(3, [(2, 2)])
+    # Parts of threshold 3 stacked under a structure of threshold 2.
+    b = build_single_threshold(3, 3)
+    stack = combine([b, b])
+    cases = {
+        "secret moved to another threshold": unlinked(
+            two_levels,
+            ((sec, a.block(sec)), (VariableId.secret(2, 1), empty)) + shares(),
+            source=a,
+        ),
+        "one source block on two slots": unlinked(
+            two_secrets,
+            ((sec, a.block(sec)), (VariableId.secret(1, 2), a.block(sec))) + shares(),
+            source=a,
+        ),
+        "two shares swapped": unlinked(
+            a.sp, ((sec, a.block(sec)),) + shares((2, 1, 3)), source=a
+        ),
+        "a share on a secret slot": unlinked(
+            a.sp, ((sec, a.block(share[1])),) + shares(), source=a
+        ),
+        "a share emptied": unlinked(
+            a.sp, ((sec, a.block(sec)),) + shares()[:2] + ((share[3], empty),), source=a
+        ),
+        "parts on another structure": unlinked(
+            structure(3, [(2, 1)]), stack.blocks, parts=stack.parts
+        ),
+    }
+    fails = set()
+    for name, s in cases.items():
+        assert s.source is None and s.parts == (), name
+        copy = LinearScheme.from_text(s.to_text())
+        for security in (STRONG, WEAK):
+            for exhaustive in (False, True):
+                report = check_conditions(s, security, exhaustive)
+                assert report == check_conditions(copy, security, exhaustive), name
+                if not report.passed:
+                    fails.add(name)
+    assert fails == set(cases) - {"two shares swapped"}
+    # The placements that embed and combine make do record their links.
+    assert embed(a, structure(3, [(3, 1), (2, 1)])).source is a
+    assert stack.parts == (b, b)
+
+
 def test_embeds_of_one_construction_share_its_memo():
     """m embeds of one construction eliminate no more than its full rank
     table, and less than the same embeds read back from text."""
