@@ -12,11 +12,12 @@ The LP is solved in symmetry-reduced coordinates: the region is invariant
 under permuting shares and permuting same-threshold secrets, so averaging
 an optimal point over the permutations that also keep the objective gives
 a feasible, optimal point that is constant on subset orbits.  One variable
-per orbit gives the same exact optimum at a fraction of the size.  The LP's
-elemental and condition rows are generated per orbit, straight in orbit
-coordinates.  The full-coordinate systems (`elemental_inequalities`,
-`system_constraints`, `membership_system`) serve `mtss lp --dump`,
-membership tests and vector lifting.
+per orbit gives the same exact optimum at a fraction of the size.  One
+generator gives the elemental and condition rows, straight in orbit ids.
+The full-coordinate systems (`elemental_inequalities`, `system_constraints`,
+`membership_system`), which serve `mtss lp --dump`, membership tests and
+vector lifting, are that generator with every variable its own class: an
+orbit id is then the subset's bitmask.
 """
 
 from __future__ import annotations
@@ -24,12 +25,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations, product
 
 from mtss import simplex
 from mtss.schemes import scheme_variables
-from mtss.structure import WEAK, RatioKind, StructurePair, conditions, slot_map
-from mtss.structure import ShareSecretBound, bound_row  # noqa: F401 - re-exported
+from mtss.structure import WEAK, RatioKind, ShareSecretBound, StructurePair
+from mtss.structure import conditions, slot_map
+from mtss.structure import bound_row  # noqa: F401 - kept only for bench/workloads.py
 from mtss.structure import SIGMA, SIGMA_AVG, TAU
 
 CAP_LIMIT = 8
@@ -78,11 +79,6 @@ class ConstraintSystem:
 
     def __len__(self):
         return len(self.rows)
-
-    def merged(self, other: "ConstraintSystem") -> "ConstraintSystem":
-        if other.n_vars != self.n_vars:
-            raise ValueError("mismatched variable counts")
-        return ConstraintSystem(self.n_vars, self.rows + other.rows)
 
     def dump(self) -> str:
         lines = []
@@ -159,37 +155,24 @@ def elemental_inequalities(n_vars: int) -> ConstraintSystem:
 
     One conditional-entropy row per variable and one conditional mutual
     information row per variable pair and conditioning subset:
-    n + C(n,2) * 2^(n-2) rows in total.  The system is immutable, so one
-    is kept per n.
+    n + C(n,2) * 2^(n-2) rows in total, the rows of `_elemental_rows` over
+    subset masks.  It takes no structure, so it checks the size cap itself.
+    The system is immutable, so one is kept per n.
     """
     if n_vars < 2:
         raise ValueError("need at least 2 variables")
     if n_vars > CAP_LIMIT:
         raise ValueError("n_vars over cap")
-    omega = (1 << n_vars) - 1
-    rows = []
-    for i in range(n_vars):
-        rows.append(
-            Row.make("elemental", {omega: 1, omega ^ (1 << i): -1}, equality=False)
-        )
-    for i, j in combinations(range(n_vars), 2):
-        bi, bj = 1 << i, 1 << j
-        others = [b for b in range(n_vars) if b not in (i, j)]
-        for r in range(len(others) + 1):
-            for zbits in combinations(others, r):
-                z = sum(1 << b for b in zbits)
-                coeffs = {bi | z: 1, bj | z: 1, bi | bj | z: -1}
-                if z:
-                    coeffs[z] = -1
-                rows.append(Row.make("elemental", coeffs, equality=False))
-    return ConstraintSystem(n_vars, tuple(rows))
+    rows = _elemental_rows(range(n_vars), {i: 1 << i for i in range(n_vars)})
+    return ConstraintSystem(n_vars, tuple(Row.make("elemental", r, False) for r in rows))
 
 
 def _variable_masks(sp: StructurePair):
     """(secret mask by slot, share mask by index).
 
-    This is the cone's one size-cap check: every system, vector and LP over
-    the 2^n subsets of a structure's variables reads these masks first.
+    This is the cone's size-cap check for a structure: every system, vector
+    and LP over the 2^n subsets of a structure's variables reads these masks
+    first.
     """
     if sp.n_parties + sp.n_secrets > CAP_LIMIT:
         raise ValueError("size cap exceeded")
@@ -204,16 +187,23 @@ def _variable_masks(sp: StructurePair):
     return secret, share
 
 
-def _condition_rows(sp: StructurePair, security: str, secret, coalitions):
-    """(tag, {id: coefficient}) per condition of `structure.conditions` and
-    coalition of its boundary size: h(S, P_A) - h(P_A) for C1, minus h(S)
-    for C2, and minus the sum of the secrets' entropies for C0 and C3.
+def _condition_rows(sp: StructurePair, security: str, keys, place):
+    """(tag, {orbit id: coefficient}) per condition of `structure.conditions`
+    and coalition of its boundary size: h(S, P_A) - h(P_A) for C1, minus
+    h(S) for C2, and minus the sum of the secrets' entropies for C0 and C3.
 
-    Ids add up over disjoint variable sets: subset masks, or orbit ids.
-    `secret` gives each secret slot's id and `coalitions` lists the
-    (size, id) of the share coalitions in the order the rows go out.  A
-    coefficient may be 0.
+    `keys[i]` is the class key of `scheme_variables(sp)[i]`.  A coalition
+    stands for its count vector over the share classes: the canonical one
+    holds the smallest shares of each class, and they go out in the order
+    of `_canonical_subsets`.  A coefficient may be 0.
     """
+    secret, shares = {}, {}
+    for v, key in zip(scheme_variables(sp), keys):
+        if v.kind == "secret":
+            secret[(v.level, v.index)] = place[key]
+        else:
+            shares.setdefault(key, []).append(v.index)
+    coalitions = _canonical_subsets(shares, place)
     for tag, slots, size in conditions(sp, security):
         joint = sum(secret[slot] for slot in slots)
         if tag == "C1":
@@ -234,29 +224,27 @@ def _condition_rows(sp: StructurePair, security: str, secret, coalitions):
 def system_constraints(sp: StructurePair, security: str) -> ConstraintSystem:
     """Equality hyperplanes a valid scheme's entropy vector must satisfy:
     the rows of `_condition_rows` over subset masks, coalitions in
-    `combinations` order.  Duplicate rows are dropped."""
-    secret, share = _variable_masks(sp)
-    coalitions = [
-        (size, sum(share[i] for i in a_set))
-        for size in range(sp.n_parties + 1)
-        for a_set in combinations(range(1, sp.n_parties + 1), size)
-    ]
+    `combinations` order.  Empty and duplicate rows are dropped."""
+    _variable_masks(sp)  # raises over the size cap
+    n = sp.n_parties + sp.n_secrets
+    place = {i: 1 << i for i in range(n)}
     seen = {}
-    for tag, coeffs in _condition_rows(sp, security, secret, coalitions):
+    for tag, coeffs in _condition_rows(sp, security, range(n), place):
         row = Row.make(tag, coeffs, equality=True)
         if row.coeffs and row.coeffs not in seen:
             seen[row.coeffs] = row
-    return ConstraintSystem(sp.n_parties + sp.n_secrets, tuple(seen.values()))
+    return ConstraintSystem(n, tuple(seen.values()))
 
 
 # --------------------------------------------------------------------------
-# The cone LP (orbit-reduced)
+# The row generator and the cone LP (orbit-reduced)
 #
-# Each variable has a class key (kind, level, colour), and a class a place in
-# the mixed-radix orbit id: a subset's id is the sum of its variables' places.
-# The LP's rows come straight in orbit ids, one row per orbit of rows, in
-# the order in which each orbit's first full-coordinate row appears in
-# `elemental_inequalities` and `system_constraints`.
+# Each variable has a class key, and each class a place: a subset's orbit id
+# is the sum of its variables' places.  The generator yields one row per
+# orbit of rows, where that orbit's first full-coordinate row would go.
+# `_minimize` gives its classes (kind, level, colour) mixed-radix places; the
+# full-coordinate systems give variable i a class of its own at place 1 << i,
+# so that an id is the subset's bitmask.
 
 
 def _canonical_subsets(members, place):
@@ -281,8 +269,9 @@ def _canonical_subsets(members, place):
 
 
 def _elemental_rows(keys, place):
-    """The rows of `elemental_inequalities(len(keys))` in orbit ids, one per
-    orbit, as {orbit id: coefficient} dicts.
+    """The elemental Shannon rows on len(keys) variables in orbit ids, one
+    per orbit, as {orbit id: coefficient} dicts: H(X_i | rest) >= 0 per
+    variable, then I(X_i; X_j | X_Z) >= 0 per pair and conditioning set.
 
     `keys[i]` is variable i's class key.  A conditional-entropy row stands
     for its class, in the order of the classes' first variables.  The mutual
@@ -326,10 +315,11 @@ def _minimize(sp: StructurePair, security: str, objective: dict, rows, colour) -
     keep every class.  Colour the variables so that the objective is
     invariant under those permutations.  A row stands for its whole orbit:
     a row on the first secret of a level holds for every secret of its
-    class.  The elemental and condition rows are generated per orbit, in
-    the order of their first projected appearance, so the LP is the
-    projection of the extra rows, `elemental_inequalities` and
-    `system_constraints`, de-duplicated.
+    class.  The elemental and condition rows come from the one generator
+    (`_elemental_rows`, `_condition_rows`) with these classes, so the LP
+    is the projection of the extra rows and `membership_system`,
+    de-duplicated.  The places go to the classes in reverse sorted key
+    order, which fixes the LP's columns.
     Callers read `_variable_masks` first, which checks the size cap.
     """
     n = sp.n_parties + sp.n_secrets
@@ -359,19 +349,8 @@ def _minimize(sp: StructurePair, security: str, objective: dict, rows, colour) -
     seen = set()
     candidates = [(project(row.coeffs), row.equality, row.rhs) for row in rows]
     candidates += [(dense(r.items()), False, 0) for r in _elemental_rows(keys, place)]
-    # Per condition, a coalition stands for its count vector over the share
-    # classes: the canonical one holds the smallest shares of each class.
-    secret, shares = {}, {}
-    for v, key in zip(scheme_variables(sp), keys):
-        if v.kind == "secret":
-            secret[(v.level, v.index)] = place[key]
-        else:
-            shares.setdefault(key, []).append(v.index)
-    coalitions = _canonical_subsets(shares, place)
-    candidates += [
-        (dense(r.items()), True, 0)
-        for _, r in _condition_rows(sp, security, secret, coalitions)
-    ]
+    cond_rows = _condition_rows(sp, security, keys, place)
+    candidates += [(dense(r.items()), True, 0) for _, r in cond_rows]
     for row, equality, rhs in candidates:
         key = (*row, equality, rhs)
         if any(row) and key not in seen:
@@ -415,31 +394,10 @@ def lower_bound_ratio(sp: StructurePair, kind: RatioKind) -> Fraction:
 
 
 def membership_system(sp: StructurePair, security: str) -> ConstraintSystem:
-    """Shannon cone plus scheme conditions: the outer region for a structure."""
-    system = system_constraints(sp, security)
-    return elemental_inequalities(system.n_vars).merged(system)
-
-
-def _slot_bits(small: StructurePair, big: StructurePair) -> list[int]:
-    """The bit in `big` of each variable bit of its sub-structure `small`:
-    secrets placed by `slot_map`, shares by index."""
-    slots = slot_map(small, big)
-    if slots is None:
-        raise ValueError("subset relation fails")
-    secret, share = _variable_masks(small)
-    big_secret, big_share = _variable_masks(big)
-    to_big = {secret[s]: big_secret[b] for s, b in slots.items()}
-    to_big.update((share[i], big_share[i]) for i in share)
-    return [to_big[1 << i] for i in range(len(to_big))]
-
-
-def _carry(mask: int, bits) -> int:
-    """The union of bits[i] over the set bits i of `mask`."""
-    out = 0
-    for i, b in enumerate(bits):
-        if mask >> i & 1:
-            out |= b
-    return out
+    """Shannon cone plus scheme conditions, the outer region for a structure:
+    the rows of `elemental_inequalities`, then those of `system_constraints`."""
+    cs = system_constraints(sp, security)
+    return ConstraintSystem(cs.n_vars, elemental_inequalities(cs.n_vars).rows + cs.rows)
 
 
 def extend_vector(
@@ -454,14 +412,19 @@ def extend_vector(
     small = x.sp
     if small is None:
         raise ValueError("vector carries no structure")
-    bits = _slot_bits(small, target)
+    slots = slot_map(small, target)
+    if slots is None:
+        raise ValueError("subset relation fails")
+    secret, share = _variable_masks(small)
+    big_secret, big_share = _variable_masks(target)
     if not satisfies(x, membership_system(small, security)):
         raise ValueError("x fails small-structure membership")
-    back = [0] * (target.n_parties + target.n_secrets)  # 0 for an added secret
-    for i, b in enumerate(bits):
-        back[b.bit_length() - 1] = 1 << i
-    coords = {m: x[_carry(m, back)] for m in range(1, 1 << len(back))}
-    return EntropyVector(len(back), coords, target)
+    # The bit of `small` of each target bit; an added secret has none.
+    back = {big_secret[b]: secret[s] for s, b in slots.items()}
+    back.update((big_share[i], m) for i, m in share.items())
+    n = target.n_parties + target.n_secrets
+    coords = {m: x[sum(v for b, v in back.items() if m & b)] for m in range(1, 1 << n)}
+    return EntropyVector(n, coords, target)
 
 
 # --------------------------------------------------------------------------
@@ -480,6 +443,8 @@ def _min_gap(bound: ShareSecretBound, sp: StructurePair, security: str) -> Fract
     if bound.alpha0:
         objective[sum(share.values())] = bound.alpha0
     for i, c in bound.alpha.items():
+        if i not in share:
+            raise ValueError(f"bound references missing share {i}")
         objective[share[i]] = c
     for slot, c in bound.beta.items():
         if slot not in secret:

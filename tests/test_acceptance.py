@@ -24,7 +24,6 @@ import pytest
 from mtss import dealer, verify
 from mtss.cone import (
     EntropyVector,
-    bound_row,
     check_truncation,
     elemental_inequalities,
     extend_vector,
@@ -54,6 +53,7 @@ from mtss.structure import (
     TAU_AVG,
     WEAK,
     RatioKind,
+    bound_row,
     format_thresholds,
     optimal_ratio,
     structure,

@@ -78,11 +78,19 @@ def test_lp_dump(capsys):
          "55f1b8f4a817f17975dafce3adc1d9417fd89ef33a4b1e49e1db2885604d952a"),
         ("4", "4,3,2", "weak", 706,
          "7ffc6fc0fe1b1ea544a93ce8e0055f90a89a6b41111408657d342e3a5e0d570b"),
+        # 8 variables, at the cone's size cap
+        ("5", "4,3,2", "weak", 1852,
+         "de9e201043e7cb15a9c2b4920f48341d44fae2f81b370872a3fcb4f1dc2cf6db"),
+        ("3", "2,2,2,2,2", "strong", 1808,
+         "c227c4bb24843dcc68a5be87e38a1ccf31c72e0beed8dec961b9ce609b9831ad"),
+        ("4", "3,3,2,2", "weak", 1832,
+         "a0116c22e666f8904d29ec20b70032c9e5bb4638ecc24414b89771dd95eff491"),
     ],
 )
 def test_lp_dump_golden(capsys, n, t, security, lines, digest):
-    """`lp --dump` output, rows and value, byte for byte as recorded when
-    every row held Fraction coefficients."""
+    """`lp --dump` output, rows and value, byte for byte: the cases of at
+    most 7 variables as recorded when every row held Fraction coefficients,
+    and three at the cone's size cap of 8 variables."""
     code, out, _ = run(
         capsys, "lp", "--n", n, "--t", t, "--ratio", "sigma", "--security", security,
         "--dump",

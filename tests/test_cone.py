@@ -8,8 +8,6 @@ from mtss import cone, simplex
 from mtss.cone import (
     EntropyVector,
     Row,
-    ShareSecretBound,
-    bound_row,
     check_truncation,
     elemental_inequalities,
     extend_vector,
@@ -38,6 +36,9 @@ from mtss.structure import (
     TAU_AVG,
     WEAK,
     RatioKind,
+    ShareSecretBound,
+    bound_row,
+    conditions,
     optimal_ratio,
     slot_map,
     structure,
@@ -211,6 +212,67 @@ def test_rank_verdict_matches_system_rows():
 
 
 # ------------------------------------------------- full-coordinate reference
+#
+# The outer region's rows written straight from their definitions, so that
+# the tests of `membership_system` and of the orbit LP do not read the
+# generator they check.
+
+def _terms(*pairs):
+    """{mask: coefficient} of a sum of (mask, coefficient) entropy terms,
+    with h(empty set) = 0 left out."""
+    out = {}
+    for mask, c in pairs:
+        if mask:
+            out[mask] = out.get(mask, 0) + c
+    return out
+
+
+def _reference_elemental(n):
+    """Yeung's elemental inequalities on n variables: H(X_i | rest) >= 0 per
+    variable i, then I(X_i; X_j | X_Z) >= 0 per pair i < j and set Z of
+    the other variables, Z in `combinations` order size by size."""
+    omega = (1 << n) - 1
+    rows = [
+        Row.make("elemental", _terms((omega, 1), (omega ^ 1 << i, -1)), False)
+        for i in range(n)
+    ]
+    for i, j in combinations(range(n), 2):
+        others = [b for b in range(n) if b not in (i, j)]
+        for size in range(n - 1):
+            for zs in combinations(others, size):
+                z = sum(1 << b for b in zs)
+                zi, zj = z | 1 << i, z | 1 << j
+                coeffs = _terms((zi, 1), (zj, 1), (zi | zj, -1), (z, -1))
+                rows.append(Row.make("elemental", coeffs, False))
+    return rows
+
+
+def _reference_rows(sp, security):
+    """The outer region's rows in full coordinates: the elemental rows,
+    then per condition (tag, secrets S, size) of `structure.conditions`
+    and coalition A of that size in `combinations` order one equality,
+    empty and repeated rows dropped.  C0 states h(S) - sum of h(s) over
+    the secrets s of S = 0, C1 H(S | A) = h(S u A) - h(A) = 0, and C2 and
+    C3 I(S; A) = 0 as h(S u A) - h(A) - h(S) = 0."""
+    n = sp.n_parties + sp.n_secrets
+    rows, seen = _reference_elemental(n), set()
+    for tag, slots, size in conditions(sp, security):
+        secrets = [mask_of(sp, [VariableId.secret(*slot)]) for slot in slots]
+        s = sum(secrets)
+        for coalition in combinations(range(1, sp.n_parties + 1), size):
+            a = mask_of(sp, [VariableId.share(i) for i in coalition])
+            if tag == "C0":
+                coeffs = _terms((s, 1), *((m, -1) for m in secrets))
+            elif tag == "C1":
+                coeffs = _terms((s | a, 1), (a, -1))
+            else:
+                coeffs = _terms((s | a, 1), (a, -1), (s, -1))
+            row = Row.make(tag, coeffs, True)
+            if row.coeffs and row.coeffs not in seen:
+                seen.add(row.coeffs)
+                rows.append(row)
+    return tuple(rows)
+
 
 def _reference_min(sp, security, objective, rows=(), n_aux=0):
     """min objective . h over the outer region and `rows` in full
@@ -220,7 +282,7 @@ def _reference_min(sp, security, objective, rows=(), n_aux=0):
     n = sp.n_parties + sp.n_secrets
     prog = simplex.LinearProgram((1 << n) - 1 + n_aux)
     prog.minimize({k - 1: c for k, c in objective.items()})
-    for row in (*membership_system(sp, security).rows, *rows):
+    for row in (*_reference_rows(sp, security), *rows):
         coeffs = {k - 1: c for k, c in row.coeffs}
         (prog.add_eq if row.equality else prog.add_ge)(coeffs, row.rhs)
     res = prog.solve()
@@ -269,7 +331,7 @@ def _reference_assembly(sp, security, objective, rows, colour):
     prog = simplex.LinearProgram(n_ids - 1)
     prog.minimize(dict(project(objective.items())))
     seen = set()
-    for row in (*rows, *membership_system(sp, security).rows):
+    for row in (*rows, *_reference_rows(sp, security)):
         coeffs, rhs = project(row.coeffs), F(row.rhs)
         key = (coeffs, row.equality, rhs)
         if coeffs and key not in seen:
@@ -400,11 +462,26 @@ def test_lp_assembly_matches_reference_on_colourings_and_large_structures(monkey
 @pytest.mark.parametrize("n", range(2, 9))
 def test_orbit_rows_of_singleton_classes_are_the_elemental_rows(n):
     """With every variable its own class, an orbit id is the subset's mask,
-    and the generator yields `elemental_inequalities(n)` row for row."""
+    and the generator yields the definitions' elemental rows row for row."""
+    want = _reference_elemental(n)
     rows = cone._elemental_rows(list(range(n)), {i: 1 << i for i in range(n)})
-    assert [tuple(sorted(r.items())) for r in rows] == [
-        r.coeffs for r in elemental_inequalities(n).rows
-    ]
+    assert [tuple(sorted(r.items())) for r in rows] == [r.coeffs for r in want]
+    assert elemental_inequalities(n).rows == tuple(want)
+
+
+def test_membership_system_matches_reference():
+    """`membership_system` is the definitions' rows, row for row: tags,
+    order, de-duplication and int coefficients, on every table-family
+    structure with at most 8 variables at both securities."""
+    family = _table_family(8)
+    for sp in family:
+        for sec in (STRONG, WEAK):
+            got = membership_system(sp, sec)
+            want = _reference_rows(sp, sec)
+            assert got.n_vars == sp.n_parties + sp.n_secrets
+            assert got.rows == want, (str(sp), sec)
+            assert all(type(c) is int for r in got.rows for _, c in r.coeffs)
+    assert len(family) == 55
 
 
 @pytest.mark.parametrize("n", range(2, 9))
@@ -442,7 +519,7 @@ def test_reference_sigma_example_and_certificate():
     sp = structure(2, [(2, 1)])
     value, point, rows = _reference_sigma(sp, WEAK)
     assert value == 1
-    for row in (*membership_system(sp, WEAK).rows, *rows):
+    for row in (*_reference_rows(sp, WEAK), *rows):
         assert row.holds_at(point)
 
 
@@ -707,6 +784,20 @@ def test_truncation_preconditions():
         check_truncation(negative, small, big)
     with pytest.raises(ValueError, match="subset relation"):
         check_truncation(row, structure(3, [(2, 2)]), big)
+
+
+def test_bound_on_missing_share_is_refused():
+    """A share index outside 1..N is named in a ValueError by the gap LP and
+    by the truncation check, as a missing secret is."""
+    big, small = structure(3, [(2, 2)]), structure(3, [(2, 1)])
+    for i in (0, 4):
+        bound = ShareSecretBound(0, {i: 1}, {(1, 1): 1})
+        with pytest.raises(ValueError, match=f"^bound references missing share {i}$"):
+            cone._min_gap(bound, big, WEAK)
+        with pytest.raises(ValueError, match=f"^bound references missing share {i}$"):
+            check_truncation(bound, small, big)
+    with pytest.raises(ValueError, match="missing secret"):
+        cone._min_gap(ShareSecretBound(0, {1: 1}, {(2, 1): 1}), big, WEAK)
 
 
 def _bound_objective(bound, sp):

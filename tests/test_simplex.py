@@ -8,7 +8,8 @@ from hypothesis import strategies as st
 
 from mtss import cone, simplex
 from mtss.simplex import INFEASIBLE, OPTIMAL, UNBOUNDED, LinearProgram, SimplexResult
-from mtss.structure import MEASURES, SIGMA_AVG, TAU, STRONG, WEAK, RatioKind, structure
+from mtss.structure import MEASURES, SIGMA_AVG, TAU, STRONG, WEAK
+from mtss.structure import RatioKind, bound_row, structure
 from test_cone import _table_family
 
 
@@ -405,9 +406,9 @@ def _table_family_lps():
 
     def run():
         for sp in _table_family(6):
-            bounds = [cone.bound_row(sp, "dtb"), cone.bound_row(sp, "tvb")]
+            bounds = [bound_row(sp, "dtb"), bound_row(sp, "tvb")]
             for k in range(1, sp.k_levels + 1):
-                bounds += [cone.bound_row(sp, "tsdb", k=k), cone.bound_row(sp, "tsb", k=k)]
+                bounds += [bound_row(sp, "tsdb", k=k), bound_row(sp, "tsb", k=k)]
             for sec in (STRONG, WEAK):
                 for meas in MEASURES:
                     cone.lower_bound_ratio(sp, RatioKind(meas, sec))
