@@ -14,6 +14,11 @@ every condition: its conditions follow from the reports of the schemes it
 was assembled from, so only leaf constructions (and schemes read from text)
 scan coalitions, unless a link fails and the composed scheme needs its own
 witness.
+
+The audit reads every share rank from one table per profile
+(`RankProfile.share_ranks`).  Parts of a composition are independent and
+keep their shares, so a composed scheme's table is the entry-by-entry sum
+of its leaves' tables, which each leaf fills once.
 """
 
 from __future__ import annotations
@@ -21,8 +26,7 @@ from __future__ import annotations
 import threading
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache
-from itertools import combinations, groupby, product
+from itertools import combinations, groupby, product, tee
 from math import comb
 
 import numpy as np
@@ -42,7 +46,9 @@ class RankStats:
     combined scheme asks its leaf constructions directly, so an embedded
     part between them counts none of the queries passed through.  A check
     answered through a scheme's links asks its profile nothing: the links'
-    checks count on their own profiles."""
+    checks count on their own profiles.  A share table's queries count once,
+    on each leaf that fills it; a composed profile that sums the tables asks
+    none."""
 
     queries: int = 0
     memo_hits: int = 0
@@ -62,8 +68,9 @@ class RankProfile:
 
     Doubles as the scheme's entropy vector: rank queries are monotone and
     submodular, with rk(empty) = 0.  A query is a set of variables or its
-    int mask (`mask`): bit i is `scheme.variables()[i]`.  The memo is
-    guarded by a lock so audits may query one profile from several threads.
+    int mask (`mask`): bit i is `scheme.variables()[i]`.  The memo and the
+    share table are each guarded by a lock so audits may query one profile
+    from several threads.
 
     A composed scheme is answered through what it was assembled from; only
     `embed` and `combine` set those links, so they are not checked here.  An
@@ -74,7 +81,8 @@ class RankProfile:
     of leaf profiles (schemes with neither link, the only ones that
     eliminate), each with the bit of every variable in that leaf (0 for a
     width-0 block); a miss sums the leaves' ranks of its mask's
-    translations.
+    translations.  The share table (`share_ranks`) is summed from the
+    leaves' tables in the same way.
 
     `reports` keeps `check_conditions`' reports by (security, exhaustive).
     """
@@ -88,6 +96,8 @@ class RankProfile:
         self._lock = threading.Lock()
         self.stats = RankStats()
         self.reports: dict[tuple[str, bool], VerificationReport] = {}
+        self._share_ranks: list[int] | None = None
+        self._share_lock = threading.Lock()
         # (leaf profile, per variable: its bit in the leaf); empty for a leaf
         self._leaves: list[tuple[RankProfile, list[int]]] = []
         if scheme.parts:
@@ -113,6 +123,27 @@ class RankProfile:
         if self._leaves:
             return self._leaves
         return [(self, list(self._bit.values()))]
+
+    def share_ranks(self) -> list[int]:
+        """The share-rank table h, built on first use and kept: h[A] is
+        rk(P_A), bit i-1 of A standing for share i.
+
+        A leaf fills it from its own ranks.  A composed profile sums its
+        leaves' tables entry by entry: `embed` keeps its source's share
+        blocks and `combine` stacks every share of parts over one structure,
+        so share i of a composed scheme is share i of each leaf."""
+        with self._share_lock:
+            if self._share_ranks is None:
+                if self._leaves:
+                    tables = [leaf.share_ranks() for leaf, _ in self._leaves]
+                    self._share_ranks = [sum(col) for col in zip(*tables, strict=True)]
+                else:
+                    masks = [0]
+                    for v in self.scheme.share_variables():
+                        bit = self._bit[v]
+                        masks += [m | bit for m in masks]
+                    self._share_ranks = [self._rank_mask(m) for m in masks]
+            return self._share_ranks
 
     def mask(self, variables) -> int:
         """The int mask of a set of this scheme's variables."""
@@ -455,6 +486,12 @@ def audit_bounds(
     only repeat a sorted one.  Every family but secret-size and extra-n3 is
     a `structure.bound_row` row.
 
+    Every share rank comes from the profile's share table, so a composed
+    scheme's audit sums its leaves' tables and eliminates nothing of its
+    own.  The secret-size rhs I(P_a; P_b | the rest) does not depend on
+    the secret, so it is computed once per level; a row's rhs does not
+    depend on its picks, so it is computed once per row.
+
     A strong scheme is also weakly secure, so a strong audit includes every
     weak bound; two bound families are valid only under strong secrecy and
     are skipped from weak audits.
@@ -463,60 +500,60 @@ def audit_bounds(
         raise ValueError(f"audit cap must be at least 1, got {cap}")
     if not check_conditions(scheme, security).passed:
         raise ValueError("precondition: scheme invalid")
-    profile = scheme.profile
     sp = scheme.sp
     n = sp.n_parties
     kk = sp.k_levels
     w = {
         (i, j): scheme.width(VariableId.secret(i, j)) for i, j in sp.secret_slots()
     }
-    shares = dict(enumerate(scheme.share_variables(), start=1))
-    hp = {i: scheme.width(v) for i, v in shares.items()}
-    share_bit = {i: profile.mask([v]) for i, v in shares.items()}
-    h_all_shares = profile.rank(sum(share_bit.values()))
+    hp = {i: scheme.width(v) for i, v in enumerate(scheme.share_variables(), start=1)}
+    h = scheme.profile.share_ranks()
 
-    @cache
-    def pair_gain(dset, a, b):
-        """I(P_a; P_b | the rest of dset): the secret-size rhs, whatever j."""
-        rest = 0
-        for i in dset:
-            if i != a and i != b:
-                rest |= share_bit[i]
-        pa = share_bit[a]
-        pb = share_bit[b]
-        return (
-            profile.rank(pa | rest)
-            + profile.rank(pb | rest)
-            - profile.rank(pa | pb | rest)
-            - profile.rank(rest)
-        )
+    def pair_gains(t):
+        """(shares, a, b, I(P_a; P_b | the rest of shares)) for every share
+        set of size t + 1 and pair in it: the secret-size rhs, whatever j."""
+        for dset in combinations(range(1, n + 1), t + 1):
+            d = sum(1 << (i - 1) for i in dset)
+            for a, b in combinations(dset, 2):
+                pa = 1 << (a - 1)
+                pb = 1 << (b - 1)
+                rest = d ^ pa ^ pb
+                yield dset, a, b, h[rest | pa] + h[rest | pb] - h[d] - h[rest]
 
     def secret_size():
         for k in range(1, kk + 1):
             t = sp.threshold(k)
             if t >= n:
                 continue
-            for j in range(1, sp.count(k) + 1):
-                for dset in combinations(range(1, n + 1), t + 1):
-                    for a, b in combinations(dset, 2):
-                        params = {"k": k, "j": j, "shares": dset, "a": a, "b": b}
-                        yield params, w[k, j], pair_gain(dset, a, b)
+            # One lazy pass over the pairs, shared by every secret of the
+            # level: the cap may stop it early.
+            passes = tee(pair_gains(t), sp.count(k))
+            for j, gains in enumerate(passes, start=1):
+                for dset, a, b, gain in gains:
+                    params = {"k": k, "j": j, "shares": dset, "a": a, "b": b}
+                    yield params, w[k, j], gain
 
     def rows(name, per_level, pick_levels, params):
         """(params, lhs, rhs) of a `bound_row` family: its rows at each k
         and each pick of a secret on `pick_levels(kk, k)`, evaluated on
-        every sorted tuple of as many shares as the row has alphas."""
+        every sorted tuple of as many shares as the row has alphas.  Picks
+        change only a row's betas, so each row's rhs list is built once."""
+        rhs_lists = {}
         for k in range(1, kk + 1 if per_level else 2):
             levels = pick_levels(kk, k)
             for js in product(*(range(1, sp.count(i) + 1) for i in levels)):
                 picks = dict(zip(levels, js))
                 row = bound_row(sp, name, k, picks)
                 lhs = sum(c * w[slot] for slot, c in row.beta.items())
-                alpha = list(row.alpha.values())
-                for dset in combinations(range(1, n + 1), len(alpha)):
-                    rhs = row.alpha0 * h_all_shares + sum(
-                        c * hp[i] for c, i in zip(alpha, dset)
-                    )
+                alpha = tuple(row.alpha.values())
+                key = (row.alpha0, alpha)
+                if key not in rhs_lists:
+                    base = row.alpha0 * h[-1]
+                    rhs_lists[key] = [
+                        (dset, base + sum(c * hp[i] for c, i in zip(alpha, dset)))
+                        for dset in combinations(range(1, n + 1), len(alpha))
+                    ]
+                for dset, rhs in rhs_lists[key]:
                     yield params(k, picks, dset), lhs, rhs
 
     def extra_n3():

@@ -3,9 +3,11 @@
 import dataclasses
 import hashlib
 import random
+import sys
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
-from itertools import combinations, permutations
+from itertools import combinations, permutations, product
 
 import pytest
 
@@ -30,6 +32,8 @@ from mtss.structure import (
     TAU_AVG,
     WEAK,
     RatioKind,
+    bound_row,
+    parse_thresholds,
     structure,
 )
 from mtss.verify import (
@@ -97,6 +101,9 @@ def test_rank_profile_is_polymatroidal():
 
 
 def test_rank_profile_concurrent_queries():
+    """Concurrent rank queries, and concurrent first uses of the share table
+    of a fresh leaf and of a fresh composed profile that sums it, agree
+    with serial ones; each profile keeps one table."""
     s = build_B(3, (3, 4), (2, 1))
     vs = s.variables()
     rng = random.Random(3)
@@ -106,6 +113,39 @@ def test_rank_profile_concurrent_queries():
     with ThreadPoolExecutor(max_workers=8) as pool:
         parallel = list(pool.map(shared.rank, queries))
     assert parallel == serial
+
+    sp = structure(4, [(3, 1), (2, 1)])
+
+    def fresh():
+        a = embed(build_single_threshold(3, 4), sp)
+        b = embed(build_single_threshold(2, 4), sp)
+        return combine([a, b, a]), b.source
+
+    serial = [p.share_ranks() for p in (fresh()[0].profile, fresh()[1].profile)]
+    start = threading.Barrier(8)
+
+    def first_use(profile):
+        start.wait(timeout=60)
+        return profile.share_ranks()
+
+    switch = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=8) as pool:
+            for _ in range(10):
+                composed, leaf = fresh()
+                profiles = [composed.profile, leaf.profile] * 4
+                tables = list(pool.map(first_use, profiles, timeout=60))
+                # A table built twice would be two objects.
+                for i in (0, 1):
+                    assert all(t is tables[i] for t in tables[i::2])
+                    assert tables[i] == serial[i]
+            vs = composed.variables()
+            queries = [rng.sample(vs, rng.randint(0, len(vs))) for _ in range(40)]
+            ranks = list(pool.map(composed.profile.rank, queries, timeout=60))
+    finally:
+        sys.setswitchinterval(switch)
+    assert ranks == [composed.columns(x).rank() for x in queries]
 
 
 def test_profile_is_shared_per_scheme_object(monkeypatch):
@@ -181,13 +221,59 @@ def test_composed_profile_ranks_match_elimination(parties, masks):
     assert cells == 8 * len(_table_family(parties))
 
 
+def test_share_tables_match_elimination():
+    """Every build_optimal cell with N <= 4 sums its leaves' share tables,
+    and its text copy (a leaf) fills its own; in both, entry A is the
+    eliminated rank of the shares P_i with bit i-1 set in A."""
+    cells = 0
+    for sp in _table_family((2, 3, 4)):
+        n = sp.n_parties
+        for kind in KINDS:
+            s = build_optimal(sp, kind)
+            copy = LinearScheme.from_text(s.to_text())
+            want = [
+                s.columns([VariableId.share(i) for i in range(1, n + 1) if a >> (i - 1) & 1])
+                .rank()
+                for a in range(2**n)
+            ]
+            assert s.profile.share_ranks() == want, (sp, kind)
+            assert copy.profile.share_ranks() == want, (sp, kind)
+            cells += 1
+    assert cells == 8 * len(_table_family((2, 3, 4)))
+
+
+@pytest.mark.parametrize(
+    "parties, sample", [((2, 3), None), ((4,), 90)], ids=["N2-3-all", "N4-sample"]
+)
+def test_composed_audits_match_text_copies(parties, sample):
+    """The audit of a composed scheme, whose share table sums its leaves',
+    equals that of its text copy, which eliminates: every passing (cell,
+    security) for N <= 3, and those of 90 seeded cells of 360 for N = 4."""
+    cells = [(sp, kind) for sp in _table_family(parties) for kind in KINDS]
+    if sample is not None:
+        cells = random.Random(19).sample(cells, sample)
+    audits = 0
+    for sp, kind in cells:
+        s = build_optimal(sp, kind)
+        copy = LinearScheme.from_text(s.to_text())
+        for sec in (STRONG, WEAK):
+            if check_conditions(s, sec).passed:
+                assert audit_bounds(s, sec) == audit_bounds(copy, sec), (sp, kind, sec)
+                audits += 1
+    assert audits >= len(cells)
+
+
 def test_combined_check_makes_no_elimination_of_its_own():
-    """The combined scheme's check is answered from its parts' reports, so
-    its own profile is asked no rank at all."""
+    """The combined scheme's check is answered from its parts' reports, and
+    its audit from its leaves' share tables, so its own profile is asked no
+    rank at all."""
     s = build_optimal(structure(4, [(3, 2), (2, 1)]), RatioKind(SIGMA, STRONG))
     assert len(s.parts) == 3 and all(p.source is not None for p in s.parts)
     assert check_conditions(s, STRONG).passed
     stats = s.profile.stats
+    assert stats.queries == 0 and stats.eliminations == 0
+    # Its audit reads a share table summed from its leaves' tables.
+    assert all(c.holds for c in audit_bounds(s, STRONG))
     assert stats.queries == 0 and stats.eliminations == 0
     # Read back from text, the same scheme has no parts and eliminates.
     copy = LinearScheme.from_text(s.to_text())
@@ -614,3 +700,58 @@ def test_secret_size_checks_in_canonical_order():
                     rhs = rk(a) + rk(b) - rk(a, b) - rk()
                     want.append(({"k": k, "j": j, "shares": dset, "a": a, "b": b}, rhs))
     assert [(c.params, c.rhs) for c in got] == want
+
+
+# The eight `bound_row` families in audit order: (name, strong only, levels
+# k, levels whose secret is picked at k, params of a check).
+_REFERENCE_FAMILIES = (
+    ("share-sum", True, lambda kk: [1], lambda kk, k: [], lambda k, p, d: {"i": d[0]}),
+    ("dtb", False, lambda kk: [1], lambda kk, k: range(1, kk + 1),
+     lambda k, p, d: {"j": tuple(p.values()), "i": d[0]}),
+    ("tsdb", False, lambda kk: range(1, kk + 1),
+     lambda kk, k: [i for i in range(1, kk + 1) if i != k],
+     lambda k, p, d: {"k": k, "j": tuple(p.items()), "shares": d}),
+    ("tpb", False, lambda kk: [1], lambda kk, k: [], lambda k, p, d: {"shares": d}),
+    ("avg-share", False, lambda kk: [1], lambda kk, k: [], lambda k, p, d: {}),
+    ("strong-randomness", True, lambda kk: [1], lambda kk, k: [], lambda k, p, d: {}),
+    ("tvb", False, lambda kk: [1], lambda kk, k: range(1, kk + 1),
+     lambda k, p, d: {"j": tuple(p.values())}),
+    ("tsb", False, lambda kk: range(1, kk + 1), lambda kk, k: range(1, k),
+     lambda k, p, d: {"k": k, "j": tuple(p.items())}),
+)
+
+
+@pytest.mark.parametrize("security", [STRONG, WEAK])
+@pytest.mark.parametrize("t", ["3,2", "4,3,2", "3,3,2,2,2"])
+def test_bound_row_checks_in_canonical_order(t, security):
+    """Each `bound_row` check, in audit order, is its row at (k, picks),
+    asked per pick, on one sorted share tuple: lhs = sum beta * rk(S) and
+    rhs = alpha0 * rk(every share) + sum alpha * rk(P), all by
+    elimination."""
+    sp = parse_thresholds(4, t)
+    s = build_optimal(sp, RatioKind(SIGMA, security))
+    names = {f[0] for f in _REFERENCE_FAMILIES}
+    got = [(c.bound, c.params, c.lhs, c.rhs) for c in audit_bounds(s, security)]
+    got = [c for c in got if c[0] in names]
+
+    def rk(vs):
+        return s.columns(vs).rank()
+
+    everything = rk(s.share_variables())
+    kk = sp.k_levels
+    want = []
+    for name, strong_only, ks, pick_levels, params in _REFERENCE_FAMILIES:
+        if strong_only and security != STRONG:
+            continue
+        for k in ks(kk):
+            levels = list(pick_levels(kk, k))
+            for js in product(*(range(1, sp.count(i) + 1) for i in levels)):
+                picks = dict(zip(levels, js))
+                row = bound_row(sp, name, k, picks)
+                lhs = sum(c * rk([VariableId.secret(*slot)]) for slot, c in row.beta.items())
+                for d in combinations(range(1, 5), len(row.alpha)):
+                    rhs = row.alpha0 * everything + sum(
+                        c * rk([VariableId.share(d[i - 1])]) for i, c in row.alpha.items()
+                    )
+                    want.append((name, params(k, picks, d), lhs, rhs))
+    assert got == want
