@@ -16,9 +16,10 @@ scan coalitions, unless a link fails and the composed scheme needs its own
 witness.
 
 The audit reads every share rank from one table per profile
-(`RankProfile.share_ranks`).  Parts of a composition are independent and
-keep their shares, so a composed scheme's table is the entry-by-entry sum
-of its leaves' tables, which each leaf fills once.
+(`RankProfile.share_ranks`), filled only with the share sets read.  Parts
+of a composition are independent and keep their shares, so a composed
+scheme's entry is the sum of its leaves' entries, which each leaf asks of
+its own ranks once.
 """
 
 from __future__ import annotations
@@ -46,9 +47,9 @@ class RankStats:
     combined scheme asks its leaf constructions directly, so an embedded
     part between them counts none of the queries passed through.  A check
     answered through a scheme's links asks its profile nothing: the links'
-    checks count on their own profiles.  A share table's queries count once,
-    on each leaf that fills it; a composed profile that sums the tables asks
-    none."""
+    checks count on their own profiles.  A share-table entry's query counts
+    once, on each leaf, when the entry is first read; a composed profile
+    that sums its leaves' entries asks none."""
 
     queries: int = 0
     memo_hits: int = 0
@@ -63,6 +64,24 @@ def _bits(mask: int):
         mask ^= low
 
 
+class _ShareRanks(dict):
+    """A profile's share ranks by share mask, each asked of the profile on
+    its first read, under a lock, and kept."""
+
+    __slots__ = ("_ask", "_lock")
+
+    def __init__(self, ask):
+        self._ask = ask
+        self._lock = threading.Lock()
+
+    def __missing__(self, shares: int) -> int:
+        with self._lock:
+            r = self.get(shares)
+            if r is None:
+                r = self[shares] = self._ask(shares)
+            return r
+
+
 class RankProfile:
     """Memoized joint column ranks of a scheme's variable blocks.
 
@@ -71,6 +90,9 @@ class RankProfile:
     int mask (`mask`): bit i is `scheme.variables()[i]`.  The memo and the
     share table are each guarded by a lock so audits may query one profile
     from several threads.
+
+    `share_ranks` maps a share mask A, bit i-1 standing for share i, to
+    rk(P_A); it asks each entry of the profile on first read and keeps it.
 
     A composed scheme is answered through what it was assembled from; only
     `embed` and `combine` set those links, so they are not checked here.  An
@@ -81,8 +103,10 @@ class RankProfile:
     of leaf profiles (schemes with neither link, the only ones that
     eliminate), each with the bit of every variable in that leaf (0 for a
     width-0 block); a miss sums the leaves' ranks of its mask's
-    translations.  The share table (`share_ranks`) is summed from the
-    leaves' tables in the same way.
+    translations.  A share-table entry is the sum of the leaves' entries of
+    the same share mask: `embed` keeps its source's share blocks and
+    `combine` stacks every share of parts over one structure, so share i of
+    a composed scheme is share i of each leaf.
 
     `reports` keeps `check_conditions`' reports by (security, exhaustive).
     """
@@ -96,8 +120,7 @@ class RankProfile:
         self._lock = threading.Lock()
         self.stats = RankStats()
         self.reports: dict[tuple[str, bool], VerificationReport] = {}
-        self._share_ranks: list[int] | None = None
-        self._share_lock = threading.Lock()
+        self.share_ranks = _ShareRanks(self._share_rank)
         # (leaf profile, per variable: its bit in the leaf); empty for a leaf
         self._leaves: list[tuple[RankProfile, list[int]]] = []
         if scheme.parts:
@@ -113,6 +136,7 @@ class RankProfile:
         else:
             # One matrix of every block, and each variable's columns in it.
             self._matrix = np.hstack([b.a for _, b in scheme.blocks])
+            self._share_bits = [self._bit[v] for v in scheme.share_variables()]
             self._cols: list[list[int]] = []
             start = 0
             for _, b in scheme.blocks:
@@ -124,26 +148,18 @@ class RankProfile:
             return self._leaves
         return [(self, list(self._bit.values()))]
 
-    def share_ranks(self) -> list[int]:
-        """The share-rank table h, built on first use and kept: h[A] is
-        rk(P_A), bit i-1 of A standing for share i.
-
-        A leaf fills it from its own ranks.  A composed profile sums its
-        leaves' tables entry by entry: `embed` keeps its source's share
-        blocks and `combine` stacks every share of parts over one structure,
-        so share i of a composed scheme is share i of each leaf."""
-        with self._share_lock:
-            if self._share_ranks is None:
-                if self._leaves:
-                    tables = [leaf.share_ranks() for leaf, _ in self._leaves]
-                    self._share_ranks = [sum(col) for col in zip(*tables, strict=True)]
-                else:
-                    masks = [0]
-                    for v in self.scheme.share_variables():
-                        bit = self._bit[v]
-                        masks += [m | bit for m in masks]
-                    self._share_ranks = [self._rank_mask(m) for m in masks]
-            return self._share_ranks
+    def _share_rank(self, shares: int) -> int:
+        """rk(P_A) for a share mask A, bit i-1 standing for share i: a leaf
+        asks its own ranks, a composed profile sums its leaves' entries
+        (and so refuses a bad mask where they do)."""
+        if self._leaves:
+            return sum(leaf.share_ranks[shares] for leaf, _ in self._leaves)
+        if shares < 0 or shares >> len(self._share_bits):
+            raise ValueError(f"mask {shares} is not a set of this scheme's shares")
+        mask = 0
+        for i in _bits(shares):
+            mask |= self._share_bits[i]
+        return self._rank_mask(mask)
 
     def mask(self, variables) -> int:
         """The int mask of a set of this scheme's variables."""
@@ -486,11 +502,11 @@ def audit_bounds(
     only repeat a sorted one.  Every family but secret-size and extra-n3 is
     a `structure.bound_row` row.
 
-    Every share rank comes from the profile's share table, so a composed
-    scheme's audit sums its leaves' tables and eliminates nothing of its
-    own.  The secret-size rhs I(P_a; P_b | the rest) does not depend on
-    the secret, so it is computed once per level; a row's rhs does not
-    depend on its picks, so it is computed once per row.
+    Every share rank comes from the profile's share table, which asks only
+    the share sets read, so a composed scheme's audit sums its leaves'
+    entries and eliminates nothing of its own.  The secret-size rhs
+    I(P_a; P_b | the rest) does not depend on the secret, so it is computed
+    once per level.
 
     A strong scheme is also weakly secure, so a strong audit includes every
     weak bound; two bound families are valid only under strong secrecy and
@@ -507,7 +523,8 @@ def audit_bounds(
         (i, j): scheme.width(VariableId.secret(i, j)) for i, j in sp.secret_slots()
     }
     hp = {i: scheme.width(v) for i, v in enumerate(scheme.share_variables(), start=1)}
-    h = scheme.profile.share_ranks()
+    h = scheme.profile.share_ranks
+    h_all_shares = h[(1 << n) - 1]
 
     def pair_gains(t):
         """(shares, a, b, I(P_a; P_b | the rest of shares)) for every share
@@ -536,24 +553,18 @@ def audit_bounds(
     def rows(name, per_level, pick_levels, params):
         """(params, lhs, rhs) of a `bound_row` family: its rows at each k
         and each pick of a secret on `pick_levels(kk, k)`, evaluated on
-        every sorted tuple of as many shares as the row has alphas.  Picks
-        change only a row's betas, so each row's rhs list is built once."""
-        rhs_lists = {}
+        every sorted tuple of as many shares as the row has alphas."""
         for k in range(1, kk + 1 if per_level else 2):
             levels = pick_levels(kk, k)
             for js in product(*(range(1, sp.count(i) + 1) for i in levels)):
                 picks = dict(zip(levels, js))
                 row = bound_row(sp, name, k, picks)
                 lhs = sum(c * w[slot] for slot, c in row.beta.items())
-                alpha = tuple(row.alpha.values())
-                key = (row.alpha0, alpha)
-                if key not in rhs_lists:
-                    base = row.alpha0 * h[-1]
-                    rhs_lists[key] = [
-                        (dset, base + sum(c * hp[i] for c, i in zip(alpha, dset)))
-                        for dset in combinations(range(1, n + 1), len(alpha))
-                    ]
-                for dset, rhs in rhs_lists[key]:
+                alpha = list(row.alpha.values())
+                for dset in combinations(range(1, n + 1), len(alpha)):
+                    rhs = row.alpha0 * h_all_shares + sum(
+                        c * hp[i] for c, i in zip(alpha, dset)
+                    )
                     yield params(k, picks, dset), lhs, rhs
 
     def extra_n3():

@@ -101,9 +101,9 @@ def test_rank_profile_is_polymatroidal():
 
 
 def test_rank_profile_concurrent_queries():
-    """Concurrent rank queries, and concurrent first uses of the share table
-    of a fresh leaf and of a fresh composed profile that sums it, agree
-    with serial ones; each profile keeps one table."""
+    """Concurrent rank queries, and concurrent first reads of the share
+    table of a fresh leaf and of a fresh composed profile that sums it,
+    agree with serial ones; each leaf is asked each share set once."""
     s = build_B(3, (3, 4), (2, 1))
     vs = s.variables()
     rng = random.Random(3)
@@ -115,31 +115,35 @@ def test_rank_profile_concurrent_queries():
     assert parallel == serial
 
     sp = structure(4, [(3, 1), (2, 1)])
+    every = range(2**4)
 
     def fresh():
         a = embed(build_single_threshold(3, 4), sp)
         b = embed(build_single_threshold(2, 4), sp)
-        return combine([a, b, a]), b.source
+        return combine([a, b, a]), a.source, b.source
 
-    serial = [p.share_ranks() for p in (fresh()[0].profile, fresh()[1].profile)]
+    composed, _, leaf = fresh()
+    serial = [[p.share_ranks[m] for m in every] for p in (composed.profile, leaf.profile)]
     start = threading.Barrier(8)
 
-    def first_use(profile):
+    def first_reads(profile):
         start.wait(timeout=60)
-        return profile.share_ranks()
+        return [profile.share_ranks[m] for m in every]
 
     switch = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
         with ThreadPoolExecutor(max_workers=8) as pool:
             for _ in range(10):
-                composed, leaf = fresh()
-                profiles = [composed.profile, leaf.profile] * 4
-                tables = list(pool.map(first_use, profiles, timeout=60))
-                # A table built twice would be two objects.
+                composed, *leaves = fresh()
+                before = [p.profile.stats.queries for p in leaves]
+                profiles = [composed.profile, leaves[1].profile] * 4
+                tables = list(pool.map(first_reads, profiles, timeout=60))
                 for i in (0, 1):
-                    assert all(t is tables[i] for t in tables[i::2])
-                    assert tables[i] == serial[i]
+                    assert all(t == serial[i] for t in tables[i::2])
+                # A share set asked twice would count two queries.
+                after = [p.profile.stats.queries for p in leaves]
+                assert [y - x for x, y in zip(before, after)] == [len(every)] * 2
             vs = composed.variables()
             queries = [rng.sample(vs, rng.randint(0, len(vs))) for _ in range(40)]
             ranks = list(pool.map(composed.profile.rank, queries, timeout=60))
@@ -222,9 +226,10 @@ def test_composed_profile_ranks_match_elimination(parties, masks):
 
 
 def test_share_tables_match_elimination():
-    """Every build_optimal cell with N <= 4 sums its leaves' share tables,
-    and its text copy (a leaf) fills its own; in both, entry A is the
-    eliminated rank of the shares P_i with bit i-1 set in A."""
+    """Every build_optimal cell with N <= 4 sums its leaves' share ranks,
+    and its text copy (a leaf) asks its own; in both, entry A is the
+    eliminated rank of the shares P_i with bit i-1 set in A, and a mask
+    outside the shares is refused and not kept."""
     cells = 0
     for sp in _table_family((2, 3, 4)):
         n = sp.n_parties
@@ -236,10 +241,32 @@ def test_share_tables_match_elimination():
                 .rank()
                 for a in range(2**n)
             ]
-            assert s.profile.share_ranks() == want, (sp, kind)
-            assert copy.profile.share_ranks() == want, (sp, kind)
+            for scheme in (s, copy):
+                table = scheme.profile.share_ranks
+                assert [table[a] for a in range(2**n)] == want, (sp, kind)
             cells += 1
     assert cells == 8 * len(_table_family((2, 3, 4)))
+    for scheme in (s, copy):
+        for bad in (-1, 2**n, 2**n | 1):
+            with pytest.raises(ValueError, match="not a set of this scheme's shares"):
+                scheme.profile.share_ranks[bad]
+            assert bad not in scheme.profile.share_ranks
+
+
+def test_audit_reads_only_the_share_sets_it_checks():
+    """A leaf's share table holds only the share sets an audit read: for
+    thresholds 7 and 6 of 8 shares, sets of 5 to 8 shares, and with cap 1
+    the four ranks of the first secret-size check."""
+    sp = structure(8, [(7, 1), (6, 1)])
+    text = build_optimal(sp, RatioKind(SIGMA, WEAK)).to_text()
+    full = 2**8 - 1
+    for cap, sizes in ((1, {6, 7, 8}), (verify.DEFAULT_AUDIT_CAP, {5, 6, 7, 8})):
+        s = LinearScheme.from_text(text)
+        assert all(c.holds for c in audit_bounds(s, WEAK, cap=cap))
+        table = s.profile.share_ranks
+        assert {bin(m).count("1") for m in table} == sizes
+        if cap == 1:
+            assert sorted(table) == [full ^ 3, full ^ 2, full ^ 1, full]
 
 
 @pytest.mark.parametrize(
