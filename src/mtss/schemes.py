@@ -45,6 +45,7 @@ from mtss.structure import (
     format_thresholds,
     parse_ints,
     parse_thresholds,
+    randomness_break_index,
     read_records,
     slot_map,
     structure,
@@ -107,29 +108,31 @@ class LinearScheme:
     variable's entropy equals its width).  Width-0 secret blocks are legal
     and encode dummy secrets added by `embed`.
 
-    `recipe` retains the generation parameters so `unify_field` can rebuild
-    the scheme over a different prime; schemes read back from text lose it.
     `min_order` is the smallest field order the construction is known to
     work at (for searched families, the prime the search certified).
 
-    `source` and `parts` link a composed scheme to what it was assembled
-    from: `embed` records the construction whose block objects it reuses,
-    `combine` the schemes it stacks.  Only those two set them, after
-    checking that the composition keeps every condition, so the constructor
-    takes neither (`TypeError`), and a scheme read back from text or copied
-    with `dataclasses.replace` has no links.  Its `RankProfile` and
-    `check_conditions` answer through them.  Neither takes part in the text
-    form or the fingerprint.
+    `leaves` records how a composed scheme was built: one entry per leaf
+    construction it combines, the leaf scheme and, per variable of this
+    scheme, the index of its block in the leaf (-1 for a dummy secret).  So
+    the scheme is the `combine` of the leaves, each `embed`ded by that
+    placement.  Only `embed` and `combine` set it, after checking that the
+    composition keeps every condition.  A scheme with no entries is a leaf.
+    `recipe` holds a leaf construction's parameters, so `unify_field` can
+    rebuild it over another prime; only the three assemblers set it.  The
+    constructor takes neither field (`TypeError`), so a scheme read back
+    from text or copied with `dataclasses.replace` is a leaf with no
+    recipe.  Neither takes part in the text form or the fingerprint.
     """
 
     sp: StructurePair
     q: int
     n_rows: int
     blocks: tuple[tuple[VariableId, MatrixFq], ...]
-    recipe: tuple | None = None
     min_order: int = 0
-    source: LinearScheme | None = dc_field(default=None, init=False, compare=False, repr=False)
-    parts: tuple[LinearScheme, ...] = dc_field(default=(), init=False, compare=False, repr=False)
+    recipe: tuple | None = dc_field(default=None, init=False)
+    leaves: tuple[tuple[LinearScheme, tuple[int, ...]], ...] = dc_field(
+        default=(), init=False, compare=False, repr=False
+    )
 
     def __post_init__(self):
         field.check_modulus(self.q)
@@ -274,9 +277,9 @@ def _window_scheme(sp, q, t, n_secret_cols, recipe, min_order):
             blocks.append((VariableId.secret(k, j), field.zeros(t, 0, q)))
     for i in range(1, n + 1):
         blocks.append((VariableId.share(i), v.take_columns([n_secret_cols + i - 1])))
-    return LinearScheme(
-        sp=sp, q=q, n_rows=t, blocks=tuple(blocks), recipe=recipe, min_order=min_order
-    )
+    out = LinearScheme(sp=sp, q=q, n_rows=t, blocks=tuple(blocks), min_order=min_order)
+    object.__setattr__(out, "recipe", recipe)
+    return out
 
 
 def build_single_threshold(t: int, n_parties: int, q: int | None = None) -> LinearScheme:
@@ -353,14 +356,9 @@ def _assemble_b(n_parties, t1, m1, t2, m2, q) -> LinearScheme:
         tail = _pad_below(small[:, (i - 1) * w2 : i * w2], n_rows)
         blocks.append((VariableId.share(i), MatrixFq(q, np.hstack([left, tail]))))
     sp = structure(n_parties, [(t1, m1), (t2, m2)])
-    return LinearScheme(
-        sp=sp,
-        q=q,
-        n_rows=n_rows,
-        blocks=tuple(blocks),
-        recipe=("B", n_parties, t1, m1, t2, m2),
-        min_order=q,
-    )
+    out = LinearScheme(sp=sp, q=q, n_rows=n_rows, blocks=tuple(blocks), min_order=q)
+    object.__setattr__(out, "recipe", ("B", n_parties, t1, m1, t2, m2))
+    return out
 
 
 def build_B(n_parties: int, t1m1, t2m2, q: int | None = None) -> LinearScheme:
@@ -403,14 +401,9 @@ def _assemble_a(n_parties, t1, m1, a, q) -> LinearScheme:
             tail = _pad_below(small[:, gg * w2 : (gg + 1) * w2], n_rows)
             blocks.append((VariableId.share(i), MatrixFq(q, np.hstack([left, tail]))))
     sp = structure(n_parties, [(t1, m1)])
-    return LinearScheme(
-        sp=sp,
-        q=q,
-        n_rows=n_rows,
-        blocks=tuple(blocks),
-        recipe=("A", n_parties, t1, m1, a),
-        min_order=q,
-    )
+    out = LinearScheme(sp=sp, q=q, n_rows=n_rows, blocks=tuple(blocks), min_order=q)
+    object.__setattr__(out, "recipe", ("A", n_parties, t1, m1, a))
+    return out
 
 
 def build_A(n_parties: int, t1m1, a: int, q: int | None = None) -> LinearScheme:
@@ -480,8 +473,9 @@ def embed(scheme: LinearScheme, target: StructurePair, *, place=None) -> LinearS
     source secrets onto specific target slots with equal thresholds.  Both
     are checked the same way.
 
-    The result reuses the source's block objects and records, as `source`,
-    the construction they belong to, so its profile reads that one's memo.
+    The result reuses the source's block objects, and its `leaves` are the
+    source's entries (a leaf's own, for a leaf) mapped through the placement,
+    so an embed of an embed points at the original leaf.
     """
     if target.n_parties != scheme.sp.n_parties:
         raise ValueError("subset relation fails: participant counts differ")
@@ -500,34 +494,28 @@ def embed(scheme: LinearScheme, target: StructurePair, *, place=None) -> LinearS
             raise ValueError(f"target slot ({kk},{jj}) does not exist")
         if target.threshold(kk) != scheme.sp.threshold(k):
             raise ValueError("placement must preserve thresholds")
-    inverse = {v: k for k, v in place.items()}
-    blocks = []
-    for kk, jj in target.secret_slots():
-        src = inverse.get((kk, jj))
-        if src is None:
-            b = field.zeros(scheme.n_rows, 0, scheme.q)
-        else:
-            b = scheme.block(VariableId.secret(*src))
-        blocks.append((VariableId.secret(kk, jj), b))
-    for i in range(1, target.n_parties + 1):
-        blocks.append((VariableId.share(i), scheme.block(VariableId.share(i))))
-    recipe = None
-    if scheme.recipe is not None:
-        recipe = (
-            "embed",
-            scheme.recipe,
-            target,
-            tuple(sorted(place.items())),
-        )
+    # Each target variable's source variable (shares keep theirs), and the
+    # index of its block in the source (-1 for a dummy secret).
+    inverse = {VariableId.secret(*v): VariableId.secret(*k) for k, v in place.items()}
+    inverse.update((v, v) for v in scheme.share_variables())
+    index = {v: i for i, v in enumerate(scheme.variables())}
+    empty = field.zeros(scheme.n_rows, 0, scheme.q)
+    blocks, at = [], []
+    for v in scheme_variables(target):
+        i = index.get(inverse.get(v), -1)
+        blocks.append((v, empty if i < 0 else scheme.blocks[i][1]))
+        at.append(i)
     out = LinearScheme(
         sp=target,
         q=scheme.q,
         n_rows=scheme.n_rows,
         blocks=tuple(blocks),
-        recipe=recipe,
         min_order=scheme.min_order,
     )
-    object.__setattr__(out, "source", scheme.source or scheme)
+    leaves = tuple(
+        (leaf, tuple(-1 if i < 0 else pos[i] for i in at)) for leaf, pos in _entries(scheme)
+    )
+    object.__setattr__(out, "leaves", leaves)
     return out
 
 
@@ -537,7 +525,8 @@ def combine(parts) -> LinearScheme:
     Row bands of different parts are disjoint, so every joint rank of the
     result is the sum of the parts' joint ranks — which is exactly why the
     combination inherits each rank condition its parts satisfy, and why its
-    profile sums theirs (the result records them as `parts`).
+    profile sums theirs.  Its `leaves` are the parts' entries (a leaf's own,
+    for a leaf) in order, so a combine of a combine lists the inner leaves.
     """
     parts = list(parts)
     if not parts:
@@ -557,97 +546,103 @@ def combine(parts) -> LinearScheme:
         # parts' ranks, which their own full-column-rank checks computed.
         stacked.__dict__["_rank"] = sum(b.rank() for b in bs if b.n_cols)
         blocks.append((v, stacked))
-    recipes = [p.recipe for p in parts]
-    recipe = ("combine", tuple(recipes)) if all(r is not None for r in recipes) else None
     out = LinearScheme(
         sp=first.sp,
         q=first.q,
         n_rows=sum(p.n_rows for p in parts),
         blocks=tuple(blocks),
-        recipe=recipe,
         min_order=max(p.min_order for p in parts),
     )
-    object.__setattr__(out, "parts", tuple(parts))
+    object.__setattr__(out, "leaves", tuple(e for p in parts for e in _entries(p)))
     return out
 
 
-def _rebuild(recipe, q: int, made: dict) -> LinearScheme:
-    """The scheme of `recipe` over F_q, from `made` ({recipe: scheme} over
-    the same q) when there; what it builds, nested recipes too, goes into
-    `made`, so each distinct composed recipe is built once per call, and
-    each leaf comes from the leaf memo (`_leaf`)."""
-    if recipe in made:
-        return made[recipe]
-    name = recipe[0]
-    if name == "single":
-        s = _leaf(build_single_threshold, recipe[1:], q)
-    elif name == "weak-block":
-        s = _leaf(build_weak_block, recipe[1:], q)
-    elif name == "B":
-        s = _leaf(build_B, (recipe[1], recipe[2:4], recipe[4:6]), q)
-    elif name == "A":
-        s = _leaf(build_A, (recipe[1], recipe[2:4], recipe[4]), q)
-    elif name == "embed":
-        inner = _rebuild(recipe[1], q, made)
-        s = embed(inner, recipe[2], place=dict(recipe[3]))
-    elif name == "combine":
-        s = combine([_rebuild(r, q, made) for r in recipe[1]])
+def _entries(scheme: LinearScheme):
+    """`scheme.leaves`, or a leaf's own entry: itself, every block in place."""
+    return scheme.leaves or ((scheme, tuple(range(len(scheme.blocks)))),)
+
+
+def _rebuild(scheme: LinearScheme, q: int, made: dict) -> LinearScheme:
+    """`scheme` over F_q, from `made` ({scheme: its rebuild over q}) when
+    there; what it builds, its leaves too, goes into `made`, so each is
+    built once per call.  A leaf comes from the leaf memo (`_leaf`) by its
+    recipe; a composed scheme is the `combine` of its rebuilt leaves, each
+    `embed`ded by the placement its `leaves` entry records."""
+    if scheme in made:
+        return made[scheme]
+    if scheme.leaves:
+        parts = []
+        for leaf, index in scheme.leaves:
+            place = {}
+            for (v, _), i in zip(scheme.blocks, index):
+                if v.kind == "secret" and i >= 0:
+                    src = leaf.blocks[i][0]
+                    place[src.level, src.index] = (v.level, v.index)
+            parts.append(embed(_rebuild(leaf, q, made), scheme.sp, place=place))
+        s = combine(parts)
     else:
-        raise ValueError(f"unknown recipe {name!r}")
-    made[recipe] = s
+        recipe = scheme.recipe
+        name = recipe[0]
+        if name == "single":
+            s = _leaf(build_single_threshold, recipe[1:], q)
+        elif name == "weak-block":
+            s = _leaf(build_weak_block, recipe[1:], q)
+        elif name == "B":
+            s = _leaf(build_B, (recipe[1], recipe[2:4], recipe[4:6]), q)
+        elif name == "A":
+            s = _leaf(build_A, (recipe[1], recipe[2:4], recipe[4]), q)
+        else:
+            raise ValueError(f"unknown recipe {name!r}")
+    made[scheme] = s
     return s
 
 
-def recipe_guarantee(recipe) -> str:
-    """Security level a recipe's construction certifies (strong or weak)."""
-    name = recipe[0]
-    if name == "single":
-        return STRONG
-    if name == "embed":
-        return recipe_guarantee(recipe[1])
-    if name == "combine":
-        levels = {recipe_guarantee(r) for r in recipe[1]}
-        return STRONG if levels == {STRONG} else WEAK
-    return WEAK
+def recipe_guarantee(scheme: LinearScheme) -> str:
+    """Security level a scheme's construction certifies: strong exactly
+    when every leaf is single-threshold, else weak."""
+    single = all(leaf.recipe[0] == "single" for leaf, _ in _entries(scheme))
+    return STRONG if single else WEAK
 
 
 def unify_field(parts) -> list[LinearScheme]:
     """Bring all parts over one common prime and re-verify each.
 
-    Each part is an embedded or combined scheme, so its check is answered
-    from its construction's kept report (`verify.check_conditions`); a
-    searched family's report was already made by its field search, and each
-    construction is scanned at most once per candidate and security.
+    Each part is a leaf, or a scheme composed by `embed` and `combine`,
+    whose check is answered from its leaves' kept reports
+    (`verify.check_conditions`); a searched family's report was already
+    made by its field search, and each leaf is scanned at most once per
+    candidate and security.  Every leaf needs its recipe: a text or
+    `dataclasses.replace` copy is refused.
 
     The candidate order starts at the largest minimum admissible order of
     any part; searched families may still reject a candidate (they verify
     at exact q), so the candidate advances through primes under a cap.
     A part already over the candidate is kept as it is (its recipe would
-    rebuild the same scheme); the others are rebuilt, each distinct recipe,
-    nested ones included, once per candidate; a leaf comes from the leaf
-    memo (`_leaf`), so one made over that prime before is reused.
+    rebuild the same scheme); the others are rebuilt (`_rebuild`), each
+    distinct part and leaf object once per candidate; a leaf comes from the
+    leaf memo (`_leaf`), so one made over that prime before is reused.
     """
     from mtss import verify
 
     parts = list(parts)
     if not parts:
         raise ValueError("need at least one part")
-    if any(p.recipe is None for p in parts):
+    if any(leaf.recipe is None for part in parts for leaf, _ in _entries(part)):
         raise ValueError("parts are not rebuildable (no retained parameters)")
     p = field.next_prime_at_least(max(part.min_order for part in parts))
     for _ in range(SEARCH_CAP):
-        made = {part.recipe: part for part in parts if part.q == p}
+        made = {part: part for part in parts if part.q == p}
         try:
             for part in parts:
-                if part.recipe not in made:
-                    _rebuild(part.recipe, p, made)
+                if part not in made:
+                    _rebuild(part, p, made)
         except FieldSearchError:
             made = None
         if made is not None and all(
-            verify.check_conditions(s, recipe_guarantee(s.recipe)).passed
-            for s in dict.fromkeys(made[part.recipe] for part in parts)
+            verify.check_conditions(s, recipe_guarantee(s)).passed
+            for s in dict.fromkeys(made[part] for part in parts)
         ):
-            return [made[part.recipe] for part in parts]
+            return [made[part] for part in parts]
         p = field.next_prime_at_least(p + 1)
     raise FieldSearchError(f"no common prime within {SEARCH_CAP} tries")
 
@@ -721,12 +716,10 @@ def _weak_parts(sp, kind):
         )
         return [window(best)]
     # TAU: windows above the break, then zero-extra-randomness parts below.
-    first_over = next(
-        (i for i in range(1, sp.k_levels + 1) if sp.count(i) > sp.threshold(i)), None
-    )
-    if first_over is None:
-        return [window(i) for i in range(1, sp.k_levels + 1)]
+    first_over = randomness_break_index(sp) + 1
     parts = [window(i) for i in range(1, first_over)]
+    if first_over > sp.k_levels:
+        return parts
     parts.append(_zero_randomness_part(sp, first_over))
     for i in range(first_over + 1, sp.k_levels + 1):
         t_i, m_i = sp.threshold(i), sp.count(i)

@@ -8,12 +8,13 @@ audited here reduce to integer rank queries against one memoized profile:
 `check_conditions`, `ratios` and `audit_bounds`.  Callers build each query's
 variable mask once, by OR of per-variable bits.
 
-A scheme composed by `embed` or `combine` is checked through its links,
-which only those two set, once they have checked that the composition keeps
-every condition: its conditions follow from the reports of the schemes it
-was assembled from, so only leaf constructions (and schemes read from text)
-scan coalitions, unless a link fails and the composed scheme needs its own
-witness.
+A scheme composed by `embed` and `combine` records its leaf constructions
+and their placements in `LinearScheme.leaves`, which only those two set,
+once they have checked that the composition keeps every condition.  Its
+ranks are sums of its leaves' ranks and its conditions follow from its
+leaves' reports, so only leaves (built directly, read from text or copied)
+eliminate and scan coalitions, unless a leaf fails and the composed scheme
+needs its own witness.
 
 The audit reads every share rank from one table per profile
 (`RankProfile.share_ranks`), filled only with the share sets read.  Parts
@@ -42,11 +43,11 @@ DEFAULT_AUDIT_CAP = 10000
 @dataclass
 class RankStats:
     """What one profile did: masks asked of it (by a caller, or by a
-    composed profile that answers through it as one of its leaves), answers
-    read from its memo, and its own eliminations (`field.rank` calls).  A
-    combined scheme asks its leaf constructions directly, so an embedded
-    part between them counts none of the queries passed through.  A check
-    answered through a scheme's links asks its profile nothing: the links'
+    composed profile that answers through it as one of its `leaves`),
+    answers read from its memo, and its own eliminations (`field.rank`
+    calls).  A composed scheme asks its leaves directly, so a part it was
+    combined from counts none of the queries passed through.  A check
+    answered through a scheme's leaves asks its profile nothing: the leaves'
     checks count on their own profiles.  A share-table entry's query counts
     once, on each leaf, when the entry is first read; a composed profile
     that sums its leaves' entries asks none."""
@@ -94,19 +95,17 @@ class RankProfile:
     `share_ranks` maps a share mask A, bit i-1 standing for share i, to
     rk(P_A); it asks each entry of the profile on first read and keeps it.
 
-    A composed scheme is answered through what it was assembled from; only
-    `embed` and `combine` set those links, so they are not checked here.  An
-    `embed`ded scheme's nonempty blocks are its source's block objects, so
-    each rank is the source's rank of the same blocks.  A `combine`d
-    scheme's blocks are the block-diagonal stacks of its parts' blocks, so
-    each rank is the sum of the parts' ranks.  Both come down to a flat list
-    of leaf profiles (schemes with neither link, the only ones that
-    eliminate), each with the bit of every variable in that leaf (0 for a
-    width-0 block); a miss sums the leaves' ranks of its mask's
-    translations.  A share-table entry is the sum of the leaves' entries of
-    the same share mask: `embed` keeps its source's share blocks and
-    `combine` stacks every share of parts over one structure, so share i of
-    a composed scheme is share i of each leaf.
+    A composed scheme is answered through its `leaves`; only `embed` and
+    `combine` set them, so they are not checked here.  Each of its blocks is
+    the block-diagonal stack of its leaves' blocks at the recorded indices
+    (an empty one for a dummy), so each rank is the sum of the leaves' ranks
+    of the same blocks.  The profile keeps each leaf's profile (leaves are
+    the only profiles that eliminate) with the bit of every variable in that
+    leaf (0 for a dummy or a width-0 block); a miss sums the leaves' ranks
+    of its mask's translations.  A share-table entry is the sum of the
+    leaves' entries of the same share mask: `embed` keeps its source's share
+    blocks and `combine` stacks every share of parts over one structure, so
+    share i of a composed scheme is share i of each leaf.
 
     `reports` keeps `check_conditions`' reports by (security, exhaustive).
     """
@@ -122,18 +121,11 @@ class RankProfile:
         self.reports: dict[tuple[str, bool], VerificationReport] = {}
         self.share_ranks = _ShareRanks(self._share_rank)
         # (leaf profile, per variable: its bit in the leaf); empty for a leaf
-        self._leaves: list[tuple[RankProfile, list[int]]] = []
-        if scheme.parts:
-            for part in scheme.parts:
-                self._leaves += part.profile._leaf_tables()
-        elif scheme.source is not None:
-            # Each nonempty block is a source block object: its position there.
-            pos = {id(b): i for i, (_, b) in enumerate(scheme.source.blocks)}
-            self._leaves = [
-                (leaf, [bits[pos[id(b)]] if b.n_cols else 0 for _, b in scheme.blocks])
-                for leaf, bits in scheme.source.profile._leaf_tables()
-            ]
-        else:
+        self._leaves = [
+            (leaf.profile, [1 << i if i >= 0 and leaf.blocks[i][1].n_cols else 0 for i in index])
+            for leaf, index in scheme.leaves
+        ]
+        if not self._leaves:
             # One matrix of every block, and each variable's columns in it.
             self._matrix = np.hstack([b.a for _, b in scheme.blocks])
             self._share_bits = [self._bit[v] for v in scheme.share_variables()]
@@ -142,11 +134,6 @@ class RankProfile:
             for _, b in scheme.blocks:
                 self._cols.append(list(range(start, start + b.n_cols)))
                 start += b.n_cols
-
-    def _leaf_tables(self) -> list[tuple[RankProfile, list[int]]]:
-        if self._leaves:
-            return self._leaves
-        return [(self, list(self._bit.values()))]
 
     def _share_rank(self, shares: int) -> int:
         """rk(P_A) for a share mask A, bit i-1 standing for share i: a leaf
@@ -283,22 +270,22 @@ def check_conditions(
     maximal sets forces zero leak below.  `exhaustive=True` enumerates the
     smaller coalitions anyway.
 
-    A composed scheme passes when every scheme it links (its `parts`, or
-    its `source`) passes the same check, and then no coalition is
-    scanned; each group's `checks` counts the coalitions a scan would have
-    checked.  A `combine`d scheme's ranks are sums of its parts' ranks, and
-    every instance is one-sided in every part: got >= want always holds for
-    C1 (monotonicity), got <= want for C0, C2 and C3 (rk(S u A) <= rk(A) +
-    rk(S) <= rk(A) + width(S)), so the sum is an equality exactly when each
-    part's is.  An `embed`ded scheme keeps thresholds, which strictly
-    decrease across levels, so each of its condition instances is one of its
-    source's, or one on larger qualified coalitions or fewer secrets
-    (monotonicity), or one on smaller unqualified coalitions (submodularity,
-    as above); a width-0 secret adds nothing.  `embed` and `combine` check
-    these preconditions when they set the links.  When a link fails, or the
-    scheme has no links (built directly, read from text or copied with
-    `dataclasses.replace`), every coalition is scanned, which finds the
-    first failing instance as its witness.
+    A composed scheme passes when every one of its `leaves` passes the same
+    check, and then no coalition is scanned; each group's `checks` counts
+    the coalitions a scan would have checked.  It is the combination of its
+    leaves, each embedded by its recorded placement.  A combination's ranks
+    are sums of its parts' ranks, and every instance is one-sided in every
+    part: got >= want always holds for C1 (monotonicity), got <= want for
+    C0, C2 and C3 (rk(S u A) <= rk(A) + rk(S) <= rk(A) + width(S)), so the
+    sum is an equality exactly when each part's is.  An embedding keeps
+    thresholds, which strictly decrease across levels, so each of its
+    condition instances is one of its leaf's, or one on larger qualified
+    coalitions or fewer secrets (monotonicity), or one on smaller
+    unqualified coalitions (submodularity, as above); a width-0 secret adds
+    nothing.  `embed` and `combine` check these preconditions when they set
+    `leaves`.  When a leaf fails, or the scheme is a leaf (built directly,
+    read from text or copied with `dataclasses.replace`), every coalition is
+    scanned, which finds the first failing instance as its witness.
 
     The report is kept on the scheme's profile (`RankProfile.reports`), so
     the same check of the same scheme object is answered at no cost.
@@ -309,9 +296,8 @@ def check_conditions(
     if report is not None:
         return report
     n = scheme.sp.n_parties
-    links = scheme.parts or (scheme.source,)
-    linked = links[0] is not None and all(
-        check_conditions(link, security, exhaustive).passed for link in links
+    linked = bool(scheme.leaves) and all(
+        check_conditions(leaf, security, exhaustive).passed for leaf, _ in scheme.leaves
     )
     share_bit = [0] + [profile.mask([v]) for v in scheme.share_variables()]
     secrets = {(v.level, v.index): v for v in scheme.secret_variables()}

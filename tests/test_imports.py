@@ -1,6 +1,8 @@
-"""Every name that a module of the package imports is used in that module."""
+"""Every name that a module of the package imports is used in that module,
+and every private top-level function or class is named by the package."""
 
 import ast
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -29,6 +31,36 @@ def unused_imports(source: str) -> list[str]:
     return [f"{name} (line {line})" for name, line in bound.items() if name not in used]
 
 
+def _names(node) -> Counter:
+    """How often each name is read under `node`, by a `Name` or an
+    `Attribute` (as in `schemes._leaf`)."""
+    return Counter(
+        n.id if isinstance(n, ast.Name) else n.attr
+        for n in ast.walk(node)
+        if isinstance(n, (ast.Name, ast.Attribute))
+    )
+
+
+def unused_private(sources: dict[str, str]) -> list[str]:
+    """The private functions and classes of `sources` ({module name:
+    source}), top-level or methods of a top-level class, that no module
+    names outside their own definition, as "module.name".  Dunder names are
+    exempt."""
+    defs = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+    total = Counter()
+    defined = []
+    for module, source in sources.items():
+        tree = ast.parse(source)
+        total += _names(tree)
+        for node in tree.body:
+            members = node.body if isinstance(node, ast.ClassDef) else []
+            for d in (node, *members):
+                if isinstance(d, defs) and d.name.startswith("_"):
+                    if not d.name.startswith("__"):
+                        defined.append((f"{module}.{d.name}", d.name, _names(d)[d.name]))
+    return [label for label, name, inside in defined if total[name] == inside]
+
+
 def test_unused_imports_finds_what_it_should():
     source = (
         "from __future__ import annotations\n"
@@ -50,3 +82,34 @@ def test_unused_imports_finds_what_it_should():
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+def test_unused_private_finds_what_it_should():
+    sources = {
+        "a": (
+            "def _called():\n"
+            "    return 1\n"
+            "def _recursive(n):\n"
+            "    return _recursive(n - 1)\n"
+            "class _Read:\n"
+            "    pass\n"
+            "def _dead():\n"
+            "    return _called()\n"
+            "def __getattr__(name):\n"
+            "    pass\n"
+            "class K:\n"
+            "    def _asked(self):\n"
+            "        return self._orphan\n"
+            "    def _orphan(self):\n"
+            "        return K()._asked()\n"
+            "    def _left(self):\n"
+            "        pass\n"
+        ),
+        "b": "import a\nx = a._Read\n",
+    }
+    assert unused_private(sources) == ["a._recursive", "a._dead", "a._left"]
+
+
+def test_no_unused_private_definitions():
+    sources = {p.stem: p.read_text() for p in sorted(SRC.glob("*.py"))}
+    assert unused_private(sources) == []

@@ -203,7 +203,7 @@ def test_embed_default_is_slot_map():
         default = embed(s, target)
         placed = embed(s, target, place=slot_map(s.sp, target))
         assert default.to_text() == placed.to_text()
-        assert default.recipe is not None and default.recipe == placed.recipe
+        assert default.leaves and default.leaves == placed.leaves
 
 
 def test_embed_requires_matching_structure():
@@ -252,8 +252,13 @@ def test_combine_of_built_parts_makes_no_elimination(monkeypatch):
     """The full-column-rank check of a combined scheme reads each stacked
     block's rank from its parts: no `field.rank` call, also for the width-0
     secret blocks of embedded parts."""
-    built = build_optimal(structure(4, [(3, 2), (2, 1)]), RatioKind(SIGMA, STRONG))
-    parts = built.parts
+    sp = structure(4, [(3, 2), (2, 1)])
+    parts = unify_field(
+        [
+            embed(build_single_threshold(t, 4), sp, place={(1, 1): slot})
+            for t, slot in ((3, (1, 1)), (3, (1, 2)), (2, (2, 1)))
+        ]
+    )
     assert any(b.n_cols == 0 for p in parts for _, b in p.blocks)
     calls = []
     real_rank = field.rank
@@ -286,37 +291,38 @@ def test_profile_refuses_links_that_do_not_match_the_blocks():
     blocks[p1] = blocks[sec]  # P[1] holds the secret itself
     leaky = LinearScheme(sp=a.sp, q=a.q, n_rows=a.n_rows, blocks=tuple(blocks.items()))
     real = combine([a, leaky])
-    assert real.parts == (a, leaky)
+    assert [leaf for leaf, _ in real.leaves] == [a, leaky]
     assert not verify.check_conditions(real, STRONG).passed
 
     # Summing a's ranks twice would answer rank {S, P[1]} = 4; the stack has 3.
     x = [sec, p1]
     assert real.profile.rank(x) == real.columns(x).rank() == 3
     assert 2 * a.profile.rank(x) == 4
+    same = (0, 1, 2, 3)
     for scheme, links in (
-        (real, dict(parts=(a, a))),
-        (real, dict(parts=(a, build_single_threshold(2, 3, q=7)))),
-        (a, dict(source=leaky)),
-        (leaky, dict(source=a)),
-        (LinearScheme.from_text(a.to_text()), dict(source=a)),
+        (real, dict(leaves=((a, same), (a, same)))),
+        (real, dict(leaves=((a, same), (build_single_threshold(2, 3, q=7), same)))),
+        (a, dict(leaves=((leaky, same),))),
+        (leaky, dict(leaves=((a, same),))),
+        (LinearScheme.from_text(a.to_text()), dict(leaves=((a, same),))),
     ):
         with pytest.raises(TypeError):
             LinearScheme(
                 sp=scheme.sp, q=scheme.q, n_rows=scheme.n_rows, blocks=scheme.blocks, **links
             )
-    # a combined with itself, given the stack's blocks: its parts are dropped.
+    # a combined with itself, given the stack's blocks: its leaves are dropped.
     bad = dataclasses.replace(combine([a, a]), blocks=real.blocks)
-    assert bad.parts == () and bad.source is None
+    assert bad.leaves == ()
     assert bad.profile.rank(x) == 3
     for security in (STRONG, WEAK):
         assert verify.check_conditions(bad, security) == verify.check_conditions(
             real, security
         )
-    # An embed given leaky's blocks: its source is dropped.
+    # An embed given leaky's blocks: its leaf is dropped.
     e = embed(a, structure(3, [(2, 2)]))
-    assert e.source is a
+    assert e.leaves[0][0] is a
     moved = dataclasses.replace(e, blocks=leaky.blocks, sp=a.sp)
-    assert moved.source is None and moved.profile.rank(x) == 1
+    assert moved.leaves == () and moved.profile.rank(x) == 1
     assert not verify.check_conditions(moved, STRONG).passed
 
 
@@ -402,17 +408,17 @@ def test_unify_field_respects_searched_orders():
 
 def test_unify_field_reuses_parts_over_the_common_prime(monkeypatch):
     """A part already over the common prime comes back as it is; the others
-    are rebuilt once per distinct recipe, equal to a build at that prime."""
+    are rebuilt once per distinct part, equal to a build at that prime."""
     a = build_weak_block(3, 2, 2)  # q = 7
     b = build_weak_block(4, 3, 3)  # q = 11
     rebuilt = []
     real = schemes._rebuild
     monkeypatch.setattr(
-        schemes, "_rebuild", lambda r, q, made: rebuilt.append(r) or real(r, q, made)
+        schemes, "_rebuild", lambda s, q, made: rebuilt.append(s) or real(s, q, made)
     )
     ua1, ub, ua2 = unify_field([a, b, a])
     assert ub is b and ua1 is ua2
-    assert rebuilt == [a.recipe]
+    assert rebuilt == [a]
     assert ua1.to_text() == build_weak_block(3, 2, 2, q=11).to_text()
 
 
@@ -420,17 +426,69 @@ def test_unify_field_needs_recipes():
     s = LinearScheme.from_text(build_single_threshold(2, 3).to_text())
     with pytest.raises(ValueError, match="rebuildable"):
         unify_field([s])
+    with pytest.raises(ValueError, match="rebuildable"):
+        unify_field([embed(s, structure(3, [(3, 1), (2, 1)]))])
+
+
+def test_replace_copy_of_a_leaf_has_no_recipe():
+    """A `dataclasses.replace` copy with other blocks is not the construction
+    its recipe would rebuild, so it keeps none and `unify_field` refuses it
+    (a rebuild at another prime would drop the copy's blocks)."""
+    a = build_weak_block(3, 2, 2)  # q = 7
+    s1, s2 = a.secret_variables()
+    swapped = ((s1, a.block(s2)), (s2, a.block(s1))) + a.blocks[2:]
+    copy = dataclasses.replace(a, blocks=swapped)
+    assert copy.recipe is None and copy.to_text() != a.to_text()
+    with pytest.raises(ValueError, match="rebuildable"):
+        unify_field([copy, build_weak_block(4, 3, 3)])  # q = 11
+    with pytest.raises(ValueError, match="rebuildable"):
+        unify_field([copy])
+    with pytest.raises(TypeError):
+        LinearScheme(sp=a.sp, q=a.q, n_rows=a.n_rows, blocks=swapped, recipe=a.recipe)
+
+
+def test_composed_part_is_rebuilt_from_its_leaves():
+    """A part embedding a combination, next to a part on a larger prime, is
+    rebuilt as the same embedding of the combination of its leaves built at
+    that prime, byte for byte."""
+    a = build_weak_block(3, 2, 1)  # q = 5
+    b = build_single_threshold(2, 3)  # q = 5
+    target = structure(3, [(3, 1), (2, 2)])
+    part = embed(combine([a, b]), target, place={(1, 1): (2, 2)})
+    other = build_weak_block(3, 3, 3)  # q = 7
+    got, same = unify_field([part, other])
+    assert same is other and got.q == 7
+    a7, b7 = build_weak_block(3, 2, 1, q=7), build_single_threshold(2, 3, q=7)
+    want = embed(combine([a7, b7]), target, place={(1, 1): (2, 2)})
+    assert got.to_text() == want.to_text()
+    assert [leaf.recipe for leaf, _ in got.leaves] == [a.recipe, b.recipe]
+    assert [index for _, index in got.leaves] == [index for _, index in part.leaves]
+
+
+def test_leaves_flatten_nested_compositions():
+    """A combine of a combine lists the inner leaves in order, and an embed
+    of an embed points at the original leaf, each variable at its block."""
+    a = build_single_threshold(2, 3)
+    b = build_weak_block(3, 2, 1)
+    c = build_single_threshold(2, 3)
+    outer = combine([combine([a, b]), c])
+    assert outer.leaves == ((a, (0, 1, 2, 3)), (b, (0, 1, 2, 3)), (c, (0, 1, 2, 3)))
+    once = embed(a, structure(3, [(2, 2)]), place={(1, 1): (1, 2)})
+    twice = embed(once, structure(3, [(3, 1), (2, 2)]))
+    assert once.leaves == ((a, (-1, 0, 1, 2, 3)),)
+    assert twice.leaves == ((a, (-1, -1, 0, 1, 2, 3)),)
+    assert [leaf for leaf, _ in combine([twice, twice]).leaves] == [a, a]
 
 
 def test_recipe_guarantee():
-    assert recipe_guarantee(build_single_threshold(2, 3).recipe) == STRONG
-    assert recipe_guarantee(build_weak_block(3, 2, 2).recipe) == WEAK
+    assert recipe_guarantee(build_single_threshold(2, 3)) == STRONG
+    assert recipe_guarantee(build_weak_block(3, 2, 2)) == WEAK
     strong_combo = combine([build_single_threshold(2, 3), build_single_threshold(2, 3)])
-    assert recipe_guarantee(strong_combo.recipe) == STRONG
+    assert recipe_guarantee(strong_combo) == STRONG
     mixed = combine(
         [build_single_threshold(2, 3), embed(build_weak_block(3, 2, 1), structure(3, [(2, 1)]))]
     )
-    assert recipe_guarantee(mixed.recipe) == WEAK
+    assert recipe_guarantee(mixed) == WEAK
 
 
 # -- ratio-optimal construction --------------------------------------------
@@ -502,8 +560,8 @@ def test_leaf_memo_is_bounded_and_public_builders_are_not_cached():
     assert schemes._leaf.cache_info().currsize == 0
     # A leaf of build_optimal is the memo's, not the public builder's.
     s = build_optimal(structure(3, [(2, 2)]), RatioKind(SIGMA, STRONG))
-    assert s.parts[0].source is schemes._leaf(build_single_threshold, (2, 3))
-    assert s.parts[0].source is not build_single_threshold(2, 3)
+    assert s.leaves[0][0] is schemes._leaf(build_single_threshold, (2, 3))
+    assert s.leaves[0][0] is not build_single_threshold(2, 3)
 
 
 def test_cells_share_a_leaf_and_its_reports():
@@ -514,11 +572,11 @@ def test_cells_share_a_leaf_and_its_reports():
     assert verify.check_conditions(a, STRONG).passed
     verify.ratios(a)
     verify.audit_bounds(a, STRONG)
-    leaf = a.parts[0].source
+    leaf = a.leaves[0][0]
     before = leaf.profile.stats.eliminations
     assert before > 0
     b = build_optimal(structure(3, [(3, 1), (2, 1)]), RatioKind(SIGMA, STRONG))
-    assert b.parts[1].source is leaf and b.parts[0].source is not leaf
+    assert b.leaves[1][0] is leaf and b.leaves[0][0] is not leaf
     assert verify.check_conditions(b, STRONG).passed
     verify.ratios(b)
     verify.audit_bounds(b, STRONG)

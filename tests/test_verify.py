@@ -11,7 +11,7 @@ from itertools import combinations, permutations, product
 
 import pytest
 
-from mtss import field, verify
+from mtss import field, schemes, verify
 from mtss.field import MatrixFq
 from mtss.schemes import (
     LinearScheme,
@@ -120,7 +120,7 @@ def test_rank_profile_concurrent_queries():
     def fresh():
         a = embed(build_single_threshold(3, 4), sp)
         b = embed(build_single_threshold(2, 4), sp)
-        return combine([a, b, a]), a.source, b.source
+        return combine([a, b, a]), a.leaves[0][0], b.leaves[0][0]
 
     composed, _, leaf = fresh()
     serial = [[p.share_ranks[m] for m in every] for p in (composed.profile, leaf.profile)]
@@ -212,7 +212,7 @@ def test_composed_profile_ranks_match_elimination(parties, masks):
     for sp in _table_family(parties):
         for kind in KINDS:
             s = build_optimal(sp, kind)
-            assert s.parts or s.source is not None
+            assert s.leaves
             vs = s.variables()
             if masks is None:
                 picks = range(2 ** len(vs))
@@ -295,16 +295,16 @@ def test_combined_check_makes_no_elimination_of_its_own():
     its audit from its leaves' share tables, so its own profile is asked no
     rank at all."""
     s = build_optimal(structure(4, [(3, 2), (2, 1)]), RatioKind(SIGMA, STRONG))
-    assert len(s.parts) == 3 and all(p.source is not None for p in s.parts)
+    assert len(s.leaves) == 3
     assert check_conditions(s, STRONG).passed
     stats = s.profile.stats
     assert stats.queries == 0 and stats.eliminations == 0
     # Its audit reads a share table summed from its leaves' tables.
     assert all(c.holds for c in audit_bounds(s, STRONG))
     assert stats.queries == 0 and stats.eliminations == 0
-    # Read back from text, the same scheme has no parts and eliminates.
+    # Read back from text, the same scheme is a leaf and eliminates.
     copy = LinearScheme.from_text(s.to_text())
-    assert copy.source is None and copy.parts == ()
+    assert copy.leaves == ()
     assert check_conditions(copy, STRONG).passed
     assert copy.profile.stats.eliminations > 0
 
@@ -312,20 +312,26 @@ def test_combined_check_makes_no_elimination_of_its_own():
 @pytest.mark.parametrize(
     "parties, sample", [((2, 3), None), ((4,), 90)], ids=["N2-3-all", "N4-sample"]
 )
-def test_reports_through_links_match_text_copies(parties, sample):
-    """Every build_optimal cell and each of its parts is checked through its
-    links; each report, failing witnesses included, equals that of a text
-    copy, which scans every coalition (every cell for N <= 3, 90 seeded
+def test_reports_through_links_match_text_copies(parties, sample, monkeypatch):
+    """Every build_optimal cell and each part it combines is checked through
+    its leaves; each report, failing witnesses included, equals that of a
+    text copy, which scans every coalition (every cell for N <= 3, 90 seeded
     cells of 360 for N = 4)."""
+    combined = []
+    real = schemes.combine
+    monkeypatch.setattr(
+        schemes, "combine", lambda parts: combined.append(list(parts)) or real(combined[-1])
+    )
     keys = [(sec, ex) for sec in (STRONG, WEAK) for ex in (False, True)]
     cells = [(sp, kind) for sp in _table_family(parties) for kind in KINDS]
     if sample is not None:
         cells = random.Random(15).sample(cells, sample)
     reports = fails = 0
     for sp, kind in cells:
+        combined.clear()
         s = build_optimal(sp, kind)
-        for scheme in dict.fromkeys((s, *s.parts)):
-            assert scheme.parts or scheme.source, (sp, kind)
+        for scheme in dict.fromkeys((s, *(p for parts in combined for p in parts))):
+            assert scheme.leaves, (sp, kind)
             copy = LinearScheme.from_text(scheme.to_text())
             for key in keys:
                 got = check_conditions(scheme, *key)
@@ -342,23 +348,22 @@ def test_reports_through_links_match_text_copies(parties, sample):
 
 
 def test_links_are_set_only_by_embed_and_combine():
-    """The constructor takes no links.  A `dataclasses.replace` copy and a
-    text copy of a combined scheme have none, so they scan, and they give
+    """The constructor takes no `leaves`.  A `dataclasses.replace` copy and
+    a text copy of a combined scheme have none, so they scan, and they give
     the combined scheme's reports, failing witnesses included."""
     a = build_single_threshold(2, 3)
     fields = dict(sp=a.sp, q=a.q, n_rows=a.n_rows, blocks=a.blocks)
     with pytest.raises(TypeError):
-        LinearScheme(**fields, source=a)
+        LinearScheme(**fields, leaves=((a, (0, 1, 2, 3)),))
     with pytest.raises(TypeError):
-        LinearScheme(**fields, parts=(a, a))
+        LinearScheme(**fields, leaves=((a, (0, 1, 2, 3)), (a, (0, 1, 2, 3))))
     e = embed(a, structure(3, [(3, 1), (2, 1)]))
-    assert e.source is a and embed(e, structure(3, [(3, 1), (2, 2)])).source is a
+    assert e.leaves == ((a, (-1, 0, 1, 2, 3)),)
     s = build_optimal(structure(3, [(3, 2), (2, 1)]), RatioKind(SIGMA, WEAK))
-    stack = combine(s.parts)
-    assert len(stack.parts) == 2 and stack.parts == s.parts
+    assert len(s.leaves) == 2
     keys = [(sec, ex) for sec in (STRONG, WEAK) for ex in (False, True)]
     for copy in (dataclasses.replace(s), LinearScheme.from_text(s.to_text())):
-        assert copy.source is None and copy.parts == ()
+        assert copy.leaves == ()
         for key in keys:
             assert check_conditions(copy, *key) == check_conditions(s, *key), key
         assert copy.profile.stats.eliminations > 0
@@ -374,10 +379,10 @@ def test_links_that_do_not_keep_the_conditions_are_not_used():
     share = [None] + list(a.share_variables())
     empty = field.zeros(a.n_rows, 0, a.q)
 
-    def unlinked(sp, blocks, **links):
+    def unlinked(sp, blocks, leaves):
         n_rows = blocks[0][1].n_rows
         with pytest.raises(TypeError):
-            LinearScheme(sp=sp, q=a.q, n_rows=n_rows, blocks=blocks, **links)
+            LinearScheme(sp=sp, q=a.q, n_rows=n_rows, blocks=blocks, leaves=leaves)
         return LinearScheme(sp=sp, q=a.q, n_rows=n_rows, blocks=blocks)
 
     def shares(order=(1, 2, 3)):
@@ -392,29 +397,31 @@ def test_links_that_do_not_keep_the_conditions_are_not_used():
         "secret moved to another threshold": unlinked(
             two_levels,
             ((sec, a.block(sec)), (VariableId.secret(2, 1), empty)) + shares(),
-            source=a,
+            ((a, (0, -1, 1, 2, 3)),),
         ),
         "one source block on two slots": unlinked(
             two_secrets,
             ((sec, a.block(sec)), (VariableId.secret(1, 2), a.block(sec))) + shares(),
-            source=a,
+            ((a, (0, 0, 1, 2, 3)),),
         ),
         "two shares swapped": unlinked(
-            a.sp, ((sec, a.block(sec)),) + shares((2, 1, 3)), source=a
+            a.sp, ((sec, a.block(sec)),) + shares((2, 1, 3)), ((a, (0, 2, 1, 3)),)
         ),
         "a share on a secret slot": unlinked(
-            a.sp, ((sec, a.block(share[1])),) + shares(), source=a
+            a.sp, ((sec, a.block(share[1])),) + shares(), ((a, (1, 1, 2, 3)),)
         ),
         "a share emptied": unlinked(
-            a.sp, ((sec, a.block(sec)),) + shares()[:2] + ((share[3], empty),), source=a
+            a.sp,
+            ((sec, a.block(sec)),) + shares()[:2] + ((share[3], empty),),
+            ((a, (0, 1, 2, -1)),),
         ),
         "parts on another structure": unlinked(
-            structure(3, [(2, 1)]), stack.blocks, parts=stack.parts
+            structure(3, [(2, 1)]), stack.blocks, stack.leaves
         ),
     }
     fails = set()
     for name, s in cases.items():
-        assert s.source is None and s.parts == (), name
+        assert s.leaves == (), name
         copy = LinearScheme.from_text(s.to_text())
         for security in (STRONG, WEAK):
             for exhaustive in (False, True):
@@ -423,9 +430,9 @@ def test_links_that_do_not_keep_the_conditions_are_not_used():
                 if not report.passed:
                     fails.add(name)
     assert fails == set(cases) - {"two shares swapped"}
-    # The placements that embed and combine make do record their links.
-    assert embed(a, structure(3, [(3, 1), (2, 1)])).source is a
-    assert stack.parts == (b, b)
+    # The placements that embed and combine make do record their leaves.
+    assert embed(a, structure(3, [(3, 1), (2, 1)])).leaves[0][0] is a
+    assert [leaf for leaf, _ in stack.leaves] == [b, b]
 
 
 def test_embeds_of_one_construction_share_its_memo():
@@ -439,7 +446,7 @@ def test_embeds_of_one_construction_share_its_memo():
     ]
     copies = [LinearScheme.from_text(e.to_text()) for e in embeds]
     for e, c in zip(embeds, copies):
-        assert e.source is block
+        assert e.leaves[0][0] is block
         assert check_conditions(e, WEAK, exhaustive=True) == check_conditions(
             c, WEAK, exhaustive=True
         )
