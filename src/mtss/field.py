@@ -115,7 +115,16 @@ class MatrixFq:
     @cached_property
     def _rank(self) -> int:
         # `a` is read-only, so the rank is computed once per object.
-        return rank(self.a, self.q)
+        return rank(self, self.q)
+
+
+def _reduced(a: np.ndarray, q: int) -> MatrixFq:
+    """A `MatrixFq` of a 2-d array already reduced mod a prime q (say,
+    columns taken from one), made without the constructor's checks."""
+    a.setflags(write=False)
+    m = object.__new__(MatrixFq)
+    m.__dict__.update(q=q, a=a)
+    return m
 
 
 def zeros(n_rows: int, n_cols: int, q: int) -> MatrixFq:
@@ -182,12 +191,14 @@ def _echelon(
 def rank(rows, q: int) -> int:
     """Rank of a matrix over F_q (accepts MatrixFq, ndarray or nested lists).
 
-    Eliminates whichever of the matrix and its transpose has fewer rows.
+    Eliminates whichever of the matrix and its transpose has fewer rows.  A
+    `MatrixFq` is reduced by its own invariant, so only other input is
+    reduced first.
     """
     if isinstance(rows, MatrixFq):
-        q = rows.q
-        rows = rows.a
-    a = _as_field_array(rows, q)
+        q, a = rows.q, rows.a
+    else:
+        a = _as_field_array(rows, q)
     if a.shape[0] > a.shape[1]:
         a = a.T
     return len(_echelon(a.tolist(), q, reduced=False)[1])

@@ -23,6 +23,7 @@ cached: each call returns a new scheme.
 from __future__ import annotations
 
 import hashlib
+import threading
 from dataclasses import dataclass
 from dataclasses import field as dc_field
 from fractions import Fraction
@@ -55,6 +56,9 @@ from mtss.structure import (
 SEARCH_CAP = 50
 
 _MAGIC = "mtss-scheme 1"
+
+# Guards the first read of a composed scheme's blocks (`LinearScheme`).
+_ASSEMBLING = threading.Lock()
 
 
 class FieldSearchError(RuntimeError):
@@ -104,9 +108,9 @@ class LinearScheme:
 
     Invariants enforced at construction: every block lives over the same
     prime q with the same row count, blocks appear exactly once per variable
-    in canonical order, and every nonempty block has full column rank (so a
-    variable's entropy equals its width).  Width-0 secret blocks are legal
-    and encode dummy secrets added by `embed`.
+    in canonical order (`scheme_variables`), and every nonempty block has
+    full column rank (so a variable's entropy equals its width).  Width-0
+    secret blocks are legal and encode dummy secrets added by `embed`.
 
     `min_order` is the smallest field order the construction is known to
     work at (for searched families, the prime the search certified).
@@ -122,6 +126,16 @@ class LinearScheme:
     constructor takes neither field (`TypeError`), so a scheme read back
     from text or copied with `dataclasses.replace` is a leaf with no
     recipe.  Neither takes part in the text form or the fingerprint.
+
+    A composed scheme is a view over its leaves: `embed` and `combine` make
+    it without the constructor, holding `sp`, `q`, `n_rows` (the sum of its
+    leaves'), `min_order`, `leaves` and each variable's width.  Its
+    `blocks` are assembled on first read (`to_text`, the fingerprint,
+    `block`, `columns`) and then kept: each is the `field.block_diag` of
+    its leaves' blocks at the recorded indices (an empty one for a dummy),
+    whose kept rank is its width, as the bands are disjoint and every
+    leaf's block has full column rank.  Variables, widths, ratios, checks
+    and audits read no block of a composed scheme.
     """
 
     sp: StructurePair
@@ -151,33 +165,70 @@ class LinearScheme:
                 raise ValueError(f"block {v} has linearly dependent columns")
         if self.min_order == 0:
             object.__setattr__(self, "min_order", self.q)
+        self.__dict__["_order"] = got
+
+    def __getattr__(self, name):
+        # Only a composed scheme lacks `blocks` until it is first read.
+        if name != "blocks" or not self.leaves:
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        with _ASSEMBLING:
+            blocks = self.__dict__.get("blocks")
+            if blocks is None:
+                blocks = self.__dict__["blocks"] = self._assemble()
+        return blocks
+
+    def _assemble(self) -> tuple[tuple[VariableId, MatrixFq], ...]:
+        """A composed scheme's blocks, from its leaves' (see the class)."""
+        empty = [field.zeros(leaf.n_rows, 0, self.q) for leaf, _ in self.leaves]
+        blocks = []
+        for at, (v, w) in enumerate(zip(self._order, self._widths)):
+            b = field.block_diag(
+                [
+                    leaf.blocks[index[at]][1] if index[at] >= 0 else dummy
+                    for (leaf, index), dummy in zip(self.leaves, empty)
+                ]
+            )
+            b.__dict__["_rank"] = w
+            blocks.append((v, b))
+        return tuple(blocks)
 
     @cached_property
-    def _by_var(self) -> dict[VariableId, MatrixFq]:
-        return dict(self.blocks)
+    def _order(self) -> tuple[VariableId, ...]:
+        return scheme_variables(self.sp)
 
-    def variables(self) -> tuple[VariableId, ...]:
-        return tuple(v for v, _ in self.blocks)
+    @cached_property
+    def _widths(self) -> tuple[int, ...]:
+        return tuple(b.n_cols for _, b in self.blocks)
 
-    def secret_variables(self) -> tuple[VariableId, ...]:
-        return tuple(v for v, _ in self.blocks if v.kind == "secret")
+    @cached_property
+    def _index(self) -> dict[VariableId, int]:
+        return {v: i for i, v in enumerate(self._order)}
 
-    def share_variables(self) -> tuple[VariableId, ...]:
-        return tuple(v for v, _ in self.blocks if v.kind == "share")
-
-    def block(self, v: VariableId) -> MatrixFq:
+    def _at(self, v: VariableId) -> int:
         try:
-            return self._by_var[v]
+            return self._index[v]
         except KeyError:
             raise KeyError(f"unknown variable {v}") from None
 
+    def variables(self) -> tuple[VariableId, ...]:
+        return self._order
+
+    def secret_variables(self) -> tuple[VariableId, ...]:
+        return self._order[: -self.sp.n_parties]
+
+    def share_variables(self) -> tuple[VariableId, ...]:
+        return self._order[-self.sp.n_parties :]
+
+    def block(self, v: VariableId) -> MatrixFq:
+        return self.blocks[self._at(v)][1]
+
     def width(self, v: VariableId) -> int:
-        return self.block(v).n_cols
+        return self._widths[self._at(v)]
 
     def columns(self, vs) -> MatrixFq:
         """Horizontal stack of the blocks of `vs`, in canonical order."""
         wanted = set(vs)
-        unknown = wanted - set(self._by_var)
+        unknown = wanted.difference(self._index)
         if unknown:
             raise KeyError(f"unknown variable {sorted(unknown)[0]}")
         picked = [b.a for v, b in self.blocks if v in wanted]
@@ -473,9 +524,10 @@ def embed(scheme: LinearScheme, target: StructurePair, *, place=None) -> LinearS
     source secrets onto specific target slots with equal thresholds.  Both
     are checked the same way.
 
-    The result reuses the source's block objects, and its `leaves` are the
-    source's entries (a leaf's own, for a leaf) mapped through the placement,
-    so an embed of an embed points at the original leaf.
+    The result is a view (see `LinearScheme`): its `leaves` are the
+    source's entries (a leaf's own, for a leaf) mapped through the
+    placement, so an embed of an embed points at the original leaf, and its
+    widths are the source's widths mapped the same way (0 for a dummy).
     """
     if target.n_parties != scheme.sp.n_parties:
         raise ValueError("subset relation fails: participant counts differ")
@@ -484,39 +536,36 @@ def embed(scheme: LinearScheme, target: StructurePair, *, place=None) -> LinearS
         if place is None:
             raise ValueError("subset relation fails")
     place = dict(place)
-    if set(place) != set(scheme.sp.secret_slots()):
+    src_slots = scheme.sp.secret_slots()
+    dst_slots = target.secret_slots()
+    if set(place) != set(src_slots):
         raise ValueError("placement must cover every source secret exactly once")
     if len(set(place.values())) != len(place):
         raise ValueError("placement collides on a target slot")
-    dst_slots = set(target.secret_slots())
+    exists = set(dst_slots)
     for (k, j), (kk, jj) in place.items():
-        if (kk, jj) not in dst_slots:
+        if (kk, jj) not in exists:
             raise ValueError(f"target slot ({kk},{jj}) does not exist")
         if target.threshold(kk) != scheme.sp.threshold(k):
             raise ValueError("placement must preserve thresholds")
-    # Each target variable's source variable (shares keep theirs), and the
-    # index of its block in the source (-1 for a dummy secret).
-    inverse = {VariableId.secret(*v): VariableId.secret(*k) for k, v in place.items()}
-    inverse.update((v, v) for v in scheme.share_variables())
-    index = {v: i for i, v in enumerate(scheme.variables())}
-    empty = field.zeros(scheme.n_rows, 0, scheme.q)
-    blocks, at = [], []
-    for v in scheme_variables(target):
-        i = index.get(inverse.get(v), -1)
-        blocks.append((v, empty if i < 0 else scheme.blocks[i][1]))
-        at.append(i)
-    out = LinearScheme(
-        sp=target,
-        q=scheme.q,
-        n_rows=scheme.n_rows,
-        blocks=tuple(blocks),
-        min_order=scheme.min_order,
+    # Each target variable's block index in the source (-1 for a dummy
+    # secret), by canonical position: secrets in slot order, then shares.
+    src_at = {place[slot]: i for i, slot in enumerate(src_slots)}
+    n_src = len(src_slots)
+    at = [src_at.get(slot, -1) for slot in dst_slots]
+    at += range(n_src, n_src + target.n_parties)
+    widths = scheme._widths
+    return _composed(
+        target,
+        scheme.q,
+        scheme.n_rows,
+        scheme.min_order,
+        tuple(0 if i < 0 else widths[i] for i in at),
+        tuple(
+            (leaf, tuple(-1 if i < 0 else pos[i] for i in at))
+            for leaf, pos in _entries(scheme)
+        ),
     )
-    leaves = tuple(
-        (leaf, tuple(-1 if i < 0 else pos[i] for i in at)) for leaf, pos in _entries(scheme)
-    )
-    object.__setattr__(out, "leaves", leaves)
-    return out
 
 
 def combine(parts) -> LinearScheme:
@@ -525,8 +574,10 @@ def combine(parts) -> LinearScheme:
     Row bands of different parts are disjoint, so every joint rank of the
     result is the sum of the parts' joint ranks — which is exactly why the
     combination inherits each rank condition its parts satisfy, and why its
-    profile sums theirs.  Its `leaves` are the parts' entries (a leaf's own,
-    for a leaf) in order, so a combine of a combine lists the inner leaves.
+    profile sums theirs.  The result is a view (see `LinearScheme`): its
+    `leaves` are the parts' entries (a leaf's own, for a leaf) in order, so
+    a combine of a combine lists the inner leaves, and each width is the
+    sum of the parts' widths.
     """
     parts = list(parts)
     if not parts:
@@ -538,28 +589,29 @@ def combine(parts) -> LinearScheme:
         raise ValueError("mismatched field")
     if len(parts) == 1:
         return first
-    blocks = []
-    for v in scheme_variables(first.sp):
-        bs = [p.block(v) for p in parts]
-        stacked = field.block_diag(bs)
-        # Disjoint row and column bands: the stack's rank is the sum of the
-        # parts' ranks, which their own full-column-rank checks computed.
-        stacked.__dict__["_rank"] = sum(b.rank() for b in bs if b.n_cols)
-        blocks.append((v, stacked))
-    out = LinearScheme(
-        sp=first.sp,
-        q=first.q,
-        n_rows=sum(p.n_rows for p in parts),
-        blocks=tuple(blocks),
-        min_order=max(p.min_order for p in parts),
+    return _composed(
+        first.sp,
+        first.q,
+        sum(p.n_rows for p in parts),
+        max(p.min_order for p in parts),
+        tuple(map(sum, zip(*(p._widths for p in parts)))),
+        tuple(e for p in parts for e in _entries(p)),
     )
-    object.__setattr__(out, "leaves", tuple(e for p in parts for e in _entries(p)))
+
+
+def _composed(sp, q, n_rows, min_order, widths, leaves) -> LinearScheme:
+    """A composed scheme over `leaves`, made without the constructor: its
+    variables are listed and its blocks assembled on first read."""
+    out = object.__new__(LinearScheme)
+    out.__dict__.update(
+        sp=sp, q=q, n_rows=n_rows, min_order=min_order, leaves=leaves, _widths=widths
+    )
     return out
 
 
 def _entries(scheme: LinearScheme):
     """`scheme.leaves`, or a leaf's own entry: itself, every block in place."""
-    return scheme.leaves or ((scheme, tuple(range(len(scheme.blocks)))),)
+    return scheme.leaves or ((scheme, tuple(range(len(scheme.variables())))),)
 
 
 def _rebuild(scheme: LinearScheme, q: int, made: dict) -> LinearScheme:
@@ -567,16 +619,17 @@ def _rebuild(scheme: LinearScheme, q: int, made: dict) -> LinearScheme:
     there; what it builds, its leaves too, goes into `made`, so each is
     built once per call.  A leaf comes from the leaf memo (`_leaf`) by its
     recipe; a composed scheme is the `combine` of its rebuilt leaves, each
-    `embed`ded by the placement its `leaves` entry records."""
+    `embed`ded by the placement its `leaves` entry records, read from the
+    variables of the scheme and the leaf, so no block is assembled."""
     if scheme in made:
         return made[scheme]
     if scheme.leaves:
         parts = []
         for leaf, index in scheme.leaves:
             place = {}
-            for (v, _), i in zip(scheme.blocks, index):
+            for v, i in zip(scheme.variables(), index):
                 if v.kind == "secret" and i >= 0:
-                    src = leaf.blocks[i][0]
+                    src = leaf.variables()[i]
                     place[src.level, src.index] = (v.level, v.index)
             parts.append(embed(_rebuild(leaf, q, made), scheme.sp, place=place))
         s = combine(parts)
@@ -599,9 +652,12 @@ def _rebuild(scheme: LinearScheme, q: int, made: dict) -> LinearScheme:
 
 def recipe_guarantee(scheme: LinearScheme) -> str:
     """Security level a scheme's construction certifies: strong exactly
-    when every leaf is single-threshold, else weak."""
-    single = all(leaf.recipe[0] == "single" for leaf, _ in _entries(scheme))
-    return STRONG if single else WEAK
+    when every leaf is single-threshold, else weak.  A leaf with no recipe
+    (read from text or copied) is refused (`ValueError`)."""
+    recipes = [leaf.recipe for leaf, _ in _entries(scheme)]
+    if None in recipes:
+        raise ValueError("scheme is not rebuildable (no retained parameters)")
+    return STRONG if all(r[0] == "single" for r in recipes) else WEAK
 
 
 def unify_field(parts) -> list[LinearScheme]:

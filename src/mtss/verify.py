@@ -102,10 +102,11 @@ class RankProfile:
     of the same blocks.  The profile keeps each leaf's profile (leaves are
     the only profiles that eliminate) with the bit of every variable in that
     leaf (0 for a dummy or a width-0 block); a miss sums the leaves' ranks
-    of its mask's translations.  A share-table entry is the sum of the
-    leaves' entries of the same share mask: `embed` keeps its source's share
-    blocks and `combine` stacks every share of parts over one structure, so
-    share i of a composed scheme is share i of each leaf.
+    of its mask's translations, so the composed scheme's own blocks are
+    never assembled.  A share-table entry is the sum of the leaves' entries
+    of the same share mask: `embed` keeps its source's share blocks and
+    `combine` stacks every share of parts over one structure, so share i of
+    a composed scheme is share i of each leaf.
 
     `reports` keeps `check_conditions`' reports by (security, exhaustive).
     """
@@ -189,8 +190,11 @@ class RankProfile:
             for i in _bits(mask):
                 picked += self._cols[i]
             eliminated = bool(picked)
-            q = self.scheme.q
-            r = field.rank(self._matrix.take(picked, axis=1), q) if picked else 0
+            r = 0
+            if picked:
+                # Columns of reduced blocks need no second reduction.
+                a = field._reduced(self._matrix.take(picked, axis=1), self.scheme.q)
+                r = field.rank(a, a.q)
         with self._lock:
             stats.eliminations += eliminated
             self._memo[mask] = r

@@ -75,6 +75,24 @@ def test_rank_examples():
     assert rank(np.zeros((3, 0), dtype=int), 7) == 0
 
 
+def test_rank_reduces_only_input_that_is_not_a_field_matrix(monkeypatch):
+    """An ndarray or list may hold any ints and is reduced first; a
+    `MatrixFq` is reduced by its invariant, so neither `rank` nor its kept
+    rank reduces it again."""
+    rows = [[6, -4], [12, 2]]  # rank 2 over the rationals, [[1, 1], [2, 2]] mod 5
+    assert rank(rows, 5) == rank(np.array(rows), 5) == 1
+    assert rank([[8, 3], [-1, 4]], 7) == 1  # rank 2 over the rationals
+    m = MatrixFq(5, rows)
+    reductions = []
+    real = field._as_field_array
+    monkeypatch.setattr(
+        field, "_as_field_array", lambda *a: reductions.append(a) or real(*a)
+    )
+    assert rank(m, 5) == m.rank() == 1
+    assert reductions == []
+    assert rank(rows, 5) == 1 and len(reductions) == 1
+
+
 @settings(max_examples=60, deadline=None)
 @given(st.data())
 def test_rank_matches_brute_force(data):
@@ -106,7 +124,7 @@ def test_rank_equals_rank_of_transpose(data):
 @given(st.data())
 def test_block_diag_rank_is_the_sum_of_the_parts(data):
     """A block-diagonal stack's rank is the sum of its parts' ranks, which
-    is what `combine` records for its stacked blocks."""
+    is what a composed scheme's assembled block keeps as its rank."""
     q = data.draw(st.sampled_from([2, 3, 5, 7]))
     mats = []
     for _ in range(data.draw(st.integers(1, 4))):

@@ -2,6 +2,7 @@
 
 import dataclasses
 import sys
+import threading
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -249,9 +250,9 @@ def test_combine_stacks_blocks_diagonally():
 
 
 def test_combine_of_built_parts_makes_no_elimination(monkeypatch):
-    """The full-column-rank check of a combined scheme reads each stacked
-    block's rank from its parts: no `field.rank` call, also for the width-0
-    secret blocks of embedded parts."""
+    """Neither combining built parts nor assembling the combination's
+    blocks eliminates: each assembled block keeps its width as its rank,
+    also the width-0 secret blocks of embedded parts."""
     sp = structure(4, [(3, 2), (2, 1)])
     parts = unify_field(
         [
@@ -264,10 +265,11 @@ def test_combine_of_built_parts_makes_no_elimination(monkeypatch):
     real_rank = field.rank
     monkeypatch.setattr(field, "rank", lambda *a: calls.append(a) or real_rank(*a))
     s = combine(parts)
+    ranks = [b.rank() for _, b in s.blocks]
     assert calls == []
     monkeypatch.undo()
-    for _, b in s.blocks:
-        assert b.rank() == field.rank(b.a, b.q) == b.n_cols
+    for (_, b), r in zip(s.blocks, ranks):
+        assert r == field.rank(b.a, b.q) == b.n_cols
 
 
 def test_combine_validation():
@@ -489,6 +491,77 @@ def test_recipe_guarantee():
         [build_single_threshold(2, 3), embed(build_weak_block(3, 2, 1), structure(3, [(2, 1)]))]
     )
     assert recipe_guarantee(mixed) == WEAK
+
+
+def test_recipe_guarantee_refuses_leaves_without_recipes():
+    """A leaf read from text or copied has no recipe, so the guarantee of
+    its construction is unknown: `ValueError`, as `unify_field` gives."""
+    a = build_single_threshold(2, 3)
+    text = LinearScheme.from_text(a.to_text())
+    copy = dataclasses.replace(a)
+    sp = structure(3, [(3, 1), (2, 1)])
+    for s in (text, copy, embed(text, sp), combine([a, copy])):
+        with pytest.raises(ValueError, match="not rebuildable"):
+            recipe_guarantee(s)
+
+
+def _composed_cells():
+    """(cell, scheme) of every build_optimal cell with N <= 4."""
+    for sp in _table_family((2, 3, 4)):
+        for kind in KINDS:
+            yield (sp, kind), build_optimal(sp, kind)
+
+
+def test_composed_scheme_matches_its_text_copy():
+    """A composed scheme lists the variables and widths of its text copy,
+    and its blocks, assembled on first read, give the copy's text and
+    fingerprint; the leaf constructor accepts them, and each keeps as its
+    rank the eliminated rank of its matrix (every cell with N <= 4)."""
+    cells = 0
+    for cell, s in _composed_cells():
+        assert s.leaves and "blocks" not in vars(s), cell
+        text = s.to_text()
+        copy = LinearScheme.from_text(text)
+        assert "blocks" in vars(s)
+        assert (s.sp, s.q, s.n_rows) == (copy.sp, copy.q, copy.n_rows)
+        assert s.variables() == copy.variables() == schemes.scheme_variables(s.sp)
+        assert s.secret_variables() == copy.secret_variables()
+        assert s.share_variables() == copy.share_variables()
+        assert [s.width(v) for v in s.variables()] == [copy.width(v) for v in copy.variables()]
+        assert text == copy.to_text() and s.fingerprint == copy.fingerprint
+        leaf = LinearScheme(sp=s.sp, q=s.q, n_rows=s.n_rows, blocks=s.blocks)
+        assert leaf.to_text() == text and leaf.leaves == ()
+        for v, b in s.blocks:
+            assert b.rank() == field.rank(b.a, b.q) == s.width(v), (cell, v)
+        cells += 1
+    assert cells == len(KINDS) * len(_table_family((2, 3, 4)))
+
+
+def test_concurrent_first_reads_of_composed_blocks():
+    """Eight threads behind a barrier make the first read of one fresh
+    composed scheme's blocks: it is assembled once, and each thread gets
+    the same blocks, equal to a serial read's."""
+    sp = structure(4, [(3, 2), (2, 1)])
+    kind = RatioKind(SIGMA, STRONG)
+    serial = build_optimal(sp, kind).blocks
+    start = threading.Barrier(8)
+
+    def first_read(s):
+        start.wait(timeout=60)
+        return s.blocks
+
+    switch = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=8) as pool:
+            for _ in range(10):
+                s = build_optimal(sp, kind)
+                assert "blocks" not in vars(s)
+                got = list(pool.map(first_read, [s] * 8, timeout=60))
+                assert all(blocks is got[0] for blocks in got)
+                assert got[0] == serial
+    finally:
+        sys.setswitchinterval(switch)
 
 
 # -- ratio-optimal construction --------------------------------------------

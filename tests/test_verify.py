@@ -225,6 +225,30 @@ def test_composed_profile_ranks_match_elimination(parties, masks):
     assert cells == 8 * len(_table_family(parties))
 
 
+def test_verification_reads_no_composed_block(monkeypatch):
+    """Ratios, both checks and the audits of every build_optimal cell with
+    N <= 4 read only widths, variables and leaves: neither the scheme nor
+    a part it combines has assembled its blocks afterwards."""
+    combined = []
+    real = schemes.combine
+    monkeypatch.setattr(
+        schemes, "combine", lambda parts: combined.append(list(parts)) or real(combined[-1])
+    )
+    cells = 0
+    for sp in _table_family((2, 3, 4)):
+        for kind in KINDS:
+            combined.clear()
+            s = build_optimal(sp, kind)
+            ratios(s, strict=False)
+            for sec in (STRONG, WEAK):
+                if check_conditions(s, sec).passed:
+                    audit_bounds(s, sec)
+            for scheme in (s, *(p for parts in combined for p in parts)):
+                assert scheme.leaves and "blocks" not in vars(scheme), (sp, kind)
+            cells += 1
+    assert cells == 8 * len(_table_family((2, 3, 4)))
+
+
 def test_share_tables_match_elimination():
     """Every build_optimal cell with N <= 4 sums its leaves' share ranks,
     and its text copy (a leaf) asks its own; in both, entry A is the
