@@ -95,8 +95,12 @@ class VariableId:
         return f"P[{self.index}]"
 
 
+@lru_cache(maxsize=256)
 def scheme_variables(sp: StructurePair) -> tuple[VariableId, ...]:
-    """Canonical variable order: S[1,1] .. S[K,m_K], then P[1] .. P[N]."""
+    """Canonical variable order: S[1,1] .. S[K,m_K], then P[1] .. P[N].
+
+    Kept per structure (bounded, least recently used first out), so a leaf
+    and every composed scheme over one structure share one tuple."""
     secrets = [VariableId.secret(k, j) for k, j in sp.secret_slots()]
     shares = [VariableId.share(i) for i in range(1, sp.n_parties + 1)]
     return tuple(secrets + shares)
@@ -119,23 +123,26 @@ class LinearScheme:
     construction it combines, the leaf scheme and, per variable of this
     scheme, the index of its block in the leaf (-1 for a dummy secret).  So
     the scheme is the `combine` of the leaves, each `embed`ded by that
-    placement.  Only `embed` and `combine` set it, after checking that the
-    composition keeps every condition.  A scheme with no entries is a leaf.
-    `recipe` holds a leaf construction's parameters, so `unify_field` can
-    rebuild it over another prime; only the three assemblers set it.  The
-    constructor takes neither field (`TypeError`), so a scheme read back
-    from text or copied with `dataclasses.replace` is a leaf with no
-    recipe.  Neither takes part in the text form or the fingerprint.
+    placement.  `embed` and `combine` set it, after checking that the
+    composition keeps every condition; `_rebuild` swaps each leaf for the
+    same construction over another prime and keeps every placement, so the
+    checks still hold.  A scheme with no entries is a leaf.  `recipe` holds
+    a leaf construction's tag and its builder's positional arguments, so
+    `unify_field` can rebuild it over another prime; only the three
+    assemblers set it.  The constructor takes neither field (`TypeError`),
+    so a scheme read back from text or copied with `dataclasses.replace` is
+    a leaf with no recipe.  Neither takes part in the text form or the
+    fingerprint.
 
-    A composed scheme is a view over its leaves: `embed` and `combine` make
-    it without the constructor, holding `sp`, `q`, `n_rows` (the sum of its
-    leaves'), `min_order`, `leaves` and each variable's width.  Its
-    `blocks` are assembled on first read (`to_text`, the fingerprint,
-    `block`, `columns`) and then kept: each is the `field.block_diag` of
-    its leaves' blocks at the recorded indices (an empty one for a dummy),
-    whose kept rank is its width, as the bands are disjoint and every
-    leaf's block has full column rank.  Variables, widths, ratios, checks
-    and audits read no block of a composed scheme.
+    A composed scheme is a view over its leaves: `embed`, `combine` and
+    `_rebuild` make it without the constructor (`_composed`), holding `sp`,
+    `q`, `n_rows` (the sum of its leaves'), `min_order`, `leaves` and each
+    variable's width.  Its `blocks` are assembled on first read (`to_text`,
+    the fingerprint, `block`, `columns`) and then kept: each is the
+    `field.block_diag` of its leaves' blocks at the recorded indices (an
+    empty one for a dummy), whose kept rank is its width, as the bands are
+    disjoint and every leaf's block has full column rank.  Variables,
+    widths, ratios, checks and audits read no block of a composed scheme.
     """
 
     sp: StructurePair
@@ -165,7 +172,6 @@ class LinearScheme:
                 raise ValueError(f"block {v} has linearly dependent columns")
         if self.min_order == 0:
             object.__setattr__(self, "min_order", self.q)
-        self.__dict__["_order"] = got
 
     def __getattr__(self, name):
         # Only a composed scheme lacks `blocks` until it is first read.
@@ -345,7 +351,7 @@ def build_single_threshold(t: int, n_parties: int, q: int | None = None) -> Line
     min_order = n_parties + 2
     q = _pick_prime(q, min_order)
     sp = structure(n_parties, [(t, 1)])
-    return _window_scheme(sp, q, t, 1, ("single", t, n_parties), min_order)
+    return _window_scheme(sp, q, t, 1, ("single", (t, n_parties)), min_order)
 
 
 def build_weak_block(n_parties: int, t: int, m: int, q: int | None = None) -> LinearScheme:
@@ -363,7 +369,7 @@ def build_weak_block(n_parties: int, t: int, m: int, q: int | None = None) -> Li
     min_order = n + n_parties + 1
     q = _pick_prime(q, min_order)
     sp = structure(n_parties, [(t, m)])
-    return _window_scheme(sp, q, t, n, ("weak-block", n_parties, t, m), min_order)
+    return _window_scheme(sp, q, t, n, ("weak-block", (n_parties, t, m)), min_order)
 
 
 def _pick_prime(q: int | None, min_order: int) -> int:
@@ -408,7 +414,7 @@ def _assemble_b(n_parties, t1, m1, t2, m2, q) -> LinearScheme:
         blocks.append((VariableId.share(i), MatrixFq(q, np.hstack([left, tail]))))
     sp = structure(n_parties, [(t1, m1), (t2, m2)])
     out = LinearScheme(sp=sp, q=q, n_rows=n_rows, blocks=tuple(blocks), min_order=q)
-    object.__setattr__(out, "recipe", ("B", n_parties, t1, m1, t2, m2))
+    object.__setattr__(out, "recipe", ("B", (n_parties, (t1, m1), (t2, m2))))
     return out
 
 
@@ -453,7 +459,7 @@ def _assemble_a(n_parties, t1, m1, a, q) -> LinearScheme:
             blocks.append((VariableId.share(i), MatrixFq(q, np.hstack([left, tail]))))
     sp = structure(n_parties, [(t1, m1)])
     out = LinearScheme(sp=sp, q=q, n_rows=n_rows, blocks=tuple(blocks), min_order=q)
-    object.__setattr__(out, "recipe", ("A", n_parties, t1, m1, a))
+    object.__setattr__(out, "recipe", ("A", (n_parties, (t1, m1), a)))
     return out
 
 
@@ -614,40 +620,27 @@ def _entries(scheme: LinearScheme):
     return scheme.leaves or ((scheme, tuple(range(len(scheme.variables())))),)
 
 
-def _rebuild(scheme: LinearScheme, q: int, made: dict) -> LinearScheme:
-    """`scheme` over F_q, from `made` ({scheme: its rebuild over q}) when
-    there; what it builds, its leaves too, goes into `made`, so each is
-    built once per call.  A leaf comes from the leaf memo (`_leaf`) by its
-    recipe; a composed scheme is the `combine` of its rebuilt leaves, each
-    `embed`ded by the placement its `leaves` entry records, read from the
-    variables of the scheme and the leaf, so no block is assembled."""
-    if scheme in made:
-        return made[scheme]
-    if scheme.leaves:
-        parts = []
-        for leaf, index in scheme.leaves:
-            place = {}
-            for v, i in zip(scheme.variables(), index):
-                if v.kind == "secret" and i >= 0:
-                    src = leaf.variables()[i]
-                    place[src.level, src.index] = (v.level, v.index)
-            parts.append(embed(_rebuild(leaf, q, made), scheme.sp, place=place))
-        s = combine(parts)
-    else:
-        recipe = scheme.recipe
-        name = recipe[0]
-        if name == "single":
-            s = _leaf(build_single_threshold, recipe[1:], q)
-        elif name == "weak-block":
-            s = _leaf(build_weak_block, recipe[1:], q)
-        elif name == "B":
-            s = _leaf(build_B, (recipe[1], recipe[2:4], recipe[4:6]), q)
-        elif name == "A":
-            s = _leaf(build_A, (recipe[1], recipe[2:4], recipe[4]), q)
-        else:
-            raise ValueError(f"unknown recipe {name!r}")
-    made[scheme] = s
-    return s
+def _rebuild(scheme: LinearScheme, q: int) -> LinearScheme:
+    """`scheme` over F_q: as it is when already over q; a leaf from the
+    leaf memo (`_leaf`) by its recipe; a composed scheme by swapping each
+    leaf for its rebuild, at the same recorded placement.  Placements,
+    widths and row counts do not depend on q, so `embed` and `combine`
+    would pass their checks again: a composed scheme is made directly, with
+    its rebuilt leaves' largest `min_order`."""
+    if scheme.q == q:
+        return scheme
+    if not scheme.leaves:
+        tag, args = scheme.recipe
+        builder = {
+            "single": build_single_threshold,
+            "weak-block": build_weak_block,
+            "B": build_B,
+            "A": build_A,
+        }[tag]
+        return _leaf(builder, args, q)
+    leaves = tuple((_rebuild(leaf, q), index) for leaf, index in scheme.leaves)
+    min_order = max(leaf.min_order for leaf, _ in leaves)
+    return _composed(scheme.sp, q, scheme.n_rows, min_order, scheme._widths, leaves)
 
 
 def recipe_guarantee(scheme: LinearScheme) -> str:
@@ -657,7 +650,7 @@ def recipe_guarantee(scheme: LinearScheme) -> str:
     recipes = [leaf.recipe for leaf, _ in _entries(scheme)]
     if None in recipes:
         raise ValueError("scheme is not rebuildable (no retained parameters)")
-    return STRONG if all(r[0] == "single" for r in recipes) else WEAK
+    return STRONG if all(tag == "single" for tag, _ in recipes) else WEAK
 
 
 def unify_field(parts) -> list[LinearScheme]:
@@ -667,36 +660,34 @@ def unify_field(parts) -> list[LinearScheme]:
     whose check is answered from its leaves' kept reports
     (`verify.check_conditions`); a searched family's report was already
     made by its field search, and each leaf is scanned at most once per
-    candidate and security.  Every leaf needs its recipe: a text or
-    `dataclasses.replace` copy is refused.
+    candidate and security.  Each distinct part is checked at the security
+    its construction certifies (`recipe_guarantee`, taken once), which
+    refuses a part with a recipe-less leaf (a text or `dataclasses.replace`
+    copy).
 
     The candidate order starts at the largest minimum admissible order of
     any part; searched families may still reject a candidate (they verify
     at exact q), so the candidate advances through primes under a cap.
-    A part already over the candidate is kept as it is (its recipe would
-    rebuild the same scheme); the others are rebuilt (`_rebuild`), each
-    distinct part and leaf object once per candidate; a leaf comes from the
-    leaf memo (`_leaf`), so one made over that prime before is reused.
+    Each distinct part is rebuilt (`_rebuild`) once per candidate: a part
+    already over it comes back as it is, a leaf comes from the leaf memo
+    (`_leaf`), so one made over that prime before is reused, and a composed
+    part swaps its leaves for theirs.
     """
     from mtss import verify
 
     parts = list(parts)
     if not parts:
         raise ValueError("need at least one part")
-    if any(leaf.recipe is None for part in parts for leaf, _ in _entries(part)):
-        raise ValueError("parts are not rebuildable (no retained parameters)")
+    guarantee = {part: recipe_guarantee(part) for part in parts}
     p = field.next_prime_at_least(max(part.min_order for part in parts))
     for _ in range(SEARCH_CAP):
-        made = {part: part for part in parts if part.q == p}
         try:
-            for part in parts:
-                if part not in made:
-                    _rebuild(part, p, made)
+            made = {part: _rebuild(part, p) for part in guarantee}
         except FieldSearchError:
             made = None
         if made is not None and all(
-            verify.check_conditions(s, recipe_guarantee(s)).passed
-            for s in dict.fromkeys(made[part] for part in parts)
+            verify.check_conditions(made[part], security).passed
+            for part, security in guarantee.items()
         ):
             return [made[part] for part in parts]
         p = field.next_prime_at_least(p + 1)

@@ -9,12 +9,13 @@ audited here reduce to integer rank queries against one memoized profile:
 variable mask once, by OR of per-variable bits.
 
 A scheme composed by `embed` and `combine` records its leaf constructions
-and their placements in `LinearScheme.leaves`, which only those two set,
-once they have checked that the composition keeps every condition.  Its
-ranks are sums of its leaves' ranks and its conditions follow from its
-leaves' reports, so only leaves (built directly, read from text or copied)
-eliminate and scan coalitions, unless a leaf fails and the composed scheme
-needs its own witness.
+and their placements in `LinearScheme.leaves`, which those two set once they
+have checked that the composition keeps every condition, and which
+`schemes._rebuild` keeps when it swaps the leaves for the same constructions
+over another prime.  Its ranks are sums of its leaves' ranks and its
+conditions follow from its leaves' reports, so only leaves (built directly,
+read from text or copied) eliminate and scan coalitions, unless a leaf fails
+and the composed scheme needs its own witness.
 
 The audit reads every share rank from one table per profile
 (`RankProfile.share_ranks`), filled only with the share sets read.  Parts
@@ -95,18 +96,18 @@ class RankProfile:
     `share_ranks` maps a share mask A, bit i-1 standing for share i, to
     rk(P_A); it asks each entry of the profile on first read and keeps it.
 
-    A composed scheme is answered through its `leaves`; only `embed` and
-    `combine` set them, so they are not checked here.  Each of its blocks is
-    the block-diagonal stack of its leaves' blocks at the recorded indices
-    (an empty one for a dummy), so each rank is the sum of the leaves' ranks
-    of the same blocks.  The profile keeps each leaf's profile (leaves are
-    the only profiles that eliminate) with the bit of every variable in that
-    leaf (0 for a dummy or a width-0 block); a miss sums the leaves' ranks
-    of its mask's translations, so the composed scheme's own blocks are
-    never assembled.  A share-table entry is the sum of the leaves' entries
-    of the same share mask: `embed` keeps its source's share blocks and
-    `combine` stacks every share of parts over one structure, so share i of
-    a composed scheme is share i of each leaf.
+    A composed scheme is answered through its `leaves`; only `embed`, `combine`
+    and `schemes._rebuild` set them, so they are not checked here.  Each of
+    its blocks is the block-diagonal stack of its leaves' blocks at the
+    recorded indices (an empty one for a dummy), so each rank is the sum of
+    the leaves' ranks of the same blocks.  The profile keeps each leaf's
+    profile (leaves are the only profiles that eliminate) with the bit of
+    every variable in that leaf (0 for a dummy or a width-0 block); a miss
+    sums the leaves' ranks of its mask's translations, so the composed
+    scheme's own blocks are never assembled.  A share-table entry is the sum
+    of the leaves' entries of the same share mask: `embed` keeps its
+    source's share blocks and `combine` stacks every share of parts over one
+    structure, so share i of a composed scheme is share i of each leaf.
 
     `reports` keeps `check_conditions`' reports by (security, exhaustive).
     """
@@ -129,7 +130,6 @@ class RankProfile:
         if not self._leaves:
             # One matrix of every block, and each variable's columns in it.
             self._matrix = np.hstack([b.a for _, b in scheme.blocks])
-            self._share_bits = [self._bit[v] for v in scheme.share_variables()]
             self._cols: list[list[int]] = []
             start = 0
             for _, b in scheme.blocks:
@@ -139,15 +139,14 @@ class RankProfile:
     def _share_rank(self, shares: int) -> int:
         """rk(P_A) for a share mask A, bit i-1 standing for share i: a leaf
         asks its own ranks, a composed profile sums its leaves' entries
-        (and so refuses a bad mask where they do)."""
+        (and so refuses a bad mask where they do).  Shares come last in
+        canonical order, so a leaf's share bits are its top N."""
         if self._leaves:
             return sum(leaf.share_ranks[shares] for leaf, _ in self._leaves)
-        if shares < 0 or shares >> len(self._share_bits):
+        sp = self.scheme.sp
+        if shares < 0 or shares >> sp.n_parties:
             raise ValueError(f"mask {shares} is not a set of this scheme's shares")
-        mask = 0
-        for i in _bits(shares):
-            mask |= self._share_bits[i]
-        return self._rank_mask(mask)
+        return self._rank_mask(shares << sp.n_secrets)
 
     def mask(self, variables) -> int:
         """The int mask of a set of this scheme's variables."""

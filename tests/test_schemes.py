@@ -415,9 +415,14 @@ def test_unify_field_reuses_parts_over_the_common_prime(monkeypatch):
     b = build_weak_block(4, 3, 3)  # q = 11
     rebuilt = []
     real = schemes._rebuild
-    monkeypatch.setattr(
-        schemes, "_rebuild", lambda s, q, made: rebuilt.append(s) or real(s, q, made)
-    )
+
+    def spy(s, q):
+        got = real(s, q)
+        if got is not s:
+            rebuilt.append(s)
+        return got
+
+    monkeypatch.setattr(schemes, "_rebuild", spy)
     ua1, ub, ua2 = unify_field([a, b, a])
     assert ub is b and ua1 is ua2
     assert rebuilt == [a]
@@ -465,6 +470,63 @@ def test_composed_part_is_rebuilt_from_its_leaves():
     assert got.to_text() == want.to_text()
     assert [leaf.recipe for leaf, _ in got.leaves] == [a.recipe, b.recipe]
     assert [index for _, index in got.leaves] == [index for _, index in part.leaves]
+
+
+BUILDERS = {
+    "single": build_single_threshold,
+    "weak-block": build_weak_block,
+    "B": build_B,
+    "A": build_A,
+}
+
+
+def _rebuild_by_embedding(scheme, q):
+    """A composed scheme over F_q, built as `build_optimal` first built it:
+    a `combine` of `embed`s of its leaves, each built afresh at q, with the
+    placement read from the variables of the scheme and the leaf."""
+    parts = []
+    for leaf, index in scheme.leaves:
+        place = {}
+        for v, i in zip(scheme.variables(), index):
+            if v.kind == "secret" and i >= 0:
+                src = leaf.variables()[i]
+                place[src.level, src.index] = (v.level, v.index)
+        tag, args = leaf.recipe
+        parts.append(embed(BUILDERS[tag](*args, q=q), scheme.sp, place=place))
+    return combine(parts)
+
+
+def test_moved_composed_parts_match_a_rebuild_by_embedding(monkeypatch):
+    """Over every build_optimal cell with N <= 4 whose `unify_field` moves a
+    composed part to another prime, the leaf swap gives the text,
+    fingerprint, widths, placements and minimum order of a `combine` of
+    `embed`s of leaves built at that prime, and calls neither."""
+    cells = 0
+    for sp in _table_family((2, 3, 4)):
+        for kind in KINDS:
+            if kind.security == STRONG:
+                parts = schemes._strong_parts(sp, kind)
+            else:
+                parts = schemes._weak_parts(sp, kind)
+            p = unify_field(parts)[0].q
+            moved = [s for s in dict.fromkeys(parts) if s.leaves and s.q != p]
+            if not moved:
+                continue
+            cells += 1
+            with monkeypatch.context() as m:
+                m.setattr(schemes, "embed", None)
+                m.setattr(schemes, "combine", None)
+                got = [schemes._rebuild(s, p) for s in moved]
+            for s, g in zip(moved, got):
+                want = _rebuild_by_embedding(s, p)
+                assert g.q == p and g.sp == s.sp
+                assert g.to_text() == want.to_text()
+                assert g.fingerprint == want.fingerprint
+                assert g._widths == want._widths
+                assert [i for _, i in g.leaves] == [i for _, i in want.leaves]
+                assert [i for _, i in g.leaves] == [i for _, i in s.leaves]
+                assert g.min_order == want.min_order
+    assert cells == 38
 
 
 def test_leaves_flatten_nested_compositions():
