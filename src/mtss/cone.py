@@ -18,10 +18,21 @@ The full-coordinate systems (`elemental_inequalities`, `system_constraints`,
 `membership_system`), which serve `mtss lp --dump`, membership tests and
 vector lifting, are that generator with every variable its own class: an
 orbit id is then the subset's bitmask.
+
+Phase 1 of the simplex reads no objective, and many LPs share a region:
+sigma and tau of one (structure, security) have the same rows, and so do
+sigma-avg and tau-avg.  So `_minimize` keeps each region's feasible basis
+in a process-wide memo keyed by (structure, security, extra rows, class
+key of every variable), and solves a later LP over the region from it
+with phase 2 alone.  The memo is bounded by REGION_ENTRIES stored tableau
+entries, oldest out first, not by a count of regions: one region's
+tableau holds from tens to thousands of entries, and a count small enough
+for the largest would not hold a whole table sweep.
 """
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -34,6 +45,8 @@ from mtss.structure import bound_row  # noqa: F401 - kept only for bench/workloa
 from mtss.structure import SIGMA, SIGMA_AVG, TAU
 
 CAP_LIMIT = 8
+# The region memo's bound, in stored tableau entries (about 4 MiB).
+REGION_ENTRIES = 1 << 18
 
 
 # --------------------------------------------------------------------------
@@ -304,6 +317,34 @@ def _elemental_rows(keys, place):
             yield row
 
 
+class _RegionMemo:
+    """Feasible bases of cone-LP regions, at most `limit` stored tableau
+    entries in all; the oldest basis leaves first.  A store takes a lock,
+    so LPs may be solved from several threads."""
+
+    def __init__(self, limit: int):
+        self.limit = limit
+        self.entries = 0
+        self._bases: dict = {}  # in insertion order, oldest first
+        self._lock = threading.Lock()
+
+    def get(self, key) -> simplex.FeasibleBasis | None:
+        return self._bases.get(key)
+
+    def put(self, key, start: simplex.FeasibleBasis) -> None:
+        size = start.entries
+        with self._lock:
+            if key in self._bases or size > self.limit:
+                return
+            while self.entries + size > self.limit:
+                self.entries -= self._bases.pop(next(iter(self._bases))).entries
+            self._bases[key] = start
+            self.entries += size
+
+
+_REGIONS = _RegionMemo(REGION_ENTRIES)
+
+
 def _minimize(sp: StructurePair, security: str, objective: dict, rows, colour) -> Fraction:
     """Exact minimum of objective . h over the outer region of `sp`, cut by
     the extra `rows`.
@@ -320,6 +361,19 @@ def _minimize(sp: StructurePair, security: str, objective: dict, rows, colour) -
     is the projection of the extra rows and `membership_system`,
     de-duplicated.  The places go to the classes in reverse sorted key
     order, which fixes the LP's columns.
+
+    The region is fixed by (sp, security, rows, class keys), and phase 1
+    reads no objective, so the feasible basis of each region's first solve
+    is kept in a process-wide memo (`_REGIONS`) under that key.  A later
+    LP over the region, such as tau after sigma, starts from it: no rows
+    are generated or assembled and no phase 1 runs.  The memo keeps only
+    the frozen bases, at most REGION_ENTRIES tableau entries in all, and
+    drops the oldest first.  The bound counts entries, not bases: one
+    region's tableau holds from tens to thousands of entries, and an LP
+    may come back to its region long after the first solve (the bench's LP
+    workloads draw sigma and tau of one region about half a run apart), so
+    the memo must hold a whole sweep.  The 148 regions of the table's cells
+    of up to 7 variables hold 120,222 entries.
     Callers read `_variable_masks` first, which checks the size cap.
     """
     n = sp.n_parties + sp.n_secrets
@@ -344,22 +398,29 @@ def _minimize(sp: StructurePair, security: str, objective: dict, rows, colour) -
             (sum(bit_id[i] for i in range(n) if mask >> i & 1), c) for mask, c in coeffs
         )
 
-    prog = simplex.LinearProgram(n_ids - 1)
+    region = (sp, security, tuple(rows), tuple(keys))
+    start = _REGIONS.get(region)
+    if start is not None:
+        prog = simplex.LinearProgram.from_basis(start)
+    else:
+        prog = simplex.LinearProgram(n_ids - 1)
+        seen = set()
+        candidates = [(project(row.coeffs), row.equality, row.rhs) for row in rows]
+        candidates += [(dense(r.items()), False, 0) for r in _elemental_rows(keys, place)]
+        cond_rows = _condition_rows(sp, security, keys, place)
+        candidates += [(dense(r.items()), True, 0) for _, r in cond_rows]
+        for row, equality, rhs in candidates:
+            key = (*row, equality, rhs)
+            if any(row) and key not in seen:
+                seen.add(key)
+                add = prog.add_eq if equality else prog.add_ge
+                add(row, rhs)
     prog.minimize(project(objective.items()))
-    seen = set()
-    candidates = [(project(row.coeffs), row.equality, row.rhs) for row in rows]
-    candidates += [(dense(r.items()), False, 0) for r in _elemental_rows(keys, place)]
-    cond_rows = _condition_rows(sp, security, keys, place)
-    candidates += [(dense(r.items()), True, 0) for _, r in cond_rows]
-    for row, equality, rhs in candidates:
-        key = (*row, equality, rhs)
-        if any(row) and key not in seen:
-            seen.add(key)
-            add = prog.add_eq if equality else prog.add_ge
-            add(row, rhs)
     res = prog.solve()
     if res.status != simplex.OPTIMAL:  # pragma: no cover - region nonempty, objective bounded
         raise RuntimeError(f"cone LP came back {res.status}")
+    if start is None and prog.start is not None:
+        _REGIONS.put(region, prog.start)
     return res.value
 
 

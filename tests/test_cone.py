@@ -1,4 +1,7 @@
 import random
+import sys
+import threading
+from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction as F
 from itertools import combinations
 
@@ -353,7 +356,7 @@ def _table_family(max_vars):
     return [sp for sp in out if sp.n_parties + sp.n_secrets <= max_vars]
 
 
-def test_lp_assembly_matches_fraction_reference(monkeypatch):
+def test_lp_assembly_matches_fraction_reference(monkeypatch, empty_region_memo):
     """`_minimize` hands the simplex the LP of the Fraction assembly: the
     same column count, the same rows in the same order and the same
     objective, for every ratio kind and every truncation-gap colouring."""
@@ -415,7 +418,7 @@ LARGE_CELLS = [
 ]
 
 
-def test_lp_assembly_matches_reference_on_colourings_and_large_structures(monkeypatch):
+def test_lp_assembly_matches_reference_on_colourings_and_large_structures(monkeypatch, empty_region_memo):
     """Seeded random colourings, whose classes are not runs of the variable
     order, and the ratio and truncation-gap LPs of 7- and 8-variable
     structures at both securities assemble the Fraction reference's rows,
@@ -513,6 +516,138 @@ def test_pivots_per_phase(monkeypatch):
         (44, 7, 4), (55, 7, 0), (36, 7, 13), (44, 7, 10),
     ]
     assert [sum(c) for c in got] == [55, 62, 61, 60, 55, 62, 56, 61]
+
+
+KEPT_CELL = structure(4, [(4, 1), (3, 1), (2, 1)])
+
+
+def _kept_basis_runs():
+    """The eight ratio LPs of KEPT_CELL, one run each, and one truncation
+    check (two LPs: the big side's and the small side's)."""
+    runs = [
+        lambda kind=RatioKind(meas, sec): lower_bound_ratio(KEPT_CELL, kind)
+        for meas in (SIGMA, SIGMA_AVG, TAU, TAU_AVG)
+        for sec in (STRONG, WEAK)
+    ]
+    big, small = structure(3, [(3, 2), (2, 2)]), structure(3, [(3, 1), (2, 1)])
+    runs.append(lambda: check_truncation(bound_row(big, "dtb"), small, big))
+    return runs
+
+
+def _solves(run):
+    """(result, whether it started from a kept basis) of each LP that
+    `run()` solves."""
+    got = []
+    solve = simplex.LinearProgram.solve
+
+    def spy(lp):
+        got.append((solve(lp), lp._rows is None))
+        return got[-1][0]
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(simplex.LinearProgram, "solve", spy)
+        run()
+    return got
+
+
+def test_kept_basis_solves_as_from_rows(empty_region_memo):
+    """Every LP of `_kept_basis_runs` solved from a kept basis returns what
+    it returns with the memo empty: status, value, point and stats."""
+    cold = []
+    for run in _kept_basis_runs():
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(cone, "_REGIONS", cone._RegionMemo(cone.REGION_ENTRIES))
+            cold += _solves(run)
+    for run in _kept_basis_runs():
+        run()
+    warm = [s for run in _kept_basis_runs() for s in _solves(run)]
+    assert len(cold) == len(warm) == 10
+    assert not any(kept for _, kept in cold) and all(kept for _, kept in warm)
+    for (want, _), (got, _) in zip(cold, warm):
+        assert (got.status, got.value, got.x, got.stats) == (
+            want.status, want.value, want.x, want.stats
+        )
+
+
+def test_second_solve_of_a_region_makes_only_phase2_pivots(empty_region_memo):
+    """tau-avg after sigma-avg (one region) makes no phase-1 or clean-up
+    pivot: every pivot of its solve is one of its phase-2 pivots, and its
+    stats still report the region's phase-1 and clean-up counts."""
+    lower_bound_ratio(KEPT_CELL, RatioKind(SIGMA_AVG, STRONG))
+    pivots = []
+    pivot = simplex._pivot
+
+    def spy(*args):
+        pivots.append(args)
+        pivot(*args)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(simplex, "_pivot", spy)
+        ((res, kept),) = _solves(lambda: lower_bound_ratio(KEPT_CELL, RatioKind(TAU_AVG, STRONG)))
+    assert kept and len(pivots) == res.stats.phase2_pivots == 13
+    assert (res.stats.phase1_pivots, res.stats.cleanup_pivots) == (36, 7)
+
+
+def test_region_memo_keeps_its_bound_and_evicts_the_oldest_first(empty_region_memo):
+    """The process-wide memo is bounded by REGION_ENTRIES and counts the
+    entries of the bases it keeps.  A memo's stored entries never exceed
+    its limit: the oldest bases leave first, as many as the new one needs,
+    and a basis larger than the limit is not kept."""
+    assert cone._REGIONS is empty_region_memo
+    assert empty_region_memo.limit == cone.REGION_ENTRIES
+    for run in _kept_basis_runs():
+        run()
+    kept = empty_region_memo._bases.values()
+    assert len(kept) == 6
+    assert empty_region_memo.entries == sum(start.entries for start in kept)
+
+    def basis(entries):
+        return simplex.FeasibleBasis(1, 1, ((0,) * entries,), (1,), (0,), (), 0, 0)
+
+    memo = cone._RegionMemo(10)
+    steps = [
+        ("a", 4, "a"),
+        ("b", 3, "ab"),
+        ("c", 3, "abc"),
+        ("d", 2, "bcd"),  # a leaves
+        ("e", 5, "cde"),  # b leaves
+        ("f", 11, "cde"),  # over the limit: not kept
+        ("c", 1, "cde"),  # kept already
+        ("g", 10, "g"),  # every other basis leaves
+    ]
+    for key, entries, want in steps:
+        memo.put(key, basis(entries))
+        assert "".join(memo._bases) == want
+        assert memo.entries == sum(start.entries for start in memo._bases.values()) <= 10
+
+
+def test_region_memo_under_threads(monkeypatch, empty_region_memo):
+    """Eight threads behind a barrier solve the LPs of `_kept_basis_runs`,
+    each from its own offset in the list, through a memo that holds about
+    two regions: every value is the serial one, and the memo's count is
+    its bases' entries, within its limit."""
+    runs = _kept_basis_runs()
+    serial = [run() for run in runs]
+    memo = cone._RegionMemo(2 * max(s.entries for s in empty_region_memo._bases.values()))
+    monkeypatch.setattr(cone, "_REGIONS", memo)
+    start = threading.Barrier(8)
+
+    def sweep(offset):
+        start.wait(timeout=60)
+        order = list(range(offset, len(runs))) + list(range(offset))
+        return {i: runs[i]() for i in order}
+
+    switch = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=8) as pool:
+            for _ in range(3):
+                for got in pool.map(sweep, range(8), timeout=120):
+                    assert [got[i] for i in range(len(runs))] == serial
+    finally:
+        sys.setswitchinterval(switch)
+    assert memo._bases and memo.entries == sum(s.entries for s in memo._bases.values())
+    assert memo.entries <= memo.limit
 
 
 def test_reference_sigma_example_and_certificate():

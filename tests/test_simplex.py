@@ -375,7 +375,7 @@ def _captured_programs(run):
 @pytest.mark.parametrize(
     "kind", [RatioKind(TAU, STRONG), RatioKind(SIGMA_AVG, WEAK)], ids=str
 )
-def test_pivot_matches_dense_reference_on_cone_lp(kind):
+def test_pivot_matches_dense_reference_on_cone_lp(kind, empty_region_memo):
     sp = structure(3, [(3, 1), (2, 2)])
     (lp,) = _captured_programs(lambda: cone.lower_bound_ratio(sp, kind))
     got, log = _assert_matches_reference(lp)
@@ -420,7 +420,7 @@ def _table_family_lps():
     return lps
 
 
-def test_pivots_match_dense_reference_on_table_family():
+def test_pivots_match_dense_reference_on_table_family(empty_region_memo):
     """The table-family cone LPs and 300 seeded small LPs solve as on the
     full tableau: same results, stats and pivots.  Both sets drive out
     artificials before phase 1; the seeded set also after it (the cone LPs'
@@ -456,7 +456,7 @@ def test_crash_start_keeps_status_and_value():
         assert (got.status, got.value) == (want.status, want.value)
 
 
-def test_phase1_never_offered_an_artificial():
+def test_phase1_never_offered_an_artificial(empty_region_memo):
     """The artificials driven out before phase 1 leave the tableau with
     their columns: phase 1 starts with only structural and slack columns
     nonbasic.  (Kept, they would be priced at 0 instead of 1.)"""
@@ -500,3 +500,73 @@ def test_integerize_bool_and_empty_rows():
     assert (row, b) == ([1, 0, 2], 1) and {type(v) for v in (*row, b)} == {int}
     assert simplex._integerize([], 0) == ([], 0)
     assert simplex._integerize([], F(1, 2)) == ([], 1)
+
+
+def _same_solve(got, want):
+    return (got.status, got.value, got.x, got.stats) == (
+        want.status, want.value, want.x, want.stats
+    )
+
+
+def test_new_objective_from_the_kept_basis_solves_as_from_rows():
+    """A solved program keeps its feasible basis: a second objective is
+    solved from it, and the result, stats included, is that of a fresh
+    program with the same rows.  An infeasible program keeps no basis."""
+    rng = random.Random(23)
+    feasible = 0
+    for lp in _seeded_lps(300, seed=17):
+        first = lp.solve()
+        if first.status == INFEASIBLE:
+            assert lp.start is None
+            continue
+        feasible += 1
+        kept = lp.start
+        assert kept is not None and kept.n_vars == lp.n_vars
+        lp.minimize([rng.randint(-4, 4) for _ in range(lp.n_vars)])
+        got = lp.solve()
+        assert lp.start is kept
+        fresh = LinearProgram(lp.n_vars)
+        fresh._rows = list(lp._rows)
+        fresh.minimize(lp._objective)
+        assert _same_solve(got, fresh.solve())
+    assert feasible > 100
+
+
+def test_program_from_a_basis_takes_no_rows():
+    """A program started from a kept basis holds no rows, refuses new ones
+    with ValueError, and solves as the program the basis came from."""
+    lp = LinearProgram(3)
+    lp.minimize([1, 1, 1])
+    lp.add_eq([1, 2, 0], 4)
+    lp.add_ge([0, 1, 1], 1)
+    lp.solve()
+    started = LinearProgram.from_basis(lp.start)
+    assert started._rows is None and started.n_vars == 3
+    for add in (started.add_eq, started.add_ge):
+        with pytest.raises(ValueError, match="takes no rows"):
+            add([1, 0, 0], 1)
+    with pytest.raises(ValueError, match="objective not set"):
+        started.solve()
+    started.minimize({2: 1})
+    lp.minimize({2: 1})
+    got = started.solve()
+    assert got.value == 0 and _same_solve(got, lp.solve())
+
+
+def test_adding_a_row_drops_the_kept_basis():
+    """The kept basis holds while the rows stay; a new row drops it, and the
+    next solve runs phase 1 on every row."""
+    lp = LinearProgram(2)
+    lp.minimize([1, 1])
+    lp.add_ge([1, 1], 1)
+    assert lp.start is None
+    assert lp.solve().value == 1
+    kept = lp.start
+    assert kept is not None and lp.solve().value == 1 and lp.start is kept
+    lp.add_ge([1, 0], 2)
+    assert lp.start is None
+    res = lp.solve()
+    assert res.value == 2 and lp.start is not None and lp.start is not kept
+    assert len(lp.start.rows) == res.stats.rows == 2
+    lp.add_eq({1: 1}, 1)
+    assert lp.start is None and lp.solve().value == 3
