@@ -29,6 +29,7 @@ from mtss.structure import (
     SECURITIES,
     WEAK,
     RatioKind,
+    _parse_int,
     format_ints,
     format_thresholds,
     optimal_ratio,
@@ -57,6 +58,14 @@ _MEASURE_FLAGS = {
 
 class _Usage(Exception):
     """A user-input problem that should exit with status 2."""
+
+
+def _int(text: str) -> int:
+    """An integer flag value, in the item grammar of `parse_ints`."""
+    try:
+        return _parse_int(text, "int value")
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
 
 
 def _structure_from_args(args):
@@ -263,7 +272,7 @@ def _add_format(p):
 
 
 def _add_structure_flags(p):
-    p.add_argument("--n", type=int, required=True, help="number of participants")
+    p.add_argument("--n", type=_int, required=True, help="number of participants")
     p.add_argument(
         "--t", required=True,
         help="per-secret thresholds, non-increasing, e.g. 3,3,2",
@@ -308,7 +317,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("audit", help="run every applicable bound check")
     p.add_argument("scheme")
     p.add_argument("--security", choices=SECURITIES, default=WEAK)
-    p.add_argument("--cap", type=int, default=DEFAULT_AUDIT_CAP,
+    p.add_argument("--cap", type=_int, default=DEFAULT_AUDIT_CAP,
                    help="max checks per bound family")
     _add_format(p)
     p.set_defaults(fn=_cmd_audit)
@@ -324,14 +333,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("scheme")
     p.add_argument("--secrets", required=True,
                    help="per-secret vectors in canonical order, e.g. '3' or '1,2;0;-'")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_int, default=0)
     p.add_argument("--out", help="bundle file path (default: stdout)")
     p.set_defaults(fn=_cmd_deal)
 
     p = sub.add_parser("reconstruct", help="recover suffix secrets from shares")
     p.add_argument("scheme")
     p.add_argument("bundle")
-    p.add_argument("--k", type=int, default=1, help="sub-array index")
+    p.add_argument("--k", type=_int, default=1, help="sub-array index")
     _add_format(p)
     p.set_defaults(fn=_cmd_reconstruct)
 

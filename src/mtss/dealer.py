@@ -20,7 +20,7 @@ import numpy as np
 
 from mtss import field
 from mtss.schemes import LinearScheme, VariableId
-from mtss.structure import format_ints, parse_ints, read_records
+from mtss.structure import _parse_int, format_ints, parse_ints, read_records
 
 _MASK64 = (1 << 64) - 1
 _BUNDLE_MAGIC = "mtss-bundle 1"
@@ -49,6 +49,13 @@ def _field_elements(seed: int, q: int, count: int) -> list[int]:
     return out
 
 
+def _check_kind(vs, kind):
+    """Refuse any of `vs` that is not a `VariableId` of this kind."""
+    for v in vs:
+        if not (isinstance(v, VariableId) and v.kind == kind):
+            raise ValueError(f"not a {kind} variable: {v}")
+
+
 def _check_vector(vals, width, q, what):
     vals = tuple(int(v) for v in vals)
     if len(vals) != width:
@@ -71,11 +78,8 @@ class SecretAssignment:
     values: dict  # VariableId -> tuple of field elements
 
     def __post_init__(self):
-        fixed = {}
-        for v, vec in self.values.items():
-            if not (isinstance(v, VariableId) and v.kind == "secret"):
-                raise ValueError(f"not a secret variable: {v}")
-            fixed[v] = tuple(int(e) for e in vec)
+        _check_kind(self.values, "secret")
+        fixed = {v: tuple(int(e) for e in vec) for v, vec in self.values.items()}
         object.__setattr__(self, "values", fixed)
 
     def __getitem__(self, v: VariableId):
@@ -113,11 +117,8 @@ class ShareBundle:
     shares: dict  # VariableId -> tuple of field elements
 
     def __post_init__(self):
-        fixed = {}
-        for v, vec in self.shares.items():
-            if not (isinstance(v, VariableId) and v.kind == "share"):
-                raise ValueError(f"not a share variable: {v}")
-            fixed[v] = tuple(int(e) for e in vec)
+        _check_kind(self.shares, "share")
+        fixed = {v: tuple(int(e) for e in vec) for v, vec in self.shares.items()}
         object.__setattr__(self, "shares", fixed)
 
     def __getitem__(self, v: VariableId):
@@ -144,7 +145,7 @@ class ShareBundle:
         for parts in body:
             if len(parts) != 3 or parts[0] != "P":
                 raise ValueError(f"bad share line: {' '.join(parts)!r}")
-            v = VariableId.share(int(parts[1]))
+            v = VariableId.share(_parse_int(parts[1], "share index"))
             if v in shares:
                 raise ValueError(f"duplicate share line for {v}")
             shares[v] = parse_ints(parts[2], f"share vector of {v}")
@@ -273,12 +274,8 @@ def leakage_census(scheme: LinearScheme, a_shares, target) -> CensusTable:
     codes, q^(coalition width + target width) values, do not fit in int64."""
     targets = [target] if isinstance(target, VariableId) else list(target)
     a_list = sorted(a_shares)
-    for v in a_list:
-        if not (isinstance(v, VariableId) and v.kind == "share"):
-            raise ValueError(f"not a share variable: {v}")
-    for v in targets:
-        if not (isinstance(v, VariableId) and v.kind == "secret"):
-            raise ValueError(f"not a secret variable: {v}")
+    _check_kind(a_list, "share")
+    _check_kind(targets, "secret")
     n, q = scheme.n_rows, scheme.q
     if q**n > CENSUS_CAP:
         raise ValueError("scheme too large for census")

@@ -8,11 +8,13 @@ ratios, bound audits, the dealer — is plain linear algebra.
 Builders here come in two flavours.  The Vandermonde-window family
 (`build_single_threshold`, `build_weak_block`) is correct at any admissible
 field order because every t columns of a distinct-element Vandermonde matrix
-are independent.  The stitched families (`build_B`, `build_A`) interleave two
-Vandermonde matrices and an identity block; their correctness needs the field
-to be "large enough", which we settle constructively: start at the stated
-lower bound and advance through primes until the weak-security verifier
-passes (capped search).
+are independent.  The stitched families (`build_B`, `build_A`) are one layout
+(`_stitched`): column groups of a tall Vandermonde matrix, zero-padded groups
+of a short one on the later shares, and for `build_B` identity blocks for the
+second-level secrets.  Their correctness needs the field to be "large
+enough", which we settle constructively: start at the stated lower bound and
+advance through primes (`_primes`, capped at `SEARCH_CAP`) until the
+weak-security verifier passes.
 
 `build_optimal` and `unify_field` take their leaf constructions from one
 bounded, clearable memo per process (`_leaf`), so a leaf shared by many
@@ -29,6 +31,7 @@ from dataclasses import field as dc_field
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from itertools import combinations
+from operator import itemgetter
 
 import numpy as np
 
@@ -42,6 +45,7 @@ from mtss.structure import (
     WEAK,
     RatioKind,
     StructurePair,
+    _parse_int,
     format_ints,
     format_thresholds,
     parse_ints,
@@ -128,20 +132,22 @@ class LinearScheme:
     same construction over another prime and keeps every placement, so the
     checks still hold.  A scheme with no entries is a leaf.  `recipe` holds
     a leaf construction's tag and its builder's positional arguments, so
-    `unify_field` can rebuild it over another prime; only the three
-    assemblers set it.  The constructor takes neither field (`TypeError`),
-    so a scheme read back from text or copied with `dataclasses.replace` is
-    a leaf with no recipe.  Neither takes part in the text form or the
-    fingerprint.
+    `unify_field` can rebuild it over another prime; only the two layouts
+    (`_window_scheme`, `_stitched`) set it.  The constructor takes neither
+    field (`TypeError`), so a scheme read back from text or copied with
+    `dataclasses.replace` is a leaf with no recipe.  Neither takes part in
+    the text form or the fingerprint.
 
-    A composed scheme is a view over its leaves: `embed`, `combine` and
-    `_rebuild` make it without the constructor (`_composed`), holding `sp`,
-    `q`, `n_rows` (the sum of its leaves'), `min_order`, `leaves` and each
-    variable's width.  Its `blocks` are assembled on first read (`to_text`,
-    the fingerprint, `block`, `columns`) and then kept: each is the
-    `field.block_diag` of its leaves' blocks at the recorded indices (an
-    empty one for a dummy), whose kept rank is its width, as the bands are
-    disjoint and every leaf's block has full column rank.  Variables,
+    A composed scheme is its structure and its leaves; everything else is
+    derived.  `embed`, `combine` and `_rebuild` pass only those two to
+    `_composed`, which makes the scheme without the constructor and reads
+    `q`, `n_rows` (the sum of the leaves'), `min_order` (the largest) and
+    each variable's width (the sum of the leaves' widths at its recorded
+    indices) off the leaves.  Its `blocks` are assembled on first read
+    (`to_text`, the fingerprint, `block`, `columns`) and then kept: each is
+    the `field.block_diag` of its leaves' blocks at the recorded indices
+    (an empty one for a dummy), whose kept rank is its width, as the bands
+    are disjoint and every leaf's block has full column rank.  Variables,
     widths, ratios, checks and audits read no block of a composed scheme.
     """
 
@@ -259,22 +265,23 @@ class LinearScheme:
     def from_text(text: str) -> "LinearScheme":
         header, body = read_records(text, _MAGIC, ("q", "rows", "structure"), "scheme")
         try:
-            q = int(header["q"])
-            n_rows = int(header["rows"])
+            q = _parse_int(header["q"], "field order")
+            n_rows = _parse_int(header["rows"], "row count")
             if n_rows < 0:
                 raise ValueError(f"negative rows {n_rows}")
             n_str, t_str = header["structure"].split()
-            sp = parse_thresholds(int(n_str), t_str)
+            sp = parse_thresholds(_parse_int(n_str, "participant count"), t_str)
         except ValueError as e:
             raise ValueError(f"malformed scheme header: {e}") from e
         field.check_modulus(q)
         blocks = []
         for parts in body:
             if parts[0] == "S" and len(parts) >= 3:
-                v = VariableId.secret(int(parts[1]), int(parts[2]))
+                level = _parse_int(parts[1], "secret level")
+                v = VariableId.secret(level, _parse_int(parts[2], "secret index"))
                 cols = parts[3:]
             elif parts[0] == "P" and len(parts) >= 2:
-                v = VariableId.share(int(parts[1]))
+                v = VariableId.share(_parse_int(parts[1], "share index"))
                 cols = parts[2:]
             else:
                 raise ValueError(f"bad variable line: {' '.join(parts)!r}")
@@ -323,18 +330,11 @@ def vandermonde(t: int, elements, q: int) -> MatrixFq:
 
 def _window_scheme(sp, q, t, n_secret_cols, recipe, min_order):
     """Scheme from V(t, [n_secret_cols + N]): first columns are secrets."""
-    n = sp.n_parties
-    v = vandermonde(t, range(1, n_secret_cols + n + 1), q)
-    blocks = []
-    for k, j in sp.secret_slots():
-        col = (j - 1) if k == 1 and j <= n_secret_cols else None
-        if col is not None:
-            blocks.append((VariableId.secret(k, j), v.take_columns([col])))
-        else:
-            blocks.append((VariableId.secret(k, j), field.zeros(t, 0, q)))
-    for i in range(1, n + 1):
-        blocks.append((VariableId.share(i), v.take_columns([n_secret_cols + i - 1])))
-    out = LinearScheme(sp=sp, q=q, n_rows=t, blocks=tuple(blocks), min_order=min_order)
+    v = vandermonde(t, range(1, n_secret_cols + sp.n_parties + 1), q)
+    cols = [[j - 1] if k == 1 and j <= n_secret_cols else [] for k, j in sp.secret_slots()]
+    cols += [[n_secret_cols + i] for i in range(sp.n_parties)]
+    blocks = tuple(zip(scheme_variables(sp), map(v.take_columns, cols)))
+    out = LinearScheme(sp=sp, q=q, n_rows=t, blocks=blocks, min_order=min_order)
     object.__setattr__(out, "recipe", recipe)
     return out
 
@@ -385,47 +385,36 @@ def _pick_prime(q: int | None, min_order: int) -> int:
 # Stitched two-level and flattened one-level constructions
 
 
-def _pad_below(a: np.ndarray, n_rows: int) -> np.ndarray:
-    out = np.zeros((n_rows, a.shape[1]), dtype=np.int64)
-    out[: a.shape[0]] = a
-    return out
+def _stitched(sp, q, n_rows, w, short_rows, first, second, recipe) -> LinearScheme:
+    """The stitched layout over F_q, with `n_rows` rows.
 
-
-def _assemble_b(n_parties, t1, m1, t2, m2, q) -> LinearScheme:
-    n_rows = m1 * t2 - t1 * m2
-    w1 = t2 - m2  # width of each top-level secret
-    w2 = m1 - t1  # width of each second-level secret
-    big = vandermonde(n_rows, range(1, (m1 + n_parties) * w1 + 1), q).a
-    small = vandermonde(w2 * t2, range(1, n_parties * w2 + 1), q).a
-    blocks = []
-    for j in range(1, m1 + 1):
-        blocks.append(
-            (VariableId.secret(1, j), MatrixFq(q, big[:, (j - 1) * w1 : j * w1]))
-        )
-    for j in range(1, m2 + 1):
-        ident = np.zeros((n_rows, w2), dtype=np.int64)
-        for c in range(w2):
-            ident[(j - 1) * w2 + c, c] = 1
-        blocks.append((VariableId.secret(2, j), MatrixFq(q, ident)))
-    for i in range(1, n_parties + 1):
-        g = m1 + i - 1
-        left = big[:, g * w1 : (g + 1) * w1]
-        tail = _pad_below(small[:, (i - 1) * w2 : i * w2], n_rows)
-        blocks.append((VariableId.share(i), MatrixFq(q, np.hstack([left, tail]))))
-    sp = structure(n_parties, [(t1, m1), (t2, m2)])
-    out = LinearScheme(sp=sp, q=q, n_rows=n_rows, blocks=tuple(blocks), min_order=q)
-    object.__setattr__(out, "recipe", ("B", (n_parties, (t1, m1), (t2, m2))))
+    Level-1 secret j and share i take width-w column groups j and m1 + i of
+    one tall Vandermonde matrix.  From share `first` on, each share also
+    takes a width-(m1-t1) column group of a short Vandermonde matrix of
+    `short_rows` rows, padded with zeros below.  `second` holds the
+    level-2 secrets' blocks, if any.
+    """
+    n, m1, w2 = sp.n_parties, sp.count(1), sp.count(1) - sp.threshold(1)
+    groups = np.hsplit(vandermonde(n_rows, range(1, (m1 + n) * w + 1), q).a, m1 + n)
+    short = np.zeros((n_rows, (n - first + 1) * w2), dtype=np.int64)
+    short[:short_rows] = vandermonde(short_rows, range(1, short.shape[1] + 1), q).a
+    wide = m1 + first - 1  # share `first`'s group
+    groups[wide:] = map(np.hstack, zip(groups[wide:], np.hsplit(short, n - first + 1)))
+    groups[m1:m1] = second
+    blocks = tuple((v, MatrixFq(q, g)) for v, g in zip(scheme_variables(sp), groups))
+    out = LinearScheme(sp=sp, q=q, n_rows=n_rows, blocks=blocks, min_order=q)
+    object.__setattr__(out, "recipe", recipe)
     return out
 
 
 def build_B(n_parties: int, t1m1, t2m2, q: int | None = None) -> LinearScheme:
     """Two-level scheme stitching an overfull level onto an underfull one.
 
-    Requires m1 > t1 > t2 > m2.  Top-level secrets take width-(t2-m2) column
-    groups of one tall Vandermonde matrix, second-level secrets are identity
-    columns sitting over zeros, and each share combines a Vandermonde group
-    with a padded column group of a second, short Vandermonde matrix.  The
-    field order is settled by verified search (see module docstring).
+    Requires m1 > t1 > t2 > m2.  The stitched layout (`_stitched`) with
+    m1*t2 - t1*m2 rows and width t2-m2, where every share takes a group of
+    the short matrix (t2*(m1-t1) rows) and each second-level secret is a
+    group of m1-t1 identity columns.  The field order is settled by
+    verified search (see module docstring).
     """
     t1, m1 = t1m1
     t2, m2 = t2m2
@@ -433,44 +422,25 @@ def build_B(n_parties: int, t1m1, t2m2, q: int | None = None) -> LinearScheme:
         raise ValueError("need m1 > t1 > t2 > m2 >= 1")
     if t1 > n_parties:
         raise ValueError("threshold exceeds participant count")
-    start = max((m1 + n_parties) * (t2 - m2), n_parties * (m1 - t1)) + 1
+    sp = structure(n_parties, [(t1, m1), (t2, m2)])
+    n_rows, w2 = m1 * t2 - t1 * m2, m1 - t1
+    second = np.hsplit(np.eye(n_rows, m2 * w2, dtype=np.int64), m2)
+    recipe = ("B", (n_parties, (t1, m1), (t2, m2)))
+    start = max((m1 + n_parties) * (t2 - m2), n_parties * w2) + 1
     return _searched_build(
-        lambda p: _assemble_b(n_parties, t1, m1, t2, m2, p), start, q
+        lambda p: _stitched(sp, p, n_rows, t2 - m2, w2 * t2, 1, second, recipe), start, q
     )
-
-
-def _assemble_a(n_parties, t1, m1, a, q) -> LinearScheme:
-    n_rows = a * m1
-    w2 = m1 - t1
-    wide = n_parties - t1 + a  # number of shares that get an appended part
-    big = vandermonde(n_rows, range(1, a * (m1 + n_parties) + 1), q).a
-    small = vandermonde(a * w2, range(1, wide * w2 + 1), q).a
-    blocks = []
-    for j in range(1, m1 + 1):
-        blocks.append((VariableId.secret(1, j), MatrixFq(q, big[:, (j - 1) * a : j * a])))
-    for i in range(1, n_parties + 1):
-        g = m1 + i - 1
-        left = big[:, g * a : (g + 1) * a]
-        if i <= t1 - a:
-            blocks.append((VariableId.share(i), MatrixFq(q, left)))
-        else:
-            gg = i - (t1 - a) - 1
-            tail = _pad_below(small[:, gg * w2 : (gg + 1) * w2], n_rows)
-            blocks.append((VariableId.share(i), MatrixFq(q, np.hstack([left, tail]))))
-    sp = structure(n_parties, [(t1, m1)])
-    out = LinearScheme(sp=sp, q=q, n_rows=n_rows, blocks=tuple(blocks), min_order=q)
-    object.__setattr__(out, "recipe", ("A", (n_parties, (t1, m1), a)))
-    return out
 
 
 def build_A(n_parties: int, t1m1, a: int, q: int | None = None) -> LinearScheme:
     """One-level scheme for m1 > t1 secrets with unequal share sizes.
 
-    All m1 secrets get width a; the first t1-a shares have width a, the rest
-    width m1-t1+a (a Vandermonde group plus a padded group of a second
-    Vandermonde matrix).  With a=1 it spends no randomness beyond the
-    secrets themselves, which is what makes it useful in randomness-optimal
-    combinations.  Field order settled by verified search.
+    The stitched layout (`_stitched`) with a*m1 rows and width a: all m1
+    secrets get width a, the first t1-a shares have width a, the rest width
+    m1-t1+a (a group of the short matrix, a*(m1-t1) rows, too).  With a=1
+    it spends no randomness beyond the secrets themselves, which is what
+    makes it useful in randomness-optimal combinations.  Field order
+    settled by verified search.
     """
     t1, m1 = t1m1
     if m1 <= t1:
@@ -479,8 +449,20 @@ def build_A(n_parties: int, t1m1, a: int, q: int | None = None) -> LinearScheme:
         raise ValueError("a out of range: need 1 <= a <= t1-1")
     if t1 > n_parties:
         raise ValueError("threshold exceeds participant count")
+    sp = structure(n_parties, [(t1, m1)])
+    recipe = ("A", (n_parties, (t1, m1), a))
     start = max(a * (m1 + n_parties), (n_parties - t1 + a) * (m1 - t1)) + 1
-    return _searched_build(lambda p: _assemble_a(n_parties, t1, m1, a, p), start, q)
+    return _searched_build(
+        lambda p: _stitched(sp, p, a * m1, a, a * (m1 - t1), t1 - a + 1, (), recipe), start, q
+    )
+
+
+def _primes(start: int):
+    """The first `SEARCH_CAP` primes from `start`, each found when asked."""
+    p = start - 1
+    for _ in range(SEARCH_CAP):
+        p = field.next_prime_at_least(p + 1)
+        yield p
 
 
 def _searched_build(assemble, start: int, q: int | None) -> LinearScheme:
@@ -489,27 +471,18 @@ def _searched_build(assemble, start: int, q: int | None) -> LinearScheme:
     Each candidate is accepted only if the weak-security verifier passes;
     the construction families used here are proven to work once the field
     is large enough, so the search terminates in practice well within the
-    cap.
+    cap.  A given q is checked as `_pick_prime` does and is the only
+    candidate.
     """
     from mtss import verify  # deferred; verify imports this module's types
 
-    if q is not None:
-        field.check_modulus(q)
-        if q < start:
-            raise ValueError(f"field order {q} below the admissible minimum {start}")
-        scheme = assemble(q)
-        if not verify.check_conditions(scheme, WEAK).passed:
-            raise FieldSearchError(f"construction fails verification at q={q}")
-        return scheme
-    p = field.next_prime_at_least(start)
     tried = []
-    for _ in range(SEARCH_CAP):
+    for p in _primes(start) if q is None else (_pick_prime(q, start),):
         scheme = assemble(p)
         if verify.check_conditions(scheme, WEAK).passed:
             return scheme
         tried.append(p)
-        p = field.next_prime_at_least(p + 1)
-    raise FieldSearchError(f"no admissible prime within {SEARCH_CAP} tries: {tried}")
+    raise FieldSearchError(f"no admissible prime among the {len(tried)} tried: {tried}")
 
 
 # --------------------------------------------------------------------------
@@ -560,13 +533,8 @@ def embed(scheme: LinearScheme, target: StructurePair, *, place=None) -> LinearS
     n_src = len(src_slots)
     at = [src_at.get(slot, -1) for slot in dst_slots]
     at += range(n_src, n_src + target.n_parties)
-    widths = scheme._widths
     return _composed(
         target,
-        scheme.q,
-        scheme.n_rows,
-        scheme.min_order,
-        tuple(0 if i < 0 else widths[i] for i in at),
         tuple(
             (leaf, tuple(-1 if i < 0 else pos[i] for i in at))
             for leaf, pos in _entries(scheme)
@@ -595,22 +563,27 @@ def combine(parts) -> LinearScheme:
         raise ValueError("mismatched field")
     if len(parts) == 1:
         return first
-    return _composed(
-        first.sp,
-        first.q,
-        sum(p.n_rows for p in parts),
-        max(p.min_order for p in parts),
-        tuple(map(sum, zip(*(p._widths for p in parts)))),
-        tuple(e for p in parts for e in _entries(p)),
-    )
+    return _composed(first.sp, tuple(e for p in parts for e in _entries(p)))
 
 
-def _composed(sp, q, n_rows, min_order, widths, leaves) -> LinearScheme:
-    """A composed scheme over `leaves`, made without the constructor: its
-    variables are listed and its blocks assembled on first read."""
+def _composed(sp, leaves) -> LinearScheme:
+    """A composed scheme over `leaves`, made without the constructor (see
+    `LinearScheme`).  Its field, row count (the sum), minimum order (the
+    largest) and each variable's width (the sum of the leaves' widths at
+    the recorded indices) are read off the leaves; its blocks are
+    assembled on first read."""
     out = object.__new__(LinearScheme)
     out.__dict__.update(
-        sp=sp, q=q, n_rows=n_rows, min_order=min_order, leaves=leaves, _widths=widths
+        sp=sp,
+        q=leaves[0][0].q,
+        n_rows=sum(leaf.n_rows for leaf, _ in leaves),
+        min_order=max(leaf.min_order for leaf, _ in leaves),
+        leaves=leaves,
+        # A dummy's index, -1, reads the 0 appended to its leaf's widths
+        # (every structure has at least three variables, so each get is a tuple).
+        _widths=tuple(
+            map(sum, zip(*(itemgetter(*at)(leaf._widths + (0,)) for leaf, at in leaves)))
+        ),
     )
     return out
 
@@ -625,8 +598,7 @@ def _rebuild(scheme: LinearScheme, q: int) -> LinearScheme:
     leaf memo (`_leaf`) by its recipe; a composed scheme by swapping each
     leaf for its rebuild, at the same recorded placement.  Placements,
     widths and row counts do not depend on q, so `embed` and `combine`
-    would pass their checks again: a composed scheme is made directly, with
-    its rebuilt leaves' largest `min_order`."""
+    would pass their checks again: a composed scheme is made directly."""
     if scheme.q == q:
         return scheme
     if not scheme.leaves:
@@ -638,9 +610,7 @@ def _rebuild(scheme: LinearScheme, q: int) -> LinearScheme:
             "A": build_A,
         }[tag]
         return _leaf(builder, args, q)
-    leaves = tuple((_rebuild(leaf, q), index) for leaf, index in scheme.leaves)
-    min_order = max(leaf.min_order for leaf, _ in leaves)
-    return _composed(scheme.sp, q, scheme.n_rows, min_order, scheme._widths, leaves)
+    return _composed(scheme.sp, tuple((_rebuild(leaf, q), at) for leaf, at in scheme.leaves))
 
 
 def recipe_guarantee(scheme: LinearScheme) -> str:
@@ -679,18 +649,16 @@ def unify_field(parts) -> list[LinearScheme]:
     if not parts:
         raise ValueError("need at least one part")
     guarantee = {part: recipe_guarantee(part) for part in parts}
-    p = field.next_prime_at_least(max(part.min_order for part in parts))
-    for _ in range(SEARCH_CAP):
+    for p in _primes(max(part.min_order for part in parts)):
         try:
             made = {part: _rebuild(part, p) for part in guarantee}
         except FieldSearchError:
-            made = None
-        if made is not None and all(
+            continue
+        if all(
             verify.check_conditions(made[part], security).passed
             for part, security in guarantee.items()
         ):
             return [made[part] for part in parts]
-        p = field.next_prime_at_least(p + 1)
     raise FieldSearchError(f"no common prime within {SEARCH_CAP} tries")
 
 
@@ -727,32 +695,30 @@ def _leaf(builder, args: tuple, q: int | None = None) -> LinearScheme:
 
 def _strong_parts(sp, kind):
     n = sp.n_parties
-    if kind.measure == TAU_AVG:
-        kk = sp.k_levels
-        t_last = sp.threshold(kk)
-        single = _leaf(build_single_threshold, (t_last, n))
-        return [embed(single, sp, place={(1, 1): (kk, 1)})]
+    slots = [(sp.k_levels, 1)] if kind.measure == TAU_AVG else sp.secret_slots()
     return [
-        embed(
-            _leaf(build_single_threshold, (sp.threshold(k), n)),
-            sp,
-            place={(1, 1): (k, j)},
-        )
-        for k, j in sp.secret_slots()
+        embed(_leaf(build_single_threshold, (sp.threshold(k), n)), sp, place={(1, 1): (k, j)})
+        for k, j in slots
     ]
 
 
+def _window(sp, i):
+    """The weak block of sub-array i, embedded."""
+    return embed(_leaf(build_weak_block, (sp.n_parties, sp.threshold(i), sp.count(i))), sp)
+
+
+def _bridge(sp, k, i):
+    """The stitched B block of overfull sub-array k over underfull i, embedded."""
+    args = (sp.n_parties, (sp.threshold(k), sp.count(k)), (sp.threshold(i), sp.count(i)))
+    return embed(_leaf(build_B, args), sp)
+
+
 def _weak_parts(sp, kind):
-    n = sp.n_parties
-
-    def window(i):
-        return embed(_leaf(build_weak_block, (n, sp.threshold(i), sp.count(i))), sp)
-
     if kind.measure == SIGMA:
         return _sigma_plan_parts(sp)
     if kind.measure == SIGMA_AVG:
         best = max(range(1, sp.k_levels + 1), key=lambda i: min(sp.threshold(i), sp.count(i)))
-        return [window(best)]
+        return [_window(sp, best)]
     if kind.measure == TAU_AVG:
         packed = [i for i in range(1, sp.k_levels + 1) if sp.count(i) >= sp.threshold(i)]
         if packed:
@@ -761,18 +727,16 @@ def _weak_parts(sp, kind):
             range(1, sp.k_levels + 1),
             key=lambda i: Fraction(sp.threshold(i) - sp.count(i), sp.count(i)),
         )
-        return [window(best)]
+        return [_window(sp, best)]
     # TAU: windows above the break, then zero-extra-randomness parts below.
     first_over = randomness_break_index(sp) + 1
-    parts = [window(i) for i in range(1, first_over)]
+    parts = [_window(sp, i) for i in range(1, first_over)]
     if first_over > sp.k_levels:
         return parts
     parts.append(_zero_randomness_part(sp, first_over))
     for i in range(first_over + 1, sp.k_levels + 1):
-        t_i, m_i = sp.threshold(i), sp.count(i)
-        if m_i < t_i:
-            tk, mk = sp.threshold(first_over), sp.count(first_over)
-            parts.append(embed(_leaf(build_B, (n, (tk, mk), (t_i, m_i))), sp))
+        if sp.count(i) < sp.threshold(i):
+            parts.append(_bridge(sp, first_over, i))
         else:
             parts.append(_zero_randomness_part(sp, i))
     return parts
@@ -780,33 +744,26 @@ def _weak_parts(sp, kind):
 
 def _zero_randomness_part(sp, i):
     """A part covering sub-array i whose shares carry no extra randomness."""
-    n = sp.n_parties
     t_i, m_i = sp.threshold(i), sp.count(i)
     if m_i > t_i:
-        return embed(_leaf(build_A, (n, (t_i, m_i), 1)), sp)
-    return embed(_leaf(build_weak_block, (n, t_i, m_i)), sp)
+        return embed(_leaf(build_A, (sp.n_parties, (t_i, m_i), 1)), sp)
+    return _window(sp, i)
 
 
 def _sigma_plan_parts(sp):
-    n = sp.n_parties
     _, plan = weak_sigma_plan(sp)
     parts = []
     for part in plan:
         if part.kind == "window":
-            t_i, m_i = sp.threshold(part.level), sp.count(part.level)
-            base = [embed(_leaf(build_weak_block, (n, t_i, m_i)), sp)]
+            base = [_window(sp, part.level)]
         elif part.kind == "ensemble":
-            t_i, m_i = sp.threshold(part.level), sp.count(part.level)
-            base = []
-            for chosen in combinations(range(1, m_i + 1), t_i):
-                place = {
-                    (1, r): (part.level, j) for r, j in enumerate(chosen, start=1)
-                }
-                block = _leaf(build_weak_block, (n, t_i, t_i))
-                base.append(embed(block, sp, place=place))
+            t_i = sp.threshold(part.level)
+            block = _leaf(build_weak_block, (sp.n_parties, t_i, t_i))
+            base = [
+                embed(block, sp, place={(1, r): (part.level, j) for r, j in enumerate(chosen, 1)})
+                for chosen in combinations(range(1, sp.count(part.level) + 1), t_i)
+            ]
         else:  # bridge
-            tk, mk = sp.threshold(part.level), sp.count(part.level)
-            ti, mi = sp.threshold(part.other), sp.count(part.other)
-            base = [embed(_leaf(build_B, (n, (tk, mk), (ti, mi))), sp)]
+            base = [_bridge(sp, part.level, part.other)]
         parts.extend(base * part.multiplicity)
     return parts

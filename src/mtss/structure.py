@@ -118,6 +118,13 @@ def parse_ints(text: str, what: str) -> tuple[int, ...]:
     return tuple(int(v) for v in items)
 
 
+def _parse_int(text: str, what: str) -> int:
+    """Read one integer in the item grammar of `parse_ints`."""
+    if not _INT_ITEM.fullmatch(text.strip()):
+        raise ValueError(f"bad {what} {text!r}")
+    return int(text)
+
+
 def format_ints(values) -> str:
     """Inverse of parse_ints: "1,2,3", or "-" for no values."""
     return ",".join(str(v) for v in values) if values else "-"

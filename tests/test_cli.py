@@ -310,26 +310,52 @@ def test_reconstruct_refuses_repeated_share_line(tmp_path, capsys):
 @pytest.mark.parametrize("bad", ["1,,2", "1,", "x", "٣", "3_0"])
 def test_list_grammar_at_every_entry_point(tmp_path, capsys, sigma_scheme, bad):
     """An empty item or a non-integer exits 2 with one line, wherever a
-    comma-separated list is read; items are ASCII digits only, so a
-    non-ASCII digit or an underscore separator is not an integer."""
+    comma-separated list or a single integer is read; items are ASCII
+    digits only, so a non-ASCII digit or an underscore separator is not an
+    integer.  A bad integer flag exits 2 through the argument parser."""
     bundle = tmp_path / "b.bundle"
     cli.main(["deal", str(sigma_scheme), "--secrets", "1,2;3,4;5,6", "--out", str(bundle)])
     capsys.readouterr()
+    scheme_text, bundle_text = sigma_scheme.read_text(), bundle.read_text()
     column = tmp_path / "column.scheme"
-    column.write_text(re.sub(r"^P 1 \S+", f"P 1 {bad}", sigma_scheme.read_text(), flags=re.M))
+    column.write_text(re.sub(r"^P 1 \S+", f"P 1 {bad}", scheme_text, flags=re.M))
     vector = tmp_path / "vector.bundle"
-    vector.write_text(re.sub(r"^P 1 \S+", f"P 1 {bad}", bundle.read_text(), flags=re.M))
-    for argv, message in (
+    vector.write_text(re.sub(r"^P 1 \S+", f"P 1 {bad}", bundle_text, flags=re.M))
+    share = tmp_path / "share.bundle"
+    share.write_text(re.sub(r"^P 1 ", f"P {bad} ", bundle_text, flags=re.M))
+    cases = [
         (["structure", "--n", "3", "--t", bad], "bad threshold list"),
         (["census", str(sigma_scheme), "--shares", bad, "--target", "1,1"], "bad share list"),
         (["census", str(sigma_scheme), "--target", bad], "bad secret slot"),
         (["deal", str(sigma_scheme), "--secrets", f"1,2;{bad};5,6"], "bad secret vector"),
         (["verify", str(column)], "bad column of P[1]"),
         (["reconstruct", str(sigma_scheme), str(vector)], "bad share vector of P[1]"),
+        (["reconstruct", str(sigma_scheme), str(share)], "bad share index"),
+    ]
+    for name, pattern, repl, message in (
+        ("q", r"^q \S+", f"q {bad}", "bad field order"),
+        ("rows", r"^rows \S+", f"rows {bad}", "bad row count"),
+        ("n", r"^structure \S+", f"structure {bad}", "bad participant count"),
+        ("level", r"^S \S+", f"S {bad}", "bad secret level"),
+        ("index", r"^S 1 \S+", f"S 1 {bad}", "bad secret index"),
+        ("share", r"^P 1 ", f"P {bad} ", "bad share index"),
     ):
+        path = tmp_path / f"{name}.scheme"
+        path.write_text(re.sub(pattern, repl, scheme_text, count=1, flags=re.M))
+        cases.append((["verify", str(path)], message))
+    for argv, message in cases:
         code, _, err = run(capsys, *argv)
         assert code == USAGE, argv
         assert err.startswith("error: ") and err.count("\n") == 1 and message in err, err
+    for flag, argv in (
+        ("--n", ["structure", "--t", "2"]),
+        ("--k", ["reconstruct", str(sigma_scheme), str(bundle)]),
+        ("--seed", ["deal", str(sigma_scheme), "--secrets", "1,2;3,4;5,6"]),
+        ("--cap", ["audit", str(sigma_scheme)]),
+    ):
+        code, out, err = run(capsys, *argv, flag, bad)
+        assert code == USAGE and out == "", flag
+        assert f"argument {flag}: invalid int value: {bad!r}" in err, err
 
 
 @given(st.lists(st.integers()).map(tuple))

@@ -1,6 +1,7 @@
 """Construction, composition, and serialization tests for scheme builders."""
 
 import dataclasses
+import hashlib
 import sys
 import threading
 from concurrent.futures import ThreadPoolExecutor
@@ -365,6 +366,18 @@ def test_from_text_rejects_garbage():
         LinearScheme.from_text(good.replace("rows", "q"))
     with pytest.raises(ValueError, match="header: negative rows -1"):
         LinearScheme.from_text(good.replace("rows 2", "rows -1"))
+    # single integers are read in the item grammar of list entries
+    for bad in ("٣", "3_0"):
+        for old, new, message in (
+            ("q 5", f"q {bad}", "header: bad field order"),
+            ("rows 2", f"rows {bad}", "header: bad row count"),
+            ("structure 3", f"structure {bad}", "header: bad participant count"),
+            ("S 1 1 ", f"S {bad} 1 ", "bad secret level"),
+            ("S 1 1 ", f"S 1 {bad} ", "bad secret index"),
+            ("P 1 ", f"P {bad} ", "bad share index"),
+        ):
+            with pytest.raises(ValueError, match=message):
+                LinearScheme.from_text(good.replace(old, new))
     # header lines in any order, blank lines and padded magic are read
     lines = good.splitlines()
     shuffled = "\n".join([lines[0] + "  ", "", lines[3], lines[1], lines[2]] + lines[4:])
@@ -673,9 +686,60 @@ def test_build_optimal_tau_avg_uses_dummies():
 
 
 def test_field_search_cap(monkeypatch):
+    parts = [build_weak_block(3, 2, 2), build_single_threshold(2, 3)]
     monkeypatch.setattr(schemes, "SEARCH_CAP", 0)
     with pytest.raises(FieldSearchError, match="no admissible prime"):
         build_B(4, (4, 6), (3, 2))
+    with pytest.raises(FieldSearchError, match="no common prime"):
+        unify_field(parts)
+
+
+def test_explicit_field_is_the_only_candidate():
+    """A given q that fails verification is not searched past; the search
+    from the same start goes on to the first prime that passes."""
+    with pytest.raises(FieldSearchError, match=r"\b13\b"):
+        build_B(4, (4, 7), (3, 2), q=13)
+    assert build_B(4, (4, 7), (3, 2)).q == 29
+
+
+# sha256 of the text of every stitched leaf that build_optimal builds over
+# the table family with N <= 5 (all eight kinds), by (tag, args, q).
+STITCHED_LEAVES = {
+    ('A', (2, (2, 3), 1), 7): "c9491e39ecd26b8567ba4067f38caa3fdcb51dc3a37c75a35f9e03944e64c5ba",
+    ('A', (2, (2, 4), 1), 7): "8393f5aca133dae2bbbeced76b238f34832a85b8f1c0d5094bc013ad90ff858b",
+    ('A', (2, (2, 5), 1), 11): "d1a327e85f093ff356b368b20598c167178341f601a04d7e1d5dcfc4a2b281eb",
+    ('A', (3, (2, 3), 1), 7): "2383772dfc768f32e0cede93dc75aa9da49bf0f17359b4b62284abdf2086f83d",
+    ('A', (3, (2, 4), 1), 11): "323f0b621c5a5a8636049df7d49111b65119501bf950158b360edae2b845da3f",
+    ('A', (3, (2, 5), 1), 11): "c6d18abb907ccd94e3dac731aaba2fae409cd2bdd283fc8943a651b86545a0ce",
+    ('A', (3, (3, 4), 1), 11): "d31875eb86f7886c39ed6e7d3bb067205fb3848557a97074d8f0d32624c6af46",
+    ('A', (3, (3, 5), 1), 11): "5ab8c415933e0339ba9a6eb073ebd9596bd488d652cf9428e04a5e607121d593",
+    ('A', (4, (2, 3), 1), 11): "11524de54bb160a8df07b7dd8155f969f12c75025c567c16419d8886800d2a80",
+    ('A', (4, (2, 4), 1), 11): "807dac16b7339ad80617499b5a4240e8989a972fc0590055bf9f25c4eda80142",
+    ('A', (4, (2, 5), 1), 11): "91569a7172b76a56c7abf92c2f6319a48124592b9d68a957ba96af455b24a7a6",
+    ('A', (4, (3, 4), 1), 11): "884816dac8876b9efa2e0481a807ec82e2113cd259fac85c0221144a3679cc59",
+    ('A', (4, (3, 5), 1), 11): "620f5197bb66d1ef520687ca26d03392c5f9b14b8134179aa8e328c7fb922246",
+    ('A', (4, (4, 5), 1), 11): "6bd2c912c762f419ad7b60310e571c0e7604ae87cffef718063e878519312ebc",
+    ('A', (5, (2, 3), 1), 11): "2ef9db7c93aa8a989675f92cafb635ac0c2ce1656e2eefbabeab65df8901383b",
+    ('A', (5, (2, 4), 1), 11): "bd74b0adb6fefbafb4628975b2d2dc417be2b032260ea49e2d4339c5d66d99f0",
+    ('A', (5, (2, 5), 1), 13): "8d8a2f3a9fee3c6023ec661a918146559fa67c9af05e6e9c11dad689186d3f05",
+    ('A', (5, (3, 4), 1), 11): "bd775ee78f5ed402c6557dab9bad188115c91c7470ae052dbb114194a3543d7d",
+    ('A', (5, (3, 5), 1), 11): "f427c5f5d00f8f8248aa8c3ec672a04d9453bb1cc89895817dd2be240fb849d1",
+    ('A', (5, (4, 5), 1), 11): "654eceac76d386f65d699128ee75e5964a1f5633c79b4d01aac6e6bf075a698f",
+    ('B', (3, (3, 4), (2, 1)), 11): "dff98145a7c94d9e4ecbfcf0fe67df9aadb38945ad4e6c2405134eeb605ff3f0",
+    ('B', (4, (3, 4), (2, 1)), 11): "a7e1ea56005be9aa541971cf8e58cad210782543bd81dc20ddd63a580dc6eca5",
+    ('B', (5, (3, 4), (2, 1)), 11): "db236539f20fb9df13cb1d84e5af0ab1042d7b4b78cd7cbfe286433bbb813a60",
+}
+
+
+def test_stitched_leaves_of_build_optimal_are_pinned():
+    got = {}
+    for sp in _table_family((2, 3, 4, 5)):
+        for kind in KINDS:
+            for leaf, _ in schemes._entries(build_optimal(sp, kind)):
+                if leaf.recipe[0] in ("A", "B"):
+                    text = leaf.to_text().encode()
+                    got[leaf.recipe + (leaf.q,)] = hashlib.sha256(text).hexdigest()
+    assert got == STITCHED_LEAVES
 
 
 # -- leaf memo ----------------------------------------------------------------
