@@ -141,10 +141,11 @@ class LinearScheme:
     A composed scheme is its structure and its leaves; everything else is
     derived.  `embed`, `combine` and `_rebuild` pass only those two to
     `_composed`, which makes the scheme without the constructor and reads
-    `q`, `n_rows` (the sum of the leaves'), `min_order` (the largest) and
-    each variable's width (the sum of the leaves' widths at its recorded
-    indices) off the leaves.  Its `blocks` are assembled on first read
-    (`to_text`, the fingerprint, `block`, `columns`) and then kept: each is
+    `q`, `n_rows` (the sum of the leaves') and `min_order` (the largest)
+    off the leaves.  Each variable's width is the sum of the leaves' widths
+    at its recorded indices, made on first use (`_widths`, which serves
+    leaves too).  Its `blocks` are assembled on first read (`to_text`, the
+    fingerprint, `block`, `columns`) and then kept: each is
     the `field.block_diag` of its leaves' blocks at the recorded indices
     (an empty one for a dummy), whose kept rank is its width, as the bands
     are disjoint and every leaf's block has full column rank.  Variables,
@@ -210,7 +211,13 @@ class LinearScheme:
 
     @cached_property
     def _widths(self) -> tuple[int, ...]:
-        return tuple(b.n_cols for _, b in self.blocks)
+        if not self.leaves:
+            return tuple(b.n_cols for _, b in self.blocks)
+        # A dummy's index, -1, reads the 0 appended to its leaf's widths
+        # (every structure has at least three variables, so each get is a tuple).
+        return tuple(
+            map(sum, zip(*(itemgetter(*at)(leaf._widths + (0,)) for leaf, at in self.leaves)))
+        )
 
     @cached_property
     def _index(self) -> dict[VariableId, int]:
@@ -269,8 +276,10 @@ class LinearScheme:
             n_rows = _parse_int(header["rows"], "row count")
             if n_rows < 0:
                 raise ValueError(f"negative rows {n_rows}")
-            n_str, t_str = header["structure"].split()
-            sp = parse_thresholds(_parse_int(n_str, "participant count"), t_str)
+            tokens = header["structure"].split()
+            if len(tokens) != 2:
+                raise ValueError('expected "structure N t,t,…"')
+            sp = parse_thresholds(_parse_int(tokens[0], "participant count"), tokens[1])
         except ValueError as e:
             raise ValueError(f"malformed scheme header: {e}") from e
         field.check_modulus(q)
@@ -568,10 +577,9 @@ def combine(parts) -> LinearScheme:
 
 def _composed(sp, leaves) -> LinearScheme:
     """A composed scheme over `leaves`, made without the constructor (see
-    `LinearScheme`).  Its field, row count (the sum), minimum order (the
-    largest) and each variable's width (the sum of the leaves' widths at
-    the recorded indices) are read off the leaves; its blocks are
-    assembled on first read."""
+    `LinearScheme`).  Its field, row count (the sum) and minimum order (the
+    largest) are read off the leaves; its widths and blocks are made from
+    theirs on first read."""
     out = object.__new__(LinearScheme)
     out.__dict__.update(
         sp=sp,
@@ -579,11 +587,6 @@ def _composed(sp, leaves) -> LinearScheme:
         n_rows=sum(leaf.n_rows for leaf, _ in leaves),
         min_order=max(leaf.min_order for leaf, _ in leaves),
         leaves=leaves,
-        # A dummy's index, -1, reads the 0 appended to its leaf's widths
-        # (every structure has at least three variables, so each get is a tuple).
-        _widths=tuple(
-            map(sum, zip(*(itemgetter(*at)(leaf._widths + (0,)) for leaf, at in leaves)))
-        ),
     )
     return out
 

@@ -253,11 +253,11 @@ class ShareSecretBound:
     beta: dict  # secret slot (level, j) -> coefficient
 
 
-def bound_row(
-    sp: StructurePair, name: str, k: int = 1, picks: dict | None = None
-) -> ShareSecretBound:
-    """A named bound on the first shares and, on each level i, the first
-    secret, or secret `picks[i]` (which trades places with the first).
+def bound_row(sp: StructurePair, name: str, k: int = 1) -> ShareSecretBound:
+    """A named bound on the first shares and, on each level, the first
+    secret.  Every secret of a level has the same place in the structure, so
+    the row with secret j of level i in place of the first is this row with
+    the two secrets' coefficients swapped; `verify.audit_bounds` reads it so.
 
     share-sum and strong-randomness hold under strong secrecy only; the
     others under weak secrecy too.  Only tsdb and tsb depend on the level k.
@@ -265,9 +265,6 @@ def bound_row(
     kk = sp.k_levels
     if not 1 <= k <= kk:
         raise ValueError("level out of range")
-    picks = picks or {}
-    if not all(1 <= i <= kk and 1 <= j <= sp.count(i) for i, j in picks.items()):
-        raise ValueError("secret pick out of range")
     t = {i: sp.threshold(i) for i in range(1, kk + 1)}
     slots = sp.secret_slots()
     suffix = {(i, j): 1 for i, j in slots if i >= k}  # every secret from level k
@@ -302,12 +299,7 @@ def bound_row(
         beta = {(i, 1): t[i] for i in range(1, k)} | suffix
     else:
         raise ValueError(f"unknown bound {name!r}")
-
-    def swap(i, j):
-        p = picks.get(i, 1)
-        return i, p if j == 1 else 1 if j == p else j
-
-    return ShareSecretBound(alpha0, alpha, {swap(*s): c for s, c in beta.items()})
+    return ShareSecretBound(alpha0, alpha, beta)
 
 
 # --------------------------------------------------------------------------

@@ -17,11 +17,13 @@ conditions follow from its leaves' reports, so only leaves (built directly,
 read from text or copied) eliminate and scan coalitions, unless a leaf fails
 and the composed scheme needs its own witness.
 
-The audit reads every share rank from one table per profile
-(`RankProfile.share_ranks`), filled only with the share sets read.  Parts
-of a composition are independent and keep their shares, so a composed
-scheme's entry is the sum of its leaves' entries, which each leaf asks of
-its own ranks once.
+Each profile keeps one rank table (`RankProfile.ranks`), keyed by
+variable mask and filled only with the masks read; `rank`, the condition
+scans and the audit all read it.  Parts of a composition are independent
+and keep their shares, so a composed scheme's entry is the sum of its
+leaves' entries, which each leaf ranks once.  The audit asks
+`structure.bound_row` for each row once per level, and reads a pick of
+another secret of a level by swapping two secret widths.
 """
 
 from __future__ import annotations
@@ -36,22 +38,19 @@ import numpy as np
 
 from mtss import field
 from mtss.schemes import LinearScheme, VariableId
-from mtss.structure import SIGMA, SIGMA_AVG, STRONG, TAU, TAU_AVG, bound_row, conditions
+from mtss.structure import MEASURES, STRONG, bound_row, conditions
 
 DEFAULT_AUDIT_CAP = 10000
 
 
 @dataclass
 class RankStats:
-    """What one profile did: masks asked of it (by a caller, or by a
-    composed profile that answers through it as one of its `leaves`),
-    answers read from its memo, and its own eliminations (`field.rank`
-    calls).  A composed scheme asks its leaves directly, so a part it was
-    combined from counts none of the queries passed through.  A check
-    answered through a scheme's leaves asks its profile nothing: the leaves'
-    checks count on their own profiles.  A share-table entry's query counts
-    once, on each leaf, when the entry is first read; a composed profile
-    that sums its leaves' entries asks none."""
+    """What one profile did: masks asked of it through `rank`, those
+    answered from its table, and its own eliminations (`field.rank` calls).
+    The condition scans, the audit and a composed profile that sums its
+    `leaves` read the table directly, so they count no query; a composed
+    profile eliminates nothing, and each entry a leaf fills counts one
+    elimination, whoever read it first."""
 
     queries: int = 0
     memo_hits: int = 0
@@ -66,21 +65,24 @@ def _bits(mask: int):
         mask ^= low
 
 
-class _ShareRanks(dict):
-    """A profile's share ranks by share mask, each asked of the profile on
-    its first read, under a lock, and kept."""
+class _Ranks(dict):
+    """A profile's ranks by variable mask, each made by the profile on its
+    first read, under the profile's lock, and kept."""
 
-    __slots__ = ("_ask", "_lock")
+    __slots__ = ("_profile",)
 
-    def __init__(self, ask):
-        self._ask = ask
-        self._lock = threading.Lock()
+    def __init__(self, profile):
+        super().__init__({0: 0})
+        self._profile = profile
 
-    def __missing__(self, shares: int) -> int:
-        with self._lock:
-            r = self.get(shares)
+    def __missing__(self, mask: int) -> int:
+        profile = self._profile
+        if not 0 <= mask <= profile._all:
+            raise ValueError(f"mask {mask} is not a set of this scheme's variables")
+        with profile._lock:
+            r = self.get(mask)
             if r is None:
-                r = self[shares] = self._ask(shares)
+                r = self[mask] = profile._fill(mask)
             return r
 
 
@@ -89,42 +91,48 @@ class RankProfile:
 
     Doubles as the scheme's entropy vector: rank queries are monotone and
     submodular, with rk(empty) = 0.  A query is a set of variables or its
-    int mask (`mask`): bit i is `scheme.variables()[i]`.  The memo and the
-    share table are each guarded by a lock so audits may query one profile
-    from several threads.
-
-    `share_ranks` maps a share mask A, bit i-1 standing for share i, to
-    rk(P_A); it asks each entry of the profile on first read and keeps it.
+    int mask (`mask`): bit i is `scheme.variables()[i]`.  `ranks` maps a
+    mask to its rank, filled on first read and kept; `rank`, the condition
+    scans and the audit all read it.  An entry is filled under the
+    profile's lock, so audits may query one profile from several threads
+    and each entry is made once.  A mask outside the scheme is refused
+    (`ValueError`) and not kept.
 
     A composed scheme is answered through its `leaves`; only `embed`, `combine`
     and `schemes._rebuild` set them, so they are not checked here.  Each of
     its blocks is the block-diagonal stack of its leaves' blocks at the
     recorded indices (an empty one for a dummy), so each rank is the sum of
-    the leaves' ranks of the same blocks.  The profile keeps each leaf's
-    profile (leaves are the only profiles that eliminate) with the bit of
-    every variable in that leaf (0 for a dummy or a width-0 block); a miss
-    sums the leaves' ranks of its mask's translations, so the composed
-    scheme's own blocks are never assembled.  A share-table entry is the sum
-    of the leaves' entries of the same share mask: `embed` keeps its
-    source's share blocks and `combine` stacks every share of parts over one
-    structure, so share i of a composed scheme is share i of each leaf.
+    the leaves' ranks of the same blocks, and the composed scheme's own
+    blocks are never assembled.  A missing entry sums the leaves' entries
+    of its mask's translations.  Shares come last in both variable orders
+    and share i of a composed scheme is share i of each leaf (`embed` keeps
+    its source's shares, `combine` stacks parts over one structure), so
+    share bits move by a shift; each secret bit moves to its recorded
+    index (to no bit for a dummy or a width-0 block).
 
     `reports` keeps `check_conditions`' reports by (security, exhaustive).
     """
 
     def __init__(self, scheme: LinearScheme):
         self.scheme = scheme
-        order = scheme.variables()
-        self._bit = {v: 1 << i for i, v in enumerate(order)}
-        self._all = (1 << len(order)) - 1
-        self._memo: dict[int, int] = {0: 0}
+        sp = scheme.sp
+        self._secrets = sp.n_secrets
+        self._all = (1 << (sp.n_secrets + sp.n_parties)) - 1
         self._lock = threading.Lock()
         self.stats = RankStats()
         self.reports: dict[tuple[str, bool], VerificationReport] = {}
-        self.share_ranks = _ShareRanks(self._share_rank)
-        # (leaf profile, per variable: its bit in the leaf); empty for a leaf
+        self.ranks = _Ranks(self)
+        # (leaf ranks, its secret count, per secret: its bit in the leaf);
+        # empty for a leaf
         self._leaves = [
-            (leaf.profile, [1 << i if i >= 0 and leaf.blocks[i][1].n_cols else 0 for i in index])
+            (
+                leaf.profile.ranks,
+                leaf.sp.n_secrets,
+                [
+                    1 << i if i >= 0 and leaf._widths[i] else 0
+                    for i in index[: sp.n_secrets]
+                ],
+            )
             for leaf, index in scheme.leaves
         ]
         if not self._leaves:
@@ -136,68 +144,45 @@ class RankProfile:
                 self._cols.append(list(range(start, start + b.n_cols)))
                 start += b.n_cols
 
-    def _share_rank(self, shares: int) -> int:
-        """rk(P_A) for a share mask A, bit i-1 standing for share i: a leaf
-        asks its own ranks, a composed profile sums its leaves' entries
-        (and so refuses a bad mask where they do).  Shares come last in
-        canonical order, so a leaf's share bits are its top N."""
-        if self._leaves:
-            return sum(leaf.share_ranks[shares] for leaf, _ in self._leaves)
-        sp = self.scheme.sp
-        if shares < 0 or shares >> sp.n_parties:
-            raise ValueError(f"mask {shares} is not a set of this scheme's shares")
-        return self._rank_mask(shares << sp.n_secrets)
-
     def mask(self, variables) -> int:
         """The int mask of a set of this scheme's variables."""
-        bit = self._bit
+        at = self.scheme._at
         mask = 0
         for v in variables:
-            try:
-                mask |= bit[v]
-            except KeyError:
-                raise KeyError(f"unknown variable {v}") from None
+            mask |= 1 << at(v)
         return mask
 
     def rank(self, x) -> int:
         """Joint rank of a set of variables, or of their mask."""
-        if isinstance(x, int):
-            if x < 0 or x > self._all:
-                raise ValueError(f"mask {x} is not a set of this scheme's variables")
-            return self._rank_mask(x)
-        return self._rank_mask(self.mask(x))
-
-    def _rank_mask(self, mask: int) -> int:
-        stats = self.stats
+        mask = x if isinstance(x, int) else self.mask(x)
+        ranks = self.ranks
         with self._lock:
-            stats.queries += 1
-            cached = self._memo.get(mask)
-            if cached is not None:
-                stats.memo_hits += 1
-                return cached
-        eliminated = False
+            self.stats.queries += 1
+            self.stats.memo_hits += mask in ranks
+        return ranks[mask]
+
+    def _fill(self, mask: int) -> int:
+        """The rank of a mask not yet in the table: the sum of the leaves'
+        entries, or an elimination of the mask's columns."""
         if self._leaves:
-            set_bits = list(_bits(mask))
+            shares = mask >> self._secrets
+            set_bits = list(_bits(mask ^ (shares << self._secrets)))
             r = 0
-            for leaf, bits in self._leaves:
-                m = 0
+            for ranks, n_secrets, bits in self._leaves:
+                m = shares << n_secrets
                 for i in set_bits:
                     m |= bits[i]
-                r += leaf._rank_mask(m)
-        else:
-            picked = []
-            for i in _bits(mask):
-                picked += self._cols[i]
-            eliminated = bool(picked)
-            r = 0
-            if picked:
-                # Columns of reduced blocks need no second reduction.
-                a = field._reduced(self._matrix.take(picked, axis=1), self.scheme.q)
-                r = field.rank(a, a.q)
-        with self._lock:
-            stats.eliminations += eliminated
-            self._memo[mask] = r
-        return r
+                r += ranks[m]
+            return r
+        picked = []
+        for i in _bits(mask):
+            picked += self._cols[i]
+        if not picked:
+            return 0
+        self.stats.eliminations += 1
+        # Columns of reduced blocks need no second reduction.
+        a = field._reduced(self._matrix.take(picked, axis=1), self.scheme.q)
+        return field.rank(a, a.q)
 
 
 # --------------------------------------------------------------------------
@@ -302,6 +287,7 @@ def check_conditions(
     linked = bool(scheme.leaves) and all(
         check_conditions(leaf, security, exhaustive).passed for leaf, _ in scheme.leaves
     )
+    ranks = profile.ranks
     share_bit = [0] + [profile.mask([v]) for v in scheme.share_variables()]
     secrets = {(v.level, v.index): v for v in scheme.secret_variables()}
 
@@ -320,7 +306,7 @@ def check_conditions(
             if tag == "C1":
                 extra = 0
             elif tag == "C2":
-                extra = profile.rank(sec)
+                extra = ranks[sec]
             else:
                 extra = sum(scheme.width(v) for v in sec_vars)
             for a_set in _party_sets(n, _coalition_sizes(tag, size, n, exhaustive)):
@@ -328,8 +314,8 @@ def check_conditions(
                 pa = 0
                 for i in a_set:
                     pa |= share_bit[i]
-                got = profile.rank(sec | pa)
-                want = profile.rank(pa) + extra
+                got = ranks[sec | pa]
+                want = ranks[pa] + extra
                 if got != want:
                     w = Witness(group, a_set, tuple(sec_vars), got, want)
                     return ConditionResult(False, checks, w)
@@ -373,16 +359,10 @@ class RatioReport:
     share_lengths: tuple[int, ...]
 
     def value(self, measure: str) -> Fraction | None:
-        table = {
-            SIGMA: self.sigma,
-            SIGMA_AVG: self.sigma_avg,
-            TAU: self.tau,
-            TAU_AVG: self.tau_avg,
-        }
-        try:
-            return table[measure]
-        except KeyError:
-            raise ValueError(f"unknown measure {measure!r}") from None
+        """The field named by a measure constant (`structure.MEASURES`)."""
+        if measure not in MEASURES:
+            raise ValueError(f"unknown measure {measure!r}")
+        return getattr(self, measure)
 
 
 def ratios(scheme: LinearScheme, strict: bool = True) -> RatioReport:
@@ -491,11 +471,13 @@ def audit_bounds(
     only repeat a sorted one.  Every family but secret-size and extra-n3 is
     a `structure.bound_row` row.
 
-    Every share rank comes from the profile's share table, which asks only
-    the share sets read, so a composed scheme's audit sums its leaves'
-    entries and eliminates nothing of its own.  The secret-size rhs
-    I(P_a; P_b | the rest) does not depend on the secret, so it is computed
-    once per level.
+    Every share rank comes from the profile's rank table (`RankProfile.ranks`),
+    which fills only the share sets read, so a composed scheme's audit sums
+    its leaves' entries and eliminates nothing of its own.  The secret-size
+    rhs I(P_a; P_b | the rest) does not depend on the secret, so it is
+    computed once per level.  Each row is asked of `bound_row` once per
+    level k: a pick changes only which secret widths its betas read, and
+    no rhs.
 
     A strong scheme is also weakly secure, so a strong audit includes every
     weak bound; two bound families are valid only under strong secrecy and
@@ -512,17 +494,19 @@ def audit_bounds(
         (i, j): scheme.width(VariableId.secret(i, j)) for i, j in sp.secret_slots()
     }
     hp = {i: scheme.width(v) for i, v in enumerate(scheme.share_variables(), start=1)}
-    h = scheme.profile.share_ranks
-    h_all_shares = h[(1 << n) - 1]
+    # Shares come last in the variable order: share i is bit ns + i - 1.
+    ns = sp.n_secrets
+    h = scheme.profile.ranks
+    h_all_shares = h[((1 << n) - 1) << ns]
 
     def pair_gains(t):
         """(shares, a, b, I(P_a; P_b | the rest of shares)) for every share
         set of size t + 1 and pair in it: the secret-size rhs, whatever j."""
         for dset in combinations(range(1, n + 1), t + 1):
-            d = sum(1 << (i - 1) for i in dset)
+            d = sum(1 << (ns + i - 1) for i in dset)
             for a, b in combinations(dset, 2):
-                pa = 1 << (a - 1)
-                pb = 1 << (b - 1)
+                pa = 1 << (ns + a - 1)
+                pb = 1 << (ns + b - 1)
                 rest = d ^ pa ^ pb
                 yield dset, a, b, h[rest | pa] + h[rest | pb] - h[d] - h[rest]
 
@@ -540,16 +524,20 @@ def audit_bounds(
                     yield params, w[k, j], gain
 
     def rows(name, per_level, pick_levels, params):
-        """(params, lhs, rhs) of a `bound_row` family: its rows at each k
-        and each pick of a secret on `pick_levels(kk, k)`, evaluated on
-        every sorted tuple of as many shares as the row has alphas."""
+        """(params, lhs, rhs) of a `bound_row` family: its row at each k,
+        at each pick of a secret j on every level i of `pick_levels(kk, k)`
+        (secret j trades widths with the level's first), evaluated on every
+        sorted tuple of as many shares as the row has alphas."""
         for k in range(1, kk + 1 if per_level else 2):
+            row = bound_row(sp, name, k)
+            alpha = list(row.alpha.values())
             levels = pick_levels(kk, k)
             for js in product(*(range(1, sp.count(i) + 1) for i in levels)):
                 picks = dict(zip(levels, js))
-                row = bound_row(sp, name, k, picks)
-                lhs = sum(c * w[slot] for slot, c in row.beta.items())
-                alpha = list(row.alpha.values())
+                picked = dict(w)
+                for i, j in picks.items():
+                    picked[i, 1], picked[i, j] = w[i, j], w[i, 1]
+                lhs = sum(c * picked[slot] for slot, c in row.beta.items())
                 for dset in combinations(range(1, n + 1), len(alpha)):
                     rhs = row.alpha0 * h_all_shares + sum(
                         c * hp[i] for c, i in zip(alpha, dset)

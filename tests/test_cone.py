@@ -27,6 +27,8 @@ from mtss.schemes import (
     build_optimal,
     build_single_threshold,
     build_weak_block,
+    combine,
+    embed,
     scheme_variables,
 )
 from mtss.structure import (
@@ -46,7 +48,7 @@ from mtss.structure import (
     slot_map,
     structure,
 )
-from mtss.verify import RankProfile, check_conditions, ratios
+from mtss.verify import RankProfile, audit_bounds, check_conditions, ratios
 
 
 def mask_of(sp, vs) -> int:
@@ -847,12 +849,25 @@ def test_bound_row_coefficients():
         bound_row(sp, "mystery")
     with pytest.raises(ValueError, match="level out of range"):
         bound_row(sp, "tsdb", k=3)
-    # a pick trades places with the level's first secret
-    assert bound_row(sp, "tsdb", k=2, picks={1: 2}).beta == {(1, 2): 2, (2, 1): 1}
-    assert bound_row(sp, "dtb", picks={1: 2}).beta == {(1, 2): 1, (2, 1): 1}
-    for picks in ({1: 3}, {3: 1}, {2: 0}):
-        with pytest.raises(ValueError, match="pick out of range"):
-            bound_row(sp, "dtb", picks=picks)
+    # The audit reads a pick of secret j as the row with the level's first
+    # secret and secret j trading places: on widths S[1,1] = 1, S[1,2] = 2,
+    # S[2,1] = 1, tsdb_2 at j = 2 is 2 * 2 + 1, dtb at (2, 1) is 2 + 1, and
+    # no pick leaves the levels' secrets.
+    one, two = build_single_threshold(3, 3), build_single_threshold(2, 3)
+    second = embed(one, sp, place={(1, 1): (1, 2)})
+    s = combine([embed(one, sp), second, second, embed(two, sp)])
+    assert [s.width(VariableId.secret(*slot)) for slot in sp.secret_slots()] == [1, 2, 1]
+    lhs = {}
+    for c in audit_bounds(s, WEAK):
+        if c.bound in ("tsdb", "dtb"):
+            lhs.setdefault((c.bound, c.params.get("k"), c.params["j"]), c.lhs)
+    assert lhs == {
+        ("tsdb", 1, ((2, 1),)): 1 + 2 + 2,
+        ("tsdb", 2, ((1, 1),)): 2 * 1 + 1,
+        ("tsdb", 2, ((1, 2),)): 2 * 2 + 1,
+        ("dtb", None, (1, 1)): 1 + 1,
+        ("dtb", None, (2, 1)): 2 + 1,
+    }
     # the audit's other share/secret families, integer coefficients
     share_sum = bound_row(sp, "share-sum")
     assert (share_sum.alpha0, share_sum.alpha) == (0, {1: 1})

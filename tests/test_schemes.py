@@ -366,6 +366,11 @@ def test_from_text_rejects_garbage():
         LinearScheme.from_text(good.replace("rows", "q"))
     with pytest.raises(ValueError, match="header: negative rows -1"):
         LinearScheme.from_text(good.replace("rows 2", "rows -1"))
+    # a structure header of one or three tokens
+    for header in ("structure 3", "structure 3 2 2"):
+        with pytest.raises(ValueError) as bad:
+            LinearScheme.from_text(good.replace("structure 3 2", header))
+        assert str(bad.value) == 'malformed scheme header: expected "structure N t,t,…"'
     # single integers are read in the item grammar of list entries
     for bad in ("٣", "3_0"):
         for old, new, message in (

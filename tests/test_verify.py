@@ -102,8 +102,9 @@ def test_rank_profile_is_polymatroidal():
 
 def test_rank_profile_concurrent_queries():
     """Concurrent rank queries, and concurrent first reads of the share
-    table of a fresh leaf and of a fresh composed profile that sums it,
-    agree with serial ones; each leaf is asked each share set once."""
+    entries of the rank tables of a fresh leaf and of a fresh composed
+    profile that sums it, agree with serial ones; each leaf eliminates each
+    share set once."""
     s = build_B(3, (3, 4), (2, 1))
     vs = s.variables()
     rng = random.Random(3)
@@ -122,13 +123,17 @@ def test_rank_profile_concurrent_queries():
         b = embed(build_single_threshold(2, 4), sp)
         return combine([a, b, a]), a.leaves[0][0], b.leaves[0][0]
 
+    def share_entries(profile):
+        ranks, ns = profile.ranks, profile.scheme.sp.n_secrets
+        return [ranks[m << ns] for m in every]
+
     composed, _, leaf = fresh()
-    serial = [[p.share_ranks[m] for m in every] for p in (composed.profile, leaf.profile)]
+    serial = [share_entries(p) for p in (composed.profile, leaf.profile)]
     start = threading.Barrier(8)
 
     def first_reads(profile):
         start.wait(timeout=60)
-        return [profile.share_ranks[m] for m in every]
+        return share_entries(profile)
 
     switch = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
@@ -136,14 +141,15 @@ def test_rank_profile_concurrent_queries():
         with ThreadPoolExecutor(max_workers=8) as pool:
             for _ in range(10):
                 composed, *leaves = fresh()
-                before = [p.profile.stats.queries for p in leaves]
+                before = [p.profile.stats.eliminations for p in leaves]
                 profiles = [composed.profile, leaves[1].profile] * 4
                 tables = list(pool.map(first_reads, profiles, timeout=60))
                 for i in (0, 1):
                     assert all(t == serial[i] for t in tables[i::2])
-                # A share set asked twice would count two queries.
-                after = [p.profile.stats.queries for p in leaves]
-                assert [y - x for x, y in zip(before, after)] == [len(every)] * 2
+                # A share set ranked twice would count two eliminations;
+                # the empty set needs none.
+                after = [p.profile.stats.eliminations for p in leaves]
+                assert [y - x for x, y in zip(before, after)] == [len(every) - 1] * 2
             vs = composed.variables()
             queries = [rng.sample(vs, rng.randint(0, len(vs))) for _ in range(40)]
             ranks = list(pool.map(composed.profile.rank, queries, timeout=60))
@@ -251,12 +257,13 @@ def test_verification_reads_no_composed_block(monkeypatch):
 
 def test_share_tables_match_elimination():
     """Every build_optimal cell with N <= 4 sums its leaves' share ranks,
-    and its text copy (a leaf) asks its own; in both, entry A is the
-    eliminated rank of the shares P_i with bit i-1 set in A, and a mask
-    outside the shares is refused and not kept."""
+    and its text copy (a leaf) ranks its own; in both, the rank table's
+    entry for share mask A (bit i-1 for share i, shifted past the secrets)
+    is the eliminated rank of the shares P_i with bit i-1 set in A, and a
+    mask outside the scheme is refused and not kept."""
     cells = 0
     for sp in _table_family((2, 3, 4)):
-        n = sp.n_parties
+        n, ns = sp.n_parties, sp.n_secrets
         for kind in KINDS:
             s = build_optimal(sp, kind)
             copy = LinearScheme.from_text(s.to_text())
@@ -266,38 +273,45 @@ def test_share_tables_match_elimination():
                 for a in range(2**n)
             ]
             for scheme in (s, copy):
-                table = scheme.profile.share_ranks
-                assert [table[a] for a in range(2**n)] == want, (sp, kind)
+                table = scheme.profile.ranks
+                assert [table[a << ns] for a in range(2**n)] == want, (sp, kind)
             cells += 1
     assert cells == 8 * len(_table_family((2, 3, 4)))
+    every = 2 ** (n + ns)
     for scheme in (s, copy):
-        for bad in (-1, 2**n, 2**n | 1):
-            with pytest.raises(ValueError, match="not a set of this scheme's shares"):
-                scheme.profile.share_ranks[bad]
-            assert bad not in scheme.profile.share_ranks
+        for bad in (-1, every, every | 1):
+            with pytest.raises(ValueError, match="not a set of this scheme's variables"):
+                scheme.profile.ranks[bad]
+            assert bad not in scheme.profile.ranks
 
 
 def test_audit_reads_only_the_share_sets_it_checks():
-    """A leaf's share table holds only the share sets an audit read: for
-    thresholds 7 and 6 of 8 shares, sets of 5 to 8 shares, and with cap 1
-    the four ranks of the first secret-size check."""
+    """A leaf's rank table holds only the share sets an audit read when the
+    audit's precondition is answered from a kept report: for thresholds 7
+    and 6 of 8 shares, sets of 5 to 8 shares, and with cap 1 the four ranks
+    of the first secret-size check."""
     sp = structure(8, [(7, 1), (6, 1)])
     text = build_optimal(sp, RatioKind(SIGMA, WEAK)).to_text()
     full = 2**8 - 1
+    ns = sp.n_secrets
     for cap, sizes in ((1, {6, 7, 8}), (verify.DEFAULT_AUDIT_CAP, {5, 6, 7, 8})):
         s = LinearScheme.from_text(text)
+        # The precondition's report, made on another copy and kept on this
+        # profile, so no scan fills this table.
+        s.profile.reports[WEAK, False] = check_conditions(LinearScheme.from_text(text), WEAK)
         assert all(c.holds for c in audit_bounds(s, WEAK, cap=cap))
-        table = s.profile.share_ranks
-        assert {bin(m).count("1") for m in table} == sizes
+        table = s.profile.ranks
+        assert all(m >> ns << ns == m for m in table)
+        assert {bin(m).count("1") for m in table if m} == sizes
         if cap == 1:
-            assert sorted(table) == [full ^ 3, full ^ 2, full ^ 1, full]
+            assert sorted(table) == [0] + [(full ^ x) << ns for x in (3, 2, 1, 0)]
 
 
 @pytest.mark.parametrize(
     "parties, sample", [((2, 3), None), ((4,), 90)], ids=["N2-3-all", "N4-sample"]
 )
 def test_composed_audits_match_text_copies(parties, sample):
-    """The audit of a composed scheme, whose share table sums its leaves',
+    """The audit of a composed scheme, whose rank table sums its leaves',
     equals that of its text copy, which eliminates: every passing (cell,
     security) for N <= 3, and those of 90 seeded cells of 360 for N = 4."""
     cells = [(sp, kind) for sp in _table_family(parties) for kind in KINDS]
@@ -316,14 +330,14 @@ def test_composed_audits_match_text_copies(parties, sample):
 
 def test_combined_check_makes_no_elimination_of_its_own():
     """The combined scheme's check is answered from its parts' reports, and
-    its audit from its leaves' share tables, so its own profile is asked no
-    rank at all."""
+    its audit sums its leaves' rank-table entries, so its own profile counts
+    no query and eliminates nothing."""
     s = build_optimal(structure(4, [(3, 2), (2, 1)]), RatioKind(SIGMA, STRONG))
     assert len(s.leaves) == 3
     assert check_conditions(s, STRONG).passed
     stats = s.profile.stats
     assert stats.queries == 0 and stats.eliminations == 0
-    # Its audit reads a share table summed from its leaves' tables.
+    # Its audit reads share ranks summed from its leaves' tables.
     assert all(c.holds for c in audit_bounds(s, STRONG))
     assert stats.queries == 0 and stats.eliminations == 0
     # Read back from text, the same scheme is a leaf and eliminates.
@@ -779,13 +793,20 @@ _REFERENCE_FAMILIES = (
 )
 
 
+def _picked(picks, i, j):
+    """Slot (i, j) of a row at `picks`: on each level i, secret picks[i]
+    trades places with the first."""
+    p = picks.get(i, 1)
+    return i, p if j == 1 else 1 if j == p else j
+
+
 @pytest.mark.parametrize("security", [STRONG, WEAK])
 @pytest.mark.parametrize("t", ["3,2", "4,3,2", "3,3,2,2,2"])
 def test_bound_row_checks_in_canonical_order(t, security):
-    """Each `bound_row` check, in audit order, is its row at (k, picks),
-    asked per pick, on one sorted share tuple: lhs = sum beta * rk(S) and
-    rhs = alpha0 * rk(every share) + sum alpha * rk(P), all by
-    elimination."""
+    """Each `bound_row` check, in audit order, is its row at k with its
+    beta keys swapped for each pick (`_picked`), on one sorted share tuple:
+    lhs = sum beta * rk(S) and rhs = alpha0 * rk(every share) + sum alpha *
+    rk(P), all by elimination."""
     sp = parse_thresholds(4, t)
     s = build_optimal(sp, RatioKind(SIGMA, security))
     names = {f[0] for f in _REFERENCE_FAMILIES}
@@ -805,11 +826,33 @@ def test_bound_row_checks_in_canonical_order(t, security):
             levels = list(pick_levels(kk, k))
             for js in product(*(range(1, sp.count(i) + 1) for i in levels)):
                 picks = dict(zip(levels, js))
-                row = bound_row(sp, name, k, picks)
-                lhs = sum(c * rk([VariableId.secret(*slot)]) for slot, c in row.beta.items())
+                row = bound_row(sp, name, k)
+                beta = {_picked(picks, *slot): c for slot, c in row.beta.items()}
+                lhs = sum(c * rk([VariableId.secret(*slot)]) for slot, c in beta.items())
                 for d in combinations(range(1, 5), len(row.alpha)):
                     rhs = row.alpha0 * everything + sum(
                         c * rk([VariableId.share(d[i - 1])]) for i, c in row.alpha.items()
                     )
                     want.append((name, params(k, picks, d), lhs, rhs))
     assert got == want
+
+
+@pytest.mark.parametrize("security", [STRONG, WEAK])
+@pytest.mark.parametrize("t", ["4,3,2", "3,3,2,2,2"])
+def test_audit_asks_each_row_once_per_level(t, security, monkeypatch):
+    """The audit asks `bound_row` once per (family, k) valid at its security
+    level, in audit order, whatever the number of picks."""
+    sp = parse_thresholds(4, t)
+    s = build_optimal(sp, RatioKind(SIGMA, security))
+    asked = []
+    real = verify.bound_row
+    monkeypatch.setattr(
+        verify, "bound_row", lambda *args: asked.append(args[1:]) or real(*args)
+    )
+    audit_bounds(s, security)
+    assert asked == [
+        (name, k)
+        for name, strong_only, ks, *_ in _REFERENCE_FAMILIES
+        if security == STRONG or not strong_only
+        for k in ks(sp.k_levels)
+    ]
