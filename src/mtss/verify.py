@@ -45,15 +45,11 @@ DEFAULT_AUDIT_CAP = 10000
 
 @dataclass
 class RankStats:
-    """What one profile did: masks asked of it through `rank`, those
-    answered from its table, and its own eliminations (`field.rank` calls).
-    The condition scans, the audit and a composed profile that sums its
-    `leaves` read the table directly, so they count no query; a composed
-    profile eliminates nothing, and each entry a leaf fills counts one
-    elimination, whoever read it first."""
+    """What one profile did: its own eliminations (`field.rank` calls).
+    Each entry a leaf fills counts one, whoever read it first; a composed
+    profile sums its `leaves`' entries and eliminates nothing.  Which masks
+    were read is `RankProfile.ranks` itself."""
 
-    queries: int = 0
-    memo_hits: int = 0
     eliminations: int = 0
 
 
@@ -154,12 +150,7 @@ class RankProfile:
 
     def rank(self, x) -> int:
         """Joint rank of a set of variables, or of their mask."""
-        mask = x if isinstance(x, int) else self.mask(x)
-        ranks = self.ranks
-        with self._lock:
-            self.stats.queries += 1
-            self.stats.memo_hits += mask in ranks
-        return ranks[mask]
+        return self.ranks[x if isinstance(x, int) else self.mask(x)]
 
     def _fill(self, mask: int) -> int:
         """The rank of a mask not yet in the table: the sum of the leaves'

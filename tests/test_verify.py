@@ -329,17 +329,20 @@ def test_composed_audits_match_text_copies(parties, sample):
 
 
 def test_combined_check_makes_no_elimination_of_its_own():
-    """The combined scheme's check is answered from its parts' reports, and
-    its audit sums its leaves' rank-table entries, so its own profile counts
-    no query and eliminates nothing."""
+    """The combined scheme's check is answered from its parts' reports, so
+    its own rank table stays empty; its audit sums its leaves' entries of
+    the share sets it reads, and its own profile eliminates nothing."""
     s = build_optimal(structure(4, [(3, 2), (2, 1)]), RatioKind(SIGMA, STRONG))
     assert len(s.leaves) == 3
     assert check_conditions(s, STRONG).passed
     stats = s.profile.stats
-    assert stats.queries == 0 and stats.eliminations == 0
+    assert dict(s.profile.ranks) == {0: 0} and stats.eliminations == 0
     # Its audit reads share ranks summed from its leaves' tables.
     assert all(c.holds for c in audit_bounds(s, STRONG))
-    assert stats.queries == 0 and stats.eliminations == 0
+    ns = s.sp.n_secrets
+    assert len(s.profile.ranks) > 1
+    assert all(m >> ns << ns == m for m in s.profile.ranks)
+    assert stats.eliminations == 0
     # Read back from text, the same scheme is a leaf and eliminates.
     copy = LinearScheme.from_text(s.to_text())
     assert copy.leaves == ()
@@ -524,7 +527,7 @@ def test_check_reports_golden():
 def test_report_memo_matches_text_copy():
     """In every order of asking the four (security, exhaustive) keys, each
     memoized report equals that of a fresh text copy, and asking again
-    costs no rank query."""
+    reads no new rank."""
     keys = [(sec, ex) for sec in (STRONG, WEAK) for ex in (False, True)]
     cells = [
         (structure(3, [(3, 1), (2, 2)]), RatioKind(SIGMA, WEAK)),
@@ -540,9 +543,9 @@ def test_report_memo_matches_text_copy():
             s = build_optimal(sp, kind)
             got = {key: check_conditions(s, *key) for key in order}
             assert got == want, (sp, kind, order)
-            before = s.profile.stats.queries
+            before = len(s.profile.ranks)
             assert all(check_conditions(s, *key) is got[key] for key in order)
-            assert s.profile.stats.queries == before
+            assert len(s.profile.ranks) == before
     assert fails > 0
 
 
