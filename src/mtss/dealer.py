@@ -162,7 +162,7 @@ def deal(scheme: LinearScheme, secrets: SecretAssignment, seed: int = 0) -> Shar
         b.extend(_check_vector(secrets[v], scheme.width(v), scheme.q, str(v)))
     vs = scheme.columns(svars)
     try:
-        particular, basis = field.solve_affine(vs.a.T, b, scheme.q)
+        particular, basis = field.solve_affine(vs.T, b, scheme.q)
     except ValueError:  # pragma: no cover - blocked by full column rank
         raise AssertionError("no codeword") from None
     c = particular
@@ -173,7 +173,7 @@ def deal(scheme: LinearScheme, secrets: SecretAssignment, seed: int = 0) -> Shar
         c = (c + coeffs @ basis) % scheme.q
     shares = {}
     for v in scheme.share_variables():
-        shares[v] = tuple(int(e) for e in (c @ scheme.block(v).a) % scheme.q)
+        shares[v] = tuple(int(e) for e in (c @ scheme.block(v)) % scheme.q)
     return ShareBundle(scheme.fingerprint, shares)
 
 
@@ -202,13 +202,13 @@ def reconstruct(scheme: LinearScheme, shares: ShareBundle, k: int = 1) -> Secret
         vals.extend(shares[v])
     va = scheme.columns(avars)
     try:
-        x, _ = field.solve_affine(va.a.T, vals, scheme.q)
+        x, _ = field.solve_affine(va.T, vals, scheme.q)
     except ValueError:
         raise ReconstructionError("inconsistent shares") from None
     out = {}
     for v in scheme.secret_variables():
         if v.level >= k:
-            out[v] = tuple(int(e) for e in (x @ scheme.block(v).a) % scheme.q)
+            out[v] = tuple(int(e) for e in (x @ scheme.block(v)) % scheme.q)
     return SecretAssignment(out)
 
 
@@ -279,8 +279,8 @@ def leakage_census(scheme: LinearScheme, a_shares, target) -> CensusTable:
     n, q = scheme.n_rows, scheme.q
     if q**n > CENSUS_CAP:
         raise ValueError("scheme too large for census")
-    va = scheme.columns(a_list).a
-    vs = scheme.columns(targets).a
+    va = scheme.columns(a_list)
+    vs = scheme.columns(targets)
     wa, ws = va.shape[1], vs.shape[1]
     if q ** (wa + ws) > 1 << 63:
         raise ValueError(

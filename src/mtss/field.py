@@ -2,19 +2,19 @@
 
 Everything downstream (scheme construction, rank-based verification, the
 dealer) works over a prime field F_q with q a plain Python int.  Matrices are
-small and dense, so they are stored as numpy int64 arrays with entries reduced
-to [0, q).  Elimination (`rank`, `solve_affine`) runs on lists of Python
-ints, so its arithmetic is exact at any size.  Moduli are bounded by
-MODULUS_LIMIT = 2**20 for the dealer's int64 matrix products: a product of
-two reduced entries is below 2**40, and sums of up to 2**23 such products
-stay exact.
+small and dense, so each is a plain 2-d numpy int64 array with entries in
+[0, q), its modulus passed beside it.  `reduce` makes one of any input, and
+`rank` and `solve_affine` reduce their input first; `schemes.LinearScheme`
+keeps a scheme's blocks so, read-only, over its one q.  Elimination runs on
+lists of Python ints, so its arithmetic is exact at any size.  Moduli are
+bounded by MODULUS_LIMIT = 2**20 for the dealer's int64 matrix products: a
+product of two reduced entries is below 2**40, and sums of up to 2**23 such
+products stay exact.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
-from dataclasses import dataclass, field
-from functools import cached_property
 
 import numpy as np
 
@@ -59,93 +59,26 @@ def next_prime_at_least(m: int) -> int:
     return p
 
 
-def _as_field_array(rows, q: int) -> np.ndarray:
+def reduce(rows, q: int) -> np.ndarray:
+    """A new 2-d int64 array of `rows` with entries reduced to [0, q)."""
     a = np.asarray(rows, dtype=np.int64)
     if a.ndim != 2:
         raise ValueError("expected a 2-d array of entries")
     return np.mod(a, q)
 
 
-@dataclass(frozen=True, eq=False)
-class MatrixFq:
-    """An immutable matrix over F_q.
-
-    `a` always holds reduced entries.  Width-zero matrices (0 columns) are
-    legal and show up naturally as empty variable blocks.
-    """
-
-    q: int
-    a: np.ndarray = field(repr=False)
-
-    def __post_init__(self):
-        check_modulus(self.q)
-        arr = _as_field_array(self.a, self.q)
-        arr.setflags(write=False)
-        object.__setattr__(self, "a", arr)
-
-    @property
-    def n_rows(self) -> int:
-        return self.a.shape[0]
-
-    @property
-    def n_cols(self) -> int:
-        return self.a.shape[1]
-
-    @property
-    def shape(self) -> tuple[int, int]:
-        return self.a.shape
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, MatrixFq)
-            and self.q == other.q
-            and self.a.shape == other.a.shape
-            and bool(np.array_equal(self.a, other.a))
-        )
-
-    def __repr__(self):
-        return f"MatrixFq(q={self.q}, shape={self.a.shape})"
-
-    def take_columns(self, cols) -> "MatrixFq":
-        return MatrixFq(self.q, self.a[:, list(cols)])
-
-    def rank(self) -> int:
-        return self._rank
-
-    @cached_property
-    def _rank(self) -> int:
-        # `a` is read-only, so the rank is computed once per object.
-        return rank(self, self.q)
-
-
-def _reduced(a: np.ndarray, q: int) -> MatrixFq:
-    """A `MatrixFq` of a 2-d array already reduced mod a prime q (say,
-    columns taken from one), made without the constructor's checks."""
-    a.setflags(write=False)
-    m = object.__new__(MatrixFq)
-    m.__dict__.update(q=q, a=a)
-    return m
-
-
-def zeros(n_rows: int, n_cols: int, q: int) -> MatrixFq:
-    return MatrixFq(q, np.zeros((n_rows, n_cols), dtype=np.int64))
-
-
-def block_diag(mats) -> MatrixFq:
+def block_diag(mats) -> np.ndarray:
     """The matrices stacked along the diagonal, each in its own band of rows
-    and of columns; zeros elsewhere.  All must share one modulus."""
-    q = mats[0].q
-    if any(m.q != q for m in mats):
-        raise ValueError("mixed moduli")
+    and of columns; zeros elsewhere."""
     out = np.zeros(
-        (sum(m.n_rows for m in mats), sum(m.n_cols for m in mats)), dtype=np.int64
+        (sum(m.shape[0] for m in mats), sum(m.shape[1] for m in mats)), dtype=np.int64
     )
     r = c = 0
     for m in mats:
-        out[r : r + m.n_rows, c : c + m.n_cols] = m.a
-        r += m.n_rows
-        c += m.n_cols
-    return MatrixFq(q, out)
+        out[r : r + m.shape[0], c : c + m.shape[1]] = m
+        r += m.shape[0]
+        c += m.shape[1]
+    return out
 
 
 def _echelon(
@@ -189,22 +122,17 @@ def _echelon(
 
 
 def rank(rows, q: int) -> int:
-    """Rank of a matrix over F_q (accepts MatrixFq, ndarray or nested lists).
+    """Rank of a matrix over F_q (an ndarray or nested lists), reduced first.
 
-    Eliminates whichever of the matrix and its transpose has fewer rows.  A
-    `MatrixFq` is reduced by its own invariant, so only other input is
-    reduced first.
+    Eliminates whichever of the matrix and its transpose has fewer rows.
     """
-    if isinstance(rows, MatrixFq):
-        q, a = rows.q, rows.a
-    else:
-        a = _as_field_array(rows, q)
+    a = reduce(rows, q)
     if a.shape[0] > a.shape[1]:
         a = a.T
     return len(_echelon(a.tolist(), q, reduced=False)[1])
 
 
-def solve_affine(A, b, q: int | None = None) -> tuple[np.ndarray, np.ndarray]:
+def solve_affine(A, b, q: int) -> tuple[np.ndarray, np.ndarray]:
     """Solve A x = b over F_q.
 
     Returns (particular, basis) where basis is a (k, n) array spanning the
@@ -215,12 +143,7 @@ def solve_affine(A, b, q: int | None = None) -> tuple[np.ndarray, np.ndarray]:
     columns.  Raises ValueError("inconsistent system") when no solution
     exists.
     """
-    if isinstance(A, MatrixFq):
-        q = A.q
-        A = A.a
-    if q is None:
-        raise ValueError("modulus required")
-    A = _as_field_array(A, q)
+    A = reduce(A, q)
     b = np.mod(np.asarray(b, dtype=np.int64).reshape(-1), q)
     n_rows, n_cols = A.shape
     if b.shape[0] != n_rows:

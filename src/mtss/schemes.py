@@ -36,7 +36,6 @@ from operator import itemgetter
 import numpy as np
 
 from mtss import field
-from mtss.field import MatrixFq
 from mtss.structure import (
     SIGMA,
     SIGMA_AVG,
@@ -114,11 +113,13 @@ def scheme_variables(sp: StructurePair) -> tuple[VariableId, ...]:
 class LinearScheme:
     """An immutable column-blocked generator matrix for a structure.
 
-    Invariants enforced at construction: every block lives over the same
-    prime q with the same row count, blocks appear exactly once per variable
-    in canonical order (`scheme_variables`), and every nonempty block has
-    full column rank (so a variable's entropy equals its width).  Width-0
-    secret blocks are legal and encode dummy secrets added by `embed`.
+    Invariants enforced at construction: blocks appear exactly once per
+    variable in canonical order (`scheme_variables`); each is a read-only
+    2-d int64 array reduced to [0, q) with `n_rows` rows (the constructor
+    reduces and freezes a copy of the array or nested lists it is given);
+    and every nonempty block has full column rank over F_q (so a variable's
+    entropy equals its width).  Width-0 secret blocks are legal and encode
+    dummy secrets added by `embed`.
 
     `min_order` is the smallest field order the construction is known to
     work at (for searched families, the prime the search certified).
@@ -145,17 +146,18 @@ class LinearScheme:
     off the leaves.  Each variable's width is the sum of the leaves' widths
     at its recorded indices, made on first use (`_widths`, which serves
     leaves too).  Its `blocks` are assembled on first read (`to_text`, the
-    fingerprint, `block`, `columns`) and then kept: each is
-    the `field.block_diag` of its leaves' blocks at the recorded indices
-    (an empty one for a dummy), whose kept rank is its width, as the bands
-    are disjoint and every leaf's block has full column rank.  Variables,
-    widths, ratios, checks and audits read no block of a composed scheme.
+    fingerprint, `block`, `columns`) and then kept: each is the read-only
+    `field.block_diag` of its leaves' blocks at the recorded indices (an
+    empty one for a dummy), so it is reduced, and it has full column rank,
+    as the bands are disjoint and every leaf's block has full column rank;
+    no block is checked again.  Variables, widths, ratios, checks and
+    audits read no block of a composed scheme.
     """
 
     sp: StructurePair
     q: int
     n_rows: int
-    blocks: tuple[tuple[VariableId, MatrixFq], ...]
+    blocks: tuple[tuple[VariableId, np.ndarray], ...]
     min_order: int = 0
     recipe: tuple | None = dc_field(default=None, init=False)
     leaves: tuple[tuple[LinearScheme, tuple[int, ...]], ...] = dc_field(
@@ -164,19 +166,23 @@ class LinearScheme:
 
     def __post_init__(self):
         field.check_modulus(self.q)
-        object.__setattr__(self, "blocks", tuple((v, b) for v, b in self.blocks))
-        got = tuple(v for v, _ in self.blocks)
+        given = tuple((v, b) for v, b in self.blocks)
+        got = tuple(v for v, _ in given)
         # Count first: listing the variables of a huge N would not return.
         n_vars = self.sp.n_parties + self.sp.n_secrets
         if len(got) != n_vars or got != scheme_variables(self.sp):
             raise ValueError("blocks must cover every variable in canonical order")
-        for v, b in self.blocks:
-            if b.q != self.q:
-                raise ValueError(f"block {v} uses modulus {b.q}, scheme uses {self.q}")
-            if b.n_rows != self.n_rows:
-                raise ValueError(f"block {v} has {b.n_rows} rows, scheme has {self.n_rows}")
-            if b.n_cols and b.rank() != b.n_cols:
+        blocks = []
+        for v, b in given:
+            b = field.reduce(b, self.q)
+            b.setflags(write=False)
+            rows, cols = b.shape
+            if rows != self.n_rows:
+                raise ValueError(f"block {v} has {rows} rows, scheme has {self.n_rows}")
+            if cols and field.rank(b, self.q) != cols:
                 raise ValueError(f"block {v} has linearly dependent columns")
+            blocks.append((v, b))
+        object.__setattr__(self, "blocks", tuple(blocks))
         if self.min_order == 0:
             object.__setattr__(self, "min_order", self.q)
 
@@ -190,18 +196,18 @@ class LinearScheme:
                 blocks = self.__dict__["blocks"] = self._assemble()
         return blocks
 
-    def _assemble(self) -> tuple[tuple[VariableId, MatrixFq], ...]:
+    def _assemble(self) -> tuple[tuple[VariableId, np.ndarray], ...]:
         """A composed scheme's blocks, from its leaves' (see the class)."""
-        empty = [field.zeros(leaf.n_rows, 0, self.q) for leaf, _ in self.leaves]
+        empty = [np.zeros((leaf.n_rows, 0), dtype=np.int64) for leaf, _ in self.leaves]
         blocks = []
-        for at, (v, w) in enumerate(zip(self._order, self._widths)):
+        for at, v in enumerate(self._order):
             b = field.block_diag(
                 [
                     leaf.blocks[index[at]][1] if index[at] >= 0 else dummy
                     for (leaf, index), dummy in zip(self.leaves, empty)
                 ]
             )
-            b.__dict__["_rank"] = w
+            b.setflags(write=False)
             blocks.append((v, b))
         return tuple(blocks)
 
@@ -212,7 +218,7 @@ class LinearScheme:
     @cached_property
     def _widths(self) -> tuple[int, ...]:
         if not self.leaves:
-            return tuple(b.n_cols for _, b in self.blocks)
+            return tuple(b.shape[1] for _, b in self.blocks)
         # A dummy's index, -1, reads the 0 appended to its leaf's widths
         # (every structure has at least three variables, so each get is a tuple).
         return tuple(
@@ -238,22 +244,20 @@ class LinearScheme:
     def share_variables(self) -> tuple[VariableId, ...]:
         return self._order[-self.sp.n_parties :]
 
-    def block(self, v: VariableId) -> MatrixFq:
+    def block(self, v: VariableId) -> np.ndarray:
         return self.blocks[self._at(v)][1]
 
     def width(self, v: VariableId) -> int:
         return self._widths[self._at(v)]
 
-    def columns(self, vs) -> MatrixFq:
+    def columns(self, vs) -> np.ndarray:
         """Horizontal stack of the blocks of `vs`, in canonical order."""
         wanted = set(vs)
         unknown = wanted.difference(self._index)
         if unknown:
             raise KeyError(f"unknown variable {sorted(unknown)[0]}")
-        picked = [b.a for v, b in self.blocks if v in wanted]
-        if not picked:
-            return field.zeros(self.n_rows, 0, self.q)
-        return MatrixFq(self.q, np.hstack(picked))
+        picked = [b for v, b in self.blocks if v in wanted]
+        return np.hstack([np.zeros((self.n_rows, 0), dtype=np.int64), *picked])
 
     # -- serialization -----------------------------------------------------
     def to_text(self) -> str:
@@ -265,7 +269,7 @@ class LinearScheme:
         ]
         for v, b in self.blocks:
             head = f"S {v.level} {v.index}" if v.kind == "secret" else f"P {v.index}"
-            lines.append(" ".join([head] + [format_ints(c) for c in b.a.T.tolist()]))
+            lines.append(" ".join([head] + [format_ints(c) for c in b.T.tolist()]))
         return "\n".join(lines) + "\n"
 
     @staticmethod
@@ -298,8 +302,8 @@ class LinearScheme:
             if any(len(c) != n_rows for c in cols):
                 raise ValueError(f"column length mismatch on {v}")
             a = np.array([[x % q for x in c] for c in cols], dtype=np.int64)
-            blocks.append((v, MatrixFq(q, a.reshape(len(cols), n_rows).T)))
-        width = sum(m.n_cols for _, m in blocks)
+            blocks.append((v, a.reshape(len(cols), n_rows).T))
+        width = sum(b.shape[1] for _, b in blocks)
         if n_rows > width:
             raise ValueError(f"rows {n_rows} exceeds the {width} columns of the blocks")
         return LinearScheme(sp=sp, q=q, n_rows=n_rows, blocks=tuple(blocks))
@@ -320,7 +324,7 @@ class LinearScheme:
 # Vandermonde windows
 
 
-def vandermonde(t: int, elements, q: int) -> MatrixFq:
+def vandermonde(t: int, elements, q: int) -> np.ndarray:
     """t x len(elements) matrix with entry (r, c) = elements[c]**r mod q."""
     if t < 1:
         raise ValueError("need at least one row")
@@ -334,7 +338,7 @@ def vandermonde(t: int, elements, q: int) -> MatrixFq:
     rows[0] = 1 % q
     for r in range(1, t):
         rows[r] = rows[r - 1] * base % q
-    return MatrixFq(q, rows)
+    return rows
 
 
 def _window_scheme(sp, q, t, n_secret_cols, recipe, min_order):
@@ -342,7 +346,7 @@ def _window_scheme(sp, q, t, n_secret_cols, recipe, min_order):
     v = vandermonde(t, range(1, n_secret_cols + sp.n_parties + 1), q)
     cols = [[j - 1] if k == 1 and j <= n_secret_cols else [] for k, j in sp.secret_slots()]
     cols += [[n_secret_cols + i] for i in range(sp.n_parties)]
-    blocks = tuple(zip(scheme_variables(sp), map(v.take_columns, cols)))
+    blocks = tuple(zip(scheme_variables(sp), (v[:, c] for c in cols)))
     out = LinearScheme(sp=sp, q=q, n_rows=t, blocks=blocks, min_order=min_order)
     object.__setattr__(out, "recipe", recipe)
     return out
@@ -404,13 +408,13 @@ def _stitched(sp, q, n_rows, w, short_rows, first, second, recipe) -> LinearSche
     level-2 secrets' blocks, if any.
     """
     n, m1, w2 = sp.n_parties, sp.count(1), sp.count(1) - sp.threshold(1)
-    groups = np.hsplit(vandermonde(n_rows, range(1, (m1 + n) * w + 1), q).a, m1 + n)
+    groups = np.hsplit(vandermonde(n_rows, range(1, (m1 + n) * w + 1), q), m1 + n)
     short = np.zeros((n_rows, (n - first + 1) * w2), dtype=np.int64)
-    short[:short_rows] = vandermonde(short_rows, range(1, short.shape[1] + 1), q).a
+    short[:short_rows] = vandermonde(short_rows, range(1, short.shape[1] + 1), q)
     wide = m1 + first - 1  # share `first`'s group
     groups[wide:] = map(np.hstack, zip(groups[wide:], np.hsplit(short, n - first + 1)))
     groups[m1:m1] = second
-    blocks = tuple((v, MatrixFq(q, g)) for v, g in zip(scheme_variables(sp), groups))
+    blocks = tuple(zip(scheme_variables(sp), groups))
     out = LinearScheme(sp=sp, q=q, n_rows=n_rows, blocks=blocks, min_order=q)
     object.__setattr__(out, "recipe", recipe)
     return out

@@ -20,6 +20,7 @@ import itertools
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from math import comb, lcm, prod
 
 from .simplex import LinearProgram, OPTIMAL
@@ -85,13 +86,19 @@ class StructurePair:
         """Number of secrets in sub-array k (1-based)."""
         return self.arrays[k - 1].count
 
-    def secret_slots(self) -> list[tuple[int, int]]:
+    def secret_slots(self) -> tuple[tuple[int, int], ...]:
         """All (k, j) pairs in canonical order S_{1,1} .. S_{K,m_K}."""
-        return [
+        return self._secret_slots
+
+    @cached_property
+    def _secret_slots(self) -> tuple[tuple[int, int], ...]:
+        # Made once per structure, outside the fields: equality, hash and
+        # repr read only `n_parties` and `arrays`.
+        return tuple(
             (k, j)
             for k in range(1, self.k_levels + 1)
             for j in range(1, self.count(k) + 1)
-        ]
+        )
 
     def __str__(self):
         return f"(N={self.n_parties}, T={format_thresholds(self)})"
@@ -212,7 +219,7 @@ def conditions(sp: StructurePair, security: str):
     if security not in SECURITIES:
         raise ValueError(f"unknown security level {security!r}")
     slots = sp.secret_slots()
-    yield "C0", slots, 0
+    yield "C0", list(slots), 0
     levels = range(1, sp.k_levels + 1)
     for k in levels:
         yield "C1", [s for s in slots if s[0] >= k], sp.threshold(k)
@@ -369,6 +376,7 @@ def optimal_ratio(sp: StructurePair, kind: RatioKind) -> OptimalValue:
     two sub-arrays are overfull (more secrets than their threshold) while
     another is strictly underfull; in that open case a bracket is returned:
     the closed-form converse below, the best constructive combination above.
+    A bracket whose two ends meet is the exact optimum.
     """
     kk = sp.k_levels
     total = sp.n_secrets
@@ -411,7 +419,10 @@ def optimal_ratio(sp: StructurePair, kind: RatioKind) -> OptimalValue:
             max(Fraction(kk), kk - 1 + Fraction(sp.count(k) + extra, tk))
         )
     value, _ = weak_sigma_plan(sp)
-    return OptimalValue.unknown(_weak_sigma_lower(sp), value)
+    lower = _weak_sigma_lower(sp)
+    if lower == value:
+        return OptimalValue.exact(value)
+    return OptimalValue.unknown(lower, value)
 
 
 # --------------------------------------------------------------------------

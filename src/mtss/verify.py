@@ -19,9 +19,11 @@ and the composed scheme needs its own witness.
 
 Each profile keeps one rank table (`RankProfile.ranks`), keyed by
 variable mask and filled only with the masks read; `rank`, the condition
-scans and the audit all read it.  Parts of a composition are independent
-and keep their shares, so a composed scheme's entry is the sum of its
-leaves' entries, which each leaf ranks once.  The audit asks
+scans and the audit all read it.  A leaf fills an entry with one
+`field.rank` of the mask's columns, taken from one matrix of all its
+blocks (read-only arrays over the scheme's one q).  Parts of a composition
+are independent and keep their shares, so a composed scheme's entry is the
+sum of its leaves' entries, which each leaf ranks once.  The audit asks
 `structure.bound_row` for each row once per level, and reads a pick of
 another secret of a level by swapping two secret widths.
 """
@@ -133,12 +135,12 @@ class RankProfile:
         ]
         if not self._leaves:
             # One matrix of every block, and each variable's columns in it.
-            self._matrix = np.hstack([b.a for _, b in scheme.blocks])
+            self._matrix = np.hstack([b for _, b in scheme.blocks])
             self._cols: list[list[int]] = []
             start = 0
             for _, b in scheme.blocks:
-                self._cols.append(list(range(start, start + b.n_cols)))
-                start += b.n_cols
+                self._cols.append(list(range(start, start + b.shape[1])))
+                start += b.shape[1]
 
     def mask(self, variables) -> int:
         """The int mask of a set of this scheme's variables."""
@@ -171,9 +173,7 @@ class RankProfile:
         if not picked:
             return 0
         self.stats.eliminations += 1
-        # Columns of reduced blocks need no second reduction.
-        a = field._reduced(self._matrix.take(picked, axis=1), self.scheme.q)
-        return field.rank(a, a.q)
+        return field.rank(self._matrix.take(picked, axis=1), self.scheme.q)
 
 
 # --------------------------------------------------------------------------

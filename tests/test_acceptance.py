@@ -21,7 +21,7 @@ from itertools import combinations
 import numpy as np
 import pytest
 
-from mtss import dealer, verify
+from mtss import dealer, field, verify
 from mtss.cone import (
     EntropyVector,
     check_truncation,
@@ -145,7 +145,7 @@ def test_criterion_2_table_by_lp(announce):
 
 
 def full_matrix(scheme):
-    return np.hstack([scheme.block(v).a for v in scheme.variables()])
+    return np.hstack([scheme.block(v) for v in scheme.variables()])
 
 
 def test_criterion_3_display_matrices(announce):
@@ -412,7 +412,7 @@ def test_criterion_7_property_suites(announce, catalog):
                 for i in rng.choice(len(variables), size=size, replace=False)
             ]
             want = sum(p.rank(picked) for p in part_profiles)
-            if combined.columns(picked).rank() != want:
+            if field.rank(combined.columns(picked), combined.q) != want:
                 failures.append(("additivity", picked))
             subsets += 1
 

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from mtss import cli, field
+from mtss import cli
 from mtss.cli import FAIL, PASS, USAGE
 from mtss.schemes import LinearScheme, VariableId
 from mtss.structure import format_ints, parse_ints, structure
@@ -179,9 +179,9 @@ def test_verify_failure_prints_witness(tmp_path, capsys):
     bad = LinearScheme(
         sp=structure(2, [(2, 1)]), q=5, n_rows=2,
         blocks=(
-            (VariableId.secret(1, 1), field.MatrixFq(5, [[1], [0]])),
-            (VariableId.share(1), field.MatrixFq(5, [[1], [0]])),
-            (VariableId.share(2), field.MatrixFq(5, [[0], [1]])),
+            (VariableId.secret(1, 1), [[1], [0]]),
+            (VariableId.share(1), [[1], [0]]),
+            (VariableId.share(2), [[0], [1]]),
         ),
     )
     p = tmp_path / "bad.scheme"
@@ -523,7 +523,7 @@ def test_census_usage_errors(tmp_path, capsys):
     code, _, err = run(capsys, "census", str(big), "--target", "1,1")
     assert code == USAGE and "too large" in err
     # Six copies of a 12-bit secret: codes of 84 bits would wrap in int64.
-    eye = field.MatrixFq(2, [[int(r == c) for c in range(12)] for r in range(12)])
+    eye = [[int(r == c) for c in range(12)] for r in range(12)]
     copies = LinearScheme(
         sp=structure(6, [(2, 1)]), q=2, n_rows=12,
         blocks=tuple([(VariableId.secret(1, 1), eye)]

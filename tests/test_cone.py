@@ -7,7 +7,7 @@ from itertools import combinations
 
 import pytest
 
-from mtss import cone, simplex
+from mtss import cone, field, simplex
 from mtss.cone import (
     EntropyVector,
     Row,
@@ -19,7 +19,6 @@ from mtss.cone import (
     satisfies,
     system_constraints,
 )
-from mtss.field import MatrixFq
 from mtss.schemes import (
     LinearScheme,
     VariableId,
@@ -189,7 +188,7 @@ def _random_schemes(sp, count, seed):
             col = [rng.randrange(5) for _ in range(3)]
             if not any(col):
                 break
-            blocks.append((v, MatrixFq(5, [[x] for x in col])))
+            blocks.append((v, [[x] for x in col]))
         else:
             out.append(LinearScheme(sp=sp, q=5, n_rows=3, blocks=tuple(blocks)))
     return out
@@ -761,7 +760,8 @@ def test_from_profile_reads_masks_in_variable_order():
             by_variables = RankProfile(sch)
             for mask, value in x.coords.items():
                 vs = [v for i, v in enumerate(order) if mask >> i & 1]
-                assert value == by_variables.rank(vs) == sch.columns(vs).rank(), vs
+                want = field.rank(sch.columns(vs), sch.q)
+                assert value == by_variables.rank(vs) == want, vs
     assert len(family) == 22
 
 

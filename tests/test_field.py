@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mtss import field
-from mtss.field import MatrixFq, next_prime_at_least, rank, solve_affine
+from mtss.field import next_prime_at_least, rank, solve_affine
 
 
 # ---------------------------------------------------------------- primality
@@ -76,21 +76,16 @@ def test_rank_examples():
 
 
 def test_rank_reduces_only_input_that_is_not_a_field_matrix(monkeypatch):
-    """An ndarray or list may hold any ints and is reduced first; a
-    `MatrixFq` is reduced by its invariant, so neither `rank` nor its kept
-    rank reduces it again."""
+    """An ndarray or list may hold any ints: `rank` reduces it first, once
+    per call, whatever it is given."""
     rows = [[6, -4], [12, 2]]  # rank 2 over the rationals, [[1, 1], [2, 2]] mod 5
     assert rank(rows, 5) == rank(np.array(rows), 5) == 1
     assert rank([[8, 3], [-1, 4]], 7) == 1  # rank 2 over the rationals
-    m = MatrixFq(5, rows)
     reductions = []
-    real = field._as_field_array
-    monkeypatch.setattr(
-        field, "_as_field_array", lambda *a: reductions.append(a) or real(*a)
-    )
-    assert rank(m, 5) == m.rank() == 1
-    assert reductions == []
+    real = field.reduce
+    monkeypatch.setattr(field, "reduce", lambda *a: reductions.append(a) or real(*a))
     assert rank(rows, 5) == 1 and len(reductions) == 1
+    assert rank(field.reduce(rows, 5), 5) == 1 and len(reductions) == 3
 
 
 @settings(max_examples=60, deadline=None)
@@ -124,7 +119,7 @@ def test_rank_equals_rank_of_transpose(data):
 @given(st.data())
 def test_block_diag_rank_is_the_sum_of_the_parts(data):
     """A block-diagonal stack's rank is the sum of its parts' ranks, which
-    is what a composed scheme's assembled block keeps as its rank."""
+    is why a composed scheme's assembled block has full column rank."""
     q = data.draw(st.sampled_from([2, 3, 5, 7]))
     mats = []
     for _ in range(data.draw(st.integers(1, 4))):
@@ -133,9 +128,10 @@ def test_block_diag_rank_is_the_sum_of_the_parts(data):
         entries = data.draw(
             st.lists(st.integers(0, q - 1), min_size=n * m, max_size=n * m)
         )
-        mats.append(MatrixFq(q, np.array(entries, dtype=np.int64).reshape(n, m)))
+        mats.append(np.array(entries, dtype=np.int64).reshape(n, m))
     stacked = field.block_diag(mats)
-    assert rank(stacked.a, q) == sum(rank(m.a, q) for m in mats)
+    assert stacked.shape == (sum(m.shape[0] for m in mats), sum(m.shape[1] for m in mats))
+    assert rank(stacked, q) == sum(rank(m, q) for m in mats)
 
 
 # ---------------------------------------------------------------- solving
@@ -292,12 +288,12 @@ def test_kernel_matches_reference(data):
 
 def test_matrix_validation():
     with pytest.raises(ValueError, match="not prime"):
-        MatrixFq(6, [[1]])
-    m = MatrixFq(5, [[7, -1], [2, 3]])
-    assert m.a.tolist() == [[2, 4], [2, 3]]
-    assert m.shape == (2, 2)
-    with pytest.raises(ValueError):
-        m.a[0, 0] = 1  # frozen storage
+        field.check_modulus(6)
+    m = field.reduce([[7, -1], [2, 3]], 5)
+    assert m.dtype == np.int64 and m.tolist() == [[2, 4], [2, 3]]
+    for bad in ([1, 2], 3, [[[1]]]):
+        with pytest.raises(ValueError, match="2-d"):
+            field.reduce(bad, 5)
 
 
 def test_modulus_limit():
@@ -309,16 +305,7 @@ def test_modulus_limit():
     for _ in range(50):
         u = rng.integers(1, q, 3)
         v = rng.integers(1, q, 3)
-        assert MatrixFq(q, np.outer(u, v) % q).rank() == 1
+        assert rank(np.outer(u, v) % q, q) == 1
     for big in (1 << 20, 1048583, 4294967311, (1 << 61) - 1):
         with pytest.raises(ValueError, match="too large"):
-            MatrixFq(big, [[1]])
-        with pytest.raises(ValueError, match="too large"):
             field.check_modulus(big)
-
-
-def test_matrix_take_columns_and_empty():
-    a = MatrixFq(5, [[1, 2, 3], [4, 0, 1]])
-    assert a.take_columns([2, 0]).a.tolist() == [[3, 1], [1, 4]]
-    empty = a.take_columns([])
-    assert empty.n_cols == 0 and empty.rank() == 0

@@ -5,6 +5,7 @@ import hashlib
 import sys
 import threading
 from concurrent.futures import ThreadPoolExecutor
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -12,7 +13,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as hst
 
 from mtss import field, schemes, verify
-from mtss.field import MatrixFq
 from mtss.schemes import (
     FieldSearchError,
     LinearScheme,
@@ -44,7 +44,7 @@ from test_verify import KINDS, _table_family
 
 
 def full_matrix(s):
-    return np.hstack([s.block(v).a for v in s.variables()])
+    return np.hstack([s.block(v) for v in s.variables()])
 
 
 # -- Vandermonde windows ----------------------------------------------------
@@ -52,10 +52,10 @@ def full_matrix(s):
 
 def test_vandermonde_entries():
     v = vandermonde(2, [1, 2, 3], 5)
-    assert v.a.tolist() == [[1, 1, 1], [1, 2, 3]]
+    assert v.tolist() == [[1, 1, 1], [1, 2, 3]]
     v = vandermonde(3, range(1, 6), 7)
-    assert v.a.tolist() == [[1, 1, 1, 1, 1], [1, 2, 3, 4, 5], [1, 4, 2, 2, 4]]
-    assert vandermonde(1, [0, 4], 5).a.tolist() == [[1, 1]]
+    assert v.tolist() == [[1, 1, 1, 1, 1], [1, 2, 3, 4, 5], [1, 4, 2, 2, 4]]
+    assert vandermonde(1, [0, 4], 5).tolist() == [[1, 1]]
 
 
 def test_vandermonde_rejects_bad_elements():
@@ -75,14 +75,14 @@ def test_vandermonde_rejects_bad_elements():
 def test_vandermonde_any_t_columns_independent(t, els):
     # distinct evaluation points make every t-column minor invertible
     v = vandermonde(t, els, 13)
-    assert v.rank() == min(t, len(els))
+    assert field.rank(v, 13) == min(t, len(els))
 
 
 def test_single_threshold_layout():
     s = build_single_threshold(3, 3)
     assert s.q == 5 and s.n_rows == 3
-    assert s.block(VariableId.secret(1, 1)).a.tolist() == [[1], [1], [1]]
-    assert s.block(VariableId.share(2)).a.tolist() == [[1], [3], [4]]
+    assert s.block(VariableId.secret(1, 1)).tolist() == [[1], [1], [1]]
+    assert s.block(VariableId.share(2)).tolist() == [[1], [3], [4]]
     assert verify.check_conditions(s, STRONG).passed
 
 
@@ -103,7 +103,7 @@ def test_weak_block_degenerates_to_single():
     a, b = build_weak_block(2, 2, 1), build_single_threshold(2, 2)
     assert a.q == b.q == 5
     for v in a.variables():
-        assert a.block(v) == b.block(v)
+        assert np.array_equal(a.block(v), b.block(v))
 
 
 def test_weak_block_overfull_widths():
@@ -252,7 +252,7 @@ def test_combine_stacks_blocks_diagonally():
 
 def test_combine_of_built_parts_makes_no_elimination(monkeypatch):
     """Neither combining built parts nor assembling the combination's
-    blocks eliminates: each assembled block keeps its width as its rank,
+    blocks eliminates, and each assembled block has its width as its rank,
     also the width-0 secret blocks of embedded parts."""
     sp = structure(4, [(3, 2), (2, 1)])
     parts = unify_field(
@@ -261,16 +261,15 @@ def test_combine_of_built_parts_makes_no_elimination(monkeypatch):
             for t, slot in ((3, (1, 1)), (3, (1, 2)), (2, (2, 1)))
         ]
     )
-    assert any(b.n_cols == 0 for p in parts for _, b in p.blocks)
+    assert any(b.shape[1] == 0 for p in parts for _, b in p.blocks)
     calls = []
     real_rank = field.rank
     monkeypatch.setattr(field, "rank", lambda *a: calls.append(a) or real_rank(*a))
     s = combine(parts)
-    ranks = [b.rank() for _, b in s.blocks]
-    assert calls == []
+    assert s.blocks and calls == []
     monkeypatch.undo()
-    for (_, b), r in zip(s.blocks, ranks):
-        assert r == field.rank(b.a, b.q) == b.n_cols
+    for v, b in s.blocks:
+        assert field.rank(b, s.q) == b.shape[1] == s.width(v)
 
 
 def test_combine_validation():
@@ -299,7 +298,7 @@ def test_profile_refuses_links_that_do_not_match_the_blocks():
 
     # Summing a's ranks twice would answer rank {S, P[1]} = 4; the stack has 3.
     x = [sec, p1]
-    assert real.profile.rank(x) == real.columns(x).rank() == 3
+    assert real.profile.rank(x) == field.rank(real.columns(x), real.q) == 3
     assert 2 * a.profile.rank(x) == 4
     same = (0, 1, 2, 3)
     for scheme, links in (
@@ -337,7 +336,7 @@ def test_text_round_trip():
     t = LinearScheme.from_text(s.to_text())
     assert (t.sp, t.q, t.n_rows) == (s.sp, s.q, s.n_rows)
     for v in s.variables():
-        assert t.block(v) == s.block(v)
+        assert np.array_equal(t.block(v), s.block(v))
     assert t.fingerprint == s.fingerprint
     assert t.recipe is None  # parameters are not serialized
 
@@ -400,10 +399,47 @@ def test_scheme_validation():
         LinearScheme(sp=s.sp, q=9, n_rows=s.n_rows, blocks=s.blocks)
     with pytest.raises(ValueError, match="too large"):
         LinearScheme(sp=s.sp, q=(1 << 61) - 1, n_rows=s.n_rows, blocks=s.blocks)
-    dep = MatrixFq(5, [[1, 2], [2, 4]])  # second column is twice the first
+    dep = [[1, 2], [2, 4]]  # second column is twice the first
     bad = ((s.variables()[0], dep),) + s.blocks[1:]
     with pytest.raises(ValueError, match="dependent columns"):
         LinearScheme(sp=s.sp, q=s.q, n_rows=s.n_rows, blocks=bad)
+
+
+def test_blocks_are_read_only_reduced_arrays():
+    """Every block of a leaf, of its text and `dataclasses.replace` copies
+    and of an assembled composed scheme is a read-only 2-d int64 array with
+    entries in [0, q); the constructor reduces unreduced list blocks."""
+    leaf = build_B(3, (3, 4), (2, 1))
+    composed = build_optimal(structure(3, [(3, 2), (2, 1)]), RatioKind(SIGMA, WEAK))
+    assert composed.leaves
+    toy = LinearScheme(
+        sp=structure(2, [(2, 1)]),
+        q=5,
+        n_rows=2,
+        blocks=(
+            (VariableId.secret(1, 1), [[7], [-1]]),
+            (VariableId.share(1), [[1], [-4]]),
+            (VariableId.share(2), np.array([[10], [6]])),
+        ),
+    )
+    assert [b.tolist() for _, b in toy.blocks] == [[[2], [4]], [[1], [1]], [[0], [1]]]
+    for s in (
+        leaf,
+        LinearScheme.from_text(leaf.to_text()),
+        dataclasses.replace(leaf),
+        composed,
+        toy,
+    ):
+        for _, b in s.blocks:
+            assert isinstance(b, np.ndarray) and b.dtype == np.int64 and b.ndim == 2
+            assert b.shape[0] == s.n_rows and not b.flags.writeable
+            assert ((0 <= b) & (b < s.q)).all()
+            with pytest.raises(ValueError):
+                b[..., :1] = 0
+    with pytest.raises(ValueError, match="2-d"):
+        dataclasses.replace(toy, blocks=((v, b[:, 0]) for v, b in toy.blocks))
+    with pytest.raises(ValueError, match="has 1 rows"):
+        dataclasses.replace(toy, blocks=((v, b[:1]) for v, b in toy.blocks))
 
 
 # -- field unification ------------------------------------------------------
@@ -595,8 +631,8 @@ def _composed_cells():
 def test_composed_scheme_matches_its_text_copy():
     """A composed scheme lists the variables and widths of its text copy,
     and its blocks, assembled on first read, give the copy's text and
-    fingerprint; the leaf constructor accepts them, and each keeps as its
-    rank the eliminated rank of its matrix (every cell with N <= 4)."""
+    fingerprint; the leaf constructor accepts them, and the eliminated rank
+    of each is its width (every cell with N <= 4)."""
     cells = 0
     for cell, s in _composed_cells():
         assert s.leaves and "blocks" not in vars(s), cell
@@ -612,7 +648,7 @@ def test_composed_scheme_matches_its_text_copy():
         leaf = LinearScheme(sp=s.sp, q=s.q, n_rows=s.n_rows, blocks=s.blocks)
         assert leaf.to_text() == text and leaf.leaves == ()
         for v, b in s.blocks:
-            assert b.rank() == field.rank(b.a, b.q) == s.width(v), (cell, v)
+            assert field.rank(b, s.q) == s.width(v), (cell, v)
         cells += 1
     assert cells == len(KINDS) * len(_table_family((2, 3, 4)))
 
@@ -639,7 +675,8 @@ def test_concurrent_first_reads_of_composed_blocks():
                 assert "blocks" not in vars(s)
                 got = list(pool.map(first_read, [s] * 8, timeout=60))
                 assert all(blocks is got[0] for blocks in got)
-                assert got[0] == serial
+                assert [v for v, _ in got[0]] == [v for v, _ in serial]
+                assert all(np.array_equal(b, c) for (_, b), (_, c) in zip(got[0], serial))
     finally:
         sys.setswitchinterval(switch)
 
@@ -671,13 +708,16 @@ def test_build_optimal_meets_closed_form(sp, measure, security):
 
 
 def test_build_optimal_unresolved_cell_meets_upper_bound():
-    sp = structure(4, [(4, 5), (3, 4), (2, 1)])
     kind = RatioKind(SIGMA, WEAK)
-    opt = optimal_ratio(sp, kind)
-    assert opt.value is None
-    s = build_optimal(sp, kind)
-    assert verify.check_conditions(s, WEAK).passed
-    assert verify.ratios(s).sigma == opt.upper
+    # an open bracket, and one whose ends meet (an exact optimum)
+    cells = (([(4, 1), (3, 4), (2, 3)], None), ([(4, 5), (3, 4), (2, 1)], Fraction(13, 4)))
+    for arrays, value in cells:
+        sp = structure(4, arrays)
+        opt = optimal_ratio(sp, kind)
+        assert opt.value == value
+        s = build_optimal(sp, kind)
+        assert verify.check_conditions(s, WEAK).passed
+        assert verify.ratios(s).sigma == opt.upper
 
 
 def test_build_optimal_tau_avg_uses_dummies():

@@ -156,7 +156,7 @@ def test_slot_map_matches_threshold_matching():
                 assert slots is None, (small, big)
                 continue
             assert slots == _placement_by_threshold(small, big), (small, big)
-            assert list(slots) == small.secret_slots()
+            assert tuple(slots) == small.secret_slots()
             assert len(set(slots.values())) == len(slots)  # injective
             assert set(slots.values()) <= set(big.secret_slots())
             for (k, j), (kk, jj) in slots.items():
@@ -225,34 +225,45 @@ def test_weak_never_beats_strong():
 
 
 def test_unknown_cell_brackets():
+    # two overfull levels and an underfull one, whose bracket collapses:
+    # the converse meets the construction, so the optimum is exact
     sp = structure(4, [(4, 5), (3, 4), (2, 1)])
     ov = optimal_ratio(sp, RatioKind(SIGMA, WEAK))
-    assert ov.status == UNKNOWN
-    # for this structure the bracket happens to be tight
-    assert ov.lower == ov.upper == F(13, 4)
+    assert (ov.status, ov.value) == (EXACT, F(13, 4))
+    # a bracket that stays open
+    sp = structure(4, [(4, 1), (3, 4), (2, 3)])
+    ov = optimal_ratio(sp, RatioKind(SIGMA, WEAK))
+    assert (ov.status, ov.lower, ov.upper) == (UNKNOWN, F(11, 3), F(23, 6))
     with pytest.raises(ValueError, match="empty"):
         OptimalValue.unknown(2, 1)
 
 
 def test_weak_sigma_lower_matches_packing_forms():
-    """In every open bracket the lower end is the best of the packing
-    forms: K, sum m_i/t_i, and per level k, K - 1 + (m_k + sum over
-    i > k of (m_i - t_i)) / t_k."""
-    opened = 0
+    """In every cell of the open regime (two overfull levels and an
+    underfull one) the lower end is the best of the packing forms: K,
+    sum m_i/t_i, and per level k, K - 1 + (m_k + sum over i > k of
+    (m_i - t_i)) / t_k.  Where it meets the construction the cell is
+    exact."""
+    opened = collapsed = 0
     for n in range(4, 8):
         for ts in itertools.combinations(range(n, 1, -1), 3):
             for counts in itertools.product(range(1, 6), repeat=3):
-                sp = structure(n, list(zip(ts, counts)))
-                ov = optimal_ratio(sp, RatioKind(SIGMA, WEAK))
-                if ov.status == EXACT:
+                pairs = list(zip(ts, counts))
+                if sum(m > t for t, m in pairs) < 2 or all(m >= t for t, m in pairs):
                     continue
+                sp = structure(n, pairs)
+                ov = optimal_ratio(sp, RatioKind(SIGMA, WEAK))
                 opened += 1
+                value, _ = weak_sigma_plan(sp)
+                assert ov.upper == value, str(sp)
+                assert (ov.status == EXACT) == (ov.lower == value), str(sp)
+                collapsed += ov.status == EXACT
                 forms = [F(3), sum(F(m, t) for t, m in zip(ts, counts))]
                 for k in range(3):
                     extra = sum(m - t for t, m in zip(ts[k + 1:], counts[k + 1:]))
                     forms.append(2 + F(counts[k] + extra, ts[k]))
                 assert ov.lower == max(forms), str(sp)
-    assert opened == 401
+    assert (opened, collapsed) == (401, 28)
 
 
 def test_sigma_case_overlap_consistency():
