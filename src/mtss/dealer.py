@@ -2,19 +2,22 @@
 
 Dealing samples a codeword uniformly from the affine set of row vectors
 consistent with the requested secret values: a particular solution plus a
-seeded uniform combination of the kernel basis.  Reconstruction solves for
-any codeword matching a qualified coalition's shares and reads the suffix
-secrets off it.  The census brute-forces the full codeword space of a tiny
-scheme to compare statistical secrecy with the algebraic rank verdicts.  It
-tabulates with arrays: a sorted array of combined (coalition values, target
-values) codes and their codeword counts, from which `uniform` is read
-directly; the nested-dict `counts` is a view decoded on first access.
+seeded uniform combination of the kernel basis.  Reconstruction takes any
+codeword matching a qualified coalition's shares and reads the suffix
+secrets off it.  Both are linear in their input, so each scheme keeps its
+maps (`Codec`, made once per scheme object): one elimination per scheme
+gives the encoder, and one per coalition gives that coalition's decoder.
+The census brute-forces the full codeword space of a tiny scheme to compare
+statistical secrecy with the algebraic rank verdicts.  It tabulates with
+arrays: a sorted array of combined (coalition values, target values) codes
+and their codeword counts, from which `uniform` is read directly; the
+nested-dict `counts` is a view decoded on first access.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -26,6 +29,7 @@ _MASK64 = (1 << 64) - 1
 _BUNDLE_MAGIC = "mtss-bundle 1"
 CENSUS_CAP = 10_000_000
 _CHUNK = 1 << 16  # codewords enumerated at once by the census
+DECODERS_KEPT = 64  # coalition decoders a scheme keeps; there are 2^N coalitions
 
 
 def _splitmix64(seed: int):
@@ -152,29 +156,82 @@ class ShareBundle:
         return ShareBundle(header["fingerprint"], shares)
 
 
+def _frozen(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
+    """The arrays, made read-only: a codec hands them to every later call."""
+    for a in arrays:
+        a.setflags(write=False)
+    return arrays
+
+
+class Codec:
+    """A scheme's dealing maps, each read off one `field.solve_affine`.
+
+    Made once per scheme object (`LinearScheme.codec`) and reused by every
+    later `deal` and `reconstruct`; a scheme's blocks are read-only, so the
+    maps cannot go stale.  `encoder`, made on the first deal, is (P, basis)
+    for the joint secret columns: secret values b give the codewords
+    b @ P + span(basis).  `shares` stacks every share block.
+    `decoder(indices)` is (C, D) for the coalition of those sorted share
+    indices: its share values `vals` come from some codeword iff
+    vals @ C == 0 (mod q), and vals @ D are then the values of all the
+    secrets.  The last DECODERS_KEPT coalitions asked are kept.  Every
+    array is read-only.
+    """
+
+    def __init__(self, scheme: LinearScheme):
+        self._scheme = scheme
+        self.secrets, self.shares = _frozen(
+            scheme.columns(scheme.secret_variables()),
+            scheme.columns(scheme.share_variables()),
+        )
+        self.decoder = lru_cache(maxsize=DECODERS_KEPT)(self._decoder)
+
+    @cached_property
+    def encoder(self) -> tuple[np.ndarray, np.ndarray]:
+        solve, checks, basis = field.solve_affine(self.secrets.T, self._scheme.q)
+        if checks.shape[1]:
+            raise ValueError(
+                "the secrets' joint columns are linearly dependent, "
+                "so some secret values have no codeword"
+            )
+        return _frozen(solve, basis)
+
+    def _decoder(self, indices: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
+        q = self._scheme.q
+        coalition = self._scheme.columns(map(VariableId.share, indices))
+        solve, checks, _ = field.solve_affine(coalition.T, q)
+        return _frozen(checks, solve @ self.secrets % q)
+
+
+def _cut(words: list, scheme: LinearScheme, vs) -> dict:
+    """The consecutive vectors of `vs`, each as wide as its block, that
+    make up `words`."""
+    out, at = {}, 0
+    for v in vs:
+        w = scheme.width(v)
+        out[v] = words[at : at + w]
+        at += w
+    return out
+
+
 def deal(scheme: LinearScheme, secrets: SecretAssignment, seed: int = 0) -> ShareBundle:
-    """Sample a codeword with the given secret values and emit all shares."""
+    """Sample a codeword with the given secret values and emit all shares.
+
+    Raises ValueError for an assignment that does not fit the scheme, and
+    for a scheme whose secrets' joint columns are dependent."""
     svars = scheme.secret_variables()
     if set(secrets.values) != set(svars):
         raise ValueError("assignment must cover every secret exactly once")
     b = []
     for v in svars:
         b.extend(_check_vector(secrets[v], scheme.width(v), scheme.q, str(v)))
-    vs = scheme.columns(svars)
-    try:
-        particular, basis = field.solve_affine(vs.T, b, scheme.q)
-    except ValueError:  # pragma: no cover - blocked by full column rank
-        raise AssertionError("no codeword") from None
-    c = particular
+    q, codec = scheme.q, scheme.codec
+    encoder, basis = codec.encoder
+    c = np.array(b, dtype=np.int64) @ encoder
     if len(basis):
-        coeffs = np.array(
-            _field_elements(seed, scheme.q, len(basis)), dtype=np.int64
-        )
-        c = (c + coeffs @ basis) % scheme.q
-    shares = {}
-    for v in scheme.share_variables():
-        shares[v] = tuple(int(e) for e in (c @ scheme.block(v)) % scheme.q)
-    return ShareBundle(scheme.fingerprint, shares)
+        c += np.array(_field_elements(seed, q, len(basis)), dtype=np.int64) @ basis
+    words = ((c % q) @ codec.shares % q).tolist()
+    return ShareBundle(scheme.fingerprint, _cut(words, scheme, scheme.share_variables()))
 
 
 def reconstruct(scheme: LinearScheme, shares: ShareBundle, k: int = 1) -> SecretAssignment:
@@ -200,16 +257,14 @@ def reconstruct(scheme: LinearScheme, shares: ShareBundle, k: int = 1) -> Secret
     vals = []
     for v in avars:
         vals.extend(shares[v])
-    va = scheme.columns(avars)
-    try:
-        x, _ = field.solve_affine(va.T, vals, scheme.q)
-    except ValueError:
-        raise ReconstructionError("inconsistent shares") from None
-    out = {}
-    for v in scheme.secret_variables():
-        if v.level >= k:
-            out[v] = tuple(int(e) for e in (x @ scheme.block(v)) % scheme.q)
-    return SecretAssignment(out)
+    q = scheme.q
+    checks, decode = scheme.codec.decoder(tuple(v.index for v in avars))
+    vals = np.array(vals, dtype=np.int64)
+    if (vals @ checks % q).any():
+        raise ReconstructionError("inconsistent shares")
+    words = (vals @ decode % q).tolist()
+    got = _cut(words, scheme, scheme.secret_variables())
+    return SecretAssignment({v: vec for v, vec in got.items() if v.level >= k})
 
 
 @dataclass(frozen=True, eq=False)

@@ -6,10 +6,13 @@ small and dense, so each is a plain 2-d numpy int64 array with entries in
 [0, q), its modulus passed beside it.  `reduce` makes one of any input, and
 `rank` and `solve_affine` reduce their input first; `schemes.LinearScheme`
 keeps a scheme's blocks so, read-only, over its one q.  Elimination runs on
-lists of Python ints, so its arithmetic is exact at any size.  Moduli are
-bounded by MODULUS_LIMIT = 2**20 for the dealer's int64 matrix products: a
-product of two reduced entries is below 2**40, and sums of up to 2**23 such
-products stay exact.
+lists of Python ints, so its arithmetic is exact at any size.
+`solve_affine` returns the solution map of a system for every right-hand
+side, so the dealer eliminates once per scheme and once per coalition, and
+each deal and reconstruction is then int64 matrix products.  Moduli are
+bounded by MODULUS_LIMIT = 2**20 for those products: a product of two
+reduced entries is below 2**40, and sums of up to 2**23 such products stay
+exact.
 """
 
 from __future__ import annotations
@@ -132,33 +135,34 @@ def rank(rows, q: int) -> int:
     return len(_echelon(a.tolist(), q, reduced=False)[1])
 
 
-def solve_affine(A, b, q: int) -> tuple[np.ndarray, np.ndarray]:
-    """Solve A x = b over F_q.
+def solve_affine(A, q: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The solution map of A x = b over F_q, for every right-hand side b.
 
-    Returns (particular, basis) where basis is a (k, n) array spanning the
-    kernel of A, so the full solution set is particular + span(basis).
-    Both are read off the reduced echelon form of [A | b]: the particular
-    solution is zero on the free columns, and basis row k is the kernel
-    vector with a 1 on the k-th free column and zeros on the other free
-    columns.  Raises ValueError("inconsistent system") when no solution
-    exists.
+    For an (m, n) matrix A of rank r, returns (P, C, basis): P is (m, n),
+    C is (m, m - r) and basis is (n - r, n).  A right-hand side b has a
+    solution iff b @ C == 0 (mod q), and b @ P is then the solution that is
+    zero on the free columns; the solution set is that plus span(basis),
+    where basis row k is the kernel vector with a 1 on the k-th free column
+    and zeros on the other free columns.  All three are read off one
+    reduced echelon form of [A | I]: a row with its pivot in A holds, in its
+    I part, the combination of the equations that gives its pivot's value
+    (a column of P), and a row with its pivot in I has a zero A part, so its
+    I part is a combination of the equations that cancels (a column of C).
     """
     A = reduce(A, q)
-    b = np.mod(np.asarray(b, dtype=np.int64).reshape(-1), q)
-    n_rows, n_cols = A.shape
-    if b.shape[0] != n_rows:
-        raise ValueError("right-hand side has wrong length")
-    aug = np.hstack([A, b[:, None]]).tolist()
+    m, n = A.shape
+    aug = np.hstack([A, np.eye(m, dtype=np.int64)]).tolist()
     rref, pivots = _echelon(aug, q, reduced=True)
-    if n_cols in pivots:
-        raise ValueError("inconsistent system")
-    particular = np.zeros(n_cols, dtype=np.int64)
+    r = bisect_left(pivots, n)  # the rows with their pivot in A come first
+    pivots = pivots[:r]
+    P = np.zeros((m, n), dtype=np.int64)
     for row, c in zip(rref, pivots):
-        particular[c] = row[n_cols]
-    free = sorted(set(range(n_cols)) - set(pivots))
-    basis = np.zeros((len(free), n_cols), dtype=np.int64)
+        P[:, c] = row[n:]
+    C = np.array([row[n:] for row in rref[r:]], dtype=np.int64).reshape(m - r, m).T
+    free = sorted(set(range(n)) - set(pivots))
+    basis = np.zeros((len(free), n), dtype=np.int64)
     for k, c in enumerate(free):
         basis[k, c] = 1
         for row, pc in zip(rref, pivots):
             basis[k, pc] = -row[c] % q
-    return particular, basis
+    return P, C, basis

@@ -319,6 +319,13 @@ class LinearScheme:
 
         return verify.RankProfile(self)
 
+    @cached_property
+    def codec(self):
+        """This object's memoized `dealer.Codec`, made on first use."""
+        from mtss import dealer  # deferred; dealer imports this module
+
+        return dealer.Codec(self)
+
 
 # --------------------------------------------------------------------------
 # Vandermonde windows

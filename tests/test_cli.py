@@ -246,6 +246,25 @@ def test_deal_usage_errors(capsys, sigma_scheme):
     assert code == USAGE and "bad secret vector" in err
 
 
+DEPENDENT_SECRETS = (
+    "mtss-scheme 1\nq 7\nrows 2\nstructure 3 2,2\n"
+    "S 1 1 1,1\nS 1 2 1,1\nP 1 1,0\nP 2 0,1\nP 3 1,2\n"
+)
+
+
+def test_deal_refuses_dependent_secret_columns(tmp_path, capsys):
+    """Each block has full column rank, so the file loads, and `verify`
+    reports the failed independence; but the two secrets share one column,
+    so "1;2" has no codeword: exit 2, one line."""
+    path = tmp_path / "dup.scheme"
+    path.write_text(DEPENDENT_SECRETS)
+    code, out, _ = run(capsys, "verify", str(path))
+    assert code == FAIL and "independence fails at shares {}" in out
+    code, out, err = run(capsys, "deal", str(path), "--secrets", "1;2")
+    assert code == USAGE and out == ""
+    assert "linearly dependent" in err and err.count("\n") == 1
+
+
 def test_reconstruct_failures(tmp_path, capsys, sigma_scheme):
     bundle = tmp_path / "b.bundle"
     run(

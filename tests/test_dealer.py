@@ -1,4 +1,5 @@
 import itertools
+from math import comb
 
 import numpy as np
 import pytest
@@ -169,6 +170,120 @@ def test_inconsistent_shares():
     tweaked[P(3)] = ((tweaked[P(3)][0] + 1) % 7,)
     with pytest.raises(ReconstructionError, match="inconsistent shares"):
         reconstruct(sch, ShareBundle(bundle.fingerprint, tweaked), k=1)
+
+
+def test_deal_refuses_dependent_secret_columns():
+    """Each block has full column rank, but the two secrets share one
+    column, so the encoder is refused; reconstruction needs no encoder."""
+    sch = LinearScheme(
+        sp=structure(3, [(2, 2)]), q=7, n_rows=2,
+        blocks=(
+            (S(1, 1), [[1], [1]]), (S(1, 2), [[1], [1]]),
+            (P(1), [[1], [0]]), (P(2), [[0], [1]]), (P(3), [[1], [2]]),
+        ),
+    )
+    with pytest.raises(ValueError, match="linearly dependent"):
+        deal(sch, SecretAssignment.for_scheme(sch, [[1], [2]]), seed=0)
+    # the codeword (3, 5) gives shares 3, 5, 6 and both secrets 1
+    bundle = ShareBundle(sch.fingerprint, {P(1): (3,), P(2): (5,), P(3): (6,)})
+    assert reconstruct(sch, bundle, 1) == SecretAssignment({S(1, 1): (1,), S(1, 2): (1,)})
+
+
+def _replay_schemes():
+    combined = build_optimal(structure(4, [(3, 2), (2, 1)]), RatioKind(SIGMA, STRONG))
+    return {
+        "stitched-B": build_B(3, (3, 4), (2, 1)),
+        "combined": combined,
+        "weak-block": build_weak_block(3, 2, 2, q=7),
+    }
+
+
+def _replay(sch, text):
+    """Deal `_counting_secrets`, then reconstruct, for every qualified
+    coalition and every k, the coalition's shares and each tamper of one
+    of their entries.  Yields (k, bundle, output), where output is the
+    recovered assignment or the `ReconstructionError` message.  The scheme
+    is read from `text`, so each replay starts with no decoder."""
+    sch = LinearScheme.from_text(text)
+    bundle = deal(sch, _counting_secrets(sch), seed=20231018)
+    n = sch.sp.n_parties
+    for k in range(1, sch.sp.k_levels + 1):
+        for size in range(sch.sp.threshold(k), n + 1):
+            for idxs in itertools.combinations(range(1, n + 1), size):
+                honest = bundle.restrict(idxs)
+                tampers = []
+                for v, vec in sorted(honest.shares.items()):
+                    for at in range(len(vec)):
+                        changed = dict(honest.shares)
+                        changed[v] = vec[:at] + ((vec[at] + 1) % sch.q,) + vec[at + 1 :]
+                        tampers.append(ShareBundle(honest.fingerprint, changed))
+                for shares in (honest, *tampers):
+                    try:
+                        out = reconstruct(sch, shares, k)
+                    except ReconstructionError as e:
+                        out = str(e)
+                    yield sch, k, shares, out
+
+
+def test_reconstruct_replay_matches_rank_route(monkeypatch):
+    """Every honest coalition recovers the dealt secrets; a tamper is
+    consistent exactly when the coalition's share values stay in the row
+    space of its columns, and then the recovered secrets extend them.  Each
+    scheme eliminates once for its encoder and once per coalition."""
+    calls = []
+    solve = field.solve_affine
+    monkeypatch.setattr(field, "solve_affine", lambda *a: calls.append(a) or solve(*a))
+    verdicts = set()
+    for name, sch in _replay_schemes().items():
+        dealt = _counting_secrets(sch)
+        bundle = deal(sch, dealt, seed=20231018)
+        calls.clear()
+        coalitions, honest = set(), set()
+        for copy, k, shares, out in _replay(sch, sch.to_text()):
+            avars = sorted(shares.shares)
+            coalitions.add(tuple(avars))
+            cols = copy.columns(avars)
+            vals = [x for v in avars for x in shares[v]]
+            consistent = field.rank(np.vstack([cols, vals]), sch.q) == field.rank(cols, sch.q)
+            assert isinstance(out, SecretAssignment) == consistent, (name, k, shares)
+            verdicts.add(consistent)
+            if not consistent:
+                assert out == "inconsistent shares"
+                continue
+            targets = [v for v in copy.secret_variables() if v.level >= k]
+            assert sorted(out.values) == targets
+            if shares == bundle.restrict(v.index for v in avars):
+                assert all(out[v] == dealt[v] for v in targets), (name, k)
+                honest.add((k, tuple(avars)))
+            joint = np.hstack([cols, copy.columns(targets)])
+            row = vals + [x for v in targets for x in out[v]]
+            assert field.rank(np.vstack([joint, row]), sch.q) == field.rank(joint, sch.q)
+        assert len(calls) == 1 + len(coalitions), name
+        assert len(honest) == sum(
+            comb(sch.sp.n_parties, size)
+            for k in range(1, sch.sp.k_levels + 1)
+            for size in range(sch.sp.threshold(k), sch.sp.n_parties + 1)
+        )
+    assert verdicts == {True, False}
+
+
+def test_decoder_table_is_bounded(monkeypatch):
+    """With room for two decoders, a sweep over more coalitions evicts
+    and rebuilds them, and every output stays the same."""
+    for sch in _replay_schemes().values():
+        text = sch.to_text()
+        want = [(k, shares, out) for _, k, shares, out in _replay(sch, text)]
+        monkeypatch.setattr(dealer, "DECODERS_KEPT", 2)
+        got, sizes, coalitions = [], set(), set()
+        for copy, k, shares, out in _replay(sch, text):
+            got.append((k, shares, out))
+            sizes.add(copy.codec.decoder.cache_info().currsize)
+            coalitions.add(tuple(sorted(shares.shares)))
+        monkeypatch.undo()
+        assert got == want
+        assert max(sizes) == 2 and len(coalitions) > 2
+        kept = (*copy.codec.encoder, copy.codec.shares, *copy.codec.decoder((1, 2, 3)))
+        assert not any(a.flags.writeable for a in kept)
 
 
 def test_assignment_validation():

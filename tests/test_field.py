@@ -138,7 +138,9 @@ def test_block_diag_rank_is_the_sum_of_the_parts(data):
 
 def test_solve_affine_example():
     # x1 + x2 = 0 over F_3: kernel generated by (1, 2).
-    particular, basis = solve_affine([[1, 1]], [0], 3)
+    solve, checks, basis = solve_affine([[1, 1]], 3)
+    assert checks.shape == (1, 0)
+    particular = np.array([0]) @ solve % 3
     assert particular.tolist() == [0, 0]
     assert basis.shape == (1, 2)
     sols = {tuple(particular)}
@@ -147,8 +149,14 @@ def test_solve_affine_example():
 
 
 def test_solve_affine_inconsistent():
-    with pytest.raises(ValueError, match="inconsistent"):
-        solve_affine([[1, 1], [2, 2]], [1, 1], 5)
+    # x1 + x2 = 1 and 2 x1 + 2 x2 = 1 over F_5 have no solution; the one
+    # check column is the combination of equations that cancels A.
+    solve, checks, _ = solve_affine([[1, 1], [2, 2]], 5)
+    assert checks.shape == (2, 1)
+    assert (np.array([1, 1]) @ checks % 5).any()
+    b = np.array([1, 2])
+    assert not (b @ checks % 5).any()
+    assert (np.array([[1, 1], [2, 2]]) @ (b @ solve % 5) % 5).tolist() == [1, 2]
 
 
 def test_solve_affine_enumeration_oracle():
@@ -156,7 +164,9 @@ def test_solve_affine_enumeration_oracle():
     q = 3
     A = np.array([[1, 2, 0], [0, 1, 1]], dtype=np.int64)
     b = np.array([1, 2], dtype=np.int64)
-    particular, basis = solve_affine(A, b, q)
+    solve, checks, basis = solve_affine(A, q)
+    assert not (b @ checks % q).any()
+    particular = b @ solve % q
     generated = set()
     for coeffs in itertools.product(range(q), repeat=basis.shape[0]):
         x = particular.copy()
@@ -183,7 +193,9 @@ def test_solve_affine_round_trip(data):
     x = np.array(data.draw(st.lists(st.integers(0, q - 1), min_size=m, max_size=m)))
     A = np.array(entries, dtype=np.int64).reshape(n, m)
     b = A @ x % q
-    particular, basis = solve_affine(A, b, q)
+    solve, checks, basis = solve_affine(A, q)
+    assert not (b @ checks % q).any()
+    particular = b @ solve % q
     assert np.array_equal(A @ particular % q, b)
     for v in basis:
         assert not (A @ v % q).any()
@@ -268,20 +280,23 @@ def test_kernel_matches_reference(data):
     assert r == len(_reference_eliminate(a.copy(), q))
     assert r == rank(a.T, q) <= min(n, m)
 
+    solve, checks, basis = solve_affine(a, q)
+    assert solve.shape == (n, m) and checks.shape == (n, n - r)
+    assert not (checks.T @ a % q).any() and rank(checks, q) == n - r
+    assert basis.shape == (m - r, m)
+    assert not (a @ basis.T % q).any()
+
     x = data.draw(st.lists(st.integers(0, q - 1), min_size=m, max_size=m))
     drawn = data.draw(st.lists(st.integers(0, q - 1), min_size=n, max_size=n))
     for b in (a @ np.array(x, dtype=np.int64) % q, np.array(drawn, dtype=np.int64)):
         want = _reference_solve(a, b, q)
+        assert (b @ checks % q).any() == (want is None)
         if want is None:
             assert rank(np.hstack([a, b[:, None]]), q) == r + 1
-            with pytest.raises(ValueError, match="inconsistent"):
-                solve_affine(a, b, q)
             continue
-        particular, basis = solve_affine(a, b, q)
+        particular = b @ solve % q
         assert np.array_equal(particular, want[0]) and np.array_equal(basis, want[1])
         assert np.array_equal(a @ particular % q, b)
-        assert not (a @ basis.T % q).any()
-        assert basis.shape == (m - r, m)
 
 
 # ---------------------------------------------------------------- matrices
