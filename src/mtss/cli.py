@@ -2,9 +2,12 @@
 
 Every subcommand is deterministic for fixed flags and seed.  Exit codes:
 0 success, 1 a verified failure (witness printed), 2 usage errors such as
-unreadable files or malformed flags.  On `structure`, `ratios`, `audit`,
-`reconstruct` and `census`, `--format records` switches to line-oriented
-machine-readable output; rationals always print as num/den.
+unreadable files or malformed flags.  The commands raise on input they
+refuse (`ValueError`, `KeyError`, `FieldSearchError`), and `main` alone
+turns that into one `error: ...` line on stderr and exit status 2.  On
+`structure`, `ratios`, `audit`, `reconstruct` and `census`, `--format
+records` switches to line-oriented machine-readable output; rationals
+always print as num/den.
 """
 
 from __future__ import annotations
@@ -22,13 +25,14 @@ from mtss.dealer import (
     leakage_census,
     reconstruct,
 )
-from mtss.schemes import LinearScheme, VariableId, build_optimal
+from mtss.schemes import FieldSearchError, LinearScheme, build_optimal
 from mtss.structure import (
     EXACT,
     MEASURES,
     SECURITIES,
     WEAK,
     RatioKind,
+    VariableId,
     _parse_int,
     format_ints,
     format_thresholds,
@@ -56,23 +60,12 @@ _MEASURE_FLAGS = {
 }
 
 
-class _Usage(Exception):
-    """A user-input problem that should exit with status 2."""
-
-
 def _int(text: str) -> int:
     """An integer flag value, in the item grammar of `parse_ints`."""
     try:
         return _parse_int(text, "int value")
     except ValueError:
         raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
-
-
-def _structure_from_args(args):
-    try:
-        return parse_thresholds(args.n, args.t)
-    except ValueError as e:
-        raise _Usage(str(e)) from None
 
 
 def _kind_from_args(args) -> RatioKind:
@@ -83,14 +76,17 @@ def _load(path: str, parse, what: str):
     try:
         return parse(Path(path).read_text())
     except OSError as e:
-        raise _Usage(f"cannot read {what} file {path}: {e.strerror}") from None
+        raise ValueError(f"cannot read {what} file {path}: {e.strerror}") from None
     except ValueError as e:
-        raise _Usage(f"bad {what} file {path}: {e}") from None
+        raise ValueError(f"bad {what} file {path}: {e}") from None
 
 
 def _write_out(args, text: str) -> None:
     if getattr(args, "out", None):
-        Path(args.out).write_text(text)
+        try:
+            Path(args.out).write_text(text)
+        except OSError as e:
+            raise ValueError(f"cannot write {args.out}: {e.strerror}") from None
     else:
         sys.stdout.write(text)
 
@@ -99,7 +95,7 @@ def _write_out(args, text: str) -> None:
 
 
 def _cmd_structure(args) -> int:
-    sp = _structure_from_args(args)
+    sp = parse_thresholds(args.n, args.t)
     if args.format == "records":
         print(f"structure {sp.n_parties} {format_thresholds(sp)}")
     else:
@@ -129,7 +125,7 @@ def _cmd_structure(args) -> int:
 
 
 def _cmd_build(args) -> int:
-    sp = _structure_from_args(args)
+    sp = parse_thresholds(args.n, args.t)
     scheme = build_optimal(sp, _kind_from_args(args))
     _write_out(args, scheme.to_text())
     if args.out:
@@ -146,10 +142,7 @@ def _cmd_verify(args) -> int:
 
 def _cmd_ratios(args) -> int:
     scheme = _load(args.scheme, LinearScheme.from_text, "scheme")
-    try:
-        rep = ratios(scheme, strict=False)
-    except ValueError as e:
-        raise _Usage(str(e)) from None
+    rep = ratios(scheme, strict=False)
     for measure in MEASURES:
         value = rep.value(measure)
         shown = "undefined" if value is None else format_rational(value)
@@ -162,10 +155,7 @@ def _cmd_ratios(args) -> int:
 
 def _cmd_audit(args) -> int:
     scheme = _load(args.scheme, LinearScheme.from_text, "scheme")
-    try:
-        checks = audit_bounds(scheme, args.security, cap=args.cap)
-    except ValueError as e:
-        raise _Usage(str(e)) from None
+    checks = audit_bounds(scheme, args.security, cap=args.cap)
     violations = [c for c in checks if not c.holds]
     if args.format == "records":
         for c in checks:
@@ -183,27 +173,21 @@ def _cmd_audit(args) -> int:
 
 
 def _cmd_lp(args) -> int:
-    sp = _structure_from_args(args)
+    sp = parse_thresholds(args.n, args.t)
     kind = _kind_from_args(args)
-    try:
-        if args.dump:
-            system = cone.membership_system(sp, kind.security)
-            sys.stdout.write(system.dump())
-        value = cone.lower_bound_ratio(sp, kind)
-    except ValueError as e:
-        raise _Usage(str(e)) from None
+    if args.dump:
+        system = cone.membership_system(sp, kind.security)
+        sys.stdout.write(system.dump())
+    value = cone.lower_bound_ratio(sp, kind)
     print(f"value {format_rational(value)}")
     return PASS
 
 
 def _cmd_deal(args) -> int:
     scheme = _load(args.scheme, LinearScheme.from_text, "scheme")
-    try:
-        vectors = [parse_ints(c, "secret vector") for c in args.secrets.split(";")]
-        assignment = SecretAssignment.for_scheme(scheme, vectors)
-        bundle = deal(scheme, assignment, seed=args.seed)
-    except ValueError as e:
-        raise _Usage(str(e)) from None
+    vectors = [parse_ints(c, "secret vector") for c in args.secrets.split(";")]
+    assignment = SecretAssignment.for_scheme(scheme, vectors)
+    bundle = deal(scheme, assignment, seed=args.seed)
     _write_out(args, bundle.to_text())
     if args.out:
         print(f"wrote {args.out}")
@@ -215,11 +199,9 @@ def _cmd_reconstruct(args) -> int:
     bundle = _load(args.bundle, ShareBundle.from_text, "bundle")
     try:
         recovered = reconstruct(scheme, bundle, k=args.k)
-    except ReconstructionError as e:
+    except ReconstructionError as e:  # a ValueError, but a verified failure
         print(f"reconstruction failed: {e}")
         return FAIL
-    except ValueError as e:
-        raise _Usage(str(e)) from None
     for v in sorted(recovered.values):
         body = format_ints(recovered[v])
         if args.format == "records":
@@ -231,24 +213,19 @@ def _cmd_reconstruct(args) -> int:
 
 def _cmd_census(args) -> int:
     scheme = _load(args.scheme, LinearScheme.from_text, "scheme")
-    try:
-        indices = parse_ints(args.shares, "share list")
-        if len(set(indices)) != len(indices):
-            raise ValueError(f"duplicate index in share list {args.shares!r}")
-        slots = [parse_ints(s, "secret slot") for s in args.target.split(";") if s]
-        if any(len(slot) != 2 for slot in slots):
-            raise ValueError(f"bad target list {args.target!r}: expected k,j slots")
-        if not slots:
-            raise ValueError("census needs at least one target secret")
-        if len(set(slots)) != len(slots):
-            raise ValueError(f"duplicate slot in target list {args.target!r}")
-        coalition = [VariableId.share(i) for i in indices]
-        targets = [VariableId.secret(k, j) for k, j in slots]
-        table = leakage_census(scheme, coalition, targets)
-    except ValueError as e:
-        raise _Usage(str(e)) from None
-    except KeyError as e:  # str() of a KeyError quotes its message
-        raise _Usage(e.args[0]) from None
+    indices = parse_ints(args.shares, "share list")
+    if len(set(indices)) != len(indices):
+        raise ValueError(f"duplicate index in share list {args.shares!r}")
+    slots = [parse_ints(s, "secret slot") for s in args.target.split(";") if s]
+    if any(len(slot) != 2 for slot in slots):
+        raise ValueError(f"bad target list {args.target!r}: expected k,j slots")
+    if not slots:
+        raise ValueError("census needs at least one target secret")
+    if len(set(slots)) != len(slots):
+        raise ValueError(f"duplicate slot in target list {args.target!r}")
+    coalition = [VariableId.share(i) for i in indices]
+    targets = [VariableId.secret(k, j) for k, j in slots]
+    table = leakage_census(scheme, coalition, targets)
     print(f"uniform {'yes' if table.uniform else 'no'}")
     if args.format == "records":
         for a_vals in sorted(table.counts):
@@ -363,8 +340,10 @@ def main(argv=None) -> int:
         return USAGE if e.code else PASS
     try:
         return args.fn(args)
-    except _Usage as e:
-        print(f"error: {e}", file=sys.stderr)
+    except (ValueError, KeyError, FieldSearchError) as e:
+        # str() of a KeyError quotes its message
+        message = e.args[0] if isinstance(e, KeyError) else e
+        print(f"error: {message}", file=sys.stderr)
         return USAGE
 
 

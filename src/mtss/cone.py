@@ -1,8 +1,10 @@
 """Shannon-cone machinery for converse bounds.
 
 Entropy vectors over the n = N + |T| scheme variables are indexed by subset
-bitmasks (bit i = the i-th variable in canonical order: secrets level by
-level, then shares).  The polyhedral outer bound is the elemental Shannon
+bitmasks (bit i = `StructurePair.variables[i]`, the canonical order:
+secrets level by level, then shares).  The cone reads that order from the
+structure alone, so it depends on `structure` and `simplex` and on no
+scheme construction.  The polyhedral outer bound is the elemental Shannon
 cone intersected with the scheme-condition hyperplanes.
 
 Every converse question here is one exact LP: minimize a linear functional
@@ -38,7 +40,6 @@ from fractions import Fraction
 from functools import lru_cache
 
 from mtss import simplex
-from mtss.schemes import scheme_variables
 from mtss.structure import WEAK, RatioKind, ShareSecretBound, StructurePair
 from mtss.structure import conditions, slot_map
 from mtss.structure import bound_row  # noqa: F401 - kept only for bench/workloads.py
@@ -137,7 +138,7 @@ class EntropyVector:
     def from_profile(profile) -> "EntropyVector":
         sp = profile.scheme.sp
         _variable_masks(sp)  # raises over the size cap
-        # The cone's bit i and the profile's are both scheme_variables(sp)[i].
+        # The cone's bit i and the profile's are both sp.variables[i].
         n = sp.n_parties + sp.n_secrets
         coords = {mask: Fraction(profile.rank(mask)) for mask in range(1, 1 << n)}
         return EntropyVector(n, coords, sp)
@@ -189,14 +190,8 @@ def _variable_masks(sp: StructurePair):
     """
     if sp.n_parties + sp.n_secrets > CAP_LIMIT:
         raise ValueError("size cap exceeded")
-    order = scheme_variables(sp)
-    secret = {}
-    share = {}
-    for i, v in enumerate(order):
-        if v.kind == "secret":
-            secret[(v.level, v.index)] = 1 << i
-        else:
-            share[v.index] = 1 << i
+    secret = {slot: 1 << i for i, slot in enumerate(sp.secret_slots())}
+    share = {i: 1 << (sp.n_secrets + i - 1) for i in range(1, sp.n_parties + 1)}
     return secret, share
 
 
@@ -205,13 +200,13 @@ def _condition_rows(sp: StructurePair, security: str, keys, place):
     and coalition of its boundary size: h(S, P_A) - h(P_A) for C1, minus
     h(S) for C2, and minus the sum of the secrets' entropies for C0 and C3.
 
-    `keys[i]` is the class key of `scheme_variables(sp)[i]`.  A coalition
+    `keys[i]` is the class key of `sp.variables[i]`.  A coalition
     stands for its count vector over the share classes: the canonical one
     holds the smallest shares of each class, and they go out in the order
     of `_canonical_subsets`.  A coefficient may be 0.
     """
     secret, shares = {}, {}
-    for v, key in zip(scheme_variables(sp), keys):
+    for v, key in zip(sp.variables, keys):
         if v.kind == "secret":
             secret[(v.level, v.index)] = place[key]
         else:
@@ -377,7 +372,7 @@ def _minimize(sp: StructurePair, security: str, objective: dict, rows, colour) -
     Callers read `_variable_masks` first, which checks the size cap.
     """
     n = sp.n_parties + sp.n_secrets
-    keys = [(v.kind, v.level, colour(v)) for v in scheme_variables(sp)]
+    keys = [(v.kind, v.level, colour(v)) for v in sp.variables]
     # An orbit's id is its class counts read as a mixed-radix number; the
     # empty subset's id 0 gets no column.
     place = {}

@@ -22,8 +22,8 @@ from functools import cached_property, lru_cache
 import numpy as np
 
 from mtss import field
-from mtss.schemes import LinearScheme, VariableId
-from mtss.structure import _parse_int, format_ints, parse_ints, read_records
+from mtss.schemes import LinearScheme
+from mtss.structure import VariableId, _parse_int, format_ints, parse_ints, read_records
 
 _MASK64 = (1 << 64) - 1
 _BUNDLE_MAGIC = "mtss-bundle 1"
@@ -88,15 +88,6 @@ class SecretAssignment:
 
     def __getitem__(self, v: VariableId):
         return self.values[v]
-
-    def __contains__(self, v):
-        return v in self.values
-
-    def __len__(self):
-        return len(self.values)
-
-    def items(self):
-        return self.values.items()
 
     @staticmethod
     def for_scheme(scheme: LinearScheme, vectors) -> "SecretAssignment":

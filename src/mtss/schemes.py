@@ -44,6 +44,7 @@ from mtss.structure import (
     WEAK,
     RatioKind,
     StructurePair,
+    VariableId,
     _parse_int,
     format_ints,
     format_thresholds,
@@ -68,58 +69,17 @@ class FieldSearchError(RuntimeError):
     """No admissible prime found within the search cap."""
 
 
-@dataclass(frozen=True, order=True)
-class VariableId:
-    """A secret slot S[k][j] or a share slot P[i] (all indices 1-based)."""
-
-    kind: str  # "secret" | "share"
-    level: int  # sub-array index for secrets, 0 for shares
-    index: int
-
-    def __post_init__(self):
-        if self.kind not in ("secret", "share"):
-            raise ValueError(f"unknown variable kind {self.kind!r}")
-        if self.kind == "share" and self.level != 0:
-            raise ValueError("share variables carry no level")
-        if self.index < 1 or (self.kind == "secret" and self.level < 1):
-            raise ValueError("variable indices are 1-based")
-
-    @staticmethod
-    def secret(level: int, index: int) -> "VariableId":
-        return VariableId("secret", level, index)
-
-    @staticmethod
-    def share(index: int) -> "VariableId":
-        return VariableId("share", 0, index)
-
-    def __str__(self):
-        if self.kind == "secret":
-            return f"S[{self.level},{self.index}]"
-        return f"P[{self.index}]"
-
-
-@lru_cache(maxsize=256)
-def scheme_variables(sp: StructurePair) -> tuple[VariableId, ...]:
-    """Canonical variable order: S[1,1] .. S[K,m_K], then P[1] .. P[N].
-
-    Kept per structure (bounded, least recently used first out), so a leaf
-    and every composed scheme over one structure share one tuple."""
-    secrets = [VariableId.secret(k, j) for k, j in sp.secret_slots()]
-    shares = [VariableId.share(i) for i in range(1, sp.n_parties + 1)]
-    return tuple(secrets + shares)
-
-
 @dataclass(frozen=True, eq=False)
 class LinearScheme:
     """An immutable column-blocked generator matrix for a structure.
 
     Invariants enforced at construction: blocks appear exactly once per
-    variable in canonical order (`scheme_variables`); each is a read-only
-    2-d int64 array reduced to [0, q) with `n_rows` rows (the constructor
-    reduces and freezes a copy of the array or nested lists it is given);
-    and every nonempty block has full column rank over F_q (so a variable's
-    entropy equals its width).  Width-0 secret blocks are legal and encode
-    dummy secrets added by `embed`.
+    variable in canonical order (`StructurePair.variables`); each is a
+    read-only 2-d int64 array reduced to [0, q) with `n_rows` rows (the
+    constructor reduces and freezes a copy of the array or nested lists it
+    is given); and every nonempty block has full column rank over F_q (so a
+    variable's entropy equals its width).  Width-0 secret blocks are legal
+    and encode dummy secrets added by `embed`.
 
     `min_order` is the smallest field order the construction is known to
     work at (for searched families, the prime the search certified).
@@ -170,7 +130,7 @@ class LinearScheme:
         got = tuple(v for v, _ in given)
         # Count first: listing the variables of a huge N would not return.
         n_vars = self.sp.n_parties + self.sp.n_secrets
-        if len(got) != n_vars or got != scheme_variables(self.sp):
+        if len(got) != n_vars or got != self.sp.variables:
             raise ValueError("blocks must cover every variable in canonical order")
         blocks = []
         for v, b in given:
@@ -200,7 +160,7 @@ class LinearScheme:
         """A composed scheme's blocks, from its leaves' (see the class)."""
         empty = [np.zeros((leaf.n_rows, 0), dtype=np.int64) for leaf, _ in self.leaves]
         blocks = []
-        for at, v in enumerate(self._order):
+        for at, v in enumerate(self.sp.variables):
             b = field.block_diag(
                 [
                     leaf.blocks[index[at]][1] if index[at] >= 0 else dummy
@@ -212,10 +172,6 @@ class LinearScheme:
         return tuple(blocks)
 
     @cached_property
-    def _order(self) -> tuple[VariableId, ...]:
-        return scheme_variables(self.sp)
-
-    @cached_property
     def _widths(self) -> tuple[int, ...]:
         if not self.leaves:
             return tuple(b.shape[1] for _, b in self.blocks)
@@ -225,24 +181,20 @@ class LinearScheme:
             map(sum, zip(*(itemgetter(*at)(leaf._widths + (0,)) for leaf, at in self.leaves)))
         )
 
-    @cached_property
-    def _index(self) -> dict[VariableId, int]:
-        return {v: i for i, v in enumerate(self._order)}
-
     def _at(self, v: VariableId) -> int:
         try:
-            return self._index[v]
+            return self.sp.positions[v]
         except KeyError:
             raise KeyError(f"unknown variable {v}") from None
 
     def variables(self) -> tuple[VariableId, ...]:
-        return self._order
+        return self.sp.variables
 
     def secret_variables(self) -> tuple[VariableId, ...]:
-        return self._order[: -self.sp.n_parties]
+        return self.sp.variables[: -self.sp.n_parties]
 
     def share_variables(self) -> tuple[VariableId, ...]:
-        return self._order[-self.sp.n_parties :]
+        return self.sp.variables[-self.sp.n_parties :]
 
     def block(self, v: VariableId) -> np.ndarray:
         return self.blocks[self._at(v)][1]
@@ -253,7 +205,7 @@ class LinearScheme:
     def columns(self, vs) -> np.ndarray:
         """Horizontal stack of the blocks of `vs`, in canonical order."""
         wanted = set(vs)
-        unknown = wanted.difference(self._index)
+        unknown = wanted.difference(self.sp.positions)
         if unknown:
             raise KeyError(f"unknown variable {sorted(unknown)[0]}")
         picked = [b for v, b in self.blocks if v in wanted]
@@ -353,7 +305,7 @@ def _window_scheme(sp, q, t, n_secret_cols, recipe, min_order):
     v = vandermonde(t, range(1, n_secret_cols + sp.n_parties + 1), q)
     cols = [[j - 1] if k == 1 and j <= n_secret_cols else [] for k, j in sp.secret_slots()]
     cols += [[n_secret_cols + i] for i in range(sp.n_parties)]
-    blocks = tuple(zip(scheme_variables(sp), (v[:, c] for c in cols)))
+    blocks = tuple(zip(sp.variables, (v[:, c] for c in cols)))
     out = LinearScheme(sp=sp, q=q, n_rows=t, blocks=blocks, min_order=min_order)
     object.__setattr__(out, "recipe", recipe)
     return out
@@ -393,8 +345,10 @@ def build_weak_block(n_parties: int, t: int, m: int, q: int | None = None) -> Li
 
 
 def _pick_prime(q: int | None, min_order: int) -> int:
+    # A picked prime is checked too, so an order over the limit fails
+    # before a matrix of about min_order columns is built.
     if q is None:
-        return field.next_prime_at_least(min_order)
+        q = field.next_prime_at_least(min_order)
     field.check_modulus(q)
     if q < min_order:
         raise ValueError(f"field order {q} below the admissible minimum {min_order}")
@@ -421,7 +375,7 @@ def _stitched(sp, q, n_rows, w, short_rows, first, second, recipe) -> LinearSche
     wide = m1 + first - 1  # share `first`'s group
     groups[wide:] = map(np.hstack, zip(groups[wide:], np.hsplit(short, n - first + 1)))
     groups[m1:m1] = second
-    blocks = tuple(zip(scheme_variables(sp), groups))
+    blocks = tuple(zip(sp.variables, groups))
     out = LinearScheme(sp=sp, q=q, n_rows=n_rows, blocks=blocks, min_order=q)
     object.__setattr__(out, "recipe", recipe)
     return out

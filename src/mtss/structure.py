@@ -9,6 +9,8 @@ secret separately, "strong" secrecy protects the joint collection of all
 still-hidden secrets.
 
 This module is pure combinatorics/arithmetic: parsing and validation, the
+canonical variable order (`VariableId`, `StructurePair.variables`) that
+scheme blocks and the Shannon cone's subset bits both follow, the
 sub-structure order, the share/secret converse-bound rows, the closed-form
 optimal share-size and randomness ratios (where known), and the plan used to
 build a share-size-optimal scheme under weak secrecy.
@@ -48,6 +50,36 @@ class SubArray:
             raise ValueError("threshold out of range: must be >= 2")
         if self.count < 1:
             raise ValueError("sub-array needs at least one secret")
+
+
+@dataclass(frozen=True, order=True)
+class VariableId:
+    """A secret slot S[k][j] or a share slot P[i] (all indices 1-based)."""
+
+    kind: str  # "secret" | "share"
+    level: int  # sub-array index for secrets, 0 for shares
+    index: int
+
+    def __post_init__(self):
+        if self.kind not in ("secret", "share"):
+            raise ValueError(f"unknown variable kind {self.kind!r}")
+        if self.kind == "share" and self.level != 0:
+            raise ValueError("share variables carry no level")
+        if self.index < 1 or (self.kind == "secret" and self.level < 1):
+            raise ValueError("variable indices are 1-based")
+
+    @staticmethod
+    def secret(level: int, index: int) -> "VariableId":
+        return VariableId("secret", level, index)
+
+    @staticmethod
+    def share(index: int) -> "VariableId":
+        return VariableId("share", 0, index)
+
+    def __str__(self):
+        if self.kind == "secret":
+            return f"S[{self.level},{self.index}]"
+        return f"P[{self.index}]"
 
 
 @dataclass(frozen=True)
@@ -92,13 +124,27 @@ class StructurePair:
 
     @cached_property
     def _secret_slots(self) -> tuple[tuple[int, int], ...]:
-        # Made once per structure, outside the fields: equality, hash and
-        # repr read only `n_parties` and `arrays`.
+        # Made once per structure, outside the fields (as are `variables`
+        # and `positions`): equality, hash and repr read only `n_parties`
+        # and `arrays`.
         return tuple(
             (k, j)
             for k in range(1, self.k_levels + 1)
             for j in range(1, self.count(k) + 1)
         )
+
+    @cached_property
+    def variables(self) -> tuple[VariableId, ...]:
+        """Canonical variable order: S[1,1] .. S[K,m_K], then P[1] .. P[N].
+        Scheme blocks, rank masks and the cone's subset bits all follow it."""
+        secrets = [VariableId.secret(k, j) for k, j in self.secret_slots()]
+        shares = [VariableId.share(i) for i in range(1, self.n_parties + 1)]
+        return tuple(secrets + shares)
+
+    @cached_property
+    def positions(self) -> dict[VariableId, int]:
+        """Each variable's index in `variables`."""
+        return {v: i for i, v in enumerate(self.variables)}
 
     def __str__(self):
         return f"(N={self.n_parties}, T={format_thresholds(self)})"

@@ -39,8 +39,8 @@ from math import comb
 import numpy as np
 
 from mtss import field
-from mtss.schemes import LinearScheme, VariableId
-from mtss.structure import MEASURES, STRONG, bound_row, conditions
+from mtss.schemes import LinearScheme
+from mtss.structure import MEASURES, STRONG, VariableId, bound_row, conditions
 
 DEFAULT_AUDIT_CAP = 10000
 

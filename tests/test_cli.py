@@ -203,6 +203,29 @@ def test_structure_records_table(capsys):
     assert "ratio tau strong exact 5/1" in lines
 
 
+def test_build_over_the_modulus_limit_exits_2(capsys):
+    """N = 1048600 needs a prime above the modulus limit; the build refuses
+    it at once, with one line."""
+    code, out, err = run(
+        capsys, "build", "--n", "1048600", "--t", "2", "--ratio", "sigma",
+        "--security", "strong",
+    )
+    assert code == USAGE and out == ""
+    assert err == "error: modulus 1048609 is too large (limit 2**20)\n"
+
+
+def test_out_to_a_missing_directory_exits_2(tmp_path, capsys, sigma_scheme):
+    for argv in (
+        ["build", "--n", "3", "--t", "2", "--ratio", "sigma", "--security", "weak"],
+        ["deal", str(sigma_scheme), "--secrets", "1,2;3,4;5,6"],
+    ):
+        path = tmp_path / "missing" / "x"
+        code, out, err = run(capsys, *argv, "--out", str(path))
+        assert code == USAGE and out == "", argv
+        assert err.startswith(f"error: cannot write {path}: "), argv
+        assert err.count("\n") == 1 and "Traceback" not in err, argv
+
+
 def test_structure_usage_errors(capsys):
     code, _, err = run(capsys, "structure", "--n", "3", "--t", "2,3")
     assert code == USAGE and "non-increasing" in err

@@ -28,7 +28,6 @@ from mtss.schemes import (
     build_weak_block,
     combine,
     embed,
-    scheme_variables,
 )
 from mtss.structure import (
     EXACT,
@@ -52,8 +51,8 @@ from mtss.verify import RankProfile, audit_bounds, check_conditions, ratios
 
 def mask_of(sp, vs) -> int:
     """The cone's bitmask of a set of variables: bit i is
-    `scheme_variables(sp)[i]`."""
-    pos = {v: i for i, v in enumerate(scheme_variables(sp))}
+    `sp.variables[i]`."""
+    pos = {v: i for i, v in enumerate(sp.variables)}
     mask = 0
     for v in vs:
         mask |= 1 << pos[v]
@@ -67,7 +66,7 @@ def restrict_vector(x: EntropyVector, small) -> EntropyVector:
         VariableId.secret(*s): VariableId.secret(*b)
         for s, b in slot_map(small, x.sp).items()
     }
-    order = [to_big.get(v, v) for v in scheme_variables(small)]
+    order = [to_big.get(v, v) for v in small.variables]
     coords = {
         m: x[mask_of(x.sp, [v for i, v in enumerate(order) if m >> i & 1])]
         for m in range(1, 1 << len(order))
@@ -184,7 +183,7 @@ def _random_schemes(sp, count, seed):
     out = []
     while len(out) < count:
         blocks = []
-        for v in scheme_variables(sp):
+        for v in sp.variables:
             col = [rng.randrange(5) for _ in range(3)]
             if not any(col):
                 break
@@ -298,7 +297,7 @@ def _reference_sigma(sp, security):
     """Full-coordinate sigma LP: min z with z over every share, secrets >= 1."""
     z = 1 << (sp.n_parties + sp.n_secrets)
     rows = []
-    for v in scheme_variables(sp):
+    for v in sp.variables:
         m = mask_of(sp, [v])
         if v.kind == "share":
             rows.append(Row.make("link", {z: F(1), m: F(-1)}, False, 0))
@@ -313,7 +312,7 @@ def _reference_assembly(sp, security, objective, rows, colour):
     Fractions: every row is projected with Fraction sums into a sparse row,
     de-duplicated, and handed over as a {column: Fraction} dict."""
     n = sp.n_parties + sp.n_secrets
-    keys = [(v.kind, v.level, colour(v)) for v in scheme_variables(sp)]
+    keys = [(v.kind, v.level, colour(v)) for v in sp.variables]
     place = {}
     n_ids = 1
     for key in sorted(set(keys), reverse=True):
@@ -444,7 +443,7 @@ def test_lp_assembly_matches_reference_on_colourings_and_large_structures(monkey
         norm = Row.make("norm", {secret[(1, 1)]: 1}, False, 1)
         for sec in (STRONG, WEAK):
             for _ in range(2):
-                colours = {v: rng.randrange(3) for v in scheme_variables(sp)}
+                colours = {v: rng.randrange(3) for v in sp.variables}
                 classes = {}
                 for i, (v, c) in enumerate(colours.items()):
                     classes.setdefault((v.kind, v.level, c), []).append(i)
@@ -711,7 +710,7 @@ def test_dropped_coalition_rows_change_nothing():
     """Adding the implied non-minimal qualified rows leaves optima alone."""
     sp = structure(3, [(2, 1)])
     kind = RatioKind(TAU, STRONG)
-    order = scheme_variables(sp)
+    order = sp.variables
     secret = mask_of(sp, [order[0]])
     all_shares = mask_of(sp, [v for v in order if v.kind == "share"])
     objective = {all_shares: F(1), secret: F(-1)}
@@ -782,7 +781,7 @@ def test_extend_vector_membership_and_identity():
     assert satisfies(X, membership_system(big, WEAK))
     assert restrict_vector(X, sch.sp).coords == x.coords
     # added secrets contribute nothing anywhere
-    added = mask_of(big, [v for v in scheme_variables(big) if v.kind == "secret"][2:])
+    added = mask_of(big, [v for v in big.variables if v.kind == "secret"][2:])
     omega = (1 << X.n_vars) - 1
     assert X[omega] == X[omega & ~added]
 
@@ -952,7 +951,7 @@ def test_bound_on_missing_share_is_refused():
 
 def _bound_objective(bound, sp):
     """lhs - rhs of a bound row in full coordinates."""
-    shares = [v for v in scheme_variables(sp) if v.kind == "share"]
+    shares = [v for v in sp.variables if v.kind == "share"]
     objective = {}
     if bound.alpha0:
         objective[mask_of(sp, shares)] = bound.alpha0

@@ -123,7 +123,7 @@ def test_round_trip_all_qualified_sets():
         for size in range(t, 4):
             for idxs in itertools.combinations([1, 2, 3], size):
                 rec = reconstruct(sch, bundle.restrict(idxs), k)
-                for v, vec in rec.items():
+                for v, vec in rec.values.items():
                     assert vec == sa[v]
                 assert set(rec.values) == {
                     v for v in sch.secret_variables() if v.level >= k

@@ -1,5 +1,6 @@
 """Every name that a module of the package imports is used in that module,
-and every private top-level function or class is named by the package."""
+every private top-level function or class is named by the package, and the
+converse side (`simplex`, `structure`, `cone`) imports no construction."""
 
 import ast
 from collections import Counter
@@ -113,3 +114,42 @@ def test_unused_private_finds_what_it_should():
 def test_no_unused_private_definitions():
     sources = {p.stem: p.read_text() for p in sorted(SRC.glob("*.py"))}
     assert unused_private(sources) == []
+
+
+def imported_names(source: str) -> set[str]:
+    """The dotted names that the import statements of `source` read, at any
+    depth (deferred imports inside functions too), without the dots of a
+    relative import."""
+    names = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            names.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            base = node.module or ""
+            names.update(f"{base}.{alias.name}".strip(".") for alias in node.names)
+    return names
+
+
+def test_imported_names_finds_what_it_should():
+    source = (
+        "import numpy as np\n"
+        "from mtss import simplex\n"
+        "from mtss.structure import VariableId\n"
+        "from . import field\n"
+        "def f():\n"
+        "    from .schemes import build_optimal\n"
+        "    import mtss.verify\n"
+    )
+    assert imported_names(source) == {
+        "numpy", "mtss.simplex", "mtss.structure.VariableId", "field",
+        "schemes.build_optimal", "mtss.verify",
+    }
+
+
+@pytest.mark.parametrize("module", ["simplex", "structure", "cone"])
+def test_converse_side_imports_no_construction(module):
+    """The converse bounds rest on the structure alone: these modules import
+    none of the construction, verification, dealer or CLI modules."""
+    refused = {"schemes", "verify", "dealer", "cli"}
+    names = imported_names((SRC / f"{module}.py").read_text())
+    assert [n for n in sorted(names) if refused & set(n.split("."))] == []

@@ -99,6 +99,19 @@ def test_single_threshold_validation():
         build_single_threshold(2, 3, q=3)
 
 
+def test_picked_prime_over_the_limit_fails_before_any_matrix(monkeypatch):
+    """With no q given, the prime picked for N = 1048600 is 1048609, over
+    the modulus limit: the builders refuse it before they make the
+    million-column Vandermonde matrix."""
+    calls = []
+    monkeypatch.setattr(schemes, "vandermonde", lambda *a: calls.append(a))
+    with pytest.raises(ValueError, match="modulus 1048609 is too large"):
+        build_single_threshold(2, 1048600)
+    with pytest.raises(ValueError, match="too large"):
+        build_weak_block(1048600, 2, 3)
+    assert calls == []
+
+
 def test_weak_block_degenerates_to_single():
     a, b = build_weak_block(2, 2, 1), build_single_threshold(2, 2)
     assert a.q == b.q == 5
@@ -640,7 +653,7 @@ def test_composed_scheme_matches_its_text_copy():
         copy = LinearScheme.from_text(text)
         assert "blocks" in vars(s)
         assert (s.sp, s.q, s.n_rows) == (copy.sp, copy.q, copy.n_rows)
-        assert s.variables() == copy.variables() == schemes.scheme_variables(s.sp)
+        assert s.variables() == copy.variables() == s.sp.variables
         assert s.secret_variables() == copy.secret_variables()
         assert s.share_variables() == copy.share_variables()
         assert [s.width(v) for v in s.variables()] == [copy.width(v) for v in copy.variables()]
