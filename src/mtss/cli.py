@@ -33,10 +33,10 @@ from mtss.structure import (
     WEAK,
     RatioKind,
     VariableId,
-    _parse_int,
     format_ints,
     format_thresholds,
     optimal_ratio,
+    parse_int,
     parse_ints,
     parse_thresholds,
 )
@@ -63,7 +63,7 @@ _MEASURE_FLAGS = {
 def _int(text: str) -> int:
     """An integer flag value, in the item grammar of `parse_ints`."""
     try:
-        return _parse_int(text, "int value")
+        return parse_int(text, "int value")
     except ValueError:
         raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
 

@@ -23,7 +23,7 @@ import numpy as np
 
 from mtss import field
 from mtss.schemes import LinearScheme
-from mtss.structure import VariableId, _parse_int, format_ints, parse_ints, read_records
+from mtss.structure import VariableId, format_ints, parse_int, parse_ints, read_records
 
 _MASK64 = (1 << 64) - 1
 _BUNDLE_MAGIC = "mtss-bundle 1"
@@ -140,7 +140,7 @@ class ShareBundle:
         for parts in body:
             if len(parts) != 3 or parts[0] != "P":
                 raise ValueError(f"bad share line: {' '.join(parts)!r}")
-            v = VariableId.share(_parse_int(parts[1], "share index"))
+            v = VariableId.share(parse_int(parts[1], "share index"))
             if v in shares:
                 raise ValueError(f"duplicate share line for {v}")
             shares[v] = parse_ints(parts[2], f"share vector of {v}")

@@ -5,16 +5,20 @@ per share.  Joint entropies of the induced uniform row-space distribution are
 joint column ranks (in base-q units), so everything downstream — verification,
 ratios, bound audits, the dealer — is plain linear algebra.
 
-Builders here come in two flavours.  The Vandermonde-window family
-(`build_single_threshold`, `build_weak_block`) is correct at any admissible
-field order because every t columns of a distinct-element Vandermonde matrix
-are independent.  The stitched families (`build_B`, `build_A`) are one layout
-(`_stitched`): column groups of a tall Vandermonde matrix, zero-padded groups
-of a short one on the later shares, and for `build_B` identity blocks for the
+Builders here come in two flavours.  The Vandermonde window
+(`build_weak_block`; `build_single_threshold` is its one-secret case, the
+classic threshold scheme) is correct at any admissible field order because
+every t columns of a distinct-element Vandermonde matrix are independent.
+The stitched families (`build_B`, `build_A`) are one layout (`_stitched`):
+column groups of a tall Vandermonde matrix, zero-padded groups of a short
+one on the later shares, and for `build_B` identity blocks for the
 second-level secrets.  Their correctness needs the field to be "large
-enough", which we settle constructively: start at the stated lower bound and
-advance through primes (`_primes`, capped at `SEARCH_CAP`) until the
-weak-security verifier passes.
+enough", which we settle constructively: advance through the candidates
+until the weak-security verifier passes.  Every builder and `unify_field`
+take their primes from one candidate walk (`_primes`): a given q alone, or
+the first `SEARCH_CAP` primes from the stated lower bound, each checked
+against the modulus limit before any matrix is built.  A window takes the
+first candidate.
 
 `build_optimal` and `unify_field` take their leaf constructions from one
 bounded, clearable memo per process (`_leaf`), so a leaf shared by many
@@ -45,9 +49,9 @@ from mtss.structure import (
     RatioKind,
     StructurePair,
     VariableId,
-    _parse_int,
     format_ints,
     format_thresholds,
+    parse_int,
     parse_ints,
     parse_thresholds,
     randomness_break_index,
@@ -94,7 +98,7 @@ class LinearScheme:
     checks still hold.  A scheme with no entries is a leaf.  `recipe` holds
     a leaf construction's tag and its builder's positional arguments, so
     `unify_field` can rebuild it over another prime; only the two layouts
-    (`_window_scheme`, `_stitched`) set it.  The constructor takes neither
+    (`build_weak_block`, `_stitched`) set it.  The constructor takes neither
     field (`TypeError`), so a scheme read back from text or copied with
     `dataclasses.replace` is a leaf with no recipe.  Neither takes part in
     the text form or the fingerprint.
@@ -106,7 +110,7 @@ class LinearScheme:
     off the leaves.  Each variable's width is the sum of the leaves' widths
     at its recorded indices, made on first use (`_widths`, which serves
     leaves too).  Its `blocks` are assembled on first read (`to_text`, the
-    fingerprint, `block`, `columns`) and then kept: each is the read-only
+    fingerprint, `columns`) and then kept: each is the read-only
     `field.block_diag` of its leaves' blocks at the recorded indices (an
     empty one for a dummy), so it is reduced, and it has full column rank,
     as the bands are disjoint and every leaf's block has full column rank;
@@ -196,9 +200,6 @@ class LinearScheme:
     def share_variables(self) -> tuple[VariableId, ...]:
         return self.sp.variables[-self.sp.n_parties :]
 
-    def block(self, v: VariableId) -> np.ndarray:
-        return self.blocks[self._at(v)][1]
-
     def width(self, v: VariableId) -> int:
         return self._widths[self._at(v)]
 
@@ -228,25 +229,25 @@ class LinearScheme:
     def from_text(text: str) -> "LinearScheme":
         header, body = read_records(text, _MAGIC, ("q", "rows", "structure"), "scheme")
         try:
-            q = _parse_int(header["q"], "field order")
-            n_rows = _parse_int(header["rows"], "row count")
+            q = parse_int(header["q"], "field order")
+            n_rows = parse_int(header["rows"], "row count")
             if n_rows < 0:
                 raise ValueError(f"negative rows {n_rows}")
             tokens = header["structure"].split()
             if len(tokens) != 2:
                 raise ValueError('expected "structure N t,t,…"')
-            sp = parse_thresholds(_parse_int(tokens[0], "participant count"), tokens[1])
+            sp = parse_thresholds(parse_int(tokens[0], "participant count"), tokens[1])
         except ValueError as e:
             raise ValueError(f"malformed scheme header: {e}") from e
         field.check_modulus(q)
         blocks = []
         for parts in body:
             if parts[0] == "S" and len(parts) >= 3:
-                level = _parse_int(parts[1], "secret level")
-                v = VariableId.secret(level, _parse_int(parts[2], "secret index"))
+                level = parse_int(parts[1], "secret level")
+                v = VariableId.secret(level, parse_int(parts[2], "secret index"))
                 cols = parts[3:]
             elif parts[0] == "P" and len(parts) >= 2:
-                v = VariableId.share(_parse_int(parts[1], "share index"))
+                v = VariableId.share(parse_int(parts[1], "share index"))
                 cols = parts[2:]
             else:
                 raise ValueError(f"bad variable line: {' '.join(parts)!r}")
@@ -300,38 +301,13 @@ def vandermonde(t: int, elements, q: int) -> np.ndarray:
     return rows
 
 
-def _window_scheme(sp, q, t, n_secret_cols, recipe, min_order):
-    """Scheme from V(t, [n_secret_cols + N]): first columns are secrets."""
-    v = vandermonde(t, range(1, n_secret_cols + sp.n_parties + 1), q)
-    cols = [[j - 1] if k == 1 and j <= n_secret_cols else [] for k, j in sp.secret_slots()]
-    cols += [[n_secret_cols + i] for i in range(sp.n_parties)]
-    blocks = tuple(zip(sp.variables, (v[:, c] for c in cols)))
-    out = LinearScheme(sp=sp, q=q, n_rows=t, blocks=blocks, min_order=min_order)
-    object.__setattr__(out, "recipe", recipe)
-    return out
-
-
-def build_single_threshold(t: int, n_parties: int, q: int | None = None) -> LinearScheme:
-    """Classic one-secret threshold scheme from V(t, [N+1]).
-
-    The secret is the all-ones column (element 1), the N shares are the
-    columns of elements 2..N+1; any t of the N+1 columns are independent,
-    which gives decodability at t shares and perfect secrecy below.
-    """
-    if not 2 <= t <= n_parties:
-        raise ValueError("threshold must satisfy 2 <= t <= N")
-    min_order = n_parties + 2
-    q = _pick_prime(q, min_order)
-    sp = structure(n_parties, [(t, 1)])
-    return _window_scheme(sp, q, t, 1, ("single", (t, n_parties)), min_order)
-
-
 def build_weak_block(n_parties: int, t: int, m: int, q: int | None = None) -> LinearScheme:
     """Single-threshold-value scheme for m secrets from V(t, [min(t,m)+N]).
 
     The first n = min(t, m) columns are width-1 secrets, the next N columns
     are the shares; when m > t the remaining secrets get width-0 blocks
-    (only t secrets can be packed into one window of t rows).
+    (only t secrets can be packed into one window of t rows).  The field
+    order is the first candidate of `_primes` from n + N + 1.
     """
     if not 2 <= t <= n_parties:
         raise ValueError("threshold must satisfy 2 <= t <= N")
@@ -339,20 +315,25 @@ def build_weak_block(n_parties: int, t: int, m: int, q: int | None = None) -> Li
         raise ValueError("need at least one secret")
     n = min(t, m)
     min_order = n + n_parties + 1
-    q = _pick_prime(q, min_order)
+    q = next(_primes(min_order, q))
     sp = structure(n_parties, [(t, m)])
-    return _window_scheme(sp, q, t, n, ("weak-block", (n_parties, t, m)), min_order)
+    v = vandermonde(t, range(1, min_order), q)
+    cols = [[j - 1] if k == 1 and j <= n else [] for k, j in sp.secret_slots()]
+    cols += [[n + i] for i in range(n_parties)]
+    blocks = tuple(zip(sp.variables, (v[:, c] for c in cols)))
+    out = LinearScheme(sp=sp, q=q, n_rows=t, blocks=blocks, min_order=min_order)
+    object.__setattr__(out, "recipe", ("weak-block", (n_parties, t, m)))
+    return out
 
 
-def _pick_prime(q: int | None, min_order: int) -> int:
-    # A picked prime is checked too, so an order over the limit fails
-    # before a matrix of about min_order columns is built.
-    if q is None:
-        q = field.next_prime_at_least(min_order)
-    field.check_modulus(q)
-    if q < min_order:
-        raise ValueError(f"field order {q} below the admissible minimum {min_order}")
-    return q
+def build_single_threshold(t: int, n_parties: int, q: int | None = None) -> LinearScheme:
+    """Classic one-secret threshold scheme: `build_weak_block` with m = 1.
+
+    The secret is the all-ones column (element 1), the N shares are the
+    columns of elements 2..N+1; any t of the N+1 columns are independent,
+    which gives decodability at t shares and perfect secrecy below.
+    """
+    return build_weak_block(n_parties, t, 1, q)
 
 
 # --------------------------------------------------------------------------
@@ -431,27 +412,38 @@ def build_A(n_parties: int, t1m1, a: int, q: int | None = None) -> LinearScheme:
     )
 
 
-def _primes(start: int):
-    """The first `SEARCH_CAP` primes from `start`, each found when asked."""
+def _primes(start: int, q: int | None = None):
+    """The candidate field orders from `start`: a given q alone, else the
+    first `SEARCH_CAP` primes from `start`, each found when asked.  A given
+    q is checked (`field.check_modulus`, and against `start`) and every
+    found prime against the modulus limit before it is yielded, so an order
+    over the limit fails before any matrix is built."""
+    if q is not None:
+        field.check_modulus(q)
+        if q < start:
+            raise ValueError(f"field order {q} below the admissible minimum {start}")
+        yield q
+        return
     p = start - 1
     for _ in range(SEARCH_CAP):
         p = field.next_prime_at_least(p + 1)
+        if p >= field.MODULUS_LIMIT:
+            field.check_modulus(p)  # p is prime, so only its size fails
         yield p
 
 
 def _searched_build(assemble, start: int, q: int | None) -> LinearScheme:
-    """Run `assemble` at the given prime, or search upward from `start`.
+    """Run `assemble` at each candidate of `_primes(start, q)` until the
+    weak-security verifier passes.
 
-    Each candidate is accepted only if the weak-security verifier passes;
-    the construction families used here are proven to work once the field
+    The construction families used here are proven to work once the field
     is large enough, so the search terminates in practice well within the
-    cap.  A given q is checked as `_pick_prime` does and is the only
-    candidate.
+    cap.  A given q is the only candidate.
     """
     from mtss import verify  # deferred; verify imports this module's types
 
     tried = []
-    for p in _primes(start) if q is None else (_pick_prime(q, start),):
+    for p in _primes(start, q):
         scheme = assemble(p)
         if verify.check_conditions(scheme, WEAK).passed:
             return scheme
@@ -572,23 +564,12 @@ def _rebuild(scheme: LinearScheme, q: int) -> LinearScheme:
     if not scheme.leaves:
         tag, args = scheme.recipe
         builder = {
-            "single": build_single_threshold,
             "weak-block": build_weak_block,
             "B": build_B,
             "A": build_A,
         }[tag]
         return _leaf(builder, args, q)
     return _composed(scheme.sp, tuple((_rebuild(leaf, q), at) for leaf, at in scheme.leaves))
-
-
-def recipe_guarantee(scheme: LinearScheme) -> str:
-    """Security level a scheme's construction certifies: strong exactly
-    when every leaf is single-threshold, else weak.  A leaf with no recipe
-    (read from text or copied) is refused (`ValueError`)."""
-    recipes = [leaf.recipe for leaf, _ in _entries(scheme)]
-    if None in recipes:
-        raise ValueError("scheme is not rebuildable (no retained parameters)")
-    return STRONG if all(tag == "single" for tag, _ in recipes) else WEAK
 
 
 def unify_field(parts) -> list[LinearScheme]:
@@ -598,10 +579,11 @@ def unify_field(parts) -> list[LinearScheme]:
     whose check is answered from its leaves' kept reports
     (`verify.check_conditions`); a searched family's report was already
     made by its field search, and each leaf is scanned at most once per
-    candidate and security.  Each distinct part is checked at the security
-    its construction certifies (`recipe_guarantee`, taken once), which
-    refuses a part with a recipe-less leaf (a text or `dataclasses.replace`
-    copy).
+    candidate and security.  Each distinct part is checked at strong
+    security exactly when every leaf of it has one secret (a one-secret
+    window, which is secure in the strong sense), else at weak security.  A
+    part with a recipe-less leaf (a text or `dataclasses.replace` copy)
+    cannot be rebuilt and is refused (`ValueError`).
 
     The candidate order starts at the largest minimum admissible order of
     any part; searched families may still reject a candidate (they verify
@@ -616,7 +598,13 @@ def unify_field(parts) -> list[LinearScheme]:
     parts = list(parts)
     if not parts:
         raise ValueError("need at least one part")
-    guarantee = {part: recipe_guarantee(part) for part in parts}
+    guarantee = {}
+    for part in dict.fromkeys(parts):
+        leaves = [leaf for leaf, _ in _entries(part)]
+        if any(leaf.recipe is None for leaf in leaves):
+            raise ValueError("scheme is not rebuildable (no retained parameters)")
+        one_secret = all(leaf.sp.n_secrets == 1 for leaf in leaves)
+        guarantee[part] = STRONG if one_secret else WEAK
     for p in _primes(max(part.min_order for part in parts)):
         try:
             made = {part: _rebuild(part, p) for part in guarantee}
@@ -657,7 +645,8 @@ def _leaf(builder, args: tuple, q: int | None = None) -> LinearScheme:
     """`builder(*args, q=q)`, kept for the whole process under the builder
     object the caller looks up, its args and q.  Bounded (least recently
     used first out); `_leaf.cache_clear()` empties it.  A failed build is
-    not kept."""
+    not kept.  Strong cells ask for their one-secret windows under the same
+    key as weak cells, so both share one leaf."""
     return builder(*args, q=q)
 
 
@@ -665,7 +654,7 @@ def _strong_parts(sp, kind):
     n = sp.n_parties
     slots = [(sp.k_levels, 1)] if kind.measure == TAU_AVG else sp.secret_slots()
     return [
-        embed(_leaf(build_single_threshold, (sp.threshold(k), n)), sp, place={(1, 1): (k, j)})
+        embed(_leaf(build_weak_block, (n, sp.threshold(k), 1)), sp, place={(1, 1): (k, j)})
         for k, j in slots
     ]
 

@@ -171,7 +171,7 @@ def parse_ints(text: str, what: str) -> tuple[int, ...]:
     return tuple(int(v) for v in items)
 
 
-def _parse_int(text: str, what: str) -> int:
+def parse_int(text: str, what: str) -> int:
     """Read one integer in the item grammar of `parse_ints`."""
     if not _INT_ITEM.fullmatch(text.strip()):
         raise ValueError(f"bad {what} {text!r}")

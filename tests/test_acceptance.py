@@ -145,7 +145,7 @@ def test_criterion_2_table_by_lp(announce):
 
 
 def full_matrix(scheme):
-    return np.hstack([scheme.block(v) for v in scheme.variables()])
+    return scheme.columns(scheme.variables())
 
 
 def test_criterion_3_display_matrices(announce):

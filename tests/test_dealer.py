@@ -103,7 +103,8 @@ GOLDEN_BUNDLES = {
 
 def test_deal_golden_bundles():
     combined = build_optimal(structure(4, [(3, 2), (2, 1)]), RatioKind(SIGMA, STRONG))
-    assert [leaf.recipe[0] for leaf, _ in combined.leaves] == ["single"] * 3
+    assert [leaf.recipe[0] for leaf, _ in combined.leaves] == ["weak-block"] * 3
+    assert all(leaf.sp.n_secrets == 1 for leaf, _ in combined.leaves)
     # 8 rows, 3 secret columns: a five-vector kernel basis.
     assert combined.n_rows - len(combined.secret_variables()) == 5
     for name, sch in (("stitched-B", build_B(3, (3, 4), (2, 1))), ("combined", combined)):

@@ -1,6 +1,7 @@
 """Every name that a module of the package imports is used in that module,
-every private top-level function or class is named by the package, and the
-converse side (`simplex`, `structure`, `cone`) imports no construction."""
+every private top-level function or class is named by the package, no
+module imports a private name from another, and the converse side
+(`simplex`, `structure`, `cone`) imports no construction."""
 
 import ast
 from collections import Counter
@@ -153,3 +154,43 @@ def test_converse_side_imports_no_construction(module):
     refused = {"schemes", "verify", "dealer", "cli"}
     names = imported_names((SRC / f"{module}.py").read_text())
     assert [n for n in sorted(names) if refused & set(n.split("."))] == []
+
+
+def private_imports(source: str) -> list[str]:
+    """The private names (one leading underscore) that the `from` imports of
+    `source` take from a module of the package, at any depth, as
+    "module.name (line n)"; a relative import counts as the package's."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, ast.ImportFrom):
+            continue
+        module = node.module or ""
+        if not node.level and module.split(".")[0] != "mtss":
+            continue
+        for alias in node.names:
+            if alias.name.startswith("_") and not alias.name.startswith("__"):
+                found.append(f"{module}.{alias.name} (line {node.lineno})")
+    return found
+
+
+def test_private_imports_finds_what_it_should():
+    source = (
+        "from __future__ import annotations\n"
+        "from os import _exit\n"
+        "from mtss import _hidden, field\n"
+        "from mtss.structure import __all__, _parse, parse\n"
+        "from .cone import _rows\n"
+        "def f():\n"
+        "    from mtss.verify import _scan\n"
+    )
+    assert private_imports(source) == [
+        "mtss._hidden (line 3)",
+        "mtss.structure._parse (line 4)",
+        "cone._rows (line 5)",
+        "mtss.verify._scan (line 7)",
+    ]
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_no_private_name_imported_across_modules(path):
+    assert private_imports(path.read_text()) == []

@@ -24,7 +24,6 @@ from mtss.schemes import (
     build_weak_block,
     combine,
     embed,
-    recipe_guarantee,
     unify_field,
     vandermonde,
 )
@@ -44,7 +43,7 @@ from test_verify import KINDS, _table_family
 
 
 def full_matrix(s):
-    return np.hstack([s.block(v) for v in s.variables()])
+    return s.columns(s.variables())
 
 
 # -- Vandermonde windows ----------------------------------------------------
@@ -81,8 +80,8 @@ def test_vandermonde_any_t_columns_independent(t, els):
 def test_single_threshold_layout():
     s = build_single_threshold(3, 3)
     assert s.q == 5 and s.n_rows == 3
-    assert s.block(VariableId.secret(1, 1)).tolist() == [[1], [1], [1]]
-    assert s.block(VariableId.share(2)).tolist() == [[1], [3], [4]]
+    assert s.columns([VariableId.secret(1, 1)]).tolist() == [[1], [1], [1]]
+    assert s.columns([VariableId.share(2)]).tolist() == [[1], [3], [4]]
     assert verify.check_conditions(s, STRONG).passed
 
 
@@ -112,11 +111,30 @@ def test_picked_prime_over_the_limit_fails_before_any_matrix(monkeypatch):
     assert calls == []
 
 
+def test_searched_prime_over_the_limit_fails_before_any_matrix(monkeypatch):
+    """The stitched families take their candidates from the same walk as
+    the windows, so for N = 1048600 the first prime, 1048609, is refused
+    before the stitched matrix of about a million columns is made."""
+    calls = []
+    monkeypatch.setattr(schemes, "vandermonde", lambda *a: calls.append(a))
+    with pytest.raises(ValueError, match=r"modulus 1048609 is too large \(limit 2\*\*20\)"):
+        build_A(1048600, (3, 4), 1)
+    with pytest.raises(ValueError, match=r"modulus 1048609 is too large \(limit 2\*\*20\)"):
+        build_B(1048600, (3, 4), (2, 1))
+    assert calls == []
+
+
 def test_weak_block_degenerates_to_single():
-    a, b = build_weak_block(2, 2, 1), build_single_threshold(2, 2)
-    assert a.q == b.q == 5
-    for v in a.variables():
-        assert np.array_equal(a.block(v), b.block(v))
+    """The one-secret threshold scheme is the weak block with m = 1: the
+    same text, minimum order N + 2 and recipe, with q given or picked."""
+    assert build_single_threshold(2, 2).q == 5
+    for q in (None, 13):
+        for n in range(2, 7):
+            for t in range(2, n + 1):
+                single, block = build_single_threshold(t, n, q), build_weak_block(n, t, 1, q)
+                assert single.to_text() == block.to_text()
+                assert single.min_order == block.min_order == n + 2
+                assert single.recipe == block.recipe == ("weak-block", (n, t, 1))
 
 
 def test_weak_block_overfull_widths():
@@ -349,7 +367,7 @@ def test_text_round_trip():
     t = LinearScheme.from_text(s.to_text())
     assert (t.sp, t.q, t.n_rows) == (s.sp, s.q, s.n_rows)
     for v in s.variables():
-        assert np.array_equal(t.block(v), s.block(v))
+        assert np.array_equal(t.columns([v]), s.columns([v]))
     assert t.fingerprint == s.fingerprint
     assert t.recipe is None  # parameters are not serialized
 
@@ -497,11 +515,15 @@ def test_unify_field_reuses_parts_over_the_common_prime(monkeypatch):
 
 
 def test_unify_field_needs_recipes():
-    s = LinearScheme.from_text(build_single_threshold(2, 3).to_text())
-    with pytest.raises(ValueError, match="rebuildable"):
-        unify_field([s])
-    with pytest.raises(ValueError, match="rebuildable"):
-        unify_field([embed(s, structure(3, [(3, 1), (2, 1)]))])
+    """A leaf read from text or copied has no recipe, so it cannot be
+    rebuilt over another prime: `ValueError`, also inside a composition."""
+    a = build_single_threshold(2, 3)
+    text = LinearScheme.from_text(a.to_text())
+    copy = dataclasses.replace(a)
+    sp = structure(3, [(3, 1), (2, 1)])
+    for s in (text, copy, embed(text, sp), combine([a, copy])):
+        with pytest.raises(ValueError, match="not rebuildable"):
+            unify_field([s])
 
 
 def test_replace_copy_of_a_leaf_has_no_recipe():
@@ -510,7 +532,7 @@ def test_replace_copy_of_a_leaf_has_no_recipe():
     (a rebuild at another prime would drop the copy's blocks)."""
     a = build_weak_block(3, 2, 2)  # q = 7
     s1, s2 = a.secret_variables()
-    swapped = ((s1, a.block(s2)), (s2, a.block(s1))) + a.blocks[2:]
+    swapped = ((s1, a.columns([s2])), (s2, a.columns([s1]))) + a.blocks[2:]
     copy = dataclasses.replace(a, blocks=swapped)
     assert copy.recipe is None and copy.to_text() != a.to_text()
     with pytest.raises(ValueError, match="rebuildable"):
@@ -611,27 +633,26 @@ def test_leaves_flatten_nested_compositions():
     assert [leaf for leaf, _ in combine([twice, twice]).leaves] == [a, a]
 
 
-def test_recipe_guarantee():
-    assert recipe_guarantee(build_single_threshold(2, 3)) == STRONG
-    assert recipe_guarantee(build_weak_block(3, 2, 2)) == WEAK
-    strong_combo = combine([build_single_threshold(2, 3), build_single_threshold(2, 3)])
-    assert recipe_guarantee(strong_combo) == STRONG
-    mixed = combine(
-        [build_single_threshold(2, 3), embed(build_weak_block(3, 2, 1), structure(3, [(2, 1)]))]
-    )
-    assert recipe_guarantee(mixed) == WEAK
+def test_unify_field_checks_one_secret_parts_at_strong(monkeypatch):
+    """A part whose every leaf has one secret is checked at strong security,
+    any other part at weak security."""
+    asked = []
+    check = verify.check_conditions
 
+    def spy(scheme, security, *args):
+        asked.append((scheme.sp, security))
+        return check(scheme, security, *args)
 
-def test_recipe_guarantee_refuses_leaves_without_recipes():
-    """A leaf read from text or copied has no recipe, so the guarantee of
-    its construction is unknown: `ValueError`, as `unify_field` gives."""
-    a = build_single_threshold(2, 3)
-    text = LinearScheme.from_text(a.to_text())
-    copy = dataclasses.replace(a)
-    sp = structure(3, [(3, 1), (2, 1)])
-    for s in (text, copy, embed(text, sp), combine([a, copy])):
-        with pytest.raises(ValueError, match="not rebuildable"):
-            recipe_guarantee(s)
+    one = combine([build_single_threshold(2, 3), build_weak_block(3, 2, 1)])
+    sp = structure(3, [(2, 2)])
+    mixed = combine([embed(build_single_threshold(2, 3, q=7), sp), build_weak_block(3, 2, 2)])
+    monkeypatch.setattr(verify, "check_conditions", spy)
+    unify_field([one])
+    assert asked[0] == (one.sp, STRONG)
+    assert {security for _, security in asked} == {STRONG}
+    asked.clear()
+    unify_field([mixed])
+    assert asked[0] == (mixed.sp, WEAK)
 
 
 def _composed_cells():
@@ -817,8 +838,19 @@ def test_leaf_memo_is_bounded_and_public_builders_are_not_cached():
     assert schemes._leaf.cache_info().currsize == 0
     # A leaf of build_optimal is the memo's, not the public builder's.
     s = build_optimal(structure(3, [(2, 2)]), RatioKind(SIGMA, STRONG))
-    assert s.leaves[0][0] is schemes._leaf(build_single_threshold, (2, 3))
-    assert s.leaves[0][0] is not build_single_threshold(2, 3)
+    assert s.leaves[0][0] is schemes._leaf(build_weak_block, (3, 2, 1))
+    assert s.leaves[0][0] is not build_weak_block(3, 2, 1)
+
+
+def test_strong_and_weak_cells_share_their_one_secret_leaves():
+    sp = structure(3, [(3, 1), (2, 1)])
+    strong = build_optimal(sp, RatioKind(SIGMA, STRONG))
+    weak = build_optimal(sp, RatioKind(SIGMA, WEAK))
+    assert [leaf.recipe for leaf, _ in strong.leaves] == [
+        ("weak-block", (3, 3, 1)),
+        ("weak-block", (3, 2, 1)),
+    ]
+    assert all(a is b for (a, _), (b, _) in zip(strong.leaves, weak.leaves, strict=True))
 
 
 def test_cells_share_a_leaf_and_its_reports():

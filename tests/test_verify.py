@@ -429,7 +429,7 @@ def test_links_that_do_not_keep_the_conditions_are_not_used():
         return LinearScheme(sp=sp, q=a.q, n_rows=n_rows, blocks=blocks)
 
     def shares(order=(1, 2, 3)):
-        return tuple((share[i], a.block(share[j])) for i, j in zip((1, 2, 3), order))
+        return tuple((share[i], a.columns([share[j]])) for i, j in zip((1, 2, 3), order))
 
     two_levels = structure(3, [(3, 1), (2, 1)])
     two_secrets = structure(3, [(2, 2)])
@@ -439,23 +439,23 @@ def test_links_that_do_not_keep_the_conditions_are_not_used():
     cases = {
         "secret moved to another threshold": unlinked(
             two_levels,
-            ((sec, a.block(sec)), (VariableId.secret(2, 1), empty)) + shares(),
+            ((sec, a.columns([sec])), (VariableId.secret(2, 1), empty)) + shares(),
             ((a, (0, -1, 1, 2, 3)),),
         ),
         "one source block on two slots": unlinked(
             two_secrets,
-            ((sec, a.block(sec)), (VariableId.secret(1, 2), a.block(sec))) + shares(),
+            ((sec, a.columns([sec])), (VariableId.secret(1, 2), a.columns([sec]))) + shares(),
             ((a, (0, 0, 1, 2, 3)),),
         ),
         "two shares swapped": unlinked(
-            a.sp, ((sec, a.block(sec)),) + shares((2, 1, 3)), ((a, (0, 2, 1, 3)),)
+            a.sp, ((sec, a.columns([sec])),) + shares((2, 1, 3)), ((a, (0, 2, 1, 3)),)
         ),
         "a share on a secret slot": unlinked(
-            a.sp, ((sec, a.block(share[1])),) + shares(), ((a, (1, 1, 2, 3)),)
+            a.sp, ((sec, a.columns([share[1]])),) + shares(), ((a, (1, 1, 2, 3)),)
         ),
         "a share emptied": unlinked(
             a.sp,
-            ((sec, a.block(sec)),) + shares()[:2] + ((share[3], empty),),
+            ((sec, a.columns([sec])),) + shares()[:2] + ((share[3], empty),),
             ((a, (0, 1, 2, -1)),),
         ),
         "parts on another structure": unlinked(
