@@ -515,8 +515,17 @@ def test_unify_field_reuses_parts_over_the_common_prime(monkeypatch):
 
 
 def test_unify_field_needs_recipes():
-    """A leaf read from text or copied has no recipe, so it cannot be
-    rebuilt over another prime: `ValueError`, also inside a composition."""
+    s = LinearScheme.from_text(build_single_threshold(2, 3).to_text())
+    with pytest.raises(ValueError, match="rebuildable"):
+        unify_field([s])
+    with pytest.raises(ValueError, match="rebuildable"):
+        unify_field([embed(s, structure(3, [(3, 1), (2, 1)]))])
+
+
+def test_recipe_guarantee_refuses_leaves_without_recipes():
+    """A leaf read from text or copied has no recipe, so neither its rebuild
+    over another prime nor the guarantee it is checked at is known:
+    `unify_field` refuses it with `ValueError`, also inside a composition."""
     a = build_single_threshold(2, 3)
     text = LinearScheme.from_text(a.to_text())
     copy = dataclasses.replace(a)
