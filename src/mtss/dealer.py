@@ -8,10 +8,13 @@ secrets off it.  Both are linear in their input, so each scheme keeps its
 maps (`Codec`, made once per scheme object): one elimination per scheme
 gives the encoder, and one per coalition gives that coalition's decoder.
 The census brute-forces the full codeword space of a tiny scheme to compare
-statistical secrecy with the algebraic rank verdicts.  It tabulates with
-arrays: a sorted array of combined (coalition values, target values) codes
-and their codeword counts, from which `uniform` is read directly; the
-nested-dict `counts` is a view decoded on first access.
+statistical secrecy with the algebraic rank verdicts.  It tallies the
+settings of the last rows once, and makes the codes of every codeword from
+that table by a digit-wise shift per setting of the other rows; no rank or
+elimination is involved.  It tabulates with arrays: a sorted array of
+combined (coalition values, target values) codes and their codeword counts,
+from which `uniform` is read directly; the nested-dict `counts` is a view
+decoded on first access.
 """
 
 from __future__ import annotations
@@ -28,7 +31,7 @@ from mtss.structure import VariableId, format_ints, parse_int, parse_ints, read_
 _MASK64 = (1 << 64) - 1
 _BUNDLE_MAGIC = "mtss-bundle 1"
 CENSUS_CAP = 10_000_000
-_CHUNK = 1 << 16  # codewords enumerated at once by the census
+_CHUNK = 1 << 16  # census bound on inner-row settings and on codes made per batch
 DECODERS_KEPT = 64  # coalition decoders a scheme keeps; there are 2^N coalitions
 
 
@@ -297,27 +300,35 @@ class CensusTable:
     def counts(self) -> dict:
         """Decoded view: a-values tuple -> {target-values tuple: count}."""
         a_code, s_code = np.divmod(self.codes, self.q**self.target_width)
-        a_rows = _digits(a_code, self.coalition_width, self.q)
-        s_rows = _digits(s_code, self.target_width, self.q)
+        a_rows = _digits(a_code, self.coalition_width, self.q).tolist()
+        s_rows = _digits(s_code, self.target_width, self.q).tolist()
         out: dict = {}
         for a_vals, s_vals, c in zip(a_rows, s_rows, self.tallies.tolist()):
             out.setdefault(tuple(a_vals), {})[tuple(s_vals)] = c
         return out
 
 
-def _digits(code: np.ndarray, width: int, q: int) -> list:
-    """Base-q digits of each code, most significant first, as lists."""
+def _digits(code: np.ndarray, width: int, q: int) -> np.ndarray:
+    """Base-q digits of each code, most significant first: one row a code."""
     out = np.empty((len(code), width), dtype=np.int64)
     for col in range(width - 1, -1, -1):
         code, out[:, col] = np.divmod(code, q)
-    return out.tolist()
+    return out
 
 
 def leakage_census(scheme: LinearScheme, a_shares, target) -> CensusTable:
     """Enumerate every codeword and tabulate the target secrets against a
     coalition's share values.  target may be one secret variable or an
     iterable of them (joint census).  Raises ValueError when the combined
-    codes, q^(coalition width + target width) values, do not fit in int64."""
+    codes, q^(coalition width + target width) values, do not fit in int64.
+
+    A codeword is split into its last k rows (inner), with k the largest
+    such that q^k <= _CHUNK, and the rest (outer).  The joint values y of
+    all q^k inner settings are tallied once into distinct codes.  The map
+    is linear, so y(outer + inner) = y(outer) + y(inner) mod q: the codes
+    of one outer setting are the inner codes with each digit shifted by
+    that setting's y, and they carry the inner tallies.  Outer settings run
+    in batches of about _CHUNK codes, and one sort merges every batch."""
     targets = [target] if isinstance(target, VariableId) else list(target)
     a_list = sorted(a_shares)
     _check_kind(a_list, "share")
@@ -332,24 +343,30 @@ def leakage_census(scheme: LinearScheme, a_shares, target) -> CensusTable:
         raise ValueError(
             f"census codes would overflow: {q}^{wa + ws} values exceed 2^63"
         )
-    pow_a = q ** np.arange(wa - 1, -1, -1, dtype=np.int64) if wa else None
-    pow_s = q ** np.arange(ws - 1, -1, -1, dtype=np.int64) if ws else None
-    chunk_codes, chunk_tallies = [], []
-    total = q**n
-    for start in range(0, total, _CHUNK):
-        idx = np.arange(start, min(start + _CHUNK, total), dtype=np.int64)
-        digits = np.empty((len(idx), n), dtype=np.int64)
-        tmp = idx.copy()
-        for r in range(n):
-            digits[:, r] = tmp % q
-            tmp //= q
-        a_code = (digits @ va % q) @ pow_a if wa else np.zeros(len(idx), np.int64)
-        s_code = (digits @ vs % q) @ pow_s if ws else np.zeros(len(idx), np.int64)
-        combined = a_code * (q**ws) + s_code
-        uniq, cnt = np.unique(combined, return_counts=True)
-        chunk_codes.append(uniq)
-        chunk_tallies.append(cnt)
+    cols = np.concatenate([va, vs], axis=1)
+    w = wa + ws
+    place = q ** np.arange(w - 1, -1, -1, dtype=np.int64)
+    k = 0
+    while k < n and q ** (k + 1) <= _CHUNK:
+        k += 1
+    inner = np.zeros((1, w), dtype=np.int64)
+    for row in cols[n - k :]:
+        inner = (inner[:, None] + np.outer(np.arange(q), row)) % q
+        inner = inner.reshape(len(inner) * q, w)
+    inner_codes, inner_tallies = np.unique(inner @ place, return_counts=True)
+    inner_digits = _digits(inner_codes, w, q).T
+    batch = max(1, _CHUNK // len(inner_codes))
+    outer = q ** (n - k)
+    chunk_codes = []
+    for start in range(0, outer, batch):
+        settings = _digits(np.arange(start, min(start + batch, outer)), n - k, q)
+        shift = settings @ cols[: n - k] % q
+        combined = np.tile(inner_codes, (len(shift), 1))
+        # Digit j becomes (d + s) mod q, so every partial sum is a code.
+        for s, d, p in zip(shift.T[:, :, None], inner_digits, place):
+            combined += np.where(d >= q - s, (s - q) * p, s * p)
+        chunk_codes.append(combined.ravel())
     codes, where = np.unique(np.concatenate(chunk_codes), return_inverse=True)
     tallies = np.zeros(len(codes), dtype=np.int64)
-    np.add.at(tallies, where, np.concatenate(chunk_tallies))
+    np.add.at(tallies, where, np.tile(inner_tallies, outer))
     return CensusTable(q, wa, ws, codes, tallies)

@@ -1,4 +1,5 @@
 import itertools
+import warnings
 from math import comb
 
 import numpy as np
@@ -462,9 +463,10 @@ def _assert_matches_reference(scheme, coalition, targets):
     return table
 
 
-@pytest.mark.parametrize("chunk", [dealer._CHUNK, 7])
+@pytest.mark.parametrize("chunk", [dealer._CHUNK, 7, 3])
 def test_census_matches_reference_on_small_schemes(monkeypatch, chunk):
-    """A chunk of 7 codewords spreads each table over many chunks."""
+    """A chunk of 7 spreads the outer settings over many batches, the last
+    one partly filled; a chunk of 3, below every q, leaves no inner rows."""
     monkeypatch.setattr(dealer, "_CHUNK", chunk)
     verdicts = set()
     for sch in (
@@ -484,6 +486,76 @@ def test_census_matches_reference_on_small_schemes(monkeypatch, chunk):
                         )
                         verdicts.add(table.uniform)
     assert verdicts == {True, False}
+
+
+def _digit_census(scheme, coalition, targets):
+    """(codes, tallies) by enumerating whole codewords in chunks of 2^16:
+    each codeword's base-q digits, two int64 products and its code."""
+    chunk = 1 << 16
+    n, q = scheme.n_rows, scheme.q
+    va = scheme.columns(sorted(coalition))
+    vs = scheme.columns(targets)
+    wa, ws = va.shape[1], vs.shape[1]
+    pow_a = q ** np.arange(wa - 1, -1, -1, dtype=np.int64) if wa else None
+    pow_s = q ** np.arange(ws - 1, -1, -1, dtype=np.int64) if ws else None
+    chunk_codes, chunk_tallies = [], []
+    total = q**n
+    for start in range(0, total, chunk):
+        idx = np.arange(start, min(start + chunk, total), dtype=np.int64)
+        digits = np.empty((len(idx), n), dtype=np.int64)
+        tmp = idx.copy()
+        for r in range(n):
+            digits[:, r] = tmp % q
+            tmp //= q
+        a_code = (digits @ va % q) @ pow_a if wa else np.zeros(len(idx), np.int64)
+        s_code = (digits @ vs % q) @ pow_s if ws else np.zeros(len(idx), np.int64)
+        combined = a_code * (q**ws) + s_code
+        uniq, cnt = np.unique(combined, return_counts=True)
+        chunk_codes.append(uniq)
+        chunk_tallies.append(cnt)
+    codes, where = np.unique(np.concatenate(chunk_codes), return_inverse=True)
+    tallies = np.zeros(len(codes), dtype=np.int64)
+    np.add.at(tallies, where, np.concatenate(chunk_tallies))
+    return codes, tallies
+
+
+def _assert_matches_digit_census(scheme, coalition, targets):
+    table = leakage_census(scheme, coalition, targets)
+    codes, tallies = _digit_census(scheme, coalition, targets)
+    assert table.codes.dtype == table.tallies.dtype == np.int64
+    assert np.array_equal(table.codes, codes), (coalition, targets)
+    assert np.array_equal(table.tallies, tallies), (coalition, targets)
+    return table
+
+
+def test_census_matches_digit_census():
+    """The shifted inner tables give the whole-codeword enumeration's arrays:
+    on q = 11 with 5 rows (4 inner rows), on one row at q = 65537 (no inner
+    rows, outer batches of _CHUNK), and at codes of exactly 63 bits."""
+    sch = build_B(3, (3, 4), (2, 1))
+    assert (sch.q, sch.n_rows) == (11, 5)
+    svars = list(sch.secret_variables())
+    for size in range(4):
+        for idxs in itertools.combinations([1, 2, 3], size):
+            for tg in (svars, [S(1, 1)]):
+                _assert_matches_digit_census(sch, [P(i) for i in idxs], tg)
+    one_row = LinearScheme(
+        sp=structure(2, [(2, 1)]), q=65537, n_rows=1,
+        blocks=tuple((v, [[c]]) for v, c in ((S(1, 1), 1), (P(1), 2), (P(2), 1))),
+    )
+    _assert_matches_digit_census(one_row, [P(1)], [S(1, 1)])
+    eye = np.eye(7, dtype=np.int64)
+    copies = LinearScheme(
+        sp=structure(8, [(2, 1)]), q=2, n_rows=7,
+        blocks=tuple([(S(1, 1), eye)] + [(P(i), eye) for i in range(1, 9)]),
+    )
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        table = _assert_matches_digit_census(
+            copies, [P(i) for i in range(1, 9)], [S(1, 1)]
+        )
+    assert 2 ** (table.coalition_width + table.target_width) == 1 << 63
+    assert len(table.codes) == 128 and table.tallies.sum() == 128
 
 
 @settings(max_examples=40, deadline=None)
