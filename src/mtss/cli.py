@@ -228,10 +228,14 @@ def _cmd_census(args) -> int:
     table = leakage_census(scheme, coalition, targets)
     print(f"uniform {'yes' if table.uniform else 'no'}")
     if args.format == "records":
-        for a_vals in sorted(table.counts):
-            row = table.counts[a_vals]
-            for s_vals in sorted(row):
-                print(f"count {format_ints(a_vals)} {format_ints(s_vals)} {row[s_vals]}")
+        # One line a code: the codes are sorted, so the lines come sorted by
+        # coalition values, then target values.
+        line = "count {} {} %d".format(
+            *(",".join(["%d"] * w) or "-" for w in (table.coalition_width, table.target_width))
+        )
+        a_rows, s_rows = (rows.tolist() for rows in table.digit_rows())
+        rows = zip(a_rows, s_rows, table.tallies.tolist())
+        print("\n".join(line % (*a, *s, c) for a, s, c in rows))
     else:
         print(f"{table.n_coalition_values} coalition values, "
               f"{len(table.codes)} table rows")

@@ -13,8 +13,9 @@ settings of the last rows once, and makes the codes of every codeword from
 that table by a digit-wise shift per setting of the other rows; no rank or
 elimination is involved.  It tabulates with arrays: a sorted array of
 combined (coalition values, target values) codes and their codeword counts,
-from which `uniform` is read directly; the nested-dict `counts` is a view
-decoded on first access.
+from which `uniform` is read directly; `digit_rows` decodes the codes into
+base-q digit rows, which the records output prints in code order, and the
+nested-dict `counts` is a view decoded from them on first access.
 """
 
 from __future__ import annotations
@@ -109,7 +110,11 @@ class SecretAssignment:
 
 @dataclass(frozen=True)
 class ShareBundle:
-    """Share vectors plus the fingerprint of the scheme that produced them."""
+    """Share vectors plus the fingerprint of the scheme that produced them.
+
+    A bundle built directly checks that its keys are share variables and
+    makes each vector a tuple of ints; `deal`, `restrict` and `from_text`
+    make their vectors so and build through `_trusted`, which skips that."""
 
     fingerprint: str
     shares: dict  # VariableId -> tuple of field elements
@@ -119,13 +124,21 @@ class ShareBundle:
         fixed = {v: tuple(int(e) for e in vec) for v, vec in self.shares.items()}
         object.__setattr__(self, "shares", fixed)
 
+    @classmethod
+    def _trusted(cls, fingerprint: str, shares: dict) -> "ShareBundle":
+        """A bundle of share variables whose vectors are tuples of ints."""
+        bundle = object.__new__(cls)
+        object.__setattr__(bundle, "fingerprint", fingerprint)
+        object.__setattr__(bundle, "shares", shares)
+        return bundle
+
     def __getitem__(self, v: VariableId):
         return self.shares[v]
 
     def restrict(self, indices) -> "ShareBundle":
         """Keep only the shares of the given participant indices."""
         keep = set(indices)
-        return ShareBundle(
+        return ShareBundle._trusted(
             self.fingerprint,
             {v: vec for v, vec in self.shares.items() if v.index in keep},
         )
@@ -147,7 +160,7 @@ class ShareBundle:
             if v in shares:
                 raise ValueError(f"duplicate share line for {v}")
             shares[v] = parse_ints(parts[2], f"share vector of {v}")
-        return ShareBundle(header["fingerprint"], shares)
+        return ShareBundle._trusted(header["fingerprint"], shares)
 
 
 def _frozen(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
@@ -198,12 +211,12 @@ class Codec:
 
 
 def _cut(words: list, scheme: LinearScheme, vs) -> dict:
-    """The consecutive vectors of `vs`, each as wide as its block, that
-    make up `words`."""
+    """The consecutive vectors of `vs`, each a tuple as wide as its block,
+    that make up `words`."""
     out, at = {}, 0
     for v in vs:
         w = scheme.width(v)
-        out[v] = words[at : at + w]
+        out[v] = tuple(words[at : at + w])
         at += w
     return out
 
@@ -225,7 +238,8 @@ def deal(scheme: LinearScheme, secrets: SecretAssignment, seed: int = 0) -> Shar
     if len(basis):
         c += np.array(_field_elements(seed, q, len(basis)), dtype=np.int64) @ basis
     words = ((c % q) @ codec.shares % q).tolist()
-    return ShareBundle(scheme.fingerprint, _cut(words, scheme, scheme.share_variables()))
+    shares = _cut(words, scheme, scheme.share_variables())
+    return ShareBundle._trusted(scheme.fingerprint, shares)
 
 
 def reconstruct(scheme: LinearScheme, shares: ShareBundle, k: int = 1) -> SecretAssignment:
@@ -296,12 +310,19 @@ class CensusTable:
         runs = self.tallies.reshape(-1, base)
         return bool((runs == runs[:, :1]).all())
 
+    def digit_rows(self) -> tuple[np.ndarray, np.ndarray]:
+        """The coalition values and the target values of each code, as rows
+        of base-q digits in the order of `codes`."""
+        a_code, s_code = np.divmod(self.codes, self.q**self.target_width)
+        return (
+            _digits(a_code, self.coalition_width, self.q),
+            _digits(s_code, self.target_width, self.q),
+        )
+
     @cached_property
     def counts(self) -> dict:
         """Decoded view: a-values tuple -> {target-values tuple: count}."""
-        a_code, s_code = np.divmod(self.codes, self.q**self.target_width)
-        a_rows = _digits(a_code, self.coalition_width, self.q).tolist()
-        s_rows = _digits(s_code, self.target_width, self.q).tolist()
+        a_rows, s_rows = (rows.tolist() for rows in self.digit_rows())
         out: dict = {}
         for a_vals, s_vals, c in zip(a_rows, s_rows, self.tallies.tolist()):
             out.setdefault(tuple(a_vals), {})[tuple(s_vals)] = c

@@ -23,18 +23,25 @@ scans and the audit all read it.  A leaf fills an entry with one
 `field.rank` of the mask's columns, taken from one matrix of all its
 blocks (read-only arrays over the scheme's one q).  Parts of a composition
 are independent and keep their shares, so a composed scheme's entry is the
-sum of its leaves' entries, which each leaf ranks once.  The audit asks
-`structure.bound_row` for each row once per level, and reads a pick of
-another secret of a level by swapping two secret widths.
+sum of its leaves' entries, which each leaf ranks once.
+
+The audit lists the secret-size pair gains I(P_a; P_b | rest) once per
+level and pairs that list with each secret of the level.  It asks
+`structure.bound_row` for each row once per level, lists the row's rhs over
+the sorted share tuples once, and pairs that list with each pick of another
+secret of a level, read by swapping two secret widths.  A check keeps a
+compact key and makes its params dict only when it is read.
 """
 
 from __future__ import annotations
 
+import sys
 import threading
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations, groupby, product, tee
+from itertools import combinations, groupby, islice, product
 from math import comb
+from operator import attrgetter
 
 import numpy as np
 
@@ -392,22 +399,53 @@ def ratios(scheme: LinearScheme, strict: bool = True) -> RatioReport:
 # Converse-bound audit
 
 
-@dataclass(frozen=True)
 class BoundCheck:
-    """One evaluated instance of a converse bound: holds iff lhs <= rhs."""
+    """One evaluated instance of a converse bound: holds iff lhs <= rhs.
 
-    bound: str
-    params: dict
-    lhs: int | Fraction
-    rhs: int | Fraction
+    The audit stores each instance as a compact key; `params`, the dict
+    that names the instance, is made from it on each read by the family's
+    entry in `_PARAMS`.  Checks are read-only, compare by (bound, params,
+    lhs, rhs) and print as a frozen dataclass of those four fields would.
+    """
+
+    __slots__ = ("_bound", "_key", "_lhs", "_rhs")
+
+    def __init__(self, bound: str, key: tuple, lhs: int | Fraction, rhs: int | Fraction):
+        self._bound = bound
+        self._key = key
+        self._lhs = lhs
+        self._rhs = rhs
+
+    bound = property(attrgetter("_bound"))
+    lhs = property(attrgetter("_lhs"))
+    rhs = property(attrgetter("_rhs"))
+
+    @property
+    def params(self) -> dict:
+        return _PARAMS[self._bound](*self._key)
 
     @property
     def holds(self) -> bool:
-        return self.lhs <= self.rhs
+        return self._lhs <= self._rhs
 
     @property
     def tight(self) -> bool:
-        return self.lhs == self.rhs
+        return self._lhs == self._rhs
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self._bound, self.params, self._lhs, self._rhs) == (
+            other._bound, other.params, other._lhs, other._rhs
+        )
+
+    __hash__ = None  # params is a dict
+
+    def __repr__(self):
+        return (
+            f"{type(self).__qualname__}(bound={self._bound!r}, params={self.params!r}, "
+            f"lhs={self._lhs!r}, rhs={self._rhs!r})"
+        )
 
 
 def render_check(check: BoundCheck) -> str:
@@ -447,6 +485,16 @@ _ROW_FAMILIES = (
      lambda k, p, d: {"k": k, "j": tuple(p.items())}),
 )
 
+# Every family's params, from a check's key: a row's is (k, picks, shares),
+# secret-size's (k, j, (shares, a, b)) and extra-n3's (s, d).
+_PARAMS = {
+    "secret-size": lambda k, j, pair: {
+        "k": k, "j": j, "shares": pair[0], "a": pair[1], "b": pair[2]
+    },
+    **{name: spec[-1] for name, *spec in _ROW_FAMILIES},
+    "extra-n3": lambda s, d: {"s": s, "d": d},
+}
+
 
 def audit_bounds(
     scheme: LinearScheme,
@@ -465,10 +513,13 @@ def audit_bounds(
     Every share rank comes from the profile's rank table (`RankProfile.ranks`),
     which fills only the share sets read, so a composed scheme's audit sums
     its leaves' entries and eliminates nothing of its own.  The secret-size
-    rhs I(P_a; P_b | the rest) does not depend on the secret, so it is
-    computed once per level.  Each row is asked of `bound_row` once per
-    level k: a pick changes only which secret widths its betas read, and
-    no rhs.
+    rhs I(P_a; P_b | the rest) does not depend on the secret, so each level
+    computes its list of pair gains once, cut at what the cap leaves, and
+    every secret j of the level reads that list with its own lhs.  Each row
+    is asked of `bound_row` once per level k, and its rhs over the sorted
+    share tuples is listed once: a pick changes only which secret widths
+    its betas read, so each pick reads that list with its own lhs.  A check
+    keeps a compact key, and its `params` dict is made only when read.
 
     A strong scheme is also weakly secure, so a strong audit includes every
     weak bound; two bound families are valid only under strong secrecy and
@@ -478,20 +529,20 @@ def audit_bounds(
         raise ValueError(f"audit cap must be at least 1, got {cap}")
     if not check_conditions(scheme, security).passed:
         raise ValueError("precondition: scheme invalid")
+    # islice needs a stop it can hold; no family has sys.maxsize instances
+    cap = min(cap, sys.maxsize)
     sp = scheme.sp
     n = sp.n_parties
     kk = sp.k_levels
-    w = {
-        (i, j): scheme.width(VariableId.secret(i, j)) for i, j in sp.secret_slots()
-    }
-    hp = {i: scheme.width(v) for i, v in enumerate(scheme.share_variables(), start=1)}
     # Shares come last in the variable order: share i is bit ns + i - 1.
     ns = sp.n_secrets
+    w = dict(zip(sp.secret_slots(), scheme._widths))
+    hp = dict(enumerate(scheme._widths[ns:], start=1))
     h = scheme.profile.ranks
     h_all_shares = h[((1 << n) - 1) << ns]
 
     def pair_gains(t):
-        """(shares, a, b, I(P_a; P_b | the rest of shares)) for every share
+        """((shares, a, b), I(P_a; P_b | the rest of shares)) for every share
         set of size t + 1 and pair in it: the secret-size rhs, whatever j."""
         for dset in combinations(range(1, n + 1), t + 1):
             d = sum(1 << (ns + i - 1) for i in dset)
@@ -499,41 +550,53 @@ def audit_bounds(
                 pa = 1 << (ns + a - 1)
                 pb = 1 << (ns + b - 1)
                 rest = d ^ pa ^ pb
-                yield dset, a, b, h[rest | pa] + h[rest | pb] - h[d] - h[rest]
+                yield (dset, a, b), h[rest | pa] + h[rest | pb] - h[d] - h[rest]
 
     def secret_size():
+        """Per level: its pair gains, and each secret j with its width."""
         for k in range(1, kk + 1):
             t = sp.threshold(k)
-            if t >= n:
-                continue
-            # One lazy pass over the pairs, shared by every secret of the
-            # level: the cap may stop it early.
-            passes = tee(pair_gains(t), sp.count(k))
-            for j, gains in enumerate(passes, start=1):
-                for dset, a, b, gain in gains:
-                    params = {"k": k, "j": j, "shares": dset, "a": a, "b": b}
-                    yield params, w[k, j], gain
+            if t < n:
+                yield pair_gains(t), [(k, j, w[k, j]) for j in range(1, sp.count(k) + 1)]
 
-    def rows(name, per_level, pick_levels, params):
-        """(params, lhs, rhs) of a `bound_row` family: its row at each k,
-        at each pick of a secret j on every level i of `pick_levels(kk, k)`
-        (secret j trades widths with the level's first), evaluated on every
-        sorted tuple of as many shares as the row has alphas."""
+    def rows(name, per_level, pick_levels, _):
+        """Per level k (or k = 1 alone): the row's rhs on every sorted tuple
+        of as many shares as it has alphas, and its lhs at each pick of a
+        secret j on every level i of `pick_levels(kk, k)`, where secret j
+        trades widths with the level's first."""
         for k in range(1, kk + 1 if per_level else 2):
             row = bound_row(sp, name, k)
             alpha = list(row.alpha.values())
+            rhs = (
+                (d, row.alpha0 * h_all_shares + sum(c * hp[i] for c, i in zip(alpha, d)))
+                for d in combinations(range(1, n + 1), len(alpha))
+            )
             levels = pick_levels(kk, k)
+            heads = []
             for js in product(*(range(1, sp.count(i) + 1) for i in levels)):
                 picks = dict(zip(levels, js))
                 picked = dict(w)
                 for i, j in picks.items():
                     picked[i, 1], picked[i, j] = w[i, j], w[i, 1]
-                lhs = sum(c * picked[slot] for slot, c in row.beta.items())
-                for dset in combinations(range(1, n + 1), len(alpha)):
-                    rhs = row.alpha0 * h_all_shares + sum(
-                        c * hp[i] for c, i in zip(alpha, dset)
-                    )
-                    yield params(k, picks, dset), lhs, rhs
+                heads.append((k, picks, sum(c * picked[slot] for slot, c in row.beta.items())))
+            yield rhs, heads
+
+    def family(name, blocks):
+        """The first `cap` checks of a family.  Each block is a lazy sequence
+        of (item, rhs), listed once and only as far as the cap allows, and
+        the (x, y, lhs) of each check on it: the check on an item is keyed
+        (x, y, item)."""
+        out = []
+        for items, heads in blocks:
+            items = list(islice(items, cap - len(out)))
+            for x, y, lhs in heads:
+                out += [
+                    BoundCheck(name, (x, y, item), lhs, rhs)
+                    for item, rhs in islice(items, cap - len(out))
+                ]
+                if len(out) == cap:
+                    return out
+        return out
 
     def extra_n3():
         if n != 3:
@@ -562,19 +625,10 @@ def audit_bounds(
         all_three = sum(hp[i] for i in (1, 2, 3))
         for s in range(1, 5):
             for d in (1, 2, 3):
-                yield {"s": s, "d": d}, w[lvl3, s] + base, all_three + hp[d]
+                yield BoundCheck("extra-n3", (s, d), w[lvl3, s] + base, all_three + hp[d])
 
-    families = [
-        # (id, checks, valid only under strong secrecy)
-        ("secret-size", secret_size(), False),
-        *((name, rows(name, *spec), strong) for name, strong, *spec in _ROW_FAMILIES),
-        ("extra-n3", extra_n3(), False),
-    ]
-    out = []
-    for name, checks, strong_only in families:
-        if strong_only and security != STRONG:
-            continue
-        # range first: no check is drawn past the cap, and any int cap works
-        for _, (params, lhs, rhs) in zip(range(cap), checks):
-            out.append(BoundCheck(name, params, lhs, rhs))
-    return out
+    out = family("secret-size", secret_size())
+    for name, strong_only, *spec in _ROW_FAMILIES:
+        if security == STRONG or not strong_only:
+            out += family(name, rows(name, *spec))
+    return out + list(islice(extra_n3(), cap))

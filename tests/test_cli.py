@@ -520,6 +520,38 @@ def test_census_records_golden(tmp_path, capsys):
     )
 
 
+@pytest.mark.parametrize(
+    "shares, target",
+    [("1,2", "1,1;2,1"), ("", "1,1"), ("3", "1,1;2,1"), ("1", "1,3")],
+)
+def test_census_records_match_the_decoded_counts(tmp_path, capsys, shares, target):
+    """Each records line is one (coalition values, target values) pair of
+    the census's decoded `counts`, sorted by both, with "-" for no values:
+    several shares and secrets, the empty coalition, and a width-0 target."""
+    from mtss.dealer import leakage_census
+    from mtss.schemes import build_B, build_weak_block
+
+    scheme = build_B(3, (3, 4), (2, 1)) if target != "1,3" else build_weak_block(3, 2, 4, q=11)
+    path = tmp_path / "c.scheme"
+    path.write_text(scheme.to_text())
+    code, out, _ = run(
+        capsys, "census", str(path), "--shares", shares, "--target", target,
+        "--format", "records",
+    )
+    assert code == PASS
+    table = leakage_census(
+        scheme,
+        [VariableId.share(i) for i in parse_ints(shares, "shares")],
+        [VariableId.secret(*parse_ints(t, "slot")) for t in target.split(";")],
+    )
+    want = [
+        f"count {format_ints(a)} {format_ints(s)} {row[s]}"
+        for a, row in sorted(table.counts.items())
+        for s in sorted(row)
+    ]
+    assert out.splitlines() == [f"uniform {'yes' if table.uniform else 'no'}"] + want
+
+
 def test_census_text_sizes(tmp_path, capsys):
     from mtss.schemes import build_single_threshold, build_weak_block
 

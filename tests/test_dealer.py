@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import warnings
 from math import comb
@@ -345,6 +346,40 @@ def test_bundle_text_errors():
         ShareBundle.from_text("mtss-bundle 1\nfingerprint ab\nP 2 1,,2\n")
     back = ShareBundle.from_text("mtss-bundle 1 \n\nfingerprint ab\nP 2 -\nP 1 4,0\n")
     assert back == ShareBundle("ab", {P(1): (4, 0), P(2): ()})
+
+
+def _plain(bundle):
+    """True when every vector of the bundle is a tuple of Python ints."""
+    return all(
+        type(vec) is tuple and all(type(e) is int for e in vec)
+        for vec in bundle.shares.values()
+    )
+
+
+def test_bundles_built_directly_are_normalised():
+    """A bundle built by a caller makes each vector a tuple of ints, from a
+    list or a numpy vector alike, and refuses a key that is not a share."""
+    for vec in ([3, 1], np.array([3, 1], dtype=np.int64), (np.int64(3), 1)):
+        bundle = ShareBundle("ab", {P(1): vec, P(2): []})
+        assert _plain(bundle) and bundle[P(1)] == (3, 1) and bundle[P(2)] == ()
+        assert bundle == ShareBundle("ab", {P(1): (3, 1), P(2): ()})
+    with pytest.raises(ValueError, match="not a share variable"):
+        ShareBundle("ab", {(1,): (0,)})
+
+
+def test_dealt_restricted_and_read_bundles_hold_tuples_of_ints():
+    """`deal`, `restrict` and `from_text` build their bundles without the
+    check, from vectors that are already tuples of ints, and each equals the
+    bundle a caller would build from the same vectors."""
+    sch = build_B(3, (3, 4), (2, 1))
+    widths = [sch.width(v) for v in sch.secret_variables()]
+    bundle = deal(sch, SecretAssignment.for_scheme(sch, [[1] * w for w in widths]), seed=3)
+    for got in (bundle, bundle.restrict([1, 3]), ShareBundle.from_text(bundle.to_text())):
+        assert _plain(got)
+        assert got == ShareBundle(got.fingerprint, dict(got.shares))
+    assert list(bundle.restrict([3, 1]).shares) == [P(1), P(3)]
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        bundle.shares = {}
 
 
 # ------------------------------------------------------------------- census

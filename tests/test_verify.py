@@ -7,7 +7,7 @@ import sys
 import threading
 from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
-from itertools import combinations, permutations, product
+from itertools import combinations, permutations, product, tee
 
 import numpy as np
 import pytest
@@ -862,3 +862,185 @@ def test_audit_asks_each_row_once_per_level(t, security, monkeypatch):
         if security == STRONG or not strong_only
         for k in ks(sp.k_levels)
     ]
+
+
+# The frozen dataclass a check was before it kept a compact key: the
+# reference for `BoundCheck`'s equality and repr.
+_DataclassCheck = dataclasses.make_dataclass(
+    "BoundCheck",
+    [("bound", str), ("params", dict), ("lhs", object), ("rhs", object)],
+    frozen=True,
+)
+
+
+def _reference_audit(scheme, security, cap=verify.DEFAULT_AUDIT_CAP):
+    """The audit as one lazy generator per family, each drawn up to `cap`,
+    with a params dict and a frozen dataclass per check: secret-size from a
+    pass over the pair gains teed once per secret of the level, each
+    `bound_row` family from `_REFERENCE_FAMILIES`, then extra-n3."""
+    if cap < 1:
+        raise ValueError(f"audit cap must be at least 1, got {cap}")
+    if not check_conditions(scheme, security).passed:
+        raise ValueError("precondition: scheme invalid")
+    sp = scheme.sp
+    n = sp.n_parties
+    kk = sp.k_levels
+    w = {
+        (i, j): scheme.width(VariableId.secret(i, j)) for i, j in sp.secret_slots()
+    }
+    hp = {i: scheme.width(v) for i, v in enumerate(scheme.share_variables(), start=1)}
+    ns = sp.n_secrets
+    h = scheme.profile.ranks
+    h_all_shares = h[((1 << n) - 1) << ns]
+
+    def pair_gains(t):
+        for dset in combinations(range(1, n + 1), t + 1):
+            d = sum(1 << (ns + i - 1) for i in dset)
+            for a, b in combinations(dset, 2):
+                pa = 1 << (ns + a - 1)
+                pb = 1 << (ns + b - 1)
+                rest = d ^ pa ^ pb
+                yield dset, a, b, h[rest | pa] + h[rest | pb] - h[d] - h[rest]
+
+    def secret_size():
+        for k in range(1, kk + 1):
+            t = sp.threshold(k)
+            if t >= n:
+                continue
+            passes = tee(pair_gains(t), sp.count(k))
+            for j, gains in enumerate(passes, start=1):
+                for dset, a, b, gain in gains:
+                    params = {"k": k, "j": j, "shares": dset, "a": a, "b": b}
+                    yield params, w[k, j], gain
+
+    def rows(name, ks, pick_levels, params):
+        for k in ks(kk):
+            row = bound_row(sp, name, k)
+            alpha = list(row.alpha.values())
+            levels = list(pick_levels(kk, k))
+            for js in product(*(range(1, sp.count(i) + 1) for i in levels)):
+                picks = dict(zip(levels, js))
+                picked = dict(w)
+                for i, j in picks.items():
+                    picked[i, 1], picked[i, j] = w[i, j], w[i, 1]
+                lhs = sum(c * picked[slot] for slot, c in row.beta.items())
+                for dset in combinations(range(1, n + 1), len(alpha)):
+                    rhs = row.alpha0 * h_all_shares + sum(
+                        c * hp[i] for c, i in zip(alpha, dset)
+                    )
+                    yield params(k, picks, dset), lhs, rhs
+
+    def extra_n3():
+        if n != 3:
+            return
+        lvl3 = next(
+            (i for i in range(1, kk + 1) if sp.threshold(i) == 3 and sp.count(i) >= 4),
+            None,
+        )
+        lvl2 = next(
+            (i for i in range(1, kk + 1) if sp.threshold(i) == 2 and sp.count(i) >= 3),
+            None,
+        )
+        if lvl3 is None or lvl2 is None:
+            return
+        base = sum(w[lvl3, j] for j in range(1, 5)) + 2 * sum(
+            w[lvl2, j] for j in range(1, 4)
+        )
+        all_three = sum(hp[i] for i in (1, 2, 3))
+        for s in range(1, 5):
+            for d in (1, 2, 3):
+                yield {"s": s, "d": d}, w[lvl3, s] + base, all_three + hp[d]
+
+    families = [
+        ("secret-size", secret_size(), False),
+        *((name, rows(name, *spec), strong) for name, strong, *spec in _REFERENCE_FAMILIES),
+        ("extra-n3", extra_n3(), False),
+    ]
+    out = []
+    for name, checks, strong_only in families:
+        if strong_only and security != STRONG:
+            continue
+        for _, (params, lhs, rhs) in zip(range(cap), checks):
+            out.append(_DataclassCheck(name, params, lhs, rhs))
+    return out
+
+
+def _audited_schemes():
+    """(label, scheme): the acceptance catalog, the extra-n3 structure
+    (N=3, T=3,3,3,3,2,2,2), a composed scheme read back from text and an
+    N=6 weak-sigma build whose secret-size and tsdb families pass cap 50."""
+    from test_acceptance import build_catalog
+
+    entries, combos = build_catalog()
+    out = [(label, s) for label, s, _ in entries]
+    out += [
+        ("extra-n3", sigma_optimal(parse_thresholds(3, "3,3,3,3,2,2,2"))),
+        ("composed text", LinearScheme.from_text(combos[0][0].to_text())),
+        ("N6 3,3,2", sigma_optimal(parse_thresholds(6, "3,3,2"))),
+    ]
+    return out
+
+
+def _fields(checks):
+    return [(c.bound, c.params, c.lhs, c.rhs) for c in checks]
+
+
+def test_audit_matches_reference_audit():
+    """The audit equals the generator it replaced, check for check and in
+    order, on every audited scheme at both securities and at caps 1, 7,
+    100 and the default, and it reads the same ranks: on two fresh text
+    copies, one audited each way, the rank tables hold the same masks (the
+    precondition's report is kept on each copy, so no scan fills them).  A
+    scheme that fails a security is refused by both."""
+    for label, s in _audited_schemes():
+        text = s.to_text()
+        for security in (STRONG, WEAK):
+            for cap in (1, 7, 100, verify.DEFAULT_AUDIT_CAP):
+                try:
+                    want = _fields(_reference_audit(s, security, cap))
+                except ValueError as e:
+                    with pytest.raises(ValueError, match=str(e)):
+                        audit_bounds(s, security, cap)
+                    continue
+                got = audit_bounds(s, security, cap)
+                assert type(got) is list, label
+                assert _fields(got) == want, (label, security, cap)
+                ours, theirs = LinearScheme.from_text(text), LinearScheme.from_text(text)
+                for copy in (ours, theirs):
+                    copy.profile.reports[security, False] = check_conditions(s, security)
+                audit_bounds(ours, security, cap)
+                _reference_audit(theirs, security, cap)
+                assert set(ours.profile.ranks) == set(theirs.profile.ranks), label
+
+
+def test_bound_checks_compare_and_print_as_the_dataclass():
+    """For one check of each family, `BoundCheck` prints as the old frozen
+    dataclass did, and equality between checks agrees with the
+    dataclass's, which compares (bound, params, lhs, rhs)."""
+    s = sigma_optimal(parse_thresholds(3, "3,3,3,3,2,2,2"))
+    strong = build_optimal(structure(3, [(3, 1), (2, 1)]), RatioKind(SIGMA, STRONG))
+    pairs = []  # (check, its dataclass, its twin from an audit of a text copy)
+    for scheme, security in ((s, WEAK), (strong, STRONG)):
+        copy = LinearScheme.from_text(scheme.to_text())
+        first = {}
+        for c, r, twin in zip(
+            audit_bounds(scheme, security),
+            _reference_audit(scheme, security),
+            audit_bounds(copy, security),
+        ):
+            first.setdefault(c.bound, (c, r, twin))
+        pairs += first.values()
+    assert {c.bound for c, _, _ in pairs} == set(verify._PARAMS)
+    for c, r, twin in pairs:
+        assert repr(c) == repr(r)
+        assert (c.bound, c.params, c.lhs, c.rhs, c.holds, c.tight) == (
+            r.bound, r.params, r.lhs, r.rhs, r.lhs <= r.rhs, r.lhs == r.rhs
+        )
+        assert c is not twin and c == twin and not c != twin
+        for d, e, _ in pairs:
+            assert (c == d) == (r == e)
+        assert c != r  # not the dataclass, whatever its fields
+        with pytest.raises(AttributeError):
+            c.lhs = 0
+        with pytest.raises(TypeError):
+            hash(c)
