@@ -35,11 +35,10 @@ compact key and makes its params dict only when it is read.
 
 from __future__ import annotations
 
-import sys
 import threading
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations, groupby, islice, product
+from itertools import combinations, groupby, product
 from math import comb
 from operator import attrgetter
 
@@ -529,8 +528,6 @@ def audit_bounds(
         raise ValueError(f"audit cap must be at least 1, got {cap}")
     if not check_conditions(scheme, security).passed:
         raise ValueError("precondition: scheme invalid")
-    # islice needs a stop it can hold; no family has sys.maxsize instances
-    cap = min(cap, sys.maxsize)
     sp = scheme.sp
     n = sp.n_parties
     kk = sp.k_levels
@@ -559,11 +556,11 @@ def audit_bounds(
             if t < n:
                 yield pair_gains(t), [(k, j, w[k, j]) for j in range(1, sp.count(k) + 1)]
 
-    def rows(name, per_level, pick_levels, _):
+    def rows(name, per_level, pick_levels):
         """Per level k (or k = 1 alone): the row's rhs on every sorted tuple
-        of as many shares as it has alphas, and its lhs at each pick of a
-        secret j on every level i of `pick_levels(kk, k)`, where secret j
-        trades widths with the level's first."""
+        of as many shares as it has alphas, and a lazy pass over its lhs at
+        each pick of a secret j on every level i of `pick_levels(kk, k)`,
+        where secret j trades widths with the level's first."""
         for k in range(1, kk + 1 if per_level else 2):
             row = bound_row(sp, name, k)
             alpha = list(row.alpha.values())
@@ -571,28 +568,29 @@ def audit_bounds(
                 (d, row.alpha0 * h_all_shares + sum(c * hp[i] for c, i in zip(alpha, d)))
                 for d in combinations(range(1, n + 1), len(alpha))
             )
-            levels = pick_levels(kk, k)
-            heads = []
-            for js in product(*(range(1, sp.count(i) + 1) for i in levels)):
-                picks = dict(zip(levels, js))
-                picked = dict(w)
-                for i, j in picks.items():
-                    picked[i, 1], picked[i, j] = w[i, j], w[i, 1]
-                heads.append((k, picks, sum(c * picked[slot] for slot, c in row.beta.items())))
-            yield rhs, heads
+            yield rhs, picks_lhs(k, row, pick_levels(kk, k))
+
+    def picks_lhs(k, row, levels):
+        """(k, picks, the row's lhs) for each pick, in `product` order."""
+        for js in product(*(range(1, sp.count(i) + 1) for i in levels)):
+            picks = dict(zip(levels, js))
+            picked = dict(w)
+            for i, j in picks.items():
+                picked[i, 1], picked[i, j] = w[i, j], w[i, 1]
+            yield k, picks, sum(c * picked[slot] for slot, c in row.beta.items())
 
     def family(name, blocks):
         """The first `cap` checks of a family.  Each block is a lazy sequence
         of (item, rhs), listed once and only as far as the cap allows, and
-        the (x, y, lhs) of each check on it: the check on an item is keyed
-        (x, y, item)."""
+        a lazy pass over the (x, y, lhs) of each check on it, drawn only
+        until the cap: the check on an item is keyed (x, y, item)."""
         out = []
         for items, heads in blocks:
-            items = list(islice(items, cap - len(out)))
+            items = [item for _, item in zip(range(cap - len(out)), items)]
             for x, y, lhs in heads:
                 out += [
                     BoundCheck(name, (x, y, item), lhs, rhs)
-                    for item, rhs in islice(items, cap - len(out))
+                    for item, rhs in items[: cap - len(out)]
                 ]
                 if len(out) == cap:
                     return out
@@ -628,7 +626,7 @@ def audit_bounds(
                 yield BoundCheck("extra-n3", (s, d), w[lvl3, s] + base, all_three + hp[d])
 
     out = family("secret-size", secret_size())
-    for name, strong_only, *spec in _ROW_FAMILIES:
+    for name, strong_only, per_level, pick_levels, _ in _ROW_FAMILIES:
         if security == STRONG or not strong_only:
-            out += family(name, rows(name, *spec))
-    return out + list(islice(extra_n3(), cap))
+            out += family(name, rows(name, per_level, pick_levels))
+    return out + list(extra_n3())[:cap]

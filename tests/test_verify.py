@@ -1013,6 +1013,27 @@ def test_audit_matches_reference_audit():
                 assert set(ours.profile.ranks) == set(theirs.profile.ranks), label
 
 
+def test_capped_audit_draws_picks_only_up_to_the_cap(monkeypatch):
+    """A family's picks are drawn lazily and no further than its cap: with
+    8 secrets on each of 3 levels, dtb and tvb have 512 picks and tsdb 64
+    per level, but an audit at cap c draws at most c picks per family, as
+    every drawn pick makes at least one check."""
+    s = sigma_optimal(parse_thresholds(4, ",".join("4" * 8 + "3" * 8 + "2" * 8)))
+    drawn = []
+
+    def counted(*ranges):
+        for js in product(*ranges):
+            drawn.append(js)
+            yield js
+
+    monkeypatch.setattr(verify, "product", counted)
+    for cap in (1, 7, 50):
+        drawn.clear()
+        got = audit_bounds(s, WEAK, cap)
+        assert 0 < len(drawn) <= cap * len(verify._ROW_FAMILIES), cap
+        assert _fields(got) == _fields(_reference_audit(s, WEAK, cap)), cap
+
+
 def test_bound_checks_compare_and_print_as_the_dataclass():
     """For one check of each family, `BoundCheck` prints as the old frozen
     dataclass did, and equality between checks agrees with the
