@@ -7,11 +7,24 @@ codeword matching a qualified coalition's shares and reads the suffix
 secrets off it.  Both are linear in their input, so each scheme keeps its
 maps (`Codec`, made once per scheme object): one elimination per scheme
 gives the encoder, and one per coalition gives that coalition's decoder.
+
+Vectors are stored by position.  A `SecretAssignment` holds a tuple of
+vectors in canonical secret order, and a `ShareBundle` holds its vectors in
+share-index order.  The codec keeps each secret's and share's width and
+column offset, so `deal` and `reconstruct` cut their words into vectors by
+slices.  A `VariableId` appears only at the edges: item access, the
+read-only `values` and `shares` views, the bundle text and the CLI.  Each
+vector is checked once.  `for_scheme` checks width and field range; `deal`
+checks only an assignment built directly; `from_text` checks only the
+integer grammar, and `reconstruct` checks width and range.
+
 The census brute-forces the full codeword space of a tiny scheme to compare
 statistical secrecy with the algebraic rank verdicts.  It tallies the
 settings of the last rows once, and makes the codes of every codeword from
 that table by a digit-wise shift per setting of the other rows; no rank or
-elimination is involved.  It tabulates with arrays: a sorted array of
+elimination is involved.  The map is linear, so every code of that table
+has the same tally, and a code's count is that tally times the number of
+times the code is made.  It tabulates with arrays: a sorted array of
 combined (coalition values, target values) codes and their codeword counts,
 from which `uniform` is read directly; `digit_rows` decodes the codes into
 base-q digit rows, which the records output prints in code order, and the
@@ -20,8 +33,13 @@ nested-dict `counts` is a view decoded from them on first access.
 
 from __future__ import annotations
 
+import dataclasses
+from bisect import bisect_left, bisect_right
+from collections.abc import Mapping
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property, lru_cache, partial
+from itertools import accumulate, compress, islice
+from types import MappingProxyType
 
 import numpy as np
 
@@ -50,11 +68,7 @@ def _splitmix64(seed: int):
 def _field_elements(seed: int, q: int, count: int) -> list[int]:
     """count elements of F_q, rejection-free: multiply-and-shift on 64-bit
     words maps the stream uniformly onto 0..q-1."""
-    out = []
-    stream = _splitmix64(seed)
-    for _ in range(count):
-        out.append((next(stream) * q) >> 64)
-    return out
+    return [(word * q) >> 64 for word in islice(_splitmix64(seed), count)]
 
 
 def _check_kind(vs, kind):
@@ -64,14 +78,18 @@ def _check_kind(vs, kind):
             raise ValueError(f"not a {kind} variable: {v}")
 
 
-def _check_vector(vals, width, q, what):
-    vals = tuple(int(v) for v in vals)
-    if len(vals) != width:
-        raise ValueError(f"{what} length {len(vals)} does not match width {width}")
-    for v in vals:
-        if not 0 <= v < q:
-            raise ValueError(f"{what} element out of field range")
-    return vals
+def _checked(vectors, widths, q: int, names) -> tuple:
+    """The vectors as tuples of ints, each as wide as its width and in F_q;
+    `names` labels them, in the same order, in the error raised."""
+    out = []
+    for vec, width, name in zip(vectors, widths, names):
+        vec = tuple(map(int, vec))
+        if len(vec) != width:
+            raise ValueError(f"{name} length {len(vec)} does not match width {width}")
+        if vec and (min(vec) < 0 or max(vec) >= q):
+            raise ValueError(f"{name} element out of field range")
+        out.append(vec)
+    return tuple(out)
 
 
 class ReconstructionError(ValueError):
@@ -79,167 +97,276 @@ class ReconstructionError(ValueError):
     another scheme, the share set is unqualified, or the shares disagree."""
 
 
-@dataclass(frozen=True)
-class SecretAssignment:
-    """Per-secret value vectors; zero-width secrets carry empty tuples."""
-
-    values: dict  # VariableId -> tuple of field elements
-
-    def __post_init__(self):
-        _check_kind(self.values, "secret")
-        fixed = {v: tuple(int(e) for e in vec) for v, vec in self.values.items()}
-        object.__setattr__(self, "values", fixed)
-
-    def __getitem__(self, v: VariableId):
-        return self.values[v]
-
-    @staticmethod
-    def for_scheme(scheme: LinearScheme, vectors) -> "SecretAssignment":
-        """Build a complete assignment from vectors in canonical secret order."""
-        svars = scheme.secret_variables()
-        vectors = list(vectors)
-        if len(vectors) != len(svars):
-            raise ValueError(
-                f"need {len(svars)} secret vectors, got {len(vectors)}"
-            )
-        out = {}
-        for v, vec in zip(svars, vectors):
-            out[v] = _check_vector(vec, scheme.width(v), scheme.q, str(v))
-        return SecretAssignment(out)
+_set = object.__setattr__  # fills the slots of the read-only classes below
 
 
-@dataclass(frozen=True)
-class ShareBundle:
-    """Share vectors plus the fingerprint of the scheme that produced them.
+class _Frozen:
+    """Read-only and unhashable, as a frozen dataclass holding a dict is.
+    A subclass fills its `__slots__` once, through `_set`."""
 
-    A bundle built directly checks that its keys are share variables and
-    makes each vector a tuple of ints; `deal`, `restrict` and `from_text`
-    make their vectors so and build through `_trusted`, which skips that."""
+    __slots__ = ()
+    __hash__ = None
 
-    fingerprint: str
-    shares: dict  # VariableId -> tuple of field elements
+    def __setattr__(self, name, value):
+        raise dataclasses.FrozenInstanceError(f"cannot assign to field {name!r}")
 
-    def __post_init__(self):
-        _check_kind(self.shares, "share")
-        fixed = {v: tuple(int(e) for e in vec) for v, vec in self.shares.items()}
-        object.__setattr__(self, "shares", fixed)
+    def __delattr__(self, name):
+        raise dataclasses.FrozenInstanceError(f"cannot delete field {name!r}")
+
+
+class SecretAssignment(_Frozen):
+    """Per-secret value vectors; zero-width secrets carry empty tuples.
+
+    Stored by position: `_variables` are the assigned secrets in canonical
+    order and `_vectors` their tuples of ints.  `for_scheme` checks every
+    vector against the scheme's layout and records the scheme's codec, so
+    `deal` does not check them again.  An assignment built directly from a
+    {secret variable: vector} dict checks the keys and makes each vector a
+    tuple of ints; `deal` checks its vectors.  `values` is a read-only
+    {variable: vector} view, made on first read.  Immutable and unhashable;
+    compares by variables and vectors.
+    """
+
+    __slots__ = ("_variables", "_vectors", "_codec", "_view")
+
+    def __new__(cls, values: dict):
+        _check_kind(values, "secret")
+        fixed = {v: tuple(int(e) for e in vec) for v, vec in values.items()}
+        order = tuple(sorted(fixed))
+        vectors = tuple(fixed[v] for v in order)
+        return cls._positional(order, vectors, view=MappingProxyType(fixed))
 
     @classmethod
-    def _trusted(cls, fingerprint: str, shares: dict) -> "ShareBundle":
-        """A bundle of share variables whose vectors are tuples of ints."""
-        bundle = object.__new__(cls)
-        object.__setattr__(bundle, "fingerprint", fingerprint)
-        object.__setattr__(bundle, "shares", shares)
-        return bundle
+    def _positional(cls, variables, vectors, codec=None, view=None) -> SecretAssignment:
+        new = object.__new__(cls)
+        _set(new, "_variables", variables)
+        _set(new, "_vectors", vectors)
+        _set(new, "_codec", codec)
+        _set(new, "_view", view)
+        return new
+
+    @property
+    def values(self) -> Mapping:
+        if self._view is None:
+            _set(self, "_view", MappingProxyType(dict(zip(self._variables, self._vectors))))
+        return self._view
+
+    def __getitem__(self, v: VariableId):
+        # A scheme's own variables are found by identity, with no hashing.
+        for held, vec in zip(self._variables, self._vectors):
+            if held is v:
+                return vec
+        return self.values[v]
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._vectors == other._vectors and self._variables == other._variables
+
+    def __repr__(self):
+        return f"{type(self).__name__}(values={dict(self.values)!r})"
+
+    def __reduce__(self):
+        return type(self), (dict(self.values),)
+
+    @staticmethod
+    def for_scheme(scheme: LinearScheme, vectors) -> SecretAssignment:
+        """Build a complete assignment from vectors in canonical secret order."""
+        codec = scheme.codec
+        svars, vectors = codec.secret_variables, list(vectors)
+        if len(vectors) != len(svars):
+            raise ValueError(f"need {len(svars)} secret vectors, got {len(vectors)}")
+        checked = _checked(vectors, codec.secret_widths, codec.q, svars)
+        return SecretAssignment._positional(svars, checked, codec)
+
+
+class ShareBundle(_Frozen):
+    """Share vectors plus the fingerprint of the scheme that produced them.
+
+    Stored by position: `_indices` are the held share indices in increasing
+    order and `_vectors` their tuples of ints, as `deal`, `restrict` and
+    `from_text` make them.  A bundle built directly from a fingerprint and
+    a {share variable: vector} dict checks the keys and makes each vector a
+    tuple of ints.  Only `reconstruct` checks vectors against a scheme.
+    `shares` is a read-only {variable: vector} view, made on first read.
+    Immutable and unhashable; compares by fingerprint, indices and vectors.
+    """
+
+    __slots__ = ("fingerprint", "_indices", "_vectors", "_view")
+
+    def __new__(cls, fingerprint: str, shares: dict):
+        _check_kind(shares, "share")
+        fixed = {v: tuple(int(e) for e in vec) for v, vec in shares.items()}
+        order = sorted(fixed)
+        indices, vectors = tuple(v.index for v in order), tuple(fixed[v] for v in order)
+        return cls._trusted(fingerprint, indices, vectors, MappingProxyType(fixed))
+
+    @classmethod
+    def _trusted(cls, fingerprint: str, indices: tuple, vectors: tuple, view=None) -> ShareBundle:
+        """A bundle of increasing share indices and tuples of ints."""
+        new = object.__new__(cls)
+        _set(new, "fingerprint", fingerprint)
+        _set(new, "_indices", indices)
+        _set(new, "_vectors", vectors)
+        _set(new, "_view", view)
+        return new
+
+    @property
+    def shares(self) -> Mapping:
+        if self._view is None:
+            held = zip(map(VariableId.share, self._indices), self._vectors)
+            _set(self, "_view", MappingProxyType(dict(held)))
+        return self._view
 
     def __getitem__(self, v: VariableId):
         return self.shares[v]
 
-    def restrict(self, indices) -> "ShareBundle":
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (
+            self.fingerprint == other.fingerprint
+            and self._indices == other._indices
+            and self._vectors == other._vectors
+        )
+
+    def __repr__(self):
+        return (
+            f"{type(self).__name__}(fingerprint={self.fingerprint!r}, "
+            f"shares={dict(self.shares)!r})"
+        )
+
+    def __reduce__(self):
+        return type(self), (self.fingerprint, dict(self.shares))
+
+    def restrict(self, indices) -> ShareBundle:
         """Keep only the shares of the given participant indices."""
         keep = set(indices)
+        held = [i in keep for i in self._indices]
         return ShareBundle._trusted(
             self.fingerprint,
-            {v: vec for v, vec in self.shares.items() if v.index in keep},
+            tuple(compress(self._indices, held)),
+            tuple(compress(self._vectors, held)),
         )
 
     def to_text(self) -> str:
         lines = [_BUNDLE_MAGIC, f"fingerprint {self.fingerprint}"]
-        for v in sorted(self.shares):
-            lines.append(f"P {v.index} {format_ints(self.shares[v])}")
+        lines += [f"P {i} {format_ints(vec)}" for i, vec in zip(self._indices, self._vectors)]
         return "\n".join(lines) + "\n"
 
     @staticmethod
-    def from_text(text: str) -> "ShareBundle":
+    def from_text(text: str) -> ShareBundle:
+        """Read a bundle.  Only the grammar is checked here: `reconstruct`
+        checks each vector against the scheme."""
         header, body = read_records(text, _BUNDLE_MAGIC, ("fingerprint",), "bundle")
         shares = {}
         for parts in body:
             if len(parts) != 3 or parts[0] != "P":
                 raise ValueError(f"bad share line: {' '.join(parts)!r}")
-            v = VariableId.share(parse_int(parts[1], "share index"))
-            if v in shares:
-                raise ValueError(f"duplicate share line for {v}")
-            shares[v] = parse_ints(parts[2], f"share vector of {v}")
-        return ShareBundle._trusted(header["fingerprint"], shares)
+            i = parse_int(parts[1], "share index")
+            if i < 1:
+                raise ValueError("variable indices are 1-based")
+            if i in shares:
+                raise ValueError(f"duplicate share line for P[{i}]")
+            shares[i] = parse_ints(parts[2], f"share vector of P[{i}]")
+        indices = tuple(sorted(shares))
+        return ShareBundle._trusted(
+            header["fingerprint"], indices, tuple(map(shares.__getitem__, indices))
+        )
 
 
-def _frozen(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
-    """The arrays, made read-only: a codec hands them to every later call."""
-    for a in arrays:
-        a.setflags(write=False)
-    return arrays
+def _frozen(a: np.ndarray) -> np.ndarray:
+    """The array, made read-only: a codec hands it to every later call."""
+    a.setflags(write=False)
+    return a
+
+
+def _cuts(widths) -> tuple[slice, ...]:
+    """Consecutive slices of the given widths, starting at 0."""
+    return tuple(slice(end - w, end) for w, end in zip(widths, accumulate(widths)))
+
+
+def _decoder(q, shares, secrets, share_cuts, indices) -> np.ndarray:
+    """`Codec.decoder` of the coalition of these share indices."""
+    coalition = np.hstack([shares[:, :0], *(shares[:, share_cuts[i - 1]] for i in indices)])
+    solve, checks, _ = field.solve_affine(coalition.T, q)
+    return _frozen(np.hstack([solve @ secrets % q, checks]))
 
 
 class Codec:
-    """A scheme's dealing maps, each read off one `field.solve_affine`.
+    """A scheme's layout and its dealing maps, each map read off one
+    `field.solve_affine`.
 
     Made once per scheme object (`LinearScheme.codec`) and reused by every
-    later `deal` and `reconstruct`; a scheme's blocks are read-only, so the
-    maps cannot go stale.  `encoder`, made on the first deal, is (P, basis)
-    for the joint secret columns: secret values b give the codewords
-    b @ P + span(basis).  `shares` stacks every share block.
-    `decoder(indices)` is (C, D) for the coalition of those sorted share
-    indices: its share values `vals` come from some codeword iff
-    vals @ C == 0 (mod q), and vals @ D are then the values of all the
-    secrets.  The last DECODERS_KEPT coalitions asked are kept.  Every
-    array is read-only.
+    later `for_scheme`, `deal` and `reconstruct`; a scheme's blocks are
+    read-only, so nothing here can go stale.  The codec holds no reference
+    to its scheme.
+
+    The layout: `secret_variables` in canonical order; `secret_cuts` and
+    `share_cuts`, each secret's or share's columns (offset and width) as a
+    slice of the stacked secret or share columns; and `level_starts`, the
+    position of each level's first secret.  `secrets` and `shares` are
+    those stacked columns.  `encoder`, made on the first deal, maps the
+    secret values b followed by the kernel coefficients r to the share
+    values [b, r] @ encoder (mod q) of the codeword b @ P + r @ basis, where
+    P and basis come from the joint secret columns.  `decoder(indices)` is
+    [D | C] for the coalition of those increasing share indices, whose
+    columns are its cuts of `shares`: its share values `vals` come from some
+    codeword iff vals @ C == 0 (mod q), and vals @ D are then the values of
+    all the secrets.  The last DECODERS_KEPT coalitions asked are kept.
+    Every array is read-only.
     """
 
     def __init__(self, scheme: LinearScheme):
-        self._scheme = scheme
-        self.secrets, self.shares = _frozen(
-            scheme.columns(scheme.secret_variables()),
-            scheme.columns(scheme.share_variables()),
+        self.q = scheme.q
+        svars, pvars = scheme.secret_variables(), scheme.share_variables()
+        self.secret_variables = svars
+        self.secret_widths = tuple(map(scheme.width, svars))
+        self.share_widths = tuple(map(scheme.width, pvars))
+        self.secret_cuts = _cuts(self.secret_widths)
+        self.share_cuts = _cuts(self.share_widths)
+        levels = [v.level for v in svars]
+        self.level_starts = tuple(
+            bisect_left(levels, k) for k in range(1, scheme.sp.k_levels + 1)
         )
-        self.decoder = lru_cache(maxsize=DECODERS_KEPT)(self._decoder)
+        self.secrets = _frozen(scheme.columns(svars))
+        self.shares = _frozen(scheme.columns(pvars))
+        self.decoder = lru_cache(maxsize=DECODERS_KEPT)(
+            partial(_decoder, self.q, self.shares, self.secrets, self.share_cuts)
+        )
 
     @cached_property
-    def encoder(self) -> tuple[np.ndarray, np.ndarray]:
-        solve, checks, basis = field.solve_affine(self.secrets.T, self._scheme.q)
+    def encoder(self) -> np.ndarray:
+        solve, checks, basis = field.solve_affine(self.secrets.T, self.q)
         if checks.shape[1]:
             raise ValueError(
                 "the secrets' joint columns are linearly dependent, "
                 "so some secret values have no codeword"
             )
-        return _frozen(solve, basis)
-
-    def _decoder(self, indices: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
-        q = self._scheme.q
-        coalition = self._scheme.columns(map(VariableId.share, indices))
-        solve, checks, _ = field.solve_affine(coalition.T, q)
-        return _frozen(checks, solve @ self.secrets % q)
-
-
-def _cut(words: list, scheme: LinearScheme, vs) -> dict:
-    """The consecutive vectors of `vs`, each a tuple as wide as its block,
-    that make up `words`."""
-    out, at = {}, 0
-    for v in vs:
-        w = scheme.width(v)
-        out[v] = tuple(words[at : at + w])
-        at += w
-    return out
+        return _frozen(np.vstack([solve, basis]) @ self.shares % self.q)
 
 
 def deal(scheme: LinearScheme, secrets: SecretAssignment, seed: int = 0) -> ShareBundle:
     """Sample a codeword with the given secret values and emit all shares.
 
     Raises ValueError for an assignment that does not fit the scheme, and
-    for a scheme whose secrets' joint columns are dependent."""
-    svars = scheme.secret_variables()
-    if set(secrets.values) != set(svars):
-        raise ValueError("assignment must cover every secret exactly once")
-    b = []
-    for v in svars:
-        b.extend(_check_vector(secrets[v], scheme.width(v), scheme.q, str(v)))
-    q, codec = scheme.q, scheme.codec
-    encoder, basis = codec.encoder
-    c = np.array(b, dtype=np.int64) @ encoder
-    if len(basis):
-        c += np.array(_field_elements(seed, q, len(basis)), dtype=np.int64) @ basis
-    words = ((c % q) @ codec.shares % q).tolist()
-    shares = _cut(words, scheme, scheme.share_variables())
-    return ShareBundle._trusted(scheme.fingerprint, shares)
+    for a scheme whose secrets' joint columns are dependent.  An assignment
+    that `for_scheme` made for this scheme's codec is not checked again."""
+    codec = scheme.codec
+    q, vectors = codec.q, secrets._vectors
+    if secrets._codec is not codec:
+        if secrets._variables != codec.secret_variables:
+            raise ValueError("assignment must cover every secret exactly once")
+        _checked(vectors, codec.secret_widths, q, secrets._variables)
+    encoder = codec.encoder
+    coefficients = [e for vec in vectors for e in vec]
+    coefficients += _field_elements(seed, q, len(encoder) - len(coefficients))
+    words = tuple((np.array(coefficients, dtype=np.int64) @ encoder % q).tolist())
+    return ShareBundle._trusted(
+        scheme.fingerprint,
+        tuple(range(1, len(codec.share_cuts) + 1)),
+        tuple(words[cut] for cut in codec.share_cuts),
+    )
 
 
 def reconstruct(scheme: LinearScheme, shares: ShareBundle, k: int = 1) -> SecretAssignment:
@@ -249,30 +376,34 @@ def reconstruct(scheme: LinearScheme, shares: ShareBundle, k: int = 1) -> Secret
     secrets, because the decodable condition puts their columns in the
     span of the coalition's columns.  Raises ReconstructionError for a
     wrong scheme, an unqualified set or inconsistent shares, and a plain
-    ValueError for out-of-range input.
+    ValueError for out-of-range input: a share index above N, or a vector
+    of the wrong width or outside the field (the lowest such index first).
     """
     if shares.fingerprint != scheme.fingerprint:
         raise ReconstructionError("bundle fingerprint does not match scheme")
-    if not 1 <= k <= scheme.sp.k_levels:
+    sp = scheme.sp
+    if not 1 <= k <= sp.k_levels:
         raise ValueError("sub-array index out of range")
-    avars = sorted(shares.shares)
-    for v in avars:
-        if v.index > scheme.sp.n_parties:
-            raise ValueError(f"share index {v.index} out of range")
-        _check_vector(shares[v], scheme.width(v), scheme.q, str(v))
-    if len(avars) < scheme.sp.threshold(k):
+    codec = scheme.codec
+    q, widths, indices = codec.q, codec.share_widths, shares._indices
+    # The indices increase, so each vector up to N is checked before the
+    # first index above N is refused.
+    held = bisect_right(indices, len(widths))
+    at = [widths[i - 1] for i in indices[:held]]
+    _checked(shares._vectors[:held], at, q, map("P[{}]".format, indices))
+    if held < len(indices):
+        raise ValueError(f"share index {indices[held]} out of range")
+    if len(indices) < sp.threshold(k):
         raise ReconstructionError("unqualified set")
-    vals = []
-    for v in avars:
-        vals.extend(shares[v])
-    q = scheme.q
-    checks, decode = scheme.codec.decoder(tuple(v.index for v in avars))
-    vals = np.array(vals, dtype=np.int64)
-    if (vals @ checks % q).any():
+    vals = np.array([e for vec in shares._vectors for e in vec], dtype=np.int64)
+    words = tuple((vals @ codec.decoder(indices) % q).tolist())
+    if any(words[codec.secrets.shape[1] :]):
         raise ReconstructionError("inconsistent shares")
-    words = (vals @ decode % q).tolist()
-    got = _cut(words, scheme, scheme.secret_variables())
-    return SecretAssignment({v: vec for v, vec in got.items() if v.level >= k})
+    first = codec.level_starts[k - 1]
+    return SecretAssignment._positional(
+        codec.secret_variables[first:],
+        tuple(words[cut] for cut in codec.secret_cuts[first:]),
+    )
 
 
 @dataclass(frozen=True, eq=False)
@@ -346,10 +477,14 @@ def leakage_census(scheme: LinearScheme, a_shares, target) -> CensusTable:
     A codeword is split into its last k rows (inner), with k the largest
     such that q^k <= _CHUNK, and the rest (outer).  The joint values y of
     all q^k inner settings are tallied once into distinct codes.  The map
-    is linear, so y(outer + inner) = y(outer) + y(inner) mod q: the codes
-    of one outer setting are the inner codes with each digit shifted by
-    that setting's y, and they carry the inner tallies.  Outer settings run
-    in batches of about _CHUNK codes, and one sort merges every batch."""
+    is linear, so every inner code is made by the same number of inner
+    settings (the size of the map's kernel); that is checked, and a
+    RuntimeError raised if it fails.  Also y(outer + inner) = y(outer) +
+    y(inner) mod q: the codes of one outer setting are the inner codes with
+    each digit shifted by that setting's y, each made that common number of
+    times.  Outer settings run in batches of about _CHUNK codes.  One sort
+    merges every batch and counts each code's repeats; a code's tally is
+    its repeats times the common inner tally."""
     targets = [target] if isinstance(target, VariableId) else list(target)
     a_list = sorted(a_shares)
     _check_kind(a_list, "share")
@@ -375,6 +510,9 @@ def leakage_census(scheme: LinearScheme, a_shares, target) -> CensusTable:
         inner = (inner[:, None] + np.outer(np.arange(q), row)) % q
         inner = inner.reshape(len(inner) * q, w)
     inner_codes, inner_tallies = np.unique(inner @ place, return_counts=True)
+    tally = inner_tallies[0]
+    if (inner_tallies != tally).any():
+        raise RuntimeError("census inner tallies differ, so the scheme's map is not linear")
     inner_digits = _digits(inner_codes, w, q).T
     batch = max(1, _CHUNK // len(inner_codes))
     outer = q ** (n - k)
@@ -387,7 +525,5 @@ def leakage_census(scheme: LinearScheme, a_shares, target) -> CensusTable:
         for s, d, p in zip(shift.T[:, :, None], inner_digits, place):
             combined += np.where(d >= q - s, (s - q) * p, s * p)
         chunk_codes.append(combined.ravel())
-    codes, where = np.unique(np.concatenate(chunk_codes), return_inverse=True)
-    tallies = np.zeros(len(codes), dtype=np.int64)
-    np.add.at(tallies, where, np.tile(inner_tallies, outer))
-    return CensusTable(q, wa, ws, codes, tallies)
+    codes, repeats = np.unique(np.concatenate(chunk_codes), return_counts=True)
+    return CensusTable(q, wa, ws, codes, repeats.astype(np.int64, copy=False) * tally)

@@ -156,6 +156,8 @@ def structure(n_parties: int, arrays) -> StructurePair:
 
 
 _INT_ITEM = re.compile(r"[+-]?[0-9]+")
+# The same items, each with the blanks around it, joined by commas.
+_INT_LIST = re.compile(r"\s*[+-]?[0-9]+\s*(?:,\s*[+-]?[0-9]+\s*)*")
 
 
 def parse_ints(text: str, what: str) -> tuple[int, ...]:
@@ -165,10 +167,9 @@ def parse_ints(text: str, what: str) -> tuple[int, ...]:
     else (an empty item, `3_0`, a non-ASCII digit) raises ValueError."""
     if text.strip() in ("", "-"):
         return ()
-    items = [v.strip() for v in text.split(",")]
-    if not all(_INT_ITEM.fullmatch(v) for v in items):
+    if not _INT_LIST.fullmatch(text):
         raise ValueError(f"bad {what} {text!r}")
-    return tuple(int(v) for v in items)
+    return tuple(map(int, map(str.strip, text.split(","))))
 
 
 def parse_int(text: str, what: str) -> int:
@@ -180,7 +181,7 @@ def parse_int(text: str, what: str) -> int:
 
 def format_ints(values) -> str:
     """Inverse of parse_ints: "1,2,3", or "-" for no values."""
-    return ",".join(str(v) for v in values) if values else "-"
+    return ",".join(map(str, values)) or "-"
 
 
 def read_records(text: str, magic: str, keys, what: str):

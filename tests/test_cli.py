@@ -334,6 +334,80 @@ def test_reconstruct_failures(tmp_path, capsys, sigma_scheme):
         assert code == USAGE and message in err and err.count("\n") == 1, name
 
 
+# Recorded before the dealer stored vectors by position: the deal of
+# "1,2;3,4;5,6" at seed 0 on `sigma_scheme`, and each refused input's one
+# line.  A line starting with ":" follows "error: bad bundle file PATH".
+DEALT_SIGMA = (
+    "mtss-bundle 1\n"
+    "fingerprint 8679c7e4747ea7e57219d00aa7eabf661d684f4d27565d814c964595a14bc564\n"
+    "P 1 5,1,1\nP 2 0,4,3\nP 3 2,0,5\n"
+)
+MALFORMED_SECRETS = {
+    "1,2;3,4": "need 3 secret vectors, got 2",
+    "1,2;3,4;5,6;0,0": "need 3 secret vectors, got 4",
+    "": "need 3 secret vectors, got 1",
+    "1;3,4;5,6": "S[1,1] length 1 does not match width 2",
+    "1,2;3,4;5,6,0": "S[1,3] length 3 does not match width 2",
+    "1,2;3,7;5,6": "S[1,2] element out of field range",
+    "1,2;3,4;-1,6": "S[1,3] element out of field range",
+    "1,2;3,4;5,x": "bad secret vector '5,x'",
+}
+MALFORMED_BUNDLES = {
+    "hello\n": ": not a bundle file",
+    "mtss-bundle 1\nP 1 5,1,1\n": ": malformed bundle header: bad line 'P 1 5,1,1'",
+    DEALT_SIGMA.replace("P 2 ", "Q 2 "): ": bad share line: 'Q 2 0,4,3'",
+    DEALT_SIGMA.replace("P 2 0,4,3", "P 2 0,4,3 0"): ": bad share line: 'P 2 0,4,3 0'",
+    DEALT_SIGMA + "P 2 0,4,3\n": ": duplicate share line for P[2]",
+    DEALT_SIGMA.replace("P 2 ", "P 0 "): ": variable indices are 1-based",
+    DEALT_SIGMA.replace("P 2 ", "P -1 "): ": variable indices are 1-based",
+    DEALT_SIGMA.replace("P 2 ", "P x "): ": bad share index 'x'",
+    DEALT_SIGMA.replace("P 1 5,1,1", "P 1 x,y,z"): ": bad share vector of P[1] 'x,y,z'",
+    DEALT_SIGMA.replace("P 3 ", "P 4 "): "share index 4 out of range",
+    DEALT_SIGMA.replace("P 2 0,4,3", "P 2 1,1"): "P[2] length 2 does not match width 3",
+    DEALT_SIGMA.replace("P 2 0,4,3", "P 2 1,1,1,1"): "P[2] length 4 does not match width 3",
+    DEALT_SIGMA.replace("P 2 0,4,3", "P 2 -"): "P[2] length 0 does not match width 3",
+    DEALT_SIGMA.replace("P 3 2,0,5", "P 3 2,7,5"): "P[3] element out of field range",
+    DEALT_SIGMA.replace("P 3 2,0,5", "P 3 2,-1,5"): "P[3] element out of field range",
+    # shares are checked in index order, whatever the order of the lines
+    "\n".join([*DEALT_SIGMA.splitlines()[:2], "P 9 1,1,1", "P 3 7,0,0", "P 1 5,1"]):
+        "P[1] length 2 does not match width 3",
+}
+UNRECOVERABLE_BUNDLES = {
+    DEALT_SIGMA.replace("P 3 2,0,5", "P 3 2,0,6"): "inconsistent shares",
+    DEALT_SIGMA.replace(DEALT_SIGMA.split()[3], "0" * 64):
+        "bundle fingerprint does not match scheme",
+    "\n".join(DEALT_SIGMA.splitlines()[:3]): "unqualified set",
+}
+
+
+def test_deal_and_reconstruct_error_lines(tmp_path, capsys, sigma_scheme):
+    """Malformed secrets and bundle files exit 2 with one `error:` line and
+    nothing on stdout; a bundle that is well formed but recovers nothing
+    exits 1 with its reason on stdout."""
+    bundle = tmp_path / "b.bundle"
+    assert cli.main(["deal", str(sigma_scheme), "--secrets", "1,2;3,4;5,6",
+                     "--out", str(bundle)]) == PASS
+    capsys.readouterr()
+    assert bundle.read_text() == DEALT_SIGMA
+    for secrets, message in MALFORMED_SECRETS.items():
+        argv = ["deal", str(sigma_scheme), "--secrets", secrets]
+        assert run(capsys, *argv) == (USAGE, "", f"error: {message}\n"), secrets
+    path = tmp_path / "bad.bundle"
+    for text, message in MALFORMED_BUNDLES.items():
+        path.write_text(text)
+        if message.startswith(":"):
+            message = f"bad bundle file {path}{message}"
+        got = run(capsys, "reconstruct", str(sigma_scheme), str(path))
+        assert got == (USAGE, "", f"error: {message}\n"), text
+    for k in ("0", "4"):
+        got = run(capsys, "reconstruct", str(sigma_scheme), str(bundle), "--k", k)
+        assert got == (USAGE, "", "error: sub-array index out of range\n")
+    for text, reason in UNRECOVERABLE_BUNDLES.items():
+        path.write_text(text)
+        got = run(capsys, "reconstruct", str(sigma_scheme), str(path))
+        assert got == (FAIL, f"reconstruction failed: {reason}\n", ""), text
+
+
 def test_reconstruct_refuses_repeated_share_line(tmp_path, capsys):
     scheme, bundle = tmp_path / "p.scheme", tmp_path / "p.bundle"
     cli.main(["build", "--n", "3", "--t", "2,2", "--ratio", "sigma",

@@ -1,6 +1,12 @@
+import copy
 import dataclasses
+import gc
 import itertools
+import pickle
+import random
+import re
 import warnings
+import weakref
 from math import comb
 
 import numpy as np
@@ -27,7 +33,7 @@ from mtss.schemes import (
     build_single_threshold,
     build_weak_block,
 )
-from mtss.structure import SIGMA, STRONG, RatioKind, structure
+from mtss.structure import SIGMA, STRONG, RatioKind, parse_int, read_records, structure
 from mtss.verify import RankProfile
 
 S = VariableId.secret
@@ -285,7 +291,8 @@ def test_decoder_table_is_bounded(monkeypatch):
         monkeypatch.undo()
         assert got == want
         assert max(sizes) == 2 and len(coalitions) > 2
-        kept = (*copy.codec.encoder, copy.codec.shares, *copy.codec.decoder((1, 2, 3)))
+        codec = copy.codec
+        kept = (codec.encoder, codec.secrets, codec.shares, codec.decoder((1, 2, 3)))
         assert not any(a.flags.writeable for a in kept)
 
 
@@ -591,6 +598,17 @@ def test_census_matches_digit_census():
         )
     assert 2 ** (table.coalition_width + table.target_width) == 1 << 63
     assert len(table.codes) == 128 and table.tallies.sum() == 128
+    # q = 5 and 8 rows: 6 inner rows and 25 outer settings.  The coalition's
+    # columns agree on the inner rows, so each inner code is made by
+    # 5^(6 - 2) inner settings, and each code by 25 outer settings.
+    col = np.array([[1, 0, 0, 0, 0, 0, 0, 1], [1, 1, 1, 1, 1, 1, 1, 0]]).T
+    dependent = LinearScheme(
+        sp=structure(2, [(2, 1)]), q=5, n_rows=8,
+        blocks=((S(1, 1), col[:, :1]), (P(1), col[:, :1] + col[:, 1:]), (P(2), col)),
+    )
+    for target in ([S(1, 1)], []):
+        table = _assert_matches_digit_census(dependent, [P(1), P(2)], target)
+        assert set(table.tallies.tolist()) == {5**4 * 25}
 
 
 @settings(max_examples=40, deadline=None)
@@ -644,3 +662,309 @@ def test_census_not_uniform_when_counts_differ():
     assert not table.uniform
     flat = CensusTable(q, 1, 1, table.codes, np.array([2, 2, 3, 3], dtype=np.int64))
     assert flat.uniform
+
+
+# ------------------------------------------- dict-keyed reference round trip
+#
+# The dealer as it was before it stored vectors by position: every vector a
+# dict entry keyed by `VariableId`, checked where it is used, and the maps
+# eliminated afresh on each call.
+
+def _reference_vector(vals, width, q, what):
+    vals = tuple(int(v) for v in vals)
+    if len(vals) != width:
+        raise ValueError(f"{what} length {len(vals)} does not match width {width}")
+    for v in vals:
+        if not 0 <= v < q:
+            raise ValueError(f"{what} element out of field range")
+    return vals
+
+
+def _reference_cut(words, scheme, vs):
+    out, at = {}, 0
+    for v in vs:
+        w = scheme.width(v)
+        out[v] = tuple(words[at : at + w])
+        at += w
+    return out
+
+
+def _reference_for_scheme(scheme, vectors):
+    svars = scheme.secret_variables()
+    vectors = list(vectors)
+    if len(vectors) != len(svars):
+        raise ValueError(f"need {len(svars)} secret vectors, got {len(vectors)}")
+    return {
+        v: _reference_vector(vec, scheme.width(v), scheme.q, str(v))
+        for v, vec in zip(svars, vectors)
+    }
+
+
+def _reference_deal(scheme, values, seed):
+    """{share variable: vector} of the dealt codeword."""
+    svars, q = scheme.secret_variables(), scheme.q
+    if set(values) != set(svars):
+        raise ValueError("assignment must cover every secret exactly once")
+    b = []
+    for v in svars:
+        b.extend(_reference_vector(values[v], scheme.width(v), q, str(v)))
+    solve, checks, basis = field.solve_affine(scheme.columns(svars).T, q)
+    if checks.shape[1]:
+        raise ValueError(
+            "the secrets' joint columns are linearly dependent, "
+            "so some secret values have no codeword"
+        )
+    c = np.array(b, dtype=np.int64) @ solve
+    if len(basis):
+        stream = _splitmix64(seed)
+        r = [(next(stream) * q) >> 64 for _ in range(len(basis))]
+        c += np.array(r, dtype=np.int64) @ basis
+    shares = scheme.columns(scheme.share_variables())
+    return _reference_cut(((c % q) @ shares % q).tolist(), scheme, scheme.share_variables())
+
+
+def _reference_to_text(fingerprint, shares):
+    lines = ["mtss-bundle 1", f"fingerprint {fingerprint}"]
+    for v in sorted(shares):
+        lines.append(f"P {v.index} {','.join(str(e) for e in shares[v]) or '-'}")
+    return "\n".join(lines) + "\n"
+
+
+def _reference_from_text(text):
+    from test_structure import _reference_parse_ints
+
+    header, body = read_records(text, "mtss-bundle 1", ("fingerprint",), "bundle")
+    shares = {}
+    for parts in body:
+        if len(parts) != 3 or parts[0] != "P":
+            raise ValueError(f"bad share line: {' '.join(parts)!r}")
+        v = VariableId.share(parse_int(parts[1], "share index"))
+        if v in shares:
+            raise ValueError(f"duplicate share line for {v}")
+        shares[v] = _reference_parse_ints(parts[2], f"share vector of {v}")
+    return header["fingerprint"], shares
+
+
+def _reference_restrict(shares, indices):
+    keep = set(indices)
+    return {v: vec for v, vec in shares.items() if v.index in keep}
+
+
+def _reference_reconstruct(scheme, fingerprint, shares, k):
+    """{secret variable: vector} of the secrets of levels k..K."""
+    if fingerprint != scheme.fingerprint:
+        raise ReconstructionError("bundle fingerprint does not match scheme")
+    if not 1 <= k <= scheme.sp.k_levels:
+        raise ValueError("sub-array index out of range")
+    avars, q = sorted(shares), scheme.q
+    for v in avars:
+        if v.index > scheme.sp.n_parties:
+            raise ValueError(f"share index {v.index} out of range")
+        _reference_vector(shares[v], scheme.width(v), q, str(v))
+    if len(avars) < scheme.sp.threshold(k):
+        raise ReconstructionError("unqualified set")
+    vals = np.array([e for v in avars for e in shares[v]], dtype=np.int64)
+    solve, checks, _ = field.solve_affine(scheme.columns(avars).T, q)
+    if (vals @ checks % q).any():
+        raise ReconstructionError("inconsistent shares")
+    svars = scheme.secret_variables()
+    words = (vals @ (solve @ scheme.columns(svars) % q) % q).tolist()
+    got = _reference_cut(words, scheme, svars)
+    return {v: vec for v, vec in got.items() if v.level >= k}
+
+
+def _outcome(call, *args):
+    """What a call returns, or the type and message of what it raises."""
+    try:
+        return "returned", call(*args)
+    except (ValueError, KeyError) as e:
+        return type(e), str(e)
+
+
+def _round_trip_cases():
+    """(label, scheme): the acceptance catalog and a text copy of a
+    combined scheme (a copy has no leaves and a codec of its own)."""
+    from test_acceptance import build_catalog
+
+    entries, combos = build_catalog()
+    out = [(label, s) for label, s, _ in entries]
+    out.append(("combined text", LinearScheme.from_text(combos[0][0].to_text())))
+    return out
+
+
+def _assert_same_reconstruction(sch, bundle, text, k):
+    """`reconstruct` and the reference agree on the bundle read from `text`:
+    the same assignment, dict and repr, or the same refusal."""
+    fingerprint, ref_shares = _reference_from_text(text)
+    want = _outcome(_reference_reconstruct, sch, fingerprint, ref_shares, k)
+    got = _outcome(reconstruct, sch, bundle, k)
+    if want[0] != "returned":
+        assert got == want, (k, text)
+        return
+    assert got[0] == "returned", (k, text, got)
+    assert got[1] == SecretAssignment(want[1]) and dict(got[1].values) == want[1]
+    assert list(got[1].values) == list(want[1]) and repr(got[1]) == repr(SecretAssignment(want[1]))
+
+
+def test_round_trip_matches_reference():
+    """For every catalog scheme, many seeds, every coalition (sampled above
+    16) and every k: the same bundle text, bundles, reconstructed values and
+    objects as the dict-keyed reference."""
+    rng = random.Random(20231018)
+    for label, sch in _round_trip_cases():
+        n, K = sch.sp.n_parties, sch.sp.k_levels
+        widths = [sch.width(v) for v in sch.secret_variables()]
+        coalitions = [
+            c for size in range(n + 1) for c in itertools.combinations(range(1, n + 1), size)
+        ]
+        for seed in [rng.getrandbits(63) for _ in range(10)]:
+            vectors = [[rng.randrange(sch.q) for _ in range(w)] for w in widths]
+            values = _reference_for_scheme(sch, vectors)
+            sa = SecretAssignment.for_scheme(sch, vectors)
+            assert sa == SecretAssignment(values) and dict(sa.values) == values, label
+            bundle = deal(sch, sa, seed=seed)
+            ref_shares = _reference_deal(sch, values, seed)
+            text = bundle.to_text()
+            assert text == _reference_to_text(sch.fingerprint, ref_shares), label
+            assert bundle == ShareBundle(sch.fingerprint, ref_shares)
+            assert deal(sch, SecretAssignment(values), seed=seed) == bundle
+            back = ShareBundle.from_text(text)
+            assert back == bundle and dict(back.shares) == ref_shares
+            for coalition in rng.sample(coalitions, min(16, len(coalitions))):
+                part = back.restrict(coalition)
+                ref_part = _reference_restrict(ref_shares, coalition)
+                assert part == ShareBundle(sch.fingerprint, ref_part)
+                assert part.to_text() == _reference_to_text(sch.fingerprint, ref_part)
+                for k in range(1, K + 1):
+                    _assert_same_reconstruction(sch, part, part.to_text(), k)
+            got = reconstruct(sch, back, 1)
+            assert got == sa and [got[v] for v in sch.secret_variables()] == list(
+                map(tuple, vectors)
+            ), label
+
+
+def _refused(call, *args):
+    kind, message = _outcome(call, *args)
+    assert kind != "returned", args
+    return kind, message
+
+
+def test_refusals_match_reference():
+    """The same exception type and message as the dict-keyed reference for
+    each input the dealer refuses."""
+    sch = build_B(3, (3, 4), (2, 1))  # q = 11: five width-1 secrets, width-2 shares
+    q, svars = sch.q, sch.secret_variables()
+    good = [[1], [2], [3], [4], [5]]
+    for vectors in (good[:4], good + [[6]], [], [[1, 2], *good[1:]], [*good[:4], []],
+                    [*good[:2], [q], *good[3:]], [*good[:4], [-1]]):
+        assert _refused(SecretAssignment.for_scheme, sch, vectors) == _refused(
+            _reference_for_scheme, sch, vectors
+        ), vectors
+    values = _reference_for_scheme(sch, good)
+    swapped = {**{v: values[v] for v in svars[:4]}, S(3, 1): (5,)}  # five, one foreign
+    for changed in ({svars[0]: (1,)}, swapped, {**values, svars[4]: (q,)},
+                    {**values, svars[1]: (1, 1)}, {**values, svars[3]: (-1,)}):
+        assert _refused(deal, sch, SecretAssignment(changed), 0) == _refused(
+            _reference_deal, sch, changed, 0
+        ), changed
+    for keys in ({P(1): (0,)}, {(1,): (0,)}, {"S": (0,)}):
+        assert _refused(SecretAssignment, keys)[0] is ValueError
+    assert _refused(ShareBundle, "ab", {S(1, 1): (0,)}) == (
+        ValueError, "not a share variable: S[1,1]"
+    )
+    assert _refused(ShareBundle, "ab", {P(1): (0,), 2: (0,)}) == (
+        ValueError, "not a share variable: 2"
+    )
+    text = deal(sch, SecretAssignment.for_scheme(sch, good), seed=9).to_text()
+    lines = text.splitlines()
+    foreign = build_single_threshold(2, 3, q=q).fingerprint
+    cases = {
+        "index 0": text.replace("\nP 2 ", "\nP 0 "),
+        "index -1": text.replace("\nP 2 ", "\nP -1 "),
+        "index above N": text.replace("\nP 3 ", "\nP 4 "),
+        "index above N and a narrow share": "\n".join(
+            [*lines[:2], "P 9 1,1", "P 2 1", lines[2]]
+        ),
+        "duplicate": text + lines[2] + "\n",
+        "foreign fingerprint": text.replace(sch.fingerprint, foreign),
+        "unqualified": "\n".join(lines[:3]),
+        "inconsistent": re.sub(r"^P 3 (\d+)", lambda m: f"P 3 {(int(m[1]) + 1) % q}",
+                               text, flags=re.M),
+        "equal to q": re.sub(r"^P 3 \S+$", f"P 3 1,{q}", text, flags=re.M),
+        "below 0": re.sub(r"^P 3 \S+$", "P 3 -1,1", text, flags=re.M),
+        "wide": re.sub(r"^P 3 \S+$", "P 3 1,1,1", text, flags=re.M),
+        "empty": re.sub(r"^P 1 \S+$", "P 1 -", text, flags=re.M),
+        "bad vector": re.sub(r"^P 1 \S+$", "P 1 1,,2", text, flags=re.M),
+        "bad line": text.replace("\nP 2 ", "\nQ 2 "),
+        "not a bundle": "mtss-scheme 1\n",
+    }
+    for name, body in cases.items():
+        want = _outcome(_reference_from_text, body)
+        got = _outcome(ShareBundle.from_text, body)
+        if want[0] != "returned":
+            assert got == want, name
+            continue
+        for k in (0, 1, 2, 3):
+            _assert_same_reconstruction(sch, got[1], body, k)
+    # a directly built bundle is checked against the scheme by `reconstruct`
+    fingerprint, shares = _reference_from_text(text)
+    for changed in ({**shares, P(3): (q, 0)}, {**shares, P(1): (1,)}, {**shares, P(5): (0,)}):
+        bundle = ShareBundle(fingerprint, changed)
+        assert _refused(reconstruct, sch, bundle, 1) == _refused(
+            _reference_reconstruct, sch, fingerprint, changed, 1
+        )
+
+
+def test_assignments_and_bundles_behave_as_frozen_dataclasses():
+    """Read-only, unhashable, equal by content whatever the dict's order,
+    printed as the dataclasses printed, and copied and pickled whole."""
+    sch = build_optimal(structure(3, [(3, 1), (2, 1)]), RatioKind(SIGMA, STRONG))
+    sa = SecretAssignment.for_scheme(sch, [[1], [3]])
+    bundle = deal(sch, sa, seed=1)
+    direct = SecretAssignment({S(2, 1): (3,), S(1, 1): [np.int64(1)]})
+    assert direct == sa and sa == direct and direct != bundle
+    assert repr(direct) == (
+        "SecretAssignment(values={VariableId(kind='secret', level=2, index=1): (3,), "
+        "VariableId(kind='secret', level=1, index=1): (1,)})"
+    )
+    assert repr(sa).startswith("SecretAssignment(values={VariableId(kind='secret', level=1")
+    assert repr(bundle) == (
+        f"ShareBundle(fingerprint={sch.fingerprint!r}, shares={dict(bundle.shares)!r})"
+    )
+    assert SecretAssignment({S(1, 1): (1,)}) != sa
+    assert SecretAssignment({S(1, 1): (1,)}) != SecretAssignment({S(2, 1): (1,)})
+    assert ShareBundle("ab", {P(1): ()}) != ShareBundle("ab", {P(2): ()})
+    assert ShareBundle("ab", {P(1): ()}) != ShareBundle("cd", {P(1): ()})
+    for obj in (sa, direct, bundle, bundle.restrict([2])):
+        assert copy.copy(obj) == obj == pickle.loads(pickle.dumps(obj))
+        with pytest.raises(TypeError, match="unhashable"):
+            hash(obj)
+        for name in ("values", "shares", "fingerprint", "_vectors", "other"):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(obj, name, None)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            del obj._vectors
+    with pytest.raises(TypeError):
+        sa.values[S(1, 1)] = (0,)
+    with pytest.raises(TypeError):
+        bundle.shares[P(1)] = (0,)
+    assert sa[S(2, 1)] == (3,) and sa[VariableId.secret(2, 1)] == (3,)
+    with pytest.raises(KeyError):
+        sa[S(3, 1)]
+    with pytest.raises(KeyError):
+        bundle[P(4)]
+
+
+def test_a_scheme_and_its_codec_are_freed_without_the_cycle_collector():
+    """The codec keeps the layout and arrays, not the scheme, so a scheme
+    that has dealt and reconstructed is freed by reference counting."""
+    sch = LinearScheme.from_text(build_B(3, (3, 4), (2, 1)).to_text())
+    bundle = deal(sch, _counting_secrets(sch), seed=5)
+    assert reconstruct(sch, bundle.restrict([1, 2]), k=2)
+    refs = weakref.ref(sch), weakref.ref(sch.codec)
+    gc.disable()
+    try:
+        del sch
+        assert [ref() for ref in refs] == [None, None]
+    finally:
+        gc.enable()

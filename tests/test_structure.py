@@ -83,10 +83,47 @@ def test_int_list_grammar():
     assert parse_ints("1,-2, 3", "list") == (1, -2, 3)
     assert parse_ints(" +1 ,2 ", "list") == (1, 2)
     assert parse_ints("", "list") == parse_ints(" - ", "list") == ()
+    # a blank that `str.strip` removes and `int` alone would refuse
+    assert parse_ints("\x1c8,\u20039", "list") == (8, 9)
     for text in ("1,,2", "1,", ",", "x", "1;2", "--", "3_0", "٣,2", "1 2", "0x1"):
         with pytest.raises(ValueError, match=f"^bad list {re.escape(repr(text))}$"):
             parse_ints(text, "list")
     assert format_ints(()) == "-" and format_ints([0, 12]) == "0,12"
+
+
+_INT_ITEM = re.compile(r"[+-]?[0-9]+")
+
+
+def _reference_parse_ints(text, what):
+    """The item-by-item reading that `parse_ints` replaced."""
+    if text.strip() in ("", "-"):
+        return ()
+    items = [v.strip() for v in text.split(",")]
+    if not all(_INT_ITEM.fullmatch(v) for v in items):
+        raise ValueError(f"bad {what} {text!r}")
+    return tuple(int(v) for v in items)
+
+
+def _parsed(read, text):
+    try:
+        return read(text, "list")
+    except ValueError as e:
+        return str(e)
+
+
+# Digits, signs, commas and blanks, with Unicode blanks that `str.strip`
+# removes but `int` does not (\x1c) and digits `int` reads but the grammar
+# refuses.
+_LIST_CHARS = st.sampled_from(list("0123456789+-,_ \t\n\r\x0b\x0c") + [
+    "\x1c", "\x1f", "\x85", "\xa0", "\u2003", "\u3000", "\u200b", "\ufeff",
+    "\u0663", "\uff11", "x",
+])
+
+
+@settings(max_examples=2000, deadline=None)
+@given(st.text(_LIST_CHARS, max_size=10))
+def test_parse_ints_matches_item_by_item_reading(text):
+    assert _parsed(parse_ints, text) == _parsed(_reference_parse_ints, text)
 
 
 def test_read_records():
