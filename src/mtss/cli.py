@@ -2,9 +2,11 @@
 
 Every subcommand is deterministic for fixed flags and seed.  Exit codes:
 0 success, 1 a verified failure (witness printed), 2 usage errors such as
-unreadable files or malformed flags.  The commands raise on input they
-refuse (`ValueError`, `KeyError`, `FieldSearchError`), and `main` alone
-turns that into one `error: ...` line on stderr and exit status 2.  On
+unreadable files or malformed flags, 141 stdout closed by its reader (as
+`mtss ... | head` does; the status a shell reports for a writer stopped by
+SIGPIPE).  The commands raise on input they refuse (`ValueError`,
+`KeyError`, `FieldSearchError`), and `main` alone turns that into one
+`error: ...` line on stderr and exit status 2.  On
 `structure`, `ratios`, `audit`, `reconstruct` and `census`, `--format
 records` switches to line-oriented machine-readable output; rationals
 always print as num/den.
@@ -13,6 +15,7 @@ always print as num/den.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from pathlib import Path
 
@@ -50,7 +53,7 @@ from mtss.verify import (
     render_report,
 )
 
-PASS, FAIL, USAGE = 0, 1, 2
+PASS, FAIL, USAGE, CLOSED = 0, 1, 2, 141
 
 _MEASURE_FLAGS = {
     "sigma": "sigma",
@@ -349,6 +352,11 @@ def main(argv=None) -> int:
         message = e.args[0] if isinstance(e, KeyError) else e
         print(f"error: {message}", file=sys.stderr)
         return USAGE
+    except BrokenPipeError:
+        # What is still buffered goes to devnull, so the final flush at exit
+        # raises nothing.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return CLOSED
 
 
 if __name__ == "__main__":

@@ -136,7 +136,7 @@ class EntropyVector:
 
     @staticmethod
     def from_profile(profile) -> "EntropyVector":
-        sp = profile.scheme.sp
+        sp = profile.sp
         _variable_masks(sp)  # raises over the size cap
         # The cone's bit i and the profile's are both sp.variables[i].
         n = sp.n_parties + sp.n_secrets

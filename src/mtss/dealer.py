@@ -27,8 +27,7 @@ has the same tally, and a code's count is that tally times the number of
 times the code is made.  It tabulates with arrays: a sorted array of
 combined (coalition values, target values) codes and their codeword counts,
 from which `uniform` is read directly; `digit_rows` decodes the codes into
-base-q digit rows, which the records output prints in code order, and the
-nested-dict `counts` is a view decoded from them on first access.
+base-q digit rows, which the records output prints in code order.
 """
 
 from __future__ import annotations
@@ -414,8 +413,8 @@ class CensusTable:
     code, the coalition values' base-q digits followed by the target's:
     `codes` is sorted and duplicate-free and `tallies[i]` counts the
     codewords that give `codes[i]`.  The codes of one coalition value
-    therefore form a contiguous run.  `counts` decodes the arrays into
-    nested dicts on first access.
+    therefore form a contiguous run.  `digit_rows` decodes the codes into
+    base-q digit rows.
     """
 
     q: int
@@ -449,15 +448,6 @@ class CensusTable:
             _digits(a_code, self.coalition_width, self.q),
             _digits(s_code, self.target_width, self.q),
         )
-
-    @cached_property
-    def counts(self) -> dict:
-        """Decoded view: a-values tuple -> {target-values tuple: count}."""
-        a_rows, s_rows = (rows.tolist() for rows in self.digit_rows())
-        out: dict = {}
-        for a_vals, s_vals, c in zip(a_rows, s_rows, self.tallies.tolist()):
-            out.setdefault(tuple(a_vals), {})[tuple(s_vals)] = c
-        return out
 
 
 def _digits(code: np.ndarray, width: int, q: int) -> np.ndarray:

@@ -267,7 +267,9 @@ class LinearScheme:
 
     @cached_property
     def profile(self):
-        """This object's memoized `verify.RankProfile`, made on first use."""
+        """This object's memoized `verify.RankProfile`, its rank table by
+        variable mask, made on first use; it holds no reference back to
+        this object."""
         from mtss import verify  # deferred; verify imports this module
 
         return verify.RankProfile(self)

@@ -17,13 +17,15 @@ conditions follow from its leaves' reports, so only leaves (built directly,
 read from text or copied) eliminate and scan coalitions, unless a leaf fails
 and the composed scheme needs its own witness.
 
-Each profile keeps one rank table (`RankProfile.ranks`), keyed by
-variable mask and filled only with the masks read; `rank`, the condition
-scans and the audit all read it.  A leaf fills an entry with one
-`field.rank` of the mask's columns, taken from one matrix of all its
-blocks (read-only arrays over the scheme's one q).  Parts of a composition
-are independent and keep their shares, so a composed scheme's entry is the
-sum of its leaves' entries, which each leaf ranks once.
+Each profile is the scheme's rank table (a `dict` from variable mask to
+rank), filled only with the masks read; `rank`, the condition scans and the
+audit all read it.  A leaf fills an entry with one `field.rank` of the
+mask's columns, taken from one matrix of all its blocks (read-only arrays
+over the scheme's one q).  Parts of a composition are independent and keep
+their shares, so a composed scheme's entry is the sum of its leaves'
+entries, which each leaf ranks once.  A profile keeps the structure, q and
+what it ranks from, and no reference back to its scheme, so a checked
+scheme is freed by reference counting.
 
 The audit lists the secret-size pair gains I(P_a; P_b | rest) once per
 level and pairs that list with each secret of the level.  It asks
@@ -51,16 +53,6 @@ from mtss.structure import MEASURES, STRONG, VariableId, bound_row, conditions
 DEFAULT_AUDIT_CAP = 10000
 
 
-@dataclass
-class RankStats:
-    """What one profile did: its own eliminations (`field.rank` calls).
-    Each entry a leaf fills counts one, whoever read it first; a composed
-    profile sums its `leaves`' entries and eliminates nothing.  Which masks
-    were read is `RankProfile.ranks` itself."""
-
-    eliminations: int = 0
-
-
 def _bits(mask: int):
     """The indices of a mask's set bits, lowest first."""
     while mask:
@@ -69,38 +61,26 @@ def _bits(mask: int):
         mask ^= low
 
 
-class _Ranks(dict):
-    """A profile's ranks by variable mask, each made by the profile on its
-    first read, under the profile's lock, and kept."""
-
-    __slots__ = ("_profile",)
-
-    def __init__(self, profile):
-        super().__init__({0: 0})
-        self._profile = profile
-
-    def __missing__(self, mask: int) -> int:
-        profile = self._profile
-        if not 0 <= mask <= profile._all:
-            raise ValueError(f"mask {mask} is not a set of this scheme's variables")
-        with profile._lock:
-            r = self.get(mask)
-            if r is None:
-                r = self[mask] = profile._fill(mask)
-            return r
-
-
-class RankProfile:
-    """Memoized joint column ranks of a scheme's variable blocks.
+class RankProfile(dict):
+    """Memoized joint column ranks of a scheme's variable blocks: a table
+    from variable mask to rank.
 
     Doubles as the scheme's entropy vector: rank queries are monotone and
     submodular, with rk(empty) = 0.  A query is a set of variables or its
-    int mask (`mask`): bit i is `scheme.variables()[i]`.  `ranks` maps a
-    mask to its rank, filled on first read and kept; `rank`, the condition
+    int mask (`mask`): bit i is `sp.variables[i]`.  The profile itself maps
+    a mask to its rank, filled on first read and kept; `rank`, the condition
     scans and the audit all read it.  An entry is filled under the
     profile's lock, so audits may query one profile from several threads
     and each entry is made once.  A mask outside the scheme is refused
-    (`ValueError`) and not kept.
+    (`ValueError`) and not kept.  `eliminations` counts the `field.rank`
+    calls the profile made: one per entry a leaf fills, whoever read it
+    first; a composed profile sums its leaves' entries and eliminates
+    nothing.
+
+    The profile keeps only what it ranks from: the scheme's structure `sp`
+    and field order `q`, and a leaf's stacked blocks or a composed scheme's
+    leaf profiles; it holds no reference to the scheme, so a scheme and its
+    profile are freed by reference counting.
 
     A composed scheme is answered through its `leaves`; only `embed`, `combine`
     and `schemes._rebuild` set them, so they are not checked here.  Each of
@@ -117,23 +97,26 @@ class RankProfile:
     `reports` keeps `check_conditions`' reports by (security, exhaustive).
     """
 
+    __slots__ = (
+        "sp", "q", "eliminations", "reports", "_all", "_lock", "_leaves", "_matrix", "_cols"
+    )
+
     def __init__(self, scheme: LinearScheme):
-        self.scheme = scheme
-        sp = scheme.sp
-        self._secrets = sp.n_secrets
+        super().__init__({0: 0})
+        sp = self.sp = scheme.sp
+        self.q = scheme.q
+        self.eliminations = 0
+        self.reports: dict[tuple[str, bool], VerificationReport] = {}
         self._all = (1 << (sp.n_secrets + sp.n_parties)) - 1
         self._lock = threading.Lock()
-        self.stats = RankStats()
-        self.reports: dict[tuple[str, bool], VerificationReport] = {}
-        self.ranks = _Ranks(self)
-        # (leaf ranks, its secret count, per secret: its bit in the leaf);
+        # (leaf profile, its secret count, per secret: its bit in the leaf);
         # empty for a leaf
         self._leaves = [
             (
-                leaf.profile.ranks,
+                leaf.profile,
                 leaf.sp.n_secrets,
                 [
-                    1 << i if i >= 0 and leaf._widths[i] else 0
+                    1 << i if i >= 0 and leaf.width(leaf.sp.variables[i]) else 0
                     for i in index[: sp.n_secrets]
                 ],
             )
@@ -148,38 +131,51 @@ class RankProfile:
                 self._cols.append(list(range(start, start + b.shape[1])))
                 start += b.shape[1]
 
+    def __missing__(self, mask: int) -> int:
+        if not 0 <= mask <= self._all:
+            raise ValueError(f"mask {mask} is not a set of this scheme's variables")
+        with self._lock:
+            r = self.get(mask)
+            if r is None:
+                r = self[mask] = self._fill(mask)
+            return r
+
     def mask(self, variables) -> int:
         """The int mask of a set of this scheme's variables."""
-        at = self.scheme._at
+        positions = self.sp.positions
         mask = 0
         for v in variables:
-            mask |= 1 << at(v)
+            try:
+                mask |= 1 << positions[v]
+            except KeyError:
+                raise KeyError(f"unknown variable {v}") from None
         return mask
 
     def rank(self, x) -> int:
         """Joint rank of a set of variables, or of their mask."""
-        return self.ranks[x if isinstance(x, int) else self.mask(x)]
+        return self[x if isinstance(x, int) else self.mask(x)]
 
     def _fill(self, mask: int) -> int:
         """The rank of a mask not yet in the table: the sum of the leaves'
         entries, or an elimination of the mask's columns."""
         if self._leaves:
-            shares = mask >> self._secrets
-            set_bits = list(_bits(mask ^ (shares << self._secrets)))
+            ns = self.sp.n_secrets
+            shares = mask >> ns
+            set_bits = list(_bits(mask ^ (shares << ns)))
             r = 0
-            for ranks, n_secrets, bits in self._leaves:
+            for leaf, n_secrets, bits in self._leaves:
                 m = shares << n_secrets
                 for i in set_bits:
                     m |= bits[i]
-                r += ranks[m]
+                r += leaf[m]
             return r
         picked = []
         for i in _bits(mask):
             picked += self._cols[i]
         if not picked:
             return 0
-        self.stats.eliminations += 1
-        return field.rank(self._matrix.take(picked, axis=1), self.scheme.q)
+        self.eliminations += 1
+        return field.rank(self._matrix.take(picked, axis=1), self.q)
 
 
 # --------------------------------------------------------------------------
@@ -284,7 +280,6 @@ def check_conditions(
     linked = bool(scheme.leaves) and all(
         check_conditions(leaf, security, exhaustive).passed for leaf, _ in scheme.leaves
     )
-    ranks = profile.ranks
     share_bit = [0] + [profile.mask([v]) for v in scheme.share_variables()]
     secrets = {(v.level, v.index): v for v in scheme.secret_variables()}
 
@@ -303,7 +298,7 @@ def check_conditions(
             if tag == "C1":
                 extra = 0
             elif tag == "C2":
-                extra = ranks[sec]
+                extra = profile[sec]
             else:
                 extra = sum(scheme.width(v) for v in sec_vars)
             for a_set in _party_sets(n, _coalition_sizes(tag, size, n, exhaustive)):
@@ -311,8 +306,8 @@ def check_conditions(
                 pa = 0
                 for i in a_set:
                     pa |= share_bit[i]
-                got = ranks[sec | pa]
-                want = ranks[pa] + extra
+                got = profile[sec | pa]
+                want = profile[pa] + extra
                 if got != want:
                     w = Witness(group, a_set, tuple(sec_vars), got, want)
                     return ConditionResult(False, checks, w)
@@ -509,8 +504,8 @@ def audit_bounds(
     only repeat a sorted one.  Every family but secret-size and extra-n3 is
     a `structure.bound_row` row.
 
-    Every share rank comes from the profile's rank table (`RankProfile.ranks`),
-    which fills only the share sets read, so a composed scheme's audit sums
+    Every share rank comes from the profile (the scheme's rank table), which
+    fills only the share sets read, so a composed scheme's audit sums
     its leaves' entries and eliminates nothing of its own.  The secret-size
     rhs I(P_a; P_b | the rest) does not depend on the secret, so each level
     computes its list of pair gains once, cut at what the cap leaves, and
@@ -533,9 +528,9 @@ def audit_bounds(
     kk = sp.k_levels
     # Shares come last in the variable order: share i is bit ns + i - 1.
     ns = sp.n_secrets
-    w = dict(zip(sp.secret_slots(), scheme._widths))
-    hp = dict(enumerate(scheme._widths[ns:], start=1))
-    h = scheme.profile.ranks
+    w = dict(zip(sp.secret_slots(), map(scheme.width, sp.variables)))
+    hp = dict(enumerate(map(scheme.width, scheme.share_variables()), start=1))
+    h = scheme.profile
     h_all_shares = h[((1 << n) - 1) << ns]
 
     def pair_gains(t):

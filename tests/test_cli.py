@@ -1,12 +1,14 @@
 import hashlib
 import re
+import subprocess
+import sys
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from mtss import cli
-from mtss.cli import FAIL, PASS, USAGE
+from mtss.cli import CLOSED, FAIL, PASS, USAGE
 from mtss.schemes import LinearScheme, VariableId
 from mtss.structure import format_ints, parse_ints, structure
 
@@ -600,8 +602,9 @@ def test_census_records_golden(tmp_path, capsys):
 )
 def test_census_records_match_the_decoded_counts(tmp_path, capsys, shares, target):
     """Each records line is one (coalition values, target values) pair of
-    the census's decoded `counts`, sorted by both, with "-" for no values:
-    several shares and secrets, the empty coalition, and a width-0 target."""
+    the census decoded into nested dicts, sorted by both, with "-" for no
+    values: several shares and secrets, the empty coalition, and a width-0
+    target."""
     from mtss.dealer import leakage_census
     from mtss.schemes import build_B, build_weak_block
 
@@ -618,9 +621,13 @@ def test_census_records_match_the_decoded_counts(tmp_path, capsys, shares, targe
         [VariableId.share(i) for i in parse_ints(shares, "shares")],
         [VariableId.secret(*parse_ints(t, "slot")) for t in target.split(";")],
     )
+    a_rows, s_rows = (rows.tolist() for rows in table.digit_rows())
+    counts = {}
+    for a, s, c in zip(a_rows, s_rows, table.tallies.tolist()):
+        counts.setdefault(tuple(a), {})[tuple(s)] = c
     want = [
         f"count {format_ints(a)} {format_ints(s)} {row[s]}"
-        for a, row in sorted(table.counts.items())
+        for a, row in sorted(counts.items())
         for s in sorted(row)
     ]
     assert out.splitlines() == [f"uniform {'yes' if table.uniform else 'no'}"] + want
@@ -751,12 +758,29 @@ def test_exit_code_contract_under_mutation(tmp_path, capsys, data):
 
 
 def test_module_entry_point():
-    import subprocess
-    import sys
-
     r = subprocess.run(
         [sys.executable, "-m", "mtss.cli", "structure", "--n", "2", "--t", "2"],
         capture_output=True,
         text=True,
     )
     assert r.returncode == PASS and "N=2" in r.stdout
+
+
+def test_closed_stdout_exits_141_quietly(tmp_path):
+    """A reader that closes stdout after one line (as `| head -n 1` does)
+    stops a records census of 3.3 MB, more than any pipe buffer: exit
+    status 141 and nothing on stderr."""
+    from mtss.schemes import build_B
+
+    path = tmp_path / "b.scheme"
+    path.write_text(build_B(3, (3, 4), (2, 1)).to_text())
+    argv = ["census", str(path), "--shares", "1,2", "--target", "1,1;2,1", "--format", "records"]
+    with subprocess.Popen(
+        [sys.executable, "-m", "mtss.cli", *argv],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+    ) as proc:
+        assert proc.stdout.readline().startswith(b"uniform ")
+        proc.stdout.close()
+        err = proc.stderr.read()
+        assert (proc.wait(timeout=60), err) == (CLOSED, b"")

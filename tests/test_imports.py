@@ -194,3 +194,86 @@ def test_private_imports_finds_what_it_should():
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
 def test_no_private_name_imported_across_modules(path):
     assert private_imports(path.read_text()) == []
+
+
+def _private(name: str) -> bool:
+    return name.startswith("_") and not name.startswith("__")
+
+
+def defined_private(source: str) -> set[str]:
+    """The private names (one leading underscore) that `source` defines at
+    any depth: def and class names, the names and attributes it stores to,
+    and the string names in a `__slots__` or passed to `_set(obj, name, ...)`
+    (the slot filler of `dealer`)."""
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            found.add(node.name)
+        elif isinstance(node, (ast.Name, ast.Attribute)) and isinstance(node.ctx, ast.Store):
+            found.add(node.id if isinstance(node, ast.Name) else node.attr)
+        elif isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__slots__" for t in node.targets
+        ):
+            found.update(c.value for c in ast.walk(node.value) if isinstance(c, ast.Constant))
+        elif (
+            isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Name)
+            and node.func.id == "_set"
+            and len(node.args) > 1
+            and isinstance(node.args[1], ast.Constant)
+        ):
+            found.add(node.args[1].value)
+    return {name for name in found if isinstance(name, str) and _private(name)}
+
+
+def foreign_private_reads(sources: dict[str, str]) -> list[str]:
+    """The reads `x._name` in each module of `sources` ({module name:
+    source}) of a private attribute that the module does not define and
+    another module does, as "module._name (line n)"."""
+    defined = {module: defined_private(source) for module, source in sources.items()}
+    found = []
+    for module, source in sources.items():
+        foreign = set().union(*(d for m, d in defined.items() if m != module))
+        foreign -= defined[module]
+        reads = [
+            node
+            for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.Attribute)
+            and isinstance(node.ctx, ast.Load)
+            and node.attr in foreign
+        ]
+        for node in sorted(reads, key=lambda n: (n.lineno, n.col_offset)):
+            found.append(f"{module}.{node.attr} (line {node.lineno})")
+    return found
+
+
+def test_foreign_private_reads_finds_what_it_should():
+    sources = {
+        "a": (
+            "class K:\n"
+            "    __slots__ = ('_slot',)\n"
+            "    def _method(self):\n"
+            "        self._stored = 1\n"
+            "_set(K(), '_filled', 2)\n"
+            "_table = {}\n"
+        ),
+        "b": (
+            "def f(k, other):\n"
+            "    k._method()\n"
+            "    other._stored = k._slot, k._filled, k._table\n"
+            "    return other._stored, k._unknown, k.__dict__, k.public\n"
+        ),
+        "c": "def g(k):\n    return k._stored\n",
+    }
+    assert foreign_private_reads(sources) == [
+        "b._method (line 2)",
+        "b._slot (line 3)",
+        "b._filled (line 3)",
+        "b._table (line 3)",
+        "c._stored (line 2)",
+    ]
+
+
+def test_no_module_reads_another_modules_private_attribute():
+    sources = {p.stem: p.read_text() for p in sorted(SRC.glob("*.py"))}
+    assert foreign_private_reads(sources) == []

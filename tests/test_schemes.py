@@ -871,14 +871,14 @@ def test_cells_share_a_leaf_and_its_reports():
     verify.ratios(a)
     verify.audit_bounds(a, STRONG)
     leaf = a.leaves[0][0]
-    before = leaf.profile.stats.eliminations
+    before = leaf.profile.eliminations
     assert before > 0
     b = build_optimal(structure(3, [(3, 1), (2, 1)]), RatioKind(SIGMA, STRONG))
     assert b.leaves[1][0] is leaf and b.leaves[0][0] is not leaf
     assert verify.check_conditions(b, STRONG).passed
     verify.ratios(b)
     verify.audit_bounds(b, STRONG)
-    assert leaf.profile.stats.eliminations == before
+    assert leaf.profile.eliminations == before
 
 
 def test_unify_field_rebuilds_through_the_leaf_memo():

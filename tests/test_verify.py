@@ -1,10 +1,12 @@
 """Verifier, ratio, and bound-audit tests."""
 
 import dataclasses
+import gc
 import hashlib
 import random
 import sys
 import threading
+import weakref
 from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 from itertools import combinations, permutations, product, tee
@@ -124,8 +126,8 @@ def test_rank_profile_concurrent_queries():
         return combine([a, b, a]), a.leaves[0][0], b.leaves[0][0]
 
     def share_entries(profile):
-        ranks, ns = profile.ranks, profile.scheme.sp.n_secrets
-        return [ranks[m << ns] for m in every]
+        ns = profile.sp.n_secrets
+        return [profile[m << ns] for m in every]
 
     composed, _, leaf = fresh()
     serial = [share_entries(p) for p in (composed.profile, leaf.profile)]
@@ -141,14 +143,14 @@ def test_rank_profile_concurrent_queries():
         with ThreadPoolExecutor(max_workers=8) as pool:
             for _ in range(10):
                 composed, *leaves = fresh()
-                before = [p.profile.stats.eliminations for p in leaves]
+                before = [p.profile.eliminations for p in leaves]
                 profiles = [composed.profile, leaves[1].profile] * 4
                 tables = list(pool.map(first_reads, profiles, timeout=60))
                 for i in (0, 1):
                     assert all(t == serial[i] for t in tables[i::2])
                 # A share set ranked twice would count two eliminations;
                 # the empty set needs none.
-                after = [p.profile.stats.eliminations for p in leaves]
+                after = [p.profile.eliminations for p in leaves]
                 assert [y - x for x, y in zip(before, after)] == [len(every) - 1] * 2
             vs = composed.variables()
             queries = [rng.sample(vs, rng.randint(0, len(vs))) for _ in range(40)]
@@ -170,7 +172,7 @@ def test_profile_is_shared_per_scheme_object(monkeypatch):
     assert check_conditions(searched, WEAK).passed and not ranks
     s = LinearScheme.from_text(searched.to_text())
     assert check_conditions(s, WEAK).passed
-    assert ranks and s.profile is s.profile and s.profile.scheme is s
+    assert ranks and s.profile is s.profile
     during = []
     real_check = verify.check_conditions
 
@@ -184,7 +186,7 @@ def test_profile_is_shared_per_scheme_object(monkeypatch):
     audit_bounds(s, WEAK)
     assert during == [0]
     copy = LinearScheme.from_text(s.to_text())
-    assert copy.profile is not s.profile and copy.profile.scheme is copy
+    assert copy.profile is not s.profile
     before = len(ranks)
     assert real_check(copy, WEAK).passed
     assert len(ranks) > before
@@ -275,7 +277,7 @@ def test_share_tables_match_elimination():
                 for a in range(2**n)
             ]
             for scheme in (s, copy):
-                table = scheme.profile.ranks
+                table = scheme.profile
                 assert [table[a << ns] for a in range(2**n)] == want, (sp, kind)
             cells += 1
     assert cells == 8 * len(_table_family((2, 3, 4)))
@@ -283,8 +285,36 @@ def test_share_tables_match_elimination():
     for scheme in (s, copy):
         for bad in (-1, every, every | 1):
             with pytest.raises(ValueError, match="not a set of this scheme's variables"):
-                scheme.profile.ranks[bad]
-            assert bad not in scheme.profile.ranks
+                scheme.profile[bad]
+            assert bad not in scheme.profile
+
+
+def test_checked_schemes_are_freed_without_the_cycle_collector():
+    """A profile holds no reference back to its scheme, so a leaf built
+    directly, its text copy and a composed `build_optimal` result that have
+    been checked, measured and audited are freed by reference counting, and
+    leave nothing for the cycle collector."""
+    leaf = build_B(3, (3, 4), (2, 1))
+    checked = [
+        (leaf, WEAK),
+        (LinearScheme.from_text(leaf.to_text()), WEAK),
+        (build_optimal(structure(4, [(3, 2), (2, 1)]), RatioKind(SIGMA, STRONG)), STRONG),
+    ]
+    assert checked[2][0].leaves
+    del leaf
+    gc.collect()
+    gc.disable()
+    try:
+        for scheme, security in checked:
+            assert check_conditions(scheme, security).passed
+            assert ratios(scheme).sigma
+            assert all(c.holds for c in audit_bounds(scheme, security))
+        refs = [weakref.ref(scheme) for scheme, _ in checked]
+        del checked, scheme
+        assert [ref() for ref in refs] == [None] * 3
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_audit_reads_only_the_share_sets_it_checks():
@@ -302,7 +332,7 @@ def test_audit_reads_only_the_share_sets_it_checks():
         # profile, so no scan fills this table.
         s.profile.reports[WEAK, False] = check_conditions(LinearScheme.from_text(text), WEAK)
         assert all(c.holds for c in audit_bounds(s, WEAK, cap=cap))
-        table = s.profile.ranks
+        table = s.profile
         assert all(m >> ns << ns == m for m in table)
         assert {bin(m).count("1") for m in table if m} == sizes
         if cap == 1:
@@ -337,19 +367,18 @@ def test_combined_check_makes_no_elimination_of_its_own():
     s = build_optimal(structure(4, [(3, 2), (2, 1)]), RatioKind(SIGMA, STRONG))
     assert len(s.leaves) == 3
     assert check_conditions(s, STRONG).passed
-    stats = s.profile.stats
-    assert dict(s.profile.ranks) == {0: 0} and stats.eliminations == 0
+    assert dict(s.profile) == {0: 0} and s.profile.eliminations == 0
     # Its audit reads share ranks summed from its leaves' tables.
     assert all(c.holds for c in audit_bounds(s, STRONG))
     ns = s.sp.n_secrets
-    assert len(s.profile.ranks) > 1
-    assert all(m >> ns << ns == m for m in s.profile.ranks)
-    assert stats.eliminations == 0
+    assert len(s.profile) > 1
+    assert all(m >> ns << ns == m for m in s.profile)
+    assert s.profile.eliminations == 0
     # Read back from text, the same scheme is a leaf and eliminates.
     copy = LinearScheme.from_text(s.to_text())
     assert copy.leaves == ()
     assert check_conditions(copy, STRONG).passed
-    assert copy.profile.stats.eliminations > 0
+    assert copy.profile.eliminations > 0
 
 
 @pytest.mark.parametrize(
@@ -409,7 +438,7 @@ def test_links_are_set_only_by_embed_and_combine():
         assert copy.leaves == ()
         for key in keys:
             assert check_conditions(copy, *key) == check_conditions(s, *key), key
-        assert copy.profile.stats.eliminations > 0
+        assert copy.profile.eliminations > 0
     assert not check_conditions(s, STRONG).passed
 
 
@@ -493,10 +522,10 @@ def test_embeds_of_one_construction_share_its_memo():
         assert check_conditions(e, WEAK, exhaustive=True) == check_conditions(
             c, WEAK, exhaustive=True
         )
-    assert all(e.profile.stats.eliminations == 0 for e in embeds)
-    shared = block.profile.stats.eliminations
+    assert all(e.profile.eliminations == 0 for e in embeds)
+    shared = block.profile.eliminations
     assert 0 < shared <= 2 ** len(block.variables()) - 1
-    assert shared < sum(c.profile.stats.eliminations for c in copies)
+    assert shared < sum(c.profile.eliminations for c in copies)
 
 
 # -- condition checks -------------------------------------------------------
@@ -545,9 +574,9 @@ def test_report_memo_matches_text_copy():
             s = build_optimal(sp, kind)
             got = {key: check_conditions(s, *key) for key in order}
             assert got == want, (sp, kind, order)
-            before = len(s.profile.ranks)
+            before = len(s.profile)
             assert all(check_conditions(s, *key) is got[key] for key in order)
-            assert len(s.profile.ranks) == before
+            assert len(s.profile) == before
     assert fails > 0
 
 
@@ -890,7 +919,7 @@ def _reference_audit(scheme, security, cap=verify.DEFAULT_AUDIT_CAP):
     }
     hp = {i: scheme.width(v) for i, v in enumerate(scheme.share_variables(), start=1)}
     ns = sp.n_secrets
-    h = scheme.profile.ranks
+    h = scheme.profile
     h_all_shares = h[((1 << n) - 1) << ns]
 
     def pair_gains(t):
@@ -1010,7 +1039,7 @@ def test_audit_matches_reference_audit():
                     copy.profile.reports[security, False] = check_conditions(s, security)
                 audit_bounds(ours, security, cap)
                 _reference_audit(theirs, security, cap)
-                assert set(ours.profile.ranks) == set(theirs.profile.ranks), label
+                assert set(ours.profile) == set(theirs.profile), label
 
 
 def test_capped_audit_draws_picks_only_up_to_the_cap(monkeypatch):
