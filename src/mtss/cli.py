@@ -205,8 +205,8 @@ def _cmd_reconstruct(args) -> int:
     except ReconstructionError as e:  # a ValueError, but a verified failure
         print(f"reconstruction failed: {e}")
         return FAIL
-    for v in sorted(recovered.values):
-        body = format_ints(recovered[v])
+    for v, vec in zip(recovered.variables, recovered.vectors):
+        body = format_ints(vec)
         if args.format == "records":
             print(f"S {v.level} {v.index} {body}")
         else:

@@ -8,15 +8,17 @@ secrets off it.  Both are linear in their input, so each scheme keeps its
 maps (`Codec`, made once per scheme object): one elimination per scheme
 gives the encoder, and one per coalition gives that coalition's decoder.
 
-Vectors are stored by position.  A `SecretAssignment` holds a tuple of
-vectors in canonical secret order, and a `ShareBundle` holds its vectors in
-share-index order.  The codec keeps each secret's and share's width and
-column offset, so `deal` and `reconstruct` cut their words into vectors by
-slices.  A `VariableId` appears only at the edges: item access, the
-read-only `values` and `shares` views, the bundle text and the CLI.  Each
-vector is checked once.  `for_scheme` checks width and field range; `deal`
-checks only an assignment built directly; `from_text` checks only the
-integer grammar, and `reconstruct` checks width and range.
+Vectors are stored by position.  A `SecretAssignment` and a `ShareBundle`
+are frozen dataclasses: the first holds its secrets and their vectors in
+canonical secret order, the second its share indices and their vectors in
+increasing index order.  The codec keeps each secret's and share's width
+and column offset, so `deal` and `reconstruct` cut their words into
+vectors by slices.  A `VariableId` appears only at the edges: item access,
+the bundle text and the CLI.  Each vector is checked once, by the code that
+relies on it.  `for_scheme` checks width and field range, and `deal` checks
+only an assignment built otherwise; `from_text` checks only the integer
+grammar, and `reconstruct` checks vector count, index order, width and
+range.
 
 The census brute-forces the full codeword space of a tiny scheme to compare
 statistical secrecy with the algebraic rank verdicts.  It tallies the
@@ -32,13 +34,11 @@ base-q digit rows, which the records output prints in code order.
 
 from __future__ import annotations
 
-import dataclasses
 from bisect import bisect_left, bisect_right
-from collections.abc import Mapping
 from dataclasses import dataclass
 from functools import cached_property, lru_cache, partial
 from itertools import accumulate, compress, islice
-from types import MappingProxyType
+from operator import ge
 
 import numpy as np
 
@@ -96,77 +96,34 @@ class ReconstructionError(ValueError):
     another scheme, the share set is unqualified, or the shares disagree."""
 
 
-_set = object.__setattr__  # fills the slots of the read-only classes below
-
-
-class _Frozen:
-    """Read-only and unhashable, as a frozen dataclass holding a dict is.
-    A subclass fills its `__slots__` once, through `_set`."""
-
-    __slots__ = ()
-    __hash__ = None
-
-    def __setattr__(self, name, value):
-        raise dataclasses.FrozenInstanceError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        raise dataclasses.FrozenInstanceError(f"cannot delete field {name!r}")
-
-
-class SecretAssignment(_Frozen):
+@dataclass(frozen=True)
+class SecretAssignment:
     """Per-secret value vectors; zero-width secrets carry empty tuples.
 
-    Stored by position: `_variables` are the assigned secrets in canonical
-    order and `_vectors` their tuples of ints.  `for_scheme` checks every
-    vector against the scheme's layout and records the scheme's codec, so
-    `deal` does not check them again.  An assignment built directly from a
-    {secret variable: vector} dict checks the keys and makes each vector a
-    tuple of ints; `deal` checks its vectors.  `values` is a read-only
-    {variable: vector} view, made on first read.  Immutable and unhashable;
-    compares by variables and vectors.
+    Stored by position: `variables` are the assigned secrets in canonical
+    order and `vectors` their tuples of ints.  `for_scheme` checks every
+    vector against the scheme's layout and marks the assignment with the
+    scheme's codec, so `deal` does not check it again; `deal` checks an
+    assignment built directly.  The mark is not part of the value: it is
+    not compared, copied or pickled.  Read-only and unhashable.
     """
 
-    __slots__ = ("_variables", "_vectors", "_codec", "_view")
-
-    def __new__(cls, values: dict):
-        _check_kind(values, "secret")
-        fixed = {v: tuple(int(e) for e in vec) for v, vec in values.items()}
-        order = tuple(sorted(fixed))
-        vectors = tuple(fixed[v] for v in order)
-        return cls._positional(order, vectors, view=MappingProxyType(fixed))
-
-    @classmethod
-    def _positional(cls, variables, vectors, codec=None, view=None) -> SecretAssignment:
-        new = object.__new__(cls)
-        _set(new, "_variables", variables)
-        _set(new, "_vectors", vectors)
-        _set(new, "_codec", codec)
-        _set(new, "_view", view)
-        return new
-
-    @property
-    def values(self) -> Mapping:
-        if self._view is None:
-            _set(self, "_view", MappingProxyType(dict(zip(self._variables, self._vectors))))
-        return self._view
+    variables: tuple
+    vectors: tuple
+    __hash__ = None
+    _codec = None  # the codec `for_scheme` checked the vectors against
 
     def __getitem__(self, v: VariableId):
         # A scheme's own variables are found by identity, with no hashing.
-        for held, vec in zip(self._variables, self._vectors):
+        for held, vec in zip(self.variables, self.vectors):
             if held is v:
                 return vec
-        return self.values[v]
+        if v not in self.variables:
+            raise KeyError(v)
+        return self.vectors[self.variables.index(v)]
 
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._vectors == other._vectors and self._variables == other._variables
-
-    def __repr__(self):
-        return f"{type(self).__name__}(values={dict(self.values)!r})"
-
-    def __reduce__(self):
-        return type(self), (dict(self.values),)
+    def __reduce__(self):  # the fields alone: a codec cannot be pickled
+        return type(self), (self.variables, self.vectors)
 
     @staticmethod
     def for_scheme(scheme: LinearScheme, vectors) -> SecretAssignment:
@@ -175,88 +132,46 @@ class SecretAssignment(_Frozen):
         svars, vectors = codec.secret_variables, list(vectors)
         if len(vectors) != len(svars):
             raise ValueError(f"need {len(svars)} secret vectors, got {len(vectors)}")
-        checked = _checked(vectors, codec.secret_widths, codec.q, svars)
-        return SecretAssignment._positional(svars, checked, codec)
-
-
-class ShareBundle(_Frozen):
-    """Share vectors plus the fingerprint of the scheme that produced them.
-
-    Stored by position: `_indices` are the held share indices in increasing
-    order and `_vectors` their tuples of ints, as `deal`, `restrict` and
-    `from_text` make them.  A bundle built directly from a fingerprint and
-    a {share variable: vector} dict checks the keys and makes each vector a
-    tuple of ints.  Only `reconstruct` checks vectors against a scheme.
-    `shares` is a read-only {variable: vector} view, made on first read.
-    Immutable and unhashable; compares by fingerprint, indices and vectors.
-    """
-
-    __slots__ = ("fingerprint", "_indices", "_vectors", "_view")
-
-    def __new__(cls, fingerprint: str, shares: dict):
-        _check_kind(shares, "share")
-        fixed = {v: tuple(int(e) for e in vec) for v, vec in shares.items()}
-        order = sorted(fixed)
-        indices, vectors = tuple(v.index for v in order), tuple(fixed[v] for v in order)
-        return cls._trusted(fingerprint, indices, vectors, MappingProxyType(fixed))
-
-    @classmethod
-    def _trusted(cls, fingerprint: str, indices: tuple, vectors: tuple, view=None) -> ShareBundle:
-        """A bundle of increasing share indices and tuples of ints."""
-        new = object.__new__(cls)
-        _set(new, "fingerprint", fingerprint)
-        _set(new, "_indices", indices)
-        _set(new, "_vectors", vectors)
-        _set(new, "_view", view)
+        new = SecretAssignment(svars, _checked(vectors, codec.secret_widths, codec.q, svars))
+        object.__setattr__(new, "_codec", codec)
         return new
 
-    @property
-    def shares(self) -> Mapping:
-        if self._view is None:
-            held = zip(map(VariableId.share, self._indices), self._vectors)
-            _set(self, "_view", MappingProxyType(dict(held)))
-        return self._view
 
-    def __getitem__(self, v: VariableId):
-        return self.shares[v]
+@dataclass(frozen=True)
+class ShareBundle:
+    """Share vectors plus the fingerprint of the scheme that produced them.
 
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (
-            self.fingerprint == other.fingerprint
-            and self._indices == other._indices
-            and self._vectors == other._vectors
-        )
+    Stored by position: `indices` are the held share indices, strictly
+    increasing from 1, and `vectors` their tuples of ints, as `deal`,
+    `restrict` and `from_text` make them.  Only `reconstruct` checks a
+    bundle against a scheme.  Read-only and unhashable.
+    """
 
-    def __repr__(self):
-        return (
-            f"{type(self).__name__}(fingerprint={self.fingerprint!r}, "
-            f"shares={dict(self.shares)!r})"
-        )
-
-    def __reduce__(self):
-        return type(self), (self.fingerprint, dict(self.shares))
+    fingerprint: str
+    indices: tuple
+    vectors: tuple
+    __hash__ = None
 
     def restrict(self, indices) -> ShareBundle:
         """Keep only the shares of the given participant indices."""
         keep = set(indices)
-        held = [i in keep for i in self._indices]
-        return ShareBundle._trusted(
+        held = [i in keep for i in self.indices]
+        return ShareBundle(
             self.fingerprint,
-            tuple(compress(self._indices, held)),
-            tuple(compress(self._vectors, held)),
+            tuple(compress(self.indices, held)),
+            tuple(compress(self.vectors, held)),
         )
 
     def to_text(self) -> str:
         lines = [_BUNDLE_MAGIC, f"fingerprint {self.fingerprint}"]
-        lines += [f"P {i} {format_ints(vec)}" for i, vec in zip(self._indices, self._vectors)]
+        lines += [f"P {i} {format_ints(vec)}" for i, vec in zip(self.indices, self.vectors)]
         return "\n".join(lines) + "\n"
 
     @staticmethod
     def from_text(text: str) -> ShareBundle:
-        """Read a bundle.  Only the grammar is checked here: `reconstruct`
-        checks each vector against the scheme."""
+        """Read a bundle, its shares in index order whatever the file's
+        order.  Only the grammar is checked here: `reconstruct` checks each
+        vector against the scheme."""
         header, body = read_records(text, _BUNDLE_MAGIC, ("fingerprint",), "bundle")
         shares = {}
         for parts in body:
@@ -269,9 +184,7 @@ class ShareBundle(_Frozen):
                 raise ValueError(f"duplicate share line for P[{i}]")
             shares[i] = parse_ints(parts[2], f"share vector of P[{i}]")
         indices = tuple(sorted(shares))
-        return ShareBundle._trusted(
-            header["fingerprint"], indices, tuple(map(shares.__getitem__, indices))
-        )
+        return ShareBundle(header["fingerprint"], indices, tuple(map(shares.__getitem__, indices)))
 
 
 def _frozen(a: np.ndarray) -> np.ndarray:
@@ -352,16 +265,16 @@ def deal(scheme: LinearScheme, secrets: SecretAssignment, seed: int = 0) -> Shar
     for a scheme whose secrets' joint columns are dependent.  An assignment
     that `for_scheme` made for this scheme's codec is not checked again."""
     codec = scheme.codec
-    q, vectors = codec.q, secrets._vectors
+    q, vectors = codec.q, secrets.vectors
     if secrets._codec is not codec:
-        if secrets._variables != codec.secret_variables:
+        if tuple(secrets.variables) != codec.secret_variables:
             raise ValueError("assignment must cover every secret exactly once")
-        _checked(vectors, codec.secret_widths, q, secrets._variables)
+        vectors = SecretAssignment.for_scheme(scheme, vectors).vectors
     encoder = codec.encoder
     coefficients = [e for vec in vectors for e in vec]
     coefficients += _field_elements(seed, q, len(encoder) - len(coefficients))
     words = tuple((np.array(coefficients, dtype=np.int64) @ encoder % q).tolist())
-    return ShareBundle._trusted(
+    return ShareBundle(
         scheme.fingerprint,
         tuple(range(1, len(codec.share_cuts) + 1)),
         tuple(words[cut] for cut in codec.share_cuts),
@@ -375,8 +288,10 @@ def reconstruct(scheme: LinearScheme, shares: ShareBundle, k: int = 1) -> Secret
     secrets, because the decodable condition puts their columns in the
     span of the coalition's columns.  Raises ReconstructionError for a
     wrong scheme, an unqualified set or inconsistent shares, and a plain
-    ValueError for out-of-range input: a share index above N, or a vector
-    of the wrong width or outside the field (the lowest such index first).
+    ValueError for malformed input: a vector count other than the index
+    count, share indices that do not increase strictly from 1, a share index
+    above N, or a vector of the wrong width or outside the field (the lowest
+    such index first).
     """
     if shares.fingerprint != scheme.fingerprint:
         raise ReconstructionError("bundle fingerprint does not match scheme")
@@ -384,22 +299,26 @@ def reconstruct(scheme: LinearScheme, shares: ShareBundle, k: int = 1) -> Secret
     if not 1 <= k <= sp.k_levels:
         raise ValueError("sub-array index out of range")
     codec = scheme.codec
-    q, widths, indices = codec.q, codec.share_widths, shares._indices
+    q, widths, indices = codec.q, codec.share_widths, tuple(shares.indices)
+    if len(shares.vectors) != len(indices):
+        raise ValueError(f"{len(shares.vectors)} share vectors for {len(indices)} share indices")
+    if any(map(ge, (0, *indices), indices)):
+        raise ValueError("share indices must increase strictly from 1")
     # The indices increase, so each vector up to N is checked before the
     # first index above N is refused.
     held = bisect_right(indices, len(widths))
     at = [widths[i - 1] for i in indices[:held]]
-    _checked(shares._vectors[:held], at, q, map("P[{}]".format, indices))
+    vectors = _checked(shares.vectors[:held], at, q, map("P[{}]".format, indices))
     if held < len(indices):
         raise ValueError(f"share index {indices[held]} out of range")
     if len(indices) < sp.threshold(k):
         raise ReconstructionError("unqualified set")
-    vals = np.array([e for vec in shares._vectors for e in vec], dtype=np.int64)
+    vals = np.array([e for vec in vectors for e in vec], dtype=np.int64)
     words = tuple((vals @ codec.decoder(indices) % q).tolist())
     if any(words[codec.secrets.shape[1] :]):
         raise ReconstructionError("inconsistent shares")
     first = codec.level_starts[k - 1]
-    return SecretAssignment._positional(
+    return SecretAssignment(
         codec.secret_variables[first:],
         tuple(words[cut] for cut in codec.secret_cuts[first:]),
     )

@@ -54,14 +54,14 @@ def test_splitmix64_reference_vector():
 def test_round_trip_tiny_shamir():
     sch = build_single_threshold(2, 2, q=5)
     bundle = deal(sch, SecretAssignment.for_scheme(sch, [[3]]), seed=0)
-    assert {v: len(vec) for v, vec in bundle.shares.items()} == {P(1): 1, P(2): 1}
+    assert bundle.indices == (1, 2) and [len(vec) for vec in bundle.vectors] == [1, 1]
     assert reconstruct(sch, bundle, 1)[S(1, 1)] == (3,)
 
 
 def test_zero_secrets_trivial_nullspace():
     sch = build_weak_block(2, 2, 2, q=5)  # two rows, two width-1 secrets
     bundle = deal(sch, SecretAssignment.for_scheme(sch, [[0], [0]]), seed=77)
-    assert all(vec == (0,) for vec in bundle.shares.values())
+    assert bundle.vectors == ((0,), (0,))
 
 
 def test_seed_changes_bundle_not_secrets():
@@ -69,7 +69,7 @@ def test_seed_changes_bundle_not_secrets():
     sa = SecretAssignment.for_scheme(sch, [[3]])
     a = deal(sch, sa, seed=0)
     b = deal(sch, sa, seed=1)
-    assert a.shares != b.shares
+    assert a.indices == b.indices and a.vectors != b.vectors
     assert reconstruct(sch, a, 1) == reconstruct(sch, b, 1)
 
 
@@ -132,11 +132,11 @@ def test_round_trip_all_qualified_sets():
         for size in range(t, 4):
             for idxs in itertools.combinations([1, 2, 3], size):
                 rec = reconstruct(sch, bundle.restrict(idxs), k)
-                for v, vec in rec.values.items():
+                for v, vec in zip(rec.variables, rec.vectors):
                     assert vec == sa[v]
-                assert set(rec.values) == {
+                assert rec.variables == tuple(
                     v for v in sch.secret_variables() if v.level >= k
-                }
+                )
 
 
 def test_suffix_reconstruction_two_levels():
@@ -144,7 +144,7 @@ def test_suffix_reconstruction_two_levels():
     sa = SecretAssignment.for_scheme(sch, [[2], [4 % sch.q]])
     bundle = deal(sch, sa, seed=11)
     rec = reconstruct(sch, bundle.restrict([1, 2]), k=2)
-    assert set(rec.values) == {S(2, 1)}
+    assert rec.variables == (S(2, 1),)
     assert rec[S(2, 1)] == sa[S(2, 1)]
     full = reconstruct(sch, bundle, k=1)
     assert full == sa
@@ -164,10 +164,9 @@ def test_reconstruct_errors():
     other = build_single_threshold(2, 3, q=sch.q)
     with pytest.raises(ReconstructionError, match="fingerprint"):
         reconstruct(other, bundle, k=1)
-    outside = dict(bundle.shares)
-    outside[P(1)] = (sch.q,) * len(outside[P(1)])
+    outside = ((sch.q,) * len(bundle.vectors[0]), *bundle.vectors[1:])
     with pytest.raises(ValueError, match="field range") as info:
-        reconstruct(sch, ShareBundle(bundle.fingerprint, outside), k=1)
+        reconstruct(sch, ShareBundle(bundle.fingerprint, bundle.indices, outside), k=1)
     assert not isinstance(info.value, ReconstructionError)
 
 
@@ -175,10 +174,9 @@ def test_inconsistent_shares():
     sch = build_weak_block(3, 2, 2, q=7)  # three shares, rank 2
     sa = SecretAssignment.for_scheme(sch, [[1], [2]])
     bundle = deal(sch, sa, seed=3)
-    tweaked = dict(bundle.shares)
-    tweaked[P(3)] = ((tweaked[P(3)][0] + 1) % 7,)
+    tweaked = (*bundle.vectors[:2], ((bundle.vectors[2][0] + 1) % 7,))
     with pytest.raises(ReconstructionError, match="inconsistent shares"):
-        reconstruct(sch, ShareBundle(bundle.fingerprint, tweaked), k=1)
+        reconstruct(sch, ShareBundle(bundle.fingerprint, bundle.indices, tweaked), k=1)
 
 
 def test_deal_refuses_dependent_secret_columns():
@@ -194,8 +192,8 @@ def test_deal_refuses_dependent_secret_columns():
     with pytest.raises(ValueError, match="linearly dependent"):
         deal(sch, SecretAssignment.for_scheme(sch, [[1], [2]]), seed=0)
     # the codeword (3, 5) gives shares 3, 5, 6 and both secrets 1
-    bundle = ShareBundle(sch.fingerprint, {P(1): (3,), P(2): (5,), P(3): (6,)})
-    assert reconstruct(sch, bundle, 1) == SecretAssignment({S(1, 1): (1,), S(1, 2): (1,)})
+    bundle = ShareBundle(sch.fingerprint, (1, 2, 3), ((3,), (5,), (6,)))
+    assert reconstruct(sch, bundle, 1) == SecretAssignment((S(1, 1), S(1, 2)), ((1,), (1,)))
 
 
 def _replay_schemes():
@@ -221,11 +219,13 @@ def _replay(sch, text):
             for idxs in itertools.combinations(range(1, n + 1), size):
                 honest = bundle.restrict(idxs)
                 tampers = []
-                for v, vec in sorted(honest.shares.items()):
+                for i, vec in enumerate(honest.vectors):
                     for at in range(len(vec)):
-                        changed = dict(honest.shares)
-                        changed[v] = vec[:at] + ((vec[at] + 1) % sch.q,) + vec[at + 1 :]
-                        tampers.append(ShareBundle(honest.fingerprint, changed))
+                        changed = list(honest.vectors)
+                        changed[i] = vec[:at] + ((vec[at] + 1) % sch.q,) + vec[at + 1 :]
+                        tampers.append(
+                            ShareBundle(honest.fingerprint, honest.indices, tuple(changed))
+                        )
                 for shares in (honest, *tampers):
                     try:
                         out = reconstruct(sch, shares, k)
@@ -249,10 +249,10 @@ def test_reconstruct_replay_matches_rank_route(monkeypatch):
         calls.clear()
         coalitions, honest = set(), set()
         for copy, k, shares, out in _replay(sch, sch.to_text()):
-            avars = sorted(shares.shares)
-            coalitions.add(tuple(avars))
+            avars = [P(i) for i in shares.indices]
+            coalitions.add(shares.indices)
             cols = copy.columns(avars)
-            vals = [x for v in avars for x in shares[v]]
+            vals = [x for vec in shares.vectors for x in vec]
             consistent = field.rank(np.vstack([cols, vals]), sch.q) == field.rank(cols, sch.q)
             assert isinstance(out, SecretAssignment) == consistent, (name, k, shares)
             verdicts.add(consistent)
@@ -260,8 +260,8 @@ def test_reconstruct_replay_matches_rank_route(monkeypatch):
                 assert out == "inconsistent shares"
                 continue
             targets = [v for v in copy.secret_variables() if v.level >= k]
-            assert sorted(out.values) == targets
-            if shares == bundle.restrict(v.index for v in avars):
+            assert list(out.variables) == targets
+            if shares == bundle.restrict(shares.indices):
                 assert all(out[v] == dealt[v] for v in targets), (name, k)
                 honest.add((k, tuple(avars)))
             joint = np.hstack([cols, copy.columns(targets)])
@@ -287,7 +287,7 @@ def test_decoder_table_is_bounded(monkeypatch):
         for copy, k, shares, out in _replay(sch, text):
             got.append((k, shares, out))
             sizes.add(copy.codec.decoder.cache_info().currsize)
-            coalitions.add(tuple(sorted(shares.shares)))
+            coalitions.add(shares.indices)
         monkeypatch.undo()
         assert got == want
         assert max(sizes) == 2 and len(coalitions) > 2
@@ -304,12 +304,10 @@ def test_assignment_validation():
         SecretAssignment.for_scheme(sch, [[1, 2]])
     with pytest.raises(ValueError, match="field range"):
         SecretAssignment.for_scheme(sch, [[7]])
-    with pytest.raises(ValueError, match="not a secret variable"):
-        SecretAssignment({P(1): (0,)})
-    with pytest.raises(ValueError, match="not a share variable"):
-        ShareBundle("x", {S(1, 1): (0,)})
     with pytest.raises(ValueError, match="cover every secret"):
-        deal(sch, SecretAssignment({}), seed=0)
+        deal(sch, SecretAssignment((), ()), seed=0)
+    with pytest.raises(ValueError, match="cover every secret"):
+        deal(sch, SecretAssignment((P(1),), ((0,),)), seed=0)
 
 
 # ------------------------------------------------------------- bundle format
@@ -333,8 +331,8 @@ def test_bundle_text_empty_share():
         (P(2), np.zeros((2, 0), dtype=np.int64)),
     )
     sch = LinearScheme(sp=sp, q=5, n_rows=2, blocks=blocks)
-    bundle = deal(sch, SecretAssignment({S(1, 1): (2,)}), seed=0)
-    assert bundle[P(2)] == ()
+    bundle = deal(sch, SecretAssignment((S(1, 1),), ((2,),)), seed=0)
+    assert bundle.indices == (1, 2) and bundle.vectors[1] == ()
     text = bundle.to_text()
     assert "P 2 -" in text
     assert ShareBundle.from_text(text) == bundle
@@ -352,41 +350,24 @@ def test_bundle_text_errors():
     with pytest.raises(ValueError, match=r"bad share vector of P\[2\] '1,,2'"):
         ShareBundle.from_text("mtss-bundle 1\nfingerprint ab\nP 2 1,,2\n")
     back = ShareBundle.from_text("mtss-bundle 1 \n\nfingerprint ab\nP 2 -\nP 1 4,0\n")
-    assert back == ShareBundle("ab", {P(1): (4, 0), P(2): ()})
-
-
-def _plain(bundle):
-    """True when every vector of the bundle is a tuple of Python ints."""
-    return all(
-        type(vec) is tuple and all(type(e) is int for e in vec)
-        for vec in bundle.shares.values()
-    )
-
-
-def test_bundles_built_directly_are_normalised():
-    """A bundle built by a caller makes each vector a tuple of ints, from a
-    list or a numpy vector alike, and refuses a key that is not a share."""
-    for vec in ([3, 1], np.array([3, 1], dtype=np.int64), (np.int64(3), 1)):
-        bundle = ShareBundle("ab", {P(1): vec, P(2): []})
-        assert _plain(bundle) and bundle[P(1)] == (3, 1) and bundle[P(2)] == ()
-        assert bundle == ShareBundle("ab", {P(1): (3, 1), P(2): ()})
-    with pytest.raises(ValueError, match="not a share variable"):
-        ShareBundle("ab", {(1,): (0,)})
+    assert back == ShareBundle("ab", (1, 2), ((4, 0), ()))
 
 
 def test_dealt_restricted_and_read_bundles_hold_tuples_of_ints():
-    """`deal`, `restrict` and `from_text` build their bundles without the
-    check, from vectors that are already tuples of ints, and each equals the
-    bundle a caller would build from the same vectors."""
+    """`deal`, `restrict` and `from_text` build their bundles from vectors
+    that are already tuples of ints, indexed in increasing order."""
     sch = build_B(3, (3, 4), (2, 1))
     widths = [sch.width(v) for v in sch.secret_variables()]
     bundle = deal(sch, SecretAssignment.for_scheme(sch, [[1] * w for w in widths]), seed=3)
     for got in (bundle, bundle.restrict([1, 3]), ShareBundle.from_text(bundle.to_text())):
-        assert _plain(got)
-        assert got == ShareBundle(got.fingerprint, dict(got.shares))
-    assert list(bundle.restrict([3, 1]).shares) == [P(1), P(3)]
+        assert type(got.indices) is type(got.vectors) is tuple
+        assert all(type(i) is int for i in got.indices)
+        assert all(
+            type(vec) is tuple and all(type(e) is int for e in vec) for vec in got.vectors
+        )
+    assert bundle.restrict([3, 1]).indices == (1, 3)
     with pytest.raises(dataclasses.FrozenInstanceError):
-        bundle.shares = {}
+        bundle.vectors = ()
 
 
 # ------------------------------------------------------------------- census
@@ -784,6 +765,25 @@ def _reference_reconstruct(scheme, fingerprint, shares, k):
     return {v: vec for v, vec in got.items() if v.level >= k}
 
 
+def _assignment(values):
+    """The positional assignment of a {secret variable: vector} dict."""
+    order = tuple(sorted(values))
+    return SecretAssignment(order, tuple(tuple(values[v]) for v in order))
+
+
+def _bundle(fingerprint, shares):
+    """The positional bundle of a {share variable: vector} dict."""
+    order = sorted(shares)
+    return ShareBundle(
+        fingerprint, tuple(v.index for v in order), tuple(tuple(shares[v]) for v in order)
+    )
+
+
+def _shares(bundle):
+    """A bundle's {share variable: vector} dict, in index order."""
+    return dict(zip(map(P, bundle.indices), bundle.vectors))
+
+
 def _outcome(call, *args):
     """What a call returns, or the type and message of what it raises."""
     try:
@@ -805,7 +805,7 @@ def _round_trip_cases():
 
 def _assert_same_reconstruction(sch, bundle, text, k):
     """`reconstruct` and the reference agree on the bundle read from `text`:
-    the same assignment, dict and repr, or the same refusal."""
+    the same assignment, in the same order and repr, or the same refusal."""
     fingerprint, ref_shares = _reference_from_text(text)
     want = _outcome(_reference_reconstruct, sch, fingerprint, ref_shares, k)
     got = _outcome(reconstruct, sch, bundle, k)
@@ -813,8 +813,8 @@ def _assert_same_reconstruction(sch, bundle, text, k):
         assert got == want, (k, text)
         return
     assert got[0] == "returned", (k, text, got)
-    assert got[1] == SecretAssignment(want[1]) and dict(got[1].values) == want[1]
-    assert list(got[1].values) == list(want[1]) and repr(got[1]) == repr(SecretAssignment(want[1]))
+    assert got[1] == _assignment(want[1]) and list(got[1].variables) == list(want[1])
+    assert repr(got[1]) == repr(_assignment(want[1]))
 
 
 def test_round_trip_matches_reference():
@@ -832,19 +832,20 @@ def test_round_trip_matches_reference():
             vectors = [[rng.randrange(sch.q) for _ in range(w)] for w in widths]
             values = _reference_for_scheme(sch, vectors)
             sa = SecretAssignment.for_scheme(sch, vectors)
-            assert sa == SecretAssignment(values) and dict(sa.values) == values, label
+            assert sa == _assignment(values), label
             bundle = deal(sch, sa, seed=seed)
             ref_shares = _reference_deal(sch, values, seed)
             text = bundle.to_text()
             assert text == _reference_to_text(sch.fingerprint, ref_shares), label
-            assert bundle == ShareBundle(sch.fingerprint, ref_shares)
-            assert deal(sch, SecretAssignment(values), seed=seed) == bundle
+            assert bundle == _bundle(sch.fingerprint, ref_shares)
+            assert _shares(bundle) == ref_shares
+            assert deal(sch, _assignment(values), seed=seed) == bundle
             back = ShareBundle.from_text(text)
-            assert back == bundle and dict(back.shares) == ref_shares
+            assert back == bundle
             for coalition in rng.sample(coalitions, min(16, len(coalitions))):
                 part = back.restrict(coalition)
                 ref_part = _reference_restrict(ref_shares, coalition)
-                assert part == ShareBundle(sch.fingerprint, ref_part)
+                assert part == _bundle(sch.fingerprint, ref_part)
                 assert part.to_text() == _reference_to_text(sch.fingerprint, ref_part)
                 for k in range(1, K + 1):
                     _assert_same_reconstruction(sch, part, part.to_text(), k)
@@ -875,17 +876,9 @@ def test_refusals_match_reference():
     swapped = {**{v: values[v] for v in svars[:4]}, S(3, 1): (5,)}  # five, one foreign
     for changed in ({svars[0]: (1,)}, swapped, {**values, svars[4]: (q,)},
                     {**values, svars[1]: (1, 1)}, {**values, svars[3]: (-1,)}):
-        assert _refused(deal, sch, SecretAssignment(changed), 0) == _refused(
+        assert _refused(deal, sch, _assignment(changed), 0) == _refused(
             _reference_deal, sch, changed, 0
         ), changed
-    for keys in ({P(1): (0,)}, {(1,): (0,)}, {"S": (0,)}):
-        assert _refused(SecretAssignment, keys)[0] is ValueError
-    assert _refused(ShareBundle, "ab", {S(1, 1): (0,)}) == (
-        ValueError, "not a share variable: S[1,1]"
-    )
-    assert _refused(ShareBundle, "ab", {P(1): (0,), 2: (0,)}) == (
-        ValueError, "not a share variable: 2"
-    )
     text = deal(sch, SecretAssignment.for_scheme(sch, good), seed=9).to_text()
     lines = text.splitlines()
     foreign = build_single_threshold(2, 3, q=q).fingerprint
@@ -920,50 +913,115 @@ def test_refusals_match_reference():
     # a directly built bundle is checked against the scheme by `reconstruct`
     fingerprint, shares = _reference_from_text(text)
     for changed in ({**shares, P(3): (q, 0)}, {**shares, P(1): (1,)}, {**shares, P(5): (0,)}):
-        bundle = ShareBundle(fingerprint, changed)
+        bundle = _bundle(fingerprint, changed)
         assert _refused(reconstruct, sch, bundle, 1) == _refused(
             _reference_reconstruct, sch, fingerprint, changed, 1
         )
 
 
 def test_assignments_and_bundles_behave_as_frozen_dataclasses():
-    """Read-only, unhashable, equal by content whatever the dict's order,
-    printed as the dataclasses printed, and copied and pickled whole."""
+    """Read-only, unhashable, equal by their fields, printed as dataclasses,
+    and copied and pickled without the codec mark of `for_scheme`, whose
+    decoder table cannot be pickled."""
     sch = build_optimal(structure(3, [(3, 1), (2, 1)]), RatioKind(SIGMA, STRONG))
     sa = SecretAssignment.for_scheme(sch, [[1], [3]])
     bundle = deal(sch, sa, seed=1)
-    direct = SecretAssignment({S(2, 1): (3,), S(1, 1): [np.int64(1)]})
+    reconstruct(sch, bundle, 1)  # the codec now holds a decoder
+    direct = SecretAssignment((S(1, 1), S(2, 1)), ((1,), (3,)))
     assert direct == sa and sa == direct and direct != bundle
-    assert repr(direct) == (
-        "SecretAssignment(values={VariableId(kind='secret', level=2, index=1): (3,), "
-        "VariableId(kind='secret', level=1, index=1): (1,)})"
+    assert repr(sa) == repr(direct) == (
+        "SecretAssignment(variables=(VariableId(kind='secret', level=1, index=1), "
+        "VariableId(kind='secret', level=2, index=1)), vectors=((1,), (3,)))"
     )
-    assert repr(sa).startswith("SecretAssignment(values={VariableId(kind='secret', level=1")
     assert repr(bundle) == (
-        f"ShareBundle(fingerprint={sch.fingerprint!r}, shares={dict(bundle.shares)!r})"
+        f"ShareBundle(fingerprint={sch.fingerprint!r}, indices=(1, 2, 3), "
+        f"vectors={bundle.vectors!r})"
     )
-    assert SecretAssignment({S(1, 1): (1,)}) != sa
-    assert SecretAssignment({S(1, 1): (1,)}) != SecretAssignment({S(2, 1): (1,)})
-    assert ShareBundle("ab", {P(1): ()}) != ShareBundle("ab", {P(2): ()})
-    assert ShareBundle("ab", {P(1): ()}) != ShareBundle("cd", {P(1): ()})
+    assert SecretAssignment((S(1, 1),), ((1,),)) != sa
+    assert SecretAssignment((S(1, 1),), ((1,),)) != SecretAssignment((S(2, 1),), ((1,),))
+    assert ShareBundle("ab", (1,), ((),)) != ShareBundle("ab", (2,), ((),))
+    assert ShareBundle("ab", (1,), ((),)) != ShareBundle("cd", (1,), ((),))
     for obj in (sa, direct, bundle, bundle.restrict([2])):
-        assert copy.copy(obj) == obj == pickle.loads(pickle.dumps(obj))
+        for twin in (copy.copy(obj), copy.deepcopy(obj), pickle.loads(pickle.dumps(obj))):
+            assert twin == obj and type(twin) is type(obj)
+            assert getattr(twin, "_codec", None) is None
         with pytest.raises(TypeError, match="unhashable"):
             hash(obj)
-        for name in ("values", "shares", "fingerprint", "_vectors", "other"):
+        for name in ("variables", "vectors", "indices", "fingerprint", "_codec", "other"):
             with pytest.raises(dataclasses.FrozenInstanceError):
                 setattr(obj, name, None)
         with pytest.raises(dataclasses.FrozenInstanceError):
-            del obj._vectors
-    with pytest.raises(TypeError):
-        sa.values[S(1, 1)] = (0,)
-    with pytest.raises(TypeError):
-        bundle.shares[P(1)] = (0,)
+            del obj.vectors
+    assert sa._codec is sch.codec and direct._codec is None
+    assert deal(sch, pickle.loads(pickle.dumps(sa)), seed=1) == bundle
     assert sa[S(2, 1)] == (3,) and sa[VariableId.secret(2, 1)] == (3,)
     with pytest.raises(KeyError):
         sa[S(3, 1)]
-    with pytest.raises(KeyError):
-        bundle[P(4)]
+
+
+def test_deal_checks_a_directly_built_assignment():
+    """An assignment built directly, with vectors as lists, numpy arrays,
+    numpy ints or one-pass iterators, deals the bundle its tuples of ints
+    deal; one that does not fit the scheme is refused with the message
+    `for_scheme` gives."""
+    sch = build_B(3, (3, 4), (2, 1))
+    svars = sch.secret_variables()
+    vectors = [[(3 * i + 1) % sch.q] for i in range(len(svars))]
+    want = deal(sch, SecretAssignment.for_scheme(sch, vectors), seed=8)
+    for given in (
+        [list(vec) for vec in vectors],
+        [np.array(vec, dtype=np.int64) for vec in vectors],
+        tuple(tuple(map(np.int64, vec)) for vec in vectors),
+        [iter(vec) for vec in vectors],
+    ):
+        got = deal(sch, SecretAssignment(svars, given), seed=8)
+        assert got == want and got.to_text() == want.to_text()
+        assert all(type(e) is int for vec in got.vectors for e in vec)
+    changes = [(bad, *vectors[1:]) for bad in ([sch.q], [1, 1], [-1])]
+    # too few vectors, or too many: nothing is filled in or dropped
+    changes += [tuple(vectors[:-1]), (*vectors, [0])]
+    for changed in changes:
+        with pytest.raises(ValueError) as info:
+            deal(sch, SecretAssignment(svars, changed), seed=8)
+        assert _refused(SecretAssignment.for_scheme, sch, changed) == (
+            ValueError, str(info.value)
+        )
+    assert deal(sch, SecretAssignment(list(svars), vectors), seed=8) == want
+
+
+@pytest.mark.parametrize("indices", [(2, 1, 3), (1, 1, 3), (0, 1, 3), (-1, 2, 3)])
+def test_reconstruct_refuses_indices_that_do_not_increase_from_1(indices):
+    """A bundle built directly must hold its shares by increasing index;
+    out of order, repeated, 0 or negative is one `ValueError`, before any
+    vector is read."""
+    sch = build_B(3, (3, 4), (2, 1))
+    bundle = deal(sch, _counting_secrets(sch), seed=2)
+    direct = ShareBundle(bundle.fingerprint, indices, bundle.vectors)
+    for k in (1, 2):
+        with pytest.raises(ValueError) as info:
+            reconstruct(sch, direct, k)
+        assert type(info.value) is ValueError
+        assert str(info.value) == "share indices must increase strictly from 1"
+    assert reconstruct(sch, ShareBundle(bundle.fingerprint, (1, 2, 3), bundle.vectors)) == (
+        reconstruct(sch, bundle)
+    )
+
+
+def test_reconstruct_refuses_a_vector_count_other_than_the_index_count():
+    """A bundle built directly with one vector fewer or more than it has
+    indices is one `ValueError`; indices given as a list decode as a tuple
+    does."""
+    sch = build_B(3, (3, 4), (2, 1))
+    bundle = deal(sch, _counting_secrets(sch), seed=2)
+    for vectors in (bundle.vectors[:-1], (*bundle.vectors, bundle.vectors[-1])):
+        direct = ShareBundle(bundle.fingerprint, bundle.indices, vectors)
+        with pytest.raises(ValueError) as info:
+            reconstruct(sch, direct)
+        assert type(info.value) is ValueError
+        assert str(info.value) == f"{len(vectors)} share vectors for 3 share indices"
+    listed = ShareBundle(bundle.fingerprint, list(bundle.indices), bundle.vectors)
+    for k in (1, 2):
+        assert reconstruct(sch, listed, k) == reconstruct(sch, bundle, k)
 
 
 def test_a_scheme_and_its_codec_are_freed_without_the_cycle_collector():

@@ -1,7 +1,8 @@
 """Every name that a module of the package imports is used in that module,
-every private top-level function or class is named by the package, no
-module imports a private name from another, and the converse side
-(`simplex`, `structure`, `cone`) imports no construction."""
+every private top-level function or class is named by the package, every
+public one is read by the package or the benchmark, no module imports a
+private name from another, and the converse side (`simplex`, `structure`,
+`cone`) imports no construction."""
 
 import ast
 from collections import Counter
@@ -10,6 +11,7 @@ from pathlib import Path
 import pytest
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "mtss"
+BENCH = SRC.parents[1] / "bench"
 
 
 def unused_imports(source: str) -> list[str]:
@@ -43,24 +45,59 @@ def _names(node) -> Counter:
     )
 
 
+def _private(name: str) -> bool:
+    return name.startswith("_") and not name.startswith("__")
+
+
+_DEFS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+
+
+def _definitions(tree):
+    """The functions and classes of a module, top-level or methods of a
+    top-level class, as (qualified name, node)."""
+    for node in tree.body:
+        if isinstance(node, _DEFS):
+            yield node.name, node
+            if isinstance(node, ast.ClassDef):
+                for d in node.body:
+                    if isinstance(d, _DEFS):
+                        yield f"{node.name}.{d.name}", d
+
+
 def unused_private(sources: dict[str, str]) -> list[str]:
     """The private functions and classes of `sources` ({module name:
     source}), top-level or methods of a top-level class, that no module
     names outside their own definition, as "module.name".  Dunder names are
     exempt."""
-    defs = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
     total = Counter()
     defined = []
     for module, source in sources.items():
         tree = ast.parse(source)
         total += _names(tree)
-        for node in tree.body:
-            members = node.body if isinstance(node, ast.ClassDef) else []
-            for d in (node, *members):
-                if isinstance(d, defs) and d.name.startswith("_"):
-                    if not d.name.startswith("__"):
-                        defined.append((f"{module}.{d.name}", d.name, _names(d)[d.name]))
+        for _, d in _definitions(tree):
+            if _private(d.name):
+                defined.append((f"{module}.{d.name}", d.name, _names(d)[d.name]))
     return [label for label, name, inside in defined if total[name] == inside]
+
+
+def unused_public(sources: dict[str, str], readers: list[str], kept) -> list[str]:
+    """The public functions and classes of `sources` ({module name:
+    source}), top-level or methods of a top-level class, that neither
+    `sources` nor `readers` (more sources) name outside their own
+    definition, as "module.name" or "module.Class.name", leaving out those
+    in `kept`.  A name counts as read wherever a `Name` or an `Attribute`
+    spells it."""
+    total = sum((_names(ast.parse(source)) for source in readers), Counter())
+    defined = []
+    for module, source in sources.items():
+        tree = ast.parse(source)
+        total += _names(tree)
+        for qualified, d in _definitions(tree):
+            if not d.name.startswith("_"):
+                defined.append((f"{module}.{qualified}", d.name, _names(d)[d.name]))
+    return [
+        label for label, name, inside in defined if total[name] == inside and label not in kept
+    ]
 
 
 def test_unused_imports_finds_what_it_should():
@@ -115,6 +152,55 @@ def test_unused_private_finds_what_it_should():
 def test_no_unused_private_definitions():
     sources = {p.stem: p.read_text() for p in sorted(SRC.glob("*.py"))}
     assert unused_private(sources) == []
+
+
+def test_unused_public_finds_what_it_should():
+    sources = {
+        "a": (
+            "def called():\n"
+            "    return 1\n"
+            "def recursive(n):\n"
+            "    return recursive(n - 1)\n"
+            "def benched():\n"
+            "    return called()\n"
+            "def kept():\n"
+            "    pass\n"
+            "def _private():\n"
+            "    pass\n"
+            "class K:\n"
+            "    def __init__(self):\n"
+            "        self.asked()\n"
+            "    def asked(self):\n"
+            "        pass\n"
+            "    def orphan(self):\n"
+            "        return K()\n"
+            "    @staticmethod\n"
+            "    def built():\n"
+            "        pass\n"
+        ),
+        "b": "import a\nx = a.K\n",
+    }
+    readers = ["from a import benched\nbenched()\n", "import a\na.K.built()\n"]
+    assert unused_public(sources, readers, kept={"a.kept"}) == [
+        "a.recursive", "a.K.orphan"
+    ]
+    assert unused_public(sources, [], kept={"a.kept"}) == [
+        "a.recursive", "a.benched", "a.K.orphan", "a.K.built"
+    ]
+
+
+# The paper's two corollaries (extending an entropy vector to a larger
+# structure, and an entropy vector read off a scheme's ranks) are API kept on
+# purpose, although only the tests call them.
+COROLLARY_API = {"cone.extend_vector", "cone.EntropyVector.from_profile"}
+
+
+def test_no_public_definition_only_tests_read():
+    """Every public function, class and method of the package is read by
+    the package or by the benchmark, apart from the corollary API."""
+    sources = {p.stem: p.read_text() for p in sorted(SRC.glob("*.py"))}
+    readers = [p.read_text() for p in sorted(BENCH.glob("*.py"))]
+    assert unused_public(sources, readers, COROLLARY_API) == []
 
 
 def imported_names(source: str) -> set[str]:
@@ -196,15 +282,10 @@ def test_no_private_name_imported_across_modules(path):
     assert private_imports(path.read_text()) == []
 
 
-def _private(name: str) -> bool:
-    return name.startswith("_") and not name.startswith("__")
-
-
 def defined_private(source: str) -> set[str]:
     """The private names (one leading underscore) that `source` defines at
     any depth: def and class names, the names and attributes it stores to,
-    and the string names in a `__slots__` or passed to `_set(obj, name, ...)`
-    (the slot filler of `dealer`)."""
+    and the string names in a `__slots__`."""
     found = set()
     for node in ast.walk(ast.parse(source)):
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
@@ -215,14 +296,6 @@ def defined_private(source: str) -> set[str]:
             isinstance(t, ast.Name) and t.id == "__slots__" for t in node.targets
         ):
             found.update(c.value for c in ast.walk(node.value) if isinstance(c, ast.Constant))
-        elif (
-            isinstance(node, ast.Call)
-            and isinstance(node.func, ast.Name)
-            and node.func.id == "_set"
-            and len(node.args) > 1
-            and isinstance(node.args[1], ast.Constant)
-        ):
-            found.add(node.args[1].value)
     return {name for name in found if isinstance(name, str) and _private(name)}
 
 
@@ -254,13 +327,12 @@ def test_foreign_private_reads_finds_what_it_should():
             "    __slots__ = ('_slot',)\n"
             "    def _method(self):\n"
             "        self._stored = 1\n"
-            "_set(K(), '_filled', 2)\n"
             "_table = {}\n"
         ),
         "b": (
             "def f(k, other):\n"
             "    k._method()\n"
-            "    other._stored = k._slot, k._filled, k._table\n"
+            "    other._stored = k._slot, k._table\n"
             "    return other._stored, k._unknown, k.__dict__, k.public\n"
         ),
         "c": "def g(k):\n    return k._stored\n",
@@ -268,7 +340,6 @@ def test_foreign_private_reads_finds_what_it_should():
     assert foreign_private_reads(sources) == [
         "b._method (line 2)",
         "b._slot (line 3)",
-        "b._filled (line 3)",
         "b._table (line 3)",
         "c._stored (line 2)",
     ]
