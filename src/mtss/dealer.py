@@ -11,14 +11,14 @@ gives the encoder, and one per coalition gives that coalition's decoder.
 Vectors are stored by position.  A `SecretAssignment` and a `ShareBundle`
 are frozen dataclasses: the first holds its secrets and their vectors in
 canonical secret order, the second its share indices and their vectors in
-increasing index order.  The codec keeps each secret's and share's width
-and column offset, so `deal` and `reconstruct` cut their words into
-vectors by slices.  A `VariableId` appears only at the edges: item access,
-the bundle text and the CLI.  Each vector is checked once, by the code that
-relies on it.  `for_scheme` checks width and field range, and `deal` checks
-only an assignment built otherwise; `from_text` checks only the integer
-grammar, and `reconstruct` checks vector count, index order, width and
-range.
+increasing index order.  The codec takes its layout from the scheme: each
+secret's and share's width and column slice (`LinearScheme.cuts`), so
+`deal` and `reconstruct` cut their words into vectors by slices.  A
+`VariableId` appears only at the edges: item access, the bundle text and
+the CLI.  Each vector is checked by the code that relies on it:
+`for_scheme` checks width and field range, and `deal` checks every
+assignment through it; `from_text` checks only the integer grammar, and
+`reconstruct` checks vector count, index order, width and range.
 
 The census brute-forces the full codeword space of a tiny scheme to compare
 statistical secrecy with the algebraic rank verdicts.  It tallies the
@@ -37,7 +37,7 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from functools import cached_property, lru_cache, partial
-from itertools import accumulate, compress, islice
+from itertools import compress, islice
 from operator import ge
 
 import numpy as np
@@ -102,16 +102,13 @@ class SecretAssignment:
 
     Stored by position: `variables` are the assigned secrets in canonical
     order and `vectors` their tuples of ints.  `for_scheme` checks every
-    vector against the scheme's layout and marks the assignment with the
-    scheme's codec, so `deal` does not check it again; `deal` checks an
-    assignment built directly.  The mark is not part of the value: it is
-    not compared, copied or pickled.  Read-only and unhashable.
+    vector against the scheme's layout, and `deal` checks every assignment
+    through it.  Read-only and unhashable.
     """
 
     variables: tuple
     vectors: tuple
     __hash__ = None
-    _codec = None  # the codec `for_scheme` checked the vectors against
 
     def __getitem__(self, v: VariableId):
         # A scheme's own variables are found by identity, with no hashing.
@@ -122,9 +119,6 @@ class SecretAssignment:
             raise KeyError(v)
         return self.vectors[self.variables.index(v)]
 
-    def __reduce__(self):  # the fields alone: a codec cannot be pickled
-        return type(self), (self.variables, self.vectors)
-
     @staticmethod
     def for_scheme(scheme: LinearScheme, vectors) -> SecretAssignment:
         """Build a complete assignment from vectors in canonical secret order."""
@@ -132,9 +126,7 @@ class SecretAssignment:
         svars, vectors = codec.secret_variables, list(vectors)
         if len(vectors) != len(svars):
             raise ValueError(f"need {len(svars)} secret vectors, got {len(vectors)}")
-        new = SecretAssignment(svars, _checked(vectors, codec.secret_widths, codec.q, svars))
-        object.__setattr__(new, "_codec", codec)
-        return new
+        return SecretAssignment(svars, _checked(vectors, codec.secret_widths, codec.q, svars))
 
 
 @dataclass(frozen=True)
@@ -193,11 +185,6 @@ def _frozen(a: np.ndarray) -> np.ndarray:
     return a
 
 
-def _cuts(widths) -> tuple[slice, ...]:
-    """Consecutive slices of the given widths, starting at 0."""
-    return tuple(slice(end - w, end) for w, end in zip(widths, accumulate(widths)))
-
-
 def _decoder(q, shares, secrets, share_cuts, indices) -> np.ndarray:
     """`Codec.decoder` of the coalition of these share indices."""
     coalition = np.hstack([shares[:, :0], *(shares[:, share_cuts[i - 1]] for i in indices)])
@@ -210,39 +197,39 @@ class Codec:
     `field.solve_affine`.
 
     Made once per scheme object (`LinearScheme.codec`) and reused by every
-    later `for_scheme`, `deal` and `reconstruct`; a scheme's blocks are
+    later `for_scheme`, `deal` and `reconstruct`; a scheme's matrix is
     read-only, so nothing here can go stale.  The codec holds no reference
     to its scheme.
 
-    The layout: `secret_variables` in canonical order; `secret_cuts` and
-    `share_cuts`, each secret's or share's columns (offset and width) as a
-    slice of the stacked secret or share columns; and `level_starts`, the
-    position of each level's first secret.  `secrets` and `shares` are
-    those stacked columns.  `encoder`, made on the first deal, maps the
-    secret values b followed by the kernel coefficients r to the share
-    values [b, r] @ encoder (mod q) of the codeword b @ P + r @ basis, where
-    P and basis come from the joint secret columns.  `decoder(indices)` is
-    [D | C] for the coalition of those increasing share indices, whose
-    columns are its cuts of `shares`: its share values `vals` come from some
-    codeword iff vals @ C == 0 (mod q), and vals @ D are then the values of
-    all the secrets.  The last DECODERS_KEPT coalitions asked are kept.
+    The layout comes from the scheme: `secret_variables` in canonical
+    order; `secrets` and `shares`, views of its secret and share columns;
+    `secret_cuts` and `share_cuts`, its `cuts` as slices of those views;
+    and `level_starts`, the position of each level's first secret.
+    `encoder`, made on the first deal, maps the secret values b followed by
+    the kernel coefficients r to the share values [b, r] @ encoder (mod q)
+    of the codeword b @ P + r @ basis, where P and basis come from the
+    joint secret columns.  `decoder(indices)` is [D | C] for the coalition
+    of those increasing share indices, whose columns are its cuts of
+    `shares`: its share values `vals` come from some codeword iff vals @ C
+    == 0 (mod q), and vals @ D are then the values of all the secrets.  The
+    last DECODERS_KEPT coalitions asked are kept.
     Every array is read-only.
     """
 
     def __init__(self, scheme: LinearScheme):
         self.q = scheme.q
-        svars, pvars = scheme.secret_variables(), scheme.share_variables()
-        self.secret_variables = svars
-        self.secret_widths = tuple(map(scheme.width, svars))
-        self.share_widths = tuple(map(scheme.width, pvars))
-        self.secret_cuts = _cuts(self.secret_widths)
-        self.share_cuts = _cuts(self.share_widths)
+        ns = scheme.sp.n_secrets
+        svars = self.secret_variables = scheme.secret_variables()
+        self.secret_widths, self.share_widths = scheme.widths[:ns], scheme.widths[ns:]
+        self.secret_cuts, cuts = scheme.cuts[:ns], scheme.cuts[ns:]
+        # Secrets come first, so a share's cut moves back by their columns.
+        split = cuts[0].start
+        self.share_cuts = tuple(slice(c.start - split, c.stop - split) for c in cuts)
         levels = [v.level for v in svars]
         self.level_starts = tuple(
             bisect_left(levels, k) for k in range(1, scheme.sp.k_levels + 1)
         )
-        self.secrets = _frozen(scheme.columns(svars))
-        self.shares = _frozen(scheme.columns(pvars))
+        self.secrets, self.shares = scheme.matrix[:, :split], scheme.matrix[:, split:]
         self.decoder = lru_cache(maxsize=DECODERS_KEPT)(
             partial(_decoder, self.q, self.shares, self.secrets, self.share_cuts)
         )
@@ -262,14 +249,11 @@ def deal(scheme: LinearScheme, secrets: SecretAssignment, seed: int = 0) -> Shar
     """Sample a codeword with the given secret values and emit all shares.
 
     Raises ValueError for an assignment that does not fit the scheme, and
-    for a scheme whose secrets' joint columns are dependent.  An assignment
-    that `for_scheme` made for this scheme's codec is not checked again."""
+    for a scheme whose secrets' joint columns are dependent."""
     codec = scheme.codec
-    q, vectors = codec.q, secrets.vectors
-    if secrets._codec is not codec:
-        if tuple(secrets.variables) != codec.secret_variables:
-            raise ValueError("assignment must cover every secret exactly once")
-        vectors = SecretAssignment.for_scheme(scheme, vectors).vectors
+    if tuple(secrets.variables) != codec.secret_variables:
+        raise ValueError("assignment must cover every secret exactly once")
+    q, vectors = codec.q, SecretAssignment.for_scheme(scheme, secrets.vectors).vectors
     encoder = codec.encoder
     coefficients = [e for vec in vectors for e in vec]
     coefficients += _field_elements(seed, q, len(encoder) - len(coefficients))

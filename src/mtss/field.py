@@ -5,7 +5,7 @@ dealer) works over a prime field F_q with q a plain Python int.  Matrices are
 small and dense, so each is a plain 2-d numpy int64 array with entries in
 [0, q), its modulus passed beside it.  `reduce` makes one of any input, and
 `rank` and `solve_affine` reduce their input first; `schemes.LinearScheme`
-keeps a scheme's blocks so, read-only, over its one q.  Elimination runs on
+keeps a scheme's matrix so, read-only, over its one q.  Elimination runs on
 lists of Python ints, so its arithmetic is exact at any size.
 `solve_affine` returns the solution map of a system for every right-hand
 side, so the dealer eliminates once per scheme and once per coalition, and

@@ -1,9 +1,12 @@
 """Generator-matrix constructions for linear multiple-threshold schemes.
 
-A scheme is a column-blocked matrix over F_q: one block per secret and one
-per share.  Joint entropies of the induced uniform row-space distribution are
-joint column ranks (in base-q units), so everything downstream — verification,
-ratios, bound audits, the dealer — is plain linear algebra.
+A scheme is one generator matrix over F_q and a width per variable: its
+columns split into one block per secret and one per share, in canonical
+variable order (`LinearScheme.cuts`, the one column layout the rank table,
+the codec and the text form all read).  Joint entropies of the induced
+uniform row-space distribution are joint column ranks (in base-q units), so
+everything downstream — verification, ratios, bound audits, the dealer — is
+plain linear algebra.
 
 Builders here come in two flavours.  The Vandermonde window
 (`build_weak_block`; `build_single_threshold` is its one-secret case, the
@@ -34,8 +37,8 @@ from dataclasses import dataclass
 from dataclasses import field as dc_field
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from itertools import combinations
-from operator import itemgetter
+from itertools import accumulate, combinations
+from operator import index, itemgetter
 
 import numpy as np
 
@@ -65,25 +68,32 @@ SEARCH_CAP = 50
 
 _MAGIC = "mtss-scheme 1"
 
-# Guards the first read of a composed scheme's blocks (`LinearScheme`).
-_ASSEMBLING = threading.Lock()
+# Guards the first read of a composed scheme's widths, cuts and matrix
+# (`LinearScheme`); reentrant, as its cuts and matrix read its widths.
+_ASSEMBLING = threading.RLock()
 
 
 class FieldSearchError(RuntimeError):
     """No admissible prime found within the search cap."""
 
 
+def _cuts(widths) -> tuple[slice, ...]:
+    """Consecutive column slices of the given widths, starting at 0."""
+    return tuple(slice(end - w, end) for w, end in zip(widths, accumulate(widths)))
+
+
 @dataclass(frozen=True, eq=False)
 class LinearScheme:
-    """An immutable column-blocked generator matrix for a structure.
+    """An immutable generator matrix for a structure and a width per variable.
 
-    Invariants enforced at construction: blocks appear exactly once per
-    variable in canonical order (`StructurePair.variables`); each is a
-    read-only 2-d int64 array reduced to [0, q) with `n_rows` rows (the
+    `matrix` is a read-only 2-d int64 array reduced to [0, q) (the
     constructor reduces and freezes a copy of the array or nested lists it
-    is given); and every nonempty block has full column rank over F_q (so a
-    variable's entropy equals its width).  Width-0 secret blocks are legal
-    and encode dummy secrets added by `embed`.
+    is given) with `n_rows` rows; `widths` are the variables' column counts
+    in canonical order (`StructurePair.variables`), and variable i's block
+    is the columns `cuts[i]`.  The constructor checks one width per
+    variable, none negative, their sum the column count, and every nonempty
+    block of full column rank over F_q (so a variable's entropy equals its
+    width).  Width-0 secret blocks encode dummy secrets added by `embed`.
 
     `min_order` is the smallest field order the construction is known to
     work at (for searched families, the prime the search certified).
@@ -107,22 +117,22 @@ class LinearScheme:
     derived.  `embed`, `combine` and `_rebuild` pass only those two to
     `_composed`, which makes the scheme without the constructor and reads
     `q`, `n_rows` (the sum of the leaves') and `min_order` (the largest)
-    off the leaves.  Each variable's width is the sum of the leaves' widths
-    at its recorded indices, made on first use (`_widths`, which serves
-    leaves too).  Its `blocks` are assembled on first read (`to_text`, the
-    fingerprint, `columns`) and then kept: each is the read-only
-    `field.block_diag` of its leaves' blocks at the recorded indices (an
-    empty one for a dummy), so it is reduced, and it has full column rank,
-    as the bands are disjoint and every leaf's block has full column rank;
-    no block is checked again.  Variables, widths, ratios, checks and
-    audits read no block of a composed scheme.
+    off the leaves.  Its `widths` (the sums of the leaves' widths at the
+    recorded indices), `cuts` and `matrix` are made on first read and kept.
+    The matrix is the `field.block_diag` of the leaves' matrices, its
+    columns taken into variable order, so each block is the block-diagonal
+    stack of the leaves' blocks at the recorded indices (an empty one for a
+    dummy): reduced, read-only and of full column rank, as the bands are
+    disjoint; no block is checked again.  Ratios, checks and audits read
+    no matrix of a composed scheme.
     """
 
     sp: StructurePair
     q: int
-    n_rows: int
-    blocks: tuple[tuple[VariableId, np.ndarray], ...]
+    matrix: np.ndarray
+    widths: tuple[int, ...]
     min_order: int = 0
+    n_rows: int = dc_field(init=False)
     recipe: tuple | None = dc_field(default=None, init=False)
     leaves: tuple[tuple[LinearScheme, tuple[int, ...]], ...] = dc_field(
         default=(), init=False, compare=False, repr=False
@@ -130,69 +140,41 @@ class LinearScheme:
 
     def __post_init__(self):
         field.check_modulus(self.q)
-        given = tuple((v, b) for v, b in self.blocks)
-        got = tuple(v for v, _ in given)
-        # Count first: listing the variables of a huge N would not return.
+        matrix = field.reduce(self.matrix, self.q)
+        matrix.setflags(write=False)
+        widths = tuple(map(index, self.widths))
         n_vars = self.sp.n_parties + self.sp.n_secrets
-        if len(got) != n_vars or got != self.sp.variables:
-            raise ValueError("blocks must cover every variable in canonical order")
-        blocks = []
-        for v, b in given:
-            b = field.reduce(b, self.q)
-            b.setflags(write=False)
-            rows, cols = b.shape
-            if rows != self.n_rows:
-                raise ValueError(f"block {v} has {rows} rows, scheme has {self.n_rows}")
-            if cols and field.rank(b, self.q) != cols:
+        if len(widths) != n_vars:
+            raise ValueError(f"{len(widths)} widths for {n_vars} variables")
+        if min(widths) < 0:
+            raise ValueError(f"negative width {min(widths)}")
+        if sum(widths) != matrix.shape[1]:
+            raise ValueError(f"widths sum to {sum(widths)}, matrix has {matrix.shape[1]} columns")
+        cuts = _cuts(widths)
+        for v, w, cut in zip(self.sp.variables, widths, cuts):
+            if w and field.rank(matrix[:, cut], self.q) != w:
                 raise ValueError(f"block {v} has linearly dependent columns")
-            blocks.append((v, b))
-        object.__setattr__(self, "blocks", tuple(blocks))
-        if self.min_order == 0:
-            object.__setattr__(self, "min_order", self.q)
+        self.__dict__.update(
+            matrix=matrix, widths=widths, n_rows=matrix.shape[0], cuts=cuts,
+            min_order=self.min_order or self.q,
+        )
 
     def __getattr__(self, name):
-        # Only a composed scheme lacks `blocks` until it is first read.
-        if name != "blocks" or not self.leaves:
+        # Only a composed scheme lacks these until they are first read.
+        make = _LAZY.get(name)
+        if make is None or not self.leaves:
             raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
         with _ASSEMBLING:
-            blocks = self.__dict__.get("blocks")
-            if blocks is None:
-                blocks = self.__dict__["blocks"] = self._assemble()
-        return blocks
-
-    def _assemble(self) -> tuple[tuple[VariableId, np.ndarray], ...]:
-        """A composed scheme's blocks, from its leaves' (see the class)."""
-        empty = [np.zeros((leaf.n_rows, 0), dtype=np.int64) for leaf, _ in self.leaves]
-        blocks = []
-        for at, v in enumerate(self.sp.variables):
-            b = field.block_diag(
-                [
-                    leaf.blocks[index[at]][1] if index[at] >= 0 else dummy
-                    for (leaf, index), dummy in zip(self.leaves, empty)
-                ]
-            )
-            b.setflags(write=False)
-            blocks.append((v, b))
-        return tuple(blocks)
-
-    @cached_property
-    def _widths(self) -> tuple[int, ...]:
-        if not self.leaves:
-            return tuple(b.shape[1] for _, b in self.blocks)
-        # A dummy's index, -1, reads the 0 appended to its leaf's widths
-        # (every structure has at least three variables, so each get is a tuple).
-        return tuple(
-            map(sum, zip(*(itemgetter(*at)(leaf._widths + (0,)) for leaf, at in self.leaves)))
-        )
+            value = self.__dict__.get(name)
+            if value is None:
+                value = self.__dict__[name] = make(self)
+        return value
 
     def _at(self, v: VariableId) -> int:
         try:
             return self.sp.positions[v]
         except KeyError:
             raise KeyError(f"unknown variable {v}") from None
-
-    def variables(self) -> tuple[VariableId, ...]:
-        return self.sp.variables
 
     def secret_variables(self) -> tuple[VariableId, ...]:
         return self.sp.variables[: -self.sp.n_parties]
@@ -201,16 +183,12 @@ class LinearScheme:
         return self.sp.variables[-self.sp.n_parties :]
 
     def width(self, v: VariableId) -> int:
-        return self._widths[self._at(v)]
+        return self.widths[self._at(v)]
 
     def columns(self, vs) -> np.ndarray:
         """Horizontal stack of the blocks of `vs`, in canonical order."""
-        wanted = set(vs)
-        unknown = wanted.difference(self.sp.positions)
-        if unknown:
-            raise KeyError(f"unknown variable {sorted(unknown)[0]}")
-        picked = [b for v, b in self.blocks if v in wanted]
-        return np.hstack([np.zeros((self.n_rows, 0), dtype=np.int64), *picked])
+        at = sorted({self._at(v) for v in sorted(vs)})  # the least unknown one fails
+        return np.hstack([self.matrix[:, :0], *(self.matrix[:, self.cuts[i]] for i in at)])
 
     # -- serialization -----------------------------------------------------
     def to_text(self) -> str:
@@ -220,9 +198,10 @@ class LinearScheme:
             f"rows {self.n_rows}",
             f"structure {self.sp.n_parties} {format_thresholds(self.sp)}",
         ]
-        for v, b in self.blocks:
+        columns = self.matrix.T.tolist()
+        for v, cut in zip(self.sp.variables, self.cuts):
             head = f"S {v.level} {v.index}" if v.kind == "secret" else f"P {v.index}"
-            lines.append(" ".join([head] + [format_ints(c) for c in b.T.tolist()]))
+            lines.append(" ".join([head] + [format_ints(c) for c in columns[cut]]))
         return "\n".join(lines) + "\n"
 
     @staticmethod
@@ -240,7 +219,7 @@ class LinearScheme:
         except ValueError as e:
             raise ValueError(f"malformed scheme header: {e}") from e
         field.check_modulus(q)
-        blocks = []
+        variables, columns, widths = [], [], []
         for parts in body:
             if parts[0] == "S" and len(parts) >= 3:
                 level = parse_int(parts[1], "secret level")
@@ -254,12 +233,16 @@ class LinearScheme:
             cols = [parse_ints(c, f"column of {v}") for c in cols]
             if any(len(c) != n_rows for c in cols):
                 raise ValueError(f"column length mismatch on {v}")
-            a = np.array([[x % q for x in c] for c in cols], dtype=np.int64)
-            blocks.append((v, a.reshape(len(cols), n_rows).T))
-        width = sum(b.shape[1] for _, b in blocks)
-        if n_rows > width:
-            raise ValueError(f"rows {n_rows} exceeds the {width} columns of the blocks")
-        return LinearScheme(sp=sp, q=q, n_rows=n_rows, blocks=tuple(blocks))
+            variables.append(v)
+            columns += ([x % q for x in c] for c in cols)
+            widths.append(len(cols))
+        if n_rows > len(columns):
+            raise ValueError(f"rows {n_rows} exceeds the {len(columns)} columns of the blocks")
+        # Count first: listing the variables of a huge N would not return.
+        if len(variables) != sp.n_parties + sp.n_secrets or tuple(variables) != sp.variables:
+            raise ValueError("blocks must cover every variable in canonical order")
+        matrix = np.array(columns, dtype=np.int64).reshape(len(columns), n_rows).T
+        return LinearScheme(sp=sp, q=q, matrix=matrix, widths=widths)
 
     @cached_property
     def fingerprint(self) -> str:
@@ -280,6 +263,36 @@ class LinearScheme:
         from mtss import dealer  # deferred; dealer imports this module
 
         return dealer.Codec(self)
+
+
+def _composed_widths(scheme: LinearScheme) -> tuple[int, ...]:
+    # A dummy's index, -1, reads the 0 appended to its leaf's widths (every
+    # structure has at least three variables, so each get is a tuple).
+    return tuple(
+        map(sum, zip(*(itemgetter(*at)(leaf.widths + (0,)) for leaf, at in scheme.leaves)))
+    )
+
+
+def _assemble(scheme: LinearScheme) -> np.ndarray:
+    """A composed scheme's matrix, from its leaves' (see the class): the
+    columns of their diagonal stack, stably sorted by the variable each is
+    placed at."""
+    owner = []
+    for leaf, at in scheme.leaves:
+        where = dict(zip(at, range(len(at))))
+        owner += [where[j] for j, w in enumerate(leaf.widths) for _ in range(w)]
+    stack = field.block_diag([leaf.matrix for leaf, _ in scheme.leaves])
+    matrix = stack[:, np.argsort(owner, kind="stable")]
+    matrix.setflags(write=False)
+    return matrix
+
+
+# How a composed scheme makes each attribute it lacks until first read.
+_LAZY = {
+    "widths": _composed_widths,
+    "cuts": lambda scheme: _cuts(scheme.widths),
+    "matrix": _assemble,
+}
 
 
 # --------------------------------------------------------------------------
@@ -322,8 +335,8 @@ def build_weak_block(n_parties: int, t: int, m: int, q: int | None = None) -> Li
     v = vandermonde(t, range(1, min_order), q)
     cols = [[j - 1] if k == 1 and j <= n else [] for k, j in sp.secret_slots()]
     cols += [[n + i] for i in range(n_parties)]
-    blocks = tuple(zip(sp.variables, (v[:, c] for c in cols)))
-    out = LinearScheme(sp=sp, q=q, n_rows=t, blocks=blocks, min_order=min_order)
+    matrix = v[:, [c for block in cols for c in block]]
+    out = LinearScheme(sp, q, matrix, tuple(map(len, cols)), min_order)
     object.__setattr__(out, "recipe", ("weak-block", (n_parties, t, m)))
     return out
 
@@ -358,8 +371,8 @@ def _stitched(sp, q, n_rows, w, short_rows, first, second, recipe) -> LinearSche
     wide = m1 + first - 1  # share `first`'s group
     groups[wide:] = map(np.hstack, zip(groups[wide:], np.hsplit(short, n - first + 1)))
     groups[m1:m1] = second
-    blocks = tuple(zip(sp.variables, groups))
-    out = LinearScheme(sp=sp, q=q, n_rows=n_rows, blocks=blocks, min_order=q)
+    widths = tuple(g.shape[1] for g in groups)
+    out = LinearScheme(sp, q, np.hstack(groups), widths, min_order=q)
     object.__setattr__(out, "recipe", recipe)
     return out
 
@@ -537,8 +550,8 @@ def combine(parts) -> LinearScheme:
 def _composed(sp, leaves) -> LinearScheme:
     """A composed scheme over `leaves`, made without the constructor (see
     `LinearScheme`).  Its field, row count (the sum) and minimum order (the
-    largest) are read off the leaves; its widths and blocks are made from
-    theirs on first read."""
+    largest) are read off the leaves; its widths, cuts and matrix are made
+    from theirs on first read."""
     out = object.__new__(LinearScheme)
     out.__dict__.update(
         sp=sp,
@@ -552,7 +565,7 @@ def _composed(sp, leaves) -> LinearScheme:
 
 def _entries(scheme: LinearScheme):
     """`scheme.leaves`, or a leaf's own entry: itself, every block in place."""
-    return scheme.leaves or ((scheme, tuple(range(len(scheme.variables())))),)
+    return scheme.leaves or ((scheme, tuple(range(len(scheme.widths)))),)
 
 
 def _rebuild(scheme: LinearScheme, q: int) -> LinearScheme:

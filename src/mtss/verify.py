@@ -20,12 +20,12 @@ and the composed scheme needs its own witness.
 Each profile is the scheme's rank table (a `dict` from variable mask to
 rank), filled only with the masks read; `rank`, the condition scans and the
 audit all read it.  A leaf fills an entry with one `field.rank` of the
-mask's columns, taken from one matrix of all its blocks (read-only arrays
-over the scheme's one q).  Parts of a composition are independent and keep
-their shares, so a composed scheme's entry is the sum of its leaves'
-entries, which each leaf ranks once.  A profile keeps the structure, q and
-what it ranks from, and no reference back to its scheme, so a checked
-scheme is freed by reference counting.
+mask's columns, cut from the scheme's read-only matrix by its `cuts`.
+Parts of a composition are independent and keep their shares, so a
+composed scheme's entry is the sum of its leaves' entries, which each leaf
+ranks once.  A profile keeps the structure, q and what it ranks from, and
+no reference back to its scheme, so a checked scheme is freed by reference
+counting.
 
 The audit lists the secret-size pair gains I(P_a; P_b | rest) once per
 level and pairs that list with each secret of the level.  It asks
@@ -43,8 +43,6 @@ from fractions import Fraction
 from itertools import combinations, groupby, product
 from math import comb
 from operator import attrgetter
-
-import numpy as np
 
 from mtss import field
 from mtss.schemes import LinearScheme
@@ -78,16 +76,17 @@ class RankProfile(dict):
     nothing.
 
     The profile keeps only what it ranks from: the scheme's structure `sp`
-    and field order `q`, and a leaf's stacked blocks or a composed scheme's
-    leaf profiles; it holds no reference to the scheme, so a scheme and its
-    profile are freed by reference counting.
+    and field order `q`, and a leaf's `matrix` and `cuts` (the scheme's own,
+    not copies) or a composed scheme's leaf profiles; it holds no reference
+    to the scheme, so a scheme and its profile are freed by reference
+    counting.
 
     A composed scheme is answered through its `leaves`; only `embed`, `combine`
     and `schemes._rebuild` set them, so they are not checked here.  Each of
     its blocks is the block-diagonal stack of its leaves' blocks at the
     recorded indices (an empty one for a dummy), so each rank is the sum of
     the leaves' ranks of the same blocks, and the composed scheme's own
-    blocks are never assembled.  A missing entry sums the leaves' entries
+    matrix is never assembled.  A missing entry sums the leaves' entries
     of its mask's translations.  Shares come last in both variable orders
     and share i of a composed scheme is share i of each leaf (`embed` keeps
     its source's shares, `combine` stacks parts over one structure), so
@@ -98,7 +97,7 @@ class RankProfile(dict):
     """
 
     __slots__ = (
-        "sp", "q", "eliminations", "reports", "_all", "_lock", "_leaves", "_matrix", "_cols"
+        "sp", "q", "eliminations", "reports", "_all", "_lock", "_leaves", "_matrix", "_cuts"
     )
 
     def __init__(self, scheme: LinearScheme):
@@ -123,13 +122,7 @@ class RankProfile(dict):
             for leaf, index in scheme.leaves
         ]
         if not self._leaves:
-            # One matrix of every block, and each variable's columns in it.
-            self._matrix = np.hstack([b for _, b in scheme.blocks])
-            self._cols: list[list[int]] = []
-            start = 0
-            for _, b in scheme.blocks:
-                self._cols.append(list(range(start, start + b.shape[1])))
-                start += b.shape[1]
+            self._matrix, self._cuts = scheme.matrix, scheme.cuts
 
     def __missing__(self, mask: int) -> int:
         if not 0 <= mask <= self._all:
@@ -169,9 +162,8 @@ class RankProfile(dict):
                     m |= bits[i]
                 r += leaf[m]
             return r
-        picked = []
-        for i in _bits(mask):
-            picked += self._cols[i]
+        cuts = self._cuts
+        picked = [c for i in _bits(mask) for c in range(cuts[i].start, cuts[i].stop)]
         if not picked:
             return 0
         self.eliminations += 1

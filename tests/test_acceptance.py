@@ -145,7 +145,7 @@ def test_criterion_2_table_by_lp(announce):
 
 
 def full_matrix(scheme):
-    return scheme.columns(scheme.variables())
+    return scheme.columns(scheme.sp.variables)
 
 
 def test_criterion_3_display_matrices(announce):
@@ -161,7 +161,7 @@ def test_criterion_3_display_matrices(announce):
     ]
     if (b.q, b.n_rows) != (11, 5):
         failures.append(("B field/rows", b.q, b.n_rows))
-    if [b.width(v) for v in b.variables()] != [1, 1, 1, 1, 1, 2, 2, 2]:
+    if [b.width(v) for v in b.sp.variables] != [1, 1, 1, 1, 1, 2, 2, 2]:
         failures.append(("B widths",))
     if full_matrix(b).tolist() != expected_b:
         failures.append(("B layout", full_matrix(b).tolist()))
@@ -176,7 +176,7 @@ def test_criterion_3_display_matrices(announce):
     ]
     if (a.q, a.n_rows) != (7, 3):
         failures.append(("A field/rows", a.q, a.n_rows))
-    if [a.width(v) for v in a.variables()] != [1, 1, 1, 1, 2, 2]:
+    if [a.width(v) for v in a.sp.variables] != [1, 1, 1, 1, 2, 2]:
         failures.append(("A widths",))
     if full_matrix(a).tolist() != expected_a:
         failures.append(("A layout", full_matrix(a).tolist()))
@@ -404,7 +404,7 @@ def test_criterion_7_property_suites(announce, catalog):
         # The combined scheme's own profile sums its parts' ranks, so the
         # whole rank is taken by eliminating its columns directly.
         part_profiles = [verify.RankProfile(p) for p in parts]
-        variables = combined.variables()
+        variables = combined.sp.variables
         for _ in range(50):
             size = int(rng.integers(1, len(variables) + 1))
             picked = [

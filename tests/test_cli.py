@@ -9,8 +9,9 @@ from hypothesis import strategies as st
 
 from mtss import cli
 from mtss.cli import CLOSED, FAIL, PASS, USAGE
-from mtss.schemes import LinearScheme, VariableId
+from mtss.schemes import VariableId
 from mtss.structure import format_ints, parse_ints, structure
+from test_verify import stacked
 
 
 def run(capsys, *argv):
@@ -178,9 +179,9 @@ def test_format_flag_only_where_output_differs(capsys, sigma_scheme):
 
 
 def test_verify_failure_prints_witness(tmp_path, capsys):
-    bad = LinearScheme(
-        sp=structure(2, [(2, 1)]), q=5, n_rows=2,
-        blocks=(
+    bad = stacked(
+        structure(2, [(2, 1)]), 5,
+        (
             (VariableId.secret(1, 1), [[1], [0]]),
             (VariableId.share(1), [[1], [0]]),
             (VariableId.share(2), [[0], [1]]),
@@ -679,10 +680,9 @@ def test_census_usage_errors(tmp_path, capsys):
     assert code == USAGE and "too large" in err
     # Six copies of a 12-bit secret: codes of 84 bits would wrap in int64.
     eye = [[int(r == c) for c in range(12)] for r in range(12)]
-    copies = LinearScheme(
-        sp=structure(6, [(2, 1)]), q=2, n_rows=12,
-        blocks=tuple([(VariableId.secret(1, 1), eye)]
-                     + [(VariableId.share(i), eye) for i in range(1, 7)]),
+    copies = stacked(
+        structure(6, [(2, 1)]), 2,
+        [(VariableId.secret(1, 1), eye)] + [(VariableId.share(i), eye) for i in range(1, 7)],
     )
     wide = tmp_path / "wide.scheme"
     wide.write_text(copies.to_text())

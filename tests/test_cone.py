@@ -20,7 +20,6 @@ from mtss.cone import (
     system_constraints,
 )
 from mtss.schemes import (
-    LinearScheme,
     VariableId,
     build_B,
     build_optimal,
@@ -47,6 +46,7 @@ from mtss.structure import (
     structure,
 )
 from mtss.verify import RankProfile, audit_bounds, check_conditions, ratios
+from test_verify import stacked
 
 
 def mask_of(sp, vs) -> int:
@@ -189,7 +189,7 @@ def _random_schemes(sp, count, seed):
                 break
             blocks.append((v, [[x] for x in col]))
         else:
-            out.append(LinearScheme(sp=sp, q=5, n_rows=3, blocks=tuple(blocks)))
+            out.append(stacked(sp, 5, blocks))
     return out
 
 
@@ -754,7 +754,7 @@ def test_from_profile_reads_masks_in_variable_order():
     for sp in family:
         for sec in (STRONG, WEAK):
             sch = build_optimal(sp, RatioKind(SIGMA, sec))
-            order = sch.variables()
+            order = sch.sp.variables
             x = EntropyVector.from_profile(RankProfile(sch))
             by_variables = RankProfile(sch)
             for mask, value in x.coords.items():

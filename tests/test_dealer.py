@@ -35,6 +35,7 @@ from mtss.schemes import (
 )
 from mtss.structure import SIGMA, STRONG, RatioKind, parse_int, read_records, structure
 from mtss.verify import RankProfile
+from test_verify import stacked
 
 S = VariableId.secret
 P = VariableId.share
@@ -182,9 +183,9 @@ def test_inconsistent_shares():
 def test_deal_refuses_dependent_secret_columns():
     """Each block has full column rank, but the two secrets share one
     column, so the encoder is refused; reconstruction needs no encoder."""
-    sch = LinearScheme(
-        sp=structure(3, [(2, 2)]), q=7, n_rows=2,
-        blocks=(
+    sch = stacked(
+        structure(3, [(2, 2)]), 7,
+        (
             (S(1, 1), [[1], [1]]), (S(1, 2), [[1], [1]]),
             (P(1), [[1], [0]]), (P(2), [[0], [1]]), (P(3), [[1], [2]]),
         ),
@@ -330,7 +331,7 @@ def test_bundle_text_empty_share():
         (P(1), [[1], [2]]),
         (P(2), np.zeros((2, 0), dtype=np.int64)),
     )
-    sch = LinearScheme(sp=sp, q=5, n_rows=2, blocks=blocks)
+    sch = stacked(sp, 5, blocks)
     bundle = deal(sch, SecretAssignment((S(1, 1),), ((2,),)), seed=0)
     assert bundle.indices == (1, 2) and bundle.vectors[1] == ()
     text = bundle.to_text()
@@ -444,7 +445,7 @@ def _identity_copies():
     so every share is a copy of the secret."""
     eye = np.eye(12, dtype=np.int64)
     blocks = [(S(1, 1), eye)] + [(P(i), eye) for i in range(1, 7)]
-    return LinearScheme(sp=structure(6, [(2, 1)]), q=2, n_rows=12, blocks=tuple(blocks))
+    return stacked(structure(6, [(2, 1)]), 2, blocks)
 
 
 def test_census_refuses_codes_beyond_int64():
@@ -573,15 +574,12 @@ def test_census_matches_digit_census():
         for idxs in itertools.combinations([1, 2, 3], size):
             for tg in (svars, [S(1, 1)]):
                 _assert_matches_digit_census(sch, [P(i) for i in idxs], tg)
-    one_row = LinearScheme(
-        sp=structure(2, [(2, 1)]), q=65537, n_rows=1,
-        blocks=tuple((v, [[c]]) for v, c in ((S(1, 1), 1), (P(1), 2), (P(2), 1))),
-    )
+    columns = ((S(1, 1), 1), (P(1), 2), (P(2), 1))
+    one_row = stacked(structure(2, [(2, 1)]), 65537, ((v, [[c]]) for v, c in columns))
     _assert_matches_digit_census(one_row, [P(1)], [S(1, 1)])
     eye = np.eye(7, dtype=np.int64)
-    copies = LinearScheme(
-        sp=structure(8, [(2, 1)]), q=2, n_rows=7,
-        blocks=tuple([(S(1, 1), eye)] + [(P(i), eye) for i in range(1, 9)]),
+    copies = stacked(
+        structure(8, [(2, 1)]), 2, [(S(1, 1), eye)] + [(P(i), eye) for i in range(1, 9)]
     )
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -594,9 +592,9 @@ def test_census_matches_digit_census():
     # columns agree on the inner rows, so each inner code is made by
     # 5^(6 - 2) inner settings, and each code by 25 outer settings.
     col = np.array([[1, 0, 0, 0, 0, 0, 0, 1], [1, 1, 1, 1, 1, 1, 1, 0]]).T
-    dependent = LinearScheme(
-        sp=structure(2, [(2, 1)]), q=5, n_rows=8,
-        blocks=((S(1, 1), col[:, :1]), (P(1), col[:, :1] + col[:, 1:]), (P(2), col)),
+    dependent = stacked(
+        structure(2, [(2, 1)]), 5,
+        ((S(1, 1), col[:, :1]), (P(1), col[:, :1] + col[:, 1:]), (P(2), col)),
     )
     for target in ([S(1, 1)], []):
         table = _assert_matches_digit_census(dependent, [P(1), P(2)], target)
@@ -619,7 +617,7 @@ def test_census_matches_reference_on_drawn_schemes(data):
         block = np.array(entries, dtype=np.int64).reshape(rows, width)
         assume(field.rank(block, q) == width)
         blocks.append((v, block))
-    sch = LinearScheme(sp=sp, q=q, n_rows=rows, blocks=tuple(blocks))
+    sch = stacked(sp, q, blocks)
     coalition = data.draw(st.sets(st.integers(1, n)), label="coalition")
     targets = data.draw(
         st.lists(st.sampled_from([S(1, 1), S(1, 2)]), min_size=1, max_size=2, unique=True)
@@ -629,12 +627,8 @@ def test_census_matches_reference_on_drawn_schemes(data):
 
 def test_census_not_uniform_when_a_target_value_is_missing():
     """Share 1 is twice the secret, so each of its values sees one secret."""
-    sch = LinearScheme(
-        sp=structure(2, [(2, 1)]), q=3, n_rows=1,
-        blocks=tuple(
-            (v, [[c]]) for v, c in ((S(1, 1), 1), (P(1), 2), (P(2), 1))
-        ),
-    )
+    columns = ((S(1, 1), 1), (P(1), 2), (P(2), 1))
+    sch = stacked(structure(2, [(2, 1)]), 3, ((v, [[c]]) for v, c in columns))
     table = _assert_matches_reference(sch, [P(1)], [S(1, 1)])
     assert not table.uniform
     assert _decoded_counts(table) == {(0,): {(0,): 1}, (1,): {(2,): 1}, (2,): {(1,): 1}}
@@ -921,8 +915,8 @@ def test_refusals_match_reference():
 
 def test_assignments_and_bundles_behave_as_frozen_dataclasses():
     """Read-only, unhashable, equal by their fields, printed as dataclasses,
-    and copied and pickled without the codec mark of `for_scheme`, whose
-    decoder table cannot be pickled."""
+    and copied and pickled, also after the scheme's codec holds a decoder;
+    an unpickled assignment deals the same bundle."""
     sch = build_optimal(structure(3, [(3, 1), (2, 1)]), RatioKind(SIGMA, STRONG))
     sa = SecretAssignment.for_scheme(sch, [[1], [3]])
     bundle = deal(sch, sa, seed=1)
@@ -944,15 +938,13 @@ def test_assignments_and_bundles_behave_as_frozen_dataclasses():
     for obj in (sa, direct, bundle, bundle.restrict([2])):
         for twin in (copy.copy(obj), copy.deepcopy(obj), pickle.loads(pickle.dumps(obj))):
             assert twin == obj and type(twin) is type(obj)
-            assert getattr(twin, "_codec", None) is None
         with pytest.raises(TypeError, match="unhashable"):
             hash(obj)
-        for name in ("variables", "vectors", "indices", "fingerprint", "_codec", "other"):
+        for name in ("variables", "vectors", "indices", "fingerprint", "other"):
             with pytest.raises(dataclasses.FrozenInstanceError):
                 setattr(obj, name, None)
         with pytest.raises(dataclasses.FrozenInstanceError):
             del obj.vectors
-    assert sa._codec is sch.codec and direct._codec is None
     assert deal(sch, pickle.loads(pickle.dumps(sa)), seed=1) == bundle
     assert sa[S(2, 1)] == (3,) and sa[VariableId.secret(2, 1)] == (3,)
     with pytest.raises(KeyError):
@@ -1037,3 +1029,22 @@ def test_a_scheme_and_its_codec_are_freed_without_the_cycle_collector():
         assert [ref() for ref in refs] == [None, None]
     finally:
         gc.enable()
+
+
+def test_codec_and_profile_read_the_schemes_matrix():
+    """A leaf's profile ranks from the scheme's matrix, and a codec's secret
+    and share columns are views of it, cut by the scheme's cuts: no copy of
+    the layout or of the columns is made."""
+    leaf = build_B(3, (3, 4), (2, 1))
+    composed = build_optimal(structure(4, [(3, 2), (2, 1)]), RatioKind(SIGMA, STRONG))
+    assert composed.leaves and not leaf.leaves
+    assert np.shares_memory(leaf.profile._matrix, leaf.matrix)
+    for sch in (leaf, composed, LinearScheme.from_text(composed.to_text())):
+        codec, ns = sch.codec, sch.sp.n_secrets
+        assert np.shares_memory(codec.secrets, sch.matrix)
+        assert np.shares_memory(codec.shares, sch.matrix)
+        assert np.array_equal(np.hstack([codec.secrets, codec.shares]), sch.matrix)
+        assert codec.secret_cuts == sch.cuts[:ns]
+        assert (codec.secret_widths, codec.share_widths) == (sch.widths[:ns], sch.widths[ns:])
+        for cut, own in zip(sch.cuts[ns:], codec.share_cuts):
+            assert np.array_equal(sch.matrix[:, cut], codec.shares[:, own])

@@ -2,6 +2,8 @@
 
 import dataclasses
 import hashlib
+import itertools
+import re
 import sys
 import threading
 from concurrent.futures import ThreadPoolExecutor
@@ -39,11 +41,11 @@ from mtss.structure import (
     slot_map,
     structure,
 )
-from test_verify import KINDS, _table_family
+from test_verify import KINDS, _table_family, stacked
 
 
 def full_matrix(s):
-    return s.columns(s.variables())
+    return s.matrix
 
 
 # -- Vandermonde windows ----------------------------------------------------
@@ -272,7 +274,7 @@ def test_combine_stacks_blocks_diagonally():
     part = build_single_threshold(3, 3)
     s = combine([part, part])
     assert s.n_rows == 6
-    for v in s.variables():
+    for v in s.sp.variables:
         assert s.width(v) == 2 * part.width(v)
     p_part = verify.RankProfile(part)
     p_comb = verify.RankProfile(s)
@@ -283,7 +285,7 @@ def test_combine_stacks_blocks_diagonally():
 
 def test_combine_of_built_parts_makes_no_elimination(monkeypatch):
     """Neither combining built parts nor assembling the combination's
-    blocks eliminates, and each assembled block has its width as its rank,
+    matrix eliminates, and each of its blocks has its width as its rank,
     also the width-0 secret blocks of embedded parts."""
     sp = structure(4, [(3, 2), (2, 1)])
     parts = unify_field(
@@ -292,14 +294,15 @@ def test_combine_of_built_parts_makes_no_elimination(monkeypatch):
             for t, slot in ((3, (1, 1)), (3, (1, 2)), (2, (2, 1)))
         ]
     )
-    assert any(b.shape[1] == 0 for p in parts for _, b in p.blocks)
+    assert any(0 in p.widths for p in parts)
     calls = []
     real_rank = field.rank
     monkeypatch.setattr(field, "rank", lambda *a: calls.append(a) or real_rank(*a))
     s = combine(parts)
-    assert s.blocks and calls == []
+    assert s.matrix.size and calls == []
     monkeypatch.undo()
-    for v, b in s.blocks:
+    for v, cut in zip(s.sp.variables, s.cuts):
+        b = s.matrix[:, cut]
         assert field.rank(b, s.q) == b.shape[1] == s.width(v)
 
 
@@ -319,10 +322,10 @@ def test_profile_refuses_links_that_do_not_match_the_blocks():
     constructor takes none, and a copy given other blocks keeps none, so its
     profile answers from the blocks it has."""
     a = build_single_threshold(2, 3)
-    blocks = dict(a.blocks)
+    blocks = {v: a.columns([v]) for v in a.sp.variables}
     sec, p1 = VariableId.secret(1, 1), VariableId.share(1)
     blocks[p1] = blocks[sec]  # P[1] holds the secret itself
-    leaky = LinearScheme(sp=a.sp, q=a.q, n_rows=a.n_rows, blocks=tuple(blocks.items()))
+    leaky = stacked(a.sp, a.q, blocks.items())
     real = combine([a, leaky])
     assert [leaf for leaf, _ in real.leaves] == [a, leaky]
     assert not verify.check_conditions(real, STRONG).passed
@@ -341,20 +344,20 @@ def test_profile_refuses_links_that_do_not_match_the_blocks():
     ):
         with pytest.raises(TypeError):
             LinearScheme(
-                sp=scheme.sp, q=scheme.q, n_rows=scheme.n_rows, blocks=scheme.blocks, **links
+                sp=scheme.sp, q=scheme.q, matrix=scheme.matrix, widths=scheme.widths, **links
             )
-    # a combined with itself, given the stack's blocks: its leaves are dropped.
-    bad = dataclasses.replace(combine([a, a]), blocks=real.blocks)
+    # a combined with itself, given the stack's matrix: its leaves are dropped.
+    bad = dataclasses.replace(combine([a, a]), matrix=real.matrix)
     assert bad.leaves == ()
     assert bad.profile.rank(x) == 3
     for security in (STRONG, WEAK):
         assert verify.check_conditions(bad, security) == verify.check_conditions(
             real, security
         )
-    # An embed given leaky's blocks: its leaf is dropped.
+    # An embed given leaky's matrix: its leaf is dropped.
     e = embed(a, structure(3, [(2, 2)]))
     assert e.leaves[0][0] is a
-    moved = dataclasses.replace(e, blocks=leaky.blocks, sp=a.sp)
+    moved = dataclasses.replace(e, matrix=leaky.matrix, widths=leaky.widths, sp=a.sp)
     assert moved.leaves == () and moved.profile.rank(x) == 1
     assert not verify.check_conditions(moved, STRONG).passed
 
@@ -366,7 +369,7 @@ def test_text_round_trip():
     s = embed(build_B(3, (3, 4), (2, 1)), structure(3, [(3, 5), (2, 2)]))
     t = LinearScheme.from_text(s.to_text())
     assert (t.sp, t.q, t.n_rows) == (s.sp, s.q, s.n_rows)
-    for v in s.variables():
+    for v in s.sp.variables:
         assert np.array_equal(t.columns([v]), s.columns([v]))
     assert t.fingerprint == s.fingerprint
     assert t.recipe is None  # parameters are not serialized
@@ -422,38 +425,59 @@ def test_from_text_rejects_garbage():
 
 
 def test_scheme_validation():
-    s = build_single_threshold(2, 3)
-    wrong = tuple(reversed(s.blocks))
-    with pytest.raises(ValueError, match="canonical order"):
-        LinearScheme(sp=s.sp, q=s.q, n_rows=s.n_rows, blocks=wrong)
+    """The constructor refuses a bad modulus, a width count other than the
+    variable count, a negative width, widths that do not sum to the column
+    count and a block with dependent columns, each with its message."""
+    s = build_single_threshold(2, 3)  # 2 rows, four width-1 blocks
+    m, w = s.matrix, s.widths
     with pytest.raises(ValueError, match="not prime"):
-        LinearScheme(sp=s.sp, q=9, n_rows=s.n_rows, blocks=s.blocks)
+        LinearScheme(s.sp, 9, m, w)
     with pytest.raises(ValueError, match="too large"):
-        LinearScheme(sp=s.sp, q=(1 << 61) - 1, n_rows=s.n_rows, blocks=s.blocks)
-    dep = [[1, 2], [2, 4]]  # second column is twice the first
-    bad = ((s.variables()[0], dep),) + s.blocks[1:]
-    with pytest.raises(ValueError, match="dependent columns"):
-        LinearScheme(sp=s.sp, q=s.q, n_rows=s.n_rows, blocks=bad)
+        LinearScheme(s.sp, (1 << 61) - 1, m, w)
+    refusals = [
+        (m[:, 1:], w[1:], "3 widths for 4 variables"),
+        (m, w + (0,), "5 widths for 4 variables"),
+        (m, (2, -1, 2, 1), "negative width -1"),
+        (m, (1, 1, 1, 2), "widths sum to 5, matrix has 4 columns"),
+        # the secret's block: its second column is twice its first
+        (np.hstack([[[1, 2], [2, 4]], m[:, 1:]]), (2, 1, 1, 1), "block S[1,1] has linearly "
+         "dependent columns"),
+    ]
+    for matrix, widths, message in refusals:
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            LinearScheme(s.sp, s.q, matrix, widths)
+    assert LinearScheme(s.sp, s.q, m, list(w)).widths == w
+
+
+def test_from_text_refuses_variable_lines_out_of_order_or_missing():
+    """`from_text` takes the variable lines in canonical order, one for each
+    variable: a swapped, missing or repeated line is refused."""
+    lines = build_weak_block(3, 2, 2).to_text().splitlines()
+    head, body = lines[:4], lines[4:]  # S 1 1, S 1 2, P 1, P 2, P 3
+    for bad in (
+        [body[1], body[0]] + body[2:],
+        body[:2] + [body[3], body[2], body[4]],
+        body[1:],
+        body[:-1],
+        body + body[-1:],
+    ):
+        with pytest.raises(
+            ValueError, match="^blocks must cover every variable in canonical order$"
+        ):
+            LinearScheme.from_text("\n".join(head + bad))
+    assert LinearScheme.from_text("\n".join(head + body)).to_text().splitlines() == lines
 
 
 def test_blocks_are_read_only_reduced_arrays():
-    """Every block of a leaf, of its text and `dataclasses.replace` copies
+    """The matrix of a leaf, of its text and `dataclasses.replace` copies
     and of an assembled composed scheme is a read-only 2-d int64 array with
-    entries in [0, q); the constructor reduces unreduced list blocks."""
+    entries in [0, q), `n_rows` by the widths' sum, and so is every block
+    cut from it; the constructor reduces an unreduced nested list."""
     leaf = build_B(3, (3, 4), (2, 1))
     composed = build_optimal(structure(3, [(3, 2), (2, 1)]), RatioKind(SIGMA, WEAK))
     assert composed.leaves
-    toy = LinearScheme(
-        sp=structure(2, [(2, 1)]),
-        q=5,
-        n_rows=2,
-        blocks=(
-            (VariableId.secret(1, 1), [[7], [-1]]),
-            (VariableId.share(1), [[1], [-4]]),
-            (VariableId.share(2), np.array([[10], [6]])),
-        ),
-    )
-    assert [b.tolist() for _, b in toy.blocks] == [[[2], [4]], [[1], [1]], [[0], [1]]]
+    toy = LinearScheme(structure(2, [(2, 1)]), 5, [[7, 1, 10], [-1, -4, 6]], (1, 1, 1))
+    assert toy.matrix.tolist() == [[2, 1, 0], [4, 1, 1]] and toy.n_rows == 2
     for s in (
         leaf,
         LinearScheme.from_text(leaf.to_text()),
@@ -461,16 +485,15 @@ def test_blocks_are_read_only_reduced_arrays():
         composed,
         toy,
     ):
-        for _, b in s.blocks:
-            assert isinstance(b, np.ndarray) and b.dtype == np.int64 and b.ndim == 2
-            assert b.shape[0] == s.n_rows and not b.flags.writeable
-            assert ((0 <= b) & (b < s.q)).all()
+        m = s.matrix
+        assert isinstance(m, np.ndarray) and m.dtype == np.int64 and m.ndim == 2
+        assert m.shape == (s.n_rows, sum(s.widths)) and not m.flags.writeable
+        assert ((0 <= m) & (m < s.q)).all()
+        for b in (m, *(m[:, cut] for cut in s.cuts)):
             with pytest.raises(ValueError):
                 b[..., :1] = 0
     with pytest.raises(ValueError, match="2-d"):
-        dataclasses.replace(toy, blocks=((v, b[:, 0]) for v, b in toy.blocks))
-    with pytest.raises(ValueError, match="has 1 rows"):
-        dataclasses.replace(toy, blocks=((v, b[:1]) for v, b in toy.blocks))
+        dataclasses.replace(toy, matrix=toy.matrix[:, 0])
 
 
 # -- field unification ------------------------------------------------------
@@ -540,16 +563,16 @@ def test_replace_copy_of_a_leaf_has_no_recipe():
     its recipe would rebuild, so it keeps none and `unify_field` refuses it
     (a rebuild at another prime would drop the copy's blocks)."""
     a = build_weak_block(3, 2, 2)  # q = 7
-    s1, s2 = a.secret_variables()
-    swapped = ((s1, a.columns([s2])), (s2, a.columns([s1]))) + a.blocks[2:]
-    copy = dataclasses.replace(a, blocks=swapped)
+    assert a.widths == (1, 1, 1, 1, 1)
+    swapped = a.matrix[:, [1, 0, 2, 3, 4]]  # the two secrets' columns swapped
+    copy = dataclasses.replace(a, matrix=swapped)
     assert copy.recipe is None and copy.to_text() != a.to_text()
     with pytest.raises(ValueError, match="rebuildable"):
         unify_field([copy, build_weak_block(4, 3, 3)])  # q = 11
     with pytest.raises(ValueError, match="rebuildable"):
         unify_field([copy])
     with pytest.raises(TypeError):
-        LinearScheme(sp=a.sp, q=a.q, n_rows=a.n_rows, blocks=swapped, recipe=a.recipe)
+        LinearScheme(sp=a.sp, q=a.q, matrix=swapped, widths=a.widths, recipe=a.recipe)
 
 
 def test_composed_part_is_rebuilt_from_its_leaves():
@@ -585,9 +608,9 @@ def _rebuild_by_embedding(scheme, q):
     parts = []
     for leaf, index in scheme.leaves:
         place = {}
-        for v, i in zip(scheme.variables(), index):
+        for v, i in zip(scheme.sp.variables, index):
             if v.kind == "secret" and i >= 0:
-                src = leaf.variables()[i]
+                src = leaf.sp.variables[i]
                 place[src.level, src.index] = (v.level, v.index)
         tag, args = leaf.recipe
         parts.append(embed(BUILDERS[tag](*args, q=q), scheme.sp, place=place))
@@ -620,7 +643,7 @@ def test_moved_composed_parts_match_a_rebuild_by_embedding(monkeypatch):
                 assert g.q == p and g.sp == s.sp
                 assert g.to_text() == want.to_text()
                 assert g.fingerprint == want.fingerprint
-                assert g._widths == want._widths
+                assert g.widths == want.widths
                 assert [i for _, i in g.leaves] == [i for _, i in want.leaves]
                 assert [i for _, i in g.leaves] == [i for _, i in s.leaves]
                 assert g.min_order == want.min_order
@@ -672,42 +695,50 @@ def _composed_cells():
 
 
 def test_composed_scheme_matches_its_text_copy():
-    """A composed scheme lists the variables and widths of its text copy,
-    and its blocks, assembled on first read, give the copy's text and
-    fingerprint; the leaf constructor accepts them, and the eliminated rank
-    of each is its width (every cell with N <= 4)."""
+    """A composed scheme lists the variables, widths and cuts of its text
+    copy, and its matrix, assembled on first read, is the copy's and gives
+    its text and fingerprint; the leaf constructor accepts it, and the
+    eliminated rank of each block is its width (every cell with N <= 4)."""
     cells = 0
     for cell, s in _composed_cells():
-        assert s.leaves and "blocks" not in vars(s), cell
+        assert s.leaves and "matrix" not in vars(s), cell
         text = s.to_text()
         copy = LinearScheme.from_text(text)
-        assert "blocks" in vars(s)
+        assert "matrix" in vars(s)
         assert (s.sp, s.q, s.n_rows) == (copy.sp, copy.q, copy.n_rows)
-        assert s.variables() == copy.variables() == s.sp.variables
+        assert s.sp.variables == copy.sp.variables == s.sp.variables
         assert s.secret_variables() == copy.secret_variables()
         assert s.share_variables() == copy.share_variables()
-        assert [s.width(v) for v in s.variables()] == [copy.width(v) for v in copy.variables()]
+        assert [s.width(v) for v in s.sp.variables] == [copy.width(v) for v in copy.sp.variables]
+        assert s.widths == copy.widths and s.cuts == copy.cuts
+        assert np.array_equal(s.matrix, copy.matrix)
         assert text == copy.to_text() and s.fingerprint == copy.fingerprint
-        leaf = LinearScheme(sp=s.sp, q=s.q, n_rows=s.n_rows, blocks=s.blocks)
+        leaf = LinearScheme(s.sp, s.q, s.matrix, s.widths)
         assert leaf.to_text() == text and leaf.leaves == ()
-        for v, b in s.blocks:
-            assert field.rank(b, s.q) == s.width(v), (cell, v)
+        for v, cut in zip(s.sp.variables, s.cuts):
+            assert field.rank(s.matrix[:, cut], s.q) == s.width(v), (cell, v)
         cells += 1
     assert cells == len(KINDS) * len(_table_family((2, 3, 4)))
 
 
-def test_concurrent_first_reads_of_composed_blocks():
-    """Eight threads behind a barrier make the first read of one fresh
-    composed scheme's blocks: it is assembled once, and each thread gets
-    the same blocks, equal to a serial read's."""
+def test_concurrent_first_reads_of_a_composed_matrix():
+    """Eight threads behind a barrier make the first reads of one fresh
+    composed scheme's widths, cuts and matrix, each thread in another
+    order: each is made once, and every thread gets the same objects, equal
+    to a serial read's."""
     sp = structure(4, [(3, 2), (2, 1)])
     kind = RatioKind(SIGMA, STRONG)
-    serial = build_optimal(sp, kind).blocks
+    one = build_optimal(sp, kind)
+    serial = (one.widths, one.cuts, one.matrix)
     start = threading.Barrier(8)
+    orders = list(itertools.permutations(range(3)))
 
-    def first_read(s):
+    def first_read(s, k):
         start.wait(timeout=60)
-        return s.blocks
+        got = [None] * 3
+        for i in orders[k % len(orders)]:
+            got[i] = getattr(s, ("widths", "cuts", "matrix")[i])
+        return got
 
     switch = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
@@ -715,11 +746,11 @@ def test_concurrent_first_reads_of_composed_blocks():
         with ThreadPoolExecutor(max_workers=8) as pool:
             for _ in range(10):
                 s = build_optimal(sp, kind)
-                assert "blocks" not in vars(s)
-                got = list(pool.map(first_read, [s] * 8, timeout=60))
-                assert all(blocks is got[0] for blocks in got)
-                assert [v for v, _ in got[0]] == [v for v, _ in serial]
-                assert all(np.array_equal(b, c) for (_, b), (_, c) in zip(got[0], serial))
+                assert s.leaves and not {"widths", "cuts", "matrix"} & vars(s).keys()
+                got = list(pool.map(first_read, [s] * 8, range(8), timeout=60))
+                assert all(x is y for read in got for x, y in zip(read, got[0]))
+                assert got[0][:2] == list(serial[:2])
+                assert np.array_equal(got[0][2], serial[2])
     finally:
         sys.setswitchinterval(switch)
 

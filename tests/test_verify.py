@@ -52,6 +52,15 @@ def sigma_optimal(sp):
     return build_optimal(sp, RatioKind(SIGMA, WEAK))
 
 
+def stacked(sp, q, pairs, **kw):
+    """The scheme over F_q whose blocks are the (variable, block) pairs, in
+    canonical variable order; each block is a 2-d array or nested lists."""
+    variables, blocks = zip(*pairs)
+    assert variables == sp.variables
+    blocks = [np.asarray(b, dtype=np.int64) for b in blocks]
+    return LinearScheme(sp, q, np.hstack(blocks), [b.shape[1] for b in blocks], **kw)
+
+
 # -- rank profile -----------------------------------------------------------
 
 
@@ -59,7 +68,7 @@ def test_joint_rank_examples():
     s = build_weak_block(3, 2, 2)
     p = RankProfile(s)
     assert p.rank([]) == 0
-    assert p.rank(s.variables()) == 2
+    assert p.rank(s.sp.variables) == 2
     assert p.rank([VariableId.secret(1, 1), VariableId.share(1)]) == 2
 
 
@@ -72,11 +81,11 @@ def test_joint_rank_unknown_variable():
 
 
 def test_rank_takes_masks():
-    """Bit i of a mask is `scheme.variables()[i]`; a mask outside the
+    """Bit i of a mask is `scheme.sp.variables[i]`; a mask outside the
     scheme's variables is a ValueError."""
     s = build_B(3, (3, 4), (2, 1))
     p = RankProfile(s)
-    vs = s.variables()
+    vs = s.sp.variables
     for mask in range(1 << len(vs)):
         x = [v for i, v in enumerate(vs) if mask >> i & 1]
         assert p.mask(x) == mask
@@ -91,7 +100,7 @@ def test_rank_profile_is_polymatroidal():
     s = build_B(3, (3, 4), (2, 1))
     p = RankProfile(s)
     rng = random.Random(7)
-    vs = s.variables()
+    vs = s.sp.variables
     for _ in range(80):
         a = rng.sample(vs, rng.randint(0, len(vs)))
         b = rng.sample(vs, rng.randint(0, len(vs)))
@@ -108,7 +117,7 @@ def test_rank_profile_concurrent_queries():
     profile that sums it, agree with serial ones; each leaf eliminates each
     share set once."""
     s = build_B(3, (3, 4), (2, 1))
-    vs = s.variables()
+    vs = s.sp.variables
     rng = random.Random(3)
     queries = [rng.sample(vs, rng.randint(0, len(vs))) for _ in range(120)]
     serial = [RankProfile(s).rank(x) for x in queries]
@@ -152,7 +161,7 @@ def test_rank_profile_concurrent_queries():
                 # the empty set needs none.
                 after = [p.profile.eliminations for p in leaves]
                 assert [y - x for x, y in zip(before, after)] == [len(every) - 1] * 2
-            vs = composed.variables()
+            vs = composed.sp.variables
             queries = [rng.sample(vs, rng.randint(0, len(vs))) for _ in range(40)]
             ranks = list(pool.map(composed.profile.rank, queries, timeout=60))
     finally:
@@ -221,7 +230,7 @@ def test_composed_profile_ranks_match_elimination(parties, masks):
         for kind in KINDS:
             s = build_optimal(sp, kind)
             assert s.leaves
-            vs = s.variables()
+            vs = s.sp.variables
             if masks is None:
                 picks = range(2 ** len(vs))
             else:
@@ -236,7 +245,7 @@ def test_composed_profile_ranks_match_elimination(parties, masks):
 def test_verification_reads_no_composed_block(monkeypatch):
     """Ratios, both checks and the audits of every build_optimal cell with
     N <= 4 read only widths, variables and leaves: neither the scheme nor
-    a part it combines has assembled its blocks afterwards."""
+    a part it combines has assembled its matrix afterwards."""
     combined = []
     real = schemes.combine
     monkeypatch.setattr(
@@ -252,7 +261,7 @@ def test_verification_reads_no_composed_block(monkeypatch):
                 if check_conditions(s, sec).passed:
                     audit_bounds(s, sec)
             for scheme in (s, *(p for parts in combined for p in parts)):
-                assert scheme.leaves and "blocks" not in vars(scheme), (sp, kind)
+                assert scheme.leaves and "matrix" not in vars(scheme), (sp, kind)
             cells += 1
     assert cells == 8 * len(_table_family((2, 3, 4)))
 
@@ -424,7 +433,7 @@ def test_links_are_set_only_by_embed_and_combine():
     a text copy of a combined scheme have none, so they scan, and they give
     the combined scheme's reports, failing witnesses included."""
     a = build_single_threshold(2, 3)
-    fields = dict(sp=a.sp, q=a.q, n_rows=a.n_rows, blocks=a.blocks)
+    fields = dict(sp=a.sp, q=a.q, matrix=a.matrix, widths=a.widths)
     with pytest.raises(TypeError):
         LinearScheme(**fields, leaves=((a, (0, 1, 2, 3)),))
     with pytest.raises(TypeError):
@@ -452,10 +461,9 @@ def test_links_that_do_not_keep_the_conditions_are_not_used():
     empty = np.zeros((a.n_rows, 0), dtype=np.int64)
 
     def unlinked(sp, blocks, leaves):
-        n_rows = blocks[0][1].shape[0]
         with pytest.raises(TypeError):
-            LinearScheme(sp=sp, q=a.q, n_rows=n_rows, blocks=blocks, leaves=leaves)
-        return LinearScheme(sp=sp, q=a.q, n_rows=n_rows, blocks=blocks)
+            stacked(sp, a.q, blocks, leaves=leaves)
+        return stacked(sp, a.q, blocks)
 
     def shares(order=(1, 2, 3)):
         return tuple((share[i], a.columns([share[j]])) for i, j in zip((1, 2, 3), order))
@@ -488,7 +496,9 @@ def test_links_that_do_not_keep_the_conditions_are_not_used():
             ((a, (0, 1, 2, -1)),),
         ),
         "parts on another structure": unlinked(
-            structure(3, [(2, 1)]), stack.blocks, stack.leaves
+            structure(3, [(2, 1)]),
+            tuple((v, stack.columns([v])) for v in stack.sp.variables),
+            stack.leaves,
         ),
     }
     fails = set()
@@ -524,7 +534,7 @@ def test_embeds_of_one_construction_share_its_memo():
         )
     assert all(e.profile.eliminations == 0 for e in embeds)
     shared = block.profile.eliminations
-    assert 0 < shared <= 2 ** len(block.variables()) - 1
+    assert 0 < shared <= 2 ** len(block.sp.variables) - 1
     assert shared < sum(c.profile.eliminations for c in copies)
 
 
@@ -616,7 +626,7 @@ def _toy_scheme(share_cols):
         (VariableId.share(1), [[share_cols[0][0]], [share_cols[0][1]]]),
         (VariableId.share(2), [[share_cols[1][0]], [share_cols[1][1]]]),
     )
-    return LinearScheme(sp=sp, q=5, n_rows=2, blocks=blocks)
+    return stacked(sp, 5, blocks)
 
 
 def test_decodable_failure_witness():
