@@ -205,21 +205,20 @@ def _condition_rows(sp: StructurePair, security: str, keys, place):
     holds the smallest shares of each class, and they go out in the order
     of `_canonical_subsets`.  A coefficient may be 0.
     """
-    secret, shares = {}, {}
-    for v, key in zip(sp.variables, keys):
-        if v.kind == "secret":
-            secret[(v.level, v.index)] = place[key]
-        else:
-            shares.setdefault(key, []).append(v.index)
+    ns = sp.n_secrets
+    shares = {}
+    for i in range(1, sp.n_parties + 1):
+        shares.setdefault(keys[ns + i - 1], []).append(i)
     coalitions = _canonical_subsets(shares, place)
-    for tag, slots, size in conditions(sp, security):
-        joint = sum(secret[slot] for slot in slots)
+    for tag, secrets, size in conditions(sp, security):
+        parts = [place[keys[i]] for i in secrets]
+        joint = sum(parts)
         if tag == "C1":
             minus = []
         elif tag == "C2":
             minus = [joint]
         else:
-            minus = [secret[slot] for slot in slots]
+            minus = parts
         for count, pa in coalitions:
             if count == size:
                 coeffs = {joint + pa: 1}

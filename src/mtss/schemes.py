@@ -94,6 +94,9 @@ class LinearScheme:
     variable, none negative, their sum the column count, and every nonempty
     block of full column rank over F_q (so a variable's entropy equals its
     width).  Width-0 secret blocks encode dummy secrets added by `embed`.
+    Everything inside the package reads `widths` and `cuts` by position;
+    `width` and `columns` take `VariableId`s at the edges, through the one
+    lookup `StructurePair.position`.
 
     `min_order` is the smallest field order the construction is known to
     work at (for searched families, the prime the search certified).
@@ -170,24 +173,15 @@ class LinearScheme:
                 value = self.__dict__[name] = make(self)
         return value
 
-    def _at(self, v: VariableId) -> int:
-        try:
-            return self.sp.positions[v]
-        except KeyError:
-            raise KeyError(f"unknown variable {v}") from None
-
     def secret_variables(self) -> tuple[VariableId, ...]:
         return self.sp.variables[: -self.sp.n_parties]
 
-    def share_variables(self) -> tuple[VariableId, ...]:
-        return self.sp.variables[-self.sp.n_parties :]
-
     def width(self, v: VariableId) -> int:
-        return self.widths[self._at(v)]
+        return self.widths[self.sp.position(v)]
 
     def columns(self, vs) -> np.ndarray:
         """Horizontal stack of the blocks of `vs`, in canonical order."""
-        at = sorted({self._at(v) for v in sorted(vs)})  # the least unknown one fails
+        at = sorted({self.sp.position(v) for v in sorted(vs)})  # the least unknown one fails
         return np.hstack([self.matrix[:, :0], *(self.matrix[:, self.cuts[i]] for i in at)])
 
     # -- serialization -----------------------------------------------------

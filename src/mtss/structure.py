@@ -125,7 +125,7 @@ class StructurePair:
     @cached_property
     def _secret_slots(self) -> tuple[tuple[int, int], ...]:
         # Made once per structure, outside the fields (as are `variables`
-        # and `positions`): equality, hash and repr read only `n_parties`
+        # and `_positions`): equality, hash and repr read only `n_parties`
         # and `arrays`.
         return tuple(
             (k, j)
@@ -141,9 +141,17 @@ class StructurePair:
         shares = [VariableId.share(i) for i in range(1, self.n_parties + 1)]
         return tuple(secrets + shares)
 
+    def position(self, v: VariableId) -> int:
+        """The index of `v` in `variables`: the one variable lookup, which
+        refuses a variable of another structure with
+        `KeyError("unknown variable v")`."""
+        try:
+            return self._positions[v]
+        except KeyError:
+            raise KeyError(f"unknown variable {v}") from None
+
     @cached_property
-    def positions(self) -> dict[VariableId, int]:
-        """Each variable's index in `variables`."""
+    def _positions(self) -> dict[VariableId, int]:
         return {v: i for i, v in enumerate(self.variables)}
 
     def __str__(self):
@@ -254,7 +262,10 @@ def subset_of(small: StructurePair, big: StructurePair) -> bool:
 
 
 def conditions(sp: StructurePair, security: str):
-    """The scheme conditions as (tag, secret slots, boundary coalition size).
+    """The scheme conditions as (tag, secret positions, boundary coalition
+    size), where a secret's position is its index in `sp.variables` (secret
+    i is `sp.secret_slots()[i]`), so rank masks and subset bits read it
+    with no variable lookup.
 
     C0: the secrets are independent (the empty coalition).
     C1: every t_k shares decode the level-k suffix of secrets.
@@ -265,17 +276,16 @@ def conditions(sp: StructurePair, security: str):
     """
     if security not in SECURITIES:
         raise ValueError(f"unknown security level {security!r}")
-    slots = sp.secret_slots()
-    yield "C0", list(slots), 0
-    levels = range(1, sp.k_levels + 1)
-    for k in levels:
-        yield "C1", [s for s in slots if s[0] >= k], sp.threshold(k)
+    level_of = [k for k, _ in sp.secret_slots()]  # by secret position
+    yield "C0", list(range(len(level_of))), 0
+    for k in range(1, sp.k_levels + 1):
+        yield "C1", [i for i, lv in enumerate(level_of) if lv >= k], sp.threshold(k)
     if security == STRONG:
-        for k in levels:
-            yield "C2", [s for s in slots if s[0] <= k], sp.threshold(k) - 1
+        for k in range(1, sp.k_levels + 1):
+            yield "C2", [i for i, lv in enumerate(level_of) if lv <= k], sp.threshold(k) - 1
     else:
-        for k, j in slots:
-            yield "C3", [(k, j)], sp.threshold(k) - 1
+        for i, k in enumerate(level_of):
+            yield "C3", [i], sp.threshold(k) - 1
 
 
 def randomness_break_index(sp: StructurePair) -> int:

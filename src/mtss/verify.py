@@ -5,8 +5,13 @@ joint column rank of their blocks (base-q units), so the secrecy and
 decodability conditions, the four ratio measures, and every converse bound
 audited here reduce to integer rank queries against one memoized profile:
 `LinearScheme.profile`, made once per scheme object and shared by
-`check_conditions`, `ratios` and `audit_bounds`.  Callers build each query's
-variable mask once, by OR of per-variable bits.
+`check_conditions`, `ratios` and `audit_bounds`.  All three read positions
+in `sp.variables`: `structure.conditions` names each condition's secrets by
+position, so a query's mask is an OR of `1 << i` and a variable's width is
+`scheme.widths[i]`, and no `VariableId` is looked up between the structure
+and the rank table.  Variables are looked up only at the edges
+(`RankProfile.mask`, `rank` of a variable set, `LinearScheme.width` and
+`columns`), through the one `StructurePair.position`.
 
 A scheme composed by `embed` and `combine` records its leaf constructions
 and their placements in `LinearScheme.leaves`, which those two set once they
@@ -64,10 +69,12 @@ class RankProfile(dict):
     from variable mask to rank.
 
     Doubles as the scheme's entropy vector: rank queries are monotone and
-    submodular, with rk(empty) = 0.  A query is a set of variables or its
-    int mask (`mask`): bit i is `sp.variables[i]`.  The profile itself maps
-    a mask to its rank, filled on first read and kept; `rank`, the condition
-    scans and the audit all read it.  An entry is filled under the
+    submodular, with rk(empty) = 0.  A query is an int mask, bit i for
+    `sp.variables[i]`, or a set of variables, which `mask` turns into one
+    through `StructurePair.position` (an unknown variable raises its
+    `KeyError`).  The profile itself maps a mask to its rank, filled on
+    first read and kept; `rank`, the condition scans, `ratios` and the
+    audit all read it by mask.  An entry is filled under the
     profile's lock, so audits may query one profile from several threads
     and each entry is made once.  A mask outside the scheme is refused
     (`ValueError`) and not kept.  `eliminations` counts the `field.rank`
@@ -114,10 +121,7 @@ class RankProfile(dict):
             (
                 leaf.profile,
                 leaf.sp.n_secrets,
-                [
-                    1 << i if i >= 0 and leaf.width(leaf.sp.variables[i]) else 0
-                    for i in index[: sp.n_secrets]
-                ],
+                [1 << i if i >= 0 and leaf.widths[i] else 0 for i in index[: sp.n_secrets]],
             )
             for leaf, index in scheme.leaves
         ]
@@ -135,14 +139,7 @@ class RankProfile(dict):
 
     def mask(self, variables) -> int:
         """The int mask of a set of this scheme's variables."""
-        positions = self.sp.positions
-        mask = 0
-        for v in variables:
-            try:
-                mask |= 1 << positions[v]
-            except KeyError:
-                raise KeyError(f"unknown variable {v}") from None
-        return mask
+        return sum(1 << i for i in {self.sp.position(v) for v in variables})
 
     def rank(self, x) -> int:
         """Joint rank of a set of variables, or of their mask."""
@@ -234,7 +231,10 @@ def check_conditions(
 ) -> VerificationReport:
     """Check independence, decodability, and the chosen secrecy condition.
 
-    Each condition of `structure.conditions` is checked by rank.
+    Each condition of `structure.conditions` is checked by rank, on the
+    positions it names: its secrets' mask is an OR of their bits, and the
+    C0/C3 term sums their `scheme.widths`; only a witness names its secrets
+    as variables.
     Decodability is enumerated over every coalition of size >= t_k for every
     level k.  The secrecy condition is enumerated only over maximal
     unqualified coalitions (|A| = t_k - 1): for smaller A' subset of A, the
@@ -268,12 +268,13 @@ def check_conditions(
     report = profile.reports.get(key)
     if report is not None:
         return report
-    n = scheme.sp.n_parties
+    sp = scheme.sp
+    n = sp.n_parties
     linked = bool(scheme.leaves) and all(
         check_conditions(leaf, security, exhaustive).passed for leaf, _ in scheme.leaves
     )
-    share_bit = [0] + [profile.mask([v]) for v in scheme.share_variables()]
-    secrets = {(v.level, v.index): v for v in scheme.secret_variables()}
+    # Shares come last in the variable order: share i is bit ns + i - 1.
+    share_bit = [0] + [1 << i for i in range(sp.n_secrets, sp.n_secrets + n)]
 
     def scan(group, entries):
         if linked:
@@ -284,15 +285,14 @@ def check_conditions(
             )
             return ConditionResult(True, checks, None)
         checks = 0
-        for tag, slots, size in entries:
-            sec_vars = [secrets[slot] for slot in slots]
-            sec = profile.mask(sec_vars)
+        for tag, secrets, size in entries:
+            sec = sum(1 << i for i in secrets)
             if tag == "C1":
                 extra = 0
             elif tag == "C2":
                 extra = profile[sec]
             else:
-                extra = sum(scheme.width(v) for v in sec_vars)
+                extra = sum(scheme.widths[i] for i in secrets)
             for a_set in _party_sets(n, _coalition_sizes(tag, size, n, exhaustive)):
                 checks += 1
                 pa = 0
@@ -301,11 +301,11 @@ def check_conditions(
                 got = profile[sec | pa]
                 want = profile[pa] + extra
                 if got != want:
-                    w = Witness(group, a_set, tuple(sec_vars), got, want)
+                    w = Witness(group, a_set, tuple(sp.variables[i] for i in secrets), got, want)
                     return ConditionResult(False, checks, w)
         return ConditionResult(True, checks, None)
 
-    entries = conditions(scheme.sp, security)
+    entries = conditions(sp, security)
     results = {
         group: scan(group, found)
         for group, found in groupby(entries, key=lambda e: _GROUP[e[0]])
@@ -359,18 +359,17 @@ def ratios(scheme: LinearScheme, strict: bool = True) -> RatioReport:
     min-normalized ones as None; this is what lets the averaged optima,
     which are genuinely attained by dummy embeddings, be measured at all.
     """
-    secret_lengths = tuple(scheme.width(v) for v in scheme.secret_variables())
-    share_lengths = tuple(scheme.width(v) for v in scheme.share_variables())
+    n, n_secrets = scheme.sp.n_parties, scheme.sp.n_secrets
+    secret_lengths, share_lengths = scheme.widths[:n_secrets], scheme.widths[n_secrets:]
     smallest = min(secret_lengths)
     total = sum(secret_lengths)
     if total == 0 or (strict and smallest == 0):
         raise ValueError("zero-length secret")
     profile = scheme.profile
-    h_shares = profile.rank(scheme.share_variables())
-    h_secrets = profile.rank(scheme.secret_variables())
+    # Shares come last in the variable order.
+    h_shares = profile.rank(((1 << n) - 1) << n_secrets)
+    h_secrets = profile.rank((1 << n_secrets) - 1)
     extra = h_shares - h_secrets
-    n = scheme.sp.n_parties
-    n_secrets = scheme.sp.n_secrets
     return RatioReport(
         sigma=Fraction(max(share_lengths), smallest) if smallest else None,
         sigma_avg=Fraction(sum(share_lengths) * n_secrets, n * total),
@@ -472,13 +471,13 @@ _ROW_FAMILIES = (
 )
 
 # Every family's params, from a check's key: a row's is (k, picks, shares),
-# secret-size's (k, j, (shares, a, b)) and extra-n3's (s, d).
+# secret-size's (k, j, (shares, a, b)) and extra-n3's (s, None, d).
 _PARAMS = {
     "secret-size": lambda k, j, pair: {
         "k": k, "j": j, "shares": pair[0], "a": pair[1], "b": pair[2]
     },
     **{name: spec[-1] for name, *spec in _ROW_FAMILIES},
-    "extra-n3": lambda s, d: {"s": s, "d": d},
+    "extra-n3": lambda s, _, d: {"s": s, "d": d},
 }
 
 
@@ -520,8 +519,8 @@ def audit_bounds(
     kk = sp.k_levels
     # Shares come last in the variable order: share i is bit ns + i - 1.
     ns = sp.n_secrets
-    w = dict(zip(sp.secret_slots(), map(scheme.width, sp.variables)))
-    hp = dict(enumerate(map(scheme.width, scheme.share_variables()), start=1))
+    w = dict(zip(sp.secret_slots(), scheme.widths))
+    hp = dict(enumerate(scheme.widths[ns:], start=1))
     h = scheme.profile
     h_all_shares = h[((1 << n) - 1) << ns]
 
@@ -584,36 +583,24 @@ def audit_bounds(
         return out
 
     def extra_n3():
-        if n != 3:
-            return
-        lvl3 = next(
-            (
-                i
-                for i in range(1, kk + 1)
-                if sp.threshold(i) == 3 and sp.count(i) >= 4
-            ),
-            None,
-        )
-        lvl2 = next(
-            (
-                i
-                for i in range(1, kk + 1)
-                if sp.threshold(i) == 2 and sp.count(i) >= 3
-            ),
-            None,
-        )
+        """One block for N = 3 with a threshold-3 level of at least four
+        secrets and a threshold-2 level of at least three: its items are
+        the shares d with their rhs, its heads the first four secrets s of
+        the threshold-3 level with their lhs."""
+        levels = range(1, kk + 1) if n == 3 else ()
+        lvl3 = next((i for i in levels if sp.threshold(i) == 3 and sp.count(i) >= 4), None)
+        lvl2 = next((i for i in levels if sp.threshold(i) == 2 and sp.count(i) >= 3), None)
         if lvl3 is None or lvl2 is None:
             return
-        base = sum(w[lvl3, j] for j in range(1, 5)) + 2 * sum(
-            w[lvl2, j] for j in range(1, 4)
+        base = sum(w[lvl3, j] for j in range(1, 5)) + 2 * sum(w[lvl2, j] for j in range(1, 4))
+        all_three = sum(hp.values())
+        yield (
+            ((d, all_three + hp[d]) for d in (1, 2, 3)),
+            ((s, None, w[lvl3, s] + base) for s in range(1, 5)),
         )
-        all_three = sum(hp[i] for i in (1, 2, 3))
-        for s in range(1, 5):
-            for d in (1, 2, 3):
-                yield BoundCheck("extra-n3", (s, d), w[lvl3, s] + base, all_three + hp[d])
 
     out = family("secret-size", secret_size())
     for name, strong_only, per_level, pick_levels, _ in _ROW_FAMILIES:
         if security == STRONG or not strong_only:
             out += family(name, rows(name, per_level, pick_levels))
-    return out + list(extra_n3())[:cap]
+    return out + family("extra-n3", extra_n3())

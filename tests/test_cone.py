@@ -252,15 +252,17 @@ def _reference_elemental(n):
 
 def _reference_rows(sp, security):
     """The outer region's rows in full coordinates: the elemental rows,
-    then per condition (tag, secrets S, size) of `structure.conditions`
-    and coalition A of that size in `combinations` order one equality,
-    empty and repeated rows dropped.  C0 states h(S) - sum of h(s) over
-    the secrets s of S = 0, C1 H(S | A) = h(S u A) - h(A) = 0, and C2 and
-    C3 I(S; A) = 0 as h(S u A) - h(A) - h(S) = 0."""
+    then per condition (tag, secret positions, size) of
+    `structure.conditions`, whose secrets S are the slots at those
+    positions, and coalition A of that size in `combinations` order one
+    equality, empty and repeated rows dropped.  C0 states h(S) - sum of
+    h(s) over the secrets s of S = 0, C1 H(S | A) = h(S u A) - h(A) = 0,
+    and C2 and C3 I(S; A) = 0 as h(S u A) - h(A) - h(S) = 0."""
     n = sp.n_parties + sp.n_secrets
     rows, seen = _reference_elemental(n), set()
-    for tag, slots, size in conditions(sp, security):
-        secrets = [mask_of(sp, [VariableId.secret(*slot)]) for slot in slots]
+    slots = sp.secret_slots()
+    for tag, positions, size in conditions(sp, security):
+        secrets = [mask_of(sp, [VariableId.secret(*slots[i])]) for i in positions]
         s = sum(secrets)
         for coalition in combinations(range(1, sp.n_parties + 1), size):
             a = mask_of(sp, [VariableId.share(i) for i in coalition])

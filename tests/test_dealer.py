@@ -705,8 +705,9 @@ def _reference_deal(scheme, values, seed):
         stream = _splitmix64(seed)
         r = [(next(stream) * q) >> 64 for _ in range(len(basis))]
         c += np.array(r, dtype=np.int64) @ basis
-    shares = scheme.columns(scheme.share_variables())
-    return _reference_cut(((c % q) @ shares % q).tolist(), scheme, scheme.share_variables())
+    share_vars = scheme.sp.variables[scheme.sp.n_secrets :]
+    shares = scheme.columns(share_vars)
+    return _reference_cut(((c % q) @ shares % q).tolist(), scheme, share_vars)
 
 
 def _reference_to_text(fingerprint, shares):

@@ -80,23 +80,42 @@ def unused_private(sources: dict[str, str]) -> list[str]:
     return [label for label, name, inside in defined if total[name] == inside]
 
 
-def unused_public(sources: dict[str, str], readers: list[str], kept) -> list[str]:
+def _fields(tree):
+    """The names that the bodies of a module's top-level classes assign:
+    dataclass fields and class attributes."""
+    for node in tree.body:
+        if isinstance(node, ast.ClassDef):
+            for d in node.body:
+                targets = [d.target] if isinstance(d, ast.AnnAssign) else getattr(d, "targets", [])
+                yield from (t.id for t in targets if isinstance(t, ast.Name))
+
+
+def unused_public(sources: dict[str, str], readers: list[str], kept, shadowed=()) -> list[str]:
     """The public functions and classes of `sources` ({module name:
     source}), top-level or methods of a top-level class, that neither
     `sources` nor `readers` (more sources) name outside their own
     definition, as "module.name" or "module.Class.name", leaving out those
     in `kept`.  A name counts as read wherever a `Name` or an `Attribute`
-    spells it."""
+    spells it, so the reads of a method whose bare name another definition
+    of `sources` (a function, class, method or class field) also has cannot
+    be told apart: such a method is reported too, unless `shadowed` lists
+    it."""
     total = sum((_names(ast.parse(source)) for source in readers), Counter())
-    defined = []
+    defined, bare = [], Counter()
     for module, source in sources.items():
         tree = ast.parse(source)
         total += _names(tree)
+        bare.update(_fields(tree))
         for qualified, d in _definitions(tree):
+            bare[d.name] += 1
             if not d.name.startswith("_"):
                 defined.append((f"{module}.{qualified}", d.name, _names(d)[d.name]))
     return [
-        label for label, name, inside in defined if total[name] == inside and label not in kept
+        label
+        for label, name, inside in defined
+        if (total[name] == inside or (label.count(".") == 2 and bare[name] > 1))
+        and label not in kept
+        and label not in shadowed
     ]
 
 
@@ -177,15 +196,23 @@ def test_unused_public_finds_what_it_should():
             "    @staticmethod\n"
             "    def built():\n"
             "        pass\n"
+            "    def shape(self):\n"
+            "        pass\n"
+            "class J:\n"
+            "    shape: int = 0\n"
         ),
-        "b": "import a\nx = a.K\n",
+        "b": "import a\nx = a.K, a.J().shape\n",
     }
     readers = ["from a import benched\nbenched()\n", "import a\na.K.built()\n"]
+    # K.shape, which only tests would read, is shadowed by J's field.
     assert unused_public(sources, readers, kept={"a.kept"}) == [
+        "a.recursive", "a.K.orphan", "a.K.shape"
+    ]
+    assert unused_public(sources, readers, kept={"a.kept"}, shadowed={"a.K.shape"}) == [
         "a.recursive", "a.K.orphan"
     ]
     assert unused_public(sources, [], kept={"a.kept"}) == [
-        "a.recursive", "a.benched", "a.K.orphan", "a.K.built"
+        "a.recursive", "a.benched", "a.K.orphan", "a.K.built", "a.K.shape"
     ]
 
 
@@ -193,14 +220,32 @@ def test_unused_public_finds_what_it_should():
 # structure, and an entropy vector read off a scheme's ranks) are API kept on
 # purpose, although only the tests call them.
 COROLLARY_API = {"cone.extend_vector", "cone.EntropyVector.from_profile"}
+# Also kept on purpose for the tests alone: the convexity tests scale
+# entropy vectors.
+KEPT = COROLLARY_API | {"cone.EntropyVector.scale"}
+
+# The public methods whose bare name another definition of the package also
+# has (`RankProfile.rank` and `field.rank`, `StructurePair.count` and the
+# `SubArray.count` field, ...), so the lint cannot tell their reads apart.
+# Each is read by the package or the benchmark, checked by hand.
+SHADOWED = {
+    "schemes.LinearScheme.columns", "schemes.LinearScheme.fingerprint",
+    "schemes.LinearScheme.from_text", "schemes.LinearScheme.to_text",
+    "dealer.ShareBundle.from_text", "dealer.ShareBundle.to_text",
+    "structure.StructurePair.count", "structure.StructurePair.threshold",
+    "structure.StructurePair.variables", "verify.RankProfile.rank",
+    "verify.RatioReport.value",
+}
 
 
 def test_no_public_definition_only_tests_read():
     """Every public function, class and method of the package is read by
-    the package or by the benchmark, apart from the corollary API."""
+    the package or by the benchmark, apart from the kept API; `SHADOWED`
+    is exactly the methods the lint leaves to a check by hand."""
     sources = {p.stem: p.read_text() for p in sorted(SRC.glob("*.py"))}
     readers = [p.read_text() for p in sorted(BENCH.glob("*.py"))]
-    assert unused_public(sources, readers, COROLLARY_API) == []
+    assert unused_public(sources, readers, KEPT, SHADOWED) == []
+    assert set(unused_public(sources, readers, KEPT)) == SHADOWED
 
 
 def imported_names(source: str) -> set[str]:

@@ -182,7 +182,7 @@ def test_stitched_row_counts():
     assert verify.check_conditions(b, WEAK).passed
     a = build_A(4, (3, 5), 2)
     assert a.n_rows == 10
-    assert [a.width(v) for v in a.share_variables()] == [2, 4, 4, 4]
+    assert [a.width(v) for v in a.sp.variables[a.sp.n_secrets :]] == [2, 4, 4, 4]
     assert verify.check_conditions(a, WEAK).passed
 
 
@@ -708,7 +708,7 @@ def test_composed_scheme_matches_its_text_copy():
         assert (s.sp, s.q, s.n_rows) == (copy.sp, copy.q, copy.n_rows)
         assert s.sp.variables == copy.sp.variables == s.sp.variables
         assert s.secret_variables() == copy.secret_variables()
-        assert s.share_variables() == copy.share_variables()
+        assert s.sp.variables[s.sp.n_secrets :] == copy.sp.variables[copy.sp.n_secrets :]
         assert [s.width(v) for v in s.sp.variables] == [copy.width(v) for v in copy.sp.variables]
         assert s.widths == copy.widths and s.cuts == copy.cuts
         assert np.array_equal(s.matrix, copy.matrix)

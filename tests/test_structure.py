@@ -333,16 +333,18 @@ def test_plan_multiplicities_positive_integers():
 
 def test_conditions_lists_boundary_sizes():
     sp = structure(4, [(4, 1), (2, 2)])
-    slots = [(1, 1), (2, 1), (2, 2)]
-    head = [("C0", slots, 0), ("C1", slots, 4), ("C1", [(2, 1), (2, 2)], 2)]
+    # Secrets by position in sp.variables: 0 is S[1,1], 1 S[2,1], 2 S[2,2].
+    assert sp.secret_slots() == ((1, 1), (2, 1), (2, 2))
+    every = [0, 1, 2]
+    head = [("C0", every, 0), ("C1", every, 4), ("C1", [1, 2], 2)]
     assert list(conditions(sp, STRONG)) == head + [
-        ("C2", [(1, 1)], 3),
-        ("C2", slots, 1),
+        ("C2", [0], 3),
+        ("C2", every, 1),
     ]
     assert list(conditions(sp, WEAK)) == head + [
-        ("C3", [(1, 1)], 3),
-        ("C3", [(2, 1)], 1),
-        ("C3", [(2, 2)], 1),
+        ("C3", [0], 3),
+        ("C3", [1], 1),
+        ("C3", [2], 1),
     ]
     with pytest.raises(ValueError, match="unknown security"):
         list(conditions(sp, "medium"))

@@ -457,7 +457,7 @@ def test_links_that_do_not_keep_the_conditions_are_not_used():
     scanned, and its report equals its text copy's."""
     a = build_single_threshold(2, 3)
     sec = VariableId.secret(1, 1)
-    share = [None] + list(a.share_variables())
+    share = [None] + list(a.sp.variables[a.sp.n_secrets :])
     empty = np.zeros((a.n_rows, 0), dtype=np.int64)
 
     def unlinked(sp, blocks, leaves):
@@ -861,7 +861,7 @@ def test_bound_row_checks_in_canonical_order(t, security):
     def rk(vs):
         return field.rank(s.columns(vs), s.q)
 
-    everything = rk(s.share_variables())
+    everything = rk(s.sp.variables[sp.n_secrets :])
     kk = sp.k_levels
     want = []
     for name, strong_only, ks, pick_levels, params in _REFERENCE_FAMILIES:
@@ -927,7 +927,7 @@ def _reference_audit(scheme, security, cap=verify.DEFAULT_AUDIT_CAP):
     w = {
         (i, j): scheme.width(VariableId.secret(i, j)) for i, j in sp.secret_slots()
     }
-    hp = {i: scheme.width(v) for i, v in enumerate(scheme.share_variables(), start=1)}
+    hp = {i: scheme.width(v) for i, v in enumerate(sp.variables[sp.n_secrets :], start=1)}
     ns = sp.n_secrets
     h = scheme.profile
     h_all_shares = h[((1 << n) - 1) << ns]
@@ -1104,3 +1104,25 @@ def test_bound_checks_compare_and_print_as_the_dataclass():
             c.lhs = 0
         with pytest.raises(TypeError):
             hash(c)
+
+
+def test_verifier_hashes_no_variable(monkeypatch):
+    """Between `structure.conditions` and the rank table everything reads
+    positions: building, ratios, every condition scan (a failing one names
+    its witness too) and the audit of a leaf, a composed scheme and its
+    text copy hash no `VariableId`."""
+    calls = []
+    plain = VariableId.__hash__
+    monkeypatch.setattr(VariableId, "__hash__", lambda v: calls.append(v) or plain(v))
+    schemes._leaf.cache_clear()
+    leaf = build_weak_block(4, 3, 2)
+    composed = build_optimal(parse_thresholds(4, "4,4,4,2"), RatioKind(TAU, WEAK))
+    assert not leaf.leaves and composed.leaves
+    for s in (leaf, composed, LinearScheme.from_text(composed.to_text())):
+        ratios(s, strict=False)
+        for security, exhaustive in product((STRONG, WEAK), (False, True)):
+            check_conditions(s, security, exhaustive)
+        assert not check_conditions(s, STRONG).passed
+        audit_bounds(s, WEAK)
+    assert calls == []
+    assert len({VariableId.share(1)}) == len(calls) == 1  # the count sees a hash
