@@ -55,14 +55,6 @@ from mtss.verify import (
 
 PASS, FAIL, USAGE, CLOSED = 0, 1, 2, 141
 
-_MEASURE_FLAGS = {
-    "sigma": "sigma",
-    "sigma-avg": "sigma_avg",
-    "tau": "tau",
-    "tau-avg": "tau_avg",
-}
-
-
 def _int(text: str) -> int:
     """An integer flag value, in the item grammar of `parse_ints`."""
     try:
@@ -72,7 +64,7 @@ def _int(text: str) -> int:
 
 
 def _kind_from_args(args) -> RatioKind:
-    return RatioKind(_MEASURE_FLAGS[args.ratio], args.security)
+    return RatioKind(args.ratio.replace("-", "_"), args.security)
 
 
 def _load(path: str, parse, what: str):
@@ -264,7 +256,7 @@ def _add_structure_flags(p):
 
 
 def _add_ratio_flags(p):
-    p.add_argument("--ratio", choices=sorted(_MEASURE_FLAGS), required=True)
+    p.add_argument("--ratio", choices=[m.replace("_", "-") for m in MEASURES], required=True)
     p.add_argument("--security", choices=SECURITIES, required=True)
 
 

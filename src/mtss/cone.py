@@ -37,7 +37,6 @@ from __future__ import annotations
 import threading
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 
 from mtss import simplex
 from mtss.structure import WEAK, RatioKind, ShareSecretBound, StructurePair
@@ -163,7 +162,6 @@ class EntropyVector:
 # Elemental inequalities and scheme-condition hyperplanes
 
 
-@lru_cache(maxsize=CAP_LIMIT - 1)
 def elemental_inequalities(n_vars: int) -> ConstraintSystem:
     """The reduced generating set of Shannon inequalities on n variables.
 
@@ -171,7 +169,6 @@ def elemental_inequalities(n_vars: int) -> ConstraintSystem:
     information row per variable pair and conditioning subset:
     n + C(n,2) * 2^(n-2) rows in total, the rows of `_elemental_rows` over
     subset masks.  It takes no structure, so it checks the size cap itself.
-    The system is immutable, so one is kept per n.
     """
     if n_vars < 2:
         raise ValueError("need at least 2 variables")

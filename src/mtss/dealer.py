@@ -43,7 +43,6 @@ from operator import ge
 import numpy as np
 
 from mtss import field
-from mtss.schemes import LinearScheme
 from mtss.structure import VariableId, format_ints, parse_int, parse_ints, read_records
 
 _MASK64 = (1 << 64) - 1

@@ -42,7 +42,7 @@ from operator import index, itemgetter
 
 import numpy as np
 
-from mtss import field
+from mtss import dealer, field, verify
 from mtss.structure import (
     SIGMA,
     SIGMA_AVG,
@@ -242,21 +242,10 @@ class LinearScheme:
     def fingerprint(self) -> str:
         return hashlib.sha256(self.to_text().encode()).hexdigest()
 
-    @cached_property
-    def profile(self):
-        """This object's memoized `verify.RankProfile`, its rank table by
-        variable mask, made on first use; it holds no reference back to
-        this object."""
-        from mtss import verify  # deferred; verify imports this module
-
-        return verify.RankProfile(self)
-
-    @cached_property
-    def codec(self):
-        """This object's memoized `dealer.Codec`, made on first use."""
-        from mtss import dealer  # deferred; dealer imports this module
-
-        return dealer.Codec(self)
+    # Made once per scheme object, on first use: its rank table by variable
+    # mask, which holds no reference back to it, and its codec.
+    profile = cached_property(verify.RankProfile)
+    codec = cached_property(dealer.Codec)
 
 
 def _composed_widths(scheme: LinearScheme) -> tuple[int, ...]:
@@ -449,8 +438,6 @@ def _searched_build(assemble, start: int, q: int | None) -> LinearScheme:
     is large enough, so the search terminates in practice well within the
     cap.  A given q is the only candidate.
     """
-    from mtss import verify  # deferred; verify imports this module's types
-
     tried = []
     for p in _primes(start, q):
         scheme = assemble(p)
@@ -602,8 +589,6 @@ def unify_field(parts) -> list[LinearScheme]:
     (`_leaf`), so one made over that prime before is reused, and a composed
     part swaps its leaves for theirs.
     """
-    from mtss import verify
-
     parts = list(parts)
     if not parts:
         raise ValueError("need at least one part")

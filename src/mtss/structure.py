@@ -25,7 +25,7 @@ from fractions import Fraction
 from functools import cached_property
 from math import comb, lcm, prod
 
-from .simplex import LinearProgram, OPTIMAL
+from mtss.simplex import LinearProgram, OPTIMAL
 
 STRONG = "strong"
 WEAK = "weak"
@@ -106,7 +106,7 @@ class StructurePair:
     def k_levels(self) -> int:
         return len(self.arrays)
 
-    @property
+    @cached_property
     def n_secrets(self) -> int:
         return sum(a.count for a in self.arrays)
 
@@ -124,9 +124,9 @@ class StructurePair:
 
     @cached_property
     def _secret_slots(self) -> tuple[tuple[int, int], ...]:
-        # Made once per structure, outside the fields (as are `variables`
-        # and `_positions`): equality, hash and repr read only `n_parties`
-        # and `arrays`.
+        # Made once per structure, outside the fields (as are `n_secrets`,
+        # `variables` and `_positions`): equality, hash and repr read only
+        # `n_parties` and `arrays`.
         return tuple(
             (k, j)
             for k in range(1, self.k_levels + 1)

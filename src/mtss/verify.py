@@ -50,7 +50,6 @@ from math import comb
 from operator import attrgetter
 
 from mtss import field
-from mtss.schemes import LinearScheme
 from mtss.structure import MEASURES, STRONG, VariableId, bound_row, conditions
 
 DEFAULT_AUDIT_CAP = 10000
@@ -339,8 +338,6 @@ class RatioReport:
     sigma_avg: Fraction
     tau: Fraction | None
     tau_avg: Fraction
-    secret_lengths: tuple[int, ...]
-    share_lengths: tuple[int, ...]
 
     def value(self, measure: str) -> Fraction | None:
         """The field named by a measure constant (`structure.MEASURES`)."""
@@ -375,8 +372,6 @@ def ratios(scheme: LinearScheme, strict: bool = True) -> RatioReport:
         sigma_avg=Fraction(sum(share_lengths) * n_secrets, n * total),
         tau=Fraction(extra, smallest) if smallest else None,
         tau_avg=Fraction(extra * n_secrets, total),
-        secret_lengths=secret_lengths,
-        share_lengths=share_lengths,
     )
 
 

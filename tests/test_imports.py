@@ -1,8 +1,8 @@
 """Every name that a module of the package imports is used in that module,
 every private top-level function or class is named by the package, every
 public one is read by the package or the benchmark, no module imports a
-private name from another, and the converse side (`simplex`, `structure`,
-`cone`) imports no construction."""
+private name from another, and the imports run one way, up the package's
+layers (`LAYERS`), at module level only."""
 
 import ast
 from collections import Counter
@@ -248,43 +248,71 @@ def test_no_public_definition_only_tests_read():
     assert set(unused_public(sources, readers, KEPT)) == SHADOWED
 
 
-def imported_names(source: str) -> set[str]:
-    """The dotted names that the import statements of `source` read, at any
-    depth (deferred imports inside functions too), without the dots of a
-    relative import."""
-    names = set()
-    for node in ast.walk(ast.parse(source)):
-        if isinstance(node, ast.Import):
-            names.update(alias.name for alias in node.names)
-        elif isinstance(node, ast.ImportFrom):
-            base = node.module or ""
-            names.update(f"{base}.{alias.name}".strip(".") for alias in node.names)
-    return names
+# The package's layers, lowest first: a module imports only the modules of
+# the layers below its own.  So the converse side (`simplex`, `structure`,
+# `cone`) imports no construction, and `schemes` builds on `verify` and
+# `dealer`, which do not import it.
+LAYERS = (
+    ("__init__", "field", "simplex"),
+    ("structure",),
+    ("cone", "verify", "dealer"),
+    ("schemes",),
+    ("cli",),
+)
 
 
-def test_imported_names_finds_what_it_should():
+def layering_faults(source: str, allowed) -> list[str]:
+    """The import statements of `source` that break the layering, as "what
+    (line n)": one below module level, a relative one, and each module of
+    the package it imports that `allowed` does not list (as "mtss.name")."""
+    tree = ast.parse(source)
+    faults = []
+    for node in ast.walk(tree):
+        if not isinstance(node, (ast.Import, ast.ImportFrom)):
+            continue
+        if node not in tree.body:
+            faults.append(f"below module level (line {node.lineno})")
+        if isinstance(node, ast.ImportFrom) and node.level:
+            faults.append(f"relative (line {node.lineno})")
+            continue
+        base = f"{node.module}." if isinstance(node, ast.ImportFrom) else ""
+        for alias in node.names:
+            package, _, rest = f"{base}{alias.name}".partition(".")
+            module = rest.partition(".")[0]
+            if package == "mtss" and module not in allowed:
+                faults.append(f"mtss.{module} (line {node.lineno})")
+    return faults
+
+
+def test_layering_faults_finds_what_it_should():
     source = (
+        "from __future__ import annotations\n"
         "import numpy as np\n"
-        "from mtss import simplex\n"
+        "from mtss import field, schemes\n"
         "from mtss.structure import VariableId\n"
-        "from . import field\n"
+        "import mtss.cli\n"
+        "from .simplex import LinearProgram\n"
+        "if np:\n"
+        "    from mtss.verify import ratios\n"
         "def f():\n"
-        "    from .schemes import build_optimal\n"
-        "    import mtss.verify\n"
+        "    import json\n"
     )
-    assert imported_names(source) == {
-        "numpy", "mtss.simplex", "mtss.structure.VariableId", "field",
-        "schemes.build_optimal", "mtss.verify",
-    }
+    assert layering_faults(source, {"field", "structure", "verify"}) == [
+        "mtss.schemes (line 3)",
+        "mtss.cli (line 5)",
+        "relative (line 6)",
+        "below module level (line 8)",
+        "below module level (line 10)",
+    ]
 
 
-@pytest.mark.parametrize("module", ["simplex", "structure", "cone"])
-def test_converse_side_imports_no_construction(module):
-    """The converse bounds rest on the structure alone: these modules import
-    none of the construction, verification, dealer or CLI modules."""
-    refused = {"schemes", "verify", "dealer", "cli"}
-    names = imported_names((SRC / f"{module}.py").read_text())
-    assert [n for n in sorted(names) if refused & set(n.split("."))] == []
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_imports_run_one_way(path):
+    """Each module imports, at module level and by absolute name, only the
+    modules of the layers below its own."""
+    level = next(i for i, layer in enumerate(LAYERS) if path.stem in layer)
+    allowed = {m for layer in LAYERS[:level] for m in layer}
+    assert layering_faults(path.read_text(), allowed) == []
 
 
 def private_imports(source: str) -> list[str]:

@@ -516,6 +516,19 @@ def test_unify_field_respects_searched_orders():
     assert ua.q == ub.q >= big.q
 
 
+def test_unify_field_skips_a_prime_a_part_cannot_be_rebuilt_at():
+    """The search starts at 29, the second part's prime, where the first
+    part's family fails its weak check, so both parts move on to 31."""
+    first = build_B(4, (4, 6), (3, 2))
+    second = build_B(4, (4, 7), (3, 2))
+    assert second.q == 29
+    with pytest.raises(FieldSearchError):
+        build_B(4, (4, 6), (3, 2), q=29)
+    parts = unify_field([first, second])
+    assert [p.q for p in parts] == [31, 31]
+    assert all(verify.check_conditions(p, WEAK).passed for p in parts)
+
+
 def test_unify_field_reuses_parts_over_the_common_prime(monkeypatch):
     """A part already over the common prime comes back as it is; the others
     are rebuilt once per distinct part, equal to a build at that prime."""

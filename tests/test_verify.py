@@ -670,9 +670,10 @@ def test_render_report_mentions_witness():
 
 
 def test_ratios_weak_block():
-    r = ratios(build_weak_block(3, 2, 2))
+    scheme = build_weak_block(3, 2, 2)
+    r = ratios(scheme)
     assert (r.sigma, r.sigma_avg, r.tau, r.tau_avg) == (1, 1, 0, 0)
-    assert r.secret_lengths == (1, 1) and r.share_lengths == (1, 1, 1)
+    assert scheme.widths == (1, 1, 1, 1, 1)
 
 
 def test_ratios_strong_combination():
