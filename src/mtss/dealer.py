@@ -21,15 +21,20 @@ assignment through it; `from_text` checks only the integer grammar, and
 `reconstruct` checks vector count, index order, width and range.
 
 The census brute-forces the full codeword space of a tiny scheme to compare
-statistical secrecy with the algebraic rank verdicts.  It tallies the
-settings of the last rows once, and makes the codes of every codeword from
-that table by a digit-wise shift per setting of the other rows; no rank or
-elimination is involved.  The map is linear, so every code of that table
-has the same tally, and a code's count is that tally times the number of
-times the code is made.  It tabulates with arrays: a sorted array of
-combined (coalition values, target values) codes and their codeword counts,
-from which `uniform` is read directly; `digit_rows` decodes the codes into
-base-q digit rows, which the records output prints in code order.
+statistical secrecy with the algebraic rank verdicts.  It makes the codes of
+every codeword, and no rank or elimination is involved: it tallies the
+settings of the last rows once, and makes each setting of the other rows a
+block of codes from that table by a digit-wise shift.  The map is linear,
+so a block is one coset of the inner image, and two blocks are the same set
+or disjoint.  The census keeps one block per coset, named by its smallest
+code, and counts the settings per coset; every code's tally is then the
+inner tally times the settings per coset.  Three checks guard the argument
+(a `RuntimeError` if one fails): every inner code has the same tally, every
+coset the same number of settings, and no code is kept twice.  It
+tabulates with arrays: a sorted array of combined (coalition values, target
+values) codes and their codeword counts, from which `uniform` is read
+directly; `digit_rows` decodes the codes into base-q digit rows, which the
+records output prints in code order.
 """
 
 from __future__ import annotations
@@ -48,7 +53,7 @@ from mtss.structure import VariableId, format_ints, parse_int, parse_ints, read_
 _MASK64 = (1 << 64) - 1
 _BUNDLE_MAGIC = "mtss-bundle 1"
 CENSUS_CAP = 10_000_000
-_CHUNK = 1 << 16  # census bound on inner-row settings and on codes made per batch
+_CHUNK = 1 << 16  # census bound on inner-row settings and on the codes of a batch of blocks
 DECODERS_KEPT = 64  # coalition decoders a scheme keeps; there are 2^N coalitions
 
 
@@ -315,8 +320,10 @@ class CensusTable:
     code, the coalition values' base-q digits followed by the target's:
     `codes` is sorted and duplicate-free and `tallies[i]` counts the
     codewords that give `codes[i]`.  The codes of one coalition value
-    therefore form a contiguous run.  `digit_rows` decodes the codes into
-    base-q digit rows.
+    therefore form a contiguous run.  `leakage_census` gives every code the
+    same tally, the codewords of one coset over the codes of its block; a
+    table built directly may hold any tallies, and `uniform` reads them.
+    `digit_rows` decodes the codes into base-q digit rows.
     """
 
     q: int
@@ -368,15 +375,20 @@ def leakage_census(scheme: LinearScheme, a_shares, target) -> CensusTable:
 
     A codeword is split into its last k rows (inner), with k the largest
     such that q^k <= _CHUNK, and the rest (outer).  The joint values y of
-    all q^k inner settings are tallied once into distinct codes.  The map
-    is linear, so every inner code is made by the same number of inner
-    settings (the size of the map's kernel); that is checked, and a
-    RuntimeError raised if it fails.  Also y(outer + inner) = y(outer) +
-    y(inner) mod q: the codes of one outer setting are the inner codes with
-    each digit shifted by that setting's y, each made that common number of
-    times.  Outer settings run in batches of about _CHUNK codes.  One sort
-    merges every batch and counts each code's repeats; a code's tally is
-    its repeats times the common inner tally."""
+    all q^k inner settings are tallied once into distinct codes, the inner
+    image.  The map is linear, so every inner code is made by the same
+    number of inner settings (the size of the map's kernel).  Also
+    y(outer + inner) = y(outer) + y(inner) mod q: the block of one outer
+    setting, the inner codes with each digit shifted by that setting's y,
+    is the coset y(outer) + inner image.  Two cosets are equal or disjoint,
+    so a block's smallest code names its coset.  Outer settings run in
+    batches of about _CHUNK codes; the first block of each name is kept and
+    the settings of each name are counted.  Every coset holds the same
+    number of settings (the outer settings whose y lies in the inner
+    image).  The codes are one sort of the kept blocks, and every tally is
+    the inner tally times the settings per coset.  A RuntimeError is raised
+    if the inner tallies differ, the cosets hold different numbers of
+    settings or a code is kept twice; none can happen on a linear map."""
     targets = [target] if isinstance(target, VariableId) else list(target)
     a_list = sorted(a_shares)
     _check_kind(a_list, "share")
@@ -408,14 +420,29 @@ def leakage_census(scheme: LinearScheme, a_shares, target) -> CensusTable:
     inner_digits = _digits(inner_codes, w, q).T
     batch = max(1, _CHUNK // len(inner_codes))
     outer = q ** (n - k)
-    chunk_codes = []
+    settings_of = {}  # coset name -> outer settings whose block it names
+    kept = []
     for start in range(0, outer, batch):
         settings = _digits(np.arange(start, min(start + batch, outer)), n - k, q)
         shift = settings @ cols[: n - k] % q
-        combined = np.tile(inner_codes, (len(shift), 1))
+        blocks = np.tile(inner_codes, (len(shift), 1))
         # Digit j becomes (d + s) mod q, so every partial sum is a code.
         for s, d, p in zip(shift.T[:, :, None], inner_digits, place):
-            combined += np.where(d >= q - s, (s - q) * p, s * p)
-        chunk_codes.append(combined.ravel())
-    codes, repeats = np.unique(np.concatenate(chunk_codes), return_counts=True)
-    return CensusTable(q, wa, ws, codes, repeats.astype(np.int64, copy=False) * tally)
+            blocks += np.where(d >= q - s, (s - q) * p, s * p)
+        fresh = []
+        for row, name in enumerate(blocks.min(axis=1).tolist()):
+            if name not in settings_of:
+                settings_of[name] = 0
+                fresh.append(row)
+            settings_of[name] += 1
+        kept.append(blocks[fresh].ravel())
+    per_coset = set(settings_of.values())
+    if len(per_coset) != 1:
+        raise RuntimeError("census cosets differ in size, so the scheme's map is not linear")
+    codes = np.concatenate(kept)
+    del kept  # only the joined copy stays, sorted in place
+    codes.sort()
+    if (codes[1:] <= codes[:-1]).any():
+        raise RuntimeError("census cosets overlap, so the scheme's map is not linear")
+    tallies = np.full(len(codes), tally * per_coset.pop(), dtype=np.int64)
+    return CensusTable(q, wa, ws, codes, tallies)

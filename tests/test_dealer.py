@@ -1,10 +1,12 @@
 import copy
 import dataclasses
 import gc
+import hashlib
 import itertools
 import pickle
 import random
 import re
+import tracemalloc
 import warnings
 import weakref
 from math import comb
@@ -33,7 +35,16 @@ from mtss.schemes import (
     build_single_threshold,
     build_weak_block,
 )
-from mtss.structure import SIGMA, STRONG, RatioKind, parse_int, read_records, structure
+from mtss.structure import (
+    SIGMA,
+    STRONG,
+    TAU,
+    WEAK,
+    RatioKind,
+    parse_int,
+    read_records,
+    structure,
+)
 from mtss.verify import RankProfile
 from test_verify import stacked
 
@@ -498,28 +509,35 @@ def _assert_matches_reference(scheme, coalition, targets):
     return table
 
 
+def _small_schemes():
+    return (
+        build_single_threshold(2, 2, q=5),
+        build_single_threshold(3, 3),
+        build_weak_block(3, 2, 2, q=7),
+        build_weak_block(3, 2, 4, q=11),
+    )
+
+
+def _reference_cases(sch):
+    """Every coalition of `sch` against every nonempty set of its secrets."""
+    svars = sch.secret_variables()
+    n = sch.sp.n_parties
+    for size in range(n + 1):
+        for idxs in itertools.combinations(range(1, n + 1), size):
+            for tsize in range(1, len(svars) + 1):
+                for tg in itertools.combinations(svars, tsize):
+                    yield [P(i) for i in idxs], list(tg)
+
+
 @pytest.mark.parametrize("chunk", [dealer._CHUNK, 7, 3])
 def test_census_matches_reference_on_small_schemes(monkeypatch, chunk):
     """A chunk of 7 spreads the outer settings over many batches, the last
     one partly filled; a chunk of 3, below every q, leaves no inner rows."""
     monkeypatch.setattr(dealer, "_CHUNK", chunk)
     verdicts = set()
-    for sch in (
-        build_single_threshold(2, 2, q=5),
-        build_single_threshold(3, 3),
-        build_weak_block(3, 2, 2, q=7),
-        build_weak_block(3, 2, 4, q=11),
-    ):
-        svars = sch.secret_variables()
-        n = sch.sp.n_parties
-        for size in range(n + 1):
-            for idxs in itertools.combinations(range(1, n + 1), size):
-                for tsize in range(1, len(svars) + 1):
-                    for tg in itertools.combinations(svars, tsize):
-                        table = _assert_matches_reference(
-                            sch, [P(i) for i in idxs], list(tg)
-                        )
-                        verdicts.add(table.uniform)
+    for sch in _small_schemes():
+        for coalition, tg in _reference_cases(sch):
+            verdicts.add(_assert_matches_reference(sch, coalition, tg).uniform)
     assert verdicts == {True, False}
 
 
@@ -563,42 +581,140 @@ def _assert_matches_digit_census(scheme, coalition, targets):
     return table
 
 
-def test_census_matches_digit_census():
-    """The shifted inner tables give the whole-codeword enumeration's arrays:
-    on q = 11 with 5 rows (4 inner rows), on one row at q = 65537 (no inner
-    rows, outer batches of _CHUNK), and at codes of exactly 63 bits."""
+def _copies_of_seven_bits():
+    """q = 2, 7 rows: one secret and eight shares, each the 7 x 7 identity,
+    so the eight shares and the secret make codes of exactly 63 bits."""
+    eye = np.eye(7, dtype=np.int64)
+    return stacked(
+        structure(8, [(2, 1)]), 2, [(S(1, 1), eye)] + [(P(i), eye) for i in range(1, 9)]
+    )
+
+
+def _dependent():
+    """q = 5 and 8 rows: 6 inner rows and 25 outer settings.  The columns of
+    P[1] and P[2] agree on the inner rows, so each inner code is made by
+    5^(6 - 2) inner settings, and all 25 outer settings fall in one coset."""
+    col = np.array([[1, 0, 0, 0, 0, 0, 0, 1], [1, 1, 1, 1, 1, 1, 1, 0]]).T
+    return stacked(
+        structure(2, [(2, 1)]), 5,
+        ((S(1, 1), col[:, :1]), (P(1), col[:, :1] + col[:, 1:]), (P(2), col)),
+    )
+
+
+def _digit_cases():
+    """(scheme, coalition, targets) of the digit-census comparisons: q = 11
+    with 5 rows (4 inner rows), one row at q = 65537 (no inner rows, outer
+    batches of _CHUNK), codes of exactly 63 bits, and the dependent scheme."""
     sch = build_B(3, (3, 4), (2, 1))
     assert (sch.q, sch.n_rows) == (11, 5)
     svars = list(sch.secret_variables())
     for size in range(4):
         for idxs in itertools.combinations([1, 2, 3], size):
             for tg in (svars, [S(1, 1)]):
-                _assert_matches_digit_census(sch, [P(i) for i in idxs], tg)
+                yield sch, [P(i) for i in idxs], tg
     columns = ((S(1, 1), 1), (P(1), 2), (P(2), 1))
     one_row = stacked(structure(2, [(2, 1)]), 65537, ((v, [[c]]) for v, c in columns))
-    _assert_matches_digit_census(one_row, [P(1)], [S(1, 1)])
-    eye = np.eye(7, dtype=np.int64)
-    copies = stacked(
-        structure(8, [(2, 1)]), 2, [(S(1, 1), eye)] + [(P(i), eye) for i in range(1, 9)]
-    )
+    yield one_row, [P(1)], [S(1, 1)]
+    yield _copies_of_seven_bits(), [P(i) for i in range(1, 9)], [S(1, 1)]
+    dependent = _dependent()
+    for target in ([S(1, 1)], []):
+        yield dependent, [P(1), P(2)], target
+
+
+def test_census_matches_digit_census():
+    """The coset census gives the whole-codeword enumeration's arrays, with
+    no int64 overflow warning on the way."""
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        table = _assert_matches_digit_census(
-            copies, [P(i) for i in range(1, 9)], [S(1, 1)]
-        )
+        for case in _digit_cases():
+            _assert_matches_digit_census(*case)
+
+
+def test_census_codes_of_exactly_63_bits():
+    copies = _copies_of_seven_bits()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        table = leakage_census(copies, [P(i) for i in range(1, 9)], [S(1, 1)])
     assert 2 ** (table.coalition_width + table.target_width) == 1 << 63
     assert len(table.codes) == 128 and table.tallies.sum() == 128
-    # q = 5 and 8 rows: 6 inner rows and 25 outer settings.  The coalition's
-    # columns agree on the inner rows, so each inner code is made by
-    # 5^(6 - 2) inner settings, and each code by 25 outer settings.
-    col = np.array([[1, 0, 0, 0, 0, 0, 0, 1], [1, 1, 1, 1, 1, 1, 1, 0]]).T
-    dependent = stacked(
-        structure(2, [(2, 1)]), 5,
-        ((S(1, 1), col[:, :1]), (P(1), col[:, :1] + col[:, 1:]), (P(2), col)),
-    )
+
+
+def test_census_makes_no_elimination(monkeypatch):
+    """The census checks the rank verdicts independently of them: with
+    `field.rank` and `field.solve_affine` refusing, it still gives the digit
+    census's and the reference's tables.  The schemes are built first, and
+    a composed scheme's matrix is assembled with `field.block_diag`, which
+    stays."""
+    cases = list(_digit_cases())
+    small = [(sch, *case) for sch in _small_schemes() for case in _reference_cases(sch)]
+
+    def refuse(*args):
+        raise AssertionError("the census made an elimination")
+
+    monkeypatch.setattr(field, "rank", refuse)
+    monkeypatch.setattr(field, "solve_affine", refuse)
+    for case in cases:
+        _assert_matches_digit_census(*case)
+    for case in small:
+        _assert_matches_reference(*case)
+
+
+def _coset_shape(scheme, coalition, targets):
+    """(inner tally, cosets, outer settings per coset) of a census, from
+    ranks: the last k rows (the most with q^k <= _CHUNK) map onto a
+    subspace of rank r_in, all rows onto one of rank r, so each inner code
+    is made q^(k - r_in) times and the q^(n - k) outer settings fall into
+    q^(r - r_in) cosets of the inner image."""
+    q, n = scheme.q, scheme.n_rows
+    cols = np.hstack([scheme.columns(sorted(coalition)), scheme.columns(targets)])
+    k = max(j for j in range(n + 1) if q**j <= dealer._CHUNK)
+    r_in, r = field.rank(cols[n - k :], q), field.rank(cols, q)
+    return q ** (k - r_in), q ** (r - r_in), q ** (n - k - r + r_in)
+
+
+def _ci_m_scheme():
+    """The CI's `m.scheme`: q = 11, 6 rows, checked by its text's sha256."""
+    m = build_optimal(structure(4, [(4, 3), (2, 1)]), RatioKind(TAU, WEAK))
+    digest = hashlib.sha256(m.to_text().encode()).hexdigest()
+    assert digest == "d7c2174f18870dbbdebe0f70476fff40cd95ec6083e81dfa4d0ef16449d889fb"
+    return m
+
+
+def _assert_coset_tallies(scheme, coalition, targets, shape):
+    table = _assert_matches_digit_census(scheme, coalition, targets)
+    tally, cosets, per_coset = _coset_shape(scheme, coalition, targets)
+    assert (tally, cosets, per_coset) == shape
+    assert set(table.tallies.tolist()) == {tally * per_coset}
+
+
+def test_census_cosets_of_several_settings(monkeypatch):
+    """Every tally is the inner tally times the outer settings per coset: in
+    one coset of all 25 settings (the dependent scheme); with no inner rows
+    and batches of 7 or 3 settings, so one coset's 14,641 settings span many
+    batches; and in 11 cosets of 11 settings each, over an inner tally of 11
+    (the CI's `m.scheme`, P[3] against S[1,2] and S[1,3])."""
     for target in ([S(1, 1)], []):
-        table = _assert_matches_digit_census(dependent, [P(1), P(2)], target)
-        assert set(table.tallies.tolist()) == {5**4 * 25}
+        _assert_coset_tallies(_dependent(), [P(1), P(2)], target, (5**4, 1, 25))
+    _assert_coset_tallies(_ci_m_scheme(), [P(3)], [S(1, 2), S(1, 3)], (11, 11, 11))
+    sch = build_B(3, (3, 4), (2, 1))
+    for chunk in (7, 3):
+        monkeypatch.setattr(dealer, "_CHUNK", chunk)
+        _assert_coset_tallies(sch, [], [S(1, 1)], (1, 11, 11**4))
+
+
+def test_census_memory_is_bounded_by_its_table():
+    """The census of the CI's `m.scheme` (11^6 codewords, 121 cosets of one
+    setting each) keeps only the distinct codes: its peak traced memory is
+    at most twice the table's bytes plus 16 MiB."""
+    m = _ci_m_scheme()  # its text reads the matrix, so none of it is traced
+    tracemalloc.start()
+    try:
+        table = leakage_census(m, [P(1), P(2)], [S(1, 1), S(1, 2), S(1, 3), S(2, 1)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(table.codes) == 11**6
+    assert peak <= 2 * (table.codes.nbytes + table.tallies.nbytes) + (16 << 20)
 
 
 @settings(max_examples=40, deadline=None)

@@ -1,5 +1,5 @@
 """Every name that a module of the package imports is used in that module,
-every private top-level function or class is named by the package, every
+every private function, class or method is read by the package, every
 public one is read by the package or the benchmark, no module imports a
 private name from another, and the imports run one way, up the package's
 layers (`LAYERS`), at module level only."""
@@ -64,22 +64,6 @@ def _definitions(tree):
                         yield f"{node.name}.{d.name}", d
 
 
-def unused_private(sources: dict[str, str]) -> list[str]:
-    """The private functions and classes of `sources` ({module name:
-    source}), top-level or methods of a top-level class, that no module
-    names outside their own definition, as "module.name".  Dunder names are
-    exempt."""
-    total = Counter()
-    defined = []
-    for module, source in sources.items():
-        tree = ast.parse(source)
-        total += _names(tree)
-        for _, d in _definitions(tree):
-            if _private(d.name):
-                defined.append((f"{module}.{d.name}", d.name, _names(d)[d.name]))
-    return [label for label, name, inside in defined if total[name] == inside]
-
-
 def _fields(tree):
     """The names that the bodies of a module's top-level classes assign:
     dataclass fields and class attributes."""
@@ -90,16 +74,15 @@ def _fields(tree):
                 yield from (t.id for t in targets if isinstance(t, ast.Name))
 
 
-def unused_public(sources: dict[str, str], readers: list[str], kept, shadowed=()) -> list[str]:
-    """The public functions and classes of `sources` ({module name:
-    source}), top-level or methods of a top-level class, that neither
-    `sources` nor `readers` (more sources) name outside their own
-    definition, as "module.name" or "module.Class.name", leaving out those
-    in `kept`.  A name counts as read wherever a `Name` or an `Attribute`
-    spells it, so the reads of a method whose bare name another definition
-    of `sources` (a function, class, method or class field) also has cannot
-    be told apart: such a method is reported too, unless `shadowed` lists
-    it."""
+def _unread(sources, readers, wanted, exempt) -> list[str]:
+    """The functions and classes of `sources` ({module name: source}),
+    top-level or methods of a top-level class, whose name `wanted` accepts
+    and that neither `sources` nor `readers` (more sources) name outside
+    their own definition, as "module.name" or "module.Class.name", leaving
+    out those in `exempt`.  A name counts as read wherever a `Name` or an
+    `Attribute` spells it, so the reads of a method whose bare name another
+    definition of `sources` (a function, class, method or class field) also
+    has cannot be told apart: such a method is reported too."""
     total = sum((_names(ast.parse(source)) for source in readers), Counter())
     defined, bare = [], Counter()
     for module, source in sources.items():
@@ -108,15 +91,28 @@ def unused_public(sources: dict[str, str], readers: list[str], kept, shadowed=()
         bare.update(_fields(tree))
         for qualified, d in _definitions(tree):
             bare[d.name] += 1
-            if not d.name.startswith("_"):
+            if wanted(d.name):
                 defined.append((f"{module}.{qualified}", d.name, _names(d)[d.name]))
     return [
         label
         for label, name, inside in defined
         if (total[name] == inside or (label.count(".") == 2 and bare[name] > 1))
-        and label not in kept
-        and label not in shadowed
+        and label not in exempt
     ]
+
+
+def unused_private(sources: dict[str, str], shadowed=()) -> list[str]:
+    """The private functions, classes and methods of `sources` that the
+    package does not read (see `_unread`), unless `shadowed` lists them.
+    Dunder names are exempt."""
+    return _unread(sources, [], _private, set(shadowed))
+
+
+def unused_public(sources: dict[str, str], readers: list[str], kept, shadowed=()) -> list[str]:
+    """The public functions, classes and methods of `sources` that neither
+    the package nor `readers` read (see `_unread`), unless `kept` or
+    `shadowed` lists them."""
+    return _unread(sources, readers, lambda name: not name.startswith("_"), {*kept, *shadowed})
 
 
 def test_unused_imports_finds_what_it_should():
@@ -162,10 +158,18 @@ def test_unused_private_finds_what_it_should():
             "        return K()._asked()\n"
             "    def _left(self):\n"
             "        pass\n"
+            "    def _spelled(self):\n"
+            "        pass\n"
+            "class J:\n"
+            "    _spelled: int = 0\n"
         ),
-        "b": "import a\nx = a._Read\n",
+        "b": "import a\nx = a._Read, a.J()._spelled\n",
     }
-    assert unused_private(sources) == ["a._recursive", "a._dead", "a._left"]
+    # K._spelled, which nothing reads, is shadowed by J's field.
+    assert unused_private(sources) == ["a._recursive", "a._dead", "a.K._left", "a.K._spelled"]
+    assert unused_private(sources, shadowed={"a.K._spelled"}) == [
+        "a._recursive", "a._dead", "a.K._left"
+    ]
 
 
 def test_no_unused_private_definitions():
