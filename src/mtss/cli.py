@@ -233,7 +233,7 @@ def _cmd_census(args) -> int:
         print("\n".join(line % (*a, *s, c) for a, s, c in rows))
     else:
         print(f"{table.n_coalition_values} coalition values, "
-              f"{len(table.codes)} table rows")
+              f"{table.n_codes} table rows")
     return PASS
 
 

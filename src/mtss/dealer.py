@@ -21,19 +21,16 @@ assignment through it; `from_text` checks only the integer grammar, and
 `reconstruct` checks vector count, index order, width and range.
 
 The census brute-forces the full codeword space of a tiny scheme to compare
-statistical secrecy with the algebraic rank verdicts.  It makes the codes of
-every codeword, and no rank or elimination is involved: it tallies the
-settings of the last rows once, and makes each setting of the other rows a
-block of codes from that table by a digit-wise shift.  The map is linear,
-so a block is one coset of the inner image, and two blocks are the same set
-or disjoint.  The census keeps one block per coset, named by its smallest
-code, and counts the settings per coset; every code's tally is then the
-inner tally times the settings per coset.  Three checks guard the argument
-(a `RuntimeError` if one fails): every inner code has the same tally, every
-coset the same number of settings, and no code is kept twice.  It
-tabulates with arrays: a sorted array of combined (coalition values, target
-values) codes and their codeword counts, from which `uniform` is read
-directly; `digit_rows` decodes the codes into base-q digit rows, which the
+statistical secrecy with the algebraic rank verdicts, with no rank or
+elimination involved.  It counts cosets rather than making the codes: the
+last rows' settings give the inner image I, and as y is linear, one setting
+of the other rows gives the coset y(outer) + I, so the outer settings whose
+y lies in I say how many codes there are, and how many codewords make each.
+The same count over the coalition digits gives the coalition values, and as
+every fibre of a linear map has one size, the `uniform` verdict is read off
+the counts.  The table, a sorted array of combined (coalition values,
+target values) codes, is made only when read, one block of shifted inner
+codes per coset; `digit_rows` decodes it into base-q digit rows, which the
 records output prints in code order.
 """
 
@@ -53,7 +50,10 @@ from mtss.structure import VariableId, format_ints, parse_int, parse_ints, read_
 _MASK64 = (1 << 64) - 1
 _BUNDLE_MAGIC = "mtss-bundle 1"
 CENSUS_CAP = 10_000_000
-_CHUNK = 1 << 16  # census bound on inner-row settings and on the codes of a batch of blocks
+# Census batch bound: on the inner rows' settings (the inner image); on a
+# batch of outer settings, whose values are counted in that image to count
+# the cosets; and on the codes of a batch of blocks when the table is made.
+_CHUNK = 1 << 16
 DECODERS_KEPT = 64  # coalition decoders a scheme keeps; there are 2^N coalitions
 
 
@@ -317,37 +317,69 @@ class CensusTable:
     """Exhaustive joint counts of (coalition share values, target values).
 
     Each (coalition values, target values) pair is stored as one combined
-    code, the coalition values' base-q digits followed by the target's:
-    `codes` is sorted and duplicate-free and `tallies[i]` counts the
-    codewords that give `codes[i]`.  The codes of one coalition value
-    therefore form a contiguous run.  `leakage_census` gives every code the
-    same tally, the codewords of one coset over the codes of its block; a
-    table built directly may hold any tallies, and `uniform` reads them.
-    `digit_rows` decodes the codes into base-q digit rows.
+    code, the coalition values' base-q digits followed by the target's.
+    `leakage_census` counts cosets of the inner image, so the counts come
+    without the table: `n_codes` distinct codes, each made by `tally`
+    codewords (a linear map's fibres all have one size), over
+    `n_coalition_values` distinct coalition values.  `codes`, sorted and
+    duplicate-free, is made on its first read from `outer_rows` and
+    `inner_codes` and then kept; `tallies` gives `tally` for each code.  The
+    codes of one coalition value form a contiguous run.  `digit_rows`
+    decodes the codes into base-q digit rows.
     """
 
     q: int
     coalition_width: int
     target_width: int
-    codes: np.ndarray  # sorted int64 combined codes
-    tallies: np.ndarray  # int64 codeword count of each code
-
-    @property
-    def n_coalition_values(self) -> int:
-        """Number of distinct coalition share values (runs of codes)."""
-        a_code = self.codes // self.q**self.target_width
-        return int(np.count_nonzero(np.diff(a_code))) + 1
+    n_codes: int
+    n_coalition_values: int
+    tally: int
+    outer_rows: np.ndarray  # the map's rows above the inner ones, one column a digit
+    inner_codes: np.ndarray  # sorted codes of the inner rows' image
 
     @property
     def uniform(self) -> bool:
         """True when every conditional distribution of the target is flat
-        over all q^width values."""
-        base = self.q**self.target_width
-        # A run holds at most `base` codes, so the total says every run is full.
-        if len(self.codes) != self.n_coalition_values * base:
-            return False
-        runs = self.tallies.reshape(-1, base)
-        return bool((runs == runs[:, :1]).all())
+        over all q^width values.  Every coalition value has the same number
+        of codes, each with the same tally, so the counts tell."""
+        return self.n_codes == self.n_coalition_values * self.q**self.target_width
+
+    @property
+    def tallies(self) -> np.ndarray:
+        """The int64 codeword count of each code, in the order of `codes`."""
+        return np.full(self.n_codes, self.tally, dtype=np.int64)
+
+    @cached_property
+    def codes(self) -> np.ndarray:
+        """The sorted int64 codes, read-only: the first block of each coset,
+        named by its smallest code, in batches of about _CHUNK codes.  A
+        RuntimeError is raised if a code is kept twice or the codes number
+        other than `n_codes`; neither can happen on a linear map."""
+        q, inner = self.q, self.inner_codes
+        w = self.coalition_width + self.target_width
+        place = _place(q, w)
+        inner_digits = _digits(inner, w, q).T
+        names = set()
+        kept = []
+        for shift in _shifts(self.outer_rows, q, max(1, _CHUNK // len(inner))):
+            blocks = np.tile(inner, (len(shift), 1))
+            # Digit j becomes (d + s) mod q, so every partial sum is a code.
+            for s, d, p in zip(shift.T[:, :, None], inner_digits, place):
+                blocks += np.where(d >= q - s, (s - q) * p, s * p)
+            fresh = []
+            for row, name in enumerate(blocks.min(axis=1).tolist()):
+                if name not in names:
+                    names.add(name)
+                    fresh.append(row)
+            kept.append(blocks[fresh].ravel())
+        codes = np.concatenate(kept)
+        del kept  # only the joined copy stays, sorted in place
+        codes.sort()
+        if (codes[1:] <= codes[:-1]).any():
+            raise RuntimeError("census cosets overlap, so the scheme's map is not linear")
+        if len(codes) != self.n_codes:
+            raise RuntimeError("census table and coset count differ")
+        return _frozen(codes)
 
     def digit_rows(self) -> tuple[np.ndarray, np.ndarray]:
         """The coalition values and the target values of each code, as rows
@@ -367,28 +399,47 @@ def _digits(code: np.ndarray, width: int, q: int) -> np.ndarray:
     return out
 
 
+def _place(q: int, width: int) -> np.ndarray:
+    """The place value of each of `width` base-q digits, most significant first."""
+    return q ** np.arange(width - 1, -1, -1, dtype=np.int64)
+
+
+def _shifts(rows: np.ndarray, q: int, batch: int):
+    """The values (setting @ rows mod q) of every setting of the rows, in
+    batches of `batch` settings."""
+    count = q ** len(rows)
+    for start in range(0, count, batch):
+        settings = _digits(np.arange(start, min(start + batch, count)), len(rows), q)
+        yield settings @ rows % q
+
+
+def _count_in(image: np.ndarray, codes: np.ndarray) -> int:
+    """How many of `codes` lie in the sorted, nonempty `image`."""
+    at = np.minimum(np.searchsorted(image, codes), len(image) - 1)
+    return int(np.count_nonzero(image[at] == codes))
+
+
 def leakage_census(scheme: LinearScheme, a_shares, target) -> CensusTable:
-    """Enumerate every codeword and tabulate the target secrets against a
-    coalition's share values.  target may be one secret variable or an
+    """Count every codeword's (coalition values, target values) code, by
+    cosets of the inner image.  target may be one secret variable or an
     iterable of them (joint census).  Raises ValueError when the combined
     codes, q^(coalition width + target width) values, do not fit in int64.
 
-    A codeword is split into its last k rows (inner), with k the largest
-    such that q^k <= _CHUNK, and the rest (outer).  The joint values y of
-    all q^k inner settings are tallied once into distinct codes, the inner
-    image.  The map is linear, so every inner code is made by the same
-    number of inner settings (the size of the map's kernel).  Also
-    y(outer + inner) = y(outer) + y(inner) mod q: the block of one outer
-    setting, the inner codes with each digit shifted by that setting's y,
-    is the coset y(outer) + inner image.  Two cosets are equal or disjoint,
-    so a block's smallest code names its coset.  Outer settings run in
-    batches of about _CHUNK codes; the first block of each name is kept and
-    the settings of each name are counted.  Every coset holds the same
-    number of settings (the outer settings whose y lies in the inner
-    image).  The codes are one sort of the kept blocks, and every tally is
-    the inner tally times the settings per coset.  A RuntimeError is raised
-    if the inner tallies differ, the cosets hold different numbers of
-    settings or a code is kept twice; none can happen on a linear map."""
+    The n rows are split into the last k (inner), k = ceil(n/2) or the
+    most with q^k <= _CHUNK if fewer, and the rest (outer).  The joint
+    values y of the q^k inner settings are tallied once into the sorted
+    inner image I; y is linear, so every code of I has the same tally.  As
+    y(outer + inner) = y(outer) + y(inner), one outer setting o makes the
+    coset y(o) + I, and the m outer settings with y(o) in I (found by binary
+    search, in batches of _CHUNK) are the kernel of the map onto cosets:
+    n_codes = |I| q^(n-k) / m, each made by (inner tally) m codewords.  On
+    the coalition digits alone, with the projection of I and m_a, this gives
+    n_coalition_values = |proj I| q^(n-k) / m_a.  Each coalition value has
+    n_codes / n_coalition_values codes, so the target is uniform exactly
+    when that is q^(target width).  The table (`CensusTable.codes`) is made
+    only when read.  A RuntimeError is raised if the inner tallies differ,
+    or m or m_a does not divide q^(n-k); neither can happen on a linear
+    map."""
     targets = [target] if isinstance(target, VariableId) else list(target)
     a_list = sorted(a_shares)
     _check_kind(a_list, "share")
@@ -405,44 +456,34 @@ def leakage_census(scheme: LinearScheme, a_shares, target) -> CensusTable:
         )
     cols = np.concatenate([va, vs], axis=1)
     w = wa + ws
-    place = q ** np.arange(w - 1, -1, -1, dtype=np.int64)
+    place = _place(q, w)
     k = 0
-    while k < n and q ** (k + 1) <= _CHUNK:
+    while k < (n + 1) // 2 and q ** (k + 1) <= _CHUNK:
         k += 1
     inner = np.zeros((1, w), dtype=np.int64)
     for row in cols[n - k :]:
         inner = (inner[:, None] + np.outer(np.arange(q), row)) % q
         inner = inner.reshape(len(inner) * q, w)
     inner_codes, inner_tallies = np.unique(inner @ place, return_counts=True)
-    tally = inner_tallies[0]
+    tally = int(inner_tallies[0])
     if (inner_tallies != tally).any():
         raise RuntimeError("census inner tallies differ, so the scheme's map is not linear")
-    inner_digits = _digits(inner_codes, w, q).T
-    batch = max(1, _CHUNK // len(inner_codes))
+    base = q**ws
+    inner_values = np.unique(inner_codes // base)
+    outer_rows = cols[: n - k]
     outer = q ** (n - k)
-    settings_of = {}  # coset name -> outer settings whose block it names
-    kept = []
-    for start in range(0, outer, batch):
-        settings = _digits(np.arange(start, min(start + batch, outer)), n - k, q)
-        shift = settings @ cols[: n - k] % q
-        blocks = np.tile(inner_codes, (len(shift), 1))
-        # Digit j becomes (d + s) mod q, so every partial sum is a code.
-        for s, d, p in zip(shift.T[:, :, None], inner_digits, place):
-            blocks += np.where(d >= q - s, (s - q) * p, s * p)
-        fresh = []
-        for row, name in enumerate(blocks.min(axis=1).tolist()):
-            if name not in settings_of:
-                settings_of[name] = 0
-                fresh.append(row)
-            settings_of[name] += 1
-        kept.append(blocks[fresh].ravel())
-    per_coset = set(settings_of.values())
-    if len(per_coset) != 1:
+    in_image = in_values = 0
+    for shift in _shifts(outer_rows, q, _CHUNK):
+        shift_codes = shift @ place
+        in_image += _count_in(inner_codes, shift_codes)
+        in_values += _count_in(inner_values, shift_codes // base)
+    if outer % in_image or outer % in_values:
         raise RuntimeError("census cosets differ in size, so the scheme's map is not linear")
-    codes = np.concatenate(kept)
-    del kept  # only the joined copy stays, sorted in place
-    codes.sort()
-    if (codes[1:] <= codes[:-1]).any():
-        raise RuntimeError("census cosets overlap, so the scheme's map is not linear")
-    tallies = np.full(len(codes), tally * per_coset.pop(), dtype=np.int64)
-    return CensusTable(q, wa, ws, codes, tallies)
+    return CensusTable(
+        q, wa, ws,
+        n_codes=len(inner_codes) * outer // in_image,
+        n_coalition_values=len(inner_values) * outer // in_values,
+        tally=tally * in_image,
+        outer_rows=outer_rows,
+        inner_codes=inner_codes,
+    )

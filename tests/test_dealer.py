@@ -18,7 +18,6 @@ from hypothesis import strategies as st
 
 from mtss import dealer, field
 from mtss.dealer import (
-    CensusTable,
     ReconstructionError,
     SecretAssignment,
     ShareBundle,
@@ -591,9 +590,9 @@ def _copies_of_seven_bits():
 
 
 def _dependent():
-    """q = 5 and 8 rows: 6 inner rows and 25 outer settings.  The columns of
-    P[1] and P[2] agree on the inner rows, so each inner code is made by
-    5^(6 - 2) inner settings, and all 25 outer settings fall in one coset."""
+    """q = 5 and 8 rows: 4 inner rows and 625 outer settings.  The columns
+    of P[1] and P[2] agree on the inner rows, so each inner code is made by
+    5^(4 - 2) inner settings, and all 625 outer settings fall in one coset."""
     col = np.array([[1, 0, 0, 0, 0, 0, 0, 1], [1, 1, 1, 1, 1, 1, 1, 0]]).T
     return stacked(
         structure(2, [(2, 1)]), 5,
@@ -661,13 +660,13 @@ def test_census_makes_no_elimination(monkeypatch):
 
 def _coset_shape(scheme, coalition, targets):
     """(inner tally, cosets, outer settings per coset) of a census, from
-    ranks: the last k rows (the most with q^k <= _CHUNK) map onto a
-    subspace of rank r_in, all rows onto one of rank r, so each inner code
-    is made q^(k - r_in) times and the q^(n - k) outer settings fall into
-    q^(r - r_in) cosets of the inner image."""
+    ranks: the last k rows (k = ceil(n/2), or the most with q^k <= _CHUNK
+    if fewer) map onto a subspace of rank r_in, all rows onto one of rank
+    r, so each inner code is made q^(k - r_in) times and the q^(n - k)
+    outer settings fall into q^(r - r_in) cosets of the inner image."""
     q, n = scheme.q, scheme.n_rows
     cols = np.hstack([scheme.columns(sorted(coalition)), scheme.columns(targets)])
-    k = max(j for j in range(n + 1) if q**j <= dealer._CHUNK)
+    k = max(j for j in range(-(-n // 2) + 1) if q**j <= dealer._CHUNK)
     r_in, r = field.rank(cols[n - k :], q), field.rank(cols, q)
     return q ** (k - r_in), q ** (r - r_in), q ** (n - k - r + r_in)
 
@@ -684,18 +683,19 @@ def _assert_coset_tallies(scheme, coalition, targets, shape):
     table = _assert_matches_digit_census(scheme, coalition, targets)
     tally, cosets, per_coset = _coset_shape(scheme, coalition, targets)
     assert (tally, cosets, per_coset) == shape
+    assert table.tally == tally * per_coset
     assert set(table.tallies.tolist()) == {tally * per_coset}
 
 
 def test_census_cosets_of_several_settings(monkeypatch):
     """Every tally is the inner tally times the outer settings per coset: in
-    one coset of all 25 settings (the dependent scheme); with no inner rows
+    one coset of all 625 settings (the dependent scheme); with no inner rows
     and batches of 7 or 3 settings, so one coset's 14,641 settings span many
-    batches; and in 11 cosets of 11 settings each, over an inner tally of 11
-    (the CI's `m.scheme`, P[3] against S[1,2] and S[1,3])."""
+    batches; and in 121 cosets of 11 settings each, over an inner tally of
+    11 (the CI's `m.scheme`, P[3] against S[1,2] and S[1,3])."""
     for target in ([S(1, 1)], []):
-        _assert_coset_tallies(_dependent(), [P(1), P(2)], target, (5**4, 1, 25))
-    _assert_coset_tallies(_ci_m_scheme(), [P(3)], [S(1, 2), S(1, 3)], (11, 11, 11))
+        _assert_coset_tallies(_dependent(), [P(1), P(2)], target, (5**2, 1, 5**4))
+    _assert_coset_tallies(_ci_m_scheme(), [P(3)], [S(1, 2), S(1, 3)], (11, 121, 11))
     sch = build_B(3, (3, 4), (2, 1))
     for chunk in (7, 3):
         monkeypatch.setattr(dealer, "_CHUNK", chunk)
@@ -703,9 +703,9 @@ def test_census_cosets_of_several_settings(monkeypatch):
 
 
 def test_census_memory_is_bounded_by_its_table():
-    """The census of the CI's `m.scheme` (11^6 codewords, 121 cosets of one
-    setting each) keeps only the distinct codes: its peak traced memory is
-    at most twice the table's bytes plus 16 MiB."""
+    """The table of the CI's `m.scheme` census (11^6 codewords, 1,331
+    cosets of one setting each) keeps only the distinct codes: its peak
+    traced memory is at most twice the table's bytes plus 16 MiB."""
     m = _ci_m_scheme()  # its text reads the matrix, so none of it is traced
     tracemalloc.start()
     try:
@@ -715,6 +715,35 @@ def test_census_memory_is_bounded_by_its_table():
         tracemalloc.stop()
     assert len(table.codes) == 11**6
     assert peak <= 2 * (table.codes.nbytes + table.tallies.nbytes) + (16 << 20)
+
+
+def test_census_counts_make_no_table():
+    """`uniform`, `n_coalition_values` and `n_codes` are counted, so reading
+    them leaves the table unmade; made, it has as many codes as counted, and
+    the tallies add up to every codeword."""
+    small = [(sch, *case) for sch in _small_schemes() for case in _reference_cases(sch)]
+    for scheme, coalition, targets in [*small, *_digit_cases()]:
+        table = leakage_census(scheme, coalition, targets)
+        table.uniform, table.n_coalition_values, table.n_codes
+        assert "codes" not in vars(table)
+        assert len(table.codes) == table.n_codes, (coalition, targets)
+        assert table.tally * table.n_codes == scheme.q**scheme.n_rows
+
+
+def test_census_verdict_memory_is_small():
+    """The text output of the CI's `m.scheme` census (1,771,561 codes) reads
+    only the counts: its peak traced memory is at most 8 MiB, against the
+    27 MiB of the table it does not make."""
+    m = _ci_m_scheme()  # its text reads the matrix, so none of it is traced
+    tracemalloc.start()
+    try:
+        table = leakage_census(m, [P(1), P(2)], [S(1, 1), S(1, 2), S(1, 3), S(2, 1)])
+        counts = (table.uniform, table.n_coalition_values, table.n_codes)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert counts == (False, 11**4, 11**6)
+    assert peak <= 8 << 20
 
 
 @settings(max_examples=40, deadline=None)
@@ -748,22 +777,6 @@ def test_census_not_uniform_when_a_target_value_is_missing():
     table = _assert_matches_reference(sch, [P(1)], [S(1, 1)])
     assert not table.uniform
     assert _decoded_counts(table) == {(0,): {(0,): 1}, (1,): {(2,): 1}, (2,): {(1,): 1}}
-
-
-def test_census_not_uniform_when_counts_differ():
-    """Every target value occurs for each coalition value, but not equally
-    often; no linear scheme gives this, so the table is built directly."""
-    q = 2
-    table = CensusTable(
-        q, 1, 1,
-        codes=np.array([0, 1, 2, 3], dtype=np.int64),  # (a, s) = 00 01 10 11
-        tallies=np.array([2, 2, 1, 3], dtype=np.int64),
-    )
-    assert _decoded_counts(table) == {(0,): {(0,): 2, (1,): 2}, (1,): {(0,): 1, (1,): 3}}
-    assert table.n_coalition_values == 2
-    assert not table.uniform
-    flat = CensusTable(q, 1, 1, table.codes, np.array([2, 2, 3, 3], dtype=np.int64))
-    assert flat.uniform
 
 
 # ------------------------------------------- dict-keyed reference round trip
