@@ -100,22 +100,14 @@ def _cmd_structure(args) -> int:
     for security in SECURITIES:
         for measure in MEASURES:
             opt = optimal_ratio(sp, RatioKind(measure, security))
+            ends = [opt.value] if opt.status == EXACT else [opt.lower, opt.upper]
+            shown = [format_rational(v) for v in ends]
             if args.format == "records":
-                if opt.status == EXACT:
-                    print(f"ratio {measure} {security} exact {format_rational(opt.value)}")
-                else:
-                    print(
-                        f"ratio {measure} {security} unknown "
-                        f"{format_rational(opt.lower)} {format_rational(opt.upper)}"
-                    )
+                print(f"ratio {measure} {security} {opt.status}", *shown)
+            elif opt.status == EXACT:
+                print(f"{measure}/{security}: {shown[0]}")
             else:
-                if opt.status == EXACT:
-                    print(f"{measure}/{security}: {format_rational(opt.value)}")
-                else:
-                    print(
-                        f"{measure}/{security}: unknown in "
-                        f"[{format_rational(opt.lower)}, {format_rational(opt.upper)}]"
-                    )
+                print(f"{measure}/{security}: unknown in [{shown[0]}, {shown[1]}]")
     return PASS
 
 
@@ -223,14 +215,14 @@ def _cmd_census(args) -> int:
     table = leakage_census(scheme, coalition, targets)
     print(f"uniform {'yes' if table.uniform else 'no'}")
     if args.format == "records":
-        # One line a code: the codes are sorted, so the lines come sorted by
-        # coalition values, then target values.
-        line = "count {} {} %d".format(
-            *(",".join(["%d"] * w) or "-" for w in (table.coalition_width, table.target_width))
+        # One line a code, written a block at a time: the codes are sorted,
+        # so the lines come sorted by coalition values, then target values.
+        line = "count {} {} {}\n".format(
+            *(",".join(["%d"] * w) or "-" for w in (table.coalition_width, table.target_width)),
+            table.tally,
         )
-        a_rows, s_rows = (rows.tolist() for rows in table.digit_rows())
-        rows = zip(a_rows, s_rows, table.tallies.tolist())
-        print("\n".join(line % (*a, *s, c) for a, s, c in rows))
+        for rows in table.digit_rows():
+            sys.stdout.write("".join(line % tuple(row) for row in rows.tolist()))
     else:
         print(f"{table.n_coalition_values} coalition values, "
               f"{table.n_codes} table rows")

@@ -28,10 +28,11 @@ of the other rows gives the coset y(outer) + I, so the outer settings whose
 y lies in I say how many codes there are, and how many codewords make each.
 The same count over the coalition digits gives the coalition values, and as
 every fibre of a linear map has one size, the `uniform` verdict is read off
-the counts.  The table, a sorted array of combined (coalition values,
-target values) codes, is made only when read, one block of shifted inner
-codes per coset; `digit_rows` decodes it into base-q digit rows, which the
-records output prints in code order.
+the counts.  The table is a sorted array of combined (coalition values,
+target values) codes and the one tally they share.  The codes are made only
+when read, one block of shifted inner codes per coset; `digit_rows` decodes
+them a block at a time into base-q digit rows, which the records output
+writes in code order as it decodes them.
 """
 
 from __future__ import annotations
@@ -52,7 +53,8 @@ _BUNDLE_MAGIC = "mtss-bundle 1"
 CENSUS_CAP = 10_000_000
 # Census batch bound: on the inner rows' settings (the inner image); on a
 # batch of outer settings, whose values are counted in that image to count
-# the cosets; and on the codes of a batch of blocks when the table is made.
+# the cosets; on the codes of a batch of blocks when the table is made; and
+# on the codes decoded into one block of digit rows.
 _CHUNK = 1 << 16
 DECODERS_KEPT = 64  # coalition decoders a scheme keeps; there are 2^N coalitions
 
@@ -321,11 +323,11 @@ class CensusTable:
     `leakage_census` counts cosets of the inner image, so the counts come
     without the table: `n_codes` distinct codes, each made by `tally`
     codewords (a linear map's fibres all have one size), over
-    `n_coalition_values` distinct coalition values.  `codes`, sorted and
-    duplicate-free, is made on its first read from `outer_rows` and
-    `inner_codes` and then kept; `tallies` gives `tally` for each code.  The
-    codes of one coalition value form a contiguous run.  `digit_rows`
-    decodes the codes into base-q digit rows.
+    `n_coalition_values` distinct coalition values.  The table is `codes`
+    and that one `tally`: `codes`, sorted and duplicate-free, is made on its
+    first read from `outer_rows` and `inner_codes` and then kept.  The codes
+    of one coalition value form a contiguous run.  `digit_rows` decodes the
+    codes into base-q digit rows, a block at a time.
     """
 
     q: int
@@ -343,11 +345,6 @@ class CensusTable:
         over all q^width values.  Every coalition value has the same number
         of codes, each with the same tally, so the counts tell."""
         return self.n_codes == self.n_coalition_values * self.q**self.target_width
-
-    @property
-    def tallies(self) -> np.ndarray:
-        """The int64 codeword count of each code, in the order of `codes`."""
-        return np.full(self.n_codes, self.tally, dtype=np.int64)
 
     @cached_property
     def codes(self) -> np.ndarray:
@@ -381,14 +378,13 @@ class CensusTable:
             raise RuntimeError("census table and coset count differ")
         return _frozen(codes)
 
-    def digit_rows(self) -> tuple[np.ndarray, np.ndarray]:
-        """The coalition values and the target values of each code, as rows
-        of base-q digits in the order of `codes`."""
-        a_code, s_code = np.divmod(self.codes, self.q**self.target_width)
-        return (
-            _digits(a_code, self.coalition_width, self.q),
-            _digits(s_code, self.target_width, self.q),
-        )
+    def digit_rows(self):
+        """The base-q digits of each code, its coalition values' followed by
+        its target's, as blocks of at most _CHUNK rows in the order of
+        `codes`."""
+        w = self.coalition_width + self.target_width
+        for start in range(0, self.n_codes, _CHUNK):
+            yield _digits(self.codes[start : start + _CHUNK], w, self.q)
 
 
 def _digits(code: np.ndarray, width: int, q: int) -> np.ndarray:
@@ -427,16 +423,17 @@ def leakage_census(scheme: LinearScheme, a_shares, target) -> CensusTable:
 
     The n rows are split into the last k (inner), k = ceil(n/2) or the
     most with q^k <= _CHUNK if fewer, and the rest (outer).  The joint
-    values y of the q^k inner settings are tallied once into the sorted
-    inner image I; y is linear, so every code of I has the same tally.  As
-    y(outer + inner) = y(outer) + y(inner), one outer setting o makes the
-    coset y(o) + I, and the m outer settings with y(o) in I (found by binary
-    search, in batches of _CHUNK) are the kernel of the map onto cosets:
-    n_codes = |I| q^(n-k) / m, each made by (inner tally) m codewords.  On
-    the coalition digits alone, with the projection of I and m_a, this gives
-    n_coalition_values = |proj I| q^(n-k) / m_a.  Each coalition value has
-    n_codes / n_coalition_values codes, so the target is uniform exactly
-    when that is q^(target width).  The table (`CensusTable.codes`) is made
+    values y of the q^k inner settings, enumerated by `_shifts` as the
+    outer settings are, give the sorted inner image I; y is linear, so
+    every code of I has the same tally.  As y(outer + inner) = y(outer) +
+    y(inner), one outer setting o makes the coset y(o) + I, and the m
+    outer settings with y(o) in I (found by binary search, in batches of
+    _CHUNK) are the kernel of the map onto cosets: n_codes = |I| q^(n-k) /
+    m, each made by (inner tally) m codewords.  On the coalition digits
+    alone, with the projection of I and m_a, this gives n_coalition_values
+    = |proj I| q^(n-k) / m_a.  Each coalition value has n_codes /
+    n_coalition_values codes, so the target is uniform exactly when that is
+    q^(target width).  The table's codes (`CensusTable.codes`) are made
     only when read.  A RuntimeError is raised if the inner tallies differ,
     or m or m_a does not divide q^(n-k); neither can happen on a linear
     map."""
@@ -455,15 +452,11 @@ def leakage_census(scheme: LinearScheme, a_shares, target) -> CensusTable:
             f"census codes would overflow: {q}^{wa + ws} values exceed 2^63"
         )
     cols = np.concatenate([va, vs], axis=1)
-    w = wa + ws
-    place = _place(q, w)
+    place = _place(q, wa + ws)
     k = 0
     while k < (n + 1) // 2 and q ** (k + 1) <= _CHUNK:
         k += 1
-    inner = np.zeros((1, w), dtype=np.int64)
-    for row in cols[n - k :]:
-        inner = (inner[:, None] + np.outer(np.arange(q), row)) % q
-        inner = inner.reshape(len(inner) * q, w)
+    inner = next(_shifts(cols[n - k :], q, q**k))
     inner_codes, inner_tallies = np.unique(inner @ place, return_counts=True)
     tally = int(inner_tallies[0])
     if (inner_tallies != tally).any():

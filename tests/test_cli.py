@@ -2,12 +2,13 @@ import hashlib
 import re
 import subprocess
 import sys
+import tracemalloc
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from mtss import cli
+from mtss import cli, dealer
 from mtss.cli import CLOSED, FAIL, PASS, USAGE
 from mtss.schemes import VariableId
 from mtss.structure import format_ints, parse_ints, structure
@@ -597,41 +598,101 @@ def test_census_records_golden(tmp_path, capsys):
     )
 
 
-@pytest.mark.parametrize(
+_RECORDS_CASES = pytest.mark.parametrize(
     "shares, target",
     [("1,2", "1,1;2,1"), ("", "1,1"), ("3", "1,1;2,1"), ("1", "1,3")],
 )
-def test_census_records_match_the_decoded_counts(tmp_path, capsys, shares, target):
-    """Each records line is one (coalition values, target values) pair of
-    the census decoded into nested dicts, sorted by both, with "-" for no
-    values: several shares and secrets, the empty coalition, and a width-0
-    target."""
-    from mtss.dealer import leakage_census
+
+
+def _assert_records_match_the_decoded_counts(
+    tmp_path, capsys, monkeypatch, shares, target, chunk
+):
+    """The records output, written in blocks of `chunk` codes, is the
+    census decoded into nested dicts and sorted; the codes span more than
+    one block unless the chunk is the default, the last block partly
+    filled."""
     from mtss.schemes import build_B, build_weak_block
 
     scheme = build_B(3, (3, 4), (2, 1)) if target != "1,3" else build_weak_block(3, 2, 4, q=11)
+    table = dealer.leakage_census(
+        scheme,
+        [VariableId.share(i) for i in parse_ints(shares, "shares")],
+        [VariableId.secret(*parse_ints(t, "slot")) for t in target.split(";")],
+    )
+    assert table.n_codes % chunk and (table.n_codes > chunk or chunk == dealer._CHUNK)
     path = tmp_path / "c.scheme"
     path.write_text(scheme.to_text())
+    monkeypatch.setattr(dealer, "_CHUNK", chunk)
     code, out, _ = run(
         capsys, "census", str(path), "--shares", shares, "--target", target,
         "--format", "records",
     )
     assert code == PASS
-    table = leakage_census(
-        scheme,
-        [VariableId.share(i) for i in parse_ints(shares, "shares")],
-        [VariableId.secret(*parse_ints(t, "slot")) for t in target.split(";")],
-    )
-    a_rows, s_rows = (rows.tolist() for rows in table.digit_rows())
+    wa = table.coalition_width
+    rows = dealer._digits(table.codes, wa + table.target_width, table.q).tolist()
     counts = {}
-    for a, s, c in zip(a_rows, s_rows, table.tallies.tolist()):
-        counts.setdefault(tuple(a), {})[tuple(s)] = c
+    for row in rows:
+        counts.setdefault(tuple(row[:wa]), {})[tuple(row[wa:])] = table.tally
     want = [
         f"count {format_ints(a)} {format_ints(s)} {row[s]}"
         for a, row in sorted(counts.items())
         for s in sorted(row)
     ]
     assert out.splitlines() == [f"uniform {'yes' if table.uniform else 'no'}"] + want
+
+
+@_RECORDS_CASES
+def test_census_records_match_the_decoded_counts(tmp_path, capsys, monkeypatch, shares, target):
+    """Each records line is one (coalition values, target values) pair of
+    the census decoded into nested dicts, sorted by both, with "-" for no
+    values: several shares and secrets, the empty coalition, and a width-0
+    target."""
+    _assert_records_match_the_decoded_counts(
+        tmp_path, capsys, monkeypatch, shares, target, dealer._CHUNK
+    )
+
+
+@_RECORDS_CASES
+def test_census_records_in_blocks_of_7(tmp_path, capsys, monkeypatch, shares, target):
+    """Written in blocks of 7 codes, the records lines read the same."""
+    _assert_records_match_the_decoded_counts(tmp_path, capsys, monkeypatch, shares, target, 7)
+
+
+class _LineCounter:
+    """A stdout that keeps only the number of lines written to it."""
+
+    lines = 0
+
+    def write(self, text):
+        self.lines += text.count("\n")
+
+    def flush(self):
+        pass
+
+
+def test_census_records_memory_is_bounded_by_a_block(tmp_path, capsys, monkeypatch):
+    """The records output is written as each block is decoded: with blocks
+    of 1,024 codes, the 14,642 lines of the CI's `m.scheme` census of P[3]
+    against S[1,2] and S[1,3] have a traced peak of at most 3 MiB."""
+    path = tmp_path / "m.scheme"
+    assert cli.main(["build", "--n", "4", "--t", "4,4,4,2", "--ratio", "tau",
+                     "--security", "weak", "--out", str(path)]) == PASS
+    capsys.readouterr()
+    digest = hashlib.sha256(path.read_bytes()).hexdigest()
+    assert digest == "d7c2174f18870dbbdebe0f70476fff40cd95ec6083e81dfa4d0ef16449d889fb"
+    monkeypatch.setattr(dealer, "_CHUNK", 1024)
+    sink = _LineCounter()
+    monkeypatch.setattr(sys, "stdout", sink)
+    tracemalloc.start()
+    try:
+        code = cli.main(["census", str(path), "--shares", "3", "--target", "1,2;1,3",
+                         "--format", "records"])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    monkeypatch.undo()
+    assert code == PASS and sink.lines == 14642
+    assert peak <= 3 << 20
 
 
 def test_census_text_sizes(tmp_path, capsys):

@@ -385,11 +385,12 @@ def test_dealt_restricted_and_read_bundles_hold_tuples_of_ints():
 
 def _decoded_counts(table):
     """A census as nested dicts: coalition values -> {target values: count},
-    decoded from its digit rows and tallies."""
-    a_rows, s_rows = (rows.tolist() for rows in table.digit_rows())
-    out = {}
-    for a_vals, s_vals, c in zip(a_rows, s_rows, table.tallies.tolist()):
-        out.setdefault(tuple(a_vals), {})[tuple(s_vals)] = c
+    decoded from its digit rows, split at the coalition width, and its
+    tally."""
+    wa, out = table.coalition_width, {}
+    for rows in table.digit_rows():
+        for row in rows.tolist():
+            out.setdefault(tuple(row[:wa]), {})[tuple(row[wa:])] = table.tally
     return out
 
 
@@ -574,9 +575,9 @@ def _digit_census(scheme, coalition, targets):
 def _assert_matches_digit_census(scheme, coalition, targets):
     table = leakage_census(scheme, coalition, targets)
     codes, tallies = _digit_census(scheme, coalition, targets)
-    assert table.codes.dtype == table.tallies.dtype == np.int64
+    assert table.codes.dtype == np.int64
     assert np.array_equal(table.codes, codes), (coalition, targets)
-    assert np.array_equal(table.tallies, tallies), (coalition, targets)
+    assert (tallies == table.tally).all(), (coalition, targets)
     return table
 
 
@@ -635,7 +636,7 @@ def test_census_codes_of_exactly_63_bits():
         warnings.simplefilter("error")
         table = leakage_census(copies, [P(i) for i in range(1, 9)], [S(1, 1)])
     assert 2 ** (table.coalition_width + table.target_width) == 1 << 63
-    assert len(table.codes) == 128 and table.tallies.sum() == 128
+    assert len(table.codes) == 128 and table.tally * len(table.codes) == 128
 
 
 def test_census_makes_no_elimination(monkeypatch):
@@ -684,7 +685,6 @@ def _assert_coset_tallies(scheme, coalition, targets, shape):
     tally, cosets, per_coset = _coset_shape(scheme, coalition, targets)
     assert (tally, cosets, per_coset) == shape
     assert table.tally == tally * per_coset
-    assert set(table.tallies.tolist()) == {tally * per_coset}
 
 
 def test_census_cosets_of_several_settings(monkeypatch):
@@ -705,7 +705,7 @@ def test_census_cosets_of_several_settings(monkeypatch):
 def test_census_memory_is_bounded_by_its_table():
     """The table of the CI's `m.scheme` census (11^6 codewords, 1,331
     cosets of one setting each) keeps only the distinct codes: its peak
-    traced memory is at most twice the table's bytes plus 16 MiB."""
+    traced memory is at most four times the codes' bytes plus 16 MiB."""
     m = _ci_m_scheme()  # its text reads the matrix, so none of it is traced
     tracemalloc.start()
     try:
@@ -714,7 +714,29 @@ def test_census_memory_is_bounded_by_its_table():
     finally:
         tracemalloc.stop()
     assert len(table.codes) == 11**6
-    assert peak <= 2 * (table.codes.nbytes + table.tallies.nbytes) + (16 << 20)
+    assert peak <= 4 * table.codes.nbytes + (16 << 20)
+
+
+@pytest.mark.parametrize("chunk", [dealer._CHUNK, 1000])
+def test_census_digit_rows_are_blocks_of_the_codes(monkeypatch, chunk):
+    """`digit_rows` decodes the codes in blocks of at most _CHUNK rows, and
+    the blocks stack to the digits of every code.  The 161,051 codes of a
+    q = 11 census of 5 rows span three blocks at the default chunk and 162
+    at a chunk of 1,000, the last partly filled."""
+    spans = []
+    for scheme, coalition, targets in _digit_cases():
+        table = leakage_census(scheme, coalition, targets)
+        table.codes  # made at the default chunk; only the decoding is cut finer
+        monkeypatch.setattr(dealer, "_CHUNK", chunk)
+        blocks = list(table.digit_rows())
+        monkeypatch.undo()
+        assert all(len(rows) <= chunk for rows in blocks)
+        assert len(blocks) == -(-table.n_codes // chunk)
+        w = table.coalition_width + table.target_width
+        want = dealer._digits(table.codes, w, table.q)
+        assert np.array_equal(np.vstack(blocks), want), (coalition, targets)
+        spans.append((table.n_codes, len(blocks), len(blocks[-1])))
+    assert (11**5, -(-(11**5) // chunk), 11**5 % chunk) in spans
 
 
 def test_census_counts_make_no_table():
