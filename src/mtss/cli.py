@@ -213,6 +213,8 @@ def _cmd_census(args) -> int:
     coalition = [VariableId.share(i) for i in indices]
     targets = [VariableId.secret(k, j) for k, j in slots]
     table = leakage_census(scheme, coalition, targets)
+    if args.format == "records":
+        table.codes  # a table over the cap is refused before any output
     print(f"uniform {'yes' if table.uniform else 'no'}")
     if args.format == "records":
         # One line a code, written a block at a time: the codes are sorted,

@@ -32,7 +32,9 @@ the counts.  The table is a sorted array of combined (coalition values,
 target values) codes and the one tally they share.  The codes are made only
 when read, one block of shifted inner codes per coset; `digit_rows` decodes
 them a block at a time into base-q digit rows, which the records output
-writes in code order as it decodes them.
+writes in code order as it decodes them.  `CENSUS_CAP` bounds the work of
+each path, not the codewords: the verdict's outer settings, and the codes
+the table's blocks make.
 """
 
 from __future__ import annotations
@@ -50,6 +52,9 @@ from mtss.structure import VariableId, format_ints, parse_int, parse_ints, read_
 
 _MASK64 = (1 << 64) - 1
 _BUNDLE_MAGIC = "mtss-bundle 1"
+# Census work bound: the verdict's outer settings, q^(n - k); the codes the
+# table's blocks make, q^(n - k) times the inner image's size.  Both are at
+# most q^n, the codewords.
 CENSUS_CAP = 10_000_000
 # Census batch bound: on the inner rows' settings (the inner image); on a
 # batch of outer settings, whose values are counted in that image to count
@@ -350,9 +355,15 @@ class CensusTable:
     def codes(self) -> np.ndarray:
         """The sorted int64 codes, read-only: the first block of each coset,
         named by its smallest code, in batches of about _CHUNK codes.  A
+        ValueError is raised when the blocks would make more than
+        CENSUS_CAP codes: q^(outer rows) times the inner image's size, the
+        work of making the table, which is never below `n_codes`.  A
         RuntimeError is raised if a code is kept twice or the codes number
         other than `n_codes`; neither can happen on a linear map."""
         q, inner = self.q, self.inner_codes
+        made = q ** len(self.outer_rows) * len(inner)
+        if made > CENSUS_CAP:
+            raise ValueError(f"census table too large: {made} codes made, over {CENSUS_CAP}")
         w = self.coalition_width + self.target_width
         place = _place(q, w)
         inner_digits = _digits(inner, w, q).T
@@ -418,8 +429,9 @@ def _count_in(image: np.ndarray, codes: np.ndarray) -> int:
 def leakage_census(scheme: LinearScheme, a_shares, target) -> CensusTable:
     """Count every codeword's (coalition values, target values) code, by
     cosets of the inner image.  target may be one secret variable or an
-    iterable of them (joint census).  Raises ValueError when the combined
-    codes, q^(coalition width + target width) values, do not fit in int64.
+    iterable of them (joint census).  Raises ValueError when the outer
+    settings, q^(n-k) below, exceed CENSUS_CAP, or when the combined codes,
+    q^(coalition width + target width) values, do not fit in int64.
 
     The n rows are split into the last k (inner), k = ceil(n/2) or the
     most with q^k <= _CHUNK if fewer, and the rest (outer).  The joint
@@ -442,7 +454,10 @@ def leakage_census(scheme: LinearScheme, a_shares, target) -> CensusTable:
     _check_kind(a_list, "share")
     _check_kind(targets, "secret")
     n, q = scheme.n_rows, scheme.q
-    if q**n > CENSUS_CAP:
+    k = 0
+    while k < (n + 1) // 2 and q ** (k + 1) <= _CHUNK:
+        k += 1
+    if q ** (n - k) > CENSUS_CAP:
         raise ValueError("scheme too large for census")
     va = scheme.columns(a_list)
     vs = scheme.columns(targets)
@@ -453,9 +468,6 @@ def leakage_census(scheme: LinearScheme, a_shares, target) -> CensusTable:
         )
     cols = np.concatenate([va, vs], axis=1)
     place = _place(q, wa + ws)
-    k = 0
-    while k < (n + 1) // 2 and q ** (k + 1) <= _CHUNK:
-        k += 1
     inner = next(_shifts(cols[n - k :], q, q**k))
     inner_codes, inner_tallies = np.unique(inner @ place, return_counts=True)
     tally = int(inner_tallies[0])

@@ -569,16 +569,20 @@ def _rebuild(scheme: LinearScheme, q: int) -> LinearScheme:
 
 
 def unify_field(parts) -> list[LinearScheme]:
-    """Bring all parts over one common prime and re-verify each.
+    """Bring all parts over one common prime and re-verify their leaves.
 
     Each part is a leaf, or a scheme composed by `embed` and `combine`,
-    whose check is answered from its leaves' kept reports
-    (`verify.check_conditions`); a searched family's report was already
-    made by its field search, and each leaf is scanned at most once per
-    candidate and security.  Each distinct part is checked at strong
-    security exactly when every leaf of it has one secret (a one-secret
-    window, which is secure in the strong sense), else at weak security.  A
-    part with a recipe-less leaf (a text or `dataclasses.replace` copy)
+    which meets the scheme conditions exactly when its leaves do (the
+    composition argument of `verify.check_conditions`).  So no part is
+    checked: each distinct leaf of the rebuilt parts is checked once per
+    candidate, at weak security, which is every leaf's whole guarantee.  A
+    window with several secrets, `build_A` and `build_B` are only weakly
+    secure, and the last two were checked weak by their own field search,
+    so their reports are already kept.  A leaf with one secret has one
+    level, where C2 and C3 name the same instances (its t-1 shares against
+    the one secret, and rk(S) = width(S) by the constructor's block check),
+    so its weak report is its strong report but for the `security` label.
+    A part with a recipe-less leaf (a text or `dataclasses.replace` copy)
     cannot be rebuilt and is refused (`ValueError`).
 
     The candidate order starts at the largest minimum admissible order of
@@ -592,22 +596,16 @@ def unify_field(parts) -> list[LinearScheme]:
     parts = list(parts)
     if not parts:
         raise ValueError("need at least one part")
-    guarantee = {}
-    for part in dict.fromkeys(parts):
-        leaves = [leaf for leaf, _ in _entries(part)]
-        if any(leaf.recipe is None for leaf in leaves):
-            raise ValueError("scheme is not rebuildable (no retained parameters)")
-        one_secret = all(leaf.sp.n_secrets == 1 for leaf in leaves)
-        guarantee[part] = STRONG if one_secret else WEAK
+    distinct = dict.fromkeys(parts)
+    if any(leaf.recipe is None for part in distinct for leaf, _ in _entries(part)):
+        raise ValueError("scheme is not rebuildable (no retained parameters)")
     for p in _primes(max(part.min_order for part in parts)):
         try:
-            made = {part: _rebuild(part, p) for part in guarantee}
+            made = {part: _rebuild(part, p) for part in distinct}
         except FieldSearchError:
             continue
-        if all(
-            verify.check_conditions(made[part], security).passed
-            for part, security in guarantee.items()
-        ):
+        leaves = dict.fromkeys(leaf for part in made.values() for leaf, _ in _entries(part))
+        if all(verify.check_conditions(leaf, WEAK).passed for leaf in leaves):
             return [made[part] for part in parts]
     raise FieldSearchError(f"no common prime within {SEARCH_CAP} tries")
 

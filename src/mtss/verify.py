@@ -242,14 +242,15 @@ def check_conditions(
     maximal sets forces zero leak below.  `exhaustive=True` enumerates the
     smaller coalitions anyway.
 
-    A composed scheme passes when every one of its `leaves` passes the same
-    check, and then no coalition is scanned; each group's `checks` counts
-    the coalitions a scan would have checked.  It is the combination of its
-    leaves, each embedded by its recorded placement.  A combination's ranks
-    are sums of its parts' ranks, and every instance is one-sided in every
-    part: got >= want always holds for C1 (monotonicity), got <= want for
-    C0, C2 and C3 (rk(S u A) <= rk(A) + rk(S) <= rk(A) + width(S)), so the
-    sum is an equality exactly when each part's is.  An embedding keeps
+    A composed scheme passes when each of its distinct `leaves`, asked
+    once, passes the same check, and then no coalition is scanned; each
+    group's `checks` counts the coalitions a scan would have checked.  It is
+    the combination of its leaves, each embedded by its recorded placement.
+    A combination's ranks are sums of its parts' ranks, and every instance
+    is one-sided in every part: got >= want always holds for C1
+    (monotonicity), got <= want for C0, C2 and C3 (rk(S u A) <= rk(A) +
+    rk(S) <= rk(A) + width(S)), so the sum is an equality exactly when each
+    part's is.  An embedding keeps
     thresholds, which strictly decrease across levels, so each of its
     condition instances is one of its leaf's, or one on larger qualified
     coalitions or fewer secrets (monotonicity), or one on smaller
@@ -258,6 +259,12 @@ def check_conditions(
     `leaves`.  When a leaf fails, or the scheme is a leaf (built directly,
     read from text or copied with `dataclasses.replace`), every coalition is
     scanned, which finds the first failing instance as its witness.
+
+    So `schemes.unify_field` checks only leaves, at weak security.  A leaf
+    with one secret has one level, where C2 and C3 name the same instances:
+    its t-1 shares against the one secret, and rk(S) = width(S) by the
+    constructor's block check.  Its weak report is then its strong report
+    but for the `security` label.
 
     The report is kept on the scheme's profile (`RankProfile.reports`), so
     the same check of the same scheme object is answered at no cost.
@@ -270,7 +277,8 @@ def check_conditions(
     sp = scheme.sp
     n = sp.n_parties
     linked = bool(scheme.leaves) and all(
-        check_conditions(leaf, security, exhaustive).passed for leaf, _ in scheme.leaves
+        check_conditions(leaf, security, exhaustive).passed
+        for leaf in dict.fromkeys(leaf for leaf, _ in scheme.leaves)
     )
     # Shares come last in the variable order: share i is bit ns + i - 1.
     share_bit = [0] + [1 << i for i in range(sp.n_secrets, sp.n_secrets + n)]

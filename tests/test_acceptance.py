@@ -60,9 +60,6 @@ from mtss.structure import (
     subset_of,
 )
 
-CENSUS_LIMIT = 10**6
-
-
 @pytest.fixture
 def announce(capsys):
     """Print one criterion verdict line even under output capture."""
@@ -332,6 +329,17 @@ def census_targets(scheme):
     return targets
 
 
+def census_admits(scheme):
+    """False when `leakage_census` refuses the scheme as too large."""
+    try:
+        dealer.leakage_census(scheme, [], scheme.secret_variables()[:1])
+    except ValueError as e:
+        if "too large for census" not in str(e):
+            raise
+        return False
+    return True
+
+
 def test_criterion_6_dealer(announce, catalog):
     entries, _ = catalog
     failures = []
@@ -355,7 +363,7 @@ def test_criterion_6_dealer(announce, catalog):
 
     censused = pairs = 0
     for label, scheme, _ in entries:
-        if scheme.q**scheme.n_rows > CENSUS_LIMIT:
+        if not census_admits(scheme):
             continue
         censused += 1
         profile = verify.RankProfile(scheme)
@@ -389,6 +397,8 @@ def test_criterion_6_dealer(announce, catalog):
         ]
         if not all(singles):
             failures.append(("single secrets should stay hidden", witness))
+    if (censused, pairs) != (19, 568):
+        failures.append(("census coverage", censused, pairs))
     announce(6, failures, f"{trials} seeded round trips, {pairs} census/rank "
                           f"agreements over {censused} schemes, witnessed leak "
                           f"confirmed")

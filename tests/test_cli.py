@@ -708,6 +708,27 @@ def test_census_text_sizes(tmp_path, capsys):
     assert out == "uniform yes\n1 coalition values, 7 table rows\n"
 
 
+def test_census_past_the_codeword_cap(tmp_path, capsys):
+    """The tau/weak build of (N=3, T=3,3,3,3,2) has 11^9 codewords.  Its
+    census of P[1] against S[1,1] counts 11^5 outer settings, so the text
+    output is printed; its table's blocks would make 11^5 x 1,331 codes, so
+    the records output is refused before anything is written."""
+    path = tmp_path / "tw.scheme"
+    code, _, _ = run(
+        capsys, "build", "--n", "3", "--t", "3,3,3,3,2", "--ratio", "tau",
+        "--security", "weak", "--out", str(path),
+    )
+    assert code == PASS
+    digest = hashlib.sha256(path.read_bytes()).hexdigest()
+    assert digest == "08bc6136c87207d6c567aef14a4e7968abd6b413f6f85a75d00d6f109cae3e69"
+    argv = ["census", str(path), "--shares", "1", "--target", "1,1"]
+    text = "uniform yes\n1331 coalition values, 161051 table rows\n"
+    assert run(capsys, *argv) == (PASS, text, "")
+    code, out, err = run(capsys, *argv, "--format", "records")
+    assert code == USAGE and out == "" and err.count("\n") == 1
+    assert err.startswith("error: census table too large")
+
+
 def test_census_usage_errors(tmp_path, capsys):
     scheme = tmp_path / "t.scheme"
     from mtss.schemes import build_single_threshold
@@ -736,7 +757,7 @@ def test_census_usage_errors(tmp_path, capsys):
         code, _, err = run(capsys, "census", str(scheme), *flags)
         assert code == USAGE and err.startswith("error: ") and err.count("\n") == 1, flags
     big = tmp_path / "big.scheme"
-    big.write_text(build_single_threshold(8, 8).to_text())
+    big.write_text(build_single_threshold(12, 12).to_text())
     code, _, err = run(capsys, "census", str(big), "--target", "1,1")
     assert code == USAGE and "too large" in err
     # Six copies of a 12-bit secret: codes of 84 bits would wrap in int64.

@@ -446,9 +446,50 @@ def test_census_zero_width_target():
 
 
 def test_census_cap():
-    sch = build_single_threshold(8, 8)
+    """q = 17 and 12 rows: the verdict would count 17^9 outer settings."""
+    sch = build_single_threshold(12, 12)
     with pytest.raises(ValueError, match="too large for census"):
         leakage_census(sch, [P(1)], S(1, 1))
+
+
+def _tau_weak_n3():
+    """The tau/weak build of (N=3, T=3,3,3,3,2), checked by its text's
+    sha256: q = 11 and 9 rows, so 11^9 codewords, past CENSUS_CAP; its
+    verdict counts 11^5 outer settings."""
+    sch = build_optimal(structure(3, [(3, 4), (2, 1)]), RatioKind(TAU, WEAK))
+    digest = hashlib.sha256(sch.to_text().encode()).hexdigest()
+    assert digest == "08bc6136c87207d6c567aef14a4e7968abd6b413f6f85a75d00d6f109cae3e69"
+    assert sch.q**sch.n_rows > dealer.CENSUS_CAP
+    return sch
+
+
+def test_census_past_the_codeword_cap_agrees_with_ranks():
+    """Every coalition of at most two shares, against S[1,1] and against all
+    five secrets: the census is uniform exactly when the ranks add."""
+    sch = _tau_weak_n3()
+    prof = RankProfile(sch)
+    verdicts = set()
+    for size in (0, 1, 2):
+        for idxs in itertools.combinations([1, 2, 3], size):
+            coalition = [P(i) for i in idxs]
+            for tg in ([S(1, 1)], list(sch.secret_variables())):
+                additive = prof.rank(coalition + tg) == prof.rank(coalition) + prof.rank(tg)
+                assert leakage_census(sch, coalition, tg).uniform == additive, (idxs, tg)
+                verdicts.add(additive)
+    assert verdicts == {True, False}
+
+
+def test_census_table_cap_counts_the_codes_its_blocks_make():
+    """P[1] against S[1,1] of the tau/weak build has 161,051 codes, but its
+    table's blocks would make 11^5 x 1,331 of them: the counts are read,
+    the table is refused."""
+    table = leakage_census(_tau_weak_n3(), [P(1)], [S(1, 1)])
+    assert (table.uniform, table.n_coalition_values, table.n_codes) == (True, 11**3, 11**5)
+    assert (len(table.outer_rows), len(table.inner_codes)) == (5, 11**3)
+    for read in (lambda: table.codes, lambda: next(table.digit_rows())):
+        with pytest.raises(ValueError, match=f"census table too large: {11**5 * 11**3} codes"):
+            read()
+    assert "codes" not in vars(table)
 
 
 def _identity_copies():
@@ -647,6 +688,8 @@ def test_census_makes_no_elimination(monkeypatch):
     stays."""
     cases = list(_digit_cases())
     small = [(sch, *case) for sch in _small_schemes() for case in _reference_cases(sch)]
+    past_cap = _tau_weak_n3()
+    past_cap.matrix
 
     def refuse(*args):
         raise AssertionError("the census made an elimination")
@@ -657,6 +700,8 @@ def test_census_makes_no_elimination(monkeypatch):
         _assert_matches_digit_census(*case)
     for case in small:
         _assert_matches_reference(*case)
+    table = leakage_census(past_cap, [P(1), P(2)], past_cap.secret_variables())
+    assert (table.uniform, table.n_coalition_values, table.n_codes) == (False, 11**6, 11**9)
 
 
 def _coset_shape(scheme, coalition, targets):

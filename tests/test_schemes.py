@@ -678,26 +678,50 @@ def test_leaves_flatten_nested_compositions():
     assert [leaf for leaf, _ in combine([twice, twice]).leaves] == [a, a]
 
 
-def test_unify_field_checks_one_secret_parts_at_strong(monkeypatch):
-    """A part whose every leaf has one secret is checked at strong security,
-    any other part at weak security."""
+def test_unify_field_checks_each_distinct_leaf_once_at_weak(monkeypatch):
+    """Only leaves are checked, each distinct leaf of the rebuilt parts once
+    per candidate prime and always at weak security; no part passed in or
+    returned gets a rank table."""
     asked = []
     check = verify.check_conditions
 
     def spy(scheme, security, *args):
-        asked.append((scheme.sp, security))
+        asked.append((scheme, security))
         return check(scheme, security, *args)
 
     one = combine([build_single_threshold(2, 3), build_weak_block(3, 2, 1)])
     sp = structure(3, [(2, 2)])
     mixed = combine([embed(build_single_threshold(2, 3, q=7), sp), build_weak_block(3, 2, 2)])
     monkeypatch.setattr(verify, "check_conditions", spy)
-    unify_field([one])
-    assert asked[0] == (one.sp, STRONG)
-    assert {security for _, security in asked} == {STRONG}
-    asked.clear()
-    unify_field([mixed])
-    assert asked[0] == (mixed.sp, WEAK)
+    for parts in ([one, one], [mixed, combine([mixed, mixed])]):
+        asked.clear()
+        made = unify_field(parts)
+        assert {security for _, security in asked} == {WEAK}
+        assert all(not scheme.leaves for scheme, _ in asked)
+        assert len({id(scheme) for scheme, _ in asked}) == len(asked)
+        p = made[0].q
+        leaves = dict.fromkeys(leaf for part in made for leaf, _ in part.leaves)
+        assert [scheme for scheme, _ in asked if scheme.q == p] == list(leaves)
+        assert not any("profile" in vars(part) for part in (*parts, *made))
+
+
+def test_one_secret_leaf_weak_report_is_its_strong_report():
+    """A leaf with one secret has one level, where C2 and C3 name the same
+    instances: its weak and strong reports agree in every group, on every
+    one-secret window with 2 <= t <= N <= 6 and on a leaf whose share 1 is a
+    copy of the secret."""
+    leaky = LinearScheme(structure(2, [(2, 1)]), 5, [[1, 1, 0], [0, 0, 1]], (1, 1, 1))
+    windows = [build_weak_block(n, t, 1) for n in range(2, 7) for t in range(2, n + 1)]
+    assert len(windows) == 15
+    for leaf in (*windows, leaky):
+        weak = verify.check_conditions(leaf, WEAK)
+        strong = verify.check_conditions(leaf, STRONG)
+        assert (weak.security, strong.security) == (WEAK, STRONG)
+        assert weak.independence == strong.independence, leaf.recipe
+        assert weak.decodable == strong.decodable, leaf.recipe
+        assert weak.secure == strong.secure, leaf.recipe
+    witness = verify.check_conditions(leaky, WEAK).secure.witness
+    assert (witness.shares, witness.got, witness.want) == ((1,), 1, 2)
 
 
 def _composed_cells():
