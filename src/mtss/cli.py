@@ -203,11 +203,11 @@ def _cmd_census(args) -> int:
     indices = parse_ints(args.shares, "share list")
     if len(set(indices)) != len(indices):
         raise ValueError(f"duplicate index in share list {args.shares!r}")
-    slots = [parse_ints(s, "secret slot") for s in args.target.split(";") if s]
+    if not args.target:
+        raise ValueError("census needs at least one target secret")
+    slots = [parse_ints(s, "secret slot") for s in args.target.split(";")]
     if any(len(slot) != 2 for slot in slots):
         raise ValueError(f"bad target list {args.target!r}: expected k,j slots")
-    if not slots:
-        raise ValueError("census needs at least one target secret")
     if len(set(slots)) != len(slots):
         raise ValueError(f"duplicate slot in target list {args.target!r}")
     coalition = [VariableId.share(i) for i in indices]

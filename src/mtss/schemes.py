@@ -98,9 +98,6 @@ class LinearScheme:
     `width` and `columns` take `VariableId`s at the edges, through the one
     lookup `StructurePair.position`.
 
-    `min_order` is the smallest field order the construction is known to
-    work at (for searched families, the prime the search certified).
-
     `leaves` records how a composed scheme was built: one entry per leaf
     construction it combines, the leaf scheme and, per variable of this
     scheme, the index of its block in the leaf (-1 for a dummy secret).  So
@@ -119,22 +116,21 @@ class LinearScheme:
     A composed scheme is its structure and its leaves; everything else is
     derived.  `embed`, `combine` and `_rebuild` pass only those two to
     `_composed`, which makes the scheme without the constructor and reads
-    `q`, `n_rows` (the sum of the leaves') and `min_order` (the largest)
-    off the leaves.  Its `widths` (the sums of the leaves' widths at the
-    recorded indices), `cuts` and `matrix` are made on first read and kept.
-    The matrix is the `field.block_diag` of the leaves' matrices, its
-    columns taken into variable order, so each block is the block-diagonal
-    stack of the leaves' blocks at the recorded indices (an empty one for a
-    dummy): reduced, read-only and of full column rank, as the bands are
-    disjoint; no block is checked again.  Ratios, checks and audits read
-    no matrix of a composed scheme.
+    `q` and `n_rows` (the sum of the leaves') off the leaves.  Its `widths`
+    (the sums of the leaves' widths at the recorded indices), `cuts` and
+    `matrix` are made on first read and kept.  The matrix is the
+    `field.block_diag` of the leaves' matrices, its columns taken into
+    variable order, so each block is the block-diagonal stack of the
+    leaves' blocks at the recorded indices (an empty one for a dummy):
+    reduced, read-only and of full column rank, as the bands are disjoint;
+    no block is checked again.  Ratios, checks and audits read no matrix of
+    a composed scheme.
     """
 
     sp: StructurePair
     q: int
     matrix: np.ndarray
     widths: tuple[int, ...]
-    min_order: int = 0
     n_rows: int = dc_field(init=False)
     recipe: tuple | None = dc_field(default=None, init=False)
     leaves: tuple[tuple[LinearScheme, tuple[int, ...]], ...] = dc_field(
@@ -157,10 +153,7 @@ class LinearScheme:
         for v, w, cut in zip(self.sp.variables, widths, cuts):
             if w and field.rank(matrix[:, cut], self.q) != w:
                 raise ValueError(f"block {v} has linearly dependent columns")
-        self.__dict__.update(
-            matrix=matrix, widths=widths, n_rows=matrix.shape[0], cuts=cuts,
-            min_order=self.min_order or self.q,
-        )
+        self.__dict__.update(matrix=matrix, widths=widths, n_rows=matrix.shape[0], cuts=cuts)
 
     def __getattr__(self, name):
         # Only a composed scheme lacks these until they are first read.
@@ -312,14 +305,14 @@ def build_weak_block(n_parties: int, t: int, m: int, q: int | None = None) -> Li
     if m < 1:
         raise ValueError("need at least one secret")
     n = min(t, m)
-    min_order = n + n_parties + 1
-    q = next(_primes(min_order, q))
+    start = n + n_parties + 1
+    q = next(_primes(start, q))
     sp = structure(n_parties, [(t, m)])
-    v = vandermonde(t, range(1, min_order), q)
+    v = vandermonde(t, range(1, start), q)
     cols = [[j - 1] if k == 1 and j <= n else [] for k, j in sp.secret_slots()]
     cols += [[n + i] for i in range(n_parties)]
     matrix = v[:, [c for block in cols for c in block]]
-    out = LinearScheme(sp, q, matrix, tuple(map(len, cols)), min_order)
+    out = LinearScheme(sp, q, matrix, tuple(map(len, cols)))
     object.__setattr__(out, "recipe", ("weak-block", (n_parties, t, m)))
     return out
 
@@ -355,7 +348,7 @@ def _stitched(sp, q, n_rows, w, short_rows, first, second, recipe) -> LinearSche
     groups[wide:] = map(np.hstack, zip(groups[wide:], np.hsplit(short, n - first + 1)))
     groups[m1:m1] = second
     widths = tuple(g.shape[1] for g in groups)
-    out = LinearScheme(sp, q, np.hstack(groups), widths, min_order=q)
+    out = LinearScheme(sp, q, np.hstack(groups), widths)
     object.__setattr__(out, "recipe", recipe)
     return out
 
@@ -530,15 +523,14 @@ def combine(parts) -> LinearScheme:
 
 def _composed(sp, leaves) -> LinearScheme:
     """A composed scheme over `leaves`, made without the constructor (see
-    `LinearScheme`).  Its field, row count (the sum) and minimum order (the
-    largest) are read off the leaves; its widths, cuts and matrix are made
-    from theirs on first read."""
+    `LinearScheme`).  Its field and row count (the sum) are read off the
+    leaves; its widths, cuts and matrix are made from theirs on first
+    read."""
     out = object.__new__(LinearScheme)
     out.__dict__.update(
         sp=sp,
         q=leaves[0][0].q,
         n_rows=sum(leaf.n_rows for leaf, _ in leaves),
-        min_order=max(leaf.min_order for leaf, _ in leaves),
         leaves=leaves,
     )
     return out
@@ -585,13 +577,14 @@ def unify_field(parts) -> list[LinearScheme]:
     A part with a recipe-less leaf (a text or `dataclasses.replace` copy)
     cannot be rebuilt and is refused (`ValueError`).
 
-    The candidate order starts at the largest minimum admissible order of
-    any part; searched families may still reject a candidate (they verify
-    at exact q), so the candidate advances through primes under a cap.
-    Each distinct part is rebuilt (`_rebuild`) once per candidate: a part
-    already over it comes back as it is, a leaf comes from the leaf memo
-    (`_leaf`), so one made over that prime before is reused, and a composed
-    part swaps its leaves for theirs.
+    Every part is over a prime at or above its admissible minimum, so the
+    candidate order starts at the largest field any part is over, and no
+    part is moved to a smaller prime; searched families may still reject a
+    candidate (they verify at exact q), so the candidate advances through
+    primes under a cap.  Each distinct part is rebuilt (`_rebuild`) once
+    per candidate: a part already over it comes back as it is, a leaf comes
+    from the leaf memo (`_leaf`), so one made over that prime before is
+    reused, and a composed part swaps its leaves for theirs.
     """
     parts = list(parts)
     if not parts:
@@ -599,7 +592,7 @@ def unify_field(parts) -> list[LinearScheme]:
     distinct = dict.fromkeys(parts)
     if any(leaf.recipe is None for part in distinct for leaf, _ in _entries(part)):
         raise ValueError("scheme is not rebuildable (no retained parameters)")
-    for p in _primes(max(part.min_order for part in parts)):
+    for p in _primes(max(part.q for part in parts)):
         try:
             made = {part: _rebuild(part, p) for part in distinct}
         except FieldSearchError:

@@ -622,12 +622,25 @@ def _assert_records_match_the_decoded_counts(
     assert table.n_codes % chunk and (table.n_codes > chunk or chunk == dealer._CHUNK)
     path = tmp_path / "c.scheme"
     path.write_text(scheme.to_text())
-    monkeypatch.setattr(dealer, "_CHUNK", chunk)
+    blocks = []
+    digit_rows = dealer.CensusTable.digit_rows
+
+    def in_blocks_of_chunk(self):
+        # Only the decoding is cut into blocks of `chunk`, not the verdict
+        # or the table.
+        with monkeypatch.context() as m:
+            m.setattr(dealer, "_CHUNK", chunk)
+            for rows in digit_rows(self):
+                blocks.append(len(rows))
+                yield rows
+
+    monkeypatch.setattr(dealer.CensusTable, "digit_rows", in_blocks_of_chunk)
     code, out, _ = run(
         capsys, "census", str(path), "--shares", shares, "--target", target,
         "--format", "records",
     )
     assert code == PASS
+    assert len(blocks) == -(-table.n_codes // chunk) and sum(blocks) == table.n_codes
     wa = table.coalition_width
     rows = dealer._digits(table.codes, wa + table.target_width, table.q).tolist()
     counts = {}
@@ -738,6 +751,10 @@ def test_census_usage_errors(tmp_path, capsys):
     assert code == USAGE and "expected k,j" in err
     code, _, err = run(capsys, "census", str(scheme), "--target", "")
     assert code == USAGE and "at least one target" in err
+    for target in ("1,1;", ";1,1", "1,1;;1,2", "1,1; "):
+        code, out, err = run(capsys, "census", str(scheme), "--target", target)
+        assert code == USAGE and out == "", target
+        assert err == f"error: bad target list {target!r}: expected k,j slots\n"
     code, _, err = run(
         capsys, "census", str(scheme), "--shares", "1,1", "--target", "1,1"
     )

@@ -128,14 +128,13 @@ def test_searched_prime_over_the_limit_fails_before_any_matrix(monkeypatch):
 
 def test_weak_block_degenerates_to_single():
     """The one-secret threshold scheme is the weak block with m = 1: the
-    same text, minimum order N + 2 and recipe, with q given or picked."""
+    same text and recipe, with q given or picked."""
     assert build_single_threshold(2, 2).q == 5
     for q in (None, 13):
         for n in range(2, 7):
             for t in range(2, n + 1):
                 single, block = build_single_threshold(t, n, q), build_weak_block(n, t, 1, q)
                 assert single.to_text() == block.to_text()
-                assert single.min_order == block.min_order == n + 2
                 assert single.recipe == block.recipe == ("weak-block", (n, t, 1))
 
 
@@ -529,6 +528,20 @@ def test_unify_field_skips_a_prime_a_part_cannot_be_rebuilt_at():
     assert all(verify.check_conditions(p, WEAK).passed for p in parts)
 
 
+def test_unify_field_starts_at_the_largest_field_of_its_parts():
+    """The walk starts at the largest prime any part is over, so a part
+    built over a prime above its admissible minimum is never moved down:
+    it comes back as it is, and the other part is rebuilt over its prime."""
+    big = build_weak_block(3, 2, 2, q=101)  # admissible from order 6
+    small = build_weak_block(3, 2, 1)  # q = 5
+    got_big, got_small = unify_field([big, small])
+    assert got_big is big
+    assert got_small.q == 101
+    assert got_small.to_text() == build_weak_block(3, 2, 1, q=101).to_text()
+    with pytest.raises(TypeError):  # the scheme's one field is its q
+        LinearScheme(big.sp, big.q, big.matrix, big.widths, min_order=6)
+
+
 def test_unify_field_reuses_parts_over_the_common_prime(monkeypatch):
     """A part already over the common prime comes back as it is; the others
     are rebuilt once per distinct part, equal to a build at that prime."""
@@ -633,7 +646,7 @@ def _rebuild_by_embedding(scheme, q):
 def test_moved_composed_parts_match_a_rebuild_by_embedding(monkeypatch):
     """Over every build_optimal cell with N <= 4 whose `unify_field` moves a
     composed part to another prime, the leaf swap gives the text,
-    fingerprint, widths, placements and minimum order of a `combine` of
+    fingerprint, widths and placements of a `combine` of
     `embed`s of leaves built at that prime, and calls neither."""
     cells = 0
     for sp in _table_family((2, 3, 4)):
@@ -659,7 +672,6 @@ def test_moved_composed_parts_match_a_rebuild_by_embedding(monkeypatch):
                 assert g.widths == want.widths
                 assert [i for _, i in g.leaves] == [i for _, i in want.leaves]
                 assert [i for _, i in g.leaves] == [i for _, i in s.leaves]
-                assert g.min_order == want.min_order
     assert cells == 38
 
 
