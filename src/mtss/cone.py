@@ -23,13 +23,14 @@ orbit id is then the subset's bitmask.
 
 Phase 1 of the simplex reads no objective, and many LPs share a region:
 sigma and tau of one (structure, security) have the same rows, and so do
-sigma-avg and tau-avg.  So `_minimize` keeps each region's feasible basis
-in a process-wide memo keyed by (structure, security, extra rows, class
-key of every variable), and solves a later LP over the region from it
-with phase 2 alone.  The memo is bounded by REGION_ENTRIES stored tableau
-entries, oldest out first, not by a count of regions: one region's
-tableau holds from tens to thousands of entries, and a count small enough
-for the largest would not hold a whole table sweep.
+sigma-avg and tau-avg.  So `_minimize` keeps each region's last optimal
+basis in a process-wide memo keyed by (structure, security, extra rows,
+class key of every variable), and solves a later LP over the region from
+it with phase 2 alone; a repeated LP makes no pivot.  The memo is bounded
+by REGION_ENTRIES stored tableau entries, least recently solved out
+first, not by a count of regions: one region's tableau holds from tens to
+thousands of entries, and a count small enough for the largest would not
+hold a whole table sweep.
 """
 
 from __future__ import annotations
@@ -309,9 +310,10 @@ def _elemental_rows(keys, place):
 
 
 class _RegionMemo:
-    """Feasible bases of cone-LP regions, at most `limit` stored tableau
-    entries in all; the oldest basis leaves first.  A store takes a lock,
-    so LPs may be solved from several threads."""
+    """The last optimal basis of each cone-LP region, at most `limit`
+    stored tableau entries in all; a store replaces the region's basis and
+    makes it the newest, so the least recently solved region leaves first.
+    A store takes a lock, so LPs may be solved from several threads."""
 
     def __init__(self, limit: int):
         self.limit = limit
@@ -324,9 +326,11 @@ class _RegionMemo:
 
     def put(self, key, start: simplex.FeasibleBasis) -> None:
         size = start.entries
+        if size > self.limit:
+            return
         with self._lock:
-            if key in self._bases or size > self.limit:
-                return
+            if key in self._bases:
+                self.entries -= self._bases.pop(key).entries
             while self.entries + size > self.limit:
                 self.entries -= self._bases.pop(next(iter(self._bases))).entries
             self._bases[key] = start
@@ -353,18 +357,21 @@ def _minimize(sp: StructurePair, security: str, objective: dict, rows, colour) -
     de-duplicated.  The places go to the classes in reverse sorted key
     order, which fixes the LP's columns.
 
-    The region is fixed by (sp, security, rows, class keys), and phase 1
-    reads no objective, so the feasible basis of each region's first solve
-    is kept in a process-wide memo (`_REGIONS`) under that key.  A later
-    LP over the region, such as tau after sigma, starts from it: no rows
-    are generated or assembled and no phase 1 runs.  The memo keeps only
-    the frozen bases, at most REGION_ENTRIES tableau entries in all, and
-    drops the oldest first.  The bound counts entries, not bases: one
-    region's tableau holds from tens to thousands of entries, and an LP
-    may come back to its region long after the first solve (the bench's LP
-    workloads draw sigma and tau of one region about half a run apart), so
-    the memo must hold a whole sweep.  The 148 regions of the table's cells
-    of up to 7 variables hold 120,222 entries.
+    The region is fixed by (sp, security, rows, class keys), and every
+    basis of a region is feasible whatever the objective, so the final
+    basis of each solve is kept in a process-wide memo (`_REGIONS`) under
+    that key.  A later LP over the region, such as tau after sigma, starts
+    phase 2 at the last optimum: no rows are generated or assembled and no
+    phase 1 runs, and the same LP again makes no pivot.  The value is the
+    LP's optimum wherever phase 2 starts.  The memo keeps only the frozen
+    bases, at most REGION_ENTRIES tableau entries in all, and drops the
+    least recently solved region first.  The bound counts entries, not
+    bases: one region's tableau holds from tens to thousands of entries
+    (the same for each of its bases), and an LP may come back to its
+    region long after the first solve (the bench's LP workloads draw sigma
+    and tau of one region about half a run apart), so the memo must hold
+    a whole sweep.  The 148 regions of the table's cells of up to 7
+    variables hold 120,222 entries.
     Callers read `_variable_masks` first, which checks the size cap.
     """
     n = sp.n_parties + sp.n_secrets
@@ -410,7 +417,7 @@ def _minimize(sp: StructurePair, security: str, objective: dict, rows, colour) -
     res = prog.solve()
     if res.status != simplex.OPTIMAL:  # pragma: no cover - region nonempty, objective bounded
         raise RuntimeError(f"cone LP came back {res.status}")
-    if start is None and prog.start is not None:
+    if prog.start is not None:
         _REGIONS.put(region, prog.start)
     return res.value
 

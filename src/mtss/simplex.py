@@ -23,12 +23,16 @@ A solve is two steps.  Phase 1 (`_phase1`: the crash start, phase 1 and
 the clean-up) reads no objective, and ends in a `FeasibleBasis`: the
 tableau rows after the artificial columns are dropped, frozen as tuples,
 with their scales, basis and column ids and the phase-1 and clean-up pivot
-counts.  Phase 2 (`_phase2`) prices an objective on a copy of that basis
-and runs to the optimum, so any number of objectives can share one phase
-1.  A `LinearProgram` keeps the basis of its last solve until a row is
+counts.  Phase 2 (`_phase2`) prices an objective on a copy of a feasible
+basis, runs to the optimum and returns the final basis too, frozen the
+same way with the same phase-1 and clean-up counts.  Every basis of a row
+set is feasible whatever the objective, so any number of objectives can
+share one phase 1, and each can start where the last one stopped.  A
+`LinearProgram` keeps the final basis of its last solve until a row is
 added, and a program made by `LinearProgram.from_basis` starts from a
-given basis: it holds no rows and runs only phase 2.  Its result, stats
-included, is the one a solve from the rows would return.
+given basis: it holds no rows and runs only phase 2.  Its status and value
+are those a solve from the rows would return; the optimal point (when
+there are several) and the phase-2 pivot count depend on the start.
 
 Problems are stated as:  minimize c . x  subject to  rows (=, >=), x >= 0;
 a <= row is the >= row of its negation.
@@ -55,7 +59,9 @@ class SimplexStats:
     `columns` counts structural, slack and artificial columns; the pivots
     are split into phase 1, the pivots that move zero-valued artificials
     out of the basis (the crash start's before phase 1 and the clean-up's
-    after it), and phase 2.
+    after it), and phase 2.  Phase-2 pivots count from the basis the solve
+    started at; the phase-1 and clean-up counts are those of the row
+    set's phase 1, however many solves ago it ran.
     """
 
     rows: int
@@ -87,13 +93,16 @@ def _integerize(coeffs, rhs):
 
 
 class FeasibleBasis(NamedTuple):
-    """A feasible basis of one row set, as phase 1 and its clean-up leave it.
+    """A feasible basis of one row set, as phase 1 and its clean-up or a
+    later phase 2 leave it.
 
     `rows` are the condensed tableau rows without artificial columns, and
     `scale`, `basis` and `cols` their scales, basic column ids and stored
     column ids.  `columns` counts the columns of the full tableau, and
-    `entries` the stored tableau entries.  It reads no objective.  (A named
-    tuple: a frozen dataclass takes about 1 ms longer to define at import.)
+    `entries` the stored tableau entries, the same for every basis of the
+    row set.  It reads no objective: phase 2 carries the phase-1 and
+    clean-up counts over to its final basis.  (A named tuple: a frozen
+    dataclass takes about 1 ms longer to define at import.)
     """
 
     n_vars: int
@@ -113,10 +122,11 @@ class FeasibleBasis(NamedTuple):
 class LinearProgram:
     """Incrementally assembled LP; columns are indexed 0..n_vars-1.
 
-    `start` is the feasible basis phase 2 starts from: the one kept from
-    the last solve, dropped when a row is added, or the one a program made
-    by `from_basis` was given.  Such a program holds no rows (`_rows` is
-    None) and refuses them.
+    `start` is the feasible basis phase 2 starts from: the final basis of
+    the last solve (the optimum, or where an unbounded solve stopped),
+    dropped when a row is added, or the one a program made by `from_basis`
+    was given until it solves.  Such a program holds no rows (`_rows` is
+    None) and refuses them.  An infeasible solve keeps no basis.
     """
 
     def __init__(self, n_vars: int):
@@ -167,12 +177,13 @@ class LinearProgram:
     def solve(self) -> SimplexResult:
         if self._objective is None:
             raise ValueError("objective not set")
-        if self.start is None:
+        start = self.start
+        if start is None:
             start = _phase1(self.n_vars, self._rows)
             if isinstance(start, SimplexResult):
                 return start
-            self.start = start
-        return _phase2(self.start, self._objective)
+        res, self.start = _phase2(start, self._objective)
+        return res
 
 
 def _pivot(rows, scale, basis, cols, pr, k):
@@ -337,8 +348,9 @@ def _phase1(n_vars, rows) -> FeasibleBasis | SimplexResult:
     )
 
 
-def _phase2(start: FeasibleBasis, objective) -> SimplexResult:
-    """Minimize `objective` from a copy of the feasible basis `start`."""
+def _phase2(start: FeasibleBasis, objective) -> tuple[SimplexResult, FeasibleBasis]:
+    """Minimize `objective` from a copy of the feasible basis `start`; the
+    result and the final basis (`start` itself when no pivot was made)."""
     tableau = [list(row) for row in start.rows]
     scale = [*start.scale, 0]  # the last entry is the objective's
     basis, cols = list(start.basis), list(start.cols)
@@ -349,12 +361,16 @@ def _phase2(start: FeasibleBasis, objective) -> SimplexResult:
     stats = SimplexStats(
         len(tableau), start.columns, start.phase1_pivots, start.cleanup_pivots, phase2
     )
+    final = start._replace(
+        rows=tuple(map(tuple, tableau)), scale=tuple(scale[:-1]),
+        basis=tuple(basis), cols=tuple(cols),
+    ) if phase2 else start
     if status == UNBOUNDED:
-        return SimplexResult(UNBOUNDED, None, None, stats)
+        return SimplexResult(UNBOUNDED, None, None, stats), final
 
     x = [Fraction(0)] * n_vars
     for row, c, d in zip(tableau, basis, scale):
         if c < n_vars:
             x[c] = Fraction(row[-1], d)
     value = sum((c * v for c, v in zip(objective, x)), Fraction(0))
-    return SimplexResult(OPTIMAL, value, tuple(x), stats)
+    return SimplexResult(OPTIMAL, value, tuple(x), stats), final

@@ -46,6 +46,7 @@ from mtss.structure import (
     structure,
 )
 from mtss.verify import RankProfile, audit_bounds, check_conditions, ratios
+from test_acceptance import resolved_cells, table_family
 from test_verify import stacked
 
 
@@ -498,11 +499,14 @@ def test_orbit_rows_of_one_class(n):
     assert rows[1:] == [{z + 1: 2, z + 2: -1} | ({z: -1} if z else {}) for z in range(n - 1)]
 
 
-def test_pivots_per_phase(monkeypatch):
+def test_pivots_per_phase(monkeypatch, empty_region_memo):
     """The eight ratio LPs on (N=4, T=4,3,2), in the order sigma, sigma_avg,
     tau, tau_avg, each strong then weak, keep their (phase 1, clean-up,
     phase 2) pivot counts.  The clean-up pivots are the seven zero-rhs
-    equality rows' drive-outs before phase 1."""
+    equality rows' drive-outs before phase 1.  tau and tau_avg share the
+    regions of sigma and sigma_avg, so their phase 2 starts at the optimum
+    the earlier LP left in the memo (from the phase-1 basis they make
+    4, 0, 13 and 10 phase-2 pivots)."""
     results = []
     solve = simplex.LinearProgram.solve
     monkeypatch.setattr(
@@ -515,9 +519,9 @@ def test_pivots_per_phase(monkeypatch):
     got = [(r.stats.phase1_pivots, r.stats.cleanup_pivots, r.stats.phase2_pivots) for r in results]
     assert got == [
         (44, 7, 4), (55, 7, 0), (36, 7, 18), (44, 7, 9),
-        (44, 7, 4), (55, 7, 0), (36, 7, 13), (44, 7, 10),
+        (44, 7, 0), (55, 7, 0), (36, 7, 0), (44, 7, 1),
     ]
-    assert [sum(c) for c in got] == [55, 62, 61, 60, 55, 62, 56, 61]
+    assert [sum(c) for c in got] == [55, 62, 61, 60, 51, 62, 43, 52]
 
 
 KEPT_CELL = structure(4, [(4, 1), (3, 1), (2, 1)])
@@ -537,13 +541,13 @@ def _kept_basis_runs():
 
 
 def _solves(run):
-    """(result, whether it started from a kept basis) of each LP that
-    `run()` solves."""
+    """(result, program) of each LP that `run()` solves; a program that
+    started from a kept basis holds no rows."""
     got = []
     solve = simplex.LinearProgram.solve
 
     def spy(lp):
-        got.append((solve(lp), lp._rows is None))
+        got.append((solve(lp), lp))
         return got[-1][0]
 
     with pytest.MonkeyPatch.context() as mp:
@@ -552,9 +556,30 @@ def _solves(run):
     return got
 
 
+def _optimal_for(res, lp) -> bool:
+    """Whether `res.x` is a point of `lp`'s rows (x >= 0, each row met
+    exactly) at which `lp`'s objective is `res.value`."""
+
+    def dot(row):
+        return sum(c * v for c, v in zip(row, res.x))
+
+    return (
+        res.status == simplex.OPTIMAL
+        and len(res.x) == lp.n_vars
+        and min(res.x) >= 0
+        and all(dot(row) == b if kind == "eq" else dot(row) >= b for row, b, kind in lp._rows)
+        and dot(lp._objective) == res.value
+    )
+
+
 def test_kept_basis_solves_as_from_rows(empty_region_memo):
-    """Every LP of `_kept_basis_runs` solved from a kept basis returns what
-    it returns with the memo empty: status, value, point and stats."""
+    """Every LP of `_kept_basis_runs` solved from a kept basis has the
+    status and value it has with the memo empty, and its point is optimal
+    for the program assembled from the rows.  It reports the region's
+    tableau size, phase-1 and clean-up counts.  A kept basis is the
+    optimum of the region's last solve; after a first pass over the runs,
+    the second pass makes no phase-2 pivot, where the cold solves make
+    135."""
     cold = []
     for run in _kept_basis_runs():
         with pytest.MonkeyPatch.context() as mp:
@@ -564,18 +589,54 @@ def test_kept_basis_solves_as_from_rows(empty_region_memo):
         run()
     warm = [s for run in _kept_basis_runs() for s in _solves(run)]
     assert len(cold) == len(warm) == 10
-    assert not any(kept for _, kept in cold) and all(kept for _, kept in warm)
-    for (want, _), (got, _) in zip(cold, warm):
-        assert (got.status, got.value, got.x, got.stats) == (
-            want.status, want.value, want.x, want.stats
+    assert not any(lp._rows is None for _, lp in cold)
+    assert all(lp._rows is None for _, lp in warm)
+    for (want, cold_lp), (got, lp) in zip(cold, warm):
+        assert (got.status, got.value) == (want.status, want.value)
+        assert cold_lp._objective == lp._objective and _optimal_for(got, cold_lp)
+        assert (got.stats.rows, got.stats.columns) == (want.stats.rows, want.stats.columns)
+        assert (got.stats.phase1_pivots, got.stats.cleanup_pivots) == (
+            want.stats.phase1_pivots, want.stats.cleanup_pivots
         )
+    assert [want.stats.phase2_pivots for want, _ in cold] == [4, 0, 18, 9, 4, 0, 13, 10, 68, 9]
+    assert [got.stats.phase2_pivots for got, _ in warm] == [0] * 10
+
+
+def test_a_repeated_lp_makes_no_phase2_pivot(empty_region_memo):
+    """Each LP of `_kept_basis_runs` run twice in a row: the second solve
+    starts at the optimum of the first, so it makes no pivot, and keeps
+    that basis in the memo as it is."""
+    first_pivots = 0
+    for run in _kept_basis_runs():
+        first = _solves(run)
+        kept = [cone._REGIONS._bases[key] for key in list(cone._REGIONS._bases)[-len(first):]]
+        second = _solves(run)
+        assert [res.value for res, _ in second] == [res.value for res, _ in first]
+        assert all(lp._rows is None and res.stats.phase2_pivots == 0 for res, lp in second)
+        assert all(lp.start is start for (_, lp), start in zip(second, kept))
+        first_pivots += sum(res.stats.phase2_pivots for res, _ in first)
+    assert first_pivots > 0
+
+
+def test_tau_avg_starts_at_the_sigma_avg_optimum(empty_region_memo):
+    """tau-avg after sigma-avg on KEPT_CELL (one region) starts phase 2 at
+    sigma-avg's optimum, which is already optimal for tau-avg: it makes no
+    phase-2 pivot, where a start at the phase-1 basis makes 13."""
+    tau_avg = RatioKind(TAU_AVG, STRONG)
+    ((cold, _),) = _solves(lambda: lower_bound_ratio(KEPT_CELL, tau_avg))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(cone, "_REGIONS", cone._RegionMemo(cone.REGION_ENTRIES))
+        lower_bound_ratio(KEPT_CELL, RatioKind(SIGMA_AVG, STRONG))
+        ((warm, lp),) = _solves(lambda: lower_bound_ratio(KEPT_CELL, tau_avg))
+    assert lp._rows is None and warm.value == cold.value
+    assert (cold.stats.phase2_pivots, warm.stats.phase2_pivots) == (13, 0)
 
 
 def test_second_solve_of_a_region_makes_only_phase2_pivots(empty_region_memo):
-    """tau-avg after sigma-avg (one region) makes no phase-1 or clean-up
+    """sigma-avg after tau-avg (one region) makes no phase-1 or clean-up
     pivot: every pivot of its solve is one of its phase-2 pivots, and its
     stats still report the region's phase-1 and clean-up counts."""
-    lower_bound_ratio(KEPT_CELL, RatioKind(SIGMA_AVG, STRONG))
+    lower_bound_ratio(KEPT_CELL, RatioKind(TAU_AVG, STRONG))
     pivots = []
     pivot = simplex._pivot
 
@@ -585,16 +646,39 @@ def test_second_solve_of_a_region_makes_only_phase2_pivots(empty_region_memo):
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(simplex, "_pivot", spy)
-        ((res, kept),) = _solves(lambda: lower_bound_ratio(KEPT_CELL, RatioKind(TAU_AVG, STRONG)))
-    assert kept and len(pivots) == res.stats.phase2_pivots == 13
+        ((res, lp),) = _solves(lambda: lower_bound_ratio(KEPT_CELL, RatioKind(SIGMA_AVG, STRONG)))
+    assert lp._rows is None and len(pivots) == res.stats.phase2_pivots == 1
     assert (res.stats.phase1_pivots, res.stats.cleanup_pivots) == (36, 7)
+
+
+def test_cell_values_do_not_depend_on_the_solve_order(monkeypatch):
+    """The resolved cells of criterion 2's family, solved forward and in
+    reverse, each order through an empty memo, have the same LP values,
+    and each is the closed-form optimum.  A solve starts at whatever
+    optimum the region's last LP left, so the two orders start phase 2 at
+    different bases and make different numbers of phase-2 pivots."""
+    cells = [(sp, kind, want) for sp in table_family(limit_seven=True)
+             for kind, want in resolved_cells(sp)]
+    values, pivots = [], []
+    for order in (cells, cells[::-1]):
+        monkeypatch.setattr(cone, "_REGIONS", cone._RegionMemo(cone.REGION_ENTRIES))
+        solves = []
+        for sp, kind, _ in order:
+            ((res, _),) = _solves(lambda: lower_bound_ratio(sp, kind))
+            solves.append(((sp, kind), res))
+        values.append({cell: res.value for cell, res in solves})
+        pivots.append(sum(res.stats.phase2_pivots for _, res in solves))
+    assert values[0] == values[1] == {(sp, kind): want for sp, kind, want in cells}
+    assert pivots == [409, 400]  # 719 in either order from the phase-1 bases
 
 
 def test_region_memo_keeps_its_bound_and_evicts_the_oldest_first(empty_region_memo):
     """The process-wide memo is bounded by REGION_ENTRIES and counts the
     entries of the bases it keeps.  A memo's stored entries never exceed
-    its limit: the oldest bases leave first, as many as the new one needs,
-    and a basis larger than the limit is not kept."""
+    its limit: the least recently stored bases leave first, as many as the
+    new one needs, a basis stored again for its region replaces the one
+    kept and becomes the newest, and a basis larger than the limit is not
+    kept."""
     assert cone._REGIONS is empty_region_memo
     assert empty_region_memo.limit == cone.REGION_ENTRIES
     for run in _kept_basis_runs():
@@ -614,7 +698,7 @@ def test_region_memo_keeps_its_bound_and_evicts_the_oldest_first(empty_region_me
         ("d", 2, "bcd"),  # a leaves
         ("e", 5, "cde"),  # b leaves
         ("f", 11, "cde"),  # over the limit: not kept
-        ("c", 1, "cde"),  # kept already
+        ("c", 1, "dec"),  # replaces c, now the newest
         ("g", 10, "g"),  # every other basis leaves
     ]
     for key, entries, want in steps:

@@ -10,7 +10,7 @@ from mtss import cone, simplex
 from mtss.simplex import INFEASIBLE, OPTIMAL, UNBOUNDED, LinearProgram, SimplexResult
 from mtss.structure import MEASURES, SIGMA_AVG, TAU, STRONG, WEAK
 from mtss.structure import RatioKind, bound_row, structure
-from test_cone import _table_family
+from test_cone import _optimal_for, _table_family
 
 
 def test_basic_minimum():
@@ -508,12 +508,24 @@ def _same_solve(got, want):
     )
 
 
+def _size_and_phase1(res):
+    return res.stats.rows, res.stats.columns, res.stats.phase1_pivots, res.stats.cleanup_pivots
+
+
+def _shape(start):
+    return start.n_vars, start.columns, start.entries, start.phase1_pivots, start.cleanup_pivots
+
+
 def test_new_objective_from_the_kept_basis_solves_as_from_rows():
-    """A solved program keeps its feasible basis: a second objective is
-    solved from it, and the result, stats included, is that of a fresh
-    program with the same rows.  An infeasible program keeps no basis."""
+    """A solved program keeps the final basis of its solve, and a second
+    objective is solved from it: the status and value are those of a
+    fresh program with the same rows, the point is optimal for those rows,
+    and the stats keep the tableau size and the phase-1 and clean-up
+    counts.  The program then keeps the second solve's final basis (the
+    kept one itself when it made no pivot), and solving the same objective
+    again makes no pivot.  An infeasible program keeps no basis."""
     rng = random.Random(23)
-    feasible = 0
+    feasible = moved = 0
     for lp in _seeded_lps(300, seed=17):
         first = lp.solve()
         if first.status == INFEASIBLE:
@@ -524,12 +536,20 @@ def test_new_objective_from_the_kept_basis_solves_as_from_rows():
         assert kept is not None and kept.n_vars == lp.n_vars
         lp.minimize([rng.randint(-4, 4) for _ in range(lp.n_vars)])
         got = lp.solve()
-        assert lp.start is kept
+        assert (lp.start is kept) == (got.stats.phase2_pivots == 0)
+        assert _shape(lp.start) == _shape(kept)
+        moved += lp.start is not kept
         fresh = LinearProgram(lp.n_vars)
         fresh._rows = list(lp._rows)
         fresh.minimize(lp._objective)
-        assert _same_solve(got, fresh.solve())
-    assert feasible > 100
+        want = fresh.solve()
+        assert (got.status, got.value) == (want.status, want.value)
+        assert _size_and_phase1(got) == _size_and_phase1(want)
+        assert got.status == UNBOUNDED or _optimal_for(got, lp)
+        final = lp.start
+        again = lp.solve()
+        assert again == got and again.stats.phase2_pivots == 0 and lp.start is final
+    assert feasible > 100 and moved > 40
 
 
 def test_program_from_a_basis_takes_no_rows():
@@ -554,8 +574,9 @@ def test_program_from_a_basis_takes_no_rows():
 
 
 def test_adding_a_row_drops_the_kept_basis():
-    """The kept basis holds while the rows stay; a new row drops it, and the
-    next solve runs phase 1 on every row."""
+    """The kept basis holds while the rows stay, and becomes the final
+    basis of each solve that pivots; a new row drops it, and the next
+    solve runs phase 1 on every row."""
     lp = LinearProgram(2)
     lp.minimize([1, 1])
     lp.add_ge([1, 1], 1)
@@ -563,6 +584,14 @@ def test_adding_a_row_drops_the_kept_basis():
     assert lp.solve().value == 1
     kept = lp.start
     assert kept is not None and lp.solve().value == 1 and lp.start is kept
+    lp.minimize([2, 1])
+    res = lp.solve()
+    assert res.value == 1 and res.x == (0, 1) and res.stats.phase2_pivots == 1
+    assert lp.start.basis != kept.basis
+    kept = lp.start
+    lp.minimize([1, 1])
+    res = lp.solve()
+    assert res.x == (0, 1) and res.stats.phase2_pivots == 0 and lp.start is kept
     lp.add_ge([1, 0], 2)
     assert lp.start is None
     res = lp.solve()
