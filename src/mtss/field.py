@@ -70,20 +70,6 @@ def reduce(rows, q: int) -> np.ndarray:
     return np.mod(a, q)
 
 
-def block_diag(mats) -> np.ndarray:
-    """The matrices stacked along the diagonal, each in its own band of rows
-    and of columns; zeros elsewhere."""
-    out = np.zeros(
-        (sum(m.shape[0] for m in mats), sum(m.shape[1] for m in mats)), dtype=np.int64
-    )
-    r = c = 0
-    for m in mats:
-        out[r : r + m.shape[0], c : c + m.shape[1]] = m
-        r += m.shape[0]
-        c += m.shape[1]
-    return out
-
-
 def _echelon(
     rows: list[list[int]], q: int, reduced: bool
 ) -> tuple[list[list[int]], list[int]]:

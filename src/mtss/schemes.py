@@ -118,13 +118,14 @@ class LinearScheme:
     `_composed`, which makes the scheme without the constructor and reads
     `q` and `n_rows` (the sum of the leaves') off the leaves.  Its `widths`
     (the sums of the leaves' widths at the recorded indices), `cuts` and
-    `matrix` are made on first read and kept.  The matrix is the
-    `field.block_diag` of the leaves' matrices, its columns taken into
-    variable order, so each block is the block-diagonal stack of the
-    leaves' blocks at the recorded indices (an empty one for a dummy):
-    reduced, read-only and of full column rank, as the bands are disjoint;
-    no block is checked again.  Ratios, checks and audits read no matrix of
-    a composed scheme.
+    `matrix` are made on first read and kept.  The matrix is placed leaf by
+    leaf (`_assemble`): each leaf has its own band of rows, and its block
+    at each recorded index goes into that band, in the variable's columns
+    after the earlier leaves' blocks.  So each block is the block-diagonal
+    stack of the leaves' blocks at the recorded indices (an empty one for a
+    dummy): reduced, read-only and of full column rank, as the bands are
+    disjoint; no block is checked again.  Ratios, checks and audits read no
+    matrix of a composed scheme.
     """
 
     sp: StructurePair
@@ -185,10 +186,10 @@ class LinearScheme:
             f"rows {self.n_rows}",
             f"structure {self.sp.n_parties} {format_thresholds(self.sp)}",
         ]
-        columns = self.matrix.T.tolist()
         for v, cut in zip(self.sp.variables, self.cuts):
             head = f"S {v.level} {v.index}" if v.kind == "secret" else f"P {v.index}"
-            lines.append(" ".join([head] + [format_ints(c) for c in columns[cut]]))
+            columns = self.matrix[:, cut].T.tolist()
+            lines.append(" ".join([head] + [format_ints(c) for c in columns]))
         return "\n".join(lines) + "\n"
 
     @staticmethod
@@ -250,15 +251,20 @@ def _composed_widths(scheme: LinearScheme) -> tuple[int, ...]:
 
 
 def _assemble(scheme: LinearScheme) -> np.ndarray:
-    """A composed scheme's matrix, from its leaves' (see the class): the
-    columns of their diagonal stack, stably sorted by the variable each is
-    placed at."""
-    owner = []
+    """A composed scheme's matrix, placed leaf by leaf (see the class): in
+    leaf order, each leaf's block for a variable goes into the leaf's own
+    band of rows, at the next free columns of the variable's block."""
+    matrix = np.zeros((scheme.n_rows, sum(scheme.widths)), dtype=np.int64)
+    free = [cut.start for cut in scheme.cuts]
+    top = 0
     for leaf, at in scheme.leaves:
-        where = dict(zip(at, range(len(at))))
-        owner += [where[j] for j, w in enumerate(leaf.widths) for _ in range(w)]
-    stack = field.block_diag([leaf.matrix for leaf, _ in scheme.leaves])
-    matrix = stack[:, np.argsort(owner, kind="stable")]
+        band = slice(top, top + leaf.n_rows)
+        for i, j in enumerate(at):
+            if j >= 0:
+                w = leaf.widths[j]
+                matrix[band, free[i] : free[i] + w] = leaf.matrix[:, leaf.cuts[j]]
+                free[i] += w
+        top = band.stop
     matrix.setflags(write=False)
     return matrix
 
@@ -298,16 +304,13 @@ def build_weak_block(n_parties: int, t: int, m: int, q: int | None = None) -> Li
     The first n = min(t, m) columns are width-1 secrets, the next N columns
     are the shares; when m > t the remaining secrets get width-0 blocks
     (only t secrets can be packed into one window of t rows).  The field
-    order is the first candidate of `_primes` from n + N + 1.
+    order is the first candidate of `_primes` from n + N + 1, searched
+    after the structure has checked t and m.
     """
-    if not 2 <= t <= n_parties:
-        raise ValueError("threshold must satisfy 2 <= t <= N")
-    if m < 1:
-        raise ValueError("need at least one secret")
+    sp = structure(n_parties, [(t, m)])
     n = min(t, m)
     start = n + n_parties + 1
     q = next(_primes(start, q))
-    sp = structure(n_parties, [(t, m)])
     v = vandermonde(t, range(1, start), q)
     cols = [[j - 1] if k == 1 and j <= n else [] for k, j in sp.secret_slots()]
     cols += [[n + i] for i in range(n_parties)]
@@ -366,8 +369,6 @@ def build_B(n_parties: int, t1m1, t2m2, q: int | None = None) -> LinearScheme:
     t2, m2 = t2m2
     if not (m1 > t1 > t2 > m2 >= 1):
         raise ValueError("need m1 > t1 > t2 > m2 >= 1")
-    if t1 > n_parties:
-        raise ValueError("threshold exceeds participant count")
     sp = structure(n_parties, [(t1, m1), (t2, m2)])
     n_rows, w2 = m1 * t2 - t1 * m2, m1 - t1
     second = np.hsplit(np.eye(n_rows, m2 * w2, dtype=np.int64), m2)
@@ -393,8 +394,6 @@ def build_A(n_parties: int, t1m1, a: int, q: int | None = None) -> LinearScheme:
         raise ValueError("need more secrets than the threshold (m1 > t1)")
     if not 1 <= a <= t1 - 1:
         raise ValueError("a out of range: need 1 <= a <= t1-1")
-    if t1 > n_parties:
-        raise ValueError("threshold exceeds participant count")
     sp = structure(n_parties, [(t1, m1)])
     recipe = ("A", (n_parties, (t1, m1), a))
     start = max(a * (m1 + n_parties), (n_parties - t1 + a) * (m1 - t1)) + 1

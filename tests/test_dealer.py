@@ -683,9 +683,8 @@ def test_census_codes_of_exactly_63_bits():
 def test_census_makes_no_elimination(monkeypatch):
     """The census checks the rank verdicts independently of them: with
     `field.rank` and `field.solve_affine` refusing, it still gives the digit
-    census's and the reference's tables.  The schemes are built first, and
-    a composed scheme's matrix is assembled with `field.block_diag`, which
-    stays."""
+    census's and the reference's tables.  The schemes are built, and the
+    composed ones' matrices placed from their leaves, before the patch."""
     cases = list(_digit_cases())
     small = [(sch, *case) for sch in _small_schemes() for case in _reference_cases(sch)]
     past_cap = _tau_weak_n3()

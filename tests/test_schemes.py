@@ -6,6 +6,7 @@ import itertools
 import re
 import sys
 import threading
+import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 
@@ -201,6 +202,27 @@ def test_build_A_validation():
         build_A(3, (2, 3), 2)
     with pytest.raises(ValueError, match="participant"):
         build_A(3, (4, 5), 1)
+
+
+def test_builders_leave_the_thresholds_to_the_structure(monkeypatch):
+    """Each builder makes its structure before it searches a prime, so a
+    threshold above N, or a window's t below 2 or m below 1, fails with the
+    structure's message and no prime is looked for."""
+    calls = []
+    monkeypatch.setattr(field, "next_prime_at_least", lambda m: calls.append(m))
+    for build in (
+        lambda: build_weak_block(3, 4, 2),
+        lambda: build_weak_block(3, 4, 2, q=11),
+        lambda: build_A(3, (4, 5), 1),
+        lambda: build_B(3, (4, 5), (2, 1)),
+    ):
+        with pytest.raises(ValueError, match="threshold out of range: exceeds participant count"):
+            build()
+    with pytest.raises(ValueError, match="threshold out of range: must be >= 2"):
+        build_weak_block(3, 1, 2)
+    with pytest.raises(ValueError, match="sub-array needs at least one secret"):
+        build_weak_block(3, 2, 0)
+    assert calls == []
 
 
 def test_stitched_explicit_field():
@@ -802,6 +824,31 @@ def test_concurrent_first_reads_of_a_composed_matrix():
                 assert np.array_equal(got[0][2], serial[2])
     finally:
         sys.setswitchinterval(switch)
+
+
+def test_composed_matrix_and_text_are_made_in_place():
+    """The 45-leaf weak-sigma build of (N=5, T=4,4,4,4,4,4,4,2): the first
+    read of its matrix places each leaf's blocks into the one array it
+    allocates, so its traced peak is at most 1.1 times the matrix's bytes
+    (a diagonal stack copied into variable order would need two), and its
+    text, written one variable block at a time, peaks below them."""
+    s = build_optimal(structure(5, [(4, 7), (2, 1)]), RatioKind(SIGMA, WEAK))
+    assert len(s.leaves) == 45 and "matrix" not in vars(s)
+    tracemalloc.start()
+    try:
+        matrix = s.matrix
+        placed = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    tracemalloc.start()
+    try:
+        text = s.to_text()
+        written = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert matrix.shape == (240, 615)
+    assert placed <= 1.1 * matrix.nbytes
+    assert written < matrix.nbytes and len(text) == 296_364
 
 
 # -- ratio-optimal construction --------------------------------------------
