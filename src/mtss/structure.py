@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import itertools
 import re
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -325,45 +326,41 @@ def bound_row(sp: StructurePair, name: str, k: int = 1) -> ShareSecretBound:
 
     share-sum and strong-randomness hold under strong secrecy only; the
     others under weak secrecy too.  Only tsdb and tsb depend on the level k.
+    Every alpha of a row is one value, and each call builds only its own
+    family's coefficients.
     """
     kk = sp.k_levels
     if not 1 <= k <= kk:
         raise ValueError("level out of range")
-    t = {i: sp.threshold(i) for i in range(1, kk + 1)}
-    slots = sp.secret_slots()
-    suffix = {(i, j): 1 for i, j in slots if i >= k}  # every secret from level k
-    alpha0, alpha, beta = 0, {}, {}
+    t = sp.threshold
     if name == "share-sum":
-        alpha = {1: 1}
-        beta = dict.fromkeys(slots, 1)
-    elif name == "dtb":
-        alpha = {1: 1}
-        beta = {(i, 1): 1 for i in range(1, kk + 1)}
-    elif name == "tsdb":
-        alpha = dict.fromkeys(range(1, t[k] + 1), 1)
-        beta = {(i, 1): t[k] for i in range(1, k)} | suffix
+        return ShareSecretBound(0, {1: 1}, dict.fromkeys(sp.secret_slots(), 1))
+    if name == "dtb":
+        return ShareSecretBound(0, {1: 1}, {(i, 1): 1 for i in range(1, kk + 1)})
+    if name in ("tsdb", "tsb"):
+        # the first secret of each level before k, then every secret from k
+        slots = sp.secret_slots()
+        suffix = dict.fromkeys(slots[bisect_left(slots, (k, 1)) :], 1)
+        if name == "tsb":
+            return ShareSecretBound(1, {}, {(i, 1): t(i) for i in range(1, k)} | suffix)
+        tk = t(k)
+        beta = {(i, 1): tk for i in range(1, k)} | suffix
         for i in range(k + 1, kk + 1):
-            beta[(i, 1)] += t[k] - t[i]
-    elif name == "tpb":
-        p = prod(t.values())
-        alpha = dict.fromkeys(range(1, t[1] + 1), p // t[1])
-        beta = {(i, j): p // t[i] for i, j in slots}
-    elif name == "avg-share":
+            beta[(i, 1)] += tk - t(i)
+        return ShareSecretBound(0, dict.fromkeys(range(1, tk + 1), 1), beta)
+    if name == "tpb":
+        p = prod(a.threshold for a in sp.arrays)
+        beta = {(i, j): p // t(i) for i, j in sp.secret_slots()}
+        return ShareSecretBound(0, dict.fromkeys(range(1, t(1) + 1), p // t(1)), beta)
+    if name == "avg-share":
         a_max = max(min(a.threshold, a.count) for a in sp.arrays)
         alpha = dict.fromkeys(range(1, sp.n_parties + 1), a_max)
-        beta = dict.fromkeys(slots, sp.n_parties)
-    elif name == "strong-randomness":
-        alpha0 = 1
-        beta = {(i, j): t[i] for i, j in slots}
-    elif name == "tvb":
-        alpha0 = 1
-        beta = {(i, 1): t[i] for i in range(1, kk + 1)}
-    elif name == "tsb":
-        alpha0 = 1
-        beta = {(i, 1): t[i] for i in range(1, k)} | suffix
-    else:
-        raise ValueError(f"unknown bound {name!r}")
-    return ShareSecretBound(alpha0, alpha, beta)
+        return ShareSecretBound(0, alpha, dict.fromkeys(sp.secret_slots(), sp.n_parties))
+    if name == "strong-randomness":
+        return ShareSecretBound(1, {}, {(i, j): t(i) for i, j in sp.secret_slots()})
+    if name == "tvb":
+        return ShareSecretBound(1, {}, {(i, 1): t(i) for i in range(1, kk + 1)})
+    raise ValueError(f"unknown bound {name!r}")
 
 
 # --------------------------------------------------------------------------

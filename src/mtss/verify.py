@@ -32,12 +32,16 @@ ranks once.  A profile keeps the structure, q and what it ranks from, and
 no reference back to its scheme, so a checked scheme is freed by reference
 counting.
 
-The audit lists the secret-size pair gains I(P_a; P_b | rest) once per
-level and pairs that list with each secret of the level.  It asks
-`structure.bound_row` for each row once per level, lists the row's rhs over
-the sorted share tuples once, and pairs that list with each pick of another
-secret of a level, read by swapping two secret widths.  A check keeps a
-compact key and makes its params dict only when it is read.
+The audit works by blocks, each two plain lists joined in one
+comprehension per head: one rhs per share set and one lhs per head.  A
+secret-size block is a level's pair gains I(P_a; P_b | rest) and its
+secrets.  A row block is one `structure.bound_row` row at one level: its rhs
+alpha0 h(every share) + c sum width(P_i) on each sorted share tuple, and the
+lhs of each pick of one secret per level, the row's lhs plus one move
+(beta_i1 - beta_ij)(w_ij - w_i1) per level.  The structure-only index lists
+(pair masks and share tuples) are kept in two small bounded memos, each list
+cut at the cap.  A check keeps a compact key and makes its params dict only
+when it is read.
 """
 
 from __future__ import annotations
@@ -45,9 +49,10 @@ from __future__ import annotations
 import threading
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations, groupby, product
+from functools import lru_cache
+from itertools import combinations, groupby, islice, product
 from math import comb
-from operator import attrgetter
+from operator import attrgetter, getitem
 
 from mtss import field
 from mtss.structure import MEASURES, STRONG, VariableId, bound_row, conditions
@@ -500,110 +505,133 @@ def audit_bounds(
 
     Every share rank comes from the profile (the scheme's rank table), which
     fills only the share sets read, so a composed scheme's audit sums
-    its leaves' entries and eliminates nothing of its own.  The secret-size
-    rhs I(P_a; P_b | the rest) does not depend on the secret, so each level
-    computes its list of pair gains once, cut at what the cap leaves, and
-    every secret j of the level reads that list with its own lhs.  Each row
-    is asked of `bound_row` once per level k, and its rhs over the sorted
-    share tuples is listed once: a pick changes only which secret widths
-    its betas read, so each pick reads that list with its own lhs.  A check
-    keeps a compact key, and its `params` dict is made only when read.
+    its leaves' entries and eliminates nothing of its own.  A family is
+    evaluated in blocks, each two plain lists: one rhs per share set, cut
+    at what the cap leaves, and one lhs per head, and each head adds its
+    checks on the rhs list in one comprehension.  The secret-size rhs
+    I(P_a; P_b | the rest) does not depend on the secret, so a level's
+    block lists its pair gains once and its heads are the level's secrets
+    j, each with its width as lhs.  A row is asked of `bound_row` once per
+    level k: its rhs on a share tuple d is alpha0 h(every share) + c sum
+    width(P_i) over d, as every alpha of a row is one value c, and its heads
+    are the picks of one secret j per level i, drawn in `product` order and
+    only until the cap.  Secret j trading places with the level's first
+    moves the lhs by (beta_i1 - beta_ij)(w_ij - w_i1), so a pick's lhs is
+    the row's lhs plus one listed move per level.  A check keeps a compact
+    key, and its `params` dict is made only when read.
 
     A strong scheme is also weakly secure, so a strong audit includes every
     weak bound; two bound families are valid only under strong secrecy and
-    are skipped from weak audits.
+    are skipped from weak audits.  A scheme that fails the security is
+    refused with the first witness of its report.
     """
     if cap < 1:
         raise ValueError(f"audit cap must be at least 1, got {cap}")
-    if not check_conditions(scheme, security).passed:
-        raise ValueError("precondition: scheme invalid")
+    report = check_conditions(scheme, security)
+    if not report.passed:
+        first = next(
+            r.witness for r in (report.independence, report.decodable, report.secure) if not r.ok
+        )
+        raise ValueError(f"precondition: scheme invalid: fails {security} security ({first})")
     sp = scheme.sp
     n = sp.n_parties
     kk = sp.k_levels
+    count = sp.count
     # Shares come last in the variable order: share i is bit ns + i - 1.
     ns = sp.n_secrets
     w = dict(zip(sp.secret_slots(), scheme.widths))
-    hp = dict(enumerate(scheme.widths[ns:], start=1))
+    sw = scheme.widths[ns:]  # share i's width at i - 1
     h = scheme.profile
     h_all_shares = h[((1 << n) - 1) << ns]
 
-    def pair_gains(t):
-        """((shares, a, b), I(P_a; P_b | the rest of shares)) for every share
-        set of size t + 1 and pair in it: the secret-size rhs, whatever j."""
-        for dset in combinations(range(1, n + 1), t + 1):
-            d = sum(1 << (ns + i - 1) for i in dset)
-            for a, b in combinations(dset, 2):
-                pa = 1 << (ns + a - 1)
-                pb = 1 << (ns + b - 1)
-                rest = d ^ pa ^ pb
-                yield (dset, a, b), h[rest | pa] + h[rest | pb] - h[d] - h[rest]
+    # secret-size: per level with t < N, its pair gains, and each secret j
+    # with its width as lhs
+    out = []
+    for k in range(1, kk + 1):
+        t = sp.threshold(k)
+        if t >= n or len(out) == cap:
+            continue
+        masks = _pair_masks(n, ns, t, min(cap - len(out), comb(n, t + 1) * comb(t + 1, 2)))
+        items = [(item, h[ra] + h[rb] - h[d] - h[rest]) for item, ra, rb, d, rest in masks]
+        for j in range(1, count(k) + 1):
+            lhs = w[k, j]
+            out += [
+                BoundCheck("secret-size", (k, j, item), lhs, r)
+                for item, r in items[: cap - len(out)]
+            ]
 
-    def secret_size():
-        """Per level: its pair gains, and each secret j with its width."""
-        for k in range(1, kk + 1):
-            t = sp.threshold(k)
-            if t < n:
-                yield pair_gains(t), [(k, j, w[k, j]) for j in range(1, sp.count(k) + 1)]
-
-    def rows(name, per_level, pick_levels):
-        """Per level k (or k = 1 alone): the row's rhs on every sorted tuple
-        of as many shares as it has alphas, and a lazy pass over its lhs at
-        each pick of a secret j on every level i of `pick_levels(kk, k)`,
-        where secret j trades widths with the level's first."""
-        for k in range(1, kk + 1 if per_level else 2):
-            row = bound_row(sp, name, k)
-            alpha = list(row.alpha.values())
-            rhs = (
-                (d, row.alpha0 * h_all_shares + sum(c * hp[i] for c, i in zip(alpha, d)))
-                for d in combinations(range(1, n + 1), len(alpha))
-            )
-            yield rhs, picks_lhs(k, row, pick_levels(kk, k))
-
-    def picks_lhs(k, row, levels):
-        """(k, picks, the row's lhs) for each pick, in `product` order."""
-        for js in product(*(range(1, sp.count(i) + 1) for i in levels)):
-            picks = dict(zip(levels, js))
-            picked = dict(w)
-            for i, j in picks.items():
-                picked[i, 1], picked[i, j] = w[i, j], w[i, 1]
-            yield k, picks, sum(c * picked[slot] for slot, c in row.beta.items())
-
-    def family(name, blocks):
-        """The first `cap` checks of a family.  Each block is a lazy sequence
-        of (item, rhs), listed once and only as far as the cap allows, and
-        a lazy pass over the (x, y, lhs) of each check on it, drawn only
-        until the cap: the check on an item is keyed (x, y, item)."""
-        out = []
-        for items, heads in blocks:
-            items = [item for _, item in zip(range(cap - len(out)), items)]
-            for x, y, lhs in heads:
-                out += [
-                    BoundCheck(name, (x, y, item), lhs, rhs)
-                    for item, rhs in items[: cap - len(out)]
-                ]
-                if len(out) == cap:
-                    return out
-        return out
-
-    def extra_n3():
-        """One block for N = 3 with a threshold-3 level of at least four
-        secrets and a threshold-2 level of at least three: its items are
-        the shares d with their rhs, its heads the first four secrets s of
-        the threshold-3 level with their lhs."""
-        levels = range(1, kk + 1) if n == 3 else ()
-        lvl3 = next((i for i in levels if sp.threshold(i) == 3 and sp.count(i) >= 4), None)
-        lvl2 = next((i for i in levels if sp.threshold(i) == 2 and sp.count(i) >= 3), None)
-        if lvl3 is None or lvl2 is None:
-            return
-        base = sum(w[lvl3, j] for j in range(1, 5)) + 2 * sum(w[lvl2, j] for j in range(1, 4))
-        all_three = sum(hp.values())
-        yield (
-            ((d, all_three + hp[d]) for d in (1, 2, 3)),
-            ((s, None, w[lvl3, s] + base) for s in range(1, 5)),
-        )
-
-    out = family("secret-size", secret_size())
     for name, strong_only, per_level, pick_levels, _ in _ROW_FAMILIES:
-        if security == STRONG or not strong_only:
-            out += family(name, rows(name, per_level, pick_levels))
-    return out + family("extra-n3", extra_n3())
+        if strong_only and security != STRONG:
+            continue
+        checks = []
+        for k in range(1, kk + 1 if per_level else 2):
+            if len(checks) == cap:
+                break
+            row = bound_row(sp, name, k)
+            size = len(row.alpha)
+            c = row.alpha[1] if size else 0
+            base = row.alpha0 * h_all_shares
+            # the share tuples and their widths' sums, both in sorted order
+            sets = _share_sets(n, size, min(cap - len(checks), comb(n, size)))
+            items = [(d, base + c * x) for d, x in zip(sets, map(sum, combinations(sw, size)))]
+            beta = row.beta
+            levels = pick_levels(kk, k)
+            lhs0 = sum(b * w[slot] for slot, b in beta.items())
+            moves = []  # per picked level i, the lhs move of each pick j, at j
+            for i in levels:
+                b1, w1 = beta.get((i, 1), 0), w[i, 1]
+                secrets = range(1, count(i) + 1)
+                moves.append([0] + [(b1 - beta.get((i, j), 0)) * (w[i, j] - w1) for j in secrets])
+            for js in product(*(range(1, count(i) + 1) for i in levels)):
+                picks = dict(zip(levels, js))
+                lhs = lhs0 + sum(map(getitem, moves, js))
+                checks += [
+                    BoundCheck(name, (k, picks, d), lhs, r) for d, r in items[: cap - len(checks)]
+                ]
+                if len(checks) == cap:
+                    break
+        out += checks
+
+    # extra-n3: for N = 3 with a threshold-3 level of at least four secrets
+    # and a threshold-2 level of at least three, the shares d with their
+    # rhs, and the first four secrets s of the threshold-3 level with their
+    # lhs
+    levels = range(1, kk + 1) if n == 3 else ()
+    lvl3 = next((i for i in levels if sp.threshold(i) == 3 and count(i) >= 4), None)
+    lvl2 = next((i for i in levels if sp.threshold(i) == 2 and count(i) >= 3), None)
+    if lvl3 is not None and lvl2 is not None:
+        base = sum(w[lvl3, j] for j in range(1, 5)) + 2 * sum(w[lvl2, j] for j in range(1, 4))
+        items = [(d, sum(sw) + sw[d - 1]) for d in (1, 2, 3)]
+        checks = []
+        for s in range(1, 5):
+            checks += [
+                BoundCheck("extra-n3", (s, None, d), w[lvl3, s] + base, r)
+                for d, r in items[: cap - len(checks)]
+            ]
+        out += checks
+    return out
+
+
+@lru_cache(maxsize=64)
+def _pair_masks(n: int, ns: int, t: int, limit: int) -> tuple:
+    """The first `limit` secret-size items of a threshold-t level, for N = n
+    and ns secrets: ((shares, a, b), then the masks of the rest of the
+    shares with P_a, with P_b, all of them, and the rest alone) for every
+    share set of size t + 1 and pair in it, in audit order."""
+    out = []
+    for dset in combinations(range(1, n + 1), t + 1):
+        d = sum(1 << (ns + i - 1) for i in dset)
+        for a, b in combinations(dset, 2):
+            if len(out) == limit:
+                return tuple(out)
+            pa = 1 << (ns + a - 1)
+            pb = 1 << (ns + b - 1)
+            rest = d ^ pa ^ pb
+            out.append(((dset, a, b), rest | pa, rest | pb, d, rest))
+    return tuple(out)
+
+
+@lru_cache(maxsize=64)
+def _share_sets(n: int, size: int, limit: int) -> tuple:
+    """The first `limit` sorted tuples of `size` of the shares 1..n."""
+    return tuple(islice(combinations(range(1, n + 1), size), limit))

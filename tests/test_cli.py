@@ -516,6 +516,18 @@ def test_audit_cap(capsys, sigma_scheme):
         assert err.startswith("error: ") and "cap" in err and err.count("\n") == 1, cap
 
 
+def test_audit_names_the_failed_security(capsys, sigma_scheme):
+    """A weak build audited at strong security exits 2 with one stderr line
+    that names the security and the first witness of the failed report."""
+    code, out, err = run(capsys, "audit", str(sigma_scheme), "--security", "strong")
+    assert code == USAGE and out == ""
+    assert err.count("\n") == 1
+    assert err.startswith(
+        "error: precondition: scheme invalid: fails strong security "
+        "(secure fails at shares {P[1]}, secrets {S[1,1], S[1,2], S[1,3]}"
+    ), err
+
+
 @pytest.mark.parametrize(
     "n,t,ratio,security,lines,digest",
     [

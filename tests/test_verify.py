@@ -1007,8 +1007,10 @@ def _reference_audit(scheme, security, cap=verify.DEFAULT_AUDIT_CAP):
 
 def _audited_schemes():
     """(label, scheme): the acceptance catalog, the extra-n3 structure
-    (N=3, T=3,3,3,3,2,2,2), a composed scheme read back from text and an
-    N=6 weak-sigma build whose secret-size and tsdb families pass cap 50."""
+    (N=3, T=3,3,3,3,2,2,2), a composed scheme read back from text, an
+    N=6 weak-sigma build whose secret-size and tsdb families pass cap 50,
+    and three tau-avg builds, whose secret widths are 0 and 1 (the strong
+    N=4 one's differ within a level, so that a pick moves a row's lhs)."""
     from test_acceptance import build_catalog
 
     entries, combos = build_catalog()
@@ -1018,6 +1020,10 @@ def _audited_schemes():
         ("composed text", LinearScheme.from_text(combos[0][0].to_text())),
         ("N6 3,3,2", sigma_optimal(parse_thresholds(6, "3,3,2"))),
     ]
+    for n, t, security in ((4, "4,4,3,3,2,2", STRONG), (4, "4,4,3,3,2,2", WEAK),
+                           (3, "3,3,2,2", WEAK)):
+        kind = RatioKind(TAU_AVG, security)
+        out.append((f"tau-avg N{n} {t} {security}", build_optimal(parse_thresholds(n, t), kind)))
     return out
 
 
@@ -1072,6 +1078,22 @@ def test_capped_audit_draws_picks_only_up_to_the_cap(monkeypatch):
         got = audit_bounds(s, WEAK, cap)
         assert 0 < len(drawn) <= cap * len(verify._ROW_FAMILIES), cap
         assert _fields(got) == _fields(_reference_audit(s, WEAK, cap)), cap
+
+
+def test_capped_audit_lists_only_what_the_cap_reads(monkeypatch):
+    """The memoized index lists are cut at the cap: with N = 16 and t = 2,
+    a level has 1,680 secret-size items and tsdb 120 share pairs, but an
+    audit at cap 5 lists at most 5 pair masks or share tuples per block."""
+    s = build_single_threshold(2, 16)
+    listed = []
+    for name in ("_pair_masks", "_share_sets"):
+        real = getattr(verify, name)
+        monkeypatch.setattr(
+            verify, name, lambda *args, real=real: listed.append(real(*args)) or listed[-1]
+        )
+    got = audit_bounds(s, STRONG, cap=5)
+    assert len(listed) > 1 and max(map(len, listed)) == 5
+    assert _fields(got) == _fields(_reference_audit(s, STRONG, 5))
 
 
 def test_bound_checks_compare_and_print_as_the_dataclass():
