@@ -313,7 +313,10 @@ class _RegionMemo:
     """The last optimal basis of each cone-LP region, at most `limit`
     stored tableau entries in all; a store replaces the region's basis and
     makes it the newest, so the least recently solved region leaves first.
-    A store takes a lock, so LPs may be solved from several threads."""
+    A basis's size is its `entries`, which phase 1 counted once for every
+    basis of the region, so a store sums no rows, and storing the basis a
+    region already holds only makes it the newest.  A store takes a lock,
+    so LPs may be solved from several threads."""
 
     def __init__(self, limit: int):
         self.limit = limit

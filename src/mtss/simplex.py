@@ -14,25 +14,32 @@ dropped, so phase 1 only drives out the artificials of rows with a positive
 rhs.  The remaining artificial columns are dropped before phase 2.
 Dropping a column changes only the row scales, so the pivots are those of a
 full tableau that bars each artificial column from the point it is dropped.
-Coefficients may be ints or Fractions; each row is scaled to ints once, as
-it is added (a row of ints as it is).  A solve returns the status, the
-exact optimum and optimal point as Fractions, and the tableau size and
-pivot counts (`SimplexStats`); it returns no dual certificate.
+The objective row keeps a positive scale too, which each pivot updates as
+it does the others'.  Coefficients may be ints or Fractions; each row is
+scaled to ints once, as it is added (a row of ints as it is), and the
+objective by a factor f.  A solve returns the status, the exact optimum
+and optimal point as Fractions, and the tableau size and pivot counts
+(`SimplexStats`); it returns no dual certificate.  Every number stays an
+int until the result is read: the optimum is one Fraction, the objective
+row's -rhs over the product of its scale and f, and the point holds a
+Fraction only at its nonzero basic coordinates (the others share one zero).
 
 A solve is two steps.  Phase 1 (`_phase1`: the crash start, phase 1 and
 the clean-up) reads no objective, and ends in a `FeasibleBasis`: the
 tableau rows after the artificial columns are dropped, frozen as tuples,
 with their scales, basis and column ids and the phase-1 and clean-up pivot
-counts.  Phase 2 (`_phase2`) prices an objective on a copy of a feasible
-basis, runs to the optimum and returns the final basis too, frozen the
-same way with the same phase-1 and clean-up counts.  Every basis of a row
-set is feasible whatever the objective, so any number of objectives can
-share one phase 1, and each can start where the last one stopped.  A
-`LinearProgram` keeps the final basis of its last solve until a row is
-added, and a program made by `LinearProgram.from_basis` starts from a
-given basis: it holds no rows and runs only phase 2.  Its status and value
-are those a solve from the rows would return; the optimal point (when
-there are several) and the phase-2 pivot count depend on the start.
+counts.  Phase 2 (`_phase2`) prices an objective on the frozen rows of a
+feasible basis, copies them only when a column can enter, runs to the
+optimum and returns the final basis too, frozen the same way with the
+same phase-1 and clean-up counts; a solve with no pivot copies nothing and
+returns the basis it started from.  Every basis of a row set is feasible
+whatever the objective, so any number of objectives can share one phase
+1, and each can start where the last one stopped.  A `LinearProgram`
+keeps the final basis of its last solve until a row is added, and a
+program made by `LinearProgram.from_basis` starts from a given basis: it
+holds no rows and runs only phase 2.  Its status and value are those a
+solve from the rows would return; the optimal point (when there are
+several) and the phase-2 pivot count depend on the start.
 
 Problems are stated as:  minimize c . x  subject to  rows (=, >=), x >= 0;
 a <= row is the >= row of its negation.
@@ -60,8 +67,9 @@ class SimplexStats:
     are split into phase 1, the pivots that move zero-valued artificials
     out of the basis (the crash start's before phase 1 and the clean-up's
     after it), and phase 2.  Phase-2 pivots count from the basis the solve
-    started at; the phase-1 and clean-up counts are those of the row
-    set's phase 1, however many solves ago it ran.
+    started at (with none, the solve copied no tableau); the phase-1 and
+    clean-up counts are those of the row set's phase 1, however many
+    solves ago it ran.
     """
 
     rows: int
@@ -81,7 +89,8 @@ class SimplexResult:
 
 def _integerize(coeffs, rhs):
     """Scale a rational row by a positive integer so every entry is an int.
-    A row of ints is returned as it is."""
+    A row of ints is returned as it is.  With a rhs of 1, the returned
+    rhs is the factor the row was scaled by."""
     if type(rhs) is int and set(map(type, coeffs)) <= {int}:
         return coeffs, rhs
     try:
@@ -100,9 +109,10 @@ class FeasibleBasis(NamedTuple):
     `scale`, `basis` and `cols` their scales, basic column ids and stored
     column ids.  `columns` counts the columns of the full tableau, and
     `entries` the stored tableau entries, the same for every basis of the
-    row set.  It reads no objective: phase 2 carries the phase-1 and
-    clean-up counts over to its final basis.  (A named tuple: a frozen
-    dataclass takes about 1 ms longer to define at import.)
+    row set: phase 1 counts them once.  It reads no objective: phase 2
+    carries the phase-1 and clean-up counts and `entries` over to its
+    final basis.  (A named tuple: a frozen dataclass takes about 1 ms
+    longer to define at import.)
     """
 
     n_vars: int
@@ -113,10 +123,7 @@ class FeasibleBasis(NamedTuple):
     cols: tuple[int, ...]
     phase1_pivots: int
     cleanup_pivots: int
-
-    @property
-    def entries(self) -> int:
-        return sum(map(len, self.rows))
+    entries: int
 
 
 class LinearProgram:
@@ -192,7 +199,8 @@ def _pivot(rows, scale, basis, cols, pr, k):
     Each other row with a nonzero a at k becomes p * row - a * prow, where p
     is the pivot; position k, which now holds the leaving column, gets that
     column's entry -a * d_pr.  Every updated row is reduced by the gcd of
-    its entries and its scale.  A scale of 0 marks the objective row.
+    its entries and its scale.  The objective row, last in `rows` when
+    there is one, is updated the same way, so its scale stays positive too.
     """
     prow = rows[pr]
     p = prow[k]
@@ -275,15 +283,15 @@ def _drop_artificials(tableau, cols, n_real):
 
 def _priced(tableau, basis, scale, cols, cost):
     """The objective row of `cost` (a cost per column id) on the current
-    basis: L * (reduced costs, -value), for L the lcm of the scales of the
-    basic columns with nonzero cost."""
+    basis and its scale L: L * (reduced costs, -value), for L the lcm of
+    the scales of the basic columns with nonzero cost."""
     priced = [(row, cost[c], d) for row, c, d in zip(tableau, basis, scale) if cost[c]]
     big = lcm(*(d for _, _, d in priced))
     obj = [big * cost[c] for c in cols] + [0]
     for row, cb, d in priced:
         f = big // d * cb
         obj = [u - f * v for u, v in zip(obj, row)]
-    return obj
+    return obj, big
 
 
 def _phase1(n_vars, rows) -> FeasibleBasis | SimplexResult:
@@ -318,7 +326,7 @@ def _phase1(n_vars, rows) -> FeasibleBasis | SimplexResult:
         if b < 0 or start < n_real:
             row = [-v for v in row]
         tableau.append(row)
-    scale = [1] * len(tableau) + [0]  # the last entry is the objective's
+    scale = [1] * (len(tableau) + 1)  # the last entry is the objective row's
 
     # ---- crash start: the artificials at rhs 0 leave before phase 1, and
     # their columns are dropped, so phase 1 never brings them back.
@@ -327,7 +335,7 @@ def _phase1(n_vars, rows) -> FeasibleBasis | SimplexResult:
         tableau, cols = _drop_artificials(tableau, cols, n_real)
 
     # ---- phase 1: drive the remaining artificial variables to zero
-    obj1 = _priced(tableau, basis, scale, cols, [0] * n_real + [1] * n_art)
+    obj1, scale[-1] = _priced(tableau, basis, scale, cols, [0] * n_real + [1] * n_art)
     status, phase1 = _run_simplex(tableau, obj1, scale, basis, cols)
     assert status == OPTIMAL  # phase-1 objective is bounded below by 0
 
@@ -344,33 +352,41 @@ def _phase1(n_vars, rows) -> FeasibleBasis | SimplexResult:
     tableau, cols = _drop_artificials(tableau, cols, n_real)
     return FeasibleBasis(
         n_vars, n_total, tuple(map(tuple, tableau)), tuple(scale[:-1]),
-        tuple(basis), tuple(cols), phase1, cleanup,
+        tuple(basis), tuple(cols), phase1, cleanup, sum(map(len, tableau)),
     )
 
 
 def _phase2(start: FeasibleBasis, objective) -> tuple[SimplexResult, FeasibleBasis]:
-    """Minimize `objective` from a copy of the feasible basis `start`; the
-    result and the final basis (`start` itself when no pivot was made)."""
-    tableau = [list(row) for row in start.rows]
-    scale = [*start.scale, 0]  # the last entry is the objective's
-    basis, cols = list(start.basis), list(start.cols)
+    """Minimize `objective` from the feasible basis `start`; the result and
+    the final basis (`start` itself when no pivot was made).  The objective
+    is priced on the frozen rows of `start`, which are copied only when a
+    column can enter."""
     n_vars = start.n_vars
-    cost = _integerize(objective, 0)[0] + [0] * (start.columns - n_vars)
-    obj2 = _priced(tableau, basis, scale, cols, cost)
-    status, phase2 = _run_simplex(tableau, obj2, scale, basis, cols)
+    cost, factor = _integerize(objective, 1)  # cost = factor * objective
+    cost = cost + [0] * (start.columns - n_vars)
+    obj, big = _priced(start.rows, start.basis, start.scale, start.cols, cost)
+    status, phase2, final = OPTIMAL, 0, start
+    if min(obj[:-1], default=0) < 0:  # a column can enter: pivot on a copy
+        tableau = [list(row) for row in start.rows]
+        scale = [*start.scale, big]  # the last entry is the objective row's
+        basis, cols = list(start.basis), list(start.cols)
+        status, phase2 = _run_simplex(tableau, obj, scale, basis, cols)
+        big = scale[-1]
+        if phase2:
+            final = start._replace(
+                rows=tuple(map(tuple, tableau)), scale=tuple(scale[:-1]),
+                basis=tuple(basis), cols=tuple(cols),
+            )
     stats = SimplexStats(
-        len(tableau), start.columns, start.phase1_pivots, start.cleanup_pivots, phase2
+        len(start.rows), start.columns, start.phase1_pivots, start.cleanup_pivots, phase2
     )
-    final = start._replace(
-        rows=tuple(map(tuple, tableau)), scale=tuple(scale[:-1]),
-        basis=tuple(basis), cols=tuple(cols),
-    ) if phase2 else start
     if status == UNBOUNDED:
         return SimplexResult(UNBOUNDED, None, None, stats), final
 
+    # The objective row's rhs is -value times its scale and the cost's factor.
     x = [Fraction(0)] * n_vars
-    for row, c, d in zip(tableau, basis, scale):
-        if c < n_vars:
+    for row, c, d in zip(final.rows, final.basis, final.scale):
+        if c < n_vars and row[-1]:
             x[c] = Fraction(row[-1], d)
-    value = sum((c * v for c, v in zip(objective, x)), Fraction(0))
+    value = Fraction(-obj[-1], big * factor)
     return SimplexResult(OPTIMAL, value, tuple(x), stats), final

@@ -688,7 +688,7 @@ def test_region_memo_keeps_its_bound_and_evicts_the_oldest_first(empty_region_me
     assert empty_region_memo.entries == sum(start.entries for start in kept)
 
     def basis(entries):
-        return simplex.FeasibleBasis(1, 1, ((0,) * entries,), (1,), (0,), (), 0, 0)
+        return simplex.FeasibleBasis(1, 1, ((0,) * entries,), (1,), (0,), (), 0, 0, entries)
 
     memo = cone._RegionMemo(10)
     steps = [
@@ -705,6 +705,23 @@ def test_region_memo_keeps_its_bound_and_evicts_the_oldest_first(empty_region_me
         memo.put(key, basis(entries))
         assert "".join(memo._bases) == want
         assert memo.entries == sum(start.entries for start in memo._bases.values()) <= 10
+
+
+def test_region_memo_refreshes_a_held_basis_in_place(empty_region_memo):
+    """A truncation check run again after the other kept-basis runs makes
+    no pivot, so it stores the two bases its regions already hold: the
+    memo's entry count stays, the same basis objects stay, and those two
+    regions become the newest."""
+    runs = _kept_basis_runs()
+    for run in [runs[-1], *runs[:-1]]:
+        run()
+    memo = empty_region_memo
+    entries, bases = memo.entries, dict(memo._bases)
+    truncation = list(bases)[:2]
+    runs[-1]()
+    assert memo.entries == entries
+    assert list(memo._bases) == [key for key in bases if key not in truncation] + truncation
+    assert all(memo._bases[key] is start for key, start in bases.items())
 
 
 def test_region_memo_under_threads(monkeypatch, empty_region_memo):

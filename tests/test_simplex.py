@@ -96,18 +96,26 @@ def _holds(coeffs, sense, rhs, point):
     return v <= rhs if sense == "le" else v >= rhs if sense == "ge" else v == rhs
 
 
+def _numbers(bound):
+    """Ints in [-bound, bound], or those over 2 to 4 as Fractions."""
+    return st.integers(-bound, bound) | st.builds(
+        F, st.integers(-bound, bound), st.integers(2, 4)
+    )
+
+
 @st.composite
 def _drawn_lps(draw):
     """(n, objective, rows) of a bounded LP.  Rows of every sense and rhs
     sign mix rows that start on their own slack with rows that start on an
-    artificial column."""
+    artificial column.  Any coefficient may be a Fraction, so the solver
+    scales the cost and the rows to ints."""
     n = draw(st.integers(1, 3))
-    obj = [draw(st.integers(-4, 4)) for _ in range(n)]
+    obj = [draw(_numbers(4)) for _ in range(n)]
     rows = []
     for _ in range(draw(st.integers(1, 4))):
-        coeffs = [draw(st.integers(-3, 3)) for _ in range(n)]
+        coeffs = [draw(_numbers(3)) for _ in range(n)]
         sense = draw(st.sampled_from(["le", "ge", "eq"]))
-        rhs = draw(st.integers(-3, 3))
+        rhs = draw(_numbers(3))
         rows.append((coeffs, sense, rhs))
     # keep things bounded
     rows.append(([1] * n, "le", 10))
@@ -383,21 +391,27 @@ def test_pivot_matches_dense_reference_on_cone_lp(kind, empty_region_memo):
     assert log["before"] > 0
 
 
-def _seeded_lps(count, seed):
+def _seeded_lps(count, seed, fractions=False):
     """Small LPs of every row sense and rhs sign, drawn from a seeded
     generator; without a bounding row, so some are unbounded.  Half the
-    equality rows have rhs 0, so most LPs start with a drive-out."""
+    equality rows have rhs 0, so most LPs start with a drive-out.  With
+    `fractions`, each objective entry, coefficient and nonzero rhs is a
+    Fraction over 2 to 4 half the time."""
     rng = random.Random(seed)
+
+    def number(bound):
+        v = rng.randint(-bound, bound)
+        return F(v, rng.randint(2, 4)) if fractions and rng.random() < 0.5 else v
 
     def row(n):
         sense = rng.choice(["le", "ge", "eq"])
-        rhs = 0 if sense == "eq" and rng.random() < 0.5 else rng.randint(-3, 3)
-        return [rng.randint(-3, 3) for _ in range(n)], sense, rhs
+        rhs = 0 if sense == "eq" and rng.random() < 0.5 else number(3)
+        return [number(3) for _ in range(n)], sense, rhs
 
     for _ in range(count):
         n = rng.randint(1, 4)
         rows = [row(n) for _ in range(rng.randint(1, 5))]
-        yield _program(n, [rng.randint(-4, 4) for _ in range(n)], rows)
+        yield _program(n, [number(4) for _ in range(n)], rows)
 
 
 def _table_family_lps():
@@ -524,17 +538,30 @@ def test_new_objective_from_the_kept_basis_solves_as_from_rows():
     counts.  The program then keeps the second solve's final basis (the
     kept one itself when it made no pivot), and solving the same objective
     again makes no pivot.  An infeasible program keeps no basis."""
+    _check_new_objective_from_the_kept_basis(fractions=False)
+
+
+def test_new_fraction_objective_from_the_kept_basis_solves_as_from_rows():
+    """As above, with Fractions in the rows and in both objectives, so
+    each cost is scaled to ints, and the value is read back at the first,
+    cold solve as at the second."""
+    _check_new_objective_from_the_kept_basis(fractions=True)
+
+
+def _check_new_objective_from_the_kept_basis(fractions):
     rng = random.Random(23)
     feasible = moved = 0
-    for lp in _seeded_lps(300, seed=17):
+    for lp in _seeded_lps(300, seed=17, fractions=fractions):
         first = lp.solve()
         if first.status == INFEASIBLE:
             assert lp.start is None
             continue
+        assert first.status == UNBOUNDED or _optimal_for(first, lp)
         feasible += 1
         kept = lp.start
         assert kept is not None and kept.n_vars == lp.n_vars
-        lp.minimize([rng.randint(-4, 4) for _ in range(lp.n_vars)])
+        lp.minimize([F(rng.randint(-8, 8), rng.randint(1, 4)) if fractions
+                     else rng.randint(-4, 4) for _ in range(lp.n_vars)])
         got = lp.solve()
         assert (lp.start is kept) == (got.stats.phase2_pivots == 0)
         assert _shape(lp.start) == _shape(kept)
@@ -550,6 +577,39 @@ def test_new_objective_from_the_kept_basis_solves_as_from_rows():
         again = lp.solve()
         assert again == got and again.stats.phase2_pivots == 0 and lp.start is final
     assert feasible > 100 and moved > 40
+
+
+def test_a_solve_with_no_pivot_copies_nothing(monkeypatch):
+    """A second objective that no column can improve is priced on the kept
+    basis's frozen rows and runs no simplex loop: the program keeps that
+    basis itself, rows and all.  When a column can enter, the loop runs on
+    a list copy of the rows, and a solve that pivots keeps a new basis."""
+    run = simplex._run_simplex
+    loops = []
+
+    def spy(tableau, obj, scale, basis, cols):
+        loops.append(tableau)
+        return run(tableau, obj, scale, basis, cols)
+
+    monkeypatch.setattr(simplex, "_run_simplex", spy)
+    rng = random.Random(29)
+    still = pivoted = 0
+    for lp in _seeded_lps(300, seed=31, fractions=True):
+        if lp.solve().status == INFEASIBLE:
+            continue
+        kept = lp.start
+        lp.minimize([F(rng.randint(-8, 8), rng.randint(1, 4)) for _ in range(lp.n_vars)])
+        loops.clear()
+        got = lp.solve()
+        if got.stats.phase2_pivots == 0:
+            assert lp.start is kept and lp.start.rows is kept.rows
+            still += got.status == OPTIMAL
+            assert loops == [] or got.status == UNBOUNDED
+        else:
+            pivoted += 1
+            assert lp.start is not kept and len(loops) == 1
+            assert all(type(row) is list for row in loops[0])
+    assert still > 50 and pivoted > 30
 
 
 def test_program_from_a_basis_takes_no_rows():
