@@ -26,11 +26,14 @@ sigma and tau of one (structure, security) have the same rows, and so do
 sigma-avg and tau-avg.  So `_minimize` keeps each region's last optimal
 basis in a process-wide memo keyed by (structure, security, extra rows,
 class key of every variable), and solves a later LP over the region from
-it with phase 2 alone; a repeated LP makes no pivot.  The memo is bounded
-by REGION_ENTRIES stored tableau entries, least recently solved out
-first, not by a count of regions: one region's tableau holds from tens to
-thousands of entries, and a count small enough for the largest would not
-hold a whole table sweep.
+it with phase 2 alone.  A repeated LP makes no pivot and prices nothing:
+the basis keeps its last objective row, and the value is read off it.
+`_minimize` reads only each result's status and value, so no cone solve
+makes its optimal point.  The memo is bounded by REGION_ENTRIES stored
+tableau entries, least recently solved out first, not by a count of
+regions: one region's tableau holds from tens to thousands of entries,
+and a count small enough for the largest would not hold a whole table
+sweep.
 """
 
 from __future__ import annotations
@@ -55,7 +58,10 @@ REGION_ENTRIES = 1 << 18
 
 
 def _exact(v) -> int | Fraction:
-    """A rational as an int when it is integral, else as a Fraction."""
+    """A rational as an int when it is integral, else as a Fraction.  An
+    int is returned as it is."""
+    if type(v) is int:
+        return v
     v = Fraction(v)
     return v.numerator if v.denominator == 1 else v
 
@@ -314,8 +320,9 @@ class _RegionMemo:
     stored tableau entries in all; a store replaces the region's basis and
     makes it the newest, so the least recently solved region leaves first.
     A basis's size is its `entries`, which phase 1 counted once for every
-    basis of the region, so a store sums no rows, and storing the basis a
-    region already holds only makes it the newest.  A store takes a lock,
+    basis of the region (its tableau rows and the objective row a basis
+    keeps), so a store sums no rows, and storing the basis a region
+    already holds only makes it the newest.  A store takes a lock,
     so LPs may be solved from several threads."""
 
     def __init__(self, limit: int):
@@ -365,16 +372,17 @@ def _minimize(sp: StructurePair, security: str, objective: dict, rows, colour) -
     basis of each solve is kept in a process-wide memo (`_REGIONS`) under
     that key.  A later LP over the region, such as tau after sigma, starts
     phase 2 at the last optimum: no rows are generated or assembled and no
-    phase 1 runs, and the same LP again makes no pivot.  The value is the
-    LP's optimum wherever phase 2 starts.  The memo keeps only the frozen
-    bases, at most REGION_ENTRIES tableau entries in all, and drops the
-    least recently solved region first.  The bound counts entries, not
-    bases: one region's tableau holds from tens to thousands of entries
-    (the same for each of its bases), and an LP may come back to its
-    region long after the first solve (the bench's LP workloads draw sigma
-    and tau of one region about half a run apart), so the memo must hold
-    a whole sweep.  The 148 regions of the table's cells of up to 7
-    variables hold 120,222 entries.
+    phase 1 runs, and the same LP again makes no pivot and reads its value
+    off the objective row the basis keeps.  The value is the LP's optimum
+    wherever phase 2 starts.  The memo keeps only the frozen bases, at
+    most REGION_ENTRIES tableau entries in all (objective rows included),
+    and drops the least recently solved region first.  The bound counts
+    entries, not bases: one region's tableau holds from tens to thousands
+    of entries (the same for each of its bases), and an LP may come back
+    to its region long after the first solve (the bench's LP workloads
+    draw sigma and tau of one region about half a run apart), so the memo
+    must hold a whole sweep.  The 148 regions of the table's cells of up
+    to 7 variables hold 122,452 entries.
     Callers read `_variable_masks` first, which checks the size cap.
     """
     n = sp.n_parties + sp.n_secrets

@@ -21,8 +21,10 @@ objective by a factor f.  A solve returns the status, the exact optimum
 and optimal point as Fractions, and the tableau size and pivot counts
 (`SimplexStats`); it returns no dual certificate.  Every number stays an
 int until the result is read: the optimum is one Fraction, the objective
-row's -rhs over the product of its scale and f, and the point holds a
-Fraction only at its nonzero basic coordinates (the others share one zero).
+row's -rhs over the product of its scale and f, and the point is made from
+the final basis only when the result's `x` is first read, with a Fraction
+only at its nonzero basic coordinates (the others share one zero).  A
+caller that reads only the status and value makes no point.
 
 A solve is two steps.  Phase 1 (`_phase1`: the crash start, phase 1 and
 the clean-up) reads no objective, and ends in a `FeasibleBasis`: the
@@ -31,15 +33,19 @@ with their scales, basis and column ids and the phase-1 and clean-up pivot
 counts.  Phase 2 (`_phase2`) prices an objective on the frozen rows of a
 feasible basis, copies them only when a column can enter, runs to the
 optimum and returns the final basis too, frozen the same way with the
-same phase-1 and clean-up counts; a solve with no pivot copies nothing and
-returns the basis it started from.  Every basis of a row set is feasible
-whatever the objective, so any number of objectives can share one phase
-1, and each can start where the last one stopped.  A `LinearProgram`
-keeps the final basis of its last solve until a row is added, and a
-program made by `LinearProgram.from_basis` starts from a given basis: it
-holds no rows and runs only phase 2.  Its status and value are those a
-solve from the rows would return; the optimal point (when there are
-several) and the phase-2 pivot count depend on the start.
+same phase-1 and clean-up counts.  An optimal final basis also keeps the
+integer cost it was priced for and its final objective row and scale, so
+phase 2 on that basis with the same integer cost prices nothing, makes no
+pivot and reads the value off the kept row, with its own factor f.  A
+solve with no pivot copies no rows: its final basis holds the rows it
+started from.  Every basis of a row set is feasible whatever the
+objective, so any number of objectives can share one phase 1, and each
+can start where the last one stopped.  A `LinearProgram` keeps the final
+basis of its last solve until a row is added, and a program made by
+`LinearProgram.from_basis` starts from a given basis: it holds no rows and
+runs only phase 2.  Its status and value are those a solve from the rows
+would return; the optimal point (when there are several) and the phase-2
+pivot count depend on the start.
 
 Problems are stated as:  minimize c . x  subject to  rows (=, >=), x >= 0;
 a <= row is the >= row of its negation.
@@ -47,7 +53,7 @@ a <= row is the >= row of its negation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
 from typing import NamedTuple
@@ -79,12 +85,38 @@ class SimplexStats:
     phase2_pivots: int
 
 
-@dataclass(frozen=True)
 class SimplexResult:
-    status: str
-    value: Fraction | None
-    x: tuple[Fraction, ...] | None
-    stats: SimplexStats | None = field(default=None, compare=False)
+    """The status of one solve, its exact optimum and optimal point (None
+    unless OPTIMAL) and its stats.  A solve's OPTIMAL result holds its
+    final basis in place of the point and makes `x` from it (`_point`) the
+    first time `x` is read: the basis is frozen, so a late read gives the
+    point the solve ended at.  Equality, hash and repr read status, value
+    and x; equality and hash leave out stats."""
+
+    __slots__ = ("status", "value", "stats", "_x", "_final")
+
+    def __init__(self, status: str, value: Fraction | None,
+                 x: tuple[Fraction, ...] | None, stats: SimplexStats | None = None):
+        self.status, self.value, self._x, self.stats = status, value, x, stats
+        self._final = None
+
+    @property
+    def x(self) -> tuple[Fraction, ...] | None:
+        if self._final is not None:
+            self._x, self._final = _point(self._final), None
+        return self._x
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.status, self.value, self.x) == (other.status, other.value, other.x)
+
+    def __hash__(self):
+        return hash((self.status, self.value, self.x))
+
+    def __repr__(self):
+        return (f"SimplexResult(status={self.status!r}, value={self.value!r}, "
+                f"x={self.x!r}, stats={self.stats!r})")
 
 
 def _integerize(coeffs, rhs):
@@ -108,10 +140,15 @@ class FeasibleBasis(NamedTuple):
     `rows` are the condensed tableau rows without artificial columns, and
     `scale`, `basis` and `cols` their scales, basic column ids and stored
     column ids.  `columns` counts the columns of the full tableau, and
-    `entries` the stored tableau entries, the same for every basis of the
-    row set: phase 1 counts them once.  It reads no objective: phase 2
-    carries the phase-1 and clean-up counts and `entries` over to its
-    final basis.  (A named tuple: a frozen dataclass takes about 1 ms
+    `entries` the stored entries of the tableau rows and of one objective
+    row, the same for every basis of the row set: phase 1 counts them
+    once.  It reads no objective: phase 2 carries the phase-1 and clean-up
+    counts and `entries` over to its final basis.  An OPTIMAL phase 2
+    keeps its objective row on its final basis: `cost`, the integer cost
+    per column id it priced (`_integerize`'s output, padded with zeros to
+    `columns`), and `obj` and `obj_scale`, the final objective row and its
+    scale.  A basis from phase 1, or where an unbounded phase 2 pivoted to,
+    keeps none.  (A named tuple: a frozen dataclass takes about 1 ms
     longer to define at import.)
     """
 
@@ -124,6 +161,9 @@ class FeasibleBasis(NamedTuple):
     phase1_pivots: int
     cleanup_pivots: int
     entries: int
+    cost: tuple[int, ...] | None = None
+    obj: tuple[int, ...] | None = None
+    obj_scale: int = 0
 
 
 class LinearProgram:
@@ -352,41 +392,57 @@ def _phase1(n_vars, rows) -> FeasibleBasis | SimplexResult:
     tableau, cols = _drop_artificials(tableau, cols, n_real)
     return FeasibleBasis(
         n_vars, n_total, tuple(map(tuple, tableau)), tuple(scale[:-1]),
-        tuple(basis), tuple(cols), phase1, cleanup, sum(map(len, tableau)),
+        tuple(basis), tuple(cols), phase1, cleanup, sum(map(len, tableau)) + len(cols) + 1,
     )
 
 
 def _phase2(start: FeasibleBasis, objective) -> tuple[SimplexResult, FeasibleBasis]:
     """Minimize `objective` from the feasible basis `start`; the result and
-    the final basis (`start` itself when no pivot was made).  The objective
-    is priced on the frozen rows of `start`, which are copied only when a
-    column can enter."""
+    the final basis.  When `start` keeps the objective row of the same
+    integer cost, the value is read off that row: nothing is priced or
+    copied, and the final basis is `start` itself.  Otherwise the
+    objective is priced on the frozen rows of `start`, which are copied
+    only when a column can enter.  A solve with no pivot keeps those rows
+    (an OPTIMAL one on a new basis that keeps the new row, an UNBOUNDED one
+    on `start` itself)."""
     n_vars = start.n_vars
     cost, factor = _integerize(objective, 1)  # cost = factor * objective
-    cost = cost + [0] * (start.columns - n_vars)
-    obj, big = _priced(start.rows, start.basis, start.scale, start.cols, cost)
+    cost = (*cost, *[0] * (start.columns - n_vars))
     status, phase2, final = OPTIMAL, 0, start
-    if min(obj[:-1], default=0) < 0:  # a column can enter: pivot on a copy
-        tableau = [list(row) for row in start.rows]
-        scale = [*start.scale, big]  # the last entry is the objective row's
-        basis, cols = list(start.basis), list(start.cols)
-        status, phase2 = _run_simplex(tableau, obj, scale, basis, cols)
-        big = scale[-1]
-        if phase2:
-            final = start._replace(
-                rows=tuple(map(tuple, tableau)), scale=tuple(scale[:-1]),
-                basis=tuple(basis), cols=tuple(cols),
-            )
+    if cost == start.cost:  # the kept row is this cost's: nothing to price
+        obj, big = start.obj, start.obj_scale
+    else:
+        obj, big = _priced(start.rows, start.basis, start.scale, start.cols, cost)
+        if min(obj[:-1], default=0) < 0:  # a column can enter: pivot on a copy
+            tableau = [list(row) for row in start.rows]
+            scale = [*start.scale, big]  # the last entry is the objective row's
+            basis, cols = list(start.basis), list(start.cols)
+            status, phase2 = _run_simplex(tableau, obj, scale, basis, cols)
+            big = scale[-1]
+            if phase2:
+                final = start._replace(
+                    rows=tuple(map(tuple, tableau)), scale=tuple(scale[:-1]),
+                    basis=tuple(basis), cols=tuple(cols), cost=None, obj=None, obj_scale=0,
+                )
+        if status == OPTIMAL:
+            final = final._replace(cost=cost, obj=tuple(obj), obj_scale=big)
     stats = SimplexStats(
         len(start.rows), start.columns, start.phase1_pivots, start.cleanup_pivots, phase2
     )
     if status == UNBOUNDED:
         return SimplexResult(UNBOUNDED, None, None, stats), final
-
     # The objective row's rhs is -value times its scale and the cost's factor.
+    res = SimplexResult(OPTIMAL, Fraction(-obj[-1], big * factor), None, stats)
+    res._final = final
+    return res, final
+
+
+def _point(final: FeasibleBasis) -> tuple[Fraction, ...]:
+    """The point of a basis: a Fraction at each nonzero basic structural
+    coordinate, and one shared zero at every other."""
+    n_vars = final.n_vars
     x = [Fraction(0)] * n_vars
     for row, c, d in zip(final.rows, final.basis, final.scale):
         if c < n_vars and row[-1]:
             x[c] = Fraction(row[-1], d)
-    value = Fraction(-obj[-1], big * factor)
-    return SimplexResult(OPTIMAL, value, tuple(x), stats), final
+    return tuple(x)

@@ -44,6 +44,7 @@ from mtss.structure import (
     optimal_ratio,
     slot_map,
     structure,
+    weak_sigma_plan,
 )
 from mtss.verify import RankProfile, audit_bounds, check_conditions, ratios
 from test_acceptance import resolved_cells, table_family
@@ -104,6 +105,21 @@ def test_row_values_are_ints_unless_fractional():
     as_fractions = Row("t", tuple((k, F(c)) for k, c in row.coeffs), False, F(2))
     assert row == as_fractions and hash(row) == hash(as_fractions)
     assert all(type(c) is int for r in elemental_inequalities(4).rows for _, c in r.coeffs)
+
+
+def test_row_make_keeps_ints_and_reads_other_values_exactly():
+    """`Row.make` holds ints (bools read as 0 and 1) as ints, integral
+    Fractions and floats as ints, and every other value as the exact
+    Fraction: a float by its binary value."""
+    row = Row.make(
+        "t", {1: True, 2: 3, 3: F(6, 3), 4: 2.0, 5: 0.5, 6: 0.1, 7: F(1, 3), 8: False}, True, True
+    )
+    assert row.coeffs == (
+        (1, 1), (2, 3), (3, 2), (4, 2), (5, F(1, 2)), (6, F(0.1)), (7, F(1, 3))
+    )
+    assert [type(c) for _, c in row.coeffs] == [int] * 4 + [F] * 3
+    assert F(0.1) != F(1, 10) and row.rhs == 1 and type(row.rhs) is int
+    assert Row.make("t", {1: -7}, False, -2.5) == Row("t", ((1, -7),), False, F(-5, 2))
 
 
 def test_elemental_bounds():
@@ -616,6 +632,26 @@ def test_a_repeated_lp_makes_no_phase2_pivot(empty_region_memo):
         assert all(lp.start is start for (_, lp), start in zip(second, kept))
         first_pivots += sum(res.stats.phase2_pivots for res, _ in first)
     assert first_pivots > 0
+
+
+def test_cone_lps_make_no_point(monkeypatch, empty_region_memo):
+    """The ratio LPs and truncation checks read only each result's status
+    and value, so no solve of theirs makes its point, cold or from a kept
+    basis; the construction plan LP reads its point, and makes it."""
+    made = []
+    point = simplex._point
+
+    def spy(final):
+        made.append(final)
+        return point(final)
+
+    monkeypatch.setattr(simplex, "_point", spy)
+    for _ in range(2):
+        for run in _kept_basis_runs():
+            run()
+    assert made == []
+    weak_sigma_plan(structure(4, [(3, 3), (2, 1)]))
+    assert len(made) == 1
 
 
 def test_tau_avg_starts_at_the_sigma_avg_optimum(empty_region_memo):

@@ -535,8 +535,8 @@ def test_new_objective_from_the_kept_basis_solves_as_from_rows():
     objective is solved from it: the status and value are those of a
     fresh program with the same rows, the point is optimal for those rows,
     and the stats keep the tableau size and the phase-1 and clean-up
-    counts.  The program then keeps the second solve's final basis (the
-    kept one itself when it made no pivot), and solving the same objective
+    counts.  The program then keeps the second solve's final basis (on the
+    kept one's rows when it made no pivot), and solving the same objective
     again makes no pivot.  An infeasible program keeps no basis."""
     _check_new_objective_from_the_kept_basis(fractions=False)
 
@@ -563,9 +563,9 @@ def _check_new_objective_from_the_kept_basis(fractions):
         lp.minimize([F(rng.randint(-8, 8), rng.randint(1, 4)) if fractions
                      else rng.randint(-4, 4) for _ in range(lp.n_vars)])
         got = lp.solve()
-        assert (lp.start is kept) == (got.stats.phase2_pivots == 0)
+        assert (lp.start.rows is kept.rows) == (got.stats.phase2_pivots == 0)
         assert _shape(lp.start) == _shape(kept)
-        moved += lp.start is not kept
+        moved += lp.start.rows is not kept.rows
         fresh = LinearProgram(lp.n_vars)
         fresh._rows = list(lp._rows)
         fresh.minimize(lp._objective)
@@ -582,8 +582,10 @@ def _check_new_objective_from_the_kept_basis(fractions):
 def test_a_solve_with_no_pivot_copies_nothing(monkeypatch):
     """A second objective that no column can improve is priced on the kept
     basis's frozen rows and runs no simplex loop: the program keeps that
-    basis itself, rows and all.  When a column can enter, the loop runs on
-    a list copy of the rows, and a solve that pivots keeps a new basis."""
+    basis's rows themselves (on a new basis that keeps the new objective
+    row, when the solve is OPTIMAL).  When a column can enter, the loop
+    runs on a list copy of the rows, and a solve that pivots keeps a new
+    basis."""
     run = simplex._run_simplex
     loops = []
 
@@ -602,7 +604,7 @@ def test_a_solve_with_no_pivot_copies_nothing(monkeypatch):
         loops.clear()
         got = lp.solve()
         if got.stats.phase2_pivots == 0:
-            assert lp.start is kept and lp.start.rows is kept.rows
+            assert lp.start.rows is kept.rows
             still += got.status == OPTIMAL
             assert loops == [] or got.status == UNBOUNDED
         else:
@@ -635,7 +637,8 @@ def test_program_from_a_basis_takes_no_rows():
 
 def test_adding_a_row_drops_the_kept_basis():
     """The kept basis holds while the rows stay, and becomes the final
-    basis of each solve that pivots; a new row drops it, and the next
+    basis of each solve that pivots; a new objective solved with no pivot
+    keeps its rows; a new row drops it, and the next
     solve runs phase 1 on every row."""
     lp = LinearProgram(2)
     lp.minimize([1, 1])
@@ -651,7 +654,7 @@ def test_adding_a_row_drops_the_kept_basis():
     kept = lp.start
     lp.minimize([1, 1])
     res = lp.solve()
-    assert res.x == (0, 1) and res.stats.phase2_pivots == 0 and lp.start is kept
+    assert res.x == (0, 1) and res.stats.phase2_pivots == 0 and lp.start.rows is kept.rows
     lp.add_ge([1, 0], 2)
     assert lp.start is None
     res = lp.solve()
@@ -659,3 +662,219 @@ def test_adding_a_row_drops_the_kept_basis():
     assert len(lp.start.rows) == res.stats.rows == 2
     lp.add_eq({1: 1}, 1)
     assert lp.start is None and lp.solve().value == 3
+
+
+# ------------------------------------------ the kept objective row
+
+
+def _pricing_spy(monkeypatch):
+    """The names of the `_priced` and `_run_simplex` calls made from here
+    on, in order."""
+    calls = []
+    for name in ("_priced", "_run_simplex"):
+        def spy(*args, _run=getattr(simplex, name), _name=name):
+            calls.append(_name)
+            return _run(*args)
+
+        monkeypatch.setattr(simplex, name, spy)
+    return calls
+
+
+def _cold(rows, n_vars, objective):
+    """The solve of `objective` on a fresh program with `rows`."""
+    fresh = LinearProgram(n_vars)
+    fresh._rows = list(rows)
+    fresh.minimize(objective)
+    return fresh.solve()
+
+
+def _same_integer_cost(objective, rng):
+    """A rational multiple of `objective` with the same integer cost: its
+    integer cost over a prime that divides none of that cost's entries."""
+    cost, _ = simplex._integerize(objective, 1)
+    k = rng.choice([p for p in (2, 3, 5, 7, 11) if gcd(gcd(*cost) or 1, p) == 1])
+    multiple = [F(c, k) for c in cost]
+    assert simplex._integerize(multiple, 1)[0] == cost
+    return multiple
+
+
+@pytest.mark.parametrize("fractions", [False, True])
+def test_a_repeated_cost_is_read_off_the_kept_row(monkeypatch, fractions):
+    """An OPTIMAL solve keeps its objective row on its final basis.  The
+    same objective again, and a rational multiple of it with the same
+    integer cost (so its own factor), are read off that row: nothing is
+    priced, no simplex loop runs, the program keeps the same basis, and
+    the status and value are those of a cold solve from the rows, at a
+    point optimal for the rows."""
+    calls = _pricing_spy(monkeypatch)
+    rng = random.Random(37)
+    read = 0
+    for lp in _seeded_lps(300, seed=41, fractions=fractions):
+        if lp.solve().status != OPTIMAL:
+            continue
+        kept = lp.start
+        assert kept.cost is not None and len(kept.cost) == kept.columns
+        for again in (lp._objective, _same_integer_cost(lp._objective, rng)):
+            want = _cold(lp._rows, lp.n_vars, again)
+            lp.minimize(again)
+            calls.clear()
+            got = lp.solve()
+            assert calls == [] and lp.start is kept and got.stats.phase2_pivots == 0
+            assert (got.status, got.value) == (want.status, want.value)
+            assert _optimal_for(got, lp)
+            read += 1
+    assert read > 120
+
+
+@pytest.mark.parametrize("fractions", [False, True])
+def test_a_repeat_after_an_unbounded_solve_prices_again(monkeypatch, fractions):
+    """An UNBOUNDED solve keeps no row of its cost: its final basis keeps
+    none when it pivoted, and is its start, with that basis's own row or
+    none, when it did not.  So a repeat prices the objective again and
+    reports UNBOUNDED again, with no pivot, as a cold solve does."""
+    calls = _pricing_spy(monkeypatch)
+    unbounded = after_optimal = 0
+    for lp in _seeded_lps(300, seed=43, fractions=fractions):
+        for objective in (lp._objective, [-c for c in lp._objective]):
+            lp.minimize(objective)
+            before = lp.start
+            res = lp.solve()
+            if res.status != UNBOUNDED:
+                continue
+            unbounded += 1
+            after_optimal += before is not None and before.cost is not None
+            assert lp.start.cost is None or (lp.start is before and res.stats.phase2_pivots == 0)
+            want = _cold(lp._rows, lp.n_vars, objective)
+            calls.clear()
+            again = lp.solve()
+            assert calls[0] == "_priced" and again.stats.phase2_pivots == 0
+            assert (again.status, again.value, again.x) == (want.status, want.value, want.x)
+            assert again.status == UNBOUNDED and again.x is None
+    assert unbounded > 30 and after_optimal > 5
+
+
+@pytest.mark.parametrize("fractions", [False, True])
+def test_a_repeat_after_add_ge_is_read_off_the_new_row(monkeypatch, fractions):
+    """`add_ge` drops the kept basis and its row, so the next solve runs
+    phase 1 and prices the objective on the new rows; a repeat after it is
+    read off the row that solve kept, with the status and value of a cold
+    solve from all the rows."""
+    calls = _pricing_spy(monkeypatch)
+    rng = random.Random(59)
+    read = 0
+    for lp in _seeded_lps(300, seed=61, fractions=fractions):
+        lp.solve()
+        lp.add_ge([rng.randint(-2, 3) for _ in range(lp.n_vars)], rng.randint(-2, 2))
+        assert lp.start is None
+        calls.clear()
+        if lp.solve().status != OPTIMAL:
+            continue
+        assert calls.count("_priced") == 2  # phase 1's objective and this one
+        kept = lp.start
+        want = _cold(lp._rows, lp.n_vars, lp._objective)
+        calls.clear()
+        got = lp.solve()
+        assert calls == [] and lp.start is kept
+        assert (got.status, got.value) == (want.status, want.value) and _optimal_for(got, lp)
+        read += 1
+    assert read > 50
+
+
+@pytest.mark.parametrize("fractions", [False, True])
+def test_a_program_from_a_basis_reads_the_kept_row(monkeypatch, fractions):
+    """A program made by `from_basis` from an OPTIMAL final basis, given
+    the objective (or a multiple with the same integer cost) that basis
+    was solved for, reads the value off the kept row: no pricing, no
+    loop, and the status and value of a cold solve from the rows."""
+    calls = _pricing_spy(monkeypatch)
+    rng = random.Random(67)
+    read = 0
+    for lp in _seeded_lps(300, seed=71, fractions=fractions):
+        if lp.solve().status != OPTIMAL:
+            continue
+        for again in (lp._objective, _same_integer_cost(lp._objective, rng)):
+            started = LinearProgram.from_basis(lp.start)
+            started.minimize(again)
+            want = _cold(lp._rows, lp.n_vars, again)
+            calls.clear()
+            got = started.solve()
+            assert calls == [] and started.start is lp.start
+            assert (got.status, got.value) == (want.status, want.value)
+            read += 1
+    assert read > 120
+
+
+# ------------------------------------------ the point, made when read
+
+
+def _eager_point(final):
+    """The point as a solve read it off its final basis before the point
+    was made on read: the reference for `x`."""
+    x = [F(0)] * final.n_vars
+    for row, c, d in zip(final.rows, final.basis, final.scale):
+        if c < final.n_vars and row[-1]:
+            x[c] = F(row[-1], d)
+    return tuple(x)
+
+
+@pytest.mark.parametrize("fractions", [False, True])
+def test_the_point_is_made_from_the_final_basis_when_read(monkeypatch, fractions):
+    """An OPTIMAL result makes no point until `x` is read.  Read after the
+    program has solved another objective (and often moved to another
+    basis), `x` is the eager read-off of the result's own final basis and
+    is optimal for its own objective; a second read makes no new point."""
+    made = []
+    point = simplex._point
+
+    def spy(final):
+        made.append(final)
+        return point(final)
+
+    monkeypatch.setattr(simplex, "_point", spy)
+    rng = random.Random(73)
+    checked = moved = 0
+    for lp in _seeded_lps(300, seed=79, fractions=fractions):
+        objective = lp._objective
+        first = lp.solve()
+        if first.status != OPTIMAL:
+            continue
+        final = lp.start
+        lp.minimize([F(rng.randint(-8, 8), rng.randint(1, 4)) for _ in range(lp.n_vars)])
+        lp.solve()
+        moved += lp.start.rows is not final.rows
+        made.clear()
+        assert first.x == _eager_point(final) and made == [final]
+        assert first.x is first.x and len(made) == 1
+        assert min(first.x) >= 0
+        assert sum(c * v for c, v in zip(objective, first.x)) == first.value
+        checked += 1
+    assert checked > 60 and moved > 20
+
+
+def test_a_solved_result_compares_and_prints_as_a_constructed_one():
+    """A solve's result, with its point read or not, is equal to a result
+    built from the same fields, hashes as it and prints as it; the repr is
+    the one the result always had, and stats take no part in equality."""
+
+    def solved():
+        lp = LinearProgram(2)
+        lp.minimize([1, 1])
+        lp.add_ge([1, 0], 1)
+        lp.add_ge([0, 1], 0)
+        return lp.solve()
+
+    built = SimplexResult(OPTIMAL, F(1), (F(1), F(0)))
+    assert solved() == built and built == solved() and solved() == solved()
+    assert hash(solved()) == hash(built)
+    assert solved() != SimplexResult(OPTIMAL, F(1), (F(0), F(1)))
+    res = solved()
+    assert repr(res) == (
+        "SimplexResult(status='optimal', value=Fraction(1, 1), "
+        "x=(Fraction(1, 1), Fraction(0, 1)), stats=SimplexStats(rows=2, columns=5, "
+        "phase1_pivots=1, cleanup_pivots=0, phase2_pivots=0))"
+    )
+    assert repr(res) == repr(SimplexResult(res.status, res.value, res.x, res.stats))
+    assert res.__eq__((res.status, res.value, res.x)) is NotImplemented
+    assert repr(SimplexResult(UNBOUNDED, None, None)) == (
+        "SimplexResult(status='unbounded', value=None, x=None, stats=None)"
+    )
