@@ -315,6 +315,25 @@ def _elemental_rows(keys, place):
             yield row
 
 
+class _Region:
+    """A region key, the tuple (structure, security, extra rows, class
+    keys), that hashes it once: a solve looks its region up and stores it
+    again, and the frozen dataclasses in the tuple hash every field on
+    each call."""
+
+    __slots__ = ("parts", "hash")
+
+    def __init__(self, parts: tuple):
+        self.parts = parts
+        self.hash = hash(parts)
+
+    def __hash__(self):
+        return self.hash
+
+    def __eq__(self, other):
+        return self.parts == other.parts
+
+
 class _RegionMemo:
     """The last optimal basis of each cone-LP region, at most `limit`
     stored tableau entries in all; a store replaces the region's basis and
@@ -407,7 +426,7 @@ def _minimize(sp: StructurePair, security: str, objective: dict, rows, colour) -
             (sum(bit_id[i] for i in range(n) if mask >> i & 1), c) for mask, c in coeffs
         )
 
-    region = (sp, security, tuple(rows), tuple(keys))
+    region = _Region((sp, security, tuple(rows), tuple(keys)))
     start = _REGIONS.get(region)
     if start is not None:
         prog = simplex.LinearProgram.from_basis(start)

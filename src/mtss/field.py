@@ -121,6 +121,24 @@ def rank(rows, q: int) -> int:
     return len(_echelon(a.tolist(), q, reduced=False)[1])
 
 
+def is_window(rows, q: int) -> bool:
+    """Whether a matrix over F_q (reduced first) is a Vandermonde window:
+    t >= 2 rows and every column (1, e, ..., e^(t-1)) with the e pairwise
+    distinct.
+
+    Any t of its columns then form a Vandermonde matrix, whose determinant
+    is the product of the differences of their elements, so every set of c
+    of its columns has rank min(c, t).
+    """
+    a = reduce(rows, q)
+    if a.shape[0] < 2 or (a[0] != 1).any():
+        return False
+    e = a[1]
+    if len(set(e.tolist())) != e.size:
+        return False
+    return all(np.array_equal(a[r], a[r - 1] * e % q) for r in range(2, a.shape[0]))
+
+
 def solve_affine(A, q: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The solution map of A x = b over F_q, for every right-hand side b.
 

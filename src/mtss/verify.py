@@ -20,7 +20,8 @@ have checked that the composition keeps every condition, and which
 over another prime.  Its ranks are sums of its leaves' ranks and its
 conditions follow from its leaves' reports, so only leaves (built directly,
 read from text or copied) eliminate and scan coalitions, unless a leaf fails
-and the composed scheme needs its own witness.
+and the composed scheme needs its own witness.  A leaf that is a Vandermonde
+window scans one coalition per size (`check_conditions`).
 
 Each profile is the scheme's rank table (a `dict` from variable mask to
 rank), filled only with the masks read; `rank`, the condition scans and the
@@ -105,10 +106,16 @@ class RankProfile(dict):
     index (to no bit for a dummy or a width-0 block).
 
     `reports` keeps `check_conditions`' reports by (security, exhaustive).
+    `window` is true for a leaf whose matrix is a Vandermonde window
+    (`field.is_window`, read from the matrix alone, so a text or
+    `dataclasses.replace` copy qualifies) and whose shares all have one
+    width: a coalition's ranks against any secrets then depend only on its
+    size (see `check_conditions`).  It is false for a composed scheme.
     """
 
     __slots__ = (
-        "sp", "q", "eliminations", "reports", "_all", "_lock", "_leaves", "_matrix", "_cuts"
+        "sp", "q", "eliminations", "reports", "window",
+        "_all", "_lock", "_leaves", "_matrix", "_cuts",
     )
 
     def __init__(self, scheme: LinearScheme):
@@ -129,8 +136,13 @@ class RankProfile(dict):
             )
             for leaf, index in scheme.leaves
         ]
+        self.window = False
         if not self._leaves:
             self._matrix, self._cuts = scheme.matrix, scheme.cuts
+            self.window = (
+                len(set(scheme.widths[sp.n_secrets :])) == 1
+                and field.is_window(scheme.matrix, scheme.q)
+            )
 
     def __missing__(self, mask: int) -> int:
         if not 0 <= mask <= self._all:
@@ -213,11 +225,6 @@ class VerificationReport:
         return self.independence.ok and self.decodable.ok and self.secure.ok
 
 
-def _party_sets(n, sizes):
-    for size in sizes:
-        yield from combinations(range(1, n + 1), size)
-
-
 _GROUP = {"C0": "independence", "C1": "decodable", "C2": "secure", "C3": "secure"}
 
 
@@ -265,6 +272,18 @@ def check_conditions(
     read from text or copied with `dataclasses.replace`), every coalition is
     scanned, which finds the first failing instance as its witness.
 
+    A leaf whose profile is a `window` scans one coalition per size.  Its
+    matrix has t rows and every column (1, e, ..., e^(t-1)) with the e
+    distinct, so any t columns form a Vandermonde matrix with determinant
+    prod (e_j - e_i) != 0, and any c columns have rank min(c, t).  Its
+    shares have one width w, so a coalition A of size s and secrets S of
+    total width x give rk(S u A) = min(x + s w, t) and rk(A) = min(s w,
+    t): every coalition of one size gives the same (got, want).  So only
+    the first coalition of each size in `combinations` order, (1, ..., s),
+    is ranked, and it counts for all comb(N, s).  A failing size fails
+    first at that coalition, so the checks and the witness are those of the
+    full scan.
+
     So `schemes.unify_field` checks only leaves, at weak security.  A leaf
     with one secret has one level, where C2 and C3 name the same instances:
     its t-1 shares against the one secret, and rk(S) = width(S) by the
@@ -305,8 +324,13 @@ def check_conditions(
                 extra = profile[sec]
             else:
                 extra = sum(scheme.widths[i] for i in secrets)
-            for a_set in _party_sets(n, _coalition_sizes(tag, size, n, exhaustive)):
-                checks += 1
+            sizes = _coalition_sizes(tag, size, n, exhaustive)
+            if profile.window:
+                # (the first coalition of each size, the coalitions it stands for)
+                sets = [(tuple(range(1, s + 1)), comb(n, s)) for s in sizes]
+            else:
+                sets = ((a, 1) for s in sizes for a in combinations(range(1, n + 1), s))
+            for a_set, count in sets:
                 pa = 0
                 for i in a_set:
                     pa |= share_bit[i]
@@ -314,7 +338,8 @@ def check_conditions(
                 want = profile[pa] + extra
                 if got != want:
                     w = Witness(group, a_set, tuple(sp.variables[i] for i in secrets), got, want)
-                    return ConditionResult(False, checks, w)
+                    return ConditionResult(False, checks + 1, w)
+                checks += count
         return ConditionResult(True, checks, None)
 
     entries = conditions(sp, security)

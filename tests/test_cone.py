@@ -39,6 +39,7 @@ from mtss.structure import (
     WEAK,
     RatioKind,
     ShareSecretBound,
+    StructurePair,
     bound_row,
     conditions,
     optimal_ratio,
@@ -758,6 +759,31 @@ def test_region_memo_refreshes_a_held_basis_in_place(empty_region_memo):
     assert memo.entries == entries
     assert list(memo._bases) == [key for key in bases if key not in truncation] + truncation
     assert all(memo._bases[key] is start for key, start in bases.items())
+
+
+def test_a_solve_hashes_its_region_key_once(monkeypatch, empty_region_memo):
+    """Each LP of `_kept_basis_runs`, cold and again from its kept basis,
+    hashes its region key once: the memo's lookup and store reuse the hash.
+    Counted as the hashes of the key's structure, which nothing else in a
+    solve hashes (three per cold solve and four per held one before)."""
+    hashes = []
+    sp_hash = StructurePair.__hash__
+    monkeypatch.setattr(StructurePair, "__hash__", lambda sp: hashes.append(sp) or sp_hash(sp))
+    per_solve = []
+    minimize = cone._minimize
+
+    def counted(*args):
+        before = len(hashes)
+        value = minimize(*args)
+        per_solve.append(len(hashes) - before)
+        return value
+
+    monkeypatch.setattr(cone, "_minimize", counted)
+    for _ in range(2):
+        for run in _kept_basis_runs():
+            run()
+    assert per_solve == [1] * 20
+    assert len(empty_region_memo._bases) == 6
 
 
 def test_region_memo_under_threads(monkeypatch, empty_region_memo):

@@ -9,7 +9,7 @@ import threading
 import weakref
 from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
-from itertools import combinations, permutations, product, tee
+from itertools import combinations, groupby, permutations, product, tee
 
 import numpy as np
 import pytest
@@ -35,11 +35,15 @@ from mtss.structure import (
     WEAK,
     RatioKind,
     bound_row,
+    conditions,
     parse_thresholds,
     structure,
 )
 from mtss.verify import (
+    ConditionResult,
     RankProfile,
+    VerificationReport,
+    Witness,
     audit_bounds,
     check_conditions,
     ratios,
@@ -612,6 +616,125 @@ def test_exhaustive_enumeration_agrees():
         full = check_conditions(s, sec, exhaustive=True)
         assert lazy.passed and full.passed
         assert full.secure.checks >= lazy.secure.checks
+
+
+_GROUPS = {"C0": "independence", "C1": "decodable", "C2": "secure", "C3": "secure"}
+
+
+def full_scan(scheme, security, exhaustive, ranks=None):
+    """The reference check: every coalition of every checked size, in
+    `combinations` order, each rank an elimination of its columns, kept in
+    `ranks` by mask (secret i is bit i, share j bit n_secrets + j - 1).
+    Returns the report and the masks it ranked."""
+    sp, n, ns = scheme.sp, scheme.sp.n_parties, scheme.sp.n_secrets
+    ranks = {} if ranks is None else ranks
+    read = set()
+
+    def rk(mask):
+        read.add(mask)
+        if mask not in ranks:
+            vs = [v for i, v in enumerate(sp.variables) if mask >> i & 1]
+            ranks[mask] = field.rank(scheme.columns(vs), scheme.q)
+        return ranks[mask]
+
+    def scan(group, entries):
+        checks = 0
+        for tag, secrets, size in entries:
+            sec = sum(1 << i for i in secrets)
+            if tag == "C1":
+                extra, sizes = 0, range(size, n + 1)
+            else:
+                extra = rk(sec) if tag == "C2" else sum(scheme.widths[i] for i in secrets)
+                sizes = range(size + 1) if exhaustive else (size,)
+            for a in (a for s in sizes for a in combinations(range(1, n + 1), s)):
+                checks += 1
+                pa = sum(1 << (ns + i - 1) for i in a)
+                got, want = rk(sec | pa), rk(pa) + extra
+                if got != want:
+                    names = tuple(sp.variables[i] for i in secrets)
+                    return ConditionResult(False, checks, Witness(group, a, names, got, want))
+        return ConditionResult(True, checks)
+
+    entries = conditions(sp, security)
+    results = {
+        group: scan(group, found) for group, found in groupby(entries, lambda e: _GROUPS[e[0]])
+    }
+    return VerificationReport(security, **results), read
+
+
+# sha256 of the concatenated reprs of the 840 window reports of
+# `test_window_reports_match_the_full_scan`, in its loop order, as made by
+# the scan of every coalition that preceded one coalition per size.
+WINDOW_REPORTS_SHA256 = "635b7f2dc7764b63e83ae150c3fc3342a870bd6a937ab3200c14ae2b5af0ad91"
+
+
+def test_window_reports_match_the_full_scan():
+    """Every `build_weak_block(N, t, m)` with 2 <= t <= N <= 7 and
+    1 <= m <= 5, and its text copy, is a window: at both securities and
+    both ways of `exhaustive`, its report, checks and witness included,
+    equals the full scan's, and it ranks only the first coalition of each
+    size, (1, ..., s)."""
+    h = hashlib.sha256()
+    reports = fails = 0
+    for n in range(2, 8):
+        for t in range(2, n + 1):
+            for m in range(1, 6):
+                block = build_weak_block(n, t, m)
+                assert dataclasses.replace(block).profile.window
+                ranks = {}  # the copy's matrix is the block's
+                for s in (block, LinearScheme.from_text(block.to_text())):
+                    assert s.profile.window
+                    for security in (STRONG, WEAK):
+                        for exhaustive in (False, True):
+                            got = check_conditions(s, security, exhaustive)
+                            want = full_scan(s, security, exhaustive, ranks)[0]
+                            assert got == want, (n, t, m)
+                            h.update(repr(got).encode())
+                            reports += 1
+                            fails += not got.passed
+                    ns = s.sp.n_secrets
+                    assert all((x >> ns) & ((x >> ns) + 1) == 0 for x in s.profile), (n, t, m)
+    assert (reports, fails) == (840, 336)
+    assert h.hexdigest() == WINDOW_REPORTS_SHA256
+
+
+def test_other_matrices_are_scanned_whole():
+    """A matrix that is not a window, or a window whose shares differ in
+    width, ranks every coalition the full scan ranks, and its reports equal
+    the full scan's."""
+    w = build_weak_block(5, 3, 2)
+    scaled = w.matrix.copy()
+    scaled[:, 3] = scaled[:, 3] * 2 % w.q
+    v = schemes.vandermonde(3, range(1, 7), 11)
+    composed = build_optimal(structure(3, [(3, 2), (2, 1)]), RatioKind(SIGMA, WEAK))
+    cases = {
+        "one column scaled by 2": LinearScheme(w.sp, w.q, scaled, w.widths),
+        # shares 4 and 5 on one element: any 3 shares with both miss rank 3
+        "a repeated element": LinearScheme(
+            structure(5, [(3, 1)]), 11, v[:, [0, 1, 2, 3, 4, 4]], (1,) * 6
+        ),
+        "two rows swapped": LinearScheme(w.sp, w.q, w.matrix[[1, 0, 2]], w.widths),
+        # share 4 is two columns, so 2 shares with it reach rank 3 alone
+        "unequal share widths": LinearScheme(structure(4, [(3, 1)]), 11, v, (1, 1, 1, 1, 2)),
+        # a width-0 secret: every coalition passes, so the scan ranks them all
+        "a 1-row matrix": LinearScheme(structure(4, [(2, 1)]), 5, [[1, 1, 1, 1]], (0, 1, 1, 1, 1)),
+        "a composed scheme's text copy": LinearScheme.from_text(composed.to_text()),
+        "an A leaf": build_A(4, (3, 4), 1),
+        "a B leaf": build_B(3, (3, 4), (2, 1)),
+    }
+    fails = set()
+    for name, s in cases.items():
+        for security in (STRONG, WEAK):
+            for exhaustive in (False, True):
+                report = check_conditions(s, security, exhaustive)
+                want, ranked = full_scan(s, security, exhaustive)
+                assert report == want, (name, security, exhaustive)
+                assert ranked <= set(s.profile), (name, security, exhaustive)
+                if not report.passed:
+                    fails.add(name)
+        assert not s.profile.window, name
+    assert {"a repeated element", "unequal share widths"} <= fails
+    assert "a 1-row matrix" not in fails
 
 
 def test_unknown_security_level():
